@@ -64,10 +64,13 @@ cargo run -q --release --offline -p itdos-bench --bin obs_ablation -- --smoke "$
 test -s "$obs_smoke" || { echo 'BENCH_obs smoke output missing'; exit 1; }
 rm -f "$obs_smoke"
 
-echo '== audit bench (BENCH_audit.json)'
-# regenerates the committed snapshot in place (host-timing numbers move
-# run to run; the snapshot is a trajectory marker, not a gate)
-cargo run -q --release --offline -p itdos-bench --bin audit -- --bench BENCH_audit.json
+echo '== audit bench smoke (BENCH_audit schema)'
+# writes to a temp path like every other smoke step: host-timing numbers
+# move run to run, and a CI run must leave the committed snapshot alone
+audit_smoke="$(mktemp)"
+cargo run -q --release --offline -p itdos-bench --bin audit -- --bench "$audit_smoke"
+test -s "$audit_smoke" || { echo 'BENCH_audit smoke output missing'; exit 1; }
+rm -f "$audit_smoke"
 
 echo '== whole-stack profiler smoke (run-twice determinism + 90% attribution)'
 # the profile binary runs the seeded workload twice and exits nonzero

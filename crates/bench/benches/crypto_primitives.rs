@@ -4,10 +4,10 @@
 use itdos_bench::harness::{BenchmarkId, Criterion, Throughput};
 use itdos_bench::{criterion_group, criterion_main};
 use itdos_crypto::hash::Digest;
-use itdos_crypto::hmac::hmac;
+use itdos_crypto::hmac::{hmac, HmacKey};
 use itdos_crypto::keys::SymmetricKey;
 use itdos_crypto::sign::SigningKey;
-use itdos_crypto::symmetric::{open, seal};
+use itdos_crypto::symmetric::{open, seal, SealKey};
 
 fn bench_hash(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
@@ -30,6 +30,14 @@ fn bench_hmac(c: &mut Criterion) {
             b.iter(|| hmac(b"key", data));
         });
     }
+    // the same tag from a key prepared once: what skipping the two pad
+    // compressions buys on a short message
+    let prepared = HmacKey::new(b"key");
+    let data = vec![0x5Au8; 64];
+    group.throughput(Throughput::Bytes(64));
+    group.bench_with_input(BenchmarkId::new("prepared", 64), &data, |b, data| {
+        b.iter(|| prepared.tag_parts(&[data]));
+    });
     group.finish();
 }
 
@@ -46,6 +54,7 @@ fn bench_signatures(c: &mut Criterion) {
 
 fn bench_sealing(c: &mut Criterion) {
     let key = SymmetricKey::derive(b"bench", b"seal");
+    let prepared = SealKey::new(&key);
     let mut group = c.benchmark_group("authenticated_encryption");
     for size in [256usize, 4096] {
         let msg = vec![1u8; size];
@@ -57,6 +66,17 @@ fn bench_sealing(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("open", size), &sealed, |b, sealed| {
             b.iter(|| open(&key, sealed).expect("valid"));
         });
+        // the per-connection path: subkeys derived and padded once
+        group.bench_with_input(BenchmarkId::new("prepared_seal", size), &msg, |b, msg| {
+            b.iter(|| prepared.seal([9u8; 16], msg));
+        });
+        group.bench_with_input(
+            BenchmarkId::new("prepared_open", size),
+            &sealed,
+            |b, sealed| {
+                b.iter(|| prepared.open(sealed).expect("valid"));
+            },
+        );
     }
     group.finish();
 }

@@ -11,9 +11,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use itdos_crypto::hash::Digest;
-use itdos_crypto::keys::CommunicationKey;
 use itdos_crypto::sign::SigningKey;
-use itdos_crypto::symmetric::{open, seal, Sealed};
+use itdos_crypto::symmetric::{open, SealKey, Sealed};
 use itdos_giop::cdr::Endianness;
 use itdos_giop::giop::{decode_message, encode_message, GiopMessage, ReplyBody, RequestMessage};
 use itdos_giop::platform::PlatformProfile;
@@ -60,7 +59,8 @@ pub struct ClientConfig {
 
 struct ConnState {
     meta: ConnectionMeta,
-    key: CommunicationKey,
+    /// The communication key, prepared once when the connection is keyed.
+    key: SealKey,
     next_request_id: u64,
 }
 
@@ -412,7 +412,7 @@ impl SingletonClient {
         &mut self,
         ctx: &mut Context<'_>,
         meta: ConnectionMeta,
-        key: CommunicationKey,
+        key: SealKey,
         request: &RequestMessage,
     ) {
         let Ok(giop_bytes) = encode_message(
@@ -435,7 +435,7 @@ impl SingletonClient {
         let signature =
             SignedReply::sign(&self.signing, sender, sequence, giop_bytes.clone()).signature;
         let nonce = self.nonce(meta.connection, meta.epoch, request.request_id, sequence);
-        let sealed = seal(&key.0, nonce, &giop_bytes);
+        let sealed = key.seal(nonce, &giop_bytes);
         crate::cost::account(
             &self.obs,
             "crypto.seal",
@@ -489,7 +489,7 @@ impl SingletonClient {
         let Some(sealed) = Sealed::from_bytes(&msg.sealed) else {
             return;
         };
-        let Ok(giop_bytes) = open(&conn_key.0, &sealed) else {
+        let Ok(giop_bytes) = conn_key.open(&sealed) else {
             return;
         };
         crate::cost::account(
@@ -679,7 +679,7 @@ impl SingletonClient {
             target,
             ConnState {
                 meta,
-                key,
+                key: SealKey::new(&key.0),
                 next_request_id,
             },
         );

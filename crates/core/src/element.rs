@@ -16,9 +16,8 @@ use itdos_bft::message::Message;
 use itdos_bft::queue::{ElementId, QueueMachine, QueueOp};
 use itdos_bft::replica::{Output, Replica};
 use itdos_crypto::hash::Digest;
-use itdos_crypto::keys::CommunicationKey;
 use itdos_crypto::sign::{SigningKey, VerifyingKey};
-use itdos_crypto::symmetric::{open, seal, Sealed};
+use itdos_crypto::symmetric::{open, SealKey, Sealed};
 use itdos_giop::giop::{GiopMessage, ReplyBody, ReplyMessage, RequestMessage};
 use itdos_giop::platform::PlatformProfile;
 use itdos_giop::types::Value;
@@ -78,7 +77,8 @@ pub fn vote_sender(code: u64) -> SenderId {
 
 struct ConnState {
     meta: ConnectionMeta,
-    key: CommunicationKey,
+    /// The communication key, prepared once when the connection is keyed.
+    key: SealKey,
     next_request_id: u64,
 }
 
@@ -516,7 +516,7 @@ impl ServerElement {
         let Some(sealed) = Sealed::from_bytes(&frame.sealed) else {
             return;
         };
-        let Ok(giop_bytes) = open(&key.0, &sealed) else {
+        let Ok(giop_bytes) = key.open(&sealed) else {
             return;
         };
         crate::cost::account(
@@ -818,7 +818,7 @@ impl ServerElement {
         )
         .signature;
         let nonce = self.nonce(meta.connection, meta.epoch, request_id, sequence);
-        let sealed = seal(&key.0, nonce, &giop_bytes);
+        let sealed = key.seal(nonce, &giop_bytes);
         crate::cost::account(
             &self.obs,
             "crypto.seal",
@@ -889,7 +889,7 @@ impl ServerElement {
         )
         .signature;
         let nonce = self.nonce(meta.connection, meta.epoch, current.request_id, sequence);
-        let sealed = seal(&key.0, nonce, &giop_bytes);
+        let sealed = key.seal(nonce, &giop_bytes);
         crate::cost::account(
             &self.obs,
             "crypto.seal",
@@ -976,7 +976,7 @@ impl ServerElement {
             meta.connection,
             ConnState {
                 meta,
-                key,
+                key: SealKey::new(&key.0),
                 next_request_id,
             },
         );

@@ -220,10 +220,11 @@ impl AuthContext {
         let keys: Vec<SymmetricKey> = (0..self.n as u32)
             .map(|i| self.pair_with_replica(ReplicaId(i)))
             .collect();
+        let auth = AuthProof::Macs(Authenticator::generate(&keys, &payload));
         Envelope {
             sender: self.me,
-            payload: payload.clone(),
-            auth: AuthProof::Macs(Authenticator::generate(&keys, &payload)),
+            payload,
+            auth,
         }
     }
 
@@ -235,13 +236,14 @@ impl AuthContext {
             panic!("only replicas address clients");
         };
         let key = self.provisioner.client_pair(client, me);
+        let auth = AuthProof::Macs(Authenticator::generate(
+            std::slice::from_ref(&key),
+            &payload,
+        ));
         Envelope {
             sender: self.me,
-            payload: payload.clone(),
-            auth: AuthProof::Macs(Authenticator::generate(
-                std::slice::from_ref(&key),
-                &payload,
-            )),
+            payload,
+            auth,
         }
     }
 

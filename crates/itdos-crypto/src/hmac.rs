@@ -1,8 +1,63 @@
 //! HMAC-SHA256 (RFC 2104).
+//!
+//! The two pad blocks depend on the key alone, so [`HmacKey`] compresses
+//! them once and every tag resumes from the saved midstates: a short
+//! message costs two compressions instead of four. [`hmac`] and
+//! [`hmac_parts`] prepare a key and use it once.
 
 use crate::hash::{Digest, Sha256};
 
 const BLOCK: usize = 64;
+
+/// An HMAC-SHA256 key prepared for repeated use: the SHA-256 midstates
+/// after the `key ⊕ ipad` and `key ⊕ opad` blocks.
+///
+/// # Examples
+///
+/// ```
+/// use itdos_crypto::hmac::{hmac, HmacKey};
+///
+/// let key = HmacKey::new(b"key");
+/// assert_eq!(key.tag_parts(&[b"mes", b"sage"]), hmac(b"key", b"message"));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    /// Prepares `key` (hashed first when longer than one block).
+    pub fn new(key: &[u8]) -> HmacKey {
+        let mut key_block = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            key_block[..32].copy_from_slice(Digest::of(key).as_bytes());
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let midstate_after = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&key_block.map(|b| b ^ pad));
+            h.midstate()
+        };
+        HmacKey {
+            inner: midstate_after(0x36),
+            outer: midstate_after(0x5c),
+        }
+    }
+
+    /// The tag over the concatenation of `parts`, without an intermediate
+    /// allocation.
+    pub fn tag_parts(&self, parts: &[&[u8]]) -> Digest {
+        let mut inner = Sha256::resume(self.inner, BLOCK as u64);
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = Sha256::resume(self.outer, BLOCK as u64);
+        outer.update(inner.finish().as_bytes());
+        outer.finish()
+    }
+}
 
 /// Computes `HMAC-SHA256(key, message)`.
 ///
@@ -24,28 +79,7 @@ pub fn hmac(key: &[u8], message: &[u8]) -> Digest {
 /// HMAC over the concatenation of several message parts, avoiding an
 /// intermediate allocation.
 pub fn hmac_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
-    let mut key_block = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        key_block[..32].copy_from_slice(Digest::of(key).as_bytes());
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    for part in parts {
-        inner.update(part);
-    }
-    let inner_digest = inner.finish();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(inner_digest.as_bytes());
-    outer.finish()
+    HmacKey::new(key).tag_parts(parts)
 }
 
 /// Constant-shape tag comparison.
@@ -61,48 +95,53 @@ pub fn verify(key: &[u8], message: &[u8], tag: &Digest) -> bool {
 mod tests {
     use super::*;
 
-    // RFC 4231 test vectors.
+    // RFC 4231 test vectors (cases 1-4, 6, 7), through the one-shot function
+    // and through one prepared key used twice, whole and over split parts.
     #[test]
-    fn rfc4231_case_1() {
-        let key = [0x0b; 20];
-        let tag = hmac(&key, b"Hi There");
-        assert_eq!(
-            tag.to_hex(),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-    }
-
-    #[test]
-    fn rfc4231_case_2() {
-        let tag = hmac(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            tag.to_hex(),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-    }
-
-    #[test]
-    fn rfc4231_case_3_long_data() {
-        let key = [0xaa; 20];
-        let data = [0xdd; 50];
-        let tag = hmac(&key, &data);
-        assert_eq!(
-            tag.to_hex(),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-        );
-    }
-
-    #[test]
-    fn rfc4231_case_6_long_key() {
-        let key = [0xaa; 131];
-        let tag = hmac(
-            &key,
-            b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
-        assert_eq!(
-            tag.to_hex(),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+    fn rfc4231_oneshot_and_prepared() {
+        let long_key = [0xaa; 131];
+        let key_4: Vec<u8> = (1..=25).collect();
+        let cases: [(&[u8], &[u8], &str); 6] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &key_4,
+                &[0xcd; 50],
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            (
+                &long_key,
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                &long_key,
+                b"This is a test using a larger than block-size key and a larger t\
+                  han block-size data. The key needs to be hashed before being use\
+                  d by the HMAC algorithm.",
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ];
+        for (key, data, tag) in cases {
+            assert_eq!(hmac(key, data).to_hex(), tag);
+            let prepared = HmacKey::new(key);
+            let (head, tail) = data.split_at(data.len() / 3);
+            assert_eq!(prepared.tag_parts(&[data]).to_hex(), tag);
+            assert_eq!(prepared.tag_parts(&[head, b"", tail]).to_hex(), tag);
+        }
     }
 
     #[test]

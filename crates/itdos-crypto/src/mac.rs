@@ -126,6 +126,25 @@ mod tests {
         }
     }
 
+    /// Golden vector captured at the commit before SHA-256/HMAC were tuned:
+    /// the authenticator bytes on the wire must not change.
+    #[test]
+    fn authenticator_bytes_match_parent_commit() {
+        let ks: Vec<SymmetricKey> = (0..4u8)
+            .map(|i| SymmetricKey::derive(&[i], b"golden-pair"))
+            .collect();
+        let msg: Vec<u8> = (0..160usize).map(|i| (i * 13 + 5) as u8).collect();
+        let hex: String = Authenticator::generate(&ks, &msg)
+            .to_bytes()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "04000000cd073b2fca4e10441d15a2075e554a0b2aecc483e578719d888f39fb9055e989"
+        );
+    }
+
     #[test]
     fn wrong_key_or_message_fails() {
         let ks = keys(4);

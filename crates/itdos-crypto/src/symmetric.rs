@@ -5,9 +5,14 @@
 //! The keystream block `i` is `HMAC(enc_key, nonce ‖ i)`; the tag is
 //! `HMAC(mac_key, nonce ‖ ciphertext)`. Both subkeys are derived from the
 //! communication key, so a single 256-bit key protects an association.
+//!
+//! A [`SealKey`] holds both subkeys in prepared form, so a connection
+//! derives them once, not on every frame; the free [`seal`] and [`open`]
+//! prepare a key for one message (the Group Manager's pairwise channel).
 
+use crate::ct::ct_eq;
 use crate::hash::Digest;
-use crate::hmac::hmac_parts;
+use crate::hmac::HmacKey;
 use crate::keys::SymmetricKey;
 
 /// Fixed wire overhead of a [`Sealed`] message beyond its plaintext:
@@ -74,18 +79,74 @@ impl std::fmt::Display for OpenError {
 
 impl std::error::Error for OpenError {}
 
-fn subkeys(key: &SymmetricKey) -> ([u8; 32], [u8; 32]) {
-    let enc = Digest::of_parts(&[b"itdos-enc", key.as_bytes()]).0;
-    let mac = Digest::of_parts(&[b"itdos-mac", key.as_bytes()]).0;
-    (enc, mac)
+/// A symmetric key prepared for sealing and opening many messages: the
+/// encryption and authentication subkeys, each as an [`HmacKey`].
+///
+/// # Examples
+///
+/// ```
+/// use itdos_crypto::keys::SymmetricKey;
+/// use itdos_crypto::symmetric::{seal, SealKey};
+///
+/// let key = SymmetricKey::derive(b"assoc", b"demo");
+/// let prepared = SealKey::new(&key);
+/// let sealed = prepared.seal([1u8; 16], b"secret request");
+/// assert_eq!(sealed, seal(&key, [1u8; 16], b"secret request"));
+/// assert_eq!(prepared.open(&sealed).unwrap(), b"secret request");
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct SealKey {
+    enc: HmacKey,
+    mac: HmacKey,
 }
 
-fn keystream_xor(enc_key: &[u8; 32], nonce: &[u8; 16], data: &mut [u8]) {
-    for (block_index, chunk) in data.chunks_mut(32).enumerate() {
-        let counter = (block_index as u64).to_be_bytes();
-        let block = hmac_parts(enc_key, &[nonce, &counter]);
-        for (byte, pad) in chunk.iter_mut().zip(block.as_bytes()) {
-            *byte ^= pad;
+impl SealKey {
+    /// Derives and prepares both subkeys of `key`.
+    pub fn new(key: &SymmetricKey) -> SealKey {
+        let subkey = |label: &[u8]| HmacKey::new(&Digest::of_parts(&[label, key.as_bytes()]).0);
+        SealKey {
+            enc: subkey(b"itdos-enc"),
+            mac: subkey(b"itdos-mac"),
+        }
+    }
+
+    /// Encrypts and authenticates `plaintext` with a caller-chosen unique
+    /// `nonce`.
+    pub fn seal(&self, nonce: [u8; 16], plaintext: &[u8]) -> Sealed {
+        let mut ciphertext = plaintext.to_vec();
+        self.keystream_xor(&nonce, &mut ciphertext);
+        let tag = self.mac.tag_parts(&[&nonce, &ciphertext]);
+        Sealed {
+            nonce,
+            ciphertext,
+            tag,
+        }
+    }
+
+    /// Verifies and decrypts a sealed message. The tag is checked, in
+    /// constant time, before any ciphertext is touched.
+    ///
+    /// # Errors
+    ///
+    /// [`OpenError::BadTag`] if the key is wrong or the message was
+    /// tampered with.
+    pub fn open(&self, sealed: &Sealed) -> Result<Vec<u8>, OpenError> {
+        let expect = self.mac.tag_parts(&[&sealed.nonce, &sealed.ciphertext]);
+        if !ct_eq(expect.as_bytes(), sealed.tag.as_bytes()) {
+            return Err(OpenError::BadTag);
+        }
+        let mut plaintext = sealed.ciphertext.clone();
+        self.keystream_xor(&sealed.nonce, &mut plaintext);
+        Ok(plaintext)
+    }
+
+    fn keystream_xor(&self, nonce: &[u8; 16], data: &mut [u8]) {
+        for (block_index, chunk) in data.chunks_mut(32).enumerate() {
+            let counter = (block_index as u64).to_be_bytes();
+            let block = self.enc.tag_parts(&[nonce, &counter]);
+            for (byte, pad) in chunk.iter_mut().zip(block.as_bytes()) {
+                *byte ^= pad;
+            }
         }
     }
 }
@@ -104,15 +165,7 @@ fn keystream_xor(enc_key: &[u8; 32], nonce: &[u8; 16], data: &mut [u8]) {
 /// assert_eq!(open(&key, &sealed).unwrap(), b"secret request");
 /// ```
 pub fn seal(key: &SymmetricKey, nonce: [u8; 16], plaintext: &[u8]) -> Sealed {
-    let (enc_key, mac_key) = subkeys(key);
-    let mut ciphertext = plaintext.to_vec();
-    keystream_xor(&enc_key, &nonce, &mut ciphertext);
-    let tag = hmac_parts(&mac_key, &[&nonce, &ciphertext]);
-    Sealed {
-        nonce,
-        ciphertext,
-        tag,
-    }
+    SealKey::new(key).seal(nonce, plaintext)
 }
 
 /// Verifies and decrypts a sealed message.
@@ -122,18 +175,7 @@ pub fn seal(key: &SymmetricKey, nonce: [u8; 16], plaintext: &[u8]) -> Sealed {
 /// [`OpenError::BadTag`] if the key is wrong or the message was tampered
 /// with.
 pub fn open(key: &SymmetricKey, sealed: &Sealed) -> Result<Vec<u8>, OpenError> {
-    let (enc_key, mac_key) = subkeys(key);
-    let expect = hmac_parts(&mac_key, &[&sealed.nonce, &sealed.ciphertext]);
-    let mut diff = 0u8;
-    for (a, b) in expect.as_bytes().iter().zip(sealed.tag.as_bytes()) {
-        diff |= a ^ b;
-    }
-    if diff != 0 {
-        return Err(OpenError::BadTag);
-    }
-    let mut plaintext = sealed.ciphertext.clone();
-    keystream_xor(&enc_key, &sealed.nonce, &mut plaintext);
-    Ok(plaintext)
+    SealKey::new(key).open(sealed)
 }
 
 #[cfg(test)]
@@ -151,6 +193,66 @@ mod tests {
             let msg = vec![0x5Au8; len];
             let sealed = seal(&k, [9u8; 16], &msg);
             assert_eq!(open(&k, &sealed).unwrap(), msg, "len {len}");
+        }
+    }
+
+    /// Golden vectors captured at the commit before the kernel was tuned and
+    /// the keys were prepared: `Sealed::to_bytes()` must not change by a bit.
+    /// The longer ones are pinned by their SHA-256.
+    #[test]
+    fn sealed_bytes_match_parent_commit() {
+        let k = SymmetricKey::derive(b"golden", b"seal");
+        let nonce: [u8; 16] = std::array::from_fn(|i| i as u8);
+        let sealed = |len: usize| {
+            let plain: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            seal(&k, nonce, &plain).to_bytes()
+        };
+        let hex: String = sealed(1).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "000102030405060708090a0b0c0d0e0f\
+             c8decc58113ff77b5b0e0a80e9d36ce2cfcd5ee4cd9d0defe7852413ead2f7e6\
+             31"
+        );
+        #[rustfmt::skip]
+        let sha256_of_sealed = [
+            (0usize, "d72dd746e4b8c85f80f8dac89a425da1cad914f7ce35697a64116fc2b50fe994"),
+            (1, "8b0a53859cb546e198fa3e79233b0aa0305b26b7885e4448514c1ebe6a5a783d"),
+            (31, "038214e12ffb39652bd8cdc132c71175bac88a7786f918dc58d29a77ffc74923"),
+            (32, "a9af180cf4ab71ee3e561f55e027ab327a13afb644194a3fcac83adc1db32d65"),
+            (33, "d56eedbac62e9cceee2717731991827b5c33966877999a3da04654809e960bde"),
+            (110, "e972af089cadb7e2a7800ac7cdb60af9b657db2d10fe15469a60633c28c3e4fb"),
+            (16_384, "8bfd0cb8ac54ff08783db9621890937979d73bf8217accaf6b293d6132e43a14"),
+        ];
+        for (len, digest) in sha256_of_sealed {
+            assert_eq!(Digest::of(&sealed(len)).to_hex(), digest, "len {len}");
+        }
+    }
+
+    #[test]
+    fn prepared_key_equals_free_functions() {
+        let k = key(b"k");
+        let prepared = SealKey::new(&k);
+        for len in [0usize, 1, 31, 32, 33, 110, 1000] {
+            let msg: Vec<u8> = (0..len).map(|i| (i * 11) as u8).collect();
+            let nonce = [len as u8; 16];
+            let sealed = prepared.seal(nonce, &msg);
+            assert_eq!(sealed.to_bytes(), seal(&k, nonce, &msg).to_bytes());
+            assert_eq!(prepared.open(&sealed).unwrap(), msg, "len {len}");
+            assert_eq!(open(&k, &sealed).unwrap(), msg, "len {len}");
+        }
+    }
+
+    #[test]
+    fn any_flipped_bit_is_bad_tag_under_a_prepared_key() {
+        let prepared = SealKey::new(&key(b"a"));
+        let sealed = prepared.seal([7u8; 16], b"forty-two bytes of plaintext, more or less");
+        let flat = sealed.to_bytes();
+        for bit in 0..flat.len() * 8 {
+            let mut bad = flat.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let bad = Sealed::from_bytes(&bad).unwrap();
+            assert_eq!(prepared.open(&bad), Err(OpenError::BadTag), "bit {bit}");
         }
     }
 

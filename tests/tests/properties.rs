@@ -180,6 +180,31 @@ fn shamir_subset_invariance() {
     });
 }
 
+/// An incremental hash over any chunking equals the one-shot digest, and
+/// a prepared HMAC key over any split of the message equals `hmac`.
+#[test]
+fn chunked_hashing_and_prepared_hmac_equal_oneshot() {
+    prop::check("chunked_hashing_and_prepared_hmac", CASES, |rng, _| {
+        use itdos_crypto::hash::{Digest, Sha256};
+        use itdos_crypto::hmac::{hmac, HmacKey};
+        let key = arbitrary::bytes(rng, 140);
+        let message = arbitrary::bytes(rng, 301);
+        let mut parts: Vec<&[u8]> = Vec::new();
+        let mut rest = &message[..];
+        while !rest.is_empty() {
+            let (part, tail) = rest.split_at(rng.gen_range(0..=rest.len().min(130)));
+            parts.push(part);
+            rest = tail;
+        }
+        let mut hasher = Sha256::new();
+        for part in &parts {
+            hasher.update(part);
+        }
+        assert_eq!(hasher.finish(), Digest::of(&message));
+        assert_eq!(HmacKey::new(&key).tag_parts(&parts), hmac(&key, &message));
+    });
+}
+
 /// Wire decoders for protocol messages are total on random bytes.
 #[test]
 fn protocol_decoders_are_total() {
