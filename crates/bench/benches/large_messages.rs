@@ -7,7 +7,7 @@
 use itdos_bench::harness::{BenchmarkId, Criterion, Throughput};
 use itdos_bench::{criterion_group, criterion_main};
 use itdos_bench::{deploy, DeployOptions, CLIENT, DOMAIN};
-use itdos_giop::types::Value;
+use itdos_giop::types::{Seq, Value};
 
 fn bench_payloads(c: &mut Criterion) {
     let mut group = c.benchmark_group("invocation_by_payload");
@@ -28,9 +28,12 @@ fn bench_payloads(c: &mut Criterion) {
                     .operation("put")
             };
             // warm the connection with a tiny blob
-            system.invoke(CLIENT, put().arg(Value::Sequence(vec![Value::Octet(0)])));
+            system.invoke(
+                CLIENT,
+                put().arg(Value::Sequence(Seq::from_octets(vec![0]))),
+            );
             b.iter(|| {
-                let blob = Value::Sequence(vec![Value::Octet(0xAB); size]);
+                let blob = Value::Sequence(Seq::from_octets(vec![0xAB; size]));
                 let done = system.invoke(CLIENT, put().arg(blob));
                 assert_eq!(done.result, Ok(Value::ULong(size as u32)));
             });

@@ -15,7 +15,7 @@ use itdos::system::{System, SystemBuilder};
 use itdos::{Invocation, ObsConfig};
 use itdos_giop::idl::{InterfaceDef, InterfaceRepository, OperationDef};
 use itdos_giop::platform::PlatformProfile;
-use itdos_giop::types::{TypeDesc, Value};
+use itdos_giop::types::{Seq, TypeDesc, Value};
 use itdos_groupmgr::membership::DomainId;
 use itdos_orb::object::ObjectKey;
 use itdos_orb::servant::{FnServant, Servant, ServantException};
@@ -113,10 +113,12 @@ pub fn sensor_servant() -> Box<dyn Servant> {
 /// A bulk store servant returning the payload length.
 pub fn store_servant() -> Box<dyn Servant> {
     Box::new(FnServant::new("Store", |_, args| {
-        let Value::Sequence(s) = &args[0] else {
-            return Err(ServantException::new("Store::BadArgs"));
+        let blob = match &args[0] {
+            Value::Sequence(s) => s.as_octets(),
+            _ => None,
         };
-        Ok(Value::ULong(s.len() as u32))
+        let blob = blob.ok_or_else(|| ServantException::new("Store::BadArgs"))?;
+        Ok(Value::ULong(blob.len() as u32))
     }))
 }
 
@@ -366,9 +368,9 @@ pub fn payload_sweep(sizes: &[usize]) -> Vec<(usize, InvocationCost)> {
                     .object(b"store")
                     .interface("Store")
                     .operation("put")
-                    .arg(Value::Sequence(vec![Value::Octet(0)])),
+                    .arg(Value::Sequence(Seq::from_octets(vec![0]))),
             );
-            let blob = Value::Sequence(vec![Value::Octet(0xAB); size]);
+            let blob = Value::Sequence(Seq::from_octets(vec![0xAB; size]));
             let cost = invoke_measured(&mut system, DOMAIN, b"store", "Store", "put", vec![blob]);
             let done = system.client(CLIENT).completed.last().expect("completed");
             assert_eq!(done.result, Ok(Value::ULong(size as u32)));

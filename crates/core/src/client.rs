@@ -14,7 +14,9 @@ use itdos_crypto::hash::Digest;
 use itdos_crypto::sign::SigningKey;
 use itdos_crypto::symmetric::{open, SealKey, Sealed};
 use itdos_giop::cdr::Endianness;
-use itdos_giop::giop::{decode_message, encode_message, GiopMessage, ReplyBody, RequestMessage};
+use itdos_giop::giop::{
+    decode_message, encode_message, encode_request, GiopMessage, ReplyBody, RequestMessage,
+};
 use itdos_giop::platform::PlatformProfile;
 use itdos_giop::types::Value;
 use itdos_groupmgr::manager::ConnectionId;
@@ -22,7 +24,7 @@ use itdos_groupmgr::membership::{DomainId, Endpoint};
 use itdos_obs::{LabelValue, Obs};
 use itdos_vote::collator::{Accept, Collator};
 use itdos_vote::detector::{FaultProof, SignedReply};
-use itdos_vote::folding::{folded_comparator, reply_to_value, value_to_reply};
+use itdos_vote::folding::{fold_reply, folded_comparator, value_to_reply};
 use itdos_vote::vote::SenderId;
 use simnet::{Context, NodeId, Process, Timer};
 use xbytes::Bytes;
@@ -415,11 +417,9 @@ impl SingletonClient {
         key: SealKey,
         request: &RequestMessage,
     ) {
-        let Ok(giop_bytes) = encode_message(
-            &GiopMessage::Request(request.clone()),
-            &self.fabric.repo,
-            self.cfg.platform.endianness,
-        ) else {
+        let Ok(giop_bytes) =
+            encode_request(request, &self.fabric.repo, self.cfg.platform.endianness)
+        else {
             return;
         };
         crate::cost::account(
@@ -432,8 +432,11 @@ impl SingletonClient {
         self.sequence += 1;
         let sequence = self.sequence;
         let sender = crate::element::vote_sender(self.my_code());
-        let signature =
-            SignedReply::sign(&self.signing, sender, sequence, giop_bytes.clone()).signature;
+        let SignedReply {
+            frame: giop_bytes,
+            signature,
+            ..
+        } = SignedReply::sign(&self.signing, sender, sequence, giop_bytes);
         let nonce = self.nonce(meta.connection, meta.epoch, request.request_id, sequence);
         let sealed = key.seal(nonce, &giop_bytes);
         crate::cost::account(
@@ -502,13 +505,13 @@ impl SingletonClient {
         let signed = SignedReply {
             sender: msg.sender,
             sequence: msg.sequence,
-            frame: giop_bytes.clone(),
+            frame: giop_bytes,
             signature: msg.signature,
         };
         if !signed.verify(&self.fabric.verifying_key(msg.sender)) {
             return;
         }
-        let Ok(GiopMessage::Reply(reply)) = decode_message(&giop_bytes, &self.fabric.repo) else {
+        let Ok(GiopMessage::Reply(reply)) = decode_message(&signed.frame, &self.fabric.repo) else {
             return;
         };
         crate::cost::account(
@@ -516,7 +519,7 @@ impl SingletonClient {
             "giop.decode",
             "giop.decode_bytes",
             &[("kind", LabelValue::Str("reply"))],
-            giop_bytes.len(),
+            signed.frame.len(),
         );
         // route to the round this reply answers; an unmatched reply is a
         // late straggler for an already-collected round (§3.6: discarded
@@ -528,10 +531,12 @@ impl SingletonClient {
         else {
             return;
         };
-        let value = reply_to_value(&reply);
+        let request_id = reply.request_id;
         let round = &mut self.rounds[idx];
         round.frames.insert(msg.sender, signed);
-        let accept = round.collator.offer(reply.request_id, msg.sender, value);
+        let accept = round
+            .collator
+            .offer(request_id, msg.sender, fold_reply(reply));
         match accept {
             Accept::Decided(decision) => {
                 let request_id = round.request_id;
@@ -539,7 +544,7 @@ impl SingletonClient {
                 let target = round.target;
                 let trace = round.trace;
                 let suspects = decision.dissenters.clone();
-                let result = match value_to_reply(request_id, &decision.value) {
+                let result = match value_to_reply(request_id, decision.value) {
                     Some(reply) => match reply.body {
                         ReplyBody::Result(v) => Ok(v),
                         ReplyBody::UserException { name } => Err(name),

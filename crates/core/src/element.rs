@@ -41,7 +41,7 @@ use crate::wire::{
     AdmitNoticeMsg, ConnectionMeta, CoreMsg, DirectReplyMsg, FrameKind, GmOp, HealCmd, SmiopFrame,
 };
 use itdos_vote::folding::{
-    folded_comparator, reply_to_value, request_to_value, value_to_reply, value_to_request,
+    fold_reply, fold_request, folded_comparator, value_to_reply, value_to_request,
 };
 
 /// Static configuration of one element.
@@ -387,7 +387,7 @@ impl ServerElement {
                     request,
                     result,
                 } => {
-                    self.on_executed(ctx, seq, &request.operation, &result);
+                    self.on_executed(ctx, seq, request.operation(), &result);
                 }
                 Output::StartViewTimer { epoch, attempt } => {
                     let timeout = self
@@ -530,14 +530,14 @@ impl ServerElement {
         let signed = SignedReply {
             sender,
             sequence: frame.sequence,
-            frame: giop_bytes.clone(),
+            frame: giop_bytes,
             signature: frame.signature,
         };
         let verifying = self.fabric.verifying_key_code(frame.sender_code);
         if !signed.verify(&verifying) {
             return;
         }
-        let Ok(message) = self.orb.unmarshal(&giop_bytes) else {
+        let Ok(message) = self.orb.unmarshal(&signed.frame) else {
             return;
         };
         crate::cost::account(
@@ -545,31 +545,31 @@ impl ServerElement {
             "giop.decode",
             "giop.decode_bytes",
             &[("kind", LabelValue::Str(message.kind_name()))],
-            giop_bytes.len(),
+            signed.frame.len(),
         );
         match (frame.kind, message) {
             (FrameKind::Request, GiopMessage::Request(request)) => {
                 if request.request_id != frame.request_id {
                     return;
                 }
-                let value = request_to_value(&request);
+                let interface = request.interface.clone();
+                let trace = request.trace;
                 self.offer(
                     ctx,
                     meta,
                     FrameKind::Request,
                     frame.request_id,
                     sender,
-                    value,
+                    fold_request(request),
                     signed,
-                    &request.interface,
-                    request.trace,
+                    &interface,
+                    trace,
                 );
             }
             (FrameKind::Reply, GiopMessage::Reply(reply)) => {
                 if reply.request_id != frame.request_id {
                     return;
                 }
-                let value = reply_to_value(&reply);
                 let interface = reply.interface.clone();
                 self.offer(
                     ctx,
@@ -577,7 +577,7 @@ impl ServerElement {
                     FrameKind::Reply,
                     frame.request_id,
                     sender,
-                    value,
+                    fold_reply(reply),
                     signed,
                     &interface,
                     0,
@@ -684,7 +684,7 @@ impl ServerElement {
     ) {
         match kind {
             FrameKind::Request => {
-                if let Some(mut request) = value_to_request(request_id, &value) {
+                if let Some(mut request) = value_to_request(request_id, value) {
                     request.trace = trace;
                     self.inbox.push_back((meta, request));
                     self.try_process(ctx);
@@ -700,7 +700,7 @@ impl ServerElement {
                 );
                 if awaiting {
                     self.nested = None;
-                    if let Some(reply) = value_to_reply(request_id, &value) {
+                    if let Some(reply) = value_to_reply(request_id, value) {
                         let result = match reply.body {
                             ReplyBody::Result(v) => Ok(v),
                             ReplyBody::UserException { name } => Err(ServantException::new(name)),
@@ -810,13 +810,11 @@ impl ServerElement {
             giop_bytes.len(),
         );
         let sequence = self.next_sequence();
-        let signature = SignedReply::sign(
-            &self.signing,
-            self.cfg.element,
-            sequence,
-            giop_bytes.clone(),
-        )
-        .signature;
+        let SignedReply {
+            frame: giop_bytes,
+            signature,
+            ..
+        } = SignedReply::sign(&self.signing, self.cfg.element, sequence, giop_bytes);
         let nonce = self.nonce(meta.connection, meta.epoch, request_id, sequence);
         let sealed = key.seal(nonce, &giop_bytes);
         crate::cost::account(
@@ -881,13 +879,11 @@ impl ServerElement {
             giop_bytes.len(),
         );
         let sequence = self.next_sequence();
-        let signature = SignedReply::sign(
-            &self.signing,
-            self.cfg.element,
-            sequence,
-            giop_bytes.clone(),
-        )
-        .signature;
+        let SignedReply {
+            frame: giop_bytes,
+            signature,
+            ..
+        } = SignedReply::sign(&self.signing, self.cfg.element, sequence, giop_bytes);
         let nonce = self.nonce(meta.connection, meta.epoch, current.request_id, sequence);
         let sealed = key.seal(nonce, &giop_bytes);
         crate::cost::account(

@@ -7,7 +7,7 @@
 //! hardest case for the voter (transport-level misbehaviour is already
 //! masked by PBFT itself).
 
-use itdos_giop::types::Value;
+use itdos_giop::types::{Seq, Value};
 use simnet::SimDuration;
 
 /// A server element's (mis)behaviour.
@@ -86,7 +86,10 @@ pub fn corrupt_value(value: &Value) -> Value {
         Value::Float(v) => Value::Float(v * 2.0 + 1.0),
         Value::Double(v) => Value::Double(v * 2.0 + 1.0),
         Value::String(v) => Value::String(format!("{v}-corrupted")),
-        Value::Sequence(items) => Value::Sequence(items.iter().map(corrupt_value).collect()),
+        Value::Sequence(items) => Value::Sequence(match items.as_octets() {
+            Some(octets) => Seq::from_octets(octets.iter().map(|b| b.wrapping_add(1)).collect()),
+            None => items.iter().map(corrupt_value).collect(),
+        }),
         Value::Struct(items) => Value::Struct(items.iter().map(corrupt_value).collect()),
         Value::Enum(d) => Value::Enum(d.wrapping_add(1)),
     }
@@ -111,7 +114,7 @@ mod tests {
             Value::Long(0),
             Value::Double(1.0),
             Value::String("x".into()),
-            Value::Sequence(vec![Value::Long(1)]),
+            Value::Sequence(vec![Value::Long(1)].into()),
             Value::Struct(vec![Value::Short(2)]),
             Value::Enum(0),
         ];

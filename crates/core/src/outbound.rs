@@ -117,7 +117,7 @@ impl Outbound {
                 .client
                 .start_request_traced(op, trace)
                 .expect("window has room");
-            self.in_order.push_back(request.timestamp);
+            self.in_order.push_back(request.timestamp());
             self.broadcast(ctx, fabric, &Message::Request(request));
             started = true;
         }

@@ -42,7 +42,7 @@ struct Outstanding {
 ///
 /// let mut client = Client::new(ClientId(7), GroupConfig::for_f(1));
 /// let request = client.start_request(vec![1, 2, 3]).expect("no outstanding request");
-/// assert_eq!(request.client, ClientId(7));
+/// assert_eq!(request.client(), ClientId(7));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Client {
@@ -112,12 +112,7 @@ impl Client {
         }
         let timestamp = self.next_timestamp;
         self.next_timestamp += 1;
-        let request = ClientRequest {
-            client: self.id,
-            timestamp,
-            trace,
-            operation,
-        };
+        let request = ClientRequest::new(self.id, timestamp, trace, operation);
         self.outstanding.insert(
             timestamp,
             Outstanding {
@@ -249,16 +244,20 @@ mod tests {
         let r3 = c.start_request(vec![3]).unwrap();
         assert!(c.busy(), "window of 3 full");
         assert!(c.start_request(vec![4]).is_none());
-        assert!(r1.timestamp < r2.timestamp && r2.timestamp < r3.timestamp);
+        assert!(r1.timestamp() < r2.timestamp() && r2.timestamp() < r3.timestamp());
         // replies may decide out of submission order
-        c.on_reply(reply(&c, 0, r2.timestamp, b"b"));
+        c.on_reply(reply(&c, 0, r2.timestamp(), b"b"));
         assert_eq!(
-            c.on_reply(reply(&c, 1, r2.timestamp, b"b")),
-            Some((r2.timestamp, b"b".to_vec()))
+            c.on_reply(reply(&c, 1, r2.timestamp(), b"b")),
+            Some((r2.timestamp(), b"b".to_vec()))
         );
         assert_eq!(c.in_flight(), 2);
         assert!(!c.busy(), "slot freed");
-        assert_eq!(c.retransmit().unwrap().timestamp, r1.timestamp, "oldest");
+        assert_eq!(
+            c.retransmit().unwrap().timestamp(),
+            r1.timestamp(),
+            "oldest"
+        );
         assert_eq!(c.retransmit_all().len(), 2);
     }
 
@@ -300,9 +299,9 @@ mod tests {
     fn timestamps_strictly_increase() {
         let mut c = client();
         let r1 = c.start_request(vec![0]).unwrap();
-        c.on_reply(reply(&c, 0, r1.timestamp, b"ok"));
-        c.on_reply(reply(&c, 1, r1.timestamp, b"ok"));
+        c.on_reply(reply(&c, 0, r1.timestamp(), b"ok"));
+        c.on_reply(reply(&c, 1, r1.timestamp(), b"ok"));
         let r2 = c.start_request(vec![1]).unwrap();
-        assert!(r2.timestamp > r1.timestamp);
+        assert!(r2.timestamp() > r1.timestamp());
     }
 }

@@ -244,12 +244,7 @@ mod tests {
     }
 
     fn pre_prepare(view: u64, seq: u64) -> PrePrepare {
-        let batch = crate::message::Batch::single(ClientRequest {
-            client: ClientId(1),
-            timestamp: seq,
-            trace: 0,
-            operation: vec![1],
-        });
+        let batch = crate::message::Batch::single(ClientRequest::new(ClientId(1), seq, 0, vec![1]));
         PrePrepare {
             view: View(view),
             seq: SeqNo(seq),

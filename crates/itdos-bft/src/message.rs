@@ -9,37 +9,95 @@
 //! view-change and checkpoint messages are signed (as in the original PBFT
 //! paper) so they can be embedded as transferable proofs.
 
+use std::sync::OnceLock;
+
 use itdos_crypto::hash::Digest;
 
 use crate::config::{ClientId, ReplicaId, SeqNo, View};
 use crate::wire::{Reader, WireError, Writer};
 
 /// A client's operation request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Immutable once built: the fields feed [`ClientRequest::digest`], which
+/// is computed at most once per object and remembered, so they are
+/// reachable through accessors only. Equality ignores the memo.
+#[derive(Clone)]
 pub struct ClientRequest {
+    client: ClientId,
+    timestamp: u64,
+    trace: u64,
+    operation: Vec<u8>,
+    digest: OnceLock<Digest>,
+}
+
+impl ClientRequest {
+    /// Builds a request. `trace` is the causal trace id (0 = untraced);
+    /// `operation` is opaque (in ITDOS: an encrypted SMIOP frame).
+    pub fn new(client: ClientId, timestamp: u64, trace: u64, operation: Vec<u8>) -> ClientRequest {
+        ClientRequest {
+            client,
+            timestamp,
+            trace,
+            operation,
+            digest: OnceLock::new(),
+        }
+    }
+
     /// Requesting client.
-    pub client: ClientId,
+    pub fn client(&self) -> ClientId {
+        self.client
+    }
+
     /// Client-local timestamp providing exactly-once semantics.
-    pub timestamp: u64,
+    pub fn timestamp(&self) -> u64 {
+        self.timestamp
+    }
+
     /// Causal trace id (ITDOS extension): stamped by the invoking client
     /// so a batch's agreement rounds can be attributed to the end-to-end
     /// invocation that caused them. 0 means untraced. Part of the digest:
     /// a replica cannot silently re-attribute a request.
-    pub trace: u64,
-    /// Opaque operation bytes (in ITDOS: an encrypted SMIOP frame).
-    pub operation: Vec<u8>,
+    pub fn trace(&self) -> u64 {
+        self.trace
+    }
+
+    /// Opaque operation bytes.
+    pub fn operation(&self) -> &[u8] {
+        &self.operation
+    }
+
+    /// The request digest used throughout the three-phase protocol,
+    /// hashed on first use and looked up afterwards (clones carry it).
+    pub fn digest(&self) -> Digest {
+        *self.digest.get_or_init(|| {
+            Digest::of_parts(&[
+                b"bft-req",
+                &self.client.0.to_le_bytes(),
+                &self.timestamp.to_le_bytes(),
+                &self.trace.to_le_bytes(),
+                &self.operation,
+            ])
+        })
+    }
 }
 
-impl ClientRequest {
-    /// The request digest used throughout the three-phase protocol.
-    pub fn digest(&self) -> Digest {
-        Digest::of_parts(&[
-            b"bft-req",
-            &self.client.0.to_le_bytes(),
-            &self.timestamp.to_le_bytes(),
-            &self.trace.to_le_bytes(),
-            &self.operation,
-        ])
+impl PartialEq for ClientRequest {
+    fn eq(&self, other: &ClientRequest) -> bool {
+        (self.client, self.timestamp, self.trace) == (other.client, other.timestamp, other.trace)
+            && self.operation == other.operation
+    }
+}
+
+impl Eq for ClientRequest {}
+
+impl std::fmt::Debug for ClientRequest {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ClientRequest")
+            .field("client", &self.client)
+            .field("timestamp", &self.timestamp)
+            .field("trace", &self.trace)
+            .field("operation", &self.operation)
+            .finish()
     }
 }
 
@@ -266,12 +324,12 @@ fn write_request(w: &mut Writer, m: &ClientRequest) {
 }
 
 fn read_request(r: &mut Reader<'_>) -> Result<ClientRequest, WireError> {
-    Ok(ClientRequest {
-        client: ClientId(r.u64()?),
-        timestamp: r.u64()?,
-        trace: r.u64()?,
-        operation: r.bytes()?.to_vec(),
-    })
+    Ok(ClientRequest::new(
+        ClientId(r.u64()?),
+        r.u64()?,
+        r.u64()?,
+        r.bytes()?.to_vec(),
+    ))
 }
 
 fn write_pre_prepare(w: &mut Writer, m: &PrePrepare) {
@@ -563,24 +621,14 @@ mod tests {
     use super::*;
 
     fn sample_request() -> ClientRequest {
-        ClientRequest {
-            client: ClientId(9),
-            timestamp: 3,
-            trace: (9 << 32) | 3,
-            operation: vec![1, 2, 3],
-        }
+        ClientRequest::new(ClientId(9), 3, (9 << 32) | 3, vec![1, 2, 3])
     }
 
     fn sample_pre_prepare() -> PrePrepare {
         let batch = Batch {
             requests: vec![
                 sample_request(),
-                ClientRequest {
-                    client: ClientId(10),
-                    timestamp: 1,
-                    trace: 0,
-                    operation: vec![4, 5],
-                },
+                ClientRequest::new(ClientId(10), 1, 0, vec![4, 5]),
             ],
         };
         PrePrepare {
@@ -668,18 +716,13 @@ mod tests {
     #[test]
     fn client_request_trace_round_trips() {
         for trace in [0u64, 1, (7u64 << 32) | 3, u64::MAX] {
-            let req = ClientRequest {
-                client: ClientId(7),
-                timestamp: 11,
-                trace,
-                operation: vec![9, 9],
-            };
+            let req = ClientRequest::new(ClientId(7), 11, trace, vec![9, 9]);
             let bytes = Message::Request(req.clone()).encode();
             let Message::Request(back) = Message::decode(&bytes).unwrap() else {
                 panic!("wrong message kind");
             };
             assert_eq!(back, req);
-            assert_eq!(back.trace, trace);
+            assert_eq!(back.trace(), trace);
             let pp = Message::PrePrepare(PrePrepare {
                 view: View(0),
                 seq: SeqNo(1),
@@ -689,28 +732,17 @@ mod tests {
             let Message::PrePrepare(pp_back) = Message::decode(&pp.encode()).unwrap() else {
                 panic!("wrong message kind");
             };
-            assert_eq!(pp_back.batch.requests[0].trace, trace);
+            assert_eq!(pp_back.batch.requests[0].trace(), trace);
         }
-        let mut a = ClientRequest {
-            client: ClientId(7),
-            timestamp: 11,
-            trace: 1,
-            operation: vec![9, 9],
-        };
-        let d1 = a.digest();
-        a.trace = 2;
-        assert_ne!(a.digest(), d1, "trace is digest-bound");
+        let a = ClientRequest::new(ClientId(7), 11, 1, vec![9, 9]);
+        let b = ClientRequest::new(ClientId(7), 11, 2, vec![9, 9]);
+        assert_ne!(a.digest(), b.digest(), "trace is digest-bound");
     }
 
     #[test]
     fn batch_digest_binds_order_count_and_content() {
         let a = sample_request();
-        let b = ClientRequest {
-            client: ClientId(10),
-            timestamp: 1,
-            trace: 0,
-            operation: vec![4, 5],
-        };
+        let b = ClientRequest::new(ClientId(10), 1, 0, vec![4, 5]);
         let ab = Batch {
             requests: vec![a.clone(), b.clone()],
         };
@@ -751,12 +783,69 @@ mod tests {
     #[test]
     fn digest_is_content_sensitive() {
         let a = sample_request();
-        let mut b = a.clone();
-        b.operation[0] ^= 1;
-        assert_ne!(a.digest(), b.digest());
-        let mut c = a.clone();
-        c.timestamp += 1;
-        assert_ne!(a.digest(), c.digest());
+        // one field off at a time, built fresh: a request cannot be edited
+        let variants = [
+            ClientRequest::new(ClientId(8), 3, (9 << 32) | 3, vec![1, 2, 3]),
+            ClientRequest::new(ClientId(9), 4, (9 << 32) | 3, vec![1, 2, 3]),
+            ClientRequest::new(ClientId(9), 3, (9 << 32) | 4, vec![1, 2, 3]),
+            ClientRequest::new(ClientId(9), 3, (9 << 32) | 3, vec![0, 2, 3]),
+        ];
+        for v in &variants {
+            assert_ne!(a, *v);
+            assert_ne!(a.digest(), v.digest(), "{v:?}");
+        }
+    }
+
+    /// The memo is invisible: equality and `Debug` ignore it, a clone
+    /// carries it, and a second call returns the first call's value.
+    #[test]
+    fn digest_memo_is_not_part_of_the_value() {
+        let hashed = sample_request();
+        let first = hashed.digest();
+        let fresh = sample_request();
+        assert_eq!(hashed, fresh, "hashed == never hashed");
+        assert_eq!(format!("{hashed:?}"), format!("{fresh:?}"));
+        assert_eq!(hashed.clone().digest(), first);
+        assert_eq!(hashed.digest(), first);
+        assert_eq!(fresh.digest(), first);
+    }
+
+    /// Digests captured at the parent commit (e1d2979), before requests
+    /// were memoised: the digest *formula* must not move, or replicas of
+    /// different builds would disagree on every pre-prepare.
+    #[test]
+    fn request_and_batch_digests_match_parent_commit() {
+        let request = |client, timestamp, trace, len: usize| {
+            let operation = (0..len).map(|i| (i * 13 + 1) as u8).collect();
+            ClientRequest::new(ClientId(client), timestamp, trace, operation)
+        };
+        let a = request(7, 1, 0, 0);
+        let b = request(8, 2, 99, 130);
+        let c = request(9, 3, u64::MAX, 16384);
+        let hex = |d: Digest| d.to_hex();
+        assert_eq!(
+            hex(a.digest()),
+            "8fb722a9e5e26919ba31d7ecf347189f78c4ea9aafe8612f8914646553ee205c"
+        );
+        assert_eq!(
+            hex(b.digest()),
+            "10c3e35679441f0a0ee8d4a7036919fb4eb2b49d7999927001f39bcd8fd5c10f"
+        );
+        assert_eq!(
+            hex(c.digest()),
+            "7d9453588ba9683fb77389921f857b139b2aed5baef9fa383232a8fa44e9f647"
+        );
+        let batch = Batch {
+            requests: vec![a, b, c],
+        };
+        assert_eq!(
+            hex(batch.digest()),
+            "d78b84c7b669aca56b06510b70e5c0e016750b14ecd33fae7d8122a62480dc93"
+        );
+        assert_eq!(
+            hex(Batch::default().digest()),
+            "60a388c80c9ba95e8d7c3233e2800a8de69b8a82419330695a3d55e1ff251f97"
+        );
     }
 
     #[test]

@@ -336,13 +336,13 @@ impl<S: StateMachine> Replica<S> {
             return;
         }
         // exactly-once: resend the cached reply for an executed timestamp
-        if let Some(record) = self.client_table.get(&request.client) {
-            if request.timestamp <= record.floor {
+        if let Some(record) = self.client_table.get(&request.client()) {
+            if request.timestamp() <= record.floor {
                 return; // ancient: its reply window has passed
             }
-            if let Some(reply) = record.replies.get(&request.timestamp) {
+            if let Some(reply) = record.replies.get(&request.timestamp()) {
                 self.outputs.push(Output::ToClient(
-                    request.client,
+                    request.client(),
                     Message::Reply(reply.clone()),
                 ));
                 return;
@@ -362,13 +362,13 @@ impl<S: StateMachine> Replica<S> {
             if !already_queued {
                 // causal trace: the primary admitting a traced request is
                 // the first ordering-side hop of the invocation
-                if request.trace != 0 {
+                if request.trace() != 0 {
                     self.obs.event(
                         "bft.admit",
                         &[
                             ("replica", LabelValue::U64(u64::from(self.id.0))),
-                            ("client", LabelValue::U64(request.client.0)),
-                            ("trace", LabelValue::U64(request.trace)),
+                            ("client", LabelValue::U64(request.client().0)),
+                            ("trace", LabelValue::U64(request.trace())),
                         ],
                     );
                 }
@@ -392,16 +392,16 @@ impl<S: StateMachine> Replica<S> {
     /// the gap fills keeps the total order aligned with each client's
     /// submission order.
     fn enqueue_in_client_order(&mut self, request: ClientRequest) {
-        let client = request.client;
+        let client = request.client();
         let next = self.admitted_ts.get(&client).copied().unwrap_or(0) + 1;
-        if request.timestamp > next {
+        if request.timestamp() > next {
             self.reorder
                 .entry(client)
                 .or_default()
-                .insert(request.timestamp, request);
+                .insert(request.timestamp(), request);
             return;
         }
-        if request.timestamp < next {
+        if request.timestamp() < next {
             // a view change ordered a later timestamp while this one fell
             // through (its slot lost its prepared proof); submission order
             // is already broken for it, so re-admit out of band rather
@@ -410,14 +410,14 @@ impl<S: StateMachine> Replica<S> {
             self.drain_backlog();
             return;
         }
-        self.admitted_ts.insert(client, request.timestamp);
+        self.admitted_ts.insert(client, request.timestamp());
         self.backlog.push_back(request);
         // the gap just filled: release consecutive parked successors
         while let Some(buf) = self.reorder.get_mut(&client) {
             let next = self.admitted_ts.get(&client).copied().unwrap_or(0) + 1;
             match buf.remove(&next) {
                 Some(parked) => {
-                    self.admitted_ts.insert(client, parked.timestamp);
+                    self.admitted_ts.insert(client, parked.timestamp());
                     self.backlog.push_back(parked);
                 }
                 None => {
@@ -457,7 +457,7 @@ impl<S: StateMachine> Replica<S> {
             let mut bytes = 0usize;
             while requests.len() < self.config.max_batch {
                 let size = match self.backlog.front() {
-                    Some(front) => front.operation.len(),
+                    Some(front) => front.operation().len(),
                     None => break,
                 };
                 if !requests.is_empty() && bytes.saturating_add(size) > self.config.max_batch_bytes
@@ -475,13 +475,13 @@ impl<S: StateMachine> Replica<S> {
                 self.ordered.insert(request.digest());
                 // causal trace: bind each traced request to the sequence
                 // number its batch agrees under
-                if request.trace != 0 {
+                if request.trace() != 0 {
                     self.obs.event(
                         "bft.batch",
                         &[
                             ("replica", LabelValue::U64(u64::from(self.id.0))),
                             ("seq", LabelValue::U64(seq.0)),
-                            ("trace", LabelValue::U64(request.trace)),
+                            ("trace", LabelValue::U64(request.trace())),
                         ],
                     );
                 }
@@ -556,8 +556,8 @@ impl<S: StateMachine> Replica<S> {
             // trigger forever, because execution never revisits old seqs
             let executed = self
                 .client_table
-                .get(&request.client)
-                .is_some_and(|r| r.executed(request.timestamp));
+                .get(&request.client())
+                .is_some_and(|r| r.executed(request.timestamp()));
             if !executed {
                 self.pending.insert(request.digest());
             }
@@ -707,32 +707,31 @@ impl<S: StateMachine> Replica<S> {
                 // keep the FIFO admission floor current on every replica,
                 // so a backup elected primary later admits from the right
                 // per-client position
-                let floor = self.admitted_ts.entry(request.client).or_insert(0);
-                *floor = (*floor).max(request.timestamp);
+                let floor = self.admitted_ts.entry(request.client()).or_insert(0);
+                *floor = (*floor).max(request.timestamp());
                 // exactly-once at execution: a replayed or doubly-ordered
                 // request (Byzantine primary) is skipped, not re-executed
-                let record = self.client_table.entry(request.client).or_default();
-                if record.executed(request.timestamp) {
+                let record = self.client_table.entry(request.client()).or_default();
+                if record.executed(request.timestamp()) {
                     continue;
                 }
-                barrier |= self.app.is_barrier(&request.operation);
-                let result = self.app.execute(&request.operation);
+                barrier |= self.app.is_barrier(request.operation());
+                let result = self.app.execute(request.operation());
                 let reply = Reply {
                     view,
-                    timestamp: request.timestamp,
-                    client: request.client,
+                    timestamp: request.timestamp(),
+                    client: request.client(),
                     replica: self.id,
                     result: result.clone(),
                 };
                 let window = self.config.client_reply_window;
-                self.client_table.entry(request.client).or_default().record(
-                    request.timestamp,
-                    reply.clone(),
-                    window,
-                );
+                self.client_table
+                    .entry(request.client())
+                    .or_default()
+                    .record(request.timestamp(), reply.clone(), window);
                 self.obs.incr("bft.executed", &labels);
                 self.outputs
-                    .push(Output::ToClient(request.client, Message::Reply(reply)));
+                    .push(Output::ToClient(request.client(), Message::Reply(reply)));
                 self.outputs.push(Output::Executed {
                     seq: next,
                     request,
@@ -1208,8 +1207,8 @@ impl<S: StateMachine> Replica<S> {
         self.reorder.clear();
         for pp in &pre_prepares {
             for request in &pp.batch.requests {
-                let floor = self.admitted_ts.entry(request.client).or_insert(0);
-                *floor = (*floor).max(request.timestamp);
+                let floor = self.admitted_ts.entry(request.client()).or_insert(0);
+                *floor = (*floor).max(request.timestamp());
             }
         }
         let mut max_seq = self.log.low();
@@ -1437,12 +1436,7 @@ mod tests {
     }
 
     fn request(ts: u64, delta: i64) -> ClientRequest {
-        ClientRequest {
-            client: ClientId(1),
-            timestamp: ts,
-            trace: 0,
-            operation: CounterMachine::op(delta),
-        }
+        ClientRequest::new(ClientId(1), ts, 0, CounterMachine::op(delta))
     }
 
     #[test]
@@ -2241,12 +2235,7 @@ mod tests {
         use crate::queue::{ElementId, QueueMachine, QueueOp};
         let queue = QueueMachine::new(1024, (0..4).map(ElementId));
         let mut r0 = Replica::new(GroupConfig::for_f(1), ReplicaId(0), queue);
-        let req = ClientRequest {
-            client: ClientId(1),
-            timestamp: 1,
-            trace: 0,
-            operation: QueueOp::Join(ElementId(9)).encode(),
-        };
+        let req = ClientRequest::new(ClientId(1), 1, 0, QueueOp::Join(ElementId(9)).encode());
         r0.on_request(req);
         let digest = r0
             .log()

@@ -9,7 +9,7 @@
 //! value, which is exactly why the paper votes on unmarshalled data
 //! (§3.6).
 
-use crate::types::{TypeDesc, Value};
+use crate::types::{Seq, TypeDesc, Value};
 
 /// Byte order of an encapsulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -199,6 +199,16 @@ impl Encoder {
         self.buffer.push(0);
     }
 
+    /// Encodes a raw `sequence<octet>` (count, then the bytes). Octets
+    /// have no alignment and no byte order, so this is what the item walk
+    /// over `Value::Octet`s would write.
+    pub fn put_octets(&mut self, octets: &[u8]) {
+        // no silent truncation: a count that does not fit reads as one
+        // every decoder refuses (it is past `MAX_SEQUENCE_LEN`)
+        self.put_u32(u32::try_from(octets.len()).unwrap_or(u32::MAX));
+        self.put(octets);
+    }
+
     /// Encodes `value` according to `desc`.
     ///
     /// # Errors
@@ -222,12 +232,15 @@ impl Encoder {
             (Value::Float(v), TypeDesc::Float) => self.put_u32(v.to_bits()),
             (Value::Double(v), TypeDesc::Double) => self.put_u64(v.to_bits()),
             (Value::String(v), TypeDesc::String) => self.put_string(v),
-            (Value::Sequence(items), TypeDesc::Sequence(elem)) => {
-                self.put_u32(items.len() as u32);
-                for item in items {
-                    self.encode(item, elem)?;
+            (Value::Sequence(items), TypeDesc::Sequence(elem)) => match items.as_octets() {
+                Some(octets) if **elem == TypeDesc::Octet => self.put_octets(octets),
+                _ => {
+                    self.put_u32(items.len() as u32);
+                    for item in items {
+                        self.encode(item, elem)?;
+                    }
                 }
-            }
+            },
             (Value::Struct(values), TypeDesc::Struct { fields, .. }) => {
                 if values.len() != fields.len() {
                     return Err(mismatch());
@@ -347,6 +360,26 @@ impl<'a> Decoder<'a> {
         String::from_utf8(body.to_vec()).map_err(|_| CdrError::BadString)
     }
 
+    fn take_sequence_len(&mut self) -> Result<u32, CdrError> {
+        let len = self.take_u32()?;
+        if len > MAX_SEQUENCE_LEN {
+            return Err(CdrError::OversizedSequence(len));
+        }
+        Ok(len)
+    }
+
+    /// Decodes a raw `sequence<octet>`. The bounds check comes before the
+    /// copy, so a hostile length fails without reserving any memory.
+    ///
+    /// # Errors
+    ///
+    /// [`CdrError::OversizedSequence`] past [`MAX_SEQUENCE_LEN`];
+    /// [`CdrError::Truncated`] on short input.
+    pub fn take_octets(&mut self) -> Result<Vec<u8>, CdrError> {
+        let len = self.take_sequence_len()?;
+        Ok(self.take(len as usize)?.to_vec())
+    }
+
     /// Decodes one value according to `desc`.
     ///
     /// # Errors
@@ -371,15 +404,16 @@ impl<'a> Decoder<'a> {
             TypeDesc::Double => Value::Double(f64::from_bits(self.take_u64()?)),
             TypeDesc::String => Value::String(self.take_string()?),
             TypeDesc::Sequence(elem) => {
-                let len = self.take_u32()?;
-                if len > MAX_SEQUENCE_LEN {
-                    return Err(CdrError::OversizedSequence(len));
+                if **elem == TypeDesc::Octet {
+                    Value::Sequence(Seq::from_octets(self.take_octets()?))
+                } else {
+                    let len = self.take_sequence_len()?;
+                    let mut items = Vec::with_capacity(len.min(1024) as usize);
+                    for _ in 0..len {
+                        items.push(self.decode(elem)?);
+                    }
+                    Value::Sequence(items.into())
                 }
-                let mut items = Vec::with_capacity(len.min(1024) as usize);
-                for _ in 0..len {
-                    items.push(self.decode(elem)?);
-                }
-                Value::Sequence(items)
             }
             TypeDesc::Struct { fields, .. } => {
                 let mut values = Vec::with_capacity(fields.len());
@@ -537,7 +571,7 @@ mod tests {
         };
         let v = Value::Struct(vec![
             Value::Octet(9),
-            Value::Sequence(vec![Value::Double(1.5), Value::Double(-0.25)]),
+            Value::Sequence(vec![Value::Double(1.5), Value::Double(-0.25)].into()),
             Value::String("s1".into()),
             Value::Enum(1),
         ]);

@@ -206,12 +206,38 @@ pub fn encode_message(
     repo: &InterfaceRepository,
     endianness: Endianness,
 ) -> Result<Vec<u8>, GiopError> {
-    let (msg_type, body) = match message {
-        GiopMessage::Request(req) => (MSG_REQUEST, encode_request(req, repo, endianness)?),
-        GiopMessage::Reply(rep) => (MSG_REPLY, encode_reply(rep, repo, endianness)?),
-        GiopMessage::CloseConnection => (MSG_CLOSE, Vec::new()),
-        GiopMessage::MessageError => (MSG_ERROR, Vec::new()),
-    };
+    match message {
+        GiopMessage::Request(req) => encode_request(req, repo, endianness),
+        GiopMessage::Reply(rep) => Ok(frame(
+            MSG_REPLY,
+            reply_body(rep, repo, endianness)?,
+            endianness,
+        )),
+        GiopMessage::CloseConnection => Ok(frame(MSG_CLOSE, Vec::new(), endianness)),
+        GiopMessage::MessageError => Ok(frame(MSG_ERROR, Vec::new(), endianness)),
+    }
+}
+
+/// Encodes a borrowed request as a framed GIOP Request — what
+/// [`encode_message`] produces for `GiopMessage::Request`, for a caller
+/// that owns the request and will use it again.
+///
+/// # Errors
+///
+/// As [`encode_message`].
+pub fn encode_request(
+    request: &RequestMessage,
+    repo: &InterfaceRepository,
+    endianness: Endianness,
+) -> Result<Vec<u8>, GiopError> {
+    Ok(frame(
+        MSG_REQUEST,
+        request_body(request, repo, endianness)?,
+        endianness,
+    ))
+}
+
+fn frame(msg_type: u8, body: Vec<u8>, endianness: Endianness) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + body.len());
     out.extend_from_slice(&MAGIC);
     out.push(VERSION.0);
@@ -224,10 +250,10 @@ pub fn encode_message(
         Endianness::Little => out.extend_from_slice(&size.to_le_bytes()),
     }
     out.extend_from_slice(&body);
-    Ok(out)
+    out
 }
 
-fn encode_request(
+fn request_body(
     req: &RequestMessage,
     repo: &InterfaceRepository,
     endianness: Endianness,
@@ -251,10 +277,7 @@ fn encode_request(
         &Value::Boolean(req.response_expected),
         &crate::types::TypeDesc::Boolean,
     )?;
-    enc.encode(
-        &Value::Sequence(req.object_key.iter().map(|b| Value::Octet(*b)).collect()),
-        &crate::types::TypeDesc::sequence_of(crate::types::TypeDesc::Octet),
-    )?;
+    enc.put_octets(&req.object_key);
     enc.put_string(&req.interface);
     enc.put_string(&req.operation);
     for (value, (_, ty)) in req.args.iter().zip(&op.params) {
@@ -269,7 +292,7 @@ fn encode_request(
     Ok(enc.into_bytes())
 }
 
-fn encode_reply(
+fn reply_body(
     rep: &ReplyMessage,
     repo: &InterfaceRepository,
     endianness: Endianness,
@@ -371,18 +394,7 @@ fn decode_request(
         Value::Boolean(v) => v,
         _ => unreachable!("decode honors desc"),
     };
-    let object_key = match dec.decode(&crate::types::TypeDesc::sequence_of(
-        crate::types::TypeDesc::Octet,
-    ))? {
-        Value::Sequence(items) => items
-            .into_iter()
-            .map(|v| match v {
-                Value::Octet(b) => b,
-                _ => unreachable!("octet sequence"),
-            })
-            .collect(),
-        _ => unreachable!("decode honors desc"),
-    };
+    let object_key = dec.take_octets()?;
     let interface = dec.take_string()?;
     let operation = dec.take_string()?;
     let op = repo
@@ -524,7 +536,7 @@ mod tests {
     fn reply_round_trips_all_statuses() {
         let repo = repo();
         let bodies = [
-            ReplyBody::Result(Value::Sequence(vec![Value::Double(1.5)])),
+            ReplyBody::Result(Value::Sequence(vec![Value::Double(1.5)].into())),
             ReplyBody::UserException {
                 name: "Sensor::Offline".into(),
             },
@@ -562,7 +574,7 @@ mod tests {
             request_id: 1,
             interface: "Sensor::Array".into(),
             operation: "read".into(),
-            body: ReplyBody::Result(Value::Sequence(vec![Value::Double(0.125)])),
+            body: ReplyBody::Result(Value::Sequence(vec![Value::Double(0.125)].into())),
         });
         let be = encode_message(&msg, &repo, Endianness::Big).unwrap();
         let le = encode_message(&msg, &repo, Endianness::Little).unwrap();

@@ -103,7 +103,8 @@ impl PlatformProfile {
         match value {
             Value::Float(v) => Value::Float(self.perturb_f64(*v as f64) as f32),
             Value::Double(v) => Value::Double(self.perturb_f64(*v)),
-            Value::Sequence(items) => {
+            // an octet sequence holds no float: one clone, no item walk
+            Value::Sequence(items) if items.as_octets().is_none() => {
                 Value::Sequence(items.iter().map(|i| self.perturb_value(i)).collect())
             }
             Value::Struct(items) => {
@@ -176,7 +177,7 @@ mod tests {
         let v = Value::Struct(vec![
             Value::Long(5),
             Value::Double(1.5),
-            Value::Sequence(vec![Value::Double(2.5)]),
+            Value::Sequence(vec![Value::Double(2.5)].into()),
             Value::String("s".into()),
         ]);
         let out = p.perturb_value(&v);

@@ -48,7 +48,7 @@ pub enum Value {
     /// A string (CORBA strings are not nested values).
     String(String),
     /// A homogeneous sequence.
-    Sequence(Vec<Value>),
+    Sequence(Seq),
     /// A struct: field values in declaration order.
     Struct(Vec<Value>),
     /// An enum discriminant.
@@ -71,9 +71,10 @@ impl Value {
             (Value::Float(_), TypeDesc::Float) => true,
             (Value::Double(_), TypeDesc::Double) => true,
             (Value::String(_), TypeDesc::String) => true,
-            (Value::Sequence(items), TypeDesc::Sequence(elem)) => {
-                items.iter().all(|i| i.conforms(elem))
-            }
+            (Value::Sequence(items), TypeDesc::Sequence(elem)) => match items.as_octets() {
+                Some(octets) => octets.is_empty() || **elem == TypeDesc::Octet,
+                None => items.iter().all(|i| i.conforms(elem)),
+            },
             (Value::Struct(values), TypeDesc::Struct { fields, .. }) => {
                 values.len() == fields.len()
                     && values.iter().zip(fields).all(|(v, (_, t))| v.conforms(t))
@@ -88,9 +89,10 @@ impl Value {
     pub fn contains_float(&self) -> bool {
         match self {
             Value::Float(_) | Value::Double(_) => true,
-            Value::Sequence(items) | Value::Struct(items) => {
-                items.iter().any(Value::contains_float)
+            Value::Sequence(items) => {
+                items.as_octets().is_none() && items.iter().any(Value::contains_float)
             }
+            Value::Struct(items) => items.iter().any(Value::contains_float),
             _ => false,
         }
     }
@@ -116,6 +118,184 @@ impl Value {
         }
     }
 }
+
+/// Every octet as a `Value`, so a packed [`Seq`] can lend `&Value` items.
+static OCTETS: [Value; 256] = octet_table();
+
+const fn octet_table() -> [Value; 256] {
+    let mut table = [const { Value::Octet(0) }; 256];
+    let mut i = 0;
+    while i < table.len() {
+        // `forget` because a `Value` destructor cannot run in a const fn;
+        // the replaced `Octet` owns nothing
+        std::mem::forget(std::mem::replace(&mut table[i], Value::Octet(i as u8)));
+        i += 1;
+    }
+    table
+}
+
+/// The items of a [`Value::Sequence`].
+///
+/// A sequence whose items are all [`Value::Octet`] — IDL's
+/// `sequence<octet>`, the bulk payload type — is stored packed, one byte
+/// per item; any other sequence is stored as its items. The packed form
+/// is **canonical**: every constructor packs whenever it can and the
+/// empty sequence is always packed, so a value has exactly one
+/// representation and the derived `==` is value equality.
+///
+/// # Examples
+///
+/// ```
+/// use itdos_giop::types::{Seq, Value};
+///
+/// let blob = Seq::from_octets(vec![1, 2, 3]);
+/// let same: Seq = [1u8, 2, 3].into_iter().map(Value::Octet).collect();
+/// assert_eq!(blob, same);
+/// assert_eq!(blob.as_octets(), Some(&[1u8, 2, 3][..]));
+/// assert_eq!(blob.iter().next(), Some(&Value::Octet(1)));
+///
+/// let longs = Seq::from(vec![Value::Long(1)]);
+/// assert_eq!(longs.as_octets(), None);
+/// assert_eq!(longs.len(), 1);
+/// ```
+#[derive(Clone, PartialEq)]
+pub struct Seq(Repr);
+
+#[derive(Clone, PartialEq)]
+enum Repr {
+    Octets(Vec<u8>),
+    /// Never empty and never all-octet (the canonical-form invariant).
+    Items(Vec<Value>),
+}
+
+impl Seq {
+    /// An octet sequence from its bytes (no per-item work).
+    pub fn from_octets(octets: Vec<u8>) -> Seq {
+        Seq(Repr::Octets(octets))
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Repr::Octets(octets) => octets.len(),
+            Repr::Items(items) => items.len(),
+        }
+    }
+
+    /// True for the empty sequence.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The bytes of an all-octet (or empty) sequence; `None` when some
+    /// item is not an octet.
+    pub fn as_octets(&self) -> Option<&[u8]> {
+        match &self.0 {
+            Repr::Octets(octets) => Some(octets),
+            Repr::Items(_) => None,
+        }
+    }
+
+    /// Owned form of [`Seq::as_octets`].
+    pub fn into_octets(self) -> Option<Vec<u8>> {
+        match self.0 {
+            Repr::Octets(octets) => Some(octets),
+            Repr::Items(_) => None,
+        }
+    }
+
+    /// The items in order, whatever the storage.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(match &self.0 {
+            Repr::Octets(octets) => IterRepr::Octets(octets.iter()),
+            Repr::Items(items) => IterRepr::Items(items.iter()),
+        })
+    }
+}
+
+impl fmt::Debug for Seq {
+    /// Prints the items as a list, the same for either storage.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl From<Vec<Value>> for Seq {
+    fn from(items: Vec<Value>) -> Seq {
+        if items.iter().all(|v| matches!(v, Value::Octet(_))) {
+            items.into_iter().collect()
+        } else {
+            Seq(Repr::Items(items))
+        }
+    }
+}
+
+impl FromIterator<Value> for Seq {
+    /// Packs for as long as the items are octets, so an all-octet source
+    /// never materialises a `Value` per byte.
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Seq {
+        let mut iter = iter.into_iter();
+        let mut octets = Vec::new();
+        while let Some(value) = iter.next() {
+            match value {
+                Value::Octet(b) => {
+                    if octets.is_empty() {
+                        octets.reserve(iter.size_hint().0.saturating_add(1));
+                    }
+                    octets.push(b);
+                }
+                other => {
+                    let rest = iter.size_hint().0.saturating_add(1);
+                    let mut items = Vec::with_capacity(octets.len().saturating_add(rest));
+                    items.extend(octets.into_iter().map(Value::Octet));
+                    items.push(other);
+                    items.extend(iter);
+                    return Seq(Repr::Items(items));
+                }
+            }
+        }
+        Seq(Repr::Octets(octets))
+    }
+}
+
+impl<'a> IntoIterator for &'a Seq {
+    type Item = &'a Value;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// Borrowing iterator over a [`Seq`]'s items.
+#[derive(Debug, Clone)]
+pub struct Iter<'a>(IterRepr<'a>);
+
+#[derive(Debug, Clone)]
+enum IterRepr<'a> {
+    Octets(std::slice::Iter<'a, u8>),
+    Items(std::slice::Iter<'a, Value>),
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a Value;
+
+    fn next(&mut self) -> Option<&'a Value> {
+        match &mut self.0 {
+            IterRepr::Octets(octets) => octets.next().map(|b| &OCTETS[usize::from(*b)]),
+            IterRepr::Items(items) => items.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            IterRepr::Octets(octets) => octets.size_hint(),
+            IterRepr::Items(items) => items.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -270,9 +450,9 @@ mod tests {
     #[test]
     fn sequences_check_elements() {
         let t = TypeDesc::sequence_of(TypeDesc::Long);
-        assert!(Value::Sequence(vec![Value::Long(1), Value::Long(2)]).conforms(&t));
-        assert!(Value::Sequence(vec![]).conforms(&t));
-        assert!(!Value::Sequence(vec![Value::Long(1), Value::Double(2.0)]).conforms(&t));
+        assert!(Value::Sequence(vec![Value::Long(1), Value::Long(2)].into()).conforms(&t));
+        assert!(Value::Sequence(vec![].into()).conforms(&t));
+        assert!(!Value::Sequence(vec![Value::Long(1), Value::Double(2.0)].into()).conforms(&t));
     }
 
     #[test]
@@ -297,15 +477,120 @@ mod tests {
     fn contains_float_recurses() {
         assert!(Value::Double(1.0).contains_float());
         assert!(Value::Struct(vec![Value::Long(1), Value::Float(0.5)]).contains_float());
-        assert!(!Value::Sequence(vec![Value::Long(1)]).contains_float());
-        assert!(Value::Sequence(vec![Value::Struct(vec![Value::Double(0.0)])]).contains_float());
+        assert!(!Value::Sequence(vec![Value::Long(1)].into()).contains_float());
+        assert!(
+            Value::Sequence(vec![Value::Struct(vec![Value::Double(0.0)])].into()).contains_float()
+        );
     }
 
     #[test]
     fn display_is_readable() {
         let v = Value::Struct(vec![Value::Long(1), Value::String("a".into())]);
         assert_eq!(v.to_string(), "{1, \"a\"}");
-        assert_eq!(Value::Sequence(vec![Value::Octet(7)]).to_string(), "[7o]");
+        assert_eq!(
+            Value::Sequence(vec![Value::Octet(7)].into()).to_string(),
+            "[7o]"
+        );
+    }
+
+    fn octet_items(bytes: &[u8]) -> Vec<Value> {
+        bytes.iter().copied().map(Value::Octet).collect()
+    }
+
+    fn cdr_decoded(seq: &Seq, elem: TypeDesc) -> Seq {
+        use crate::cdr::{Decoder, Encoder, Endianness};
+        let desc = TypeDesc::sequence_of(elem);
+        let mut enc = Encoder::new(Endianness::Big);
+        enc.encode(&Value::Sequence(seq.clone()), &desc).unwrap();
+        let bytes = enc.into_bytes();
+        match Decoder::new(&bytes, Endianness::Big).decode(&desc).unwrap() {
+            Value::Sequence(seq) => seq,
+            other => panic!("decoded {other:?}"),
+        }
+    }
+
+    #[test]
+    fn octets_pack_through_every_constructor() {
+        let bytes = [0u8, 1, 127, 128, 255];
+        let packed = Seq::from_octets(bytes.to_vec());
+        let collected: Seq = octet_items(&bytes).into_iter().collect();
+        let converted = Seq::from(octet_items(&bytes));
+        let decoded = cdr_decoded(&packed, TypeDesc::Octet);
+        for seq in [&packed, &collected, &converted, &decoded] {
+            assert_eq!(seq.as_octets(), Some(&bytes[..]));
+            assert_eq!(seq, &packed);
+            assert_eq!(seq.len(), 5);
+        }
+        assert_eq!(converted.into_octets(), Some(bytes.to_vec()));
+        // one spelling, so the derived `==` on the enclosing value holds too
+        assert_eq!(
+            Value::Sequence(packed),
+            Value::Sequence(octet_items(&bytes).into())
+        );
+    }
+
+    #[test]
+    fn one_non_octet_item_keeps_the_items() {
+        for at in 0..3 {
+            let mut items = octet_items(&[7, 8, 9]);
+            items[at] = Value::Long(-1);
+            let converted = Seq::from(items.clone());
+            let collected: Seq = items.iter().cloned().collect();
+            assert_eq!(converted, collected);
+            assert_eq!(converted.as_octets(), None);
+            assert_eq!(converted.clone().into_octets(), None);
+            assert_eq!(converted.len(), 3);
+            assert!(converted.iter().eq(items.iter()));
+            assert_ne!(converted, Seq::from_octets(vec![7, 8, 9]));
+        }
+        // a typed non-octet sequence round-trips through CDR unpacked
+        let longs = Seq::from(vec![Value::Long(1), Value::Long(2)]);
+        let back = cdr_decoded(&longs, TypeDesc::Long);
+        assert_eq!(back, longs);
+        assert_eq!(back.as_octets(), None);
+    }
+
+    #[test]
+    fn empty_sequence_has_one_form() {
+        let empty = Seq::from_octets(Vec::new());
+        let forms = [
+            empty.clone(),
+            Seq::from(Vec::new()),
+            std::iter::empty::<Value>().collect(),
+            cdr_decoded(&empty, TypeDesc::Octet),
+            cdr_decoded(&empty, TypeDesc::Double),
+        ];
+        for seq in &forms {
+            assert_eq!(seq, &forms[0]);
+            assert!(seq.is_empty());
+            assert_eq!(seq.as_octets(), Some(&[][..]));
+            assert_eq!(seq.iter().next(), None);
+        }
+        // and it conforms to any element type, as an empty `Vec` did
+        assert!(Value::Sequence(empty).conforms(&TypeDesc::sequence_of(TypeDesc::String)));
+    }
+
+    #[test]
+    fn iter_yields_the_items_a_vec_would() {
+        let all: Vec<u8> = (0..=255).collect();
+        let items = octet_items(&all);
+        let packed = Seq::from_octets(all);
+        assert_eq!(packed.iter().len(), 256);
+        assert!(packed.iter().eq(items.iter()));
+        assert!((&packed).into_iter().eq(items.iter()));
+        assert_eq!(format!("{packed:?}"), format!("{items:?}"));
+        let mixed = vec![Value::Octet(1), Value::String("x".into())];
+        let seq = Seq::from(mixed.clone());
+        assert!(seq.iter().eq(mixed.iter()));
+        assert_eq!(format!("{seq:?}"), format!("{mixed:?}"));
+    }
+
+    #[test]
+    fn packed_octets_conform_only_to_octet_sequences() {
+        let blob = Value::Sequence(Seq::from_octets(vec![1, 2]));
+        assert!(blob.conforms(&TypeDesc::sequence_of(TypeDesc::Octet)));
+        assert!(!blob.conforms(&TypeDesc::sequence_of(TypeDesc::Long)));
+        assert!(!blob.contains_float());
     }
 
     #[test]

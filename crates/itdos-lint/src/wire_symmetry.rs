@@ -320,7 +320,7 @@ pub const WIRE_MANIFEST: &[WirePair] = &[
     WirePair {
         name: "GIOP Request",
         file: "crates/itdos-giop/src/giop.rs",
-        encode_fn: "encode_request",
+        encode_fn: "request_body",
         encode_impl: None,
         decode_fn: "decode_request",
         decode_impl: None,
@@ -333,7 +333,7 @@ pub const WIRE_MANIFEST: &[WirePair] = &[
     WirePair {
         name: "GIOP Reply",
         file: "crates/itdos-giop/src/giop.rs",
-        encode_fn: "encode_reply",
+        encode_fn: "reply_body",
         encode_impl: None,
         decode_fn: "decode_reply",
         decode_impl: None,

@@ -382,7 +382,7 @@ mod tests {
         let mut orb = orb(PlatformProfile::SPARC_SOLARIS);
         let mut req = request("add", vec![Value::Long(1), Value::Long(2)]);
         req.operation = "avg".into();
-        req.args = vec![Value::Sequence(vec![])];
+        req.args = vec![Value::Sequence(vec![].into())];
         // avg of empty returns 0.0 — use the unknown-op path instead:
         // register "avg" exists; craft via servant error by using missing op
         // name at servant level is unreachable (repo rejects). Use Calc add
@@ -433,10 +433,9 @@ mod tests {
             let mut orb = orb(platform);
             let d = orb.handle_request(&request(
                 "avg",
-                vec![Value::Sequence(vec![
-                    Value::Double(1.0),
-                    Value::Double(2.0),
-                ])],
+                vec![Value::Sequence(
+                    vec![Value::Double(1.0), Value::Double(2.0)].into(),
+                )],
             ));
             match d {
                 Dispatch::Reply(r) => match r.body {

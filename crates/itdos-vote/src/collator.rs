@@ -21,7 +21,7 @@ use itdos_giop::types::Value;
 use itdos_obs::{LabelValue, Obs};
 
 use crate::comparator::Comparator;
-use crate::vote::{vote, Candidate, Decision, SenderId, Thresholds, VoteOutcome};
+use crate::vote::{tally, Candidate, Decision, SenderId, Thresholds};
 
 /// Static label distinguishing exact from inexact voting in metrics.
 fn comparator_kind(comparator: &Comparator) -> &'static str {
@@ -100,6 +100,8 @@ pub struct Collator {
     thresholds: Thresholds,
     comparator: Comparator,
     outstanding: Option<u64>,
+    /// Candidates awaiting a decision; emptied when the round decides
+    /// (late arrivals are checked against `decision` alone).
     candidates: Vec<Candidate>,
     seen: BTreeSet<SenderId>,
     decision: Option<Decision>,
@@ -185,7 +187,11 @@ impl Collator {
 
     /// Number of candidates collected this round.
     pub fn collected(&self) -> usize {
-        self.candidates.len()
+        match &self.decision {
+            // supporters and dissenters partition the candidates voted on
+            Some(d) => d.supporters.len() + d.dissenters.len(),
+            None => self.candidates.len(),
+        }
     }
 
     /// Offers one unmarshalled reply/request value for collation.
@@ -236,43 +242,51 @@ impl Collator {
             return Accept::Late { suspect };
         }
         self.candidates.push(Candidate { sender, value });
+        let held = self.candidates.len();
         // §3.6: attempt only once the 2f+1 quorum has arrived
-        if self.candidates.len() < self.thresholds.quorum() {
+        if held < self.thresholds.quorum() {
             return Accept::Collected;
         }
         // each fold pass over the candidate set is real voter work the
         // profiler attributes to the vote.fold subsystem
         self.obs.incr("vote.folds", &[]);
-        self.obs
-            .observe("vote.fold_candidates", &[], self.candidates.len() as u64);
-        match vote(&self.candidates, &self.comparator, self.thresholds.decide()) {
-            VoteOutcome::Decided(decision) => {
-                self.decision = Some(decision.clone());
-                self.stats.decided = true;
-                if self.obs.is_enabled() {
-                    let kind = comparator_kind(&self.comparator);
-                    let labels = [("comparator", LabelValue::Str(kind))];
-                    self.obs.incr("vote.decided", &labels);
-                    self.obs
-                        .event("vote.decided", &[("request", LabelValue::U64(request_id))]);
-                    self.obs
-                        .observe("vote.votes_held", &labels, self.candidates.len() as u64);
-                    self.obs
-                        .add("vote.divergent", &[], decision.dissenters.len() as u64);
-                    for dissenter in &decision.dissenters {
-                        self.obs.event(
-                            "vote.dissent",
-                            &[
-                                ("request", LabelValue::U64(request_id)),
-                                ("sender", LabelValue::U64(u64::from(dissenter.0))),
-                            ],
-                        );
-                    }
-                }
-                Accept::Decided(decision)
+        self.obs.observe("vote.fold_candidates", &[], held as u64);
+        let Some(tally) = tally(&self.candidates, &self.comparator, self.thresholds.decide())
+        else {
+            return Accept::Collected;
+        };
+        // the winner's value moves into the decision; nothing reads the
+        // other candidates' values again, so they are freed here rather
+        // than when the round is garbage-collected
+        let decision = Decision {
+            value: self.candidates.swap_remove(tally.pivot).value,
+            supporters: tally.supporters,
+            dissenters: tally.dissenters,
+        };
+        self.candidates = Vec::new();
+        self.stats.decided = true;
+        if self.obs.is_enabled() {
+            let kind = comparator_kind(&self.comparator);
+            let labels = [("comparator", LabelValue::Str(kind))];
+            self.obs.incr("vote.decided", &labels);
+            self.obs
+                .event("vote.decided", &[("request", LabelValue::U64(request_id))]);
+            self.obs.observe("vote.votes_held", &labels, held as u64);
+            self.obs
+                .add("vote.divergent", &[], decision.dissenters.len() as u64);
+            for dissenter in &decision.dissenters {
+                self.obs.event(
+                    "vote.dissent",
+                    &[
+                        ("request", LabelValue::U64(request_id)),
+                        ("sender", LabelValue::U64(u64::from(dissenter.0))),
+                    ],
+                );
             }
-            VoteOutcome::Pending => Accept::Collected,
         }
+        // one copy stays for late-arrival checks, one goes to the caller
+        self.decision = Some(decision.clone());
+        Accept::Decided(decision)
     }
 }
 
@@ -376,6 +390,10 @@ mod tests {
             }
         );
         assert_eq!(c.suspects(), vec![SenderId(3)]);
+        // the voted-on candidates were freed at the decision; their count
+        // (not the late arrival's) is what the round still reports
+        assert_eq!(c.collected(), 3);
+        assert_eq!(c.decision().map(|d| &d.value), Some(&long(5)));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! and b = c, this does not imply that a = c"), which is why voting uses
 //! pivot-based clustering rather than equivalence classes.
 
-use itdos_giop::types::Value;
+use itdos_giop::types::{Seq, Value};
 
 /// A comparator program node.
 ///
@@ -81,7 +81,11 @@ impl Comparator {
             },
             Comparator::Sequence(elem) => match (a, b) {
                 (Value::Sequence(xs), Value::Sequence(ys)) => {
-                    xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| elem.equivalent(x, y))
+                    let by_value = matches!(
+                        **elem,
+                        Comparator::Exact | Comparator::InexactAbs(_) | Comparator::InexactRel(_)
+                    );
+                    seq_eq(xs, ys, by_value, |x, y| elem.equivalent(x, y))
                 }
                 _ => false,
             },
@@ -112,15 +116,29 @@ impl Tolerance {
     }
 }
 
+/// Element-wise sequence comparison under `item_eq`. `octets_by_value`
+/// states that `item_eq` on two octets is `==` (true of exact and inexact
+/// comparison, where an octet is a non-float leaf), which lets two packed
+/// octet sequences compare as byte slices instead of item by item.
+fn seq_eq(
+    xs: &Seq,
+    ys: &Seq,
+    octets_by_value: bool,
+    item_eq: impl Fn(&Value, &Value) -> bool,
+) -> bool {
+    if let (true, Some(x), Some(y)) = (octets_by_value, xs.as_octets(), ys.as_octets()) {
+        return x == y;
+    }
+    xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| item_eq(x, y))
+}
+
 fn exact_eq(a: &Value, b: &Value) -> bool {
     match (a, b) {
         // bitwise float equality for exact voting (NaN == NaN bitwise-wise
         // is what byte voting would see; mirror it)
         (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
         (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
-        (Value::Sequence(xs), Value::Sequence(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| exact_eq(x, y))
-        }
+        (Value::Sequence(xs), Value::Sequence(ys)) => seq_eq(xs, ys, true, exact_eq),
         (Value::Struct(xs), Value::Struct(ys)) => {
             xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| exact_eq(x, y))
         }
@@ -133,7 +151,7 @@ fn inexact_eq(a: &Value, b: &Value, tol: &Tolerance) -> bool {
         (Value::Float(x), Value::Float(y)) => tol.floats_eq(*x as f64, *y as f64),
         (Value::Double(x), Value::Double(y)) => tol.floats_eq(*x, *y),
         (Value::Sequence(xs), Value::Sequence(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| inexact_eq(x, y, tol))
+            seq_eq(xs, ys, true, |x, y| inexact_eq(x, y, tol))
         }
         (Value::Struct(xs), Value::Struct(ys)) => {
             xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| inexact_eq(x, y, tol))
@@ -193,8 +211,8 @@ mod tests {
     #[test]
     fn inexact_recurses_into_composites() {
         let c = Comparator::InexactRel(1e-6);
-        let a = Value::Sequence(vec![Value::Double(1.0), Value::Double(2.0)]);
-        let b = Value::Sequence(vec![Value::Double(1.0 + 1e-8), Value::Double(2.0 - 1e-8)]);
+        let a = Value::Sequence(vec![Value::Double(1.0), Value::Double(2.0)].into());
+        let b = Value::Sequence(vec![Value::Double(1.0 + 1e-8), Value::Double(2.0 - 1e-8)].into());
         assert!(c.equivalent(&a, &b));
     }
 
@@ -228,7 +246,7 @@ mod tests {
     fn kind_mismatch_never_equivalent() {
         let c = Comparator::InexactAbs(1e9); // huge tolerance can't cross kinds
         assert!(!c.equivalent(&Value::Double(1.0), &Value::Long(1)));
-        assert!(!c.equivalent(&Value::Struct(vec![]), &Value::Sequence(vec![])));
+        assert!(!c.equivalent(&Value::Struct(vec![]), &Value::Sequence(vec![].into())));
     }
 
     #[test]
@@ -242,8 +260,8 @@ mod tests {
     #[test]
     fn sequence_program_checks_lengths() {
         let c = Comparator::Sequence(Box::new(Comparator::Exact));
-        let a = Value::Sequence(vec![Value::Long(1)]);
-        let b = Value::Sequence(vec![Value::Long(1), Value::Long(2)]);
+        let a = Value::Sequence(vec![Value::Long(1)].into());
+        let b = Value::Sequence(vec![Value::Long(1), Value::Long(2)].into());
         assert!(!c.equivalent(&a, &b));
     }
 

@@ -7,23 +7,22 @@
 
 use crate::comparator::Comparator;
 use itdos_giop::giop::{ReplyBody, ReplyMessage, RequestMessage};
-use itdos_giop::types::Value;
+use itdos_giop::types::{Seq, Value};
 
 /// Folds a request into a votable value:
 /// `{interface, operation, object_key, args…}`.
-pub fn request_to_value(request: &RequestMessage) -> Value {
+pub fn fold_request(request: RequestMessage) -> Value {
     Value::Struct(vec![
-        Value::String(request.interface.clone()),
-        Value::String(request.operation.clone()),
-        Value::Sequence(
-            request
-                .object_key
-                .iter()
-                .map(|b| Value::Octet(*b))
-                .collect(),
-        ),
-        Value::Struct(request.args.clone()),
+        Value::String(request.interface),
+        Value::String(request.operation),
+        Value::Sequence(Seq::from_octets(request.object_key)),
+        Value::Struct(request.args),
     ])
+}
+
+/// [`fold_request`] for a caller that only borrows the request.
+pub fn request_to_value(request: &RequestMessage) -> Value {
+    fold_request(request.clone())
 }
 
 /// Reconstructs a request from a decided value.
@@ -31,22 +30,16 @@ pub fn request_to_value(request: &RequestMessage) -> Value {
 /// Returns `None` when the value does not have request shape (possible
 /// only if the voter decided on Byzantine-crafted values, which the
 /// comparator's exact header comparison makes require f+1 colluders).
-pub fn value_to_request(request_id: u64, value: &Value) -> Option<RequestMessage> {
+pub fn value_to_request(request_id: u64, value: Value) -> Option<RequestMessage> {
     let Value::Struct(parts) = value else {
         return None;
     };
-    let [Value::String(interface), Value::String(operation), Value::Sequence(key), Value::Struct(args)] =
-        parts.as_slice()
+    let Ok(
+        [Value::String(interface), Value::String(operation), Value::Sequence(key), Value::Struct(args)],
+    ) = <[Value; 4]>::try_from(parts)
     else {
         return None;
     };
-    let object_key: Option<Vec<u8>> = key
-        .iter()
-        .map(|v| match v {
-            Value::Octet(b) => Some(*b),
-            _ => None,
-        })
-        .collect();
     Some(RequestMessage {
         request_id,
         // the trace id is deliberately NOT part of the folded value (it
@@ -54,10 +47,10 @@ pub fn value_to_request(request_id: u64, value: &Value) -> Option<RequestMessage
         // recover it from the GIOP header stashed at decode time
         trace: 0,
         response_expected: true,
-        object_key: object_key?,
-        interface: interface.clone(),
-        operation: operation.clone(),
-        args: args.clone(),
+        object_key: key.into_octets()?,
+        interface,
+        operation,
+        args,
     })
 }
 
@@ -67,46 +60,45 @@ const STATUS_SYSTEM: u32 = 2;
 
 /// Folds a reply into a votable value: `{interface, operation, status,
 /// payload}`.
-pub fn reply_to_value(reply: &ReplyMessage) -> Value {
-    let (status, payload) = match &reply.body {
-        ReplyBody::Result(v) => (STATUS_RESULT, v.clone()),
-        ReplyBody::UserException { name } => (STATUS_USER, Value::String(name.clone())),
-        ReplyBody::SystemException { minor } => (STATUS_SYSTEM, Value::ULong(*minor)),
+pub fn fold_reply(reply: ReplyMessage) -> Value {
+    let (status, payload) = match reply.body {
+        ReplyBody::Result(v) => (STATUS_RESULT, v),
+        ReplyBody::UserException { name } => (STATUS_USER, Value::String(name)),
+        ReplyBody::SystemException { minor } => (STATUS_SYSTEM, Value::ULong(minor)),
     };
     Value::Struct(vec![
-        Value::String(reply.interface.clone()),
-        Value::String(reply.operation.clone()),
+        Value::String(reply.interface),
+        Value::String(reply.operation),
         Value::ULong(status),
         payload,
     ])
 }
 
+/// [`fold_reply`] for a caller that only borrows the reply.
+pub fn reply_to_value(reply: &ReplyMessage) -> Value {
+    fold_reply(reply.clone())
+}
+
 /// Reconstructs a reply from a decided value.
-pub fn value_to_reply(request_id: u64, value: &Value) -> Option<ReplyMessage> {
+pub fn value_to_reply(request_id: u64, value: Value) -> Option<ReplyMessage> {
     let Value::Struct(parts) = value else {
         return None;
     };
-    let [Value::String(interface), Value::String(operation), Value::ULong(status), payload] =
-        parts.as_slice()
+    let Ok([Value::String(interface), Value::String(operation), Value::ULong(status), payload]) =
+        <[Value; 4]>::try_from(parts)
     else {
         return None;
     };
-    let body = match *status {
-        STATUS_RESULT => ReplyBody::Result(payload.clone()),
-        STATUS_USER => match payload {
-            Value::String(name) => ReplyBody::UserException { name: name.clone() },
-            _ => return None,
-        },
-        STATUS_SYSTEM => match payload {
-            Value::ULong(minor) => ReplyBody::SystemException { minor: *minor },
-            _ => return None,
-        },
+    let body = match (status, payload) {
+        (STATUS_RESULT, payload) => ReplyBody::Result(payload),
+        (STATUS_USER, Value::String(name)) => ReplyBody::UserException { name },
+        (STATUS_SYSTEM, Value::ULong(minor)) => ReplyBody::SystemException { minor },
         _ => return None,
     };
     Some(ReplyMessage {
         request_id,
-        interface: interface.clone(),
-        operation: operation.clone(),
+        interface,
+        operation,
         body,
     })
 }
@@ -142,7 +134,7 @@ mod tests {
     fn request_round_trips() {
         let r = request();
         let v = request_to_value(&r);
-        assert_eq!(value_to_request(7, &v), Some(r));
+        assert_eq!(value_to_request(7, v), Some(r));
     }
 
     #[test]
@@ -159,22 +151,22 @@ mod tests {
                 body,
             };
             let v = reply_to_value(&r);
-            assert_eq!(value_to_reply(9, &v), Some(r));
+            assert_eq!(value_to_reply(9, v), Some(r));
         }
     }
 
     #[test]
     fn malformed_values_rejected() {
-        assert!(value_to_request(1, &Value::Long(1)).is_none());
-        assert!(value_to_reply(1, &Value::Struct(vec![])).is_none());
+        assert!(value_to_request(1, Value::Long(1)).is_none());
+        assert!(value_to_reply(1, Value::Struct(vec![])).is_none());
         // wrong key element type
         let v = Value::Struct(vec![
             Value::String("I".into()),
             Value::String("op".into()),
-            Value::Sequence(vec![Value::Long(1)]),
+            Value::Sequence(vec![Value::Long(1)].into()),
             Value::Struct(vec![]),
         ]);
-        assert!(value_to_request(1, &v).is_none());
+        assert!(value_to_request(1, v).is_none());
     }
 
     #[test]

@@ -49,39 +49,63 @@ pub struct Decision {
     pub dissenters: Vec<SenderId>,
 }
 
-/// Runs one vote over `candidates` requiring `threshold` equivalent values.
-///
-/// Every candidate is tried as a pivot (so a Byzantine value cannot split
-/// an honest cluster by arriving first); the first pivot in sender order
-/// reaching `threshold` support wins, making the vote deterministic given
-/// the candidate list — the property §3.6 relies on so replicated voters
-/// need not synchronize.
-pub fn vote(candidates: &[Candidate], comparator: &Comparator, threshold: usize) -> VoteOutcome {
+/// The winning cluster of a vote: the pivot by index into the candidate
+/// slice, so a caller that owns the candidates can move its value out.
+pub(crate) struct Tally {
+    pub(crate) pivot: usize,
+    pub(crate) supporters: Vec<SenderId>,
+    pub(crate) dissenters: Vec<SenderId>,
+}
+
+/// Finds the first pivot in sender order that `threshold` candidates
+/// support. Every candidate is tried as a pivot, so a Byzantine value
+/// cannot split an honest cluster by arriving first.
+pub(crate) fn tally(
+    candidates: &[Candidate],
+    comparator: &Comparator,
+    threshold: usize,
+) -> Option<Tally> {
     if threshold == 0 || candidates.len() < threshold {
-        return VoteOutcome::Pending;
+        return None;
     }
-    let mut order: Vec<&Candidate> = candidates.iter().collect();
-    order.sort_by_key(|c| c.sender);
-    for pivot in &order {
+    let mut order: Vec<(usize, &Candidate)> = candidates.iter().enumerate().collect();
+    order.sort_by_key(|(_, c)| c.sender);
+    for (pivot, candidate) in &order {
         let supporters: Vec<SenderId> = order
             .iter()
-            .filter(|c| comparator.equivalent(&pivot.value, &c.value))
-            .map(|c| c.sender)
+            .filter(|(_, c)| comparator.equivalent(&candidate.value, &c.value))
+            .map(|(_, c)| c.sender)
             .collect();
         if supporters.len() >= threshold {
             let dissenters = order
                 .iter()
-                .filter(|c| !supporters.contains(&c.sender))
-                .map(|c| c.sender)
+                .filter(|(_, c)| !supporters.contains(&c.sender))
+                .map(|(_, c)| c.sender)
                 .collect();
-            return VoteOutcome::Decided(Decision {
-                value: pivot.value.clone(),
+            return Some(Tally {
+                pivot: *pivot,
                 supporters,
                 dissenters,
             });
         }
     }
-    VoteOutcome::Pending
+    None
+}
+
+/// Runs one vote over `candidates` requiring `threshold` equivalent values.
+///
+/// The first pivot in sender order reaching `threshold` support wins,
+/// making the vote deterministic given the candidate list — the property
+/// §3.6 relies on so replicated voters need not synchronize.
+pub fn vote(candidates: &[Candidate], comparator: &Comparator, threshold: usize) -> VoteOutcome {
+    match tally(candidates, comparator, threshold) {
+        Some(tally) => VoteOutcome::Decided(Decision {
+            value: candidates[tally.pivot].value.clone(),
+            supporters: tally.supporters,
+            dissenters: tally.dissenters,
+        }),
+        None => VoteOutcome::Pending,
+    }
 }
 
 /// Vote thresholds for a domain tolerating `f` faults (§3.6).

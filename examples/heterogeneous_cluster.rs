@@ -64,12 +64,15 @@ fn main() {
             p.name, p.endianness, p.float_lane
         );
     }
-    let samples = vec![Value::Sequence(vec![
-        Value::Double(20.1),
-        Value::Double(19.9),
-        Value::Double(20.4),
-        Value::Double(20.0),
-    ])];
+    let samples = vec![Value::Sequence(
+        vec![
+            Value::Double(20.1),
+            Value::Double(19.9),
+            Value::Double(20.4),
+            Value::Double(20.0),
+        ]
+        .into(),
+    )];
 
     // Inexact voting: correct replicas whose floats differ by platform
     // rounding are recognized as equivalent.
@@ -130,10 +133,9 @@ fn main() {
             .object(b"fusion")
             .interface("Sensor::Fusion")
             .operation("fuse")
-            .arg(Value::Sequence(vec![
-                Value::Double(20.0),
-                Value::Double(20.2),
-            ])),
+            .arg(Value::Sequence(
+                vec![Value::Double(20.0), Value::Double(20.2)].into(),
+            )),
     );
     println!("\ninexact voting with one corrupt replica:");
     println!("  fused reading -> {:?}", done.result);

@@ -193,10 +193,9 @@ fn replacement_drill(seed: u64, dump_to: Option<&str>) {
                 .object(b"sensor")
                 .interface("Sensor")
                 .operation("read_average")
-                .arg(Value::Sequence(vec![
-                    Value::Double(1.0),
-                    Value::Double(3.0),
-                ])),
+                .arg(Value::Sequence(
+                    vec![Value::Double(1.0), Value::Double(3.0)].into(),
+                )),
         )
     };
     let active = |system: &itdos::System| {

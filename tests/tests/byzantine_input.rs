@@ -57,12 +57,7 @@ fn valid_giop_request() -> Vec<u8> {
 }
 
 fn valid_pbft_messages() -> Vec<Message> {
-    let request = ClientRequest {
-        client: ClientId(3),
-        timestamp: 9,
-        trace: 0,
-        operation: vec![1, 2, 3, 4, 5, 6, 7, 8],
-    };
+    let request = ClientRequest::new(ClientId(3), 9, 0, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     let batch = Batch::single(request.clone());
     let d = batch.digest();
     vec![
@@ -179,13 +174,7 @@ fn pbft_truncations_error_cleanly() {
 #[test]
 fn pbft_oversized_interior_lengths_are_rejected() {
     // a Request's operation is length-prefixed; claim u32::MAX bytes
-    let bytes = Message::Request(ClientRequest {
-        client: ClientId(1),
-        timestamp: 1,
-        trace: 0,
-        operation: vec![0; 8],
-    })
-    .encode();
+    let bytes = Message::Request(ClientRequest::new(ClientId(1), 1, 0, vec![0; 8])).encode();
     for pos in 0..bytes.len().saturating_sub(4) {
         let mut mutated = bytes.clone();
         mutated[pos..pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -226,12 +215,7 @@ fn replica_absorbs_hostile_decoded_messages() {
 #[test]
 fn replica_survives_adversarial_field_values() {
     let mut replica = Replica::new(GroupConfig::for_f(1), ReplicaId(1), CounterMachine::new());
-    let request = ClientRequest {
-        client: ClientId(9),
-        timestamp: 1,
-        trace: 0,
-        operation: vec![0xFF; 8],
-    };
+    let request = ClientRequest::new(ClientId(9), 1, 0, vec![0xFF; 8]);
     let hostile = vec![
         // pre-prepare whose digest does not match the batch
         Message::PrePrepare(PrePrepare {
@@ -297,13 +281,7 @@ fn replica_survives_adversarial_field_values() {
 fn envelope_decoding_is_total() {
     let env = Envelope {
         sender: Peer::Replica(ReplicaId(2)),
-        payload: Message::Request(ClientRequest {
-            client: ClientId(1),
-            timestamp: 4,
-            trace: 0,
-            operation: vec![9; 12],
-        })
-        .encode(),
+        payload: Message::Request(ClientRequest::new(ClientId(1), 4, 0, vec![9; 12])).encode(),
         auth: AuthProof::Signature(SigningKey::from_seed(b"env").sign(b"payload")),
     };
     let bytes = env.encode();

@@ -18,7 +18,7 @@ use itdos::wire::{
     SmiopFrame,
 };
 use itdos_crypto::sign::{Signature, VerifyingKey};
-use itdos_giop::cdr::{Decoder, Encoder, Endianness};
+use itdos_giop::cdr::{CdrError, Decoder, Encoder, Endianness, MAX_SEQUENCE_LEN};
 use itdos_giop::giop::{decode_message, encode_message, GiopMessage, RequestMessage};
 use itdos_giop::idl::{InterfaceDef, InterfaceRepository, OperationDef};
 use itdos_giop::types::{TypeDesc, Value};
@@ -250,6 +250,55 @@ fn cdr_decoder_total_on_truncation_and_flips() {
             let _ = Decoder::new(&bytes, endianness).decode(&desc);
         }
     });
+}
+
+/// A hostile `sequence<octet>` length is refused on the *whole* claimed
+/// length before anything is copied: the error names the full count
+/// against the bytes present. The packed decode's only allocation is the
+/// copy of the slice that check returned, so a 16 MiB claim backed by
+/// 3 bytes reserves nothing. (An item-by-item decoder would instead fail
+/// on the fourth item with `needed: 1, remaining: 0`.)
+#[test]
+fn hostile_octet_sequence_length_checked_before_any_copy() {
+    let octets = TypeDesc::sequence_of(TypeDesc::Octet);
+    for endianness in [Endianness::Big, Endianness::Little] {
+        let claimed: u32 = 0x00FF_FFFF;
+        let mut bytes = match endianness {
+            Endianness::Big => claimed.to_be_bytes().to_vec(),
+            Endianness::Little => claimed.to_le_bytes().to_vec(),
+        };
+        bytes.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(
+            Decoder::new(&bytes, endianness).decode(&octets),
+            Err(CdrError::Truncated {
+                needed: claimed as usize,
+                remaining: 3,
+            })
+        );
+        assert_eq!(
+            Decoder::new(&bytes, endianness).take_octets(),
+            Err(CdrError::Truncated {
+                needed: claimed as usize,
+                remaining: 3,
+            })
+        );
+        // the sanity limit still comes first, for octets as for any element
+        let over = MAX_SEQUENCE_LEN + 1;
+        let bytes = match endianness {
+            Endianness::Big => over.to_be_bytes(),
+            Endianness::Little => over.to_le_bytes(),
+        };
+        for desc in [&octets, &TypeDesc::sequence_of(TypeDesc::Double)] {
+            assert_eq!(
+                Decoder::new(&bytes, endianness).decode(desc),
+                Err(CdrError::OversizedSequence(over))
+            );
+        }
+        assert_eq!(
+            Decoder::new(&bytes, endianness).take_octets(),
+            Err(CdrError::OversizedSequence(over))
+        );
+    }
 }
 
 fn giop_repo() -> InterfaceRepository {

@@ -31,11 +31,14 @@ fn sensor_system(seed: u64, comparator: Comparator) -> itdos::System {
 }
 
 fn samples() -> Vec<Value> {
-    vec![Value::Sequence(vec![
-        Value::Double(20.125),
-        Value::Double(19.875),
-        Value::Double(20.500),
-    ])]
+    vec![Value::Sequence(
+        vec![
+            Value::Double(20.125),
+            Value::Double(19.875),
+            Value::Double(20.500),
+        ]
+        .into(),
+    )]
 }
 
 /// Inexact voting unifies correct replicas whose float results differ by

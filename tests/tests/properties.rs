@@ -7,7 +7,7 @@
 mod common;
 
 use itdos_giop::cdr::{Decoder, Encoder, Endianness};
-use itdos_giop::types::{TypeDesc, Value};
+use itdos_giop::types::{Seq, TypeDesc, Value};
 use itdos_tests::{arbitrary, prop};
 use itdos_vote::comparator::Comparator;
 use itdos_vote::vote::{vote, Candidate, SenderId, VoteOutcome};
@@ -40,7 +40,7 @@ fn typed_value(rng: &mut SmallRng, depth: usize) -> (TypeDesc, Value) {
             let (elem_t, elem_v) = typed_value(rng, depth - 1);
             let n = rng.gen_range(0..4usize);
             let items: Vec<Value> = (0..n).map(|_| elem_v.clone()).collect();
-            (TypeDesc::sequence_of(elem_t), Value::Sequence(items))
+            (TypeDesc::sequence_of(elem_t), Value::Sequence(items.into()))
         }
         _ => {
             // struct: independent field types
@@ -69,7 +69,10 @@ fn bits_eq(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
         (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
-        (Value::Sequence(xs), Value::Sequence(ys)) | (Value::Struct(xs), Value::Struct(ys)) => {
+        (Value::Sequence(xs), Value::Sequence(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| bits_eq(x, y))
+        }
+        (Value::Struct(xs), Value::Struct(ys)) => {
             xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| bits_eq(x, y))
         }
         _ => a == b,
@@ -125,6 +128,96 @@ fn cdr_decoder_is_total() {
         let (desc, _) = typed_value(rng, 3);
         let mut dec = Decoder::new(&bytes, Endianness::Little);
         let _ = dec.decode(&desc); // must return, never panic
+    });
+}
+
+/// The comparator as it was before octet sequences were packed: every
+/// sequence is walked item by item through `iter()`, never compared as
+/// bytes. The reference that `Comparator::equivalent`'s byte-slice fast
+/// paths must agree with.
+fn item_walk_equivalent(c: &Comparator, a: &Value, b: &Value) -> bool {
+    fn leaves(a: &Value, b: &Value, floats_eq: &dyn Fn(f64, f64) -> bool) -> bool {
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => floats_eq(f64::from(*x), f64::from(*y)),
+            (Value::Double(x), Value::Double(y)) => floats_eq(*x, *y),
+            (Value::Sequence(xs), Value::Sequence(ys)) => {
+                xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| leaves(x, y, floats_eq))
+            }
+            (Value::Struct(xs), Value::Struct(ys)) => {
+                xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| leaves(x, y, floats_eq))
+            }
+            _ => a == b,
+        }
+    }
+    match c {
+        Comparator::Exact => leaves(a, b, &|x, y| x.to_bits() == y.to_bits()),
+        Comparator::InexactRel(eps) => leaves(a, b, &|x, y| {
+            x == y
+                || (x.is_nan() && y.is_nan())
+                || (x.is_finite() && y.is_finite() && (x - y).abs() <= eps * x.abs().max(y.abs()))
+        }),
+        Comparator::Ignore => true,
+        Comparator::Sequence(elem) => match (a, b) {
+            (Value::Sequence(xs), Value::Sequence(ys)) => {
+                xs.len() == ys.len()
+                    && xs
+                        .iter()
+                        .zip(ys)
+                        .all(|(x, y)| item_walk_equivalent(elem, x, y))
+            }
+            _ => false,
+        },
+        other => panic!("not exercised by this property: {other:?}"),
+    }
+}
+
+/// Packed octet sequences compare as byte slices; that shortcut must give
+/// the verdict the item walk gives — on equal blobs, blobs one byte or one
+/// item apart, a blob against its unpacked near-twin (one item not an
+/// octet), and on arbitrary generated values.
+#[test]
+fn packed_and_item_walk_comparison_agree() {
+    let comparators = [
+        Comparator::Exact,
+        Comparator::InexactRel(1e-6),
+        Comparator::Sequence(Box::new(Comparator::Exact)),
+        Comparator::Sequence(Box::new(Comparator::Ignore)),
+    ];
+    prop::check("packed_and_item_walk_comparison_agree", CASES, |rng, _| {
+        let blob = arbitrary::bytes(rng, 9);
+        let a = Value::Sequence(Seq::from_octets(blob.clone()));
+        assert!(matches!(&a, Value::Sequence(s) if s.as_octets().is_some()));
+        let mut pairs = vec![(a.clone(), a.clone())];
+        if !blob.is_empty() {
+            let at = rng.gen_range(0..blob.len());
+            let mut flipped = blob.clone();
+            flipped[at] ^= 1 << rng.gen_range(0..8u32);
+            pairs.push((a.clone(), Value::Sequence(Seq::from_octets(flipped))));
+            let shorter = Value::Sequence(Seq::from_octets(blob[1..].to_vec()));
+            pairs.push((a.clone(), shorter));
+            // same length, one item a float: stored unpacked
+            let mut items: Vec<Value> = blob.iter().copied().map(Value::Octet).collect();
+            items[at] = Value::Double(f64::from(blob[at]));
+            let unpacked = Value::Sequence(items.into());
+            assert!(matches!(&unpacked, Value::Sequence(s) if s.as_octets().is_none()));
+            pairs.push((a.clone(), unpacked.clone()));
+            pairs.push((unpacked.clone(), unpacked));
+        }
+        let (_, x) = typed_value(rng, 3);
+        let (_, y) = typed_value(rng, 3);
+        pairs.push((x.clone(), x.clone()));
+        pairs.push((a.clone(), x.clone()));
+        pairs.push((x, y));
+        for (l, r) in &pairs {
+            for c in &comparators {
+                assert_eq!(
+                    c.equivalent(l, r),
+                    item_walk_equivalent(c, l, r),
+                    "{c:?}: {l:?} vs {r:?}"
+                );
+                assert_eq!(c.equivalent(l, r), c.equivalent(r, l), "{c:?} symmetric");
+            }
+        }
     });
 }
 

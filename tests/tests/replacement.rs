@@ -47,10 +47,9 @@ fn read(system: &mut itdos::System) -> itdos::Completed {
             .object(b"fusion")
             .interface("Sensor::Fusion")
             .operation("read_average")
-            .arg(Value::Sequence(vec![
-                Value::Double(1.0),
-                Value::Double(3.0),
-            ])),
+            .arg(Value::Sequence(
+                vec![Value::Double(1.0), Value::Double(3.0)].into(),
+            )),
     )
 }
 
