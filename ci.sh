@@ -102,16 +102,20 @@ cargo run -q --release --offline -p itdos-bench --bin heal -- --smoke "$heal_smo
 test -s "$heal_smoke" || { echo 'BENCH_heal smoke output missing'; exit 1; }
 rm -f "$heal_smoke"
 
-echo '== itdos-benchmark smoke (bulk_closed, 2 s: every reply checked, run-twice self-check)'
+echo '== itdos-benchmark smoke (small_closed + bulk_closed, 2 s each: every reply checked, run-twice self-check)'
 # the yardstick BENCHMARK.json declares, run as the driver runs it; the
 # last stdout line is the result object, and it must report a correct run
-# with no failed op. Host timings are not judged here.
+# with no failed op. Both the common case and the bulk path run, so a
+# change to one cannot break the other unnoticed. Host timings are not
+# judged here.
 bench_smoke="$(mktemp)"
-cargo run --release --offline --quiet -p itdos-benchmark -- \
-  --workload bulk_closed --seed 7 --seconds 2 --trace 0 > "$bench_smoke"
-tail -n 1 "$bench_smoke" | grep -q '"correct": true' \
-  && tail -n 1 "$bench_smoke" | grep -q '"failed": 0,' \
-  || { echo 'itdos-benchmark smoke: result line is not correct/failed-free'; tail -n 1 "$bench_smoke"; exit 1; }
+for workload in small_closed bulk_closed; do
+  cargo run --release --offline --quiet -p itdos-benchmark -- \
+    --workload "$workload" --seed 7 --seconds 2 --trace 0 > "$bench_smoke"
+  tail -n 1 "$bench_smoke" | grep -q '"correct": true' \
+    && tail -n 1 "$bench_smoke" | grep -q '"failed": 0,' \
+    || { echo "itdos-benchmark smoke ($workload): result line is not correct/failed-free"; tail -n 1 "$bench_smoke"; exit 1; }
+done
 rm -f "$bench_smoke"
 
 echo '== bench regression gate (exp_report --bench-compare)'

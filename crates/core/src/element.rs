@@ -1187,11 +1187,13 @@ impl Process for ServerElement {
             CoreMsg::Bft { domain, envelope } => {
                 if domain == self.cfg.domain {
                     // could be replica traffic or an ACK for our own-group
-                    // control ops: peek at the decoded message
+                    // control ops: decode once, peek, and dispatch the same
+                    // message after authentication
                     let Ok(env) = Envelope::decode(&envelope) else {
                         return;
                     };
-                    if let Ok(Message::Reply(r)) = Message::decode(&env.payload) {
+                    let decoded = Message::decode(&env.payload);
+                    if let Ok(Message::Reply(r)) = &decoded {
                         if r.client.0 == self.my_code() {
                             if let Some(outbound) = self.outbound.get_mut(&domain) {
                                 let fabric = self.fabric.clone();
@@ -1211,7 +1213,7 @@ impl Process for ServerElement {
                         &[("auth", LabelValue::Str(env.auth_kind()))],
                         envelope.len(),
                     );
-                    let Ok(message) = Message::decode(&env.payload) else {
+                    let Ok(message) = decoded else {
                         return;
                     };
                     match env.sender {

@@ -243,8 +243,13 @@ impl GmMachine {
     }
 }
 
-impl StateMachine for GmMachine {
-    fn execute(&mut self, operation: &[u8]) -> Vec<u8> {
+impl GmMachine {
+    /// Logs, chains and applies one operation. The chain hashes the
+    /// operation bytes themselves (they are short), so [`restore`] can
+    /// rebuild it from the op log alone.
+    ///
+    /// [`restore`]: StateMachine::restore
+    fn run(&mut self, operation: &[u8]) -> Vec<u8> {
         self.oplog.push(operation.to_vec());
         self.chain = Digest::of_parts(&[b"gm-link", self.chain.as_bytes(), operation]);
         let directives = match GmOp::decode(operation) {
@@ -252,6 +257,12 @@ impl StateMachine for GmMachine {
             Err(_) => vec![Directive::Refused(refusal::MALFORMED)],
         };
         encode_directives(&directives)
+    }
+}
+
+impl StateMachine for GmMachine {
+    fn execute(&mut self, operation: &[u8], _request_digest: Digest) -> Vec<u8> {
+        self.run(operation)
     }
 
     fn digest(&self) -> Digest {
@@ -285,7 +296,7 @@ impl StateMachine for GmMachine {
         self.oplog.clear();
         self.chain = Digest::of(b"gm-genesis");
         for op in ops {
-            self.execute(&op);
+            self.run(&op);
         }
     }
 }
@@ -747,7 +758,7 @@ mod tests {
     #[test]
     fn open_emits_key_distribution() {
         let mut m = machine();
-        let out = m.execute(&open_op());
+        let out = m.run(&open_op());
         let directives = crate::wire::decode_directives(&out).unwrap();
         assert_eq!(directives.len(), 1);
         let Directive::KeyDist {
@@ -763,8 +774,8 @@ mod tests {
     #[test]
     fn reopen_reuses_connection_and_input() {
         let mut m = machine();
-        let first = m.execute(&open_op());
-        let second = m.execute(&open_op());
+        let first = m.run(&open_op());
+        let second = m.run(&open_op());
         let d1 = crate::wire::decode_directives(&first).unwrap();
         let d2 = crate::wire::decode_directives(&second).unwrap();
         assert_eq!(d1, d2, "same association, same connection, same input");
@@ -773,7 +784,7 @@ mod tests {
     #[test]
     fn change_votes_expel_at_threshold() {
         let mut m = machine();
-        m.execute(&open_op());
+        m.run(&open_op());
         let vote = |a: u32, b: u32| {
             GmOp::ChangeVote {
                 accuser: SenderId(a),
@@ -781,12 +792,12 @@ mod tests {
             }
             .encode()
         };
-        let out = m.execute(&vote(0, 3));
+        let out = m.run(&vote(0, 3));
         assert_eq!(
             crate::wire::decode_directives(&out).unwrap(),
             vec![Directive::VoteRecorded]
         );
-        let out = m.execute(&vote(1, 3));
+        let out = m.run(&vote(1, 3));
         let directives = crate::wire::decode_directives(&out).unwrap();
         assert!(matches!(
             directives[0],
@@ -810,10 +821,10 @@ mod tests {
     fn malformed_op_is_refused_deterministically() {
         let mut a = machine();
         let mut b = machine();
-        assert_eq!(a.execute(&[99, 99]), b.execute(&[99, 99]));
+        assert_eq!(a.run(&[99, 99]), b.run(&[99, 99]));
         assert_eq!(a.digest(), b.digest());
         assert_eq!(
-            crate::wire::decode_directives(&a.execute(&[1, 2, 3])).unwrap(),
+            crate::wire::decode_directives(&a.run(&[1, 2, 3])).unwrap(),
             vec![Directive::Refused(refusal::MALFORMED)]
         );
     }
@@ -821,8 +832,8 @@ mod tests {
     #[test]
     fn snapshot_restore_replays_the_op_log() {
         let mut a = machine();
-        a.execute(&open_op());
-        a.execute(
+        a.run(&open_op());
+        a.run(
             &GmOp::ChangeVote {
                 accuser: SenderId(0),
                 accused: SenderId(3),
@@ -834,14 +845,14 @@ mod tests {
         b.restore(&snap);
         assert_eq!(a.digest(), b.digest(), "replayed state converges");
         // both continue identically
-        let va = a.execute(
+        let va = a.run(
             &GmOp::ChangeVote {
                 accuser: SenderId(1),
                 accused: SenderId(3),
             }
             .encode(),
         );
-        let vb = b.execute(
+        let vb = b.run(
             &GmOp::ChangeVote {
                 accuser: SenderId(1),
                 accused: SenderId(3),
@@ -854,13 +865,13 @@ mod tests {
     #[test]
     fn retire_vacates_the_slot_rekeys_and_replays() {
         let mut m = machine();
-        m.execute(&open_op());
+        m.run(&open_op());
         let retire = GmOp::Retire {
             domain: DomainId(1),
             element: SenderId(2),
         }
         .encode();
-        let out = m.execute(&retire);
+        let out = m.run(&retire);
         let directives = crate::wire::decode_directives(&out).unwrap();
         assert!(matches!(
             directives[0],
@@ -886,7 +897,7 @@ mod tests {
             .is_active(SenderId(2)));
         // a second retirement of the same element is refused
         assert_eq!(
-            crate::wire::decode_directives(&m.execute(&retire)).unwrap(),
+            crate::wire::decode_directives(&m.run(&retire)).unwrap(),
             vec![Directive::Refused(refusal::RETIRE)]
         );
         // a domain mismatch is refused without touching state
@@ -896,7 +907,7 @@ mod tests {
         }
         .encode();
         assert_eq!(
-            crate::wire::decode_directives(&m.execute(&mismatched)).unwrap(),
+            crate::wire::decode_directives(&m.run(&mismatched)).unwrap(),
             vec![Directive::Refused(refusal::RETIRE)]
         );
         assert!(m
@@ -915,16 +926,16 @@ mod tests {
     #[test]
     fn close_drops_the_connection() {
         let mut m = machine();
-        m.execute(&open_op());
+        m.run(&open_op());
         assert_eq!(m.manager().connections().count(), 1);
-        m.execute(&GmOp::Close(ConnectionId(0)).encode());
+        m.run(&GmOp::Close(ConnectionId(0)).encode());
         assert_eq!(m.manager().connections().count(), 0);
     }
 
     #[test]
     fn corrupt_restore_is_a_noop_for_bad_bytes() {
         let mut m = machine();
-        m.execute(&open_op());
+        m.run(&open_op());
         let digest = m.digest();
         m.restore(&[1, 2, 3]);
         assert_eq!(m.digest(), digest, "garbage snapshot rejected");

@@ -47,6 +47,10 @@ pub enum QueueOp {
     Join(ElementId),
 }
 
+/// Wire tag of [`QueueOp::Join`], the one op [`QueueMachine::is_barrier`]
+/// must recognise without decoding.
+const JOIN_TAG: u8 = 3;
+
 impl QueueOp {
     /// Encodes the operation.
     pub fn encode(&self) -> Vec<u8> {
@@ -66,7 +70,7 @@ impl QueueOp {
                 w.u32(e.0);
             }
             QueueOp::Join(e) => {
-                w.u8(3);
+                w.u8(JOIN_TAG);
                 w.u32(e.0);
             }
         }
@@ -87,7 +91,7 @@ impl QueueOp {
                 up_to: r.u64()?,
             },
             2 => QueueOp::Expel(ElementId(r.u32()?)),
-            3 => QueueOp::Join(ElementId(r.u32()?)),
+            JOIN_TAG => QueueOp::Join(ElementId(r.u32()?)),
             _ => return Err(WireError),
         };
         r.expect_end()?;
@@ -124,7 +128,8 @@ pub struct QueueMachine {
     bytes_used: usize,
     acks: BTreeMap<ElementId, u64>,
     members: BTreeSet<ElementId>,
-    /// Running hash chain over every applied op (the checkpoint digest).
+    /// Running hash chain over the digest of every ordered request (the
+    /// checkpoint digest).
     chain: Digest,
 }
 
@@ -186,13 +191,15 @@ impl QueueMachine {
             .collect()
     }
 
-    fn mix_chain(&mut self, op_bytes: &[u8]) {
-        self.chain = Digest::of_parts(&[b"itdos-queue-link", self.chain.as_bytes(), op_bytes]);
+    fn mix_chain(&mut self, link: &[u8]) {
+        self.chain = Digest::of_parts(&[b"itdos-queue-link", self.chain.as_bytes(), link]);
     }
 
-    /// Applies one decoded operation.
-    pub fn apply(&mut self, op: &QueueOp) -> Applied {
-        let op_bytes = op.encode();
+    /// Applies one decoded operation. `request_digest` is the digest of the
+    /// ordered request that carried it: the chain links that agreed value,
+    /// so an operation is never hashed (or re-encoded) here.
+    pub fn apply(&mut self, op: &QueueOp, request_digest: Digest) -> Applied {
+        let link = request_digest.as_bytes();
         match op {
             QueueOp::Deliver(payload) => {
                 if self.bytes_used + payload.len() > self.capacity {
@@ -201,7 +208,7 @@ impl QueueMachine {
                     self.mix_chain(b"refused");
                     return Applied::Refused;
                 }
-                self.mix_chain(&op_bytes);
+                self.mix_chain(link);
                 let index = self.next_index;
                 self.next_index += 1;
                 self.bytes_used += payload.len();
@@ -212,7 +219,7 @@ impl QueueMachine {
                 Applied::Enqueued(index)
             }
             QueueOp::Ack { element, up_to } => {
-                self.mix_chain(&op_bytes);
+                self.mix_chain(link);
                 if self.members.contains(element) {
                     let entry = self.acks.entry(*element).or_insert(0);
                     if *up_to > *entry {
@@ -222,13 +229,13 @@ impl QueueMachine {
                 Applied::Collected(self.collect())
             }
             QueueOp::Expel(element) => {
-                self.mix_chain(&op_bytes);
+                self.mix_chain(link);
                 self.members.remove(element);
                 self.acks.remove(element);
                 Applied::Collected(self.collect())
             }
             QueueOp::Join(element) => {
-                self.mix_chain(&op_bytes);
+                self.mix_chain(link);
                 if self.members.insert(*element) {
                     // a joiner starts acknowledged at the current head: it
                     // is only responsible for messages from now on
@@ -262,9 +269,9 @@ impl QueueMachine {
 }
 
 impl StateMachine for QueueMachine {
-    fn execute(&mut self, operation: &[u8]) -> Vec<u8> {
+    fn execute(&mut self, operation: &[u8], request_digest: Digest) -> Vec<u8> {
         match QueueOp::decode(operation) {
-            Ok(op) => match self.apply(&op) {
+            Ok(op) => match self.apply(&op, request_digest) {
                 Applied::Enqueued(index) => {
                     // the "static reply that acts as an acknowledgement
                     // message for the protocol" (§3.1)
@@ -318,8 +325,11 @@ impl StateMachine for QueueMachine {
     fn is_barrier(&self, operation: &[u8]) -> bool {
         // a Join is the replacement admission barrier: every replica
         // forces a checkpoint right after executing it, so the joiner can
-        // state-transfer from a quorum at exactly its admission point
-        matches!(QueueOp::decode(operation), Ok(QueueOp::Join(_)))
+        // state-transfer from a quorum at exactly its admission point;
+        // the tag is checked first so a bulk Deliver is not copied to learn
+        // it is not a Join
+        operation.first() == Some(&JOIN_TAG)
+            && matches!(QueueOp::decode(operation), Ok(QueueOp::Join(_)))
     }
 }
 
@@ -370,11 +380,32 @@ mod tests {
         QueueMachine::new(capacity, members(3))
     }
 
+    /// The digest a request carrying exactly `operation` would have here.
+    fn digest_of(operation: &[u8]) -> Digest {
+        Digest::of_parts(&[b"test-request", operation])
+    }
+
+    /// Test shorthand: feed an operation as the request with `digest_of` it.
+    trait AsRequest {
+        fn run(&mut self, op: &QueueOp) -> Applied;
+        fn exec(&mut self, operation: &[u8]) -> Vec<u8>;
+    }
+
+    impl AsRequest for QueueMachine {
+        fn run(&mut self, op: &QueueOp) -> Applied {
+            self.apply(op, digest_of(&op.encode()))
+        }
+
+        fn exec(&mut self, operation: &[u8]) -> Vec<u8> {
+            self.execute(operation, digest_of(operation))
+        }
+    }
+
     #[test]
     fn enqueue_assigns_increasing_indices() {
         let mut q = queue(1000);
-        assert_eq!(q.apply(&QueueOp::Deliver(vec![1])), Applied::Enqueued(0));
-        assert_eq!(q.apply(&QueueOp::Deliver(vec![2])), Applied::Enqueued(1));
+        assert_eq!(q.run(&QueueOp::Deliver(vec![1])), Applied::Enqueued(0));
+        assert_eq!(q.run(&QueueOp::Deliver(vec![2])), Applied::Enqueued(1));
         assert_eq!(q.next_index(), 2);
         assert_eq!(q.bytes_used(), 2);
     }
@@ -382,23 +413,23 @@ mod tests {
     #[test]
     fn full_queue_refuses() {
         let mut q = queue(4);
-        assert_eq!(q.apply(&QueueOp::Deliver(vec![0; 3])), Applied::Enqueued(0));
-        assert_eq!(q.apply(&QueueOp::Deliver(vec![0; 2])), Applied::Refused);
+        assert_eq!(q.run(&QueueOp::Deliver(vec![0; 3])), Applied::Enqueued(0));
+        assert_eq!(q.run(&QueueOp::Deliver(vec![0; 2])), Applied::Refused);
         assert_eq!(q.bytes_used(), 3, "refused message not stored");
     }
 
     #[test]
     fn gc_requires_all_members() {
         let mut q = queue(1000);
-        q.apply(&QueueOp::Deliver(vec![1; 10]));
-        q.apply(&QueueOp::Deliver(vec![2; 10]));
+        q.run(&QueueOp::Deliver(vec![1; 10]));
+        q.run(&QueueOp::Deliver(vec![2; 10]));
         // two of three members ack; no GC yet
-        q.apply(&QueueOp::Ack {
+        q.run(&QueueOp::Ack {
             element: ElementId(0),
             up_to: 2,
         });
         assert_eq!(
-            q.apply(&QueueOp::Ack {
+            q.run(&QueueOp::Ack {
                 element: ElementId(1),
                 up_to: 2
             }),
@@ -407,7 +438,7 @@ mod tests {
         );
         // third member acks: both messages collected
         assert_eq!(
-            q.apply(&QueueOp::Ack {
+            q.run(&QueueOp::Ack {
                 element: ElementId(2),
                 up_to: 2
             }),
@@ -419,21 +450,18 @@ mod tests {
     #[test]
     fn expulsion_unblocks_gc() {
         let mut q = queue(1000);
-        q.apply(&QueueOp::Deliver(vec![1; 10]));
-        q.apply(&QueueOp::Ack {
+        q.run(&QueueOp::Deliver(vec![1; 10]));
+        q.run(&QueueOp::Ack {
             element: ElementId(0),
             up_to: 1,
         });
-        q.apply(&QueueOp::Ack {
+        q.run(&QueueOp::Ack {
             element: ElementId(1),
             up_to: 1,
         });
         assert_eq!(q.bytes_used(), 10, "element 2 blocks GC");
         // virtual synchrony: expel the non-participant; GC proceeds
-        assert_eq!(
-            q.apply(&QueueOp::Expel(ElementId(2))),
-            Applied::Collected(10)
-        );
+        assert_eq!(q.run(&QueueOp::Expel(ElementId(2))), Applied::Collected(10));
         assert_eq!(q.bytes_used(), 0);
     }
 
@@ -441,14 +469,14 @@ mod tests {
     fn laggards_reported_when_queue_backs_up() {
         let mut q = queue(100);
         for _ in 0..6 {
-            q.apply(&QueueOp::Deliver(vec![0; 10]));
+            q.run(&QueueOp::Deliver(vec![0; 10]));
         }
         // members 0,1 keep up; member 2 never acks
-        q.apply(&QueueOp::Ack {
+        q.run(&QueueOp::Ack {
             element: ElementId(0),
             up_to: 6,
         });
-        q.apply(&QueueOp::Ack {
+        q.run(&QueueOp::Ack {
             element: ElementId(1),
             up_to: 6,
         });
@@ -458,26 +486,26 @@ mod tests {
     #[test]
     fn no_laggards_while_queue_has_headroom() {
         let mut q = queue(1000);
-        q.apply(&QueueOp::Deliver(vec![0; 10]));
+        q.run(&QueueOp::Deliver(vec![0; 10]));
         assert!(q.laggards(1).is_empty(), "under half capacity");
     }
 
     #[test]
     fn joiner_starts_at_current_head() {
         let mut q = queue(1000);
-        q.apply(&QueueOp::Deliver(vec![1; 10]));
-        q.apply(&QueueOp::Join(ElementId(9)));
+        q.run(&QueueOp::Deliver(vec![1; 10]));
+        q.run(&QueueOp::Join(ElementId(9)));
         // the joiner owes no ack for the pre-join message
-        q.apply(&QueueOp::Ack {
+        q.run(&QueueOp::Ack {
             element: ElementId(0),
             up_to: 1,
         });
-        q.apply(&QueueOp::Ack {
+        q.run(&QueueOp::Ack {
             element: ElementId(1),
             up_to: 1,
         });
         assert_eq!(
-            q.apply(&QueueOp::Ack {
+            q.run(&QueueOp::Ack {
                 element: ElementId(2),
                 up_to: 1
             }),
@@ -498,8 +526,8 @@ mod tests {
         let mut a = queue(100);
         let mut b = queue(100);
         for op in &ops {
-            a.execute(&op.encode());
-            b.execute(&op.encode());
+            a.exec(&op.encode());
+            b.exec(&op.encode());
         }
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a, b);
@@ -509,16 +537,57 @@ mod tests {
     fn divergent_histories_have_divergent_digests() {
         let mut a = queue(100);
         let mut b = queue(100);
-        a.execute(&QueueOp::Deliver(vec![1]).encode());
-        b.execute(&QueueOp::Deliver(vec![2]).encode());
+        a.exec(&QueueOp::Deliver(vec![1]).encode());
+        b.exec(&QueueOp::Deliver(vec![2]).encode());
         assert_ne!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn chain_links_the_request_digest_not_the_bytes() {
+        // the same operation ordered as two different requests (another
+        // client, another timestamp) is a different history
+        let op = QueueOp::Deliver(vec![1, 2]).encode();
+        let mut a = queue(100);
+        let mut b = queue(100);
+        assert_eq!(
+            a.execute(&op, Digest::of(b"request 1")),
+            b.execute(&op, Digest::of(b"request 2"))
+        );
+        assert_ne!(a.digest(), b.digest());
+        // while one digest chains identically whoever hashed it
+        let mut c = queue(100);
+        c.execute(&op, Digest::of(b"request 1"));
+        assert_eq!(a.digest(), c.digest());
+        assert_eq!(a, c);
+    }
+
+    #[test]
+    fn restored_queue_continues_the_chain() {
+        let mut q = queue(100);
+        q.run(&QueueOp::Deliver(vec![1, 2, 3]));
+        let mut r = QueueMachine::new(1, members(0));
+        r.restore(&q.snapshot());
+        let next = QueueOp::Deliver(vec![4]);
+        assert_eq!(r.run(&next), q.run(&next));
+        assert_eq!(r.digest(), q.digest());
+        assert_eq!(r, q);
+    }
+
+    #[test]
+    fn only_a_well_formed_join_is_a_barrier() {
+        let q = queue(100);
+        assert!(q.is_barrier(&QueueOp::Join(ElementId(9)).encode()));
+        assert!(!q.is_barrier(&QueueOp::Deliver(vec![3; 64]).encode()));
+        assert!(!q.is_barrier(&QueueOp::Expel(ElementId(3)).encode()));
+        assert!(!q.is_barrier(&[3]), "truncated Join");
+        assert!(!q.is_barrier(&[]));
     }
 
     #[test]
     fn snapshot_restore_round_trips() {
         let mut q = queue(100);
-        q.apply(&QueueOp::Deliver(vec![1, 2, 3]));
-        q.apply(&QueueOp::Ack {
+        q.run(&QueueOp::Deliver(vec![1, 2, 3]));
+        q.run(&QueueOp::Ack {
             element: ElementId(0),
             up_to: 1,
         });
@@ -532,7 +601,7 @@ mod tests {
     #[test]
     fn corrupt_snapshot_leaves_state_unchanged() {
         let mut q = queue(100);
-        q.apply(&QueueOp::Deliver(vec![1]));
+        q.run(&QueueOp::Deliver(vec![1]));
         let before = q.clone();
         q.restore(&[1, 2, 3]);
         assert_eq!(q, before);
@@ -542,8 +611,8 @@ mod tests {
     fn malformed_op_is_deterministic() {
         let mut a = queue(100);
         let mut b = queue(100);
-        assert_eq!(a.execute(&[99, 99]), vec![255]);
-        assert_eq!(b.execute(&[99, 99]), vec![255]);
+        assert_eq!(a.exec(&[99, 99]), vec![255]);
+        assert_eq!(b.exec(&[99, 99]), vec![255]);
         assert_eq!(a.digest(), b.digest());
     }
 
@@ -566,23 +635,23 @@ mod tests {
     #[test]
     fn ack_never_regresses() {
         let mut q = queue(100);
-        q.apply(&QueueOp::Deliver(vec![1]));
-        q.apply(&QueueOp::Ack {
+        q.run(&QueueOp::Deliver(vec![1]));
+        q.run(&QueueOp::Ack {
             element: ElementId(0),
             up_to: 5,
         });
-        q.apply(&QueueOp::Ack {
+        q.run(&QueueOp::Ack {
             element: ElementId(0),
             up_to: 2,
         });
         // a Byzantine element cannot roll its own ack back to force
         // re-retention; floor for element 0 stays 5
-        q.apply(&QueueOp::Ack {
+        q.run(&QueueOp::Ack {
             element: ElementId(1),
             up_to: 5,
         });
         assert_eq!(
-            q.apply(&QueueOp::Ack {
+            q.run(&QueueOp::Ack {
                 element: ElementId(2),
                 up_to: 5
             }),

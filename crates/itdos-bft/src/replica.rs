@@ -703,7 +703,8 @@ impl<S: StateMachine> Replica<S> {
             // new-view null operation) executes nothing
             let mut barrier = false;
             for request in batch.requests {
-                self.pending.remove(&request.digest());
+                let request_digest = request.digest();
+                self.pending.remove(&request_digest);
                 // keep the FIFO admission floor current on every replica,
                 // so a backup elected primary later admits from the right
                 // per-client position
@@ -716,7 +717,7 @@ impl<S: StateMachine> Replica<S> {
                     continue;
                 }
                 barrier |= self.app.is_barrier(request.operation());
-                let result = self.app.execute(request.operation());
+                let result = self.app.execute(request.operation(), request_digest);
                 let reply = Reply {
                     view,
                     timestamp: request.timestamp(),

@@ -13,8 +13,14 @@ use itdos_crypto::hash::Digest;
 /// replica ("without determinism, it is impossible to differentiate
 /// between arbitrary faults and non-deterministic behavior", §2).
 pub trait StateMachine {
-    /// Executes one operation, returning its result bytes.
-    fn execute(&mut self, operation: &[u8]) -> Vec<u8>;
+    /// Executes one ordered operation, returning its result bytes.
+    ///
+    /// `request_digest` is the digest of the client request that carried
+    /// `operation` — the value the group agreed on when it ordered the
+    /// request, already computed by the protocol. A machine that keeps a
+    /// running history digest links this instead of hashing `operation`
+    /// again; one that does not may ignore it.
+    fn execute(&mut self, operation: &[u8], request_digest: Digest) -> Vec<u8>;
 
     /// A digest of the current state (checkpoint content).
     fn digest(&self) -> Digest;
@@ -66,7 +72,7 @@ impl CounterMachine {
 }
 
 impl StateMachine for CounterMachine {
-    fn execute(&mut self, operation: &[u8]) -> Vec<u8> {
+    fn execute(&mut self, operation: &[u8], _request_digest: Digest) -> Vec<u8> {
         let delta = operation
             .get(..8)
             .and_then(|b| <[u8; 8]>::try_from(b).ok())
@@ -114,8 +120,8 @@ mod tests {
         let mut b = CounterMachine::new();
         for delta in [5i64, -3, 100] {
             assert_eq!(
-                a.execute(&CounterMachine::op(delta)),
-                b.execute(&CounterMachine::op(delta))
+                a.execute(&CounterMachine::op(delta), Digest::default()),
+                b.execute(&CounterMachine::op(delta), Digest::default())
             );
         }
         assert_eq!(a.digest(), b.digest());
@@ -125,8 +131,8 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trips() {
         let mut a = CounterMachine::new();
-        a.execute(&CounterMachine::op(7));
-        a.execute(&CounterMachine::op(-2));
+        a.execute(&CounterMachine::op(7), Digest::default());
+        a.execute(&CounterMachine::op(-2), Digest::default());
         let snap = a.snapshot();
         let mut b = CounterMachine::new();
         b.restore(&snap);
@@ -138,10 +144,10 @@ mod tests {
     fn digest_tracks_history_length() {
         // same total via different op counts must differ (applied counts)
         let mut a = CounterMachine::new();
-        a.execute(&CounterMachine::op(2));
+        a.execute(&CounterMachine::op(2), Digest::default());
         let mut b = CounterMachine::new();
-        b.execute(&CounterMachine::op(1));
-        b.execute(&CounterMachine::op(1));
+        b.execute(&CounterMachine::op(1), Digest::default());
+        b.execute(&CounterMachine::op(1), Digest::default());
         assert_eq!(a.total(), b.total());
         assert_ne!(a.digest(), b.digest());
     }
@@ -149,7 +155,7 @@ mod tests {
     #[test]
     fn malformed_op_is_a_noop_delta() {
         let mut a = CounterMachine::new();
-        a.execute(&[1, 2]); // too short: delta 0, still counts as applied
+        a.execute(&[1, 2], Digest::default()); // too short: delta 0, still counts as applied
         assert_eq!(a.total(), 0);
         assert_eq!(a.applied(), 1);
     }

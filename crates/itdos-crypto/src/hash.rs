@@ -246,6 +246,8 @@ macro_rules! schedule {
 /// check survives; the outputs are those of the textbook form kept as the
 /// test reference below.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(test)]
+    COMPRESSIONS.with(|count| count.set(count.get() + 1));
     let mut w = [0u32; 16];
     for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
         *word = u32::from_be_bytes(bytes.try_into().expect("4 bytes"));
@@ -259,6 +261,20 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     for (word, add) in state.iter_mut().zip(s) {
         *word = word.wrapping_add(add);
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls to [`compress`] made by the current test thread.
+    static COMPRESSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// This thread's running [`compress`] count (test builds only): the unit
+/// tests of `mac`, `symmetric` and `sign` take differences of it to pin how
+/// many passes a construction makes over its input.
+#[cfg(test)]
+pub(crate) fn compressions() -> u64 {
+    COMPRESSIONS.with(std::cell::Cell::get)
 }
 
 /// The straightforward FIPS 180-4 transcription this module shipped before

@@ -5,6 +5,12 @@
 //! verifies the entry computed under its pairwise key with the sender.
 //! This is what makes PBFT's normal case cheap; ITDOS inherits it for all
 //! intra-domain protocol traffic.
+//!
+//! As in Castro–Liskov, the MACs are over the message *digest*: the
+//! message is hashed once, and entry `i` is the truncated
+//! `HMAC(keys[i], SHA-256(message))`. A sender pays one pass over the
+//! payload however many receivers it addresses, and each further tag is a
+//! fixed handful of compressions.
 
 use crate::hash::Digest;
 use crate::hmac::hmac;
@@ -15,8 +21,8 @@ use crate::keys::SymmetricKey;
 pub struct MacTag(pub [u8; 8]);
 
 impl MacTag {
-    fn compute(key: &SymmetricKey, message: &[u8]) -> MacTag {
-        let d = hmac(key.as_bytes(), message);
+    fn compute(key: &SymmetricKey, message_digest: &Digest) -> MacTag {
+        let d = hmac(key.as_bytes(), message_digest.as_bytes());
         MacTag(d.0[..8].try_into().expect("8 bytes"))
     }
 }
@@ -43,10 +49,12 @@ pub struct Authenticator {
 
 impl Authenticator {
     /// Generates an authenticator over `message` for receivers whose
-    /// pairwise keys are `keys[i]`.
+    /// pairwise keys are `keys[i]`. The message is hashed once; every
+    /// entry MACs that digest.
     pub fn generate(keys: &[SymmetricKey], message: &[u8]) -> Authenticator {
+        let d = Digest::of(message);
         Authenticator {
-            tags: keys.iter().map(|k| MacTag::compute(k, message)).collect(),
+            tags: keys.iter().map(|k| MacTag::compute(k, &d)).collect(),
         }
     }
 
@@ -57,9 +65,10 @@ impl Authenticator {
     /// early-exit `==` would let a sender measure how long a forged prefix
     /// survived.
     pub fn verify(&self, index: usize, key: &SymmetricKey, message: &[u8]) -> bool {
-        self.tags
-            .get(index)
-            .is_some_and(|tag| crate::ct::ct_eq(&tag.0, &MacTag::compute(key, message).0))
+        self.tags.get(index).is_some_and(|tag| {
+            let d = Digest::of(message);
+            crate::ct::ct_eq(&tag.0, &MacTag::compute(key, &d).0)
+        })
     }
 
     /// Number of entries.
@@ -101,12 +110,6 @@ impl Authenticator {
     }
 }
 
-/// Computes a plain keyed digest of a message (full-width MAC, used where a
-/// single receiver is known, e.g. client ↔ replica pairs).
-pub fn message_mac(key: &SymmetricKey, message: &[u8]) -> Digest {
-    hmac(key.as_bytes(), message)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,15 +124,20 @@ mod tests {
     fn each_receiver_verifies_own_entry() {
         let ks = keys(4);
         let auth = Authenticator::generate(&ks, b"m");
-        for (i, k) in ks.iter().enumerate() {
-            assert!(auth.verify(i, k, b"m"));
+        for i in 0..ks.len() {
+            for (j, k) in ks.iter().enumerate() {
+                assert_eq!(auth.verify(i, k, b"m"), i == j, "entry {i}, key {j}");
+            }
         }
     }
 
-    /// Golden vector captured at the commit before SHA-256/HMAC were tuned:
-    /// the authenticator bytes on the wire must not change.
+    /// Golden vector of the digest-first construction, entry `i` =
+    /// `HMAC(keys[i], SHA-256(message))[..8]`, computed outside this crate.
+    /// Re-pinned by PR 19, which moved the MAC from the message to its
+    /// digest (tag bytes changed, lengths did not); same keys and message
+    /// as the vector it replaces.
     #[test]
-    fn authenticator_bytes_match_parent_commit() {
+    fn authenticator_bytes_golden_vector() {
         let ks: Vec<SymmetricKey> = (0..4u8)
             .map(|i| SymmetricKey::derive(&[i], b"golden-pair"))
             .collect();
@@ -141,7 +149,7 @@ mod tests {
             .collect();
         assert_eq!(
             hex,
-            "04000000cd073b2fca4e10441d15a2075e554a0b2aecc483e578719d888f39fb9055e989"
+            "040000003db2f8fe38ca1da035240582e90d2c12148fdc290c19cbeaa274bbd1b7ba589d"
         );
     }
 
@@ -151,6 +159,41 @@ mod tests {
         let auth = Authenticator::generate(&ks, b"m");
         assert!(!auth.verify(0, &ks[1], b"m"), "cross-key must fail");
         assert!(!auth.verify(0, &ks[0], b"m2"));
+    }
+
+    #[test]
+    fn one_flipped_payload_bit_fails_every_receiver() {
+        let ks = keys(4);
+        let mut payload = vec![0xA5u8; 16_384];
+        let auth = Authenticator::generate(&ks, &payload);
+        payload[9_000] ^= 0x10;
+        for (i, k) in ks.iter().enumerate() {
+            assert!(!auth.verify(i, k, &payload), "receiver {i}");
+        }
+    }
+
+    #[test]
+    fn short_authenticator_fails_the_missing_receivers() {
+        // a Byzantine sender ships two entries to a group of four
+        let ks = keys(4);
+        let short = Authenticator::generate(&ks[..2], b"m");
+        assert!(short.verify(1, &ks[1], b"m"));
+        assert!(!short.verify(2, &ks[2], b"m"));
+        assert!(!short.verify(3, &ks[3], b"m"));
+    }
+
+    /// "Once" by construction: a 4-receiver authenticator over 16 KiB is one
+    /// pass over the payload (257 compressions) plus 6 per tag — not four
+    /// passes (≈ 1 040).
+    #[test]
+    fn generate_hashes_the_payload_once() {
+        let ks = keys(4);
+        let payload = vec![7u8; 16_384];
+        let before = crate::hash::compressions();
+        let auth = Authenticator::generate(&ks, &payload);
+        let spent = crate::hash::compressions() - before;
+        assert_eq!(auth.len(), 4);
+        assert!(spent <= 290, "{spent} compressions");
     }
 
     #[test]
@@ -185,11 +228,5 @@ mod tests {
         assert_eq!(auth.len(), 0);
         let (parsed, _) = Authenticator::from_bytes(&auth.to_bytes()).unwrap();
         assert!(parsed.is_empty());
-    }
-
-    #[test]
-    fn message_mac_distinguishes_keys() {
-        let ks = keys(2);
-        assert_ne!(message_mac(&ks[0], b"m"), message_mac(&ks[1], b"m"));
     }
 }

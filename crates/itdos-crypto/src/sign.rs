@@ -5,6 +5,10 @@
 //! Manager (§3.6). The nonce is derived deterministically from the secret
 //! key and message (RFC 6979 style) so signing needs no RNG — important for
 //! the deterministic replica execution model.
+//!
+//! The message is pre-hashed: `m = SHA-256(message)` is computed once and
+//! both the nonce derivation and the Fiat–Shamir challenge take `m`, so
+//! signing a large frame is one pass over its bytes, as is verifying it.
 
 use crate::group::{Element, Scalar};
 use crate::hash::Digest;
@@ -24,7 +28,7 @@ pub struct VerifyingKey {
 /// A Schnorr signature `(challenge, response)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature {
-    /// Fiat–Shamir challenge `e = H(R || pk || m)`.
+    /// Fiat–Shamir challenge `e = H(R || pk || H(m))`.
     pub challenge: Scalar,
     /// Response `s = k + e·x`.
     pub response: Scalar,
@@ -69,13 +73,14 @@ impl SigningKey {
 
     /// Signs `message`.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        let k_digest = Digest::of_parts(&[b"itdos-nonce", &self.secret.to_bytes(), message]);
+        let m = Digest::of(message);
+        let k_digest = Digest::of_parts(&[b"itdos-nonce", &self.secret.to_bytes(), m.as_bytes()]);
         let mut k = Scalar::from_digest(&k_digest);
         if k == Scalar::ZERO {
             k = Scalar::ONE;
         }
         let r = Element::generator().pow(k);
-        let e = challenge(&r, &self.verifying_key(), message);
+        let e = challenge(&r, &self.verifying_key(), &m);
         let s = k + e * self.secret;
         Signature {
             challenge: e,
@@ -94,7 +99,8 @@ impl VerifyingKey {
         let r = Element::generator()
             .pow(signature.response)
             .mul(self.point.pow(signature.challenge).inverse());
-        challenge(&r, self, message) == signature.challenge
+        let m = Digest::of(message);
+        challenge(&r, self, &m) == signature.challenge
     }
 
     /// Serializes to 8 bytes.
@@ -110,12 +116,14 @@ impl VerifyingKey {
     }
 }
 
-fn challenge(r: &Element, pk: &VerifyingKey, message: &[u8]) -> Scalar {
+/// The challenge over the commitment, the public key and the message's
+/// pre-hash `m`.
+fn challenge(r: &Element, pk: &VerifyingKey, m: &Digest) -> Scalar {
     let d = Digest::of_parts(&[
         b"itdos-sig-chal",
         &r.to_bytes(),
         &pk.point.to_bytes(),
-        message,
+        m.as_bytes(),
     ]);
     Scalar::from_digest(&d)
 }
@@ -161,6 +169,20 @@ mod tests {
             response: sig.response + Scalar::ONE,
         };
         assert!(!sk.verifying_key().verify(b"m", &tampered));
+    }
+
+    /// "Once" by construction: signing 16 KiB is one pre-hash pass (257
+    /// compressions) plus two short hashes — not a nonce pass and a
+    /// challenge pass (≈ 520).
+    #[test]
+    fn sign_hashes_the_message_once() {
+        let sk = SigningKey::from_seed(b"a");
+        let message = vec![3u8; 16_384];
+        let before = crate::hash::compressions();
+        let sig = sk.sign(&message);
+        let spent = crate::hash::compressions() - before;
+        assert!(sk.verifying_key().verify(&message, &sig));
+        assert!(spent <= 270, "{spent} compressions");
     }
 
     #[test]

@@ -1,15 +1,20 @@
-//! Authenticated symmetric encryption (encrypt-then-MAC over an HMAC-CTR
-//! keystream).
+//! Authenticated symmetric encryption (encrypt-then-MAC over a ChaCha20
+//! keystream keyed per message by HMAC).
 //!
-//! Replaces the paper's DES \[12\] for communication-key confidentiality.
-//! The keystream block `i` is `HMAC(enc_key, nonce ‖ i)`; the tag is
-//! `HMAC(mac_key, nonce ‖ ciphertext)`. Both subkeys are derived from the
+//! Replaces the paper's DES \[12\] for communication-key confidentiality
+//! with a dedicated session cipher. Each message gets a one-time cipher
+//! key `k = HMAC(enc_key, nonce)` — unique because the caller's nonce is —
+//! and the keystream is ChaCha20 under `k` with block counter 0, 1, 2, …
+//! and an all-zero cipher nonce, 64 bytes per block. The tag is
+//! `HMAC(mac_key, nonce ‖ ciphertext)`, one pass over the ciphertext,
+//! checked before anything is decrypted. Both subkeys are derived from the
 //! communication key, so a single 256-bit key protects an association.
 //!
 //! A [`SealKey`] holds both subkeys in prepared form, so a connection
 //! derives them once, not on every frame; the free [`seal`] and [`open`]
 //! prepare a key for one message (the Group Manager's pairwise channel).
 
+use crate::chacha20;
 use crate::ct::ct_eq;
 use crate::hash::Digest;
 use crate::hmac::HmacKey;
@@ -141,13 +146,8 @@ impl SealKey {
     }
 
     fn keystream_xor(&self, nonce: &[u8; 16], data: &mut [u8]) {
-        for (block_index, chunk) in data.chunks_mut(32).enumerate() {
-            let counter = (block_index as u64).to_be_bytes();
-            let block = self.enc.tag_parts(&[nonce, &counter]);
-            for (byte, pad) in chunk.iter_mut().zip(block.as_bytes()) {
-                *byte ^= pad;
-            }
-        }
+        let message_key = self.enc.tag_parts(&[nonce]);
+        chacha20::xor_keystream(message_key.as_bytes(), &[0u8; 12], 0, data);
     }
 }
 
@@ -196,11 +196,14 @@ mod tests {
         }
     }
 
-    /// Golden vectors captured at the commit before the kernel was tuned and
-    /// the keys were prepared: `Sealed::to_bytes()` must not change by a bit.
-    /// The longer ones are pinned by their SHA-256.
+    /// Golden vectors of `Sealed::to_bytes()`, computed outside this crate
+    /// (HMAC-SHA256 for the message key and the tag, an independent
+    /// ChaCha20 for the keystream). Re-pinned by PR 19, which replaced the
+    /// HMAC-in-counter-mode keystream with ChaCha20 (ciphertext and tag
+    /// bytes changed, lengths did not); same key, nonce and plaintexts as
+    /// the vectors they replace. The longer ones are pinned by SHA-256.
     #[test]
-    fn sealed_bytes_match_parent_commit() {
+    fn sealed_bytes_golden_vectors() {
         let k = SymmetricKey::derive(b"golden", b"seal");
         let nonce: [u8; 16] = std::array::from_fn(|i| i as u8);
         let sealed = |len: usize| {
@@ -211,18 +214,18 @@ mod tests {
         assert_eq!(
             hex,
             "000102030405060708090a0b0c0d0e0f\
-             c8decc58113ff77b5b0e0a80e9d36ce2cfcd5ee4cd9d0defe7852413ead2f7e6\
-             31"
+             0402d8ced27781aedb6ff2ab0941c02bf935c06e88168eb80e3bedb10bda1350\
+             92"
         );
         #[rustfmt::skip]
         let sha256_of_sealed = [
             (0usize, "d72dd746e4b8c85f80f8dac89a425da1cad914f7ce35697a64116fc2b50fe994"),
-            (1, "8b0a53859cb546e198fa3e79233b0aa0305b26b7885e4448514c1ebe6a5a783d"),
-            (31, "038214e12ffb39652bd8cdc132c71175bac88a7786f918dc58d29a77ffc74923"),
-            (32, "a9af180cf4ab71ee3e561f55e027ab327a13afb644194a3fcac83adc1db32d65"),
-            (33, "d56eedbac62e9cceee2717731991827b5c33966877999a3da04654809e960bde"),
-            (110, "e972af089cadb7e2a7800ac7cdb60af9b657db2d10fe15469a60633c28c3e4fb"),
-            (16_384, "8bfd0cb8ac54ff08783db9621890937979d73bf8217accaf6b293d6132e43a14"),
+            (1, "266f0f7c41c46c18d8a46571f4e48860f9747167b8559204a213fd07a85332dc"),
+            (31, "f2434f108a5b4713e3984c8859ef378a90a1744a84c20816a97ab31a9676ea45"),
+            (32, "af611c2a259f0598d431541ab15fde574d12c6a211630c4a92a4f8b8c594f75d"),
+            (33, "7859f228f785d4fc8679fd98ae478ed20267f81937262ef37cd9ede1f09cbb3c"),
+            (110, "94e3f64d60615248d488207d44d87e23d140dedde199266af7a11d8d551bc45b"),
+            (16_384, "7e1688fcbbacf897a28965996d1554bfc505eb668563864d52e71047ca510bd7"),
         ];
         for (len, digest) in sha256_of_sealed {
             assert_eq!(Digest::of(&sealed(len)).to_hex(), digest, "len {len}");
@@ -284,6 +287,37 @@ mod tests {
         let s1 = seal(&k, [1u8; 16], b"same message");
         let s2 = seal(&k, [2u8; 16], b"same message");
         assert_ne!(s1.ciphertext, s2.ciphertext);
+    }
+
+    #[test]
+    fn distinct_nonces_differ_in_every_keystream_block() {
+        // the nonce keys the whole message, not just its first block
+        let prepared = SealKey::new(&key(b"a"));
+        let plain = [0x33u8; 256];
+        let s1 = prepared.seal([1u8; 16], &plain);
+        let s2 = prepared.seal([2u8; 16], &plain);
+        for (block, (a, b)) in s1
+            .ciphertext
+            .chunks(64)
+            .zip(s2.ciphertext.chunks(64))
+            .enumerate()
+        {
+            assert_ne!(a, b, "block {block}");
+        }
+    }
+
+    /// "Once" by construction: sealing 16 KiB is one tag pass over the
+    /// ciphertext (≈ 260 compressions) plus the message key — the keystream
+    /// is not made of hash calls (it was 1 024 more).
+    #[test]
+    fn seal_hashes_the_payload_once() {
+        let prepared = SealKey::new(&key(b"a"));
+        let plain = vec![1u8; 16_384];
+        let before = crate::hash::compressions();
+        let sealed = prepared.seal([5u8; 16], &plain);
+        let spent = crate::hash::compressions() - before;
+        assert_eq!(sealed.ciphertext.len(), plain.len());
+        assert!(spent <= 270, "{spent} compressions");
     }
 
     #[test]

@@ -298,6 +298,37 @@ fn chunked_hashing_and_prepared_hmac_equal_oneshot() {
     });
 }
 
+/// `open` inverts `seal` at the keystream's block edges and at random
+/// lengths, and the keystream is positional: sealing any prefix of a
+/// message under the same key and nonce yields that prefix of the
+/// ciphertext, wherever the split falls within a 64-byte block.
+#[test]
+fn seal_open_round_trips_across_lengths_and_splits() {
+    use itdos_crypto::keys::SymmetricKey;
+    use itdos_crypto::symmetric::{open, seal, Sealed};
+    let round_trip = |key: &SymmetricKey, nonce: [u8; 16], message: &[u8]| {
+        let sealed = seal(key, nonce, message);
+        assert_eq!(sealed.ciphertext.len(), message.len());
+        let parsed = Sealed::from_bytes(&sealed.to_bytes()).expect("well-formed");
+        assert_eq!(open(key, &parsed).expect("authentic"), message);
+        sealed
+    };
+    let key = SymmetricKey::derive(b"edges", b"prop");
+    for len in [0usize, 1, 63, 64, 65, 127, 128, 16_384] {
+        let message: Vec<u8> = (0..len).map(|i| (i * 5 + 1) as u8).collect();
+        round_trip(&key, [len as u8; 16], &message);
+    }
+    prop::check("seal_open_round_trips", CASES, |rng, _| {
+        let key = SymmetricKey::derive(&arbitrary::bytes(rng, 40), b"prop");
+        let nonce: [u8; 16] = rng.gen();
+        let message = arbitrary::bytes(rng, 700);
+        let whole = round_trip(&key, nonce, &message);
+        let split = rng.gen_range(0..=message.len());
+        let prefix = round_trip(&key, nonce, &message[..split]);
+        assert_eq!(prefix.ciphertext, whole.ciphertext[..split]);
+    });
+}
+
 /// Wire decoders for protocol messages are total on random bytes.
 #[test]
 fn protocol_decoders_are_total() {
