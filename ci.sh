@@ -14,6 +14,12 @@ cargo build --release --offline
 echo '== cargo test -q --offline'
 cargo test -q --offline
 
+echo '== liveness full-size repro (release: 8 clients x 4096 pipelined requests, seeds 1-4)'
+# the debug suite runs the 40-wave twin; the full 512 waves only fit in a
+# release build. The filter keeps the recorded-but-open cliff 4 test
+# (ROADMAP item 1) ignored
+cargo test -q --release --offline -p itdos-tests --test liveness -- --ignored healthy
+
 echo '== cargo run -p itdos-lint (waiver ledger + budget gate)'
 # fails on any active finding, and also if the waiver count grows past
 # the checked-in budget — new waivers must be paid for in the same PR
@@ -102,14 +108,15 @@ cargo run -q --release --offline -p itdos-bench --bin heal -- --smoke "$heal_smo
 test -s "$heal_smoke" || { echo 'BENCH_heal smoke output missing'; exit 1; }
 rm -f "$heal_smoke"
 
-echo '== itdos-benchmark smoke (small_closed + bulk_closed, 2 s each: every reply checked, run-twice self-check)'
+echo '== itdos-benchmark smoke (four workloads, 2 s each: every reply checked, run-twice self-check)'
 # the yardstick BENCHMARK.json declares, run as the driver runs it; the
 # last stdout line is the result object, and it must report a correct run
-# with no failed op. Both the common case and the bulk path run, so a
-# change to one cannot break the other unnoticed. Host timings are not
+# with no failed op. The common case, the bulk path and the two
+# never-quiesced workloads (history drift, pipelined acks) all run, so a
+# change to one cannot break another unnoticed. Host timings are not
 # judged here.
 bench_smoke="$(mktemp)"
-for workload in small_closed bulk_closed; do
+for workload in small_closed bulk_closed sustained_history pipelined_batch; do
   cargo run --release --offline --quiet -p itdos-benchmark -- \
     --workload "$workload" --seed 7 --seconds 2 --trace 0 > "$bench_smoke"
   tail -n 1 "$bench_smoke" | grep -q '"correct": true' \

@@ -386,7 +386,13 @@ impl SingletonClient {
                 ],
             );
             self.send_request(ctx, meta, key, &request);
-            // re-send later if replies do not arrive (lost DirectReply copies)
+            // keep-alive, not a retry: this timer sends nothing (the BFT
+            // channel's own retransmission re-sends). It stays pending for
+            // 8 × view_timeout after every request and re-arms while that
+            // round is undecided, so `settle()` runs the sim clock that far
+            // past the last reply — which the healing controller's decay
+            // window and rejuvenation period observe. Removing it failed
+            // 536 of 536 intrusion_campaign ops (ROADMAP item 1, cliff 3).
             ctx.set_timer(
                 self.fabric
                     .domain(target)
@@ -804,21 +810,14 @@ impl Process for SingletonClient {
                 }
             }
             TimerTag::ClientRetry => {
-                // the request with this id may still be undecided: re-send
+                // sends nothing (see `pump`): while the round is undecided
+                // the keep-alive re-arms so the sim clock keeps running
                 let undecided = self
                     .rounds
                     .iter()
                     .find(|o| o.request_id == param && !o.decided);
                 if let Some(round) = undecided {
                     let target = round.target;
-                    let request_id = round.request_id;
-                    if let Some(conn) = self.conns_by_target.get(&target) {
-                        // rebuild is unnecessary: replicas resend cached
-                        // replies when the same op is re-ordered; simplest
-                        // faithful retry is re-arming the timer and letting
-                        // the BFT layer's retransmission finish the job
-                        let _ = (conn, request_id);
-                    }
                     ctx.set_timer(
                         self.fabric
                             .domain(target)

@@ -446,9 +446,17 @@ impl ServerElement {
         }
     }
 
+    /// Acks are cumulative, so at most one per element is queued or in
+    /// flight: a second one waiting behind the first on the window-1
+    /// own-domain channel would be ordered with a stale `up_to`. The next
+    /// is cut (with the head *then*) when the channel accepts an op.
     fn maybe_ack(&mut self, ctx: &mut Context<'_>) {
+        let own_idle = self
+            .outbound
+            .get(&self.cfg.domain)
+            .is_none_or(Outbound::idle);
         let head = self.replica.app().next_index();
-        if head.saturating_sub(self.acked_index) >= self.cfg.ack_interval {
+        if own_idle && head.saturating_sub(self.acked_index) >= self.cfg.ack_interval {
             self.acked_index = head;
             let op = QueueOp::Ack {
                 element: ElementId(self.cfg.element.0),
@@ -1197,8 +1205,11 @@ impl Process for ServerElement {
                         if r.client.0 == self.my_code() {
                             if let Some(outbound) = self.outbound.get_mut(&domain) {
                                 let fabric = self.fabric.clone();
-                                outbound.on_reply(ctx, &fabric, &envelope);
+                                let accepted = outbound.on_reply(ctx, &fabric, &envelope);
                                 outbound.take_accepted();
+                                if accepted {
+                                    self.maybe_ack(ctx);
+                                }
                             }
                             return;
                         }
@@ -1258,7 +1269,7 @@ impl Process for ServerElement {
                     self.dispatch_send(ctx, send);
                 }
             }
-            TimerTag::AckFlush | TimerTag::ClientRetry => {}
+            TimerTag::ClientRetry => {}
         }
     }
 }

@@ -5,7 +5,8 @@
 //! nested invocation or sending queue-control ops to its *own* group, any
 //! process talking to the Group Manager — drives one [`Outbound`] per
 //! target domain. It wraps the PBFT client protocol (send to all, collect
-//! `f+1` matching ACKs, retransmit on timeout). By default operations are
+//! `f+1` matching ACKs, retransmit on timeout — one timer per channel,
+//! one deadline per request, see [`Client::due`]). By default operations are
 //! serialized one in flight per channel (§3.6's single outstanding
 //! request); [`Outbound::set_window`] opens a pipelining window of several
 //! in-flight operations — the BFT primary batches them under shared
@@ -19,7 +20,7 @@ use itdos_bft::auth::AuthContext;
 use itdos_bft::client::Client;
 use itdos_bft::message::Message;
 use itdos_groupmgr::membership::DomainId;
-use simnet::Context;
+use simnet::{Context, SimDuration};
 use xbytes::Bytes;
 
 use crate::codes::{bft_client_id, pack_timer, TimerTag};
@@ -108,22 +109,22 @@ impl Outbound {
     }
 
     fn pump(&mut self, ctx: &mut Context<'_>, fabric: &Fabric) {
-        let mut started = false;
+        let now = ctx.now().as_micros();
         while !self.client.busy() {
             let Some((op, trace)) = self.queue.pop_front() else {
                 break;
             };
             let request = self
                 .client
-                .start_request_traced(op, trace)
+                .start_request_traced(op, trace, now)
                 .expect("window has room");
             self.in_order.push_back(request.timestamp());
             self.broadcast(ctx, fabric, &Message::Request(request));
-            started = true;
         }
-        if started {
-            self.arm_retransmit(ctx, fabric);
-        }
+        let delay = self
+            .client
+            .arm_retransmit(now, self.retransmit_timeout(fabric));
+        self.set_retransmit_timer(ctx, delay);
     }
 
     /// Moves decided results into `accepted` in submission order.
@@ -137,12 +138,19 @@ impl Outbound {
         }
     }
 
-    fn arm_retransmit(&mut self, ctx: &mut Context<'_>, fabric: &Fabric) {
+    /// The retransmission period in µs: 2 × `view_timeout`.
+    fn retransmit_timeout(&self, fabric: &Fabric) -> u64 {
         let timeout = fabric.domain(self.target).config.view_timeout;
-        ctx.set_timer(
-            timeout.saturating_mul(2),
-            pack_timer(TimerTag::Retransmit, self.target.0),
-        );
+        timeout.saturating_mul(2).as_micros()
+    }
+
+    fn set_retransmit_timer(&self, ctx: &mut Context<'_>, delay: Option<u64>) {
+        if let Some(delay) = delay {
+            ctx.set_timer(
+                SimDuration::from_micros(delay),
+                pack_timer(TimerTag::Retransmit, self.target.0),
+            );
+        }
     }
 
     fn broadcast(&self, ctx: &mut Context<'_>, fabric: &Fabric, message: &Message) {
@@ -184,16 +192,16 @@ impl Outbound {
         false
     }
 
-    /// Handles the retransmission timer.
+    /// Handles the retransmission timer: re-broadcasts the requests whose
+    /// own deadline has passed and re-arms for the earliest remaining one,
+    /// or not at all when nothing is undecided.
     pub fn on_retransmit_timer(&mut self, ctx: &mut Context<'_>, fabric: &Fabric) {
-        let undecided = self.client.retransmit_all();
-        if undecided.is_empty() {
-            return;
-        }
-        for request in undecided {
+        let timeout = self.retransmit_timeout(fabric);
+        let (due, next) = self.client.due(ctx.now().as_micros(), timeout);
+        for request in due {
             self.broadcast(ctx, fabric, &Message::Request(request));
         }
-        self.arm_retransmit(ctx, fabric);
+        self.set_retransmit_timer(ctx, next);
     }
 }
 
@@ -351,5 +359,142 @@ mod tests {
         sim.run_until(simnet::SimTime::from_micros(300));
         // second op queued behind the un-acked first: only one broadcast
         assert_eq!(sim.process_ref::<Counter>(NodeId::from_raw(0)).got, 1);
+    }
+
+    /// A stand-in replica that (optionally) acknowledges every request.
+    struct Replica {
+        auth: AuthContext,
+        index: u32,
+        answers: bool,
+    }
+
+    impl simnet::Process for Replica {
+        fn on_message(&mut self, ctx: &mut Context<'_>, from: simnet::NodeId, payload: Bytes) {
+            use itdos_bft::config::{ReplicaId, View};
+            if !self.answers {
+                return;
+            }
+            let Ok(CoreMsg::Bft { domain, envelope }) = CoreMsg::decode(&payload) else {
+                return;
+            };
+            let envelope = itdos_bft::auth::Envelope::decode(&envelope).expect("envelope");
+            let Ok(Message::Request(request)) = Message::decode(&envelope.payload) else {
+                return;
+            };
+            let reply = Message::Reply(itdos_bft::message::Reply {
+                view: View(0),
+                timestamp: request.timestamp(),
+                client: request.client(),
+                replica: ReplicaId(self.index),
+                result: b"ok".to_vec(),
+            });
+            let envelope = self
+                .auth
+                .mac_envelope_for_client(request.client(), reply.encode());
+            let msg = CoreMsg::Bft {
+                domain,
+                envelope: envelope.encode(),
+            };
+            ctx.send(from, Bytes::from(msg.encode()));
+        }
+    }
+
+    /// An Outbound owner that also routes replies and the retransmit timer.
+    struct TimedHarness {
+        outbound: Outbound,
+        fabric: Fabric,
+    }
+
+    impl simnet::Process for TimedHarness {
+        fn on_message(&mut self, ctx: &mut Context<'_>, from: simnet::NodeId, payload: Bytes) {
+            if from.is_external() {
+                self.outbound.submit(ctx, &self.fabric, payload.to_vec());
+            } else if let Ok(CoreMsg::Bft { envelope, .. }) = CoreMsg::decode(&payload) {
+                self.outbound.on_reply(ctx, &self.fabric, &envelope);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, timer: simnet::Timer) {
+            assert_eq!(
+                crate::codes::unpack_timer(timer.kind),
+                Some((TimerTag::Retransmit, 1))
+            );
+            self.outbound.on_retransmit_timer(ctx, &self.fabric);
+        }
+    }
+
+    /// Four replicas (nodes 0..3 as in `fabric()`) and one harness whose
+    /// channel has the given window.
+    fn timed_setup(seed: u64, window: usize, answers: bool) -> (simnet::Simulator, NodeId) {
+        let fabric = fabric();
+        let mut sim = simnet::Simulator::new(seed);
+        for index in 0..4 {
+            sim.add_process(Box::new(Replica {
+                auth: fabric.bft_auth_replica(DomainId(1), index),
+                index: index as u32,
+                answers,
+            }));
+        }
+        let mut outbound = Outbound::new(&fabric, DomainId(1), 9);
+        outbound.set_window(window);
+        let h = sim.add_process(Box::new(TimedHarness { outbound, fabric }));
+        (sim, h)
+    }
+
+    /// Runs to `micros` and returns the requests broadcast so far (four
+    /// copies each); at no point is more than one timer pending.
+    fn broadcasts_at(sim: &mut simnet::Simulator, h: NodeId, micros: u64) -> u64 {
+        sim.run_until(simnet::SimTime::from_micros(micros));
+        let timers = sim.pending_by_node().get(&h).map_or(0, |p| p.1);
+        assert!(
+            timers <= 1,
+            "{timers} retransmit timers pending at {micros}"
+        );
+        sim.stats().label("smiop-submit").messages / 4
+    }
+
+    #[test]
+    fn decided_request_lets_its_timer_die_without_sending() {
+        let (mut sim, h) = timed_setup(4, 1, true);
+        sim.inject(h, Bytes::from_static(b"op"));
+        assert_eq!(broadcasts_at(&mut sim, h, 1_000), 1);
+        assert!(
+            sim.process_ref::<TimedHarness>(h).outbound.idle(),
+            "decided"
+        );
+        assert_eq!(sim.pending_by_node().get(&h), Some(&(0, 1)), "timer armed");
+        // the timer fires at 100 ms, sends nothing and does not re-arm:
+        // the simulation runs dry
+        sim.run();
+        assert_eq!(sim.now(), simnet::SimTime::from_micros(100_000));
+        assert_eq!(sim.stats().label("smiop-submit").messages, 4);
+        assert!(sim.pending_by_node().is_empty(), "no event left");
+    }
+
+    /// Two unanswered requests `gap` µs apart: each is re-broadcast every
+    /// 100 ms counted from its *own* start, through one timer.
+    fn each_request_keeps_its_own_deadline(gap: u64) {
+        let (mut sim, h) = timed_setup(5, 4, false);
+        sim.inject(h, Bytes::from_static(b"op1"));
+        assert_eq!(broadcasts_at(&mut sim, h, gap), 1);
+        sim.inject(h, Bytes::from_static(b"op2"));
+        assert_eq!(broadcasts_at(&mut sim, h, 99_999), 2);
+        for period in 1..=3 {
+            let first = period * 100_000;
+            let sent = 2 * period;
+            assert_eq!(broadcasts_at(&mut sim, h, first), sent + 1, "op1 due");
+            assert_eq!(broadcasts_at(&mut sim, h, first + gap - 1), sent + 1);
+            assert_eq!(broadcasts_at(&mut sim, h, first + gap), sent + 2, "op2 due");
+            assert_eq!(broadcasts_at(&mut sim, h, first + 99_999), sent + 2);
+        }
+    }
+
+    #[test]
+    fn request_started_just_before_the_timer_fires_waits_for_its_own_deadline() {
+        each_request_keeps_its_own_deadline(99_999);
+    }
+
+    #[test]
+    fn requests_30ms_apart_are_rebroadcast_30ms_apart() {
+        each_request_keeps_its_own_deadline(30_000);
     }
 }

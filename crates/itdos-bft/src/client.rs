@@ -15,6 +15,13 @@
 //! client (and the ITDOS §3.6 connection model); [`Client::set_window`]
 //! raises it so a pipelining caller can keep several timestamps in flight
 //! and let the primary batch them under one sequence number.
+//!
+//! Retransmission is deadline-driven and sans-IO: the client stamps each
+//! request with the time it was last broadcast (the owner's clock, in µs)
+//! and its owner keeps **one** timer per client. A retransmit timer covers
+//! requests, not the channel's history — when it fires only the requests
+//! whose own deadline has passed are due, and it dies when nothing is
+//! undecided.
 
 use std::collections::BTreeMap;
 
@@ -26,6 +33,8 @@ use crate::message::{ClientRequest, Reply};
 struct Outstanding {
     request: ClientRequest,
     replies: BTreeMap<ReplicaId, Vec<u8>>,
+    /// When the request was last broadcast (owner's clock, µs).
+    sent_at: u64,
 }
 
 /// A BFT client for one replica group.
@@ -41,7 +50,7 @@ struct Outstanding {
 /// use itdos_bft::config::{ClientId, GroupConfig};
 ///
 /// let mut client = Client::new(ClientId(7), GroupConfig::for_f(1));
-/// let request = client.start_request(vec![1, 2, 3]).expect("no outstanding request");
+/// let request = client.start_request(vec![1, 2, 3], 0).expect("no outstanding request");
 /// assert_eq!(request.client(), ClientId(7));
 /// ```
 #[derive(Debug, Clone)]
@@ -53,6 +62,10 @@ pub struct Client {
     /// Undecided requests by timestamp; an entry is removed the moment its
     /// result is accepted, so late replies are discarded without penalty.
     outstanding: BTreeMap<u64, Outstanding>,
+    /// When the owner's one pending retransmit timer fires, if one is
+    /// armed. It only prevents duplicates — what is due is recomputed
+    /// from the per-request stamps at every firing.
+    timer_at: Option<u64>,
 }
 
 impl Client {
@@ -64,6 +77,7 @@ impl Client {
             next_timestamp: 1,
             window: 1,
             outstanding: BTreeMap::new(),
+            timer_at: None,
         }
     }
 
@@ -93,10 +107,10 @@ impl Client {
         self.outstanding.len()
     }
 
-    /// Starts a request; returns the message to send to the group, or
-    /// `None` if the window is full.
-    pub fn start_request(&mut self, operation: Vec<u8>) -> Option<ClientRequest> {
-        self.start_request_traced(operation, 0)
+    /// Starts a request broadcast at `now`; returns the message to send to
+    /// the group, or `None` if the window is full.
+    pub fn start_request(&mut self, operation: Vec<u8>, now: u64) -> Option<ClientRequest> {
+        self.start_request_traced(operation, 0, now)
     }
 
     /// Starts a request carrying a causal trace id (0 = untraced); the id
@@ -106,6 +120,7 @@ impl Client {
         &mut self,
         operation: Vec<u8>,
         trace: u64,
+        now: u64,
     ) -> Option<ClientRequest> {
         if self.busy() {
             return None;
@@ -118,24 +133,50 @@ impl Client {
             Outstanding {
                 request: request.clone(),
                 replies: BTreeMap::new(),
+                sent_at: now,
             },
         );
         Some(request)
     }
 
-    /// The oldest undecided request, for retransmission after a timeout
-    /// (PBFT clients retransmit to all replicas, which triggers reply
-    /// resend or a view change).
-    pub fn retransmit(&self) -> Option<ClientRequest> {
-        self.outstanding.values().next().map(|o| o.request.clone())
+    /// Call after starting requests. Returns the delay after which the
+    /// owner must fire its retransmit timer, or `None` when one is already
+    /// pending (or nothing is undecided): at most one timer per client.
+    pub fn arm_retransmit(&mut self, now: u64, timeout: u64) -> Option<u64> {
+        if self.timer_at.is_some() {
+            return None;
+        }
+        let deadline = self
+            .outstanding
+            .values()
+            .map(|o| o.sent_at.saturating_add(timeout))
+            .min()?;
+        self.timer_at = Some(deadline);
+        Some(deadline.saturating_sub(now))
     }
 
-    /// Every undecided request, oldest first (pipelined retransmission).
-    pub fn retransmit_all(&self) -> Vec<ClientRequest> {
-        self.outstanding
-            .values()
-            .map(|o| o.request.clone())
-            .collect()
+    /// Call when the retransmit timer fires. Returns the undecided
+    /// requests not broadcast for `timeout` (oldest first; PBFT clients
+    /// retransmit to all replicas, which triggers reply resend or a view
+    /// change), stamped as broadcast at `now`, and the delay until the
+    /// earliest remaining deadline — `None` lets the timer die because
+    /// nothing is undecided. A request started just before the timer
+    /// fires is not retransmitted early.
+    pub fn due(&mut self, now: u64, timeout: u64) -> (Vec<ClientRequest>, Option<u64>) {
+        if self.timer_at.is_some_and(|at| now < at) {
+            // a stray timer (e.g. one set by a replaced process): the
+            // armed one is still pending and will do the work
+            return (Vec::new(), None);
+        }
+        self.timer_at = None;
+        let mut due = Vec::new();
+        for outstanding in self.outstanding.values_mut() {
+            if outstanding.sent_at.saturating_add(timeout) <= now {
+                outstanding.sent_at = now;
+                due.push(outstanding.request.clone());
+            }
+        }
+        (due, self.arm_retransmit(now, timeout))
     }
 
     /// Processes one reply. Returns `(timestamp, result)` the first time
@@ -191,7 +232,7 @@ mod tests {
     #[test]
     fn accepts_on_f_plus_1_matching() {
         let mut c = client();
-        c.start_request(vec![0]).unwrap();
+        c.start_request(vec![0], 0).unwrap();
         assert_eq!(c.on_reply(reply(&c, 0, 1, b"ok")), None);
         assert_eq!(
             c.on_reply(reply(&c, 1, 1, b"ok")),
@@ -202,7 +243,7 @@ mod tests {
     #[test]
     fn byzantine_reply_does_not_count_toward_quorum() {
         let mut c = client();
-        c.start_request(vec![0]).unwrap();
+        c.start_request(vec![0], 0).unwrap();
         assert_eq!(c.on_reply(reply(&c, 0, 1, b"evil")), None);
         assert_eq!(c.on_reply(reply(&c, 1, 1, b"ok")), None);
         assert_eq!(
@@ -214,7 +255,7 @@ mod tests {
     #[test]
     fn duplicate_replica_replies_overwrite_not_double_count() {
         let mut c = client();
-        c.start_request(vec![0]).unwrap();
+        c.start_request(vec![0], 0).unwrap();
         assert_eq!(c.on_reply(reply(&c, 0, 1, b"ok")), None);
         assert_eq!(
             c.on_reply(reply(&c, 0, 1, b"ok")),
@@ -226,24 +267,24 @@ mod tests {
     #[test]
     fn one_request_at_a_time_by_default() {
         let mut c = client();
-        c.start_request(vec![0]).unwrap();
-        assert!(c.start_request(vec![1]).is_none());
+        c.start_request(vec![0], 0).unwrap();
+        assert!(c.start_request(vec![1], 0).is_none());
         assert!(c.busy());
         c.on_reply(reply(&c, 0, 1, b"ok"));
         c.on_reply(reply(&c, 1, 1, b"ok"));
         assert!(!c.busy(), "decided");
-        assert!(c.start_request(vec![1]).is_some());
+        assert!(c.start_request(vec![1], 0).is_some());
     }
 
     #[test]
     fn window_allows_pipelined_requests() {
         let mut c = client();
         c.set_window(3);
-        let r1 = c.start_request(vec![1]).unwrap();
-        let r2 = c.start_request(vec![2]).unwrap();
-        let r3 = c.start_request(vec![3]).unwrap();
+        let r1 = c.start_request(vec![1], 0).unwrap();
+        let r2 = c.start_request(vec![2], 0).unwrap();
+        let r3 = c.start_request(vec![3], 0).unwrap();
         assert!(c.busy(), "window of 3 full");
-        assert!(c.start_request(vec![4]).is_none());
+        assert!(c.start_request(vec![4], 0).is_none());
         assert!(r1.timestamp() < r2.timestamp() && r2.timestamp() < r3.timestamp());
         // replies may decide out of submission order
         c.on_reply(reply(&c, 0, r2.timestamp(), b"b"));
@@ -253,21 +294,18 @@ mod tests {
         );
         assert_eq!(c.in_flight(), 2);
         assert!(!c.busy(), "slot freed");
-        assert_eq!(
-            c.retransmit().unwrap().timestamp(),
-            r1.timestamp(),
-            "oldest"
-        );
-        assert_eq!(c.retransmit_all().len(), 2);
+        let (due, _) = c.due(100, 100);
+        let due: Vec<u64> = due.iter().map(ClientRequest::timestamp).collect();
+        assert_eq!(due, vec![r1.timestamp(), r3.timestamp()], "oldest first");
     }
 
     #[test]
     fn stale_timestamp_ignored() {
         let mut c = client();
-        c.start_request(vec![0]).unwrap();
+        c.start_request(vec![0], 0).unwrap();
         c.on_reply(reply(&c, 0, 1, b"ok"));
         c.on_reply(reply(&c, 1, 1, b"ok"));
-        c.start_request(vec![1]).unwrap();
+        c.start_request(vec![1], 0).unwrap();
         // replies for ts=1 arrive late during ts=2
         assert_eq!(c.on_reply(reply(&c, 2, 1, b"ok")), None);
         assert_eq!(c.replies_collected(), 0);
@@ -276,7 +314,7 @@ mod tests {
     #[test]
     fn out_of_range_replica_ignored() {
         let mut c = client();
-        c.start_request(vec![0]).unwrap();
+        c.start_request(vec![0], 0).unwrap();
         assert_eq!(c.on_reply(reply(&c, 99, 1, b"ok")), None);
         assert_eq!(c.replies_collected(), 0);
     }
@@ -284,24 +322,56 @@ mod tests {
     #[test]
     fn retransmit_returns_outstanding_request() {
         let mut c = client();
-        let req = c.start_request(vec![5]).unwrap();
-        assert_eq!(c.retransmit(), Some(req));
+        let req = c.start_request(vec![5], 0).unwrap();
+        assert_eq!(c.due(100, 100), (vec![req], Some(100)));
         c.on_reply(reply(&c, 0, 1, b"ok"));
         c.on_reply(reply(&c, 1, 1, b"ok"));
         assert_eq!(
-            c.retransmit(),
-            None,
-            "decided requests are not retransmitted"
+            c.due(200, 100),
+            (vec![], None),
+            "decided requests are not retransmitted, and the timer dies"
         );
+    }
+
+    #[test]
+    fn due_table() {
+        // nothing outstanding: nothing to send, no deadline
+        let mut c = client();
+        c.set_window(2);
+        assert_eq!(c.due(1_000, 100), (vec![], None));
+        assert_eq!(c.arm_retransmit(1_000, 100), None);
+        // one due + one not: one request, the other's remaining time
+        let old = c.start_request(vec![1], 1_000).unwrap();
+        assert_eq!(c.arm_retransmit(1_000, 100), Some(100));
+        let young = c.start_request(vec![2], 1_099).unwrap();
+        assert_eq!(c.arm_retransmit(1_099, 100), None, "one timer only");
+        assert_eq!(c.due(1_100, 100), (vec![old.clone()], Some(99)));
+        // a stray timer before the armed deadline does nothing
+        assert_eq!(c.due(1_150, 100), (vec![], None));
+        // each request keeps its own period
+        assert_eq!(c.due(1_199, 100), (vec![young], Some(1)));
+        assert_eq!(c.due(1_200, 100), (vec![old], Some(99)));
+    }
+
+    #[test]
+    fn due_time_deltas_saturate() {
+        let mut c = client();
+        let req = c.start_request(vec![1], u64::MAX - 5).unwrap();
+        assert_eq!(c.arm_retransmit(u64::MAX - 5, 100), Some(5));
+        assert_eq!(c.due(u64::MAX, 100), (vec![req], Some(0)));
+        // a clock that went backwards never underflows the remaining time
+        let mut c = client();
+        c.start_request(vec![1], 500).unwrap();
+        assert_eq!(c.arm_retransmit(900, 100), Some(0));
     }
 
     #[test]
     fn timestamps_strictly_increase() {
         let mut c = client();
-        let r1 = c.start_request(vec![0]).unwrap();
+        let r1 = c.start_request(vec![0], 0).unwrap();
         c.on_reply(reply(&c, 0, r1.timestamp(), b"ok"));
         c.on_reply(reply(&c, 1, r1.timestamp(), b"ok"));
-        let r2 = c.start_request(vec![1]).unwrap();
+        let r2 = c.start_request(vec![1], 0).unwrap();
         assert!(r2.timestamp() > r1.timestamp());
     }
 }

@@ -230,9 +230,13 @@ impl Process for ClientNode {
     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
         if from.is_external() {
             // harness command: start a request with these operation bytes
-            if let Some(request) = self.client.start_request(payload.to_vec()) {
+            let now = ctx.now().as_micros();
+            if let Some(request) = self.client.start_request(payload.to_vec(), now) {
                 self.broadcast_request(ctx, &request);
-                ctx.set_timer(self.retransmit_every, 0);
+                let every = self.retransmit_every.as_micros();
+                if let Some(delay) = self.client.arm_retransmit(now, every) {
+                    ctx.set_timer(SimDuration::from_micros(delay), 0);
+                }
             }
             return;
         }
@@ -251,9 +255,13 @@ impl Process for ClientNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: Timer) {
-        if let Some(request) = self.client.retransmit() {
-            self.broadcast_request(ctx, &request);
-            ctx.set_timer(self.retransmit_every, 0);
+        let every = self.retransmit_every.as_micros();
+        let (due, next) = self.client.due(ctx.now().as_micros(), every);
+        for request in &due {
+            self.broadcast_request(ctx, request);
+        }
+        if let Some(delay) = next {
+            ctx.set_timer(SimDuration::from_micros(delay), 0);
         }
     }
 }
@@ -359,6 +367,25 @@ mod tests {
             assert_eq!(counter_total(&sim, r), 10);
         }
         assert_eq!(sim.process_ref::<ClientNode>(client).results.len(), 5);
+    }
+
+    #[test]
+    fn back_to_back_requests_share_one_retransmit_timer() {
+        let (mut sim, _, client) = setup(6);
+        for done in 1..=50 {
+            sim.inject(client, Bytes::from(CounterMachine::op(1)));
+            // step only until the result lands: never quiesce
+            while sim.process_ref::<ClientNode>(client).results.len() < done {
+                assert!(sim.step(), "request {done} never completed");
+                let timers = sim.pending_by_node().get(&client).map_or(0, |p| p.1);
+                assert!(timers <= 1, "{timers} client timers pending");
+            }
+        }
+        // the one timer fires, finds nothing undecided, and dies
+        let requests_sent = sim.stats().label("bft-request").messages;
+        sim.run();
+        assert_eq!(sim.stats().label("bft-request").messages, requests_sent);
+        assert!(sim.pending_by_node().is_empty());
     }
 
     #[test]

@@ -8,15 +8,16 @@ use common::{bank_system, BANK, CLIENT};
 use itdos_bft::state::StateMachine;
 use itdos_giop::types::Value;
 
+fn deposit_of(amount: i64) -> itdos::Invocation {
+    itdos::Invocation::of(BANK)
+        .object(b"acct")
+        .interface("Bank::Account")
+        .operation("deposit")
+        .arg(Value::LongLong(amount))
+}
+
 fn deposit(system: &mut itdos::System, amount: i64) -> itdos::Completed {
-    system.invoke(
-        CLIENT,
-        itdos::Invocation::of(BANK)
-            .object(b"acct")
-            .interface("Bank::Account")
-            .operation("deposit")
-            .arg(Value::LongLong(amount)),
-    )
+    system.invoke(CLIENT, deposit_of(amount))
 }
 
 /// A crashed element misses a checkpoint interval's worth of traffic,
@@ -103,4 +104,93 @@ fn acks_flow_through_the_total_order() {
             "element {index} queue state diverged"
         );
     }
+}
+
+/// Records element 0's ack requests (by BFT timestamp) as they cross the
+/// wire and holds the copies of its first one in flight.
+struct AckTap {
+    element_node: simnet::NodeId,
+    hold: simnet::SimDuration,
+    acks: std::rc::Rc<std::cell::RefCell<std::collections::BTreeMap<u64, u64>>>,
+}
+
+impl simnet::adversary::Adversary for AckTap {
+    fn intercept(
+        &mut self,
+        _now: simnet::SimTime,
+        from: simnet::NodeId,
+        _to: simnet::NodeId,
+        payload: &xbytes::Bytes,
+        _rng: &mut xrand::rngs::SmallRng,
+    ) -> simnet::adversary::Verdict {
+        use itdos_bft::message::Message;
+        use itdos_bft::queue::QueueOp;
+        use simnet::adversary::Verdict;
+        if from != self.element_node {
+            return Verdict::Pass;
+        }
+        let Ok(itdos::wire::CoreMsg::Bft { envelope, .. }) = itdos::wire::CoreMsg::decode(payload)
+        else {
+            return Verdict::Pass;
+        };
+        let Ok(envelope) = itdos_bft::auth::Envelope::decode(&envelope) else {
+            return Verdict::Pass;
+        };
+        let Ok(Message::Request(request)) = Message::decode(&envelope.payload) else {
+            return Verdict::Pass;
+        };
+        let Ok(QueueOp::Ack { up_to, .. }) = QueueOp::decode(request.operation()) else {
+            return Verdict::Pass;
+        };
+        let mut acks = self.acks.borrow_mut();
+        acks.insert(request.timestamp(), up_to);
+        if acks.len() == 1 {
+            Verdict::Delay(self.hold)
+        } else {
+            Verdict::Pass
+        }
+    }
+}
+
+/// Acks are cumulative, so an element keeps at most one queued or in
+/// flight: 64 deliveries arriving while its first ack is still being
+/// ordered produce exactly one further ack, cut with the head at the time
+/// the first was accepted — not eight stale ones queued behind it.
+#[test]
+fn one_cumulative_ack_in_flight_per_element() {
+    let mut system = bank_system(54).build();
+    let acks = std::rc::Rc::new(std::cell::RefCell::new(std::collections::BTreeMap::new()));
+    let hold = simnet::SimDuration::from_millis(80);
+    system.sim.set_adversary(Box::new(AckTap {
+        element_node: system.fabric.domain(BANK).nodes[0],
+        hold,
+        acks: acks.clone(),
+    }));
+    let mut first_ack_cut_at = None;
+    for _ in 0..72 {
+        let ticket = system.invoke_async(CLIENT, deposit_of(1));
+        // closed loop without quiescing: nothing waits out a timer
+        while system.result(ticket).is_none() {
+            assert!(system.sim.step(), "invocation never completed");
+        }
+        if first_ack_cut_at.is_none() && !acks.borrow().is_empty() {
+            first_ack_cut_at = Some(system.sim.now());
+        }
+    }
+    let first_ack_cut_at = first_ack_cut_at.expect("the first ack was cut");
+    assert_eq!(
+        acks.borrow().values().copied().collect::<Vec<_>>(),
+        vec![8],
+        "one ack in flight"
+    );
+    assert!(
+        system.sim.now() < first_ack_cut_at + hold,
+        "all 64 further deliveries landed while the first ack was in flight"
+    );
+    system.settle();
+    assert_eq!(
+        acks.borrow().values().copied().collect::<Vec<_>>(),
+        vec![8, 72],
+        "exactly one further ack, up_to = the head when it was cut"
+    );
 }
