@@ -4,8 +4,9 @@
 //! latency percentiles from the `itdos-obs` registry.
 //!
 //! ```text
-//! bft_throughput [OUT.json]    full sweep, writes BENCH_bft.json
-//! bft_throughput --smoke       small workload + determinism self-check
+//! bft_throughput [OUT.json]            full sweep, writes BENCH_bft.json by default
+//! bft_throughput --smoke [OUT.json]    small workload + determinism self-check;
+//!                                      writes only to an explicit OUT.json
 //! ```
 //!
 //! `--smoke` runs the batched configuration twice from the same seed and
@@ -198,15 +199,15 @@ fn render_json(rows: &[(&Config, &RunStats)], speedup: f64) -> String {
 
 fn main() -> ExitCode {
     let mut smoke = false;
-    let mut out_path = String::from("BENCH_bft.json");
+    let mut out_path = None;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--help" | "-h" => {
-                eprintln!("usage: bft_throughput [--smoke] [OUT.json]");
+                eprintln!("usage: bft_throughput [--smoke] [OUT.json]  (default BENCH_bft.json; --smoke writes only to an explicit path)");
                 return ExitCode::from(2);
             }
-            path => out_path = path.to_string(),
+            path => out_path = Some(path.to_string()),
         }
     }
 
@@ -268,10 +269,5 @@ fn main() -> ExitCode {
         &[(&batched, &batched_stats), (&unbatched, &unbatched_stats)],
         speedup,
     );
-    if let Err(err) = std::fs::write(&out_path, &json) {
-        eprintln!("FAIL: cannot write {out_path}: {err}");
-        return ExitCode::from(1);
-    }
-    println!("wrote {out_path}");
-    ExitCode::SUCCESS
+    itdos_bench::write_snapshot(out_path, "BENCH_bft.json", smoke, &json)
 }

@@ -4,8 +4,9 @@
 //! the sim-time cost of recovering from each wave.
 //!
 //! ```text
-//! heal [OUT.json]    full campaign, writes BENCH_heal.json
-//! heal --smoke       short campaign + determinism self-check
+//! heal [OUT.json]            full campaign, writes BENCH_heal.json by default
+//! heal --smoke [OUT.json]    short campaign + determinism self-check;
+//!                            writes only to an explicit OUT.json
 //! ```
 //!
 //! `--smoke` runs the healed campaign twice from the same seed and
@@ -181,15 +182,15 @@ fn render_json(waves: u64, healed: &CampaignStats, baseline: &CampaignStats) -> 
 
 fn main() -> ExitCode {
     let mut smoke = false;
-    let mut out_path = String::from("BENCH_heal.json");
+    let mut out_path = None;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--help" | "-h" => {
-                eprintln!("usage: heal [--smoke] [OUT.json]");
+                eprintln!("usage: heal [--smoke] [OUT.json]  (default BENCH_heal.json; --smoke writes only to an explicit path)");
                 return ExitCode::from(2);
             }
-            path => out_path = path.to_string(),
+            path => out_path = Some(path.to_string()),
         }
     }
 
@@ -238,10 +239,5 @@ fn main() -> ExitCode {
     }
 
     let json = render_json(waves, &healed, &baseline);
-    if let Err(err) = std::fs::write(&out_path, &json) {
-        eprintln!("FAIL: cannot write {out_path}: {err}");
-        return ExitCode::from(1);
-    }
-    println!("wrote {out_path}");
-    ExitCode::SUCCESS
+    itdos_bench::write_snapshot(out_path, "BENCH_heal.json", smoke, &json)
 }

@@ -9,7 +9,8 @@
 //!   `settle()`, exactly as a production deployment runs.
 //!
 //! ```text
-//! obs_ablation [--smoke] [OUT.json]    writes BENCH_obs.json by default
+//! obs_ablation [--smoke] [OUT.json]    writes BENCH_obs.json by default;
+//!                                      --smoke writes only to an explicit OUT.json
 //! ```
 //!
 //! The binary exits nonzero unless streaming stays within the 2× bound
@@ -103,15 +104,15 @@ fn run(mode: Mode, invocations: usize, reps: u32) -> Row {
 
 fn main() -> ExitCode {
     let mut smoke = false;
-    let mut out_path = String::from("BENCH_obs.json");
+    let mut out_path = None;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--help" | "-h" => {
-                eprintln!("usage: obs_ablation [--smoke] [OUT.json]");
+                eprintln!("usage: obs_ablation [--smoke] [OUT.json]  (default BENCH_obs.json; --smoke writes only to an explicit path)");
                 return ExitCode::from(2);
             }
-            path => out_path = path.to_string(),
+            path => out_path = Some(path.to_string()),
         }
     }
 
@@ -176,10 +177,5 @@ fn main() -> ExitCode {
         );
     }
     json.push_str("  ]\n}\n");
-    if let Err(err) = std::fs::write(&out_path, &json) {
-        eprintln!("FAIL: cannot write {out_path}: {err}");
-        return ExitCode::from(1);
-    }
-    println!("wrote {out_path}");
-    ExitCode::SUCCESS
+    itdos_bench::write_snapshot(out_path, "BENCH_obs.json", smoke, &json)
 }

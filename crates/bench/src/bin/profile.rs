@@ -9,6 +9,9 @@
 //! profile [--smoke] [--json OUT.json] [--folded OUT.folded]
 //! ```
 //!
+//! Without `--json` a full run writes `BENCH_prof.json`; a `--smoke` run
+//! writes only where it is told to.
+//!
 //! The binary runs the workload **twice with the same seed** and exits
 //! nonzero unless both the JSON profile and the folded-stack text come
 //! back byte-identical — the profiler itself must be deterministic
@@ -77,14 +80,14 @@ fn bench_json(profile: &Profile) -> String {
 
 fn main() -> ExitCode {
     let mut smoke = false;
-    let mut json_path = String::from("BENCH_prof.json");
+    let mut json_path = None;
     let mut folded_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--json" => match args.next() {
-                Some(p) => json_path = p,
+                Some(p) => json_path = Some(p),
                 None => {
                     eprintln!("--json needs a path");
                     return ExitCode::from(2);
@@ -98,7 +101,7 @@ fn main() -> ExitCode {
                 }
             },
             _ => {
-                eprintln!("usage: profile [--smoke] [--json OUT.json] [--folded OUT.folded]");
+                eprintln!("usage: profile [--smoke] [--json OUT.json] [--folded OUT.folded]  (--json defaults to BENCH_prof.json; --smoke writes only to explicit paths)");
                 return ExitCode::from(2);
             }
         }
@@ -135,11 +138,6 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     }
 
-    if let Err(err) = std::fs::write(&json_path, bench_json(&profile)) {
-        eprintln!("FAIL: cannot write {json_path}: {err}");
-        return ExitCode::from(1);
-    }
-    println!("wrote {json_path}");
     if let Some(path) = folded_path {
         if let Err(err) = std::fs::write(&path, &folded) {
             eprintln!("FAIL: cannot write {path}: {err}");
@@ -147,5 +145,5 @@ fn main() -> ExitCode {
         }
         println!("wrote {path}");
     }
-    ExitCode::SUCCESS
+    itdos_bench::write_snapshot(json_path, "BENCH_prof.json", smoke, &bench_json(&profile))
 }

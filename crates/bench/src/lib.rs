@@ -21,6 +21,7 @@ use itdos_orb::object::ObjectKey;
 use itdos_orb::servant::{FnServant, Servant, ServantException};
 use itdos_vote::comparator::Comparator;
 use simnet::{SimDuration, SimTime};
+use std::process::ExitCode;
 
 /// The benchmark server domain.
 pub const DOMAIN: DomainId = DomainId(1);
@@ -382,6 +383,27 @@ pub fn payload_sweep(sizes: &[usize]) -> Vec<(usize, InvocationCost)> {
 /// Convenience: the simulation time origin.
 pub fn origin() -> SimTime {
     SimTime::ZERO
+}
+
+/// Writes a bench binary's snapshot and returns its exit code. With no
+/// path given a full run refreshes the committed `default` in the current
+/// directory; a `--smoke` run, whose small-workload numbers must never
+/// replace a committed snapshot, writes nothing.
+pub fn write_snapshot(path: Option<String>, default: &str, smoke: bool, json: &str) -> ExitCode {
+    let path = match path {
+        Some(path) => path,
+        None if smoke => {
+            println!("smoke run, no output path given: {default} left untouched");
+            return ExitCode::SUCCESS;
+        }
+        None => default.to_string(),
+    };
+    if let Err(err) = std::fs::write(&path, json) {
+        eprintln!("FAIL: cannot write {path}: {err}");
+        return ExitCode::from(1);
+    }
+    println!("wrote {path}");
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

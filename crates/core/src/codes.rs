@@ -7,42 +7,9 @@
 //! `u64` timer discriminant.
 
 use itdos_bft::config::ClientId;
-use itdos_groupmgr::membership::Endpoint;
-use itdos_vote::vote::SenderId;
-
-/// Offset separating element codes from singleton-client codes.
-pub const ELEMENT_CODE_BASE: u64 = 1_000_000;
-
-/// The endpoint code for a singleton client id.
-pub fn singleton_code(id: u64) -> u64 {
-    debug_assert!(
-        id < ELEMENT_CODE_BASE,
-        "singleton ids must stay below the element base"
-    );
-    id
-}
-
-/// The endpoint code for a domain element.
-pub fn element_code(id: SenderId) -> u64 {
-    ELEMENT_CODE_BASE + id.0 as u64
-}
-
-/// The endpoint code of any [`Endpoint`].
-pub fn endpoint_code(endpoint: Endpoint) -> u64 {
-    match endpoint {
-        Endpoint::Singleton(id) => singleton_code(id),
-        Endpoint::Element(e) => element_code(e),
-    }
-}
-
-/// Decodes an endpoint code.
-pub fn code_endpoint(code: u64) -> Endpoint {
-    if code >= ELEMENT_CODE_BASE {
-        Endpoint::Element(SenderId((code - ELEMENT_CODE_BASE) as u32))
-    } else {
-        Endpoint::Singleton(code)
-    }
-}
+pub use itdos_groupmgr::membership::{
+    code_endpoint, element_code, endpoint_code, singleton_code, ELEMENT_CODE_BASE,
+};
 
 /// The BFT client identity an endpoint uses toward any group.
 pub fn bft_client_id(code: u64) -> ClientId {
@@ -94,6 +61,8 @@ pub fn unpack_timer(kind: u64) -> Option<(TimerTag, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itdos_groupmgr::membership::Endpoint;
+    use itdos_vote::vote::SenderId;
 
     #[test]
     fn endpoint_codes_round_trip() {

@@ -13,6 +13,7 @@ use itdos_bft::auth::{AuthContext, Envelope, Peer};
 use itdos_bft::message::Message;
 use itdos_bft::replica::{Output, Replica};
 use itdos_bft::state::StateMachine;
+use itdos_bft::wire::{decode_seq, encode_seq};
 use itdos_crypto::dprf::Shareholder;
 use itdos_crypto::hash::Digest;
 use itdos_crypto::symmetric::seal;
@@ -33,6 +34,9 @@ use crate::wire::{
     encode_directives, AdmitNoticeMsg, ConnectionMeta, CoreMsg, Directive, GmOp, KeyShareMsg,
     NoticeMsg,
 };
+
+/// Most operations one snapshot's log may claim (hostile-length defence).
+pub const MAX_OPLOG: u32 = 1 << 20;
 
 /// Refusal reason codes carried in [`Directive::Refused`].
 pub mod refusal {
@@ -272,26 +276,13 @@ impl StateMachine for GmMachine {
     fn snapshot(&self) -> Vec<u8> {
         // the op log *is* the state: deterministic replay reconstructs the
         // manager exactly (the GM equivalent of the message-queue model)
-        let mut w = itdos_bft::wire::Writer::new();
-        w.u32(self.oplog.len() as u32);
-        for op in &self.oplog {
-            w.bytes(op);
-        }
-        w.finish()
+        encode_seq(&self.oplog)
     }
 
     fn restore(&mut self, snapshot: &[u8]) {
-        let mut r = itdos_bft::wire::Reader::new(snapshot);
-        let Ok(n) = r.u32() else {
+        let Ok(ops) = decode_seq::<Vec<u8>>(snapshot, MAX_OPLOG) else {
             return;
         };
-        let mut ops = Vec::with_capacity(n.min(4096) as usize);
-        for _ in 0..n {
-            let Ok(op) = r.bytes() else {
-                return;
-            };
-            ops.push(op.to_vec());
-        }
         self.manager = GroupManager::new(self.initial_membership.clone(), self.seed);
         self.oplog.clear();
         self.chain = Digest::of(b"gm-genesis");

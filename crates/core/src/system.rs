@@ -13,7 +13,6 @@ use itdos_bft::config::GroupConfig;
 use itdos_crypto::dprf::Dprf;
 use itdos_giop::idl::InterfaceRepository;
 use itdos_giop::platform::PlatformProfile;
-use itdos_giop::types::Value;
 use itdos_groupmgr::membership::{DomainId, DomainRecord, ElementRecord, Membership};
 use itdos_orb::object::ObjectKey;
 use itdos_orb::servant::Servant;
@@ -161,20 +160,6 @@ impl SystemBuilder {
     /// (consumed by [`System::metrics_jsonl`] / [`System::audit_jsonl`]).
     pub fn obs(&mut self, cfg: ObsConfig) -> &mut SystemBuilder {
         self.obs_cfg = cfg;
-        self
-    }
-
-    /// Enables the observability layer.
-    #[deprecated(note = "use `obs(ObsConfig::standard())` / `obs(ObsConfig::off())`")]
-    pub fn observability(&mut self, on: bool) -> &mut SystemBuilder {
-        self.obs_cfg.enabled = on;
-        self
-    }
-
-    /// Overrides the flight-recorder ring capacity.
-    #[deprecated(note = "use `obs(ObsConfig::forensic())` or `ObsConfig::with_flight_capacity`")]
-    pub fn flight_capacity(&mut self, events: usize) -> &mut SystemBuilder {
-        self.obs_cfg.flight_capacity = Some(events);
         self
     }
 
@@ -773,48 +758,6 @@ impl System {
                 })
             })
             .collect()
-    }
-
-    /// Starts an invocation from `client` without running the simulation.
-    #[deprecated(note = "use `invoke_async(client, Invocation)` — the typed builder")]
-    pub fn invoke_async_positional(
-        &mut self,
-        client: u64,
-        target: DomainId,
-        object_key: &[u8],
-        interface: &str,
-        operation: &str,
-        args: Vec<Value>,
-    ) {
-        self.invoke_async(
-            client,
-            Invocation::of(target)
-                .object(object_key)
-                .interface(interface)
-                .operation(operation)
-                .args(args),
-        );
-    }
-
-    /// Runs an invocation to completion and returns its outcome.
-    #[deprecated(note = "use `invoke(client, Invocation)` — the typed builder")]
-    pub fn invoke_positional(
-        &mut self,
-        client: u64,
-        target: DomainId,
-        object_key: &[u8],
-        interface: &str,
-        operation: &str,
-        args: Vec<Value>,
-    ) -> Completed {
-        self.invoke(
-            client,
-            Invocation::of(target)
-                .object(object_key)
-                .interface(interface)
-                .operation(operation)
-                .args(args),
-        )
     }
 
     /// Runs until the network is quiescent.

@@ -1,14 +1,13 @@
 //! Core wire formats: fabric-level messages, SMIOP frames, Group Manager
 //! operations and directives, and fault-proof serialization.
 
-use itdos_bft::wire::{Reader, WireError, Writer};
+use itdos_bft::wire::{decode_seq, encode_seq, WireError};
 use itdos_crypto::sign::{Signature, VerifyingKey};
 use itdos_groupmgr::manager::ConnectionId;
 use itdos_groupmgr::membership::{DomainId, Endpoint};
-use itdos_vote::detector::{FaultProof, SignedReply};
+use itdos_vote::detector::{FaultProof, MAX_PROOF_ITEMS};
 use itdos_vote::vote::SenderId;
-
-use crate::codes::{code_endpoint, endpoint_code};
+use xbytes::{wire_enum, wire_frame, wire_struct};
 
 /// A message traveling on the simulated network between core processes.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,495 +267,113 @@ pub enum HealCmd {
     Retire,
 }
 
-impl HealCmd {
-    /// Encodes for external injection.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            HealCmd::Accuse { accused } => {
-                w.u8(1);
-                w.u32(accused.0);
-            }
-            HealCmd::Retire => {
-                w.u8(2);
-            }
-        }
-        w.finish()
-    }
+// ------------------------------------------------------------ wire layout
+//
+// One declaration per type: both directions are generated from it (see
+// `xbytes::wire`). `DomainId`, `ConnectionId`, `SenderId`, `Endpoint`,
+// `SignedReply` and `FaultProof` are declared beside their definitions.
 
-    /// Decodes a healing command.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on malformed bytes.
-    pub fn decode(bytes: &[u8]) -> Result<HealCmd, WireError> {
-        let mut r = Reader::new(bytes);
-        let cmd = match r.u8()? {
-            1 => HealCmd::Accuse {
-                accused: SenderId(r.u32()?),
-            },
-            2 => HealCmd::Retire,
-            _ => return Err(WireError),
-        };
-        r.expect_end()?;
-        Ok(cmd)
-    }
-}
-
-// --------------------------------------------------------------- encoding
-
-fn write_option_domain(w: &mut Writer, d: Option<DomainId>) {
-    match d {
-        Some(d) => {
-            w.u8(1);
-            w.u64(d.0);
-        }
-        None => {
-            w.u8(0);
-        }
-    }
-}
-
-fn read_option_domain(r: &mut Reader<'_>) -> Result<Option<DomainId>, WireError> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(DomainId(r.u64()?)),
-        _ => return Err(WireError),
-    })
-}
-
-fn write_meta(w: &mut Writer, m: &ConnectionMeta) {
-    w.u64(m.connection.0);
-    w.u32(m.epoch);
-    w.u64(m.client_code);
-    write_option_domain(w, m.client_domain);
-    w.u64(m.server_domain.0);
-}
-
-fn read_meta(r: &mut Reader<'_>) -> Result<ConnectionMeta, WireError> {
-    Ok(ConnectionMeta {
-        connection: ConnectionId(r.u64()?),
-        epoch: r.u32()?,
-        client_code: r.u64()?,
-        client_domain: read_option_domain(r)?,
-        server_domain: DomainId(r.u64()?),
-    })
-}
-
-impl CoreMsg {
-    /// Encodes for the network.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            CoreMsg::Bft { domain, envelope } => {
-                w.u8(1);
-                w.u64(domain.0);
-                w.bytes(envelope);
-            }
-            CoreMsg::KeyShare(m) => {
-                w.u8(2);
-                write_meta(&mut w, &m.meta);
-                w.u64(m.gm_code);
-                w.bytes(&m.sealed);
-            }
-            CoreMsg::DirectReply(m) => {
-                w.u8(3);
-                w.u64(m.connection.0);
-                w.u32(m.epoch);
-                w.u32(m.sender.0);
-                w.u64(m.sequence);
-                w.bytes(&m.sealed);
-                w.raw(&m.signature.to_bytes());
-            }
-            CoreMsg::Notice(m) => {
-                w.u8(4);
-                w.u64(m.gm_code);
-                w.u64(m.domain.0);
-                w.u32(m.expelled.0);
-                w.bytes(&m.sealed);
-            }
-            CoreMsg::AdmitNotice(m) => {
-                w.u8(5);
-                w.u64(m.gm_code);
-                w.u64(m.domain.0);
-                w.u32(m.admitted.0);
-                w.u32(m.replaced.0);
-                w.u32(m.slot);
-                w.u64(m.node);
-                w.u64(m.epoch);
-                w.raw(&m.verifying_key.to_bytes());
-                w.bytes(&m.sealed);
-            }
-        }
-        w.finish()
-    }
-
-    /// Decodes from the network.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on any malformation.
-    pub fn decode(bytes: &[u8]) -> Result<CoreMsg, WireError> {
-        let mut r = Reader::new(bytes);
-        let msg = match r.u8()? {
-            1 => CoreMsg::Bft {
-                domain: DomainId(r.u64()?),
-                envelope: r.bytes()?.to_vec(),
-            },
-            2 => CoreMsg::KeyShare(KeyShareMsg {
-                meta: read_meta(&mut r)?,
-                gm_code: r.u64()?,
-                sealed: r.bytes()?.to_vec(),
-            }),
-            3 => CoreMsg::DirectReply(DirectReplyMsg {
-                connection: ConnectionId(r.u64()?),
-                epoch: r.u32()?,
-                sender: SenderId(r.u32()?),
-                sequence: r.u64()?,
-                sealed: r.bytes()?.to_vec(),
-                signature: Signature::from_bytes(r.raw(16)?.try_into().expect("16 bytes")),
-            }),
-            4 => CoreMsg::Notice(NoticeMsg {
-                gm_code: r.u64()?,
-                domain: DomainId(r.u64()?),
-                expelled: SenderId(r.u32()?),
-                sealed: r.bytes()?.to_vec(),
-            }),
-            5 => CoreMsg::AdmitNotice(AdmitNoticeMsg {
-                gm_code: r.u64()?,
-                domain: DomainId(r.u64()?),
-                admitted: SenderId(r.u32()?),
-                replaced: SenderId(r.u32()?),
-                slot: r.u32()?,
-                node: r.u64()?,
-                epoch: r.u64()?,
-                verifying_key: VerifyingKey::from_bytes(r.raw(8)?.try_into().expect("8 bytes")),
-                sealed: r.bytes()?.to_vec(),
-            }),
-            _ => return Err(WireError),
-        };
-        r.expect_end()?;
-        Ok(msg)
-    }
-}
-
-impl SmiopFrame {
-    /// Encodes the frame (the BFT operation payload).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.connection.0);
-        w.u32(self.epoch);
-        w.u8(match self.kind {
-            FrameKind::Request => 0,
-            FrameKind::Reply => 1,
-        });
-        w.u64(self.sender_code);
-        w.u64(self.request_id);
-        w.u64(self.sequence);
-        w.bytes(&self.sealed);
-        w.raw(&self.signature.to_bytes());
-        w.finish()
-    }
-
-    /// Decodes a frame.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on malformed bytes.
-    pub fn decode(bytes: &[u8]) -> Result<SmiopFrame, WireError> {
-        let mut r = Reader::new(bytes);
-        let frame = SmiopFrame {
-            connection: ConnectionId(r.u64()?),
-            epoch: r.u32()?,
-            kind: match r.u8()? {
-                0 => FrameKind::Request,
-                1 => FrameKind::Reply,
-                _ => return Err(WireError),
-            },
-            sender_code: r.u64()?,
-            request_id: r.u64()?,
-            sequence: r.u64()?,
-            sealed: r.bytes()?.to_vec(),
-            signature: Signature::from_bytes(r.raw(16)?.try_into().expect("16 bytes")),
-        };
-        r.expect_end()?;
-        Ok(frame)
-    }
-}
-
-fn write_signed_reply(w: &mut Writer, m: &SignedReply) {
-    w.u32(m.sender.0);
-    w.u64(m.sequence);
-    w.bytes(&m.frame);
-    w.raw(&m.signature.to_bytes());
-}
-
-fn read_signed_reply(r: &mut Reader<'_>) -> Result<SignedReply, WireError> {
-    Ok(SignedReply {
-        sender: SenderId(r.u32()?),
-        sequence: r.u64()?,
-        frame: r.bytes()?.to_vec(),
-        signature: Signature::from_bytes(r.raw(16)?.try_into().expect("16 bytes")),
-    })
-}
-
-/// Encodes a fault proof for transport to the Group Manager.
-pub fn encode_proof(proof: &FaultProof) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(proof.accused.len() as u32);
-    for a in &proof.accused {
-        w.u32(a.0);
-    }
-    w.u64(proof.request_id);
-    w.u32(proof.messages.len() as u32);
-    for m in &proof.messages {
-        write_signed_reply(&mut w, m);
-    }
-    w.finish()
-}
-
-const MAX_PROOF_ITEMS: u32 = 1024;
-
-/// Decodes a fault proof.
-///
-/// # Errors
-///
-/// [`WireError`] on malformed bytes or hostile lengths.
-pub fn decode_proof(bytes: &[u8]) -> Result<FaultProof, WireError> {
-    let mut r = Reader::new(bytes);
-    let n = r.u32()?;
-    if n > MAX_PROOF_ITEMS {
-        return Err(WireError);
-    }
-    let mut accused = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        accused.push(SenderId(r.u32()?));
-    }
-    let request_id = r.u64()?;
-    let n = r.u32()?;
-    if n > MAX_PROOF_ITEMS {
-        return Err(WireError);
-    }
-    let mut messages = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        messages.push(read_signed_reply(&mut r)?);
-    }
-    r.expect_end()?;
-    Ok(FaultProof {
-        accused,
-        request_id,
-        messages,
-    })
-}
-
-impl GmOp {
-    /// Encodes for the GM ordering group.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            GmOp::Open {
-                client,
-                client_domain,
-                target,
-            } => {
-                w.u8(1);
-                w.u64(endpoint_code(*client));
-                write_option_domain(&mut w, *client_domain);
-                w.u64(target.0);
-            }
-            GmOp::ChangeProof(proof) => {
-                w.u8(2);
-                w.bytes(&encode_proof(proof));
-            }
-            GmOp::ChangeVote { accuser, accused } => {
-                w.u8(3);
-                w.u32(accuser.0);
-                w.u32(accused.0);
-            }
-            GmOp::Close(c) => {
-                w.u8(4);
-                w.u64(c.0);
-            }
-            GmOp::Admit {
-                domain,
-                replacement,
-                replaced,
-                node,
-                verifying_key,
-            } => {
-                w.u8(5);
-                w.u64(domain.0);
-                w.u32(replacement.0);
-                w.u32(replaced.0);
-                w.u64(*node);
-                w.raw(&verifying_key.to_bytes());
-            }
-            GmOp::Retire { domain, element } => {
-                w.u8(6);
-                w.u64(domain.0);
-                w.u32(element.0);
-            }
-        }
-        w.finish()
-    }
-
-    /// Decodes a GM operation.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on malformed bytes.
-    pub fn decode(bytes: &[u8]) -> Result<GmOp, WireError> {
-        let mut r = Reader::new(bytes);
-        let op = match r.u8()? {
-            1 => GmOp::Open {
-                client: code_endpoint(r.u64()?),
-                client_domain: read_option_domain(&mut r)?,
-                target: DomainId(r.u64()?),
-            },
-            2 => GmOp::ChangeProof(decode_proof(r.bytes()?)?),
-            3 => GmOp::ChangeVote {
-                accuser: SenderId(r.u32()?),
-                accused: SenderId(r.u32()?),
-            },
-            4 => GmOp::Close(ConnectionId(r.u64()?)),
-            5 => GmOp::Admit {
-                domain: DomainId(r.u64()?),
-                replacement: SenderId(r.u32()?),
-                replaced: SenderId(r.u32()?),
-                node: r.u64()?,
-                verifying_key: VerifyingKey::from_bytes(r.raw(8)?.try_into().expect("8 bytes")),
-            },
-            6 => GmOp::Retire {
-                domain: DomainId(r.u64()?),
-                element: SenderId(r.u32()?),
-            },
-            _ => return Err(WireError),
-        };
-        r.expect_end()?;
-        Ok(op)
-    }
-}
+wire_struct!(ConnectionMeta {
+    connection,
+    epoch,
+    client_code,
+    client_domain,
+    server_domain,
+});
+wire_struct!(KeyShareMsg {
+    meta,
+    gm_code,
+    sealed
+});
+wire_struct!(DirectReplyMsg {
+    connection,
+    epoch,
+    sender,
+    sequence,
+    sealed,
+    signature,
+});
+wire_struct!(NoticeMsg {
+    gm_code,
+    domain,
+    expelled,
+    sealed
+});
+wire_struct!(AdmitNoticeMsg {
+    gm_code,
+    domain,
+    admitted,
+    replaced,
+    slot,
+    node,
+    epoch,
+    verifying_key,
+    sealed,
+});
+wire_enum!(CoreMsg {
+    1 => Bft { domain, envelope },
+    2 => KeyShare(m),
+    3 => DirectReply(m),
+    4 => Notice(m),
+    5 => AdmitNotice(m),
+});
+wire_enum!(FrameKind {
+    0 => Request,
+    1 => Reply,
+});
+wire_struct!(SmiopFrame {
+    connection,
+    epoch,
+    kind,
+    sender_code,
+    request_id,
+    sequence,
+    sealed,
+    signature,
+});
+wire_enum!(GmOp {
+    1 => Open { client, client_domain, target },
+    2 => ChangeProof(proof as framed),
+    3 => ChangeVote { accuser, accused },
+    4 => Close(connection),
+    5 => Admit { domain, replacement, replaced, node, verifying_key },
+    6 => Retire { domain, element },
+});
+wire_enum!(Directive {
+    1 => KeyDist { meta, input, recipients <= MAX_PROOF_ITEMS },
+    2 => Refused(code),
+    3 => Expelled { domain, element },
+    4 => VoteRecorded,
+    5 => Admitted { domain, element, replaced, slot, node, epoch, verifying_key },
+    6 => Retired { domain, element },
+});
+wire_enum!(HealCmd {
+    1 => Accuse { accused },
+    2 => Retire,
+});
+wire_frame!(CoreMsg, SmiopFrame, GmOp, HealCmd);
 
 /// Encodes a directive list (the GM state machine's execution result).
 pub fn encode_directives(directives: &[Directive]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(directives.len() as u32);
-    for d in directives {
-        match d {
-            Directive::KeyDist {
-                meta,
-                input,
-                recipients,
-            } => {
-                w.u8(1);
-                write_meta(&mut w, meta);
-                w.raw(input);
-                w.u32(recipients.len() as u32);
-                for r in recipients {
-                    w.u64(*r);
-                }
-            }
-            Directive::Refused(code) => {
-                w.u8(2);
-                w.u32(*code);
-            }
-            Directive::Expelled { domain, element } => {
-                w.u8(3);
-                w.u64(domain.0);
-                w.u32(element.0);
-            }
-            Directive::VoteRecorded => {
-                w.u8(4);
-            }
-            Directive::Admitted {
-                domain,
-                element,
-                replaced,
-                slot,
-                node,
-                epoch,
-                verifying_key,
-            } => {
-                w.u8(5);
-                w.u64(domain.0);
-                w.u32(element.0);
-                w.u32(replaced.0);
-                w.u32(*slot);
-                w.u64(*node);
-                w.u64(*epoch);
-                w.raw(&verifying_key.to_bytes());
-            }
-            Directive::Retired { domain, element } => {
-                w.u8(6);
-                w.u64(domain.0);
-                w.u32(element.0);
-            }
-        }
-    }
-    w.finish()
+    encode_seq(directives)
 }
 
 /// Decodes a directive list.
 ///
 /// # Errors
 ///
-/// [`WireError`] on malformed bytes.
+/// [`WireError`] on malformed bytes or a list of more than
+/// [`MAX_PROOF_ITEMS`] directives.
 pub fn decode_directives(bytes: &[u8]) -> Result<Vec<Directive>, WireError> {
-    let mut r = Reader::new(bytes);
-    let n = r.u32()?;
-    if n > MAX_PROOF_ITEMS {
-        return Err(WireError);
-    }
-    let mut out = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        out.push(match r.u8()? {
-            1 => {
-                let meta = read_meta(&mut r)?;
-                let input: [u8; 32] = r.raw(32)?.try_into().expect("32 bytes");
-                let k = r.u32()?;
-                if k > MAX_PROOF_ITEMS {
-                    return Err(WireError);
-                }
-                let mut recipients = Vec::with_capacity(k as usize);
-                for _ in 0..k {
-                    recipients.push(r.u64()?);
-                }
-                Directive::KeyDist {
-                    meta,
-                    input,
-                    recipients,
-                }
-            }
-            2 => Directive::Refused(r.u32()?),
-            3 => Directive::Expelled {
-                domain: DomainId(r.u64()?),
-                element: SenderId(r.u32()?),
-            },
-            4 => Directive::VoteRecorded,
-            5 => Directive::Admitted {
-                domain: DomainId(r.u64()?),
-                element: SenderId(r.u32()?),
-                replaced: SenderId(r.u32()?),
-                slot: r.u32()?,
-                node: r.u64()?,
-                epoch: r.u64()?,
-                verifying_key: VerifyingKey::from_bytes(r.raw(8)?.try_into().expect("8 bytes")),
-            },
-            6 => Directive::Retired {
-                domain: DomainId(r.u64()?),
-                element: SenderId(r.u32()?),
-            },
-            _ => return Err(WireError),
-        });
-    }
-    r.expect_end()?;
-    Ok(out)
+    decode_seq(bytes, MAX_PROOF_ITEMS)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itdos_bft::wire::{Wire, Writer};
     use itdos_crypto::sign::SigningKey;
+    use itdos_vote::detector::SignedReply;
 
     fn sig() -> Signature {
         SigningKey::from_seed(b"s").sign(b"m")
@@ -970,7 +587,7 @@ mod tests {
         // hostile length
         let mut w = Writer::new();
         w.u32(u32::MAX);
-        assert!(decode_proof(&w.finish()).is_err());
+        assert!(FaultProof::decode(&w.finish()).is_err());
     }
 
     #[test]

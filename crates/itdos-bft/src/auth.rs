@@ -16,7 +16,8 @@ use itdos_crypto::mac::Authenticator;
 use itdos_crypto::sign::{Signature, SigningKey, VerifyingKey};
 
 use crate::config::{ClientId, ReplicaId};
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{Reader, Wire, WireError, Writer};
+use xbytes::{wire_enum, wire_frame, wire_struct};
 
 /// A protocol participant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -58,69 +59,37 @@ impl Envelope {
             AuthProof::Signature(_) => "signature",
         }
     }
+}
 
-    /// Serializes the envelope.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self.sender {
-            Peer::Replica(id) => {
-                w.u8(0);
-                w.u64(id.0 as u64);
-            }
-            Peer::Client(id) => {
-                w.u8(1);
-                w.u64(id.0);
-            }
-        }
-        w.bytes(&self.payload);
-        match &self.auth {
-            AuthProof::Macs(a) => {
-                w.u8(0);
-                w.bytes(&a.to_bytes());
-            }
-            AuthProof::Signature(s) => {
-                w.u8(1);
-                w.raw(&s.to_bytes());
-            }
-        }
-        w.finish()
+/// Hand-written: a replica id is a `u32` that travels in a `u64` slot, the
+/// same width as a client id, and one too wide for a `u32` is refused.
+impl Wire for Peer {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            Peer::Replica(id) => w.u8(0).u64(u64::from(id.0)),
+            Peer::Client(id) => w.u8(1).u64(id.0),
+        };
     }
 
-    /// Deserializes an envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on any malformation.
-    pub fn decode(bytes: &[u8]) -> Result<Envelope, WireError> {
-        let mut r = Reader::new(bytes);
-        let sender = match r.u8()? {
+    fn take(r: &mut Reader<'_>) -> Result<Peer, WireError> {
+        Ok(match r.u8()? {
             0 => Peer::Replica(ReplicaId(u32::try_from(r.u64()?).map_err(|_| WireError)?)),
             1 => Peer::Client(ClientId(r.u64()?)),
             _ => return Err(WireError),
-        };
-        let payload = r.bytes()?.to_vec();
-        let auth = match r.u8()? {
-            0 => {
-                let raw = r.bytes()?;
-                let (a, used) = Authenticator::from_bytes(raw).ok_or(WireError)?;
-                if used != raw.len() {
-                    return Err(WireError);
-                }
-                AuthProof::Macs(a)
-            }
-            1 => AuthProof::Signature(Signature::from_bytes(
-                r.raw(16)?.try_into().map_err(|_| WireError)?,
-            )),
-            _ => return Err(WireError),
-        };
-        r.expect_end()?;
-        Ok(Envelope {
-            sender,
-            payload,
-            auth,
         })
     }
 }
+
+wire_enum!(AuthProof {
+    0 => Macs(authenticator),
+    1 => Signature(signature),
+});
+wire_struct!(Envelope {
+    sender,
+    payload,
+    auth
+});
+wire_frame!(Envelope);
 
 /// Deterministic key provisioning for one BFT group.
 #[derive(Debug, Clone)]

@@ -1,6 +1,7 @@
 //! Replica configuration.
 
 use simnet::SimDuration;
+use xbytes::wire_struct;
 
 /// Identifies a replica within its BFT group (0-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -18,6 +19,11 @@ pub struct View(pub u64);
 /// A sequence number assigned by the primary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SeqNo(pub u64);
+
+wire_struct!(ReplicaId(id));
+wire_struct!(ClientId(id));
+wire_struct!(View(number));
+wire_struct!(SeqNo(number));
 
 /// Static configuration shared by all replicas of one group.
 ///

@@ -14,7 +14,8 @@ use std::sync::OnceLock;
 use itdos_crypto::hash::Digest;
 
 use crate::config::{ClientId, ReplicaId, SeqNo, View};
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{Reader, Wire, WireError, Writer};
+use xbytes::{wire_enum, wire_frame, wire_struct};
 
 /// A client's operation request.
 ///
@@ -297,308 +298,91 @@ pub enum Message {
     StateData(StateData),
 }
 
-const TAG_REQUEST: u8 = 1;
-const TAG_PRE_PREPARE: u8 = 2;
-const TAG_PREPARE: u8 = 3;
-const TAG_COMMIT: u8 = 4;
-const TAG_REPLY: u8 = 5;
-const TAG_CHECKPOINT: u8 = 6;
-const TAG_VIEW_CHANGE: u8 = 7;
-const TAG_NEW_VIEW: u8 = 8;
-const TAG_STATE_FETCH: u8 = 9;
-const TAG_STATE_DATA: u8 = 10;
-
-fn write_digest(w: &mut Writer, d: &Digest) {
-    w.raw(d.as_bytes());
-}
-
-fn read_digest(r: &mut Reader<'_>) -> Result<Digest, WireError> {
-    Ok(Digest(r.raw(32)?.try_into().map_err(|_| WireError)?))
-}
-
-fn write_request(w: &mut Writer, m: &ClientRequest) {
-    w.u64(m.client.0);
-    w.u64(m.timestamp);
-    w.u64(m.trace);
-    w.bytes(&m.operation);
-}
-
-fn read_request(r: &mut Reader<'_>) -> Result<ClientRequest, WireError> {
-    Ok(ClientRequest::new(
-        ClientId(r.u64()?),
-        r.u64()?,
-        r.u64()?,
-        r.bytes()?.to_vec(),
-    ))
-}
-
-fn write_pre_prepare(w: &mut Writer, m: &PrePrepare) {
-    w.u64(m.view.0);
-    w.u64(m.seq.0);
-    write_digest(w, &m.digest);
-    w.u32(m.batch.requests.len() as u32);
-    for req in &m.batch.requests {
-        write_request(w, req);
-    }
-}
-
-fn read_pre_prepare(r: &mut Reader<'_>) -> Result<PrePrepare, WireError> {
-    let view = View(r.u64()?);
-    let seq = SeqNo(r.u64()?);
-    let digest = read_digest(r)?;
-    let n_req = bounded(r.u32()?)?;
-    let mut requests = Vec::with_capacity(n_req.min(64) as usize);
-    for _ in 0..n_req {
-        requests.push(read_request(r)?);
-    }
-    Ok(PrePrepare {
-        view,
-        seq,
-        digest,
-        batch: Batch { requests },
-    })
-}
-
-fn write_prepare(w: &mut Writer, m: &Prepare) {
-    w.u64(m.view.0);
-    w.u64(m.seq.0);
-    write_digest(w, &m.digest);
-    w.u32(m.replica.0);
-}
-
-fn read_prepare(r: &mut Reader<'_>) -> Result<Prepare, WireError> {
-    Ok(Prepare {
-        view: View(r.u64()?),
-        seq: SeqNo(r.u64()?),
-        digest: read_digest(r)?,
-        replica: ReplicaId(r.u32()?),
-    })
-}
-
-fn write_commit(w: &mut Writer, m: &Commit) {
-    w.u64(m.view.0);
-    w.u64(m.seq.0);
-    write_digest(w, &m.digest);
-    w.u32(m.replica.0);
-}
-
-fn read_commit(r: &mut Reader<'_>) -> Result<Commit, WireError> {
-    Ok(Commit {
-        view: View(r.u64()?),
-        seq: SeqNo(r.u64()?),
-        digest: read_digest(r)?,
-        replica: ReplicaId(r.u32()?),
-    })
-}
-
-fn write_checkpoint(w: &mut Writer, m: &Checkpoint) {
-    w.u64(m.seq.0);
-    write_digest(w, &m.state_digest);
-    w.u32(m.replica.0);
-}
-
-fn read_checkpoint(r: &mut Reader<'_>) -> Result<Checkpoint, WireError> {
-    Ok(Checkpoint {
-        seq: SeqNo(r.u64()?),
-        state_digest: read_digest(r)?,
-        replica: ReplicaId(r.u32()?),
-    })
-}
-
-fn write_view_change(w: &mut Writer, m: &ViewChange) {
-    w.u64(m.new_view.0);
-    w.u64(m.stable_seq.0);
-    w.u32(m.checkpoint_proof.len() as u32);
-    for c in &m.checkpoint_proof {
-        write_checkpoint(w, c);
-    }
-    w.u32(m.prepared.len() as u32);
-    for p in &m.prepared {
-        write_pre_prepare(w, &p.pre_prepare);
-        w.u32(p.prepares.len() as u32);
-        for pr in &p.prepares {
-            write_prepare(w, pr);
-        }
-    }
-    w.u32(m.replica.0);
-}
-
+/// Bound on every decoded vector length (hostile-length defence).
 const MAX_VEC: u32 = 1 << 16;
 
-fn bounded(len: u32) -> Result<u32, WireError> {
-    if len > MAX_VEC {
-        Err(WireError)
-    } else {
-        Ok(len)
+/// Hand-written: the fields are private and a decoded request starts with
+/// an empty digest memo, which only [`ClientRequest::new`] builds.
+impl Wire for ClientRequest {
+    fn put(&self, w: &mut Writer) {
+        self.client.put(w);
+        self.timestamp.put(w);
+        self.trace.put(w);
+        self.operation.put(w);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<ClientRequest, WireError> {
+        Ok(ClientRequest::new(
+            Wire::take(r)?,
+            Wire::take(r)?,
+            Wire::take(r)?,
+            Wire::take(r)?,
+        ))
     }
 }
 
-fn read_view_change(r: &mut Reader<'_>) -> Result<ViewChange, WireError> {
-    let new_view = View(r.u64()?);
-    let stable_seq = SeqNo(r.u64()?);
-    let n_cp = bounded(r.u32()?)?;
-    let mut checkpoint_proof = Vec::with_capacity(n_cp.min(64) as usize);
-    for _ in 0..n_cp {
-        checkpoint_proof.push(read_checkpoint(r)?);
-    }
-    let n_prep = bounded(r.u32()?)?;
-    let mut prepared = Vec::with_capacity(n_prep.min(64) as usize);
-    for _ in 0..n_prep {
-        let pre_prepare = read_pre_prepare(r)?;
-        let n_pr = bounded(r.u32()?)?;
-        let mut prepares = Vec::with_capacity(n_pr.min(64) as usize);
-        for _ in 0..n_pr {
-            prepares.push(read_prepare(r)?);
-        }
-        prepared.push(PreparedProof {
-            pre_prepare,
-            prepares,
-        });
-    }
-    Ok(ViewChange {
-        new_view,
-        stable_seq,
-        checkpoint_proof,
-        prepared,
-        replica: ReplicaId(r.u32()?),
-    })
-}
+wire_struct!(Batch { requests <= MAX_VEC });
+wire_struct!(PrePrepare {
+    view,
+    seq,
+    digest,
+    batch
+});
+wire_struct!(Prepare {
+    view,
+    seq,
+    digest,
+    replica
+});
+wire_struct!(Commit {
+    view,
+    seq,
+    digest,
+    replica
+});
+wire_struct!(Reply {
+    view,
+    timestamp,
+    client,
+    replica,
+    result
+});
+wire_struct!(Checkpoint {
+    seq,
+    state_digest,
+    replica
+});
+wire_struct!(PreparedProof { pre_prepare, prepares <= MAX_VEC });
+wire_struct!(ViewChange {
+    new_view,
+    stable_seq,
+    checkpoint_proof <= MAX_VEC,
+    prepared <= MAX_VEC,
+    replica,
+});
+wire_struct!(NewView {
+    view,
+    view_changes <= MAX_VEC,
+    pre_prepares <= MAX_VEC,
+    primary,
+});
+wire_struct!(StateFetch { seq, replica });
+wire_struct!(StateData { seq, snapshot, proof <= MAX_VEC, replica });
+wire_enum!(Message {
+    1 => Request(m),
+    2 => PrePrepare(m),
+    3 => Prepare(m),
+    4 => Commit(m),
+    5 => Reply(m),
+    6 => Checkpoint(m),
+    7 => ViewChange(m),
+    8 => NewView(m),
+    9 => StateFetch(m),
+    10 => StateData(m),
+});
+wire_frame!(Message);
 
 impl Message {
-    /// Encodes to the compact wire format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            Message::Request(m) => {
-                w.u8(TAG_REQUEST);
-                write_request(&mut w, m);
-            }
-            Message::PrePrepare(m) => {
-                w.u8(TAG_PRE_PREPARE);
-                write_pre_prepare(&mut w, m);
-            }
-            Message::Prepare(m) => {
-                w.u8(TAG_PREPARE);
-                write_prepare(&mut w, m);
-            }
-            Message::Commit(m) => {
-                w.u8(TAG_COMMIT);
-                write_commit(&mut w, m);
-            }
-            Message::Reply(m) => {
-                w.u8(TAG_REPLY);
-                w.u64(m.view.0);
-                w.u64(m.timestamp);
-                w.u64(m.client.0);
-                w.u32(m.replica.0);
-                w.bytes(&m.result);
-            }
-            Message::Checkpoint(m) => {
-                w.u8(TAG_CHECKPOINT);
-                write_checkpoint(&mut w, m);
-            }
-            Message::ViewChange(m) => {
-                w.u8(TAG_VIEW_CHANGE);
-                write_view_change(&mut w, m);
-            }
-            Message::NewView(m) => {
-                w.u8(TAG_NEW_VIEW);
-                w.u64(m.view.0);
-                w.u32(m.view_changes.len() as u32);
-                for vc in &m.view_changes {
-                    write_view_change(&mut w, vc);
-                }
-                w.u32(m.pre_prepares.len() as u32);
-                for pp in &m.pre_prepares {
-                    write_pre_prepare(&mut w, pp);
-                }
-                w.u32(m.primary.0);
-            }
-            Message::StateFetch(m) => {
-                w.u8(TAG_STATE_FETCH);
-                w.u64(m.seq.0);
-                w.u32(m.replica.0);
-            }
-            Message::StateData(m) => {
-                w.u8(TAG_STATE_DATA);
-                w.u64(m.seq.0);
-                w.bytes(&m.snapshot);
-                w.u32(m.proof.len() as u32);
-                for c in &m.proof {
-                    write_checkpoint(&mut w, c);
-                }
-                w.u32(m.replica.0);
-            }
-        }
-        w.finish()
-    }
-
-    /// Decodes from the wire format.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on truncation, trailing garbage, unknown tags, or
-    /// hostile length fields — all reachable by a Byzantine peer.
-    pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
-        let mut r = Reader::new(bytes);
-        let msg = match r.u8()? {
-            TAG_REQUEST => Message::Request(read_request(&mut r)?),
-            TAG_PRE_PREPARE => Message::PrePrepare(read_pre_prepare(&mut r)?),
-            TAG_PREPARE => Message::Prepare(read_prepare(&mut r)?),
-            TAG_COMMIT => Message::Commit(read_commit(&mut r)?),
-            TAG_REPLY => Message::Reply(Reply {
-                view: View(r.u64()?),
-                timestamp: r.u64()?,
-                client: ClientId(r.u64()?),
-                replica: ReplicaId(r.u32()?),
-                result: r.bytes()?.to_vec(),
-            }),
-            TAG_CHECKPOINT => Message::Checkpoint(read_checkpoint(&mut r)?),
-            TAG_VIEW_CHANGE => Message::ViewChange(read_view_change(&mut r)?),
-            TAG_NEW_VIEW => {
-                let view = View(r.u64()?);
-                let n_vc = bounded(r.u32()?)?;
-                let mut view_changes = Vec::with_capacity(n_vc.min(64) as usize);
-                for _ in 0..n_vc {
-                    view_changes.push(read_view_change(&mut r)?);
-                }
-                let n_pp = bounded(r.u32()?)?;
-                let mut pre_prepares = Vec::with_capacity(n_pp.min(64) as usize);
-                for _ in 0..n_pp {
-                    pre_prepares.push(read_pre_prepare(&mut r)?);
-                }
-                Message::NewView(NewView {
-                    view,
-                    view_changes,
-                    pre_prepares,
-                    primary: ReplicaId(r.u32()?),
-                })
-            }
-            TAG_STATE_FETCH => Message::StateFetch(StateFetch {
-                seq: SeqNo(r.u64()?),
-                replica: ReplicaId(r.u32()?),
-            }),
-            TAG_STATE_DATA => {
-                let seq = SeqNo(r.u64()?);
-                let snapshot = r.bytes()?.to_vec();
-                let n = bounded(r.u32()?)?;
-                let mut proof = Vec::with_capacity(n.min(64) as usize);
-                for _ in 0..n {
-                    proof.push(read_checkpoint(&mut r)?);
-                }
-                Message::StateData(StateData {
-                    seq,
-                    snapshot,
-                    proof,
-                    replica: ReplicaId(r.u32()?),
-                })
-            }
-            _ => return Err(WireError),
-        };
-        r.expect_end()?;
-        Ok(msg)
-    }
-
     /// A short protocol-phase label for network statistics.
     pub fn label(&self) -> &'static str {
         match self {

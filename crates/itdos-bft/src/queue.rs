@@ -21,7 +21,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use itdos_crypto::hash::Digest;
 
 use crate::state::StateMachine;
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{put_seq, take_seq, Reader, Wire, WireError, Writer};
+use xbytes::{wire_enum, wire_frame, wire_struct};
 
 /// Identifies a replication domain element within its queue group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,53 +52,14 @@ pub enum QueueOp {
 /// must recognise without decoding.
 const JOIN_TAG: u8 = 3;
 
-impl QueueOp {
-    /// Encodes the operation.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            QueueOp::Deliver(payload) => {
-                w.u8(0);
-                w.bytes(payload);
-            }
-            QueueOp::Ack { element, up_to } => {
-                w.u8(1);
-                w.u32(element.0);
-                w.u64(*up_to);
-            }
-            QueueOp::Expel(e) => {
-                w.u8(2);
-                w.u32(e.0);
-            }
-            QueueOp::Join(e) => {
-                w.u8(JOIN_TAG);
-                w.u32(e.0);
-            }
-        }
-        w.finish()
-    }
-
-    /// Decodes an operation.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on malformed bytes.
-    pub fn decode(bytes: &[u8]) -> Result<QueueOp, WireError> {
-        let mut r = Reader::new(bytes);
-        let op = match r.u8()? {
-            0 => QueueOp::Deliver(r.bytes()?.to_vec()),
-            1 => QueueOp::Ack {
-                element: ElementId(r.u32()?),
-                up_to: r.u64()?,
-            },
-            2 => QueueOp::Expel(ElementId(r.u32()?)),
-            JOIN_TAG => QueueOp::Join(ElementId(r.u32()?)),
-            _ => return Err(WireError),
-        };
-        r.expect_end()?;
-        Ok(op)
-    }
-}
+wire_struct!(ElementId(id));
+wire_enum!(QueueOp {
+    0 => Deliver(payload),
+    1 => Ack { element, up_to },
+    2 => Expel(element),
+    JOIN_TAG => Join(element),
+});
+wire_frame!(QueueOp);
 
 /// One queued message with its absolute index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,6 +69,8 @@ pub struct QueueEntry {
     /// Message payload.
     pub payload: Vec<u8>,
 }
+
+wire_struct!(QueueEntry { index, payload });
 
 /// Result of applying a queue operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -298,28 +262,13 @@ impl StateMachine for QueueMachine {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.capacity as u64);
-        w.u64(self.next_index);
-        w.raw(self.chain.as_bytes());
-        w.u32(self.entries.len() as u32);
-        for e in &self.entries {
-            w.u64(e.index);
-            w.bytes(&e.payload);
-        }
-        w.u32(self.members.len() as u32);
-        for m in &self.members {
-            w.u32(m.0);
-            w.u64(self.acks.get(m).copied().unwrap_or(0));
-        }
-        w.finish()
+        self.encode()
     }
 
     fn restore(&mut self, snapshot: &[u8]) {
-        let Ok(restored) = restore_queue(snapshot) else {
-            return;
-        };
-        *self = restored;
+        if let Ok(restored) = QueueMachine::decode(snapshot) {
+            *self = restored;
+        }
     }
 
     fn is_barrier(&self, operation: &[u8]) -> bool {
@@ -333,39 +282,45 @@ impl StateMachine for QueueMachine {
     }
 }
 
-fn restore_queue(snapshot: &[u8]) -> Result<QueueMachine, WireError> {
-    let mut r = Reader::new(snapshot);
-    let capacity = r.u64()? as usize;
-    let next_index = r.u64()?;
-    let chain = Digest(r.raw(32)?.try_into().map_err(|_| WireError)?);
-    let n_entries = r.u32()?;
-    let mut entries = VecDeque::with_capacity(n_entries.min(1024) as usize);
-    let mut bytes_used = 0usize;
-    for _ in 0..n_entries {
-        let index = r.u64()?;
-        let payload = r.bytes()?.to_vec();
-        bytes_used += payload.len();
-        entries.push_back(QueueEntry { index, payload });
+/// Bound on the retained messages and on the members one snapshot may
+/// claim (hostile-length defence).
+const MAX_SNAPSHOT_ITEMS: u32 = 1 << 20;
+
+/// The snapshot format. Hand-written because it is a projection of the
+/// machine: `bytes_used` is derived from the entries, and the member set
+/// and the ack table travel as one list of `(member, ack)` pairs.
+impl Wire for QueueMachine {
+    fn put(&self, w: &mut Writer) {
+        (self.capacity as u64).put(w);
+        self.next_index.put(w);
+        self.chain.put(w);
+        put_seq(w, self.entries.iter());
+        w.count(self.members.len());
+        for member in &self.members {
+            member.put(w);
+            self.acks.get(member).copied().unwrap_or(0).put(w);
+        }
     }
-    let n_members = r.u32()?;
-    let mut members = BTreeSet::new();
-    let mut acks = BTreeMap::new();
-    for _ in 0..n_members {
-        let m = ElementId(r.u32()?);
-        let ack = r.u64()?;
-        members.insert(m);
-        acks.insert(m, ack);
+
+    fn take(r: &mut Reader<'_>) -> Result<QueueMachine, WireError> {
+        let capacity = usize::try_from(u64::take(r)?).map_err(|_| WireError)?;
+        let next_index = Wire::take(r)?;
+        let chain = Wire::take(r)?;
+        let entries: Vec<QueueEntry> = take_seq(r, MAX_SNAPSHOT_ITEMS)?;
+        let mut acks = BTreeMap::new();
+        for _ in 0..r.count(MAX_SNAPSHOT_ITEMS)? {
+            acks.insert(ElementId::take(r)?, u64::take(r)?);
+        }
+        Ok(QueueMachine {
+            capacity,
+            bytes_used: entries.iter().map(|e| e.payload.len()).sum(),
+            entries: entries.into(),
+            next_index,
+            members: acks.keys().copied().collect(),
+            acks,
+            chain,
+        })
     }
-    r.expect_end()?;
-    Ok(QueueMachine {
-        capacity,
-        entries,
-        next_index,
-        bytes_used,
-        acks,
-        members,
-        chain,
-    })
 }
 
 #[cfg(test)]

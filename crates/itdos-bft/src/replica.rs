@@ -7,6 +7,7 @@
 //! follow Castro–Liskov \[7\]; the ITDOS message-queue adaptation builds on
 //! top in [`crate::queue`].
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use itdos_crypto::hash::Digest;
@@ -19,7 +20,7 @@ use crate::message::{
     Reply, StateData, StateFetch, ViewChange,
 };
 use crate::state::StateMachine;
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{Reader, Wire, WireError, Writer};
 
 /// Per-client exactly-once record: replies for the last
 /// [`GroupConfig::client_reply_window`] executed timestamps, plus the
@@ -766,7 +767,11 @@ impl<S: StateMachine> Replica<S> {
         // transfer can verify a received snapshot against checkpoint votes;
         // the payload carries the reply cache alongside the application
         // snapshot so a transferred replica keeps exactly-once semantics
-        let payload = encode_transfer_payload(&self.app.snapshot(), &self.client_table);
+        let payload = TransferPayload {
+            app_snapshot: self.app.snapshot(),
+            table: Cow::Borrowed(&self.client_table),
+        }
+        .encode();
         let state_digest = snapshot_digest(&payload);
         self.log.store_own_checkpoint(seq, state_digest, payload);
         self.obs.incr("bft.checkpoints", &self.obs_label());
@@ -974,10 +979,10 @@ impl<S: StateMachine> Replica<S> {
         // the payload is a correct replica's bytes (trust implies at least
         // one honest attester), so a decode failure means corruption below
         // the trust rules — refuse rather than restore garbage
-        let Ok((app_snapshot, reply_cache)) = decode_transfer_payload(&data.snapshot) else {
+        let Ok(payload) = TransferPayload::decode(&data.snapshot) else {
             return;
         };
-        self.app.restore(&app_snapshot);
+        self.app.restore(&payload.app_snapshot);
         if self.joining {
             self.joining = false;
             // adopt the (f+1)-th highest view observed while quiescent:
@@ -997,25 +1002,14 @@ impl<S: StateMachine> Replica<S> {
                 ],
             );
         }
-        // rebuild the duplicate-suppression table from the transferred
-        // cache; view/replica are local presentation fields on resend
-        self.client_table.clear();
-        for (client, floor, replies) in reply_cache {
-            let mut record = ClientRecord {
-                replies: BTreeMap::new(),
-                floor,
-            };
-            for (timestamp, result) in replies {
-                let reply = Reply {
-                    view: self.view,
-                    timestamp,
-                    client,
-                    replica: self.id,
-                    result,
-                };
-                record.replies.insert(timestamp, reply);
+        // adopt the transferred duplicate-suppression table; view/replica
+        // are local presentation fields on resend
+        self.client_table = payload.table.into_owned();
+        for record in self.client_table.values_mut() {
+            for reply in record.replies.values_mut() {
+                reply.view = self.view;
+                reply.replica = self.id;
             }
-            self.client_table.insert(client, record);
         }
         self.last_executed = data.seq;
         self.next_seq = self.next_seq.max(data.seq);
@@ -1369,62 +1363,64 @@ pub fn snapshot_digest(snapshot: &[u8]) -> Digest {
 /// Bound on decoded table lengths (hostile-length defence).
 const MAX_TABLE: u32 = 1 << 16;
 
-/// Encodes the state-transfer payload: the application snapshot plus the
+/// The state-transfer payload: the application snapshot plus the
 /// per-client reply cache, so a transferred replica keeps suppressing
-/// duplicates and resending cached replies. Only order-determined fields
-/// (client, floor, timestamp, result) are encoded — `Reply::view` and
+/// duplicates and resending cached replies.
+///
+/// Hand-written because it is a projection of live state, encoded from the
+/// replica's own table without copying it: only order-determined fields
+/// (client, floor, timestamp, result) travel — `Reply::view` and
 /// `Reply::replica` vary across correct replicas and would break
-/// byte-identical checkpoints.
-fn encode_transfer_payload(
-    app_snapshot: &[u8],
-    table: &BTreeMap<ClientId, ClientRecord>,
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.bytes(app_snapshot);
-    w.u32(table.len() as u32);
-    for (client, record) in table {
-        w.u64(client.0);
-        w.u64(record.floor);
-        w.u32(record.replies.len() as u32);
-        for (timestamp, reply) in &record.replies {
-            w.u64(*timestamp);
-            w.bytes(&reply.result);
-        }
-    }
-    w.finish()
+/// byte-identical checkpoints. A decoded payload holds placeholders there,
+/// which the restoring replica overwrites with its own view and id.
+#[derive(Debug, Clone)]
+pub struct TransferPayload<'a> {
+    app_snapshot: Vec<u8>,
+    table: Cow<'a, BTreeMap<ClientId, ClientRecord>>,
 }
 
-/// One decoded reply-cache record: (client, floor, [(timestamp, result)]).
-type DecodedCache = Vec<(ClientId, u64, Vec<(u64, Vec<u8>)>)>;
+impl Wire for TransferPayload<'_> {
+    fn put(&self, w: &mut Writer) {
+        self.app_snapshot.put(w);
+        w.count(self.table.len());
+        for (client, record) in self.table.iter() {
+            client.put(w);
+            record.floor.put(w);
+            w.count(record.replies.len());
+            for (timestamp, reply) in &record.replies {
+                timestamp.put(w);
+                reply.result.put(w);
+            }
+        }
+    }
 
-/// Decodes a transfer payload into the application snapshot and the raw
-/// reply-cache records (the restoring replica rebuilds [`Reply`] values
-/// with its own id and view).
-fn decode_transfer_payload(bytes: &[u8]) -> Result<(Vec<u8>, DecodedCache), WireError> {
-    let mut r = Reader::new(bytes);
-    let app_snapshot = r.bytes()?.to_vec();
-    let n_clients = r.u32()?;
-    if n_clients > MAX_TABLE {
-        return Err(WireError);
-    }
-    let mut cache = Vec::with_capacity(n_clients.min(64) as usize);
-    for _ in 0..n_clients {
-        let client = ClientId(r.u64()?);
-        let floor = r.u64()?;
-        let n_replies = r.u32()?;
-        if n_replies > MAX_TABLE {
-            return Err(WireError);
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let app_snapshot = Wire::take(r)?;
+        let mut table = BTreeMap::new();
+        for _ in 0..r.count(MAX_TABLE)? {
+            let client = ClientId::take(r)?;
+            let mut record = ClientRecord {
+                floor: Wire::take(r)?,
+                replies: BTreeMap::new(),
+            };
+            for _ in 0..r.count(MAX_TABLE)? {
+                let timestamp = Wire::take(r)?;
+                let reply = Reply {
+                    view: View(0),
+                    timestamp,
+                    client,
+                    replica: ReplicaId(0),
+                    result: Wire::take(r)?,
+                };
+                record.replies.insert(timestamp, reply);
+            }
+            table.insert(client, record);
         }
-        let mut replies = Vec::with_capacity(n_replies.min(64) as usize);
-        for _ in 0..n_replies {
-            let timestamp = r.u64()?;
-            let result = r.bytes()?.to_vec();
-            replies.push((timestamp, result));
-        }
-        cache.push((client, floor, replies));
+        Ok(TransferPayload {
+            app_snapshot,
+            table: Cow::Owned(table),
+        })
     }
-    r.expect_end()?;
-    Ok((app_snapshot, cache))
 }
 
 #[cfg(test)]
@@ -1459,14 +1455,19 @@ mod tests {
                 )]),
             },
         );
-        let payload = encode_transfer_payload(b"snapshot-bytes", &table);
-        let (snapshot, cache) = decode_transfer_payload(&payload).unwrap();
-        assert_eq!(snapshot, b"snapshot-bytes");
-        assert_eq!(cache, vec![(ClientId(7), 3, vec![(4, vec![9, 9])])]);
-
-        // hostile inputs surface WireError, never a panic
-        assert!(decode_transfer_payload(&payload[..payload.len() - 1]).is_err());
-        assert!(decode_transfer_payload(&[0xFF; 6]).is_err());
+        let payload = TransferPayload {
+            app_snapshot: b"snapshot-bytes".to_vec(),
+            table: Cow::Borrowed(&table),
+        }
+        .encode();
+        let decoded = TransferPayload::decode(&payload).unwrap();
+        assert_eq!(decoded.app_snapshot, b"snapshot-bytes");
+        // only the order-determined fields travel
+        let record = &decoded.table[&ClientId(7)];
+        assert_eq!(record.floor, 3);
+        assert_eq!(record.replies[&4].result, vec![9, 9]);
+        assert_eq!(record.replies[&4].view, View(0));
+        assert_eq!(decoded.encode(), payload);
     }
 
     /// Drives a full in-memory group of 4 replicas by relaying outputs.
@@ -2328,7 +2329,11 @@ mod tests {
             );
         }
         // f+1 byte-identical offers complete the transfer
-        let payload = encode_transfer_payload(&CounterMachine::new().snapshot(), &BTreeMap::new());
+        let payload = TransferPayload {
+            app_snapshot: CounterMachine::new().snapshot(),
+            table: Cow::Owned(BTreeMap::new()),
+        }
+        .encode();
         for i in 0..2u32 {
             r3.on_message(
                 ReplicaId(i),

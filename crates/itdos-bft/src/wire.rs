@@ -1,194 +1,7 @@
 //! Compact binary codec for BFT protocol messages.
 //!
-//! Protocol messages are *not* GIOP: they are the transport beneath it, so
-//! they use a fixed little-endian framing independent of platform profiles
-//! (exactly as the Castro–Liskov library's wire format was independent of
-//! the application's marshalling).
+//! The codec lives in [`xbytes::wire`], the leaf crate every wire-bearing
+//! crate can see, so each type implements [`Wire`] where it is defined;
+//! this module keeps the historical path.
 
-/// Writer for the compact format.
-#[derive(Debug, Default)]
-pub struct Writer {
-    buffer: Vec<u8>,
-}
-
-impl Writer {
-    /// Creates an empty writer.
-    pub fn new() -> Writer {
-        Writer::default()
-    }
-
-    /// Appends a tag/length-free u8.
-    pub fn u8(&mut self, v: u8) -> &mut Writer {
-        self.buffer.push(v);
-        self
-    }
-
-    /// Appends a little-endian u32.
-    pub fn u32(&mut self, v: u32) -> &mut Writer {
-        self.buffer.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a little-endian u64.
-    pub fn u64(&mut self, v: u64) -> &mut Writer {
-        self.buffer.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends raw bytes with a u32 length prefix.
-    pub fn bytes(&mut self, v: &[u8]) -> &mut Writer {
-        // encoder input is locally built, never a hostile length
-        self.u32(v.len() as u32); // itdos-lint: allow(hostile-arith) -- encode-side length of a local buffer; protocol frames are bounded far below u32::MAX and the decode side enforces it
-        self.buffer.extend_from_slice(v);
-        self
-    }
-
-    /// Appends fixed-size raw bytes without a length prefix.
-    pub fn raw(&mut self, v: &[u8]) -> &mut Writer {
-        self.buffer.extend_from_slice(v);
-        self
-    }
-
-    /// Finishes, returning the encoded bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buffer
-    }
-
-    /// Current length.
-    pub fn len(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buffer.is_empty()
-    }
-}
-
-/// Decode failure: input truncated or length field hostile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireError;
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed wire message")
-    }
-}
-
-impl std::error::Error for WireError {}
-
-/// Reader over the compact format.
-#[derive(Debug)]
-pub struct Reader<'a> {
-    bytes: &'a [u8],
-    position: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Creates a reader.
-    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, position: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        // checked: `position + n` must not wrap when `n` is hostile
-        let end = self.position.checked_add(n).ok_or(WireError)?;
-        let s = self.bytes.get(self.position..end).ok_or(WireError)?;
-        self.position = end;
-        Ok(s)
-    }
-
-    /// Reads a u8.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        let raw = self.take(4)?.try_into().map_err(|_| WireError)?;
-        Ok(u32::from_le_bytes(raw))
-    }
-
-    /// Reads a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        let raw = self.take(8)?.try_into().map_err(|_| WireError)?;
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    /// Reads length-prefixed bytes.
-    pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    /// Reads exactly `n` raw bytes.
-    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        self.take(n)
-    }
-
-    /// Remaining unread bytes.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.position
-    }
-
-    /// Fails unless the reader is exhausted.
-    pub fn expect_end(&self) -> Result<(), WireError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(WireError)
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn round_trip_all_field_kinds() {
-        let mut w = Writer::new();
-        w.u8(7)
-            .u32(0xDEAD)
-            .u64(u64::MAX)
-            .bytes(b"hello")
-            .raw(&[1, 2]);
-        let buf = w.finish();
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xDEAD);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.bytes().unwrap(), b"hello");
-        assert_eq!(r.raw(2).unwrap(), &[1, 2]);
-        assert!(r.expect_end().is_ok());
-    }
-
-    #[test]
-    fn truncation_detected() {
-        let mut w = Writer::new();
-        w.u64(1);
-        let buf = w.finish();
-        let mut r = Reader::new(&buf[..7]);
-        assert_eq!(r.u64(), Err(WireError));
-    }
-
-    #[test]
-    fn hostile_length_field_detected() {
-        // claims 1000 bytes, has 2
-        let mut w = Writer::new();
-        w.u32(1000).raw(&[1, 2]);
-        let buf = w.finish();
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.bytes(), Err(WireError));
-    }
-
-    #[test]
-    fn expect_end_catches_trailing_garbage() {
-        let mut w = Writer::new();
-        w.u8(1).u8(2);
-        let buf = w.finish();
-        let mut r = Reader::new(&buf);
-        r.u8().unwrap();
-        assert_eq!(r.expect_end(), Err(WireError));
-    }
-}
+pub use xbytes::wire::*;

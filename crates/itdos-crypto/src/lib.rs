@@ -61,6 +61,7 @@ pub mod rngshare;
 pub mod shamir;
 pub mod sign;
 pub mod symmetric;
+mod wire;
 
 pub use hash::Digest;
 pub use keys::SymmetricKey;

@@ -1,0 +1,49 @@
+//! How this crate's values travel in the compact wire format.
+//!
+//! [`Digest`] is declared; the other three convert through the byte forms
+//! they already own, so their layout stays where their tests pin it.
+
+use xbytes::wire::{Reader, Wire, WireError, Writer};
+use xbytes::wire_struct;
+
+use crate::hash::Digest;
+use crate::mac::Authenticator;
+use crate::sign::{Signature, VerifyingKey};
+
+wire_struct!(Digest(bytes));
+
+impl Wire for Signature {
+    fn put(&self, w: &mut Writer) {
+        self.to_bytes().put(w);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Signature, WireError> {
+        Wire::take(r).map(Signature::from_bytes)
+    }
+}
+
+impl Wire for VerifyingKey {
+    fn put(&self, w: &mut Writer) {
+        self.to_bytes().put(w);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<VerifyingKey, WireError> {
+        Wire::take(r).map(VerifyingKey::from_bytes)
+    }
+}
+
+/// [`Authenticator::to_bytes`] nested as length-prefixed bytes, which the
+/// parsed authenticator must fill exactly.
+impl Wire for Authenticator {
+    fn put(&self, w: &mut Writer) {
+        w.bytes(&self.to_bytes());
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Authenticator, WireError> {
+        let raw = r.bytes()?;
+        match Authenticator::from_bytes(raw) {
+            Some((authenticator, used)) if used == raw.len() => Ok(authenticator),
+            _ => Err(WireError),
+        }
+    }
+}

@@ -32,6 +32,8 @@ use crate::membership::{DomainId, ElementRecord, Endpoint, Membership};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnectionId(pub u64);
 
+xbytes::wire_struct!(ConnectionId(id));
+
 /// One established connection's record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnectionRecord {

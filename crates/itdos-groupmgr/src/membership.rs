@@ -9,10 +9,14 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use itdos_crypto::sign::VerifyingKey;
 use itdos_vote::vote::SenderId;
+use xbytes::wire::{Reader, Wire, WireError, Writer};
+use xbytes::wire_struct;
 
 /// Identifies a replication domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DomainId(pub u64);
+
+wire_struct!(DomainId(id));
 
 impl std::fmt::Display for DomainId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -28,6 +32,53 @@ pub enum Endpoint {
     Singleton(u64),
     /// An element of a replication domain.
     Element(SenderId),
+}
+
+/// Offset separating element codes from singleton-client codes.
+pub const ELEMENT_CODE_BASE: u64 = 1_000_000;
+
+/// The endpoint code for a singleton client id.
+pub fn singleton_code(id: u64) -> u64 {
+    debug_assert!(
+        id < ELEMENT_CODE_BASE,
+        "singleton ids must stay below the element base"
+    );
+    id
+}
+
+/// The endpoint code for a domain element.
+pub fn element_code(id: SenderId) -> u64 {
+    ELEMENT_CODE_BASE + id.0 as u64
+}
+
+/// The endpoint code of any [`Endpoint`]: the globally unique `u64` that
+/// names it in BFT client identities, pairwise key derivation, fabric
+/// addressing and on the wire.
+pub fn endpoint_code(endpoint: Endpoint) -> u64 {
+    match endpoint {
+        Endpoint::Singleton(id) => singleton_code(id),
+        Endpoint::Element(e) => element_code(e),
+    }
+}
+
+/// Decodes an endpoint code.
+pub fn code_endpoint(code: u64) -> Endpoint {
+    if code >= ELEMENT_CODE_BASE {
+        Endpoint::Element(SenderId((code - ELEMENT_CODE_BASE) as u32))
+    } else {
+        Endpoint::Singleton(code)
+    }
+}
+
+/// An endpoint travels as its endpoint code.
+impl Wire for Endpoint {
+    fn put(&self, w: &mut Writer) {
+        endpoint_code(*self).put(w);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Endpoint, WireError> {
+        u64::take(r).map(code_endpoint)
+    }
 }
 
 /// One element's registration record.

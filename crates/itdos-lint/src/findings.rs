@@ -20,8 +20,8 @@ pub enum Rule {
     /// L5 — decode paths that parse attacker-controlled lengths must not
     /// index, cast, or do arithmetic on them unchecked.
     HostileArith,
-    /// L6 — every wire type's encode/decode pair must stay field-symmetric
-    /// and be registered in a round-trip property test.
+    /// L6 — every wire type must stay encode/decode symmetric: declared
+    /// once beneath GIOP, registered in a round-trip test above it.
     WireSymmetry,
     /// L7 — nested lock acquisitions must follow one global order and no
     /// lock may be held across a send/recv call.

@@ -35,12 +35,15 @@ pub const HOSTILE_ARITH_CRATES: &[&str] = &["itdos-bft", "itdos-giop", "itdos-gr
 
 /// True when L5 applies to `rel_path` of `crate_name`. The core crate is
 /// scoped to its wire/keying decode surfaces; ORB glue and element logic
-/// there never touch raw attacker bytes directly.
+/// there never touch raw attacker bytes directly. `xbytes` is in scope for
+/// the compact-wire reader alone.
 pub fn in_scope(crate_name: &str, rel_path: &str) -> bool {
     if HOSTILE_ARITH_CRATES.contains(&crate_name) {
         return true;
     }
-    crate_name == "itdos" && (rel_path.ends_with("/wire.rs") || rel_path.ends_with("/keying.rs"))
+    let wire = rel_path.ends_with("/wire.rs");
+    (crate_name == "itdos" && (wire || rel_path.ends_with("/keying.rs")))
+        || (crate_name == "xbytes" && wire)
 }
 
 /// Reader/decoder methods whose return value is attacker-controlled.
@@ -506,6 +509,9 @@ fn scan_sinks(
                 || (prev.kind == Kind::Ident && !is_keyword(prev)))
         {
             let ls = expr_start(toks, i - 1);
+            if ls > 0 && toks[ls].is_p("(") && toks[ls - 1].is_p("$") {
+                continue; // `$( .. )*` / `$( .. )+`: a macro repetition, not arithmetic
+            }
             let re = expr_end(toks, i + 1, end);
             let left_hot = range_tainted(toks, ls, i, taint) && !sanctioned(toks, ls, i);
             let right_hot = range_tainted(toks, i + 1, re, taint) && !sanctioned(toks, i + 1, re);
@@ -542,6 +548,12 @@ mod tests {
             run("fn take(bytes: &[u8], pos: usize, n: usize) -> bool { pos + n > bytes.len() }");
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("checked_add"));
+    }
+
+    #[test]
+    fn macro_repetition_is_not_multiplication() {
+        let f = run("fn take(r: &mut Reader<'_>) -> T { match r.u8()? { $($tag => $v,)* } }");
+        assert!(f.is_empty(), "{f:#?}");
     }
 
     #[test]

@@ -19,6 +19,7 @@ use itdos_crypto::sign::{Signature, SigningKey, VerifyingKey};
 use itdos_giop::giop::{decode_message, GiopMessage};
 use itdos_giop::idl::InterfaceRepository;
 use itdos_giop::types::Value;
+use xbytes::wire_struct;
 
 use crate::comparator::Comparator;
 use crate::vote::{vote, Candidate, SenderId, Thresholds, VoteOutcome};
@@ -35,6 +36,13 @@ pub struct SignedReply {
     /// Signature over `(sender, sequence, frame)`.
     pub signature: Signature,
 }
+
+wire_struct!(SignedReply {
+    sender,
+    sequence,
+    frame,
+    signature
+});
 
 fn signing_payload(sender: SenderId, sequence: u64, frame: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(frame.len() + 20);
@@ -76,6 +84,15 @@ pub struct FaultProof {
     /// The signed replies through which the fault was detected.
     pub messages: Vec<SignedReply>,
 }
+
+/// Most accused elements, and most signed replies, one proof may carry.
+pub const MAX_PROOF_ITEMS: u32 = 1024;
+
+wire_struct!(FaultProof {
+    accused <= MAX_PROOF_ITEMS,
+    request_id,
+    messages <= MAX_PROOF_ITEMS,
+});
 
 /// Why a proof was rejected.
 #[derive(Debug, Clone, PartialEq)]

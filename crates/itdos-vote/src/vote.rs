@@ -17,6 +17,8 @@ use crate::comparator::Comparator;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SenderId(pub u32);
 
+xbytes::wire_struct!(SenderId(id));
+
 /// One candidate in a vote.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {

@@ -6,6 +6,10 @@
 //! `Arc` bump, not a copy. [`BytesMut`] is the growable builder that
 //! [freezes](BytesMut::freeze) into a [`Bytes`].
 //!
+//! The [`wire`] module is ITDOS's own: the compact wire format beneath
+//! GIOP. It lives in this leaf crate so that every crate owning a wire type
+//! can implement [`wire::Wire`] for it.
+//!
 //! Only the slice of the upstream `bytes` API that this workspace uses is
 //! implemented (construction, cheap clone, `Deref` to `[u8]`, `slice`);
 //! anything reachable through `&[u8]` comes for free via `Deref`.
@@ -19,6 +23,8 @@
 //! assert_eq!(payload.slice(1..3), Bytes::from_static(&[2, 3]));
 //! assert_eq!(fanout[3].len(), 4);
 //! ```
+
+pub mod wire;
 
 use std::borrow::Borrow;
 use std::fmt;

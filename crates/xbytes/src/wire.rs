@@ -1,0 +1,551 @@
+//! The compact wire format beneath GIOP, and the one place it is spelled.
+//!
+//! Protocol messages are *not* GIOP: they are the transport beneath it, so
+//! they use a fixed little-endian framing independent of platform profiles
+//! (exactly as the Castro–Liskov library's wire format was independent of
+//! the application's marshalling).
+//!
+//! A type crosses the fabric by implementing [`Wire`]. The primitives are
+//! implemented here once; every struct and enum is *declared* once, with
+//! [`wire_struct!`](crate::wire_struct) or [`wire_enum!`](crate::wire_enum),
+//! and both directions are generated from that one field list — a field
+//! cannot be written without being read, read in another order, or left
+//! out. Truncation, a trailing byte, an unknown tag and an over-bound count
+//! are each rejected in exactly one place below.
+
+/// Writer for the compact format.
+#[derive(Debug, Default)]
+pub struct Writer {
+    buffer: Vec<u8>,
+}
+
+impl Writer {
+    /// Creates an empty writer.
+    pub fn new() -> Writer {
+        Writer::default()
+    }
+
+    /// Appends a tag/length-free u8.
+    pub fn u8(&mut self, v: u8) -> &mut Writer {
+        self.buffer.push(v);
+        self
+    }
+
+    /// Appends a little-endian u32.
+    pub fn u32(&mut self, v: u32) -> &mut Writer {
+        self.buffer.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    /// Appends a little-endian u64.
+    pub fn u64(&mut self, v: u64) -> &mut Writer {
+        self.buffer.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    /// Appends a byte length or an element count as a u32 prefix.
+    pub fn count(&mut self, n: usize) -> &mut Writer {
+        // encoder input is locally built, never a hostile length
+        self.u32(n as u32) // itdos-lint: allow(hostile-arith) -- encode-side length of a local buffer; protocol frames are bounded far below u32::MAX and the decode side enforces it
+    }
+
+    /// Appends raw bytes with a u32 length prefix.
+    pub fn bytes(&mut self, v: &[u8]) -> &mut Writer {
+        self.count(v.len()).raw(v)
+    }
+
+    /// Appends fixed-size raw bytes without a length prefix.
+    pub fn raw(&mut self, v: &[u8]) -> &mut Writer {
+        self.buffer.extend_from_slice(v);
+        self
+    }
+
+    /// Finishes, returning the encoded bytes.
+    pub fn finish(self) -> Vec<u8> {
+        self.buffer
+    }
+}
+
+/// Decode failure: input truncated or length field hostile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireError;
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "malformed wire message")
+    }
+}
+
+impl std::error::Error for WireError {}
+
+/// Reader over the compact format.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    position: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// Creates a reader.
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { bytes, position: 0 }
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        // checked: `position + n` must not wrap when `n` is hostile
+        let end = self.position.checked_add(n).ok_or(WireError)?;
+        let s = self.bytes.get(self.position..end).ok_or(WireError)?;
+        self.position = end;
+        Ok(s)
+    }
+
+    /// Reads a u8.
+    pub fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// Reads a little-endian u32.
+    pub fn u32(&mut self) -> Result<u32, WireError> {
+        let raw = self.take(4)?.try_into().map_err(|_| WireError)?;
+        Ok(u32::from_le_bytes(raw))
+    }
+
+    /// Reads a little-endian u64.
+    pub fn u64(&mut self) -> Result<u64, WireError> {
+        let raw = self.take(8)?.try_into().map_err(|_| WireError)?;
+        Ok(u64::from_le_bytes(raw))
+    }
+
+    /// Reads an element count, refusing one above `max` before anything
+    /// is allocated for it.
+    pub fn count(&mut self, max: u32) -> Result<usize, WireError> {
+        let n = self.u32()?;
+        if n > max {
+            return Err(WireError);
+        }
+        Ok(n as usize)
+    }
+
+    /// Reads length-prefixed bytes.
+    pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
+    /// Reads exactly `n` raw bytes.
+    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        self.take(n)
+    }
+
+    /// Remaining unread bytes.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.position
+    }
+
+    /// Fails unless the reader is exhausted.
+    pub fn expect_end(&self) -> Result<(), WireError> {
+        if self.remaining() == 0 {
+            Ok(())
+        } else {
+            Err(WireError)
+        }
+    }
+}
+
+/// Runs `put` on a fresh writer and returns what it wrote.
+fn written(put: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    put(&mut w);
+    w.finish()
+}
+
+/// Runs `take` over all of `bytes`: a value followed by anything is refused.
+fn whole<T>(
+    bytes: &[u8],
+    take: impl FnOnce(&mut Reader<'_>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let mut r = Reader::new(bytes);
+    let value = take(&mut r)?;
+    r.expect_end()?;
+    Ok(value)
+}
+
+/// A value with one compact-wire layout, written by [`put`](Wire::put) and
+/// read back by [`take`](Wire::take).
+pub trait Wire: Sized {
+    /// Appends this value.
+    fn put(&self, w: &mut Writer);
+
+    /// Reads one value from the front of `r`.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on truncation, an unknown tag or an over-bound count —
+    /// all reachable by a Byzantine peer.
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError>;
+
+    /// Encodes this value alone into a buffer.
+    fn encode(&self) -> Vec<u8> {
+        written(|w| self.put(w))
+    }
+
+    /// Decodes a buffer holding exactly one value.
+    ///
+    /// # Errors
+    ///
+    /// As [`take`](Wire::take), and on any trailing byte.
+    fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        whole(bytes, Self::take)
+    }
+}
+
+/// Little-endian integers, through the reader/writer method of the same name.
+macro_rules! wire_int {
+    ($($int:ident),+) => {$(
+        impl Wire for $int {
+            fn put(&self, w: &mut Writer) {
+                w.$int(*self);
+            }
+
+            fn take(r: &mut Reader<'_>) -> Result<$int, WireError> {
+                r.$int()
+            }
+        }
+    )+};
+}
+wire_int!(u8, u32, u64);
+
+/// Fixed-size raw bytes, no length prefix.
+impl<const N: usize> Wire for [u8; N] {
+    fn put(&self, w: &mut Writer) {
+        w.raw(self);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<[u8; N], WireError> {
+        r.raw(N)?.try_into().map_err(|_| WireError)
+    }
+}
+
+/// Length-prefixed bytes. The claimed length is checked against the bytes
+/// present before the copy is allocated.
+impl Wire for Vec<u8> {
+    fn put(&self, w: &mut Writer) {
+        w.bytes(self);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Vec<u8>, WireError> {
+        Ok(r.bytes()?.to_vec())
+    }
+}
+
+/// A 0/1 presence tag, then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            None => {
+                w.u8(0);
+            }
+            Some(value) => {
+                w.u8(1);
+                value.put(w);
+            }
+        }
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Option<T>, WireError> {
+        Ok(match r.u8()? {
+            0 => None,
+            1 => Some(T::take(r)?),
+            _ => return Err(WireError),
+        })
+    }
+}
+
+/// Appends an element count, then each item (a `field <= MAX` declaration).
+pub fn put_seq<'a, T: Wire + 'a>(w: &mut Writer, items: impl ExactSizeIterator<Item = &'a T>) {
+    w.count(items.len());
+    for item in items {
+        item.put(w);
+    }
+}
+
+/// Reads a count of at most `max`, then that many items. The count only
+/// reserves room for 64: a hostile one costs its sender the bytes it claims.
+///
+/// # Errors
+///
+/// [`WireError`] on an over-bound count or a malformed item.
+pub fn take_seq<T: Wire>(r: &mut Reader<'_>, max: u32) -> Result<Vec<T>, WireError> {
+    let n = r.count(max)?;
+    let mut items = Vec::with_capacity(n.min(64));
+    for _ in 0..n {
+        items.push(T::take(r)?);
+    }
+    Ok(items)
+}
+
+/// Encodes a list that travels alone: a count, then each item.
+pub fn encode_seq<T: Wire>(items: &[T]) -> Vec<u8> {
+    written(|w| put_seq(w, items.iter()))
+}
+
+/// Decodes a buffer holding exactly one list of at most `max` items.
+///
+/// # Errors
+///
+/// As [`take_seq`], and on any trailing byte.
+pub fn decode_seq<T: Wire>(bytes: &[u8], max: u32) -> Result<Vec<T>, WireError> {
+    whole(bytes, |r| take_seq(r, max))
+}
+
+/// Appends a value as a length-delimited sub-message (a `field as framed`
+/// declaration).
+pub fn put_framed<T: Wire>(w: &mut Writer, value: &T) {
+    w.bytes(&value.encode());
+}
+
+/// Reads a length-delimited sub-message; the value must fill it exactly.
+///
+/// # Errors
+///
+/// [`WireError`] when the frame is truncated or the value does not end
+/// where the frame does.
+pub fn take_framed<T: Wire>(r: &mut Reader<'_>) -> Result<T, WireError> {
+    T::decode(r.bytes()?)
+}
+
+/// Declares the wire layout of a struct: its fields, in wire order.
+///
+/// Both directions come from the one list, so the order cannot differ
+/// between them, and the list must name every field. A plain field travels
+/// through its own [`Wire`] impl; `field <= MAX` is a `Vec` sent as a count
+/// of at most `MAX` and then its items; `field as framed` is sent as a
+/// length-delimited sub-message. Tuple structs list a name per position.
+///
+/// ```
+/// use xbytes::wire::Wire;
+/// use xbytes::wire_struct;
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Ack {
+///     element: u32,
+///     up_to: u64,
+///     skipped: Vec<u64>,
+/// }
+/// wire_struct!(Ack { element, up_to, skipped <= 16 });
+///
+/// let ack = Ack { element: 7, up_to: 42, skipped: vec![40] };
+/// assert_eq!(Ack::decode(&ack.encode()), Ok(ack));
+/// ```
+///
+/// A declaration that leaves a field out does not build:
+///
+/// ```compile_fail
+/// use xbytes::wire_struct;
+///
+/// struct Ack {
+///     element: u32,
+///     up_to: u64,
+/// }
+/// wire_struct!(Ack { element }); // `up_to` would be neither written nor read
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($f:ident $(<= $max:tt)? $(as $mode:ident)?),* $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn put(&self, w: &mut $crate::wire::Writer) {
+                let $ty { $($f),* } = self;
+                $($crate::__wire_put!(w, $f $(, max $max)? $(, $mode)?);)*
+            }
+
+            fn take(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok($ty { $($f: $crate::__wire_take!(r $(, max $max)? $(, $mode)?)),* })
+            }
+        }
+    };
+    ($ty:ident ( $($f:ident $(<= $max:tt)? $(as $mode:ident)?),* $(,)? )) => {
+        impl $crate::wire::Wire for $ty {
+            fn put(&self, w: &mut $crate::wire::Writer) {
+                let $ty($($f),*) = self;
+                $($crate::__wire_put!(w, $f $(, max $max)? $(, $mode)?);)*
+            }
+
+            fn take(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok($ty($($crate::__wire_take!(r $(, max $max)? $(, $mode)?)),*))
+            }
+        }
+    };
+}
+
+/// Declares the wire layout of an enum: a `u8` tag per variant, then the
+/// variant's fields as in [`wire_struct!`](crate::wire_struct).
+///
+/// A variant left out does not build (the generated `match` is not
+/// exhaustive), a tag used twice does not build, and any tag outside the
+/// list is refused on decode.
+///
+/// ```
+/// use xbytes::wire::{Wire, WireError};
+/// use xbytes::wire_enum;
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Op {
+///     Deliver(Vec<u8>),
+///     Ack { element: u32, up_to: u64 },
+///     Flush,
+/// }
+/// wire_enum!(Op {
+///     0 => Deliver(payload),
+///     1 => Ack { element, up_to },
+///     2 => Flush,
+/// });
+///
+/// assert_eq!(Op::Deliver(vec![9]).encode(), [0, 1, 0, 0, 0, 9]);
+/// assert_eq!(Op::decode(&[2]), Ok(Op::Flush));
+/// assert_eq!(Op::decode(&[3]), Err(WireError));
+/// ```
+///
+/// ```compile_fail
+/// use xbytes::wire_enum;
+///
+/// enum Op {
+///     Flush,
+///     Close,
+/// }
+/// wire_enum!(Op { 2 => Flush, 2 => Close }); // one tag, two variants
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident { $(
+        $tag:tt => $variant:ident
+        $(( $($t:ident $(<= $tmax:tt)? $(as $tmode:ident)?),* ))?
+        $({ $($f:ident $(<= $fmax:tt)? $(as $fmode:ident)?),* })?
+    ),* $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn put(&self, w: &mut $crate::wire::Writer) {
+                match self {
+                    $($ty::$variant $(($($t),*))? $({ $($f),* })? => {
+                        w.u8($tag);
+                        $($($crate::__wire_put!(w, $t $(, max $tmax)? $(, $tmode)?);)*)?
+                        $($($crate::__wire_put!(w, $f $(, max $fmax)? $(, $fmode)?);)*)?
+                    })*
+                }
+            }
+
+            #[deny(unreachable_patterns)]
+            fn take(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok(match r.u8()? {
+                    $($tag => $ty::$variant
+                        $(($($crate::__wire_take!(r $(, max $tmax)? $(, $tmode)?)),*))?
+                        $({ $($f: $crate::__wire_take!(r $(, max $fmax)? $(, $fmode)?)),* })?,)*
+                    _ => return Err($crate::wire::WireError),
+                })
+            }
+        }
+    };
+}
+
+/// Gives whole-buffer frames inherent `encode`/`decode` (the [`Wire`] ones),
+/// so callers need not import the trait.
+#[macro_export]
+macro_rules! wire_frame {
+    ($($ty:ident),+ $(,)?) => {$(
+        impl $ty {
+            /// Encodes to the compact wire format.
+            pub fn encode(&self) -> Vec<u8> {
+                $crate::wire::Wire::encode(self)
+            }
+
+            /// Decodes a buffer holding exactly one value.
+            ///
+            /// # Errors
+            ///
+            /// [`WireError`]($crate::wire::WireError) on truncation, trailing
+            /// bytes, unknown tags or hostile counts — all reachable by a
+            /// Byzantine peer.
+            pub fn decode(bytes: &[u8]) -> Result<$ty, $crate::wire::WireError> {
+                $crate::wire::Wire::decode(bytes)
+            }
+        }
+    )+};
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_put {
+    ($w:ident, $v:expr) => {
+        $crate::wire::Wire::put($v, $w)
+    };
+    ($w:ident, $v:expr, max $max:tt) => {
+        $crate::wire::put_seq($w, $v.iter())
+    };
+    ($w:ident, $v:expr, framed) => {
+        $crate::wire::put_framed($w, $v)
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_take {
+    ($r:ident) => {
+        $crate::wire::Wire::take($r)?
+    };
+    ($r:ident, max $max:tt) => {
+        $crate::wire::take_seq($r, $max)?
+    };
+    ($r:ident, framed) => {
+        $crate::wire::take_framed($r)?
+    };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn round_trip_all_field_kinds() {
+        let mut w = Writer::new();
+        w.u8(7)
+            .u32(0xDEAD)
+            .u64(u64::MAX)
+            .bytes(b"hello")
+            .raw(&[1, 2]);
+        let buf = w.finish();
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u32().unwrap(), 0xDEAD);
+        assert_eq!(r.u64().unwrap(), u64::MAX);
+        assert_eq!(r.bytes().unwrap(), b"hello");
+        assert_eq!(r.raw(2).unwrap(), &[1, 2]);
+        assert!(r.expect_end().is_ok());
+    }
+
+    #[test]
+    fn truncation_detected() {
+        let mut w = Writer::new();
+        w.u64(1);
+        let buf = w.finish();
+        let mut r = Reader::new(&buf[..7]);
+        assert_eq!(r.u64(), Err(WireError));
+    }
+
+    #[test]
+    fn hostile_length_field_detected() {
+        // claims 1000 bytes, has 2
+        let mut w = Writer::new();
+        w.u32(1000).raw(&[1, 2]);
+        let buf = w.finish();
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.bytes(), Err(WireError));
+    }
+
+    #[test]
+    fn expect_end_catches_trailing_garbage() {
+        let mut w = Writer::new();
+        w.u8(1).u8(2);
+        let buf = w.finish();
+        let mut r = Reader::new(&buf);
+        r.u8().unwrap();
+        assert_eq!(r.expect_end(), Err(WireError));
+    }
+}

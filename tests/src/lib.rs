@@ -9,6 +9,8 @@
 use xrand::rngs::SmallRng;
 use xrand::SeedableRng;
 
+pub mod wire_samples;
+
 pub mod prop {
     //! Deterministic mini property-check harness.
     //!

@@ -3,8 +3,10 @@
 //! The JSONL forensic parser already gets this treatment in
 //! `properties.rs`; here the same three attack modes — random bytes,
 //! truncation at every boundary, and bit flips inside valid encodings —
-//! hit the protocol decoders themselves: `core::wire` (CoreMsg, SmiopFrame,
-//! GmOp, directives, fault proofs) and the GIOP/CDR unmarshallers. Every
+//! hit the protocol decoders themselves: every compact-wire type the law
+//! harness lists (`wire_samples::cases`: core and BFT frames, healing
+//! commands, the transfer payload, both snapshots and everything nested in
+//! them) and the GIOP/CDR unmarshallers. Every
 //! case must return a typed error or a value; a panic is an availability
 //! attack a single hostile peer could mount on demand (L5's dynamic twin).
 //!
@@ -12,142 +14,38 @@
 //! case derives from the property name and case index, so failures replay
 //! bit-for-bit on any machine.
 
-use itdos::wire::{
-    decode_directives, decode_proof, encode_directives, encode_proof, AdmitNoticeMsg,
-    ConnectionMeta, CoreMsg, DirectReplyMsg, Directive, FrameKind, GmOp, KeyShareMsg, NoticeMsg,
-    SmiopFrame,
-};
-use itdos_crypto::sign::{Signature, VerifyingKey};
 use itdos_giop::cdr::{CdrError, Decoder, Encoder, Endianness, MAX_SEQUENCE_LEN};
 use itdos_giop::giop::{decode_message, encode_message, GiopMessage, RequestMessage};
 use itdos_giop::idl::{InterfaceDef, InterfaceRepository, OperationDef};
 use itdos_giop::types::{TypeDesc, Value};
-use itdos_groupmgr::manager::ConnectionId;
-use itdos_groupmgr::membership::{DomainId, Endpoint};
+use itdos_tests::wire_samples::{cases, Case};
 use itdos_tests::{arbitrary, prop};
-use itdos_vote::detector::FaultProof;
-use itdos_vote::vote::SenderId;
 use xrand::rngs::SmallRng;
 use xrand::Rng;
 
 const CASES: usize = prop::DEFAULT_CASES;
 
-fn meta() -> ConnectionMeta {
-    ConnectionMeta {
-        connection: ConnectionId(9),
-        epoch: 3,
-        client_code: 77,
-        client_domain: Some(DomainId(2)),
-        server_domain: DomainId(5),
-    }
-}
-
-/// Valid encodings of every core wire shape — the corpus the mutating
+/// Valid encodings of every compact-wire shape — the corpus the mutating
 /// modes start from.
-fn core_corpus() -> Vec<Vec<u8>> {
-    let msgs = [
-        CoreMsg::Bft {
-            domain: DomainId(4),
-            envelope: vec![1, 2, 3, 4, 5],
-        },
-        CoreMsg::KeyShare(KeyShareMsg {
-            meta: meta(),
-            gm_code: 11,
-            sealed: vec![9; 24],
-        }),
-        CoreMsg::DirectReply(DirectReplyMsg {
-            connection: ConnectionId(9),
-            epoch: 3,
-            sender: SenderId(6),
-            sequence: 41,
-            sealed: vec![7; 12],
-            signature: Signature::from_bytes([5; 16]),
-        }),
-        CoreMsg::Notice(NoticeMsg {
-            gm_code: 12,
-            domain: DomainId(5),
-            expelled: SenderId(2),
-            sealed: vec![3; 8],
-        }),
-        CoreMsg::AdmitNotice(AdmitNoticeMsg {
-            gm_code: 13,
-            domain: DomainId(5),
-            admitted: SenderId(30),
-            replaced: SenderId(2),
-            slot: 1,
-            node: 99,
-            epoch: 7,
-            verifying_key: VerifyingKey::from_bytes([8; 8]),
-            sealed: vec![4; 8],
-        }),
-    ];
-    let mut corpus: Vec<Vec<u8>> = msgs.iter().map(CoreMsg::encode).collect();
-    corpus.push(
-        SmiopFrame {
-            connection: ConnectionId(9),
-            epoch: 3,
-            kind: FrameKind::Request,
-            sender_code: 77,
-            request_id: 5,
-            sequence: 19,
-            sealed: vec![6; 16],
-            signature: Signature::from_bytes([2; 16]),
-        }
-        .encode(),
-    );
-    corpus.push(
-        GmOp::Open {
-            client: Endpoint::Singleton(77),
-            client_domain: None,
-            target: DomainId(5),
-        }
-        .encode(),
-    );
-    corpus.push(
-        GmOp::Admit {
-            domain: DomainId(5),
-            replacement: SenderId(30),
-            replaced: SenderId(2),
-            node: 99,
-            verifying_key: VerifyingKey::from_bytes([8; 8]),
-        }
-        .encode(),
-    );
-    corpus.push(encode_proof(&FaultProof {
-        accused: vec![SenderId(2)],
-        request_id: 5,
-        messages: Vec::new(),
-    }));
-    corpus.push(encode_directives(&[
-        Directive::Refused(2),
-        Directive::KeyDist {
-            meta: meta(),
-            input: [1; 32],
-            recipients: vec![11, 12, 13],
-        },
-        Directive::Expelled {
-            domain: DomainId(5),
-            element: SenderId(2),
-        },
-    ]));
-    corpus
+fn core_corpus(cases: &[Case]) -> Vec<&Vec<u8>> {
+    cases.iter().flat_map(|case| &case.samples).collect()
 }
 
-/// Runs every core decoder on one buffer; all of them must return.
-fn decode_all_core(bytes: &[u8]) {
-    let _ = CoreMsg::decode(bytes);
-    let _ = SmiopFrame::decode(bytes);
-    let _ = GmOp::decode(bytes);
-    let _ = decode_proof(bytes);
-    let _ = decode_directives(bytes);
+/// Runs every compact-wire decoder — the law harness's whole type list —
+/// on one buffer; all of them must return.
+fn decode_all_core(cases: &[Case], bytes: &[u8]) {
+    for case in cases {
+        let _ = (case.recode)(bytes);
+    }
 }
 
 /// Core wire decoders are total on random bytes.
 #[test]
 fn core_wire_decoders_total_on_random_bytes() {
+    let cases = cases();
     prop::check("core wire total on random bytes", CASES, |rng, _| {
         let bytes = arbitrary::bytes(rng, 96);
-        decode_all_core(&bytes);
+        decode_all_core(&cases, &bytes);
     });
 }
 
@@ -155,11 +53,12 @@ fn core_wire_decoders_total_on_random_bytes() {
 /// cuts that land mid-length-field, the classic hostile-length seam.
 #[test]
 fn core_wire_decoders_total_on_truncation() {
-    let corpus = core_corpus();
+    let cases = cases();
+    let corpus = core_corpus(&cases);
     prop::check("core wire total on truncation", CASES, |rng, _| {
-        let buf = &corpus[rng.gen_range(0..corpus.len())];
+        let buf = corpus[rng.gen_range(0..corpus.len())];
         let cut = rng.gen_range(0..=buf.len());
-        decode_all_core(&buf[..cut]);
+        decode_all_core(&cases, &buf[..cut]);
     });
 }
 
@@ -169,14 +68,15 @@ fn core_wire_decoders_total_on_truncation() {
 /// panic, no wrap.
 #[test]
 fn core_wire_decoders_total_on_bit_flips() {
-    let corpus = core_corpus();
+    let cases = cases();
+    let corpus = core_corpus(&cases);
     prop::check("core wire total on bit flips", CASES, |rng, _| {
         let mut buf = corpus[rng.gen_range(0..corpus.len())].clone();
         for _ in 0..rng.gen_range(1..6usize) {
             let at = rng.gen_range(0..buf.len());
             buf[at] ^= 1 << rng.gen_range(0..8u32);
         }
-        decode_all_core(&buf);
+        decode_all_core(&cases, &buf);
     });
 }
 

@@ -1,7 +1,9 @@
-//! GIOP frames pinned to the bytes the parent commit (e1d2979) produced,
-//! captured before octet sequences were packed and the object key stopped
-//! going through a `Value` per byte. A replica of this build must read and
-//! write exactly what a replica of that build does.
+//! Wire bytes pinned to what earlier commits produced: a replica of this
+//! build must read and write exactly what a replica of those builds does.
+//!
+//! GIOP frames were captured at e1d2979, before octet sequences were packed
+//! and the object key stopped going through a `Value` per byte; the compact
+//! wire beneath GIOP at 28849c3, before each message got one declaration.
 
 use itdos_crypto::hash::Digest;
 use itdos_giop::cdr::Endianness;
@@ -141,4 +143,110 @@ fn counter_add_frames_match_parent_commit() {
     ];
     assert_eq!(frame(&add(), Endianness::Big), big);
     assert_eq!(frame(&add(), Endianness::Little), little);
+}
+
+// ---- compact wire (everything beneath GIOP) -------------------------------
+
+/// Every compact-wire sample, encoded through the entry points that exist
+/// on both sides of the one-definition-per-message refactor.
+fn compact_wire_samples() -> Vec<(String, Vec<u8>)> {
+    use itdos_bft::state::StateMachine;
+    use itdos_tests::wire_samples as s;
+    let mut out = Vec::new();
+    let mut group = |name: &str, encodings: Vec<Vec<u8>>| {
+        for (i, bytes) in encodings.into_iter().enumerate() {
+            out.push((format!("{name}[{i}]"), bytes));
+        }
+    };
+    group(
+        "Message",
+        s::messages().iter().map(|m| m.encode()).collect(),
+    );
+    group(
+        "Envelope",
+        s::envelopes().iter().map(|e| e.encode()).collect(),
+    );
+    group(
+        "QueueOp",
+        s::queue_ops().iter().map(|o| o.encode()).collect(),
+    );
+    group(
+        "CoreMsg",
+        s::core_msgs().iter().map(|m| m.encode()).collect(),
+    );
+    group(
+        "SmiopFrame",
+        s::smiop_frames().iter().map(|f| f.encode()).collect(),
+    );
+    group("GmOp", s::gm_ops().iter().map(|o| o.encode()).collect());
+    group(
+        "directives",
+        vec![itdos::wire::encode_directives(&s::directives())],
+    );
+    group(
+        "HealCmd",
+        s::heal_cmds().iter().map(|c| c.encode()).collect(),
+    );
+    group("transfer payload", vec![s::transfer_payload()]);
+    group("QueueMachine snapshot", vec![s::queue_machine().snapshot()]);
+    group("GmMachine snapshot", vec![s::gm_snapshot()]);
+    out
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Captured at the parent commit (28849c3), while every codec was still a
+/// hand-written pair.
+#[rustfmt::skip]
+const COMPACT_WIRE_GOLDEN: &[(&str, &str)] = &[
+    ("Message[0]", "0109000000000000000300000000000000030000000900000003000000010203"),
+    ("Message[1]", "0201000000000000000500000000000000749befd6679747e9b633713ef7db8e25a331166352fc93fecac6bf1d6b1575b102000000090000000000000003000000000000000300000009000000030000000102030a0000000000000001000000000000000000000000000000020000000405"),
+    ("Message[2]", "020300000000000000090000000000000060a388c80c9ba95e8d7c3233e2800a8de69b8a82419330695a3d55e1ff251f9700000000"),
+    ("Message[3]", "030100000000000000050000000000000014f1f437146352e866142fdf602165505a5a28bf5b578d154c9ed5e98f7465ac02000000"),
+    ("Message[4]", "04040000000000000006000000000000009505cacb7c710ed17125fcc6cb3669e8ddca6c8cd8af6a31f6b3cd64604c309801000000"),
+    ("Message[5]", "0501000000000000000300000000000000090000000000000000000000010000002a"),
+    ("Message[6]", "0610000000000000004ba69735ca53765ed6a709edb56c6ea236b7193a3b29a6b390c346f0f4340e4e01000000"),
+    ("Message[7]", "07020000000000000010000000000000000100000010000000000000004ba69735ca53765ed6a709edb56c6ea236b7193a3b29a6b390c346f0f4340e4e010000000100000001000000000000000500000000000000749befd6679747e9b633713ef7db8e25a331166352fc93fecac6bf1d6b1575b102000000090000000000000003000000000000000300000009000000030000000102030a0000000000000001000000000000000000000000000000020000000405010000000100000000000000050000000000000014f1f437146352e866142fdf602165505a5a28bf5b578d154c9ed5e98f7465ac0200000003000000"),
+    ("Message[8]", "08020000000000000001000000020000000000000010000000000000000100000010000000000000004ba69735ca53765ed6a709edb56c6ea236b7193a3b29a6b390c346f0f4340e4e010000000100000001000000000000000500000000000000749befd6679747e9b633713ef7db8e25a331166352fc93fecac6bf1d6b1575b102000000090000000000000003000000000000000300000009000000030000000102030a0000000000000001000000000000000000000000000000020000000405010000000100000000000000050000000000000014f1f437146352e866142fdf602165505a5a28bf5b578d154c9ed5e98f7465ac02000000030000000100000001000000000000000500000000000000749befd6679747e9b633713ef7db8e25a331166352fc93fecac6bf1d6b1575b102000000090000000000000003000000000000000300000009000000030000000102030a000000000000000100000000000000000000000000000002000000040502000000"),
+    ("Message[9]", "09100000000000000001000000"),
+    ("Message[10]", "0a10000000000000000200000007080100000010000000000000004ba69735ca53765ed6a709edb56c6ea236b7193a3b29a6b390c346f0f4340e4e0100000003000000"),
+    ("Envelope[0]", "00020000000000000002000000010200240000000400000057ed2759898367c5cbd2b8a9f3993524cfd1563728e2b42cfdf12b4e30bebf8e"),
+    ("Envelope[1]", "000200000000000000010000000301bb712e3b44205c01bfcb072258e8b30b"),
+    ("Envelope[2]", "0105000000000000000100000004002400000004000000a0ccdb17fafb81b02c527d7e034d3bfa6370ab72ef299b3e8f44a132e9cc46f6"),
+    ("QueueOp[0]", "0003000000010203"),
+    ("QueueOp[1]", "01070000002a00000000000000"),
+    ("QueueOp[2]", "0202000000"),
+    ("QueueOp[3]", "0305000000"),
+    ("CoreMsg[0]", "010400000000000000050000000102030405"),
+    ("CoreMsg[1]", "020700000000000000020000002a00000000000000010300000000000000010000000000000072420f000000000018000000090909090909090909090909090909090909090909090909"),
+    ("CoreMsg[2]", "030700000000000000030000000600000029000000000000000c000000080808080808080808080808934d4a257389b60f48f4967e70ee7901"),
+    ("CoreMsg[3]", "0473420f0000000000050000000000000002000000080000000303030303030303"),
+    ("CoreMsg[4]", "0574420f000000000005000000000000001e00000002000000010000006300000000000000070000000000000033fdaa5a1c5af000080000000404040404040404"),
+    ("SmiopFrame[0]", "0900000000000000030000000042420f000000000005000000000000004d000000000000001000000006060606060606060606060606060606934d4a257389b60f48f4967e70ee7901"),
+    ("SmiopFrame[1]", "0900000000000000030000000142420f000000000005000000000000004d000000000000001000000006060606060606060606060606060606934d4a257389b60f48f4967e70ee7901"),
+    ("GmOp[0]", "010900000000000000000100000000000000"),
+    ("GmOp[1]", "0144420f00000000000102000000000000000100000000000000"),
+    ("GmOp[2]", "02360000000100000003000000090000000000000001000000000000000100000000000000020000000505934d4a257389b60f48f4967e70ee7901"),
+    ("GmOp[3]", "030000000003000000"),
+    ("GmOp[4]", "040200000000000000"),
+    ("GmOp[5]", "0501000000000000000e00000003000000160000000000000033fdaa5a1c5af000"),
+    ("GmOp[6]", "06010000000000000002000000"),
+    ("directives[0]", "06000000010700000000000000020000002a000000000000000103000000000000000100000000000000070707070707070707070707070707070707070707070707070707070707070702000000010000000000000040420f0000000000020200000003010000000000000003000000040501000000000000000e00000003000000020000001600000000000000010000000000000033fdaa5a1c5af00006010000000000000002000000"),
+    ("HealCmd[0]", "0107000000"),
+    ("HealCmd[1]", "02"),
+    ("transfer payload[0]", "100000000f00000000000000040000000000000002000000070000000000000000000000000000000200000001000000000000000800000005000000000000000200000000000000080000000e00000000000000080000000000000000000000000000000200000001000000000000000800000003000000000000000200000000000000080000000f00000000000000"),
+    ("QueueMachine snapshot[0]", "640000000000000002000000000000004229c4d572fb361b0f179c91ae931fafd7c8b1d845b849422de5fc25b12bd552020000000000000000000000030000000102030100000000000000010000000403000000000000000000000000000000010000000100000000000000020000000000000000000000"),
+    ("GmMachine snapshot[0]", "03000000120000000109000000000000000001000000000000000900000003000000000300000003000000010203"),
+];
+
+#[test]
+fn compact_wire_vectors_match_parent_commit() {
+    let samples = compact_wire_samples();
+    assert_eq!(samples.len(), COMPACT_WIRE_GOLDEN.len());
+    for ((name, bytes), (golden_name, golden)) in samples.iter().zip(COMPACT_WIRE_GOLDEN) {
+        assert_eq!(name, golden_name);
+        assert_eq!(hex(bytes), *golden, "{name}");
+    }
 }

@@ -1,7 +1,7 @@
 //! Runs `itdos-lint` over the live workspace as part of the test suite,
 //! so an invariant regression (a new registry dependency, a clock read in
 //! replica code, an unwrap in a message handler, a variable-time MAC
-//! compare, an unchecked hostile length, an asymmetric wire pair, a lock
+//! compare, an unchecked hostile length, a hand-built wire reader, a lock
 //! inversion) fails `cargo test` — not just the standalone CLI.
 //!
 //! Beyond the live-tree run, each of the dataflow passes (L5 hostile
@@ -10,7 +10,6 @@
 //! a pass fails this gate even while the (clean) live tree keeps passing.
 
 use itdos_lint::source::SourceFile;
-use itdos_lint::wire_symmetry::WirePair;
 use itdos_lint::{hostile_arith, lock_order, wire_symmetry};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -109,72 +108,48 @@ fn l5_fixture_checked_length_arithmetic_is_clean() {
 
 // ---- L6 wire symmetry -----------------------------------------------------
 
-const L6_SYMMETRIC: &str = "\
-impl Frame {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            Frame::A(x) => { w.u8(1); w.u64(*x); }
-            Frame::B(b) => { w.u8(2); w.bytes(b); }
-        }
-        w.finish()
-    }
-    pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
-        let mut r = Reader::new(bytes);
-        Ok(match r.u8()? {
-            1 => Frame::A(r.u64()?),
-            2 => Frame::B(r.bytes()?.to_vec()),
-            _ => return Err(WireError),
-        })
-    }
+/// A codec pair built by hand on a reader and a writer.
+const L6_HAND_BUILT_PAIR: &str = "\
+fn encode_frame(x: u64) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u64(x).finish()
+}
+fn decode_frame(bytes: &[u8]) -> Result<u64, WireError> {
+    let mut r = Reader::new(bytes);
+    r.u64()
 }
 ";
 
-fn l6_fixture(src: &str) -> BTreeMap<String, (String, SourceFile)> {
+fn l6_findings(path: &str, src: &str) -> Vec<itdos_lint::findings::Finding> {
     let mut files = BTreeMap::new();
     files.insert(
-        "crates/x/src/wire.rs".to_string(),
+        path.to_string(),
         ("itdos-bft".to_string(), SourceFile::scan(src)),
     );
-    files.insert(
-        "crates/x/src/tests.rs".to_string(),
-        (
-            "itdos-bft".to_string(),
-            SourceFile::scan(
-                "fn frame_round_trips() { assert_eq!(Frame::decode(&f.encode()).unwrap(), f); }",
-            ),
-        ),
-    );
-    files
+    wire_symmetry::check_with_manifest(&[], wire_symmetry::WIRE_LAWS, &files)
 }
 
-const L6_PAIR: WirePair = WirePair {
-    name: "Frame",
-    file: "crates/x/src/wire.rs",
-    encode_fn: "encode",
-    encode_impl: Some("Frame"),
-    decode_fn: "decode",
-    decode_impl: Some("Frame"),
-    counts: true,
-    roundtrip: ("crates/x/src/tests.rs", "frame_round_trips"),
-};
-
-/// Positive: a decode that drops a field the encode writes is flagged.
+/// Positive: a reader or writer constructed in a wire-bearing crate
+/// outside `wire.rs` is flagged — that decode escapes the shared
+/// `expect_end`, and nothing keeps the two halves symmetric.
 #[test]
-fn l6_fixture_dropped_field_fires() {
-    let bad = L6_SYMMETRIC.replace("1 => Frame::A(r.u64()?),", "1 => Frame::A(0),");
-    let findings = wire_symmetry::check_with_manifest(&[L6_PAIR], &l6_fixture(&bad));
-    assert!(
-        findings.iter().any(|f| f.message.contains("u64")),
-        "{findings:#?}"
-    );
+fn l6_fixture_stray_reader_fires() {
+    let findings = l6_findings("crates/x/src/element.rs", L6_HAND_BUILT_PAIR);
+    let hits: Vec<_> = findings
+        .iter()
+        .map(|f| (f.line, &f.message[..13]))
+        .collect();
+    assert_eq!(hits, [(2, "`Writer::new`"), (6, "`Reader::new`")]);
 }
 
-/// Negative: the field- and tag-symmetric pair with a registered
-/// round-trip test is clean.
+/// Negative: the same pair is the codec's own business inside `wire.rs`,
+/// and a test building hostile input may construct either end anywhere.
 #[test]
 fn l6_fixture_symmetric_pair_is_clean() {
-    let findings = wire_symmetry::check_with_manifest(&[L6_PAIR], &l6_fixture(L6_SYMMETRIC));
+    let findings = l6_findings("crates/x/src/wire.rs", L6_HAND_BUILT_PAIR);
+    assert!(findings.is_empty(), "{findings:#?}");
+    let in_test = format!("#[cfg(test)]\nmod tests {{\n{L6_HAND_BUILT_PAIR}}}\n");
+    let findings = l6_findings("crates/x/src/element.rs", &in_test);
     assert!(findings.is_empty(), "{findings:#?}");
 }
 
