@@ -108,20 +108,29 @@ cargo run -q --release --offline -p itdos-bench --bin heal -- --smoke "$heal_smo
 test -s "$heal_smoke" || { echo 'BENCH_heal smoke output missing'; exit 1; }
 rm -f "$heal_smoke"
 
-echo '== itdos-benchmark smoke (four workloads, 2 s each: every reply checked, run-twice self-check)'
+echo '== itdos-benchmark smoke (six workloads, 2 s each: every reply checked, run-twice self-check, allocation gate)'
 # the yardstick BENCHMARK.json declares, run as the driver runs it; the
 # last stdout line is the result object, and it must report a correct run
-# with no failed op. The common case, the bulk path and the two
-# never-quiesced workloads (history drift, pipelined acks) all run, so a
-# change to one cannot break another unnoticed. Host timings are not
-# judged here.
+# with no failed op. Every workload runs — the common case, the bulk path,
+# the two never-quiesced ones (history drift, pipelined acks), the Group
+# Manager's keying path and the healed campaign — so a change to one cannot
+# break another unnoticed. Host timings are not judged here; allocations
+# are: `allocs_per_op` is a pure function of (workload, seed), so
+# small_closed on seed 7 must not exceed what PR 25 measured (one buffer
+# per BFT frame), with no margin — the next allocation regression fails here.
+allocs_max=479.41633333333334
 bench_smoke="$(mktemp)"
-for workload in small_closed bulk_closed sustained_history pipelined_batch; do
+for workload in small_closed bulk_closed sustained_history pipelined_batch connect_storm intrusion_campaign; do
   cargo run --release --offline --quiet -p itdos-benchmark -- \
     --workload "$workload" --seed 7 --seconds 2 --trace 0 > "$bench_smoke"
   tail -n 1 "$bench_smoke" | grep -q '"correct": true' \
     && tail -n 1 "$bench_smoke" | grep -q '"failed": 0,' \
     || { echo "itdos-benchmark smoke ($workload): result line is not correct/failed-free"; tail -n 1 "$bench_smoke"; exit 1; }
+  if [ "$workload" = small_closed ]; then
+    allocs="$(tail -n 1 "$bench_smoke" | sed -n 's/.*"allocs_per_op": {"value": \([0-9.e+-]*\).*/\1/p')"
+    awk -v got="$allocs" -v max="$allocs_max" 'BEGIN { exit !(got != "" && got + 0 <= max + 0) }' \
+      || { echo "allocation gate: small_closed seed 7 allocs_per_op ${allocs:-missing} > $allocs_max"; exit 1; }
+  fi
 done
 rm -f "$bench_smoke"
 

@@ -10,6 +10,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use itdos_bft::wire::Wire;
 use itdos_crypto::hash::Digest;
 use itdos_crypto::sign::SigningKey;
 use itdos_crypto::symmetric::{open, SealKey, Sealed};
@@ -259,7 +260,7 @@ impl SingletonClient {
     }
 
     fn submit_gm(&mut self, ctx: &mut Context<'_>, op: GmOp) {
-        let fabric = self.fabric.clone();
+        let fabric = &self.fabric;
         let gm = fabric.gm_domain;
         let code = self.my_code();
         self.gm_pending.push_back(match &op {
@@ -268,8 +269,8 @@ impl SingletonClient {
         });
         self.outbound
             .entry(gm)
-            .or_insert_with(|| Outbound::new(&fabric, gm, code))
-            .submit(ctx, &fabric, op.encode());
+            .or_insert_with(|| Outbound::new(fabric, gm, code))
+            .submit(ctx, fabric, op.encode());
     }
 
     fn on_command(&mut self, ctx: &mut Context<'_>, payload: &[u8]) {
@@ -463,15 +464,15 @@ impl SingletonClient {
             signature,
         };
         let op = itdos_bft::queue::QueueOp::Deliver(frame.encode()).encode();
-        let fabric = self.fabric.clone();
+        let fabric = &self.fabric;
         let code = self.my_code();
         let pipeline = self.pipeline;
         let outbound = self.outbound.entry(meta.server_domain).or_insert_with(|| {
-            let mut o = Outbound::new(&fabric, meta.server_domain, code);
+            let mut o = Outbound::new(fabric, meta.server_domain, code);
             o.set_window(pipeline);
             o
         });
-        outbound.submit_traced(ctx, &fabric, op, request.trace);
+        outbound.submit_traced(ctx, fabric, op, request.trace);
     }
 
     fn nonce(&self, conn: ConnectionId, epoch: u32, request_id: u64, sequence: u64) -> [u8; 16] {
@@ -775,14 +776,13 @@ impl Process for SingletonClient {
             self.on_command(ctx, &payload);
             return;
         }
-        let Ok(msg) = CoreMsg::decode(&payload) else {
+        let Ok(msg) = CoreMsg::decode_shared(&payload) else {
             return;
         };
         match msg {
             CoreMsg::Bft { domain, envelope } => {
                 if let Some(outbound) = self.outbound.get_mut(&domain) {
-                    let fabric = self.fabric.clone();
-                    outbound.on_reply(ctx, &fabric, &envelope);
+                    outbound.on_reply(ctx, &self.fabric, &envelope);
                     let accepted = outbound.take_accepted();
                     if domain == self.fabric.gm_domain {
                         for result in accepted {
@@ -804,9 +804,8 @@ impl Process for SingletonClient {
         };
         match tag {
             TimerTag::Retransmit => {
-                let fabric = self.fabric.clone();
                 if let Some(outbound) = self.outbound.get_mut(&DomainId(param)) {
-                    outbound.on_retransmit_timer(ctx, &fabric);
+                    outbound.on_retransmit_timer(ctx, &self.fabric);
                 }
             }
             TimerTag::ClientRetry => {

@@ -11,10 +11,11 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use itdos_bft::auth::{AuthContext, Envelope, Peer};
-use itdos_bft::config::SeqNo;
+use itdos_bft::config::{ClientId, SeqNo};
 use itdos_bft::message::Message;
 use itdos_bft::queue::{ElementId, QueueMachine, QueueOp};
 use itdos_bft::replica::{Output, Replica};
+use itdos_bft::wire::Wire;
 use itdos_crypto::hash::Digest;
 use itdos_crypto::sign::{SigningKey, VerifyingKey};
 use itdos_crypto::symmetric::{open, SealKey, Sealed};
@@ -313,36 +314,27 @@ impl ServerElement {
 
     // --------------------------------------------------------- bft plumbing
 
+    /// Sends one replica output: `to` a node, or (`None`) multicast to the
+    /// domain; `client` addresses a reply to that client.
     fn send_bft(
         &self,
         ctx: &mut Context<'_>,
-        node: NodeId,
-        envelope: Envelope,
-        label: &'static str,
+        to: Option<NodeId>,
+        message: &Message,
+        client: Option<ClientId>,
     ) {
-        let encoded = envelope.encode();
+        let frame = crate::wire::bft_frame(&self.bft_auth, self.cfg.domain, message, client);
         crate::cost::account(
             &self.obs,
             "bft.wire_tx",
             "bft.wire_tx_bytes",
-            &[("auth", LabelValue::Str(envelope.auth_kind()))],
-            encoded.len(),
+            &[("auth", LabelValue::Str(frame.auth))],
+            frame.envelope_len,
         );
-        let msg = CoreMsg::Bft {
-            domain: self.cfg.domain,
-            envelope: encoded,
-        };
-        ctx.send_labeled(node, Bytes::from(msg.encode()), label);
-    }
-
-    fn envelope_for(&self, message: &Message) -> Envelope {
-        let payload = message.encode();
-        match message {
-            Message::ViewChange(_)
-            | Message::NewView(_)
-            | Message::Checkpoint(_)
-            | Message::StateData(_) => self.bft_auth.signed_envelope(payload),
-            _ => self.bft_auth.mac_envelope(payload),
+        let mcast = self.fabric.domain(self.cfg.domain).mcast;
+        match to {
+            Some(node) => ctx.send_labeled(node, frame.bytes, message.label()),
+            None => ctx.multicast_labeled(mcast, frame.bytes, message.label()),
         }
     }
 
@@ -351,35 +343,12 @@ impl ServerElement {
             match output {
                 Output::ToReplica(to, message) => {
                     let node = self.fabric.domain(self.cfg.domain).nodes[to.0 as usize];
-                    let envelope = self.envelope_for(&message);
-                    self.send_bft(ctx, node, envelope, message.label());
+                    self.send_bft(ctx, Some(node), &message, None);
                 }
-                Output::ToAllReplicas(message) => {
-                    let envelope = self.envelope_for(&message);
-                    let encoded = envelope.encode();
-                    crate::cost::account(
-                        &self.obs,
-                        "bft.wire_tx",
-                        "bft.wire_tx_bytes",
-                        &[("auth", LabelValue::Str(envelope.auth_kind()))],
-                        encoded.len(),
-                    );
-                    let msg = CoreMsg::Bft {
-                        domain: self.cfg.domain,
-                        envelope: encoded,
-                    };
-                    ctx.multicast_labeled(
-                        self.fabric.domain(self.cfg.domain).mcast,
-                        Bytes::from(msg.encode()),
-                        message.label(),
-                    );
-                }
+                Output::ToAllReplicas(message) => self.send_bft(ctx, None, &message, None),
                 Output::ToClient(client, message) => {
                     if let Some(node) = self.fabric.node_of(client.0) {
-                        let envelope = self
-                            .bft_auth
-                            .mac_envelope_for_client(client, message.encode());
-                        self.send_bft(ctx, node, envelope, message.label());
+                        self.send_bft(ctx, Some(node), &message, Some(client));
                     }
                 }
                 Output::Executed {
@@ -496,13 +465,13 @@ impl ServerElement {
     }
 
     fn submit_op(&mut self, ctx: &mut Context<'_>, target: DomainId, op: Vec<u8>) {
-        let fabric = self.fabric.clone();
         let code = self.my_code();
+        let fabric = &self.fabric;
         let outbound = self
             .outbound
             .entry(target)
-            .or_insert_with(|| Outbound::new(&fabric, target, code));
-        outbound.submit(ctx, &fabric, op);
+            .or_insert_with(|| Outbound::new(fabric, target, code));
+        outbound.submit(ctx, fabric, op);
     }
 
     // ------------------------------------------------------------ SMIOP rx
@@ -948,7 +917,7 @@ impl ServerElement {
             DelayedSend::Direct { node, msg } => {
                 ctx.send_labeled(
                     node,
-                    Bytes::from(CoreMsg::DirectReply(msg).encode()),
+                    CoreMsg::DirectReply(msg).encode().into(),
                     "smiop-reply",
                 );
             }
@@ -1188,7 +1157,7 @@ impl Process for ServerElement {
             }
             return;
         }
-        let Ok(msg) = CoreMsg::decode(&payload) else {
+        let Ok(msg) = CoreMsg::decode_shared(&payload) else {
             return;
         };
         match msg {
@@ -1197,15 +1166,14 @@ impl Process for ServerElement {
                     // could be replica traffic or an ACK for our own-group
                     // control ops: decode once, peek, and dispatch the same
                     // message after authentication
-                    let Ok(env) = Envelope::decode(&envelope) else {
+                    let Ok(env) = Envelope::decode_shared(&envelope) else {
                         return;
                     };
-                    let decoded = Message::decode(&env.payload);
+                    let decoded = Message::decode_shared(&env.payload);
                     if let Ok(Message::Reply(r)) = &decoded {
                         if r.client.0 == self.my_code() {
                             if let Some(outbound) = self.outbound.get_mut(&domain) {
-                                let fabric = self.fabric.clone();
-                                let accepted = outbound.on_reply(ctx, &fabric, &envelope);
+                                let accepted = outbound.on_reply(ctx, &self.fabric, &envelope);
                                 outbound.take_accepted();
                                 if accepted {
                                     self.maybe_ack(ctx);
@@ -1221,7 +1189,7 @@ impl Process for ServerElement {
                         &self.obs,
                         "bft.wire_rx",
                         "bft.wire_rx_bytes",
-                        &[("auth", LabelValue::Str(env.auth_kind()))],
+                        &[("auth", LabelValue::Str(env.auth.kind()))],
                         envelope.len(),
                     );
                     let Ok(message) = decoded else {
@@ -1237,8 +1205,7 @@ impl Process for ServerElement {
                     }
                     self.drain_replica(ctx);
                 } else if let Some(outbound) = self.outbound.get_mut(&domain) {
-                    let fabric = self.fabric.clone();
-                    outbound.on_reply(ctx, &fabric, &envelope);
+                    outbound.on_reply(ctx, &self.fabric, &envelope);
                     outbound.take_accepted();
                 }
             }
@@ -1259,9 +1226,8 @@ impl Process for ServerElement {
                 self.drain_replica(ctx);
             }
             TimerTag::Retransmit => {
-                let fabric = self.fabric.clone();
                 if let Some(outbound) = self.outbound.get_mut(&DomainId(param)) {
-                    outbound.on_retransmit_timer(ctx, &fabric);
+                    outbound.on_retransmit_timer(ctx, &self.fabric);
                 }
             }
             TimerTag::DelayedSend => {

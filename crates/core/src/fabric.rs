@@ -100,16 +100,15 @@ impl Fabric {
     /// share distribution and notices).
     pub fn pairwise(&self, a: u64, b: u64) -> SymmetricKey {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let mut label = Vec::with_capacity(24);
-        label.extend_from_slice(b"pairwise");
-        label.extend_from_slice(&lo.to_le_bytes());
-        label.extend_from_slice(&hi.to_le_bytes());
-        SymmetricKey::derive(&self.global_seed, &label)
+        SymmetricKey::derive_parts(
+            &self.global_seed,
+            &[b"pairwise", &lo.to_le_bytes(), &hi.to_le_bytes()],
+        )
     }
 
     /// The signing key of any endpoint code (elements and singletons).
     pub fn signing_key_code(&self, code: u64) -> SigningKey {
-        SigningKey::from_seed(&[&self.global_seed[..], b"sign", &code.to_le_bytes()].concat())
+        SigningKey::from_seed_parts(&[&self.global_seed, b"sign", &code.to_le_bytes()])
     }
 
     /// The verifying key of any endpoint code.
@@ -246,6 +245,18 @@ mod tests {
         let f = fabric();
         assert_eq!(f.pairwise(1, 2), f.pairwise(2, 1));
         assert_ne!(f.pairwise(1, 2), f.pairwise(1, 3));
+    }
+
+    /// Key bytes captured at the parent commit (7cbcef7), whose labels were
+    /// built on the heap: hashing the parts in place derives the same keys.
+    #[test]
+    fn pairwise_and_signing_keys_match_parent_commit() {
+        let f = fabric();
+        let key = itdos_crypto::hash::Digest(*f.pairwise(1_000_002, 9).as_bytes());
+        let golden = "2014bd90db175a0b93e4ec20b5818712b00005a137e6dc32a9755eb2ed8c5e1f";
+        assert_eq!(key.to_hex(), golden);
+        let signing = f.verifying_key_code(9).to_bytes();
+        assert_eq!(signing, [195, 39, 74, 3, 27, 197, 151, 21]);
     }
 
     #[test]

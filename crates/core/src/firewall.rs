@@ -122,7 +122,7 @@ mod tests {
     fn valid_msg() -> CoreMsg {
         CoreMsg::Bft {
             domain: DomainId(1),
-            envelope: vec![1, 2, 3],
+            envelope: vec![1, 2, 3].into(),
         }
     }
 

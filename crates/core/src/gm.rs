@@ -13,7 +13,7 @@ use itdos_bft::auth::{AuthContext, Envelope, Peer};
 use itdos_bft::message::Message;
 use itdos_bft::replica::{Output, Replica};
 use itdos_bft::state::StateMachine;
-use itdos_bft::wire::{decode_seq, encode_seq};
+use itdos_bft::wire::{decode_seq, encode_seq, Wire};
 use itdos_crypto::dprf::Shareholder;
 use itdos_crypto::hash::Digest;
 use itdos_crypto::symmetric::seal;
@@ -31,8 +31,8 @@ use crate::element::notice_plaintext;
 use crate::fabric::Fabric;
 use crate::registry::ComparatorRegistry;
 use crate::wire::{
-    encode_directives, AdmitNoticeMsg, ConnectionMeta, CoreMsg, Directive, GmOp, KeyShareMsg,
-    NoticeMsg,
+    bft_frame, encode_directives, AdmitNoticeMsg, ConnectionMeta, CoreMsg, Directive, GmOp,
+    KeyShareMsg, NoticeMsg,
 };
 
 /// Most operations one snapshot's log may claim (hostile-length defence).
@@ -378,35 +378,18 @@ impl GmElement {
             match output {
                 Output::ToReplica(to, message) => {
                     let node = self.fabric.domain(self.domain).nodes[to.0 as usize];
-                    let envelope = self.envelope_for(&message);
-                    let msg = CoreMsg::Bft {
-                        domain: self.domain,
-                        envelope: envelope.encode(),
-                    };
-                    ctx.send_labeled(node, Bytes::from(msg.encode()), message.label());
+                    let frame = bft_frame(&self.bft_auth, self.domain, &message, None);
+                    ctx.send_labeled(node, frame.bytes, message.label());
                 }
                 Output::ToAllReplicas(message) => {
-                    let envelope = self.envelope_for(&message);
-                    let msg = CoreMsg::Bft {
-                        domain: self.domain,
-                        envelope: envelope.encode(),
-                    };
-                    ctx.multicast_labeled(
-                        self.fabric.domain(self.domain).mcast,
-                        Bytes::from(msg.encode()),
-                        message.label(),
-                    );
+                    let frame = bft_frame(&self.bft_auth, self.domain, &message, None);
+                    let mcast = self.fabric.domain(self.domain).mcast;
+                    ctx.multicast_labeled(mcast, frame.bytes, message.label());
                 }
                 Output::ToClient(client, message) => {
                     if let Some(node) = self.fabric.node_of(client.0) {
-                        let envelope = self
-                            .bft_auth
-                            .mac_envelope_for_client(client, message.encode());
-                        let msg = CoreMsg::Bft {
-                            domain: self.domain,
-                            envelope: envelope.encode(),
-                        };
-                        ctx.send_labeled(node, Bytes::from(msg.encode()), message.label());
+                        let frame = bft_frame(&self.bft_auth, self.domain, &message, Some(client));
+                        ctx.send_labeled(node, frame.bytes, message.label());
                     }
                 }
                 Output::Executed { result, .. } => {
@@ -423,17 +406,6 @@ impl GmElement {
                 }
                 Output::EnteredView(_) | Output::StateTransferred(_) => {}
             }
-        }
-    }
-
-    fn envelope_for(&self, message: &Message) -> Envelope {
-        let payload = message.encode();
-        match message {
-            Message::ViewChange(_)
-            | Message::NewView(_)
-            | Message::Checkpoint(_)
-            | Message::StateData(_) => self.bft_auth.signed_envelope(payload),
-            _ => self.bft_auth.mac_envelope(payload),
         }
     }
 
@@ -483,7 +455,7 @@ impl GmElement {
                             gm_code: self.my_code(),
                             sealed: sealed.to_bytes(),
                         });
-                        ctx.send_labeled(node, Bytes::from(msg.encode()), "gm-keyshare");
+                        ctx.send_labeled(node, msg.encode().into(), "gm-keyshare");
                     }
                 }
                 Directive::Expelled { domain, element } => {
@@ -509,7 +481,7 @@ impl GmElement {
                             expelled: element,
                             sealed: sealed.to_bytes(),
                         });
-                        ctx.send_labeled(node, Bytes::from(msg.encode()), "gm-notice");
+                        ctx.send_labeled(node, msg.encode().into(), "gm-notice");
                     }
                 }
                 Directive::Retired { domain, element } => {
@@ -538,7 +510,7 @@ impl GmElement {
                             expelled: element,
                             sealed: sealed.to_bytes(),
                         });
-                        ctx.send_labeled(node, Bytes::from(msg.encode()), "gm-notice");
+                        ctx.send_labeled(node, msg.encode().into(), "gm-notice");
                     }
                 }
                 Directive::Refused(reason) => {
@@ -624,7 +596,7 @@ impl GmElement {
                             verifying_key,
                             sealed: sealed.to_bytes(),
                         });
-                        ctx.send_labeled(dest, Bytes::from(msg.encode()), "gm-admit-notice");
+                        ctx.send_labeled(dest, msg.encode().into(), "gm-admit-notice");
                     }
                 }
             }
@@ -670,19 +642,19 @@ impl Process for GmElement {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: Bytes) {
-        let Ok(CoreMsg::Bft { domain, envelope }) = CoreMsg::decode(&payload) else {
+        let Ok(CoreMsg::Bft { domain, envelope }) = CoreMsg::decode_shared(&payload) else {
             return;
         };
         if domain != self.domain {
             return;
         }
-        let Ok(env) = Envelope::decode(&envelope) else {
+        let Ok(env) = Envelope::decode_shared(&envelope) else {
             return;
         };
         if !self.bft_auth.verify(&env) {
             return;
         }
-        let Ok(message) = Message::decode(&env.payload) else {
+        let Ok(message) = Message::decode_shared(&env.payload) else {
             return;
         };
         match env.sender {

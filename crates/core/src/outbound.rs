@@ -19,13 +19,14 @@ use std::collections::{BTreeMap, VecDeque};
 use itdos_bft::auth::AuthContext;
 use itdos_bft::client::Client;
 use itdos_bft::message::Message;
+use itdos_bft::wire::Wire;
 use itdos_groupmgr::membership::DomainId;
 use simnet::{Context, SimDuration};
 use xbytes::Bytes;
 
 use crate::codes::{bft_client_id, pack_timer, TimerTag};
 use crate::fabric::Fabric;
-use crate::wire::CoreMsg;
+use crate::wire::bft_frame;
 
 /// One outbound ordering channel to a target domain.
 pub struct Outbound {
@@ -154,14 +155,9 @@ impl Outbound {
     }
 
     fn broadcast(&self, ctx: &mut Context<'_>, fabric: &Fabric, message: &Message) {
-        let envelope = self.auth.mac_envelope(message.encode());
-        let msg = CoreMsg::Bft {
-            domain: self.target,
-            envelope: envelope.encode(),
-        };
-        let bytes = Bytes::from(msg.encode());
+        let frame = bft_frame(&self.auth, self.target, message, None);
         for &node in &fabric.domain(self.target).nodes {
-            ctx.send_labeled(node, bytes.clone(), "smiop-submit");
+            ctx.send_labeled(node, frame.bytes.clone(), "smiop-submit");
         }
     }
 
@@ -172,15 +168,15 @@ impl Outbound {
         &mut self,
         ctx: &mut Context<'_>,
         fabric: &Fabric,
-        envelope_bytes: &[u8],
+        envelope_bytes: &Bytes,
     ) -> bool {
-        let Ok(envelope) = itdos_bft::auth::Envelope::decode(envelope_bytes) else {
+        let Ok(envelope) = itdos_bft::auth::Envelope::decode_shared(envelope_bytes) else {
             return false;
         };
         if !self.auth.verify(&envelope) {
             return false;
         }
-        let Ok(Message::Reply(reply)) = Message::decode(&envelope.payload) else {
+        let Ok(Message::Reply(reply)) = Message::decode_shared(&envelope.payload) else {
             return false;
         };
         if let Some((timestamp, result)) = self.client.on_reply(reply) {
@@ -208,6 +204,7 @@ impl Outbound {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::CoreMsg;
     use itdos_bft::config::GroupConfig;
     use itdos_crypto::dprf::Dprf;
     use itdos_giop::idl::InterfaceRepository;
@@ -388,14 +385,8 @@ mod tests {
                 replica: ReplicaId(self.index),
                 result: b"ok".to_vec(),
             });
-            let envelope = self
-                .auth
-                .mac_envelope_for_client(request.client(), reply.encode());
-            let msg = CoreMsg::Bft {
-                domain,
-                envelope: envelope.encode(),
-            };
-            ctx.send(from, Bytes::from(msg.encode()));
+            let frame = bft_frame(&self.auth, domain, &reply, Some(request.client()));
+            ctx.send(from, frame.bytes);
         }
     }
 

@@ -1,13 +1,16 @@
 //! Core wire formats: fabric-level messages, SMIOP frames, Group Manager
 //! operations and directives, and fault-proof serialization.
 
-use itdos_bft::wire::{decode_seq, encode_seq, WireError};
+use itdos_bft::auth::AuthContext;
+use itdos_bft::config::ClientId;
+use itdos_bft::message::Message;
+use itdos_bft::wire::{decode_seq, encode_seq, Wire, WireError, Writer};
 use itdos_crypto::sign::{Signature, VerifyingKey};
 use itdos_groupmgr::manager::ConnectionId;
 use itdos_groupmgr::membership::{DomainId, Endpoint};
 use itdos_vote::detector::{FaultProof, MAX_PROOF_ITEMS};
 use itdos_vote::vote::SenderId;
-use xbytes::{wire_enum, wire_frame, wire_struct};
+use xbytes::{wire_enum, wire_frame, wire_struct, Bytes};
 
 /// A message traveling on the simulated network between core processes.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,8 +19,9 @@ pub enum CoreMsg {
     Bft {
         /// Whose ordering group this envelope belongs to.
         domain: DomainId,
-        /// Encoded [`itdos_bft::auth::Envelope`].
-        envelope: Vec<u8>,
+        /// Encoded [`itdos_bft::auth::Envelope`]; decoded from a received
+        /// frame it is a slice of that frame.
+        envelope: Bytes,
     },
     /// One Group Manager element's key share for a connection keying.
     KeyShare(KeyShareMsg),
@@ -353,6 +357,42 @@ wire_enum!(HealCmd {
 });
 wire_frame!(CoreMsg, SmiopFrame, GmOp, HealCmd);
 
+/// A BFT message framed for the fabric by [`bft_frame`].
+#[derive(Debug)]
+pub struct BftFrame {
+    /// The whole `CoreMsg`, ready to send (and to fan out: clones share it).
+    pub bytes: Bytes,
+    /// The envelope's authentication label (`"mac"` or `"signature"`).
+    pub auth: &'static str,
+    /// The encoded envelope's length (what `bft.wire_*_bytes` count).
+    pub envelope_len: usize,
+}
+
+/// Frames `message` into `domain`'s ordering group in one buffer — the
+/// one send path for BFT traffic, byte for byte the layered
+/// `CoreMsg::Bft { domain, envelope: envelope.encode() }.encode()`.
+pub fn bft_frame(
+    auth: &AuthContext,
+    domain: DomainId,
+    message: &Message,
+    client: Option<ClientId>,
+) -> BftFrame {
+    let mut w = Writer::with_capacity(auth.frame_capacity(message));
+    // the head of `CoreMsg::Bft` as declared above: its tag, then `domain`;
+    // the envelope is written in place behind it
+    w.u8(1);
+    domain.put(&mut w);
+    let mut kind = "";
+    let envelope_len = w
+        .framed(|w| kind = auth.put_envelope(w, message, client))
+        .len();
+    BftFrame {
+        envelope_len,
+        bytes: Bytes::from(w.finish()),
+        auth: kind,
+    }
+}
+
 /// Encodes a directive list (the GM state machine's execution result).
 pub fn encode_directives(directives: &[Directive]) -> Vec<u8> {
     encode_seq(directives)
@@ -394,7 +434,7 @@ mod tests {
         let msgs = vec![
             CoreMsg::Bft {
                 domain: DomainId(1),
-                envelope: vec![1, 2, 3],
+                envelope: vec![1, 2, 3].into(),
             },
             CoreMsg::KeyShare(KeyShareMsg {
                 meta: meta(),

@@ -9,6 +9,7 @@
 //! protected" (§2.2) and does not describe a key-exchange protocol, so we
 //! provision pairwise keys at configuration time.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use itdos_crypto::keys::SymmetricKey;
@@ -16,8 +17,9 @@ use itdos_crypto::mac::Authenticator;
 use itdos_crypto::sign::{Signature, SigningKey, VerifyingKey};
 
 use crate::config::{ClientId, ReplicaId};
+use crate::message::Message;
 use crate::wire::{Reader, Wire, WireError, Writer};
-use xbytes::{wire_enum, wire_frame, wire_struct};
+use xbytes::{wire_enum, wire_frame, Bytes};
 
 /// A protocol participant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -43,18 +45,17 @@ pub enum AuthProof {
 pub struct Envelope {
     /// Who sent it (claimed; verified via `auth`).
     pub sender: Peer,
-    /// Encoded [`crate::message::Message`].
-    pub payload: Vec<u8>,
+    /// Encoded [`crate::message::Message`] (a slice of the received frame).
+    pub payload: Bytes,
     /// MAC authenticator or signature.
     pub auth: AuthProof,
 }
 
-impl Envelope {
-    /// Static name of the authentication scheme protecting this envelope
-    /// (`"mac"` or `"signature"`) — the label instrumentation attaches to
-    /// BFT wire cost series without allocating.
-    pub fn auth_kind(&self) -> &'static str {
-        match self.auth {
+impl AuthProof {
+    /// Static name of the scheme (`"mac"` or `"signature"`) — the label
+    /// instrumentation attaches to BFT wire cost series without allocating.
+    pub fn kind(&self) -> &'static str {
+        match self {
             AuthProof::Macs(_) => "mac",
             AuthProof::Signature(_) => "signature",
         }
@@ -84,12 +85,46 @@ wire_enum!(AuthProof {
     0 => Macs(authenticator),
     1 => Signature(signature),
 });
-wire_struct!(Envelope {
-    sender,
-    payload,
-    auth
-});
+
+/// The envelope layout, spelled once for [`Envelope`] and for
+/// [`AuthContext::put_envelope`]: the sender, the payload as length-prefixed
+/// bytes, then the proof — made over the payload where it was just written.
+fn put_envelope_with<P: Borrow<AuthProof>>(
+    w: &mut Writer,
+    sender: Peer,
+    payload: impl FnOnce(&mut Writer),
+    proof: impl FnOnce(&[u8]) -> P,
+) -> &'static str {
+    sender.put(w);
+    let proof = proof(w.framed(payload));
+    proof.borrow().put(w);
+    proof.borrow().kind()
+}
+
+/// Hand-written around `put_envelope_with`, which outgoing frames share.
+impl Wire for Envelope {
+    fn put(&self, w: &mut Writer) {
+        put_envelope_with(w, self.sender, |w| _ = w.raw(&self.payload), |_| &self.auth);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Envelope, WireError> {
+        Ok(Envelope {
+            sender: Wire::take(r)?,
+            payload: Wire::take(r)?,
+            auth: Wire::take(r)?,
+        })
+    }
+}
 wire_frame!(Envelope);
+
+/// How an outgoing message is authenticated: MACs for every replica, one
+/// MAC for one client, or the sender's signature.
+#[derive(Debug, Clone, Copy)]
+enum Scheme {
+    Replicas,
+    Client(ClientId),
+    Signed,
+}
 
 /// Deterministic key provisioning for one BFT group.
 #[derive(Debug, Clone)]
@@ -106,23 +141,27 @@ impl KeyProvisioner {
     /// Pairwise key between two replicas (symmetric in the pair).
     pub fn replica_pair(&self, a: ReplicaId, b: ReplicaId) -> SymmetricKey {
         let (lo, hi) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        let mut label = Vec::with_capacity(16);
-        label.extend_from_slice(&lo.to_le_bytes());
-        label.extend_from_slice(&hi.to_le_bytes());
-        SymmetricKey::derive(&self.seed, &[b"rr-pair".as_slice(), &label].concat())
+        SymmetricKey::derive_parts(
+            &self.seed,
+            &[b"rr-pair", &lo.to_le_bytes(), &hi.to_le_bytes()],
+        )
     }
 
     /// Pairwise key between a client and a replica.
     pub fn client_pair(&self, client: ClientId, replica: ReplicaId) -> SymmetricKey {
-        let mut label = Vec::with_capacity(16);
-        label.extend_from_slice(&client.0.to_le_bytes());
-        label.extend_from_slice(&replica.0.to_le_bytes());
-        SymmetricKey::derive(&self.seed, &[b"cr-pair".as_slice(), &label].concat())
+        SymmetricKey::derive_parts(
+            &self.seed,
+            &[
+                b"cr-pair",
+                &client.0.to_le_bytes(),
+                &replica.0.to_le_bytes(),
+            ],
+        )
     }
 
     /// A replica's signing key.
     pub fn signing_key(&self, replica: ReplicaId) -> SigningKey {
-        SigningKey::from_seed(&[&self.seed[..], &replica.0.to_le_bytes()].concat())
+        SigningKey::from_seed_parts(&[&self.seed, &replica.0.to_le_bytes()])
     }
 
     /// All replicas' verifying keys for a group of size `n`.
@@ -161,7 +200,7 @@ impl AuthContext {
     /// Builds the context for an external client.
     pub fn for_client(provisioner: KeyProvisioner, id: ClientId, n: usize) -> AuthContext {
         // clients do not sign protocol messages; derive an unused key
-        let signing = SigningKey::from_seed(&[b"client".as_slice(), &id.0.to_le_bytes()].concat());
+        let signing = SigningKey::from_seed_parts(&[b"client", &id.0.to_le_bytes()]);
         let verifying = provisioner.verifying_keys(n);
         AuthContext {
             me: Peer::Client(id),
@@ -184,46 +223,93 @@ impl AuthContext {
         }
     }
 
-    /// Wraps a payload with a MAC authenticator addressed to all replicas.
-    pub fn mac_envelope(&self, payload: Vec<u8>) -> Envelope {
-        let keys: Vec<SymmetricKey> = (0..self.n as u32)
-            .map(|i| self.pair_with_replica(ReplicaId(i)))
-            .collect();
-        let auth = AuthProof::Macs(Authenticator::generate(&keys, &payload));
-        Envelope {
-            sender: self.me,
-            payload,
-            auth,
+    /// The proof `scheme` attaches to `payload` (each MAC key derived as its
+    /// tag is computed).
+    fn proof(&self, scheme: Scheme, payload: &[u8]) -> AuthProof {
+        match scheme {
+            Scheme::Replicas => AuthProof::Macs(Authenticator::generate_from(
+                (0..self.n as u32).map(|i| self.pair_with_replica(ReplicaId(i))),
+                payload,
+            )),
+            Scheme::Client(client) => {
+                let Peer::Replica(me) = self.me else {
+                    // itdos-lint: allow(panic-freedom) -- guards our own identity (a local construction invariant), never attacker input; clients are wired without this path
+                    panic!("only replicas address clients");
+                };
+                let key = self.provisioner.client_pair(client, me);
+                AuthProof::Macs(Authenticator::generate_from(std::iter::once(key), payload))
+            }
+            Scheme::Signed => AuthProof::Signature(self.signing.sign(payload)),
         }
     }
 
-    /// Wraps a payload addressed to a single client (one-entry
-    /// authenticator under the client-replica pair key).
-    pub fn mac_envelope_for_client(&self, client: ClientId, payload: Vec<u8>) -> Envelope {
-        let Peer::Replica(me) = self.me else {
-            // itdos-lint: allow(panic-freedom) -- guards our own identity (a local construction invariant), never attacker input; clients are wired without this path
-            panic!("only replicas address clients");
+    /// Writes `message` into `w` as an envelope from this participant —
+    /// the one way a protocol message is framed for sending: encoded where
+    /// the envelope holds it and authenticated there. Returns the
+    /// [`AuthProof::kind`] used.
+    pub fn put_envelope(
+        &self,
+        w: &mut Writer,
+        message: &Message,
+        client: Option<ClientId>,
+    ) -> &'static str {
+        // a reply carries its client's MAC; the messages that serve inside
+        // third-party proofs are signed; the rest carry every replica's MAC
+        let scheme = match (client, message) {
+            (Some(client), _) => Scheme::Client(client),
+            (
+                None,
+                Message::ViewChange(_)
+                | Message::NewView(_)
+                | Message::Checkpoint(_)
+                | Message::StateData(_),
+            ) => Scheme::Signed,
+            (None, _) => Scheme::Replicas,
         };
-        let key = self.provisioner.client_pair(client, me);
-        let auth = AuthProof::Macs(Authenticator::generate(
-            std::slice::from_ref(&key),
-            &payload,
-        ));
+        put_envelope_with(
+            w,
+            self.me,
+            |w| message.put(w),
+            |payload| self.proof(scheme, payload),
+        )
+    }
+
+    /// Room for `message`'s envelope and a header of up to 16 bytes.
+    pub fn frame_capacity(&self, message: &Message) -> usize {
+        message.wire_len() + 48 + 8 * self.n
+    }
+
+    /// `message`'s envelope alone, in one buffer.
+    pub fn frame(&self, message: &Message, client: Option<ClientId>) -> Bytes {
+        let mut w = Writer::with_capacity(self.frame_capacity(message));
+        self.put_envelope(&mut w, message, client);
+        Bytes::from(w.finish())
+    }
+
+    fn envelope(&self, scheme: Scheme, payload: impl Into<Bytes>) -> Envelope {
+        let payload = payload.into();
         Envelope {
             sender: self.me,
+            auth: self.proof(scheme, &payload),
             payload,
-            auth,
         }
     }
 
-    /// Wraps a payload with this replica's signature.
-    pub fn signed_envelope(&self, payload: Vec<u8>) -> Envelope {
-        let signature = self.signing.sign(&payload);
-        Envelope {
-            sender: self.me,
-            payload,
-            auth: AuthProof::Signature(signature),
-        }
+    /// Wraps encoded bytes with a MAC authenticator addressed to all
+    /// replicas.
+    pub fn mac_envelope(&self, payload: impl Into<Bytes>) -> Envelope {
+        self.envelope(Scheme::Replicas, payload)
+    }
+
+    /// Wraps encoded bytes addressed to a single client (one-entry
+    /// authenticator under the client-replica pair key).
+    pub fn mac_envelope_for_client(&self, client: ClientId, payload: impl Into<Bytes>) -> Envelope {
+        self.envelope(Scheme::Client(client), payload)
+    }
+
+    /// Wraps encoded bytes with this replica's signature.
+    pub fn signed_envelope(&self, payload: impl Into<Bytes>) -> Envelope {
+        self.envelope(Scheme::Signed, payload)
     }
 
     /// Verifies an incoming envelope at this receiver.
@@ -290,7 +376,10 @@ mod tests {
         let sender = AuthContext::for_replica(p.clone(), ReplicaId(0), 4);
         let receiver = AuthContext::for_replica(p, ReplicaId(2), 4);
         let mut env = sender.mac_envelope(vec![1, 2, 3]);
-        env.payload[0] ^= 1;
+        // the payload is immutable: tamper with a rebuilt copy
+        let mut tampered = env.payload.to_vec();
+        tampered[0] ^= 1;
+        env.payload = tampered.into();
         assert!(!receiver.verify(&env));
     }
 
@@ -334,7 +423,9 @@ mod tests {
         let env = sender.signed_envelope(vec![1, 1, 2, 3, 5]);
         assert!(receiver.verify(&env));
         let mut bad = env.clone();
-        bad.payload.push(0);
+        let mut extended = bad.payload.to_vec();
+        extended.push(0);
+        bad.payload = extended.into();
         assert!(!receiver.verify(&bad));
         let mut forged = env;
         forged.sender = Peer::Replica(ReplicaId(1));

@@ -11,35 +11,42 @@
 
 use std::sync::OnceLock;
 
-use itdos_crypto::hash::Digest;
+use itdos_crypto::hash::{Digest, Sha256};
 
 use crate::config::{ClientId, ReplicaId, SeqNo, View};
 use crate::wire::{Reader, Wire, WireError, Writer};
-use xbytes::{wire_enum, wire_frame, wire_struct};
+use xbytes::{wire_enum, wire_frame, wire_struct, Bytes};
 
 /// A client's operation request.
 ///
 /// Immutable once built: the fields feed [`ClientRequest::digest`], which
 /// is computed at most once per object and remembered, so they are
-/// reachable through accessors only. Equality ignores the memo.
+/// reachable through accessors only. Equality ignores the memo. The
+/// operation is shared: a request decoded from a received frame holds a
+/// slice of it, and the log's and batches' clones share that one buffer.
 #[derive(Clone)]
 pub struct ClientRequest {
     client: ClientId,
     timestamp: u64,
     trace: u64,
-    operation: Vec<u8>,
+    operation: Bytes,
     digest: OnceLock<Digest>,
 }
 
 impl ClientRequest {
     /// Builds a request. `trace` is the causal trace id (0 = untraced);
     /// `operation` is opaque (in ITDOS: an encrypted SMIOP frame).
-    pub fn new(client: ClientId, timestamp: u64, trace: u64, operation: Vec<u8>) -> ClientRequest {
+    pub fn new(
+        client: ClientId,
+        timestamp: u64,
+        trace: u64,
+        operation: impl Into<Bytes>,
+    ) -> ClientRequest {
         ClientRequest {
             client,
             timestamp,
             trace,
-            operation,
+            operation: operation.into(),
             digest: OnceLock::new(),
         }
     }
@@ -97,7 +104,7 @@ impl std::fmt::Debug for ClientRequest {
             .field("client", &self.client)
             .field("timestamp", &self.timestamp)
             .field("trace", &self.trace)
-            .field("operation", &self.operation)
+            .field("operation", &&self.operation[..])
             .finish()
     }
 }
@@ -124,17 +131,16 @@ impl Batch {
         }
     }
 
-    /// The batch digest agreed by the three-phase protocol.
+    /// The batch digest agreed by the three-phase protocol: the request
+    /// digests are streamed into it, one at a time.
     pub fn digest(&self) -> Digest {
-        let digests: Vec<Digest> = self.requests.iter().map(|r| r.digest()).collect();
-        let count = (self.requests.len() as u64).to_le_bytes();
-        let mut parts: Vec<&[u8]> = Vec::with_capacity(digests.len() + 2);
-        parts.push(b"bft-batch");
-        parts.push(&count);
-        for d in &digests {
-            parts.push(d.as_bytes());
+        let mut h = Sha256::new();
+        h.update(b"bft-batch");
+        h.update(&(self.requests.len() as u64).to_le_bytes());
+        for request in &self.requests {
+            h.update(request.digest().as_bytes());
         }
-        Digest::of_parts(&parts)
+        h.finish()
     }
 
     /// Number of requests.
@@ -316,7 +322,7 @@ impl Wire for ClientRequest {
             Wire::take(r)?,
             Wire::take(r)?,
             Wire::take(r)?,
-            Wire::take(r)?,
+            Bytes::take(r)?,
         ))
     }
 }
@@ -600,7 +606,7 @@ mod tests {
     #[test]
     fn request_and_batch_digests_match_parent_commit() {
         let request = |client, timestamp, trace, len: usize| {
-            let operation = (0..len).map(|i| (i * 13 + 1) as u8).collect();
+            let operation: Vec<u8> = (0..len).map(|i| (i * 13 + 1) as u8).collect();
             ClientRequest::new(ClientId(client), timestamp, trace, operation)
         };
         let a = request(7, 1, 0, 0);

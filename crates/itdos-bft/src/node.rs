@@ -13,6 +13,7 @@ use crate::config::{ClientId, GroupConfig, ReplicaId, SeqNo};
 use crate::message::{ClientRequest, Message};
 use crate::replica::{Output, Replica};
 use crate::state::StateMachine;
+use crate::wire::Wire;
 
 /// Maps protocol identities to simulated network addresses.
 #[derive(Debug, Clone, Default)]
@@ -81,44 +82,22 @@ impl<S: StateMachine> ReplicaNode<S> {
         &mut self.replica
     }
 
-    fn send_message(&self, ctx: &mut Context<'_>, to: NodeId, message: &Message) {
-        let payload = message.encode();
-        let envelope = match message {
-            Message::ViewChange(_)
-            | Message::NewView(_)
-            | Message::Checkpoint(_)
-            | Message::StateData(_) => self.auth.signed_envelope(payload),
-            _ => self.auth.mac_envelope(payload),
-        };
-        ctx.send_labeled(to, Bytes::from(envelope.encode()), message.label());
-    }
-
     fn drain(&mut self, ctx: &mut Context<'_>) {
         for output in self.replica.take_outputs() {
             match output {
                 Output::ToReplica(to, message) => {
                     let node = self.directory.replica_node(to);
-                    self.send_message(ctx, node, &message);
+                    let frame = self.auth.frame(&message, None);
+                    ctx.send_labeled(node, frame, message.label());
                 }
                 Output::ToAllReplicas(message) => {
-                    let payload = message.encode();
-                    let envelope = match &message {
-                        Message::ViewChange(_)
-                        | Message::NewView(_)
-                        | Message::Checkpoint(_)
-                        | Message::StateData(_) => self.auth.signed_envelope(payload),
-                        _ => self.auth.mac_envelope(payload),
-                    };
-                    ctx.multicast_labeled(
-                        self.group,
-                        Bytes::from(envelope.encode()),
-                        message.label(),
-                    );
+                    let frame = self.auth.frame(&message, None);
+                    ctx.multicast_labeled(self.group, frame, message.label());
                 }
                 Output::ToClient(client, message) => {
                     if let Some(&node) = self.directory.clients.get(&client) {
-                        let envelope = self.auth.mac_envelope_for_client(client, message.encode());
-                        ctx.send_labeled(node, Bytes::from(envelope.encode()), message.label());
+                        let frame = self.auth.frame(&message, Some(client));
+                        ctx.send_labeled(node, frame, message.label());
                     }
                 }
                 Output::Executed {
@@ -145,13 +124,13 @@ impl<S: StateMachine + 'static> Process for ReplicaNode<S> {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: Bytes) {
-        let Ok(envelope) = Envelope::decode(&payload) else {
+        let Ok(envelope) = Envelope::decode_shared(&payload) else {
             return;
         };
         if !self.auth.verify(&envelope) {
             return; // forged or tampered: silently dropped
         }
-        let Ok(message) = Message::decode(&envelope.payload) else {
+        let Ok(message) = Message::decode_shared(&envelope.payload) else {
             return;
         };
         match envelope.sender {
@@ -216,12 +195,9 @@ impl ClientNode {
     }
 
     fn broadcast_request(&self, ctx: &mut Context<'_>, request: &ClientRequest) {
-        let envelope = self
-            .auth
-            .mac_envelope(Message::Request(request.clone()).encode());
-        let bytes = Bytes::from(envelope.encode());
+        let frame = self.auth.frame(&Message::Request(request.clone()), None);
         for &node in &self.directory.replicas {
-            ctx.send_labeled(node, bytes.clone(), "bft-request");
+            ctx.send_labeled(node, frame.clone(), "bft-request");
         }
     }
 }
@@ -240,13 +216,13 @@ impl Process for ClientNode {
             }
             return;
         }
-        let Ok(envelope) = Envelope::decode(&payload) else {
+        let Ok(envelope) = Envelope::decode_shared(&payload) else {
             return;
         };
         if !self.auth.verify(&envelope) {
             return;
         }
-        let Ok(Message::Reply(reply)) = Message::decode(&envelope.payload) else {
+        let Ok(Message::Reply(reply)) = Message::decode_shared(&envelope.payload) else {
             return;
         };
         if let Some((_ts, result)) = self.client.on_reply(reply) {

@@ -1,6 +1,6 @@
 //! Key material newtypes.
 
-use crate::hash::Digest;
+use crate::hash::{Digest, Sha256};
 
 /// A 256-bit symmetric key.
 ///
@@ -24,7 +24,17 @@ impl SymmetricKey {
 
     /// Derives a key from a seed and a domain-separation label.
     pub fn derive(seed: &[u8], label: &[u8]) -> SymmetricKey {
-        SymmetricKey(Digest::of_parts(&[b"itdos-key", label, seed]).0)
+        SymmetricKey::derive_parts(seed, &[label])
+    }
+
+    /// [`SymmetricKey::derive`] with the label given as parts, hashed where
+    /// they lie.
+    pub fn derive_parts(seed: &[u8], label: &[&[u8]]) -> SymmetricKey {
+        let mut h = Sha256::new();
+        h.update(b"itdos-key");
+        label.iter().for_each(|part| h.update(part));
+        h.update(seed);
+        SymmetricKey(h.finish().0)
     }
 
     /// The raw key bytes.

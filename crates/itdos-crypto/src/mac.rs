@@ -12,6 +12,8 @@
 //! payload however many receivers it addresses, and each further tag is a
 //! fixed handful of compressions.
 
+use xbytes::wire::Writer;
+
 use crate::hash::Digest;
 use crate::hmac::hmac;
 use crate::keys::SymmetricKey;
@@ -52,9 +54,18 @@ impl Authenticator {
     /// pairwise keys are `keys[i]`. The message is hashed once; every
     /// entry MACs that digest.
     pub fn generate(keys: &[SymmetricKey], message: &[u8]) -> Authenticator {
+        Authenticator::generate_from(keys.iter().copied(), message)
+    }
+
+    /// [`Authenticator::generate`] for keys derived as they are used, so
+    /// no key list is collected first.
+    pub fn generate_from(
+        keys: impl ExactSizeIterator<Item = SymmetricKey>,
+        message: &[u8],
+    ) -> Authenticator {
         let d = Digest::of(message);
         Authenticator {
-            tags: keys.iter().map(|k| MacTag::compute(k, &d)).collect(),
+            tags: keys.map(|k| MacTag::compute(&k, &d)).collect(),
         }
     }
 
@@ -83,12 +94,17 @@ impl Authenticator {
 
     /// Serializes to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + self.tags.len() * 8);
-        out.extend_from_slice(&(self.tags.len() as u32).to_le_bytes());
+        let mut w = Writer::with_capacity(4 + self.tags.len() * 8);
+        self.put_bytes(&mut w);
+        w.finish()
+    }
+
+    /// Appends the serialized form ([`Authenticator::to_bytes`]) in place.
+    pub(crate) fn put_bytes(&self, w: &mut Writer) {
+        w.count(self.tags.len());
         for t in &self.tags {
-            out.extend_from_slice(&t.0);
+            w.raw(&t.0);
         }
-        out
     }
 
     /// Parses the serialized form. Returns the authenticator and bytes

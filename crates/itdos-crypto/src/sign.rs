@@ -11,7 +11,7 @@
 //! signing a large frame is one pass over its bytes, as is verifying it.
 
 use crate::group::{Element, Scalar};
-use crate::hash::Digest;
+use crate::hash::{Digest, Sha256};
 
 /// A signing (secret) key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +56,15 @@ impl SigningKey {
     /// Derives a key pair from seed bytes (deterministic: the simulation
     /// provisions keys from its master seed).
     pub fn from_seed(seed: &[u8]) -> SigningKey {
-        let d = Digest::of_parts(&[b"itdos-sign-key", seed]);
+        SigningKey::from_seed_parts(&[seed])
+    }
+
+    /// [`SigningKey::from_seed`] over the concatenation of `seed`'s parts.
+    pub fn from_seed_parts(seed: &[&[u8]]) -> SigningKey {
+        let mut h = Sha256::new();
+        h.update(b"itdos-sign-key");
+        seed.iter().for_each(|part| h.update(part));
+        let d = h.finish();
         let mut secret = Scalar::from_digest(&d);
         if secret == Scalar::ZERO {
             secret = Scalar::ONE;
@@ -73,7 +81,12 @@ impl SigningKey {
 
     /// Signs `message`.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        let m = Digest::of(message);
+        self.sign_parts(&[message])
+    }
+
+    /// Signs the concatenation of `message`'s parts without building it.
+    pub fn sign_parts(&self, message: &[&[u8]]) -> Signature {
+        let m = Digest::of_parts(message);
         let k_digest = Digest::of_parts(&[b"itdos-nonce", &self.secret.to_bytes(), m.as_bytes()]);
         let mut k = Scalar::from_digest(&k_digest);
         if k == Scalar::ZERO {
@@ -92,6 +105,11 @@ impl SigningKey {
 impl VerifyingKey {
     /// Verifies `signature` over `message`.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
+        self.verify_parts(&[message], signature)
+    }
+
+    /// Verifies `signature` over the concatenation of `message`'s parts.
+    pub fn verify_parts(&self, message: &[&[u8]], signature: &Signature) -> bool {
         if !self.point.is_valid() {
             return false;
         }
@@ -99,7 +117,7 @@ impl VerifyingKey {
         let r = Element::generator()
             .pow(signature.response)
             .mul(self.point.pow(signature.challenge).inverse());
-        let m = Digest::of(message);
+        let m = Digest::of_parts(message);
         challenge(&r, self, &m) == signature.challenge
     }
 

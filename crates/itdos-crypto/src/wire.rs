@@ -32,11 +32,11 @@ impl Wire for VerifyingKey {
     }
 }
 
-/// [`Authenticator::to_bytes`] nested as length-prefixed bytes, which the
-/// parsed authenticator must fill exactly.
+/// [`Authenticator::to_bytes`] nested as length-prefixed bytes (written in
+/// place), which the parsed authenticator must fill exactly.
 impl Wire for Authenticator {
     fn put(&self, w: &mut Writer) {
-        w.bytes(&self.to_bytes());
+        w.framed(|w| self.put_bytes(w));
     }
 
     fn take(r: &mut Reader<'_>) -> Result<Authenticator, WireError> {

@@ -44,19 +44,26 @@ wire_struct!(SignedReply {
     signature
 });
 
-fn signing_payload(sender: SenderId, sequence: u64, frame: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(frame.len() + 20);
-    out.extend_from_slice(b"itdos-reply:");
-    out.extend_from_slice(&sender.0.to_le_bytes());
-    out.extend_from_slice(&sequence.to_le_bytes());
-    out.extend_from_slice(frame);
-    out
+/// Runs `with` on the signed message `"itdos-reply:" ‖ sender ‖ sequence ‖
+/// frame`, given as its parts: the frame is signed where it lies.
+fn signed_parts<R>(
+    sender: SenderId,
+    sequence: u64,
+    frame: &[u8],
+    with: impl FnOnce(&[&[u8]]) -> R,
+) -> R {
+    with(&[
+        b"itdos-reply:",
+        &sender.0.to_le_bytes(),
+        &sequence.to_le_bytes(),
+        frame,
+    ])
 }
 
 impl SignedReply {
     /// Signs a reply frame (done by each replica for every reply it emits).
     pub fn sign(key: &SigningKey, sender: SenderId, sequence: u64, frame: Vec<u8>) -> SignedReply {
-        let signature = key.sign(&signing_payload(sender, sequence, &frame));
+        let signature = signed_parts(sender, sequence, &frame, |parts| key.sign_parts(parts));
         SignedReply {
             sender,
             sequence,
@@ -67,10 +74,9 @@ impl SignedReply {
 
     /// Verifies the signature with the sender's public key.
     pub fn verify(&self, key: &VerifyingKey) -> bool {
-        key.verify(
-            &signing_payload(self.sender, self.sequence, &self.frame),
-            &self.signature,
-        )
+        signed_parts(self.sender, self.sequence, &self.frame, |parts| {
+            key.verify_parts(parts, &self.signature)
+        })
     }
 }
 

@@ -3,8 +3,8 @@
 //! ITDOS passes message payloads around the simulator by value, often fanning
 //! one payload out to every replica in a domain. [`Bytes`] makes that cheap:
 //! it is an immutable, reference-counted byte buffer whose `clone` is an
-//! `Arc` bump, not a copy. [`BytesMut`] is the growable builder that
-//! [freezes](BytesMut::freeze) into a [`Bytes`].
+//! `Arc` bump, not a copy, and one made from a `Vec` keeps that vector's
+//! buffer. Frames are built in a [`wire::Writer`] and handed over whole.
 //!
 //! The [`wire`] module is ITDOS's own: the compact wire format beneath
 //! GIOP. It lives in this leaf crate so that every crate owning a wire type
@@ -33,11 +33,11 @@ use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 /// Backing storage: either a borrowed static slice (zero-copy literals) or a
-/// shared heap allocation.
+/// shared heap buffer — the very `Vec` a [`Bytes`] was made from.
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared(Arc<[u8]>),
+    Shared(Arc<Vec<u8>>),
 }
 
 /// A cheaply clonable, immutable slice of bytes.
@@ -153,7 +153,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            repr: Repr::Shared(Arc::from(v)),
+            repr: Repr::Shared(Arc::new(v)),
             start: 0,
             end,
         }
@@ -270,104 +270,6 @@ impl fmt::Debug for Bytes {
     }
 }
 
-/// A growable byte buffer that freezes into an immutable [`Bytes`].
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Creates an empty buffer.
-    pub fn new() -> BytesMut {
-        BytesMut { buf: Vec::new() }
-    }
-
-    /// Creates an empty buffer with at least `cap` bytes of capacity.
-    pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Appends a slice.
-    pub fn extend_from_slice(&mut self, extend: &[u8]) {
-        self.buf.extend_from_slice(extend);
-    }
-
-    /// Appends a single byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a slice (alias matching the upstream `BufMut` name).
-    pub fn put_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Clears the buffer, keeping capacity.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
-    /// Converts into an immutable [`Bytes`] (no copy).
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl std::ops::DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl From<Vec<u8>> for BytesMut {
-    fn from(buf: Vec<u8>) -> BytesMut {
-        BytesMut { buf }
-    }
-}
-
-impl From<BytesMut> for Bytes {
-    fn from(b: BytesMut) -> Bytes {
-        b.freeze()
-    }
-}
-
-impl Extend<u8> for BytesMut {
-    fn extend<I: IntoIterator<Item = u8>>(&mut self, iter: I) {
-        self.buf.extend(iter);
-    }
-}
-
-impl fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        Bytes::copy_from_slice(&self.buf).fmt(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,6 +302,17 @@ mod tests {
     }
 
     #[test]
+    fn from_vec_keeps_the_vectors_buffer() {
+        let v = vec![5u8, 6, 7, 8];
+        let data = v.as_ptr();
+        let a = Bytes::from(v);
+        assert_eq!(a.as_slice().as_ptr(), data, "the Vec's own buffer");
+        assert_eq!(a.clone().as_slice().as_ptr(), data, "clone shares it");
+        assert_eq!(a.slice(1..).as_slice().as_ptr(), data.wrapping_add(1));
+        assert_eq!(a, [5, 6, 7, 8]);
+    }
+
+    #[test]
     fn static_bytes_are_zero_copy() {
         const GREETING: &[u8] = b"hello";
         let b = Bytes::from_static(GREETING);
@@ -413,17 +326,6 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(b.iter().copied().max(), Some(9));
         assert_eq!(&b[..2], &[9, 8]);
-    }
-
-    #[test]
-    fn bytes_mut_builds_and_freezes() {
-        let mut m = BytesMut::with_capacity(8);
-        m.put_u8(1);
-        m.put_slice(&[2, 3]);
-        m.extend_from_slice(&[4]);
-        assert_eq!(m.len(), 4);
-        let frozen = m.freeze();
-        assert_eq!(frozen, [1, 2, 3, 4]);
     }
 
     #[test]

@@ -13,10 +13,14 @@
 //! out. Truncation, a trailing byte, an unknown tag and an over-bound count
 //! are each rejected in exactly one place below.
 
+use crate::Bytes;
+
 /// Writer for the compact format.
 #[derive(Debug, Default)]
 pub struct Writer {
     buffer: Vec<u8>,
+    /// `Some(n)` on a writer that only counts ([`Wire::wire_len`]).
+    counted: Option<usize>,
 }
 
 impl Writer {
@@ -25,28 +29,43 @@ impl Writer {
         Writer::default()
     }
 
+    /// Creates an empty writer with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Writer {
+        Writer {
+            buffer: Vec::with_capacity(capacity),
+            counted: None,
+        }
+    }
+
+    fn sizing() -> Writer {
+        Writer {
+            buffer: Vec::new(),
+            counted: Some(0),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.counted.unwrap_or(self.buffer.len())
+    }
+
     /// Appends a tag/length-free u8.
     pub fn u8(&mut self, v: u8) -> &mut Writer {
-        self.buffer.push(v);
-        self
+        self.raw(&[v])
     }
 
     /// Appends a little-endian u32.
     pub fn u32(&mut self, v: u32) -> &mut Writer {
-        self.buffer.extend_from_slice(&v.to_le_bytes());
-        self
+        self.raw(&v.to_le_bytes())
     }
 
     /// Appends a little-endian u64.
     pub fn u64(&mut self, v: u64) -> &mut Writer {
-        self.buffer.extend_from_slice(&v.to_le_bytes());
-        self
+        self.raw(&v.to_le_bytes())
     }
 
     /// Appends a byte length or an element count as a u32 prefix.
     pub fn count(&mut self, n: usize) -> &mut Writer {
-        // encoder input is locally built, never a hostile length
-        self.u32(n as u32) // itdos-lint: allow(hostile-arith) -- encode-side length of a local buffer; protocol frames are bounded far below u32::MAX and the decode side enforces it
+        self.raw(&prefix(n))
     }
 
     /// Appends raw bytes with a u32 length prefix.
@@ -56,14 +75,37 @@ impl Writer {
 
     /// Appends fixed-size raw bytes without a length prefix.
     pub fn raw(&mut self, v: &[u8]) -> &mut Writer {
-        self.buffer.extend_from_slice(v);
+        match &mut self.counted {
+            Some(n) => *n += v.len(),
+            None => self.buffer.extend_from_slice(v),
+        }
         self
+    }
+
+    /// Appends what `put` writes as length-prefixed bytes, patching the
+    /// prefix afterwards; returns those bytes (none when only counting).
+    pub fn framed(&mut self, put: impl FnOnce(&mut Writer)) -> &[u8] {
+        self.u32(0);
+        let start = self.len();
+        put(self);
+        let len = prefix(self.len() - start);
+        if self.counted.is_none() {
+            self.buffer[start - 4..start].copy_from_slice(&len);
+        }
+        self.buffer.get(start..).unwrap_or_default()
     }
 
     /// Finishes, returning the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buffer
     }
+}
+
+/// The u32 prefix of a byte length or an element count.
+fn prefix(n: usize) -> [u8; 4] {
+    // encoder input is locally built, never a hostile length; protocol
+    // frames are bounded far below u32::MAX and the decode side enforces it
+    (n as u32).to_le_bytes()
 }
 
 /// Decode failure: input truncated or length field hostile.
@@ -82,13 +124,27 @@ impl std::error::Error for WireError {}
 #[derive(Debug)]
 pub struct Reader<'a> {
     bytes: &'a [u8],
+    /// The received buffer `bytes` views, when reading one.
+    shared: Option<&'a Bytes>,
     position: usize,
 }
 
 impl<'a> Reader<'a> {
     /// Creates a reader.
     pub fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, position: 0 }
+        Reader {
+            bytes,
+            shared: None,
+            position: 0,
+        }
+    }
+
+    fn shared(bytes: &'a Bytes) -> Reader<'a> {
+        Reader {
+            bytes,
+            shared: Some(bytes),
+            position: 0,
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -132,6 +188,16 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
+    /// Reads length-prefixed bytes: a slice of the buffer under
+    /// [`Wire::decode_shared`], else a copy.
+    fn shared_bytes(&mut self) -> Result<Bytes, WireError> {
+        let slice = self.bytes()?;
+        Ok(match self.shared {
+            Some(buffer) => buffer.slice(self.position - slice.len()..self.position),
+            None => Bytes::copy_from_slice(slice),
+        })
+    }
+
     /// Reads exactly `n` raw bytes.
     pub fn raw(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         self.take(n)
@@ -152,19 +218,18 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Runs `put` on a fresh writer and returns what it wrote.
-fn written(put: impl FnOnce(&mut Writer)) -> Vec<u8> {
-    let mut w = Writer::new();
+/// Runs `put` on a writer sized for `len` bytes and returns what it wrote.
+fn written(len: usize, put: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::with_capacity(len);
     put(&mut w);
     w.finish()
 }
 
-/// Runs `take` over all of `bytes`: a value followed by anything is refused.
+/// Runs `take` over all of `r`: a value followed by anything is refused.
 fn whole<T>(
-    bytes: &[u8],
+    mut r: Reader<'_>,
     take: impl FnOnce(&mut Reader<'_>) -> Result<T, WireError>,
 ) -> Result<T, WireError> {
-    let mut r = Reader::new(bytes);
     let value = take(&mut r)?;
     r.expect_end()?;
     Ok(value)
@@ -184,9 +249,16 @@ pub trait Wire: Sized {
     /// all reachable by a Byzantine peer.
     fn take(r: &mut Reader<'_>) -> Result<Self, WireError>;
 
-    /// Encodes this value alone into a buffer.
+    /// The encoded length, counted without writing anything.
+    fn wire_len(&self) -> usize {
+        let mut w = Writer::sizing();
+        self.put(&mut w);
+        w.len()
+    }
+
+    /// Encodes this value alone into a buffer allocated at its size.
     fn encode(&self) -> Vec<u8> {
-        written(|w| self.put(w))
+        written(self.wire_len(), |w| self.put(w))
     }
 
     /// Decodes a buffer holding exactly one value.
@@ -195,7 +267,17 @@ pub trait Wire: Sized {
     ///
     /// As [`take`](Wire::take), and on any trailing byte.
     fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        whole(bytes, Self::take)
+        whole(Reader::new(bytes), Self::take)
+    }
+
+    /// [`decode`](Wire::decode), but `Bytes` fields are slices of the
+    /// received buffer, not copies.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode`](Wire::decode).
+    fn decode_shared(bytes: &Bytes) -> Result<Self, WireError> {
+        whole(Reader::shared(bytes), Self::take)
     }
 }
 
@@ -235,6 +317,18 @@ impl Wire for Vec<u8> {
 
     fn take(r: &mut Reader<'_>) -> Result<Vec<u8>, WireError> {
         Ok(r.bytes()?.to_vec())
+    }
+}
+
+/// Length-prefixed bytes, laid out as `Vec<u8>`; under
+/// [`decode_shared`](Wire::decode_shared), a slice of the received buffer.
+impl Wire for Bytes {
+    fn put(&self, w: &mut Writer) {
+        w.bytes(self);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Bytes, WireError> {
+        r.shared_bytes()
     }
 }
 
@@ -286,7 +380,9 @@ pub fn take_seq<T: Wire>(r: &mut Reader<'_>, max: u32) -> Result<Vec<T>, WireErr
 
 /// Encodes a list that travels alone: a count, then each item.
 pub fn encode_seq<T: Wire>(items: &[T]) -> Vec<u8> {
-    written(|w| put_seq(w, items.iter()))
+    let mut sizing = Writer::sizing();
+    put_seq(&mut sizing, items.iter());
+    written(sizing.len(), |w| put_seq(w, items.iter()))
 }
 
 /// Decodes a buffer holding exactly one list of at most `max` items.
@@ -295,13 +391,13 @@ pub fn encode_seq<T: Wire>(items: &[T]) -> Vec<u8> {
 ///
 /// As [`take_seq`], and on any trailing byte.
 pub fn decode_seq<T: Wire>(bytes: &[u8], max: u32) -> Result<Vec<T>, WireError> {
-    whole(bytes, |r| take_seq(r, max))
+    whole(Reader::new(bytes), |r| take_seq(r, max))
 }
 
 /// Appends a value as a length-delimited sub-message (a `field as framed`
 /// declaration).
 pub fn put_framed<T: Wire>(w: &mut Writer, value: &T) {
-    w.bytes(&value.encode());
+    w.framed(|w| value.put(w));
 }
 
 /// Reads a length-delimited sub-message; the value must fill it exactly.
@@ -311,7 +407,7 @@ pub fn put_framed<T: Wire>(w: &mut Writer, value: &T) {
 /// [`WireError`] when the frame is truncated or the value does not end
 /// where the frame does.
 pub fn take_framed<T: Wire>(r: &mut Reader<'_>) -> Result<T, WireError> {
-    T::decode(r.bytes()?)
+    T::decode_shared(&r.shared_bytes()?)
 }
 
 /// Declares the wire layout of a struct: its fields, in wire order.

@@ -29,6 +29,7 @@ use itdos_groupmgr::manager::ConnectionId;
 use itdos_groupmgr::membership::{DomainId, DomainRecord, ElementRecord, Endpoint, Membership};
 use itdos_vote::detector::{FaultProof, SignedReply};
 use itdos_vote::vote::SenderId;
+use xbytes::Bytes;
 
 fn signature() -> Signature {
     SigningKey::from_seed(b"s").sign(b"m")
@@ -178,7 +179,7 @@ pub fn core_msgs() -> Vec<CoreMsg> {
     vec![
         CoreMsg::Bft {
             domain: DomainId(4),
-            envelope: vec![1, 2, 3, 4, 5],
+            envelope: vec![1, 2, 3, 4, 5].into(),
         },
         CoreMsg::KeyShare(KeyShareMsg {
             meta: meta(),
@@ -423,6 +424,9 @@ pub struct Case {
     pub samples: Vec<Vec<u8>>,
     /// Decodes a whole buffer and encodes the value again.
     pub recode: fn(&[u8]) -> Result<Vec<u8>, WireError>,
+    /// As `recode`, decoding from a received (shared) buffer — the path
+    /// whose `Bytes` fields are slices of it.
+    pub recode_shared: fn(&Bytes) -> Result<Vec<u8>, WireError>,
     /// For a tagged type: every tag value it declares (the tag is byte 0).
     pub tags: &'static [u8],
     /// Where `samples[0]` holds an element count, and that count's bound.
@@ -445,11 +449,16 @@ fn recode<T: Wire>(bytes: &[u8]) -> Result<Vec<u8>, WireError> {
     T::decode(bytes).map(|value| value.encode())
 }
 
+fn recode_shared<T: Wire>(bytes: &Bytes) -> Result<Vec<u8>, WireError> {
+    T::decode_shared(bytes).map(|value| value.encode())
+}
+
 fn case<T: Wire>(samples: &[T]) -> Case {
     Case {
         name: std::any::type_name::<T>(),
         samples: samples.iter().map(Wire::encode).collect(),
         recode: recode::<T>,
+        recode_shared: recode_shared::<T>,
         tags: &[],
         counts: Vec::new(),
     }
@@ -485,6 +494,7 @@ pub fn cases() -> Vec<Case> {
         case::<u64>(&[u64::MAX - 1]),
         case::<[u8; 3]>(&[[1, 2, 3]]),
         case::<Vec<u8>>(&[vec![], vec![1, 2]]),
+        case::<Bytes>(&[Bytes::new(), Bytes::from_static(&[1, 2])]),
         case::<Option<u32>>(&[None, Some(5)]).tags(&[0, 1]),
         // itdos-crypto
         case::<Digest>(&[Digest::of(b"d")]),
@@ -557,6 +567,8 @@ pub fn cases() -> Vec<Case> {
             name: "directive list",
             samples: vec![encode_directives(&directives())],
             recode: |bytes| decode_directives(bytes).map(|list| encode_directives(&list)),
+            // a list that travels alone holds no `Bytes`: both paths read a slice
+            recode_shared: |bytes| decode_directives(bytes).map(|list| encode_directives(&list)),
             tags: &[],
             counts: vec![(0, MAX_PROOF_ITEMS)],
         },
@@ -564,6 +576,9 @@ pub fn cases() -> Vec<Case> {
             name: "GmMachine snapshot",
             samples: vec![gm_snapshot()],
             recode: |bytes| decode_seq::<Vec<u8>>(bytes, MAX_OPLOG).map(|log| encode_seq(&log)),
+            recode_shared: |bytes| {
+                decode_seq::<Vec<u8>>(bytes, MAX_OPLOG).map(|log| encode_seq(&log))
+            },
             tags: &[],
             counts: vec![(0, MAX_OPLOG)],
         },

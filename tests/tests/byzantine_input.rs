@@ -281,7 +281,9 @@ fn replica_survives_adversarial_field_values() {
 fn envelope_decoding_is_total() {
     let env = Envelope {
         sender: Peer::Replica(ReplicaId(2)),
-        payload: Message::Request(ClientRequest::new(ClientId(1), 4, 0, vec![9; 12])).encode(),
+        payload: Message::Request(ClientRequest::new(ClientId(1), 4, 0, vec![9; 12]))
+            .encode()
+            .into(),
         auth: AuthProof::Signature(SigningKey::from_seed(b"env").sign(b"payload")),
     };
     let bytes = env.encode();

@@ -32,10 +32,13 @@ fn core_corpus(cases: &[Case]) -> Vec<&Vec<u8>> {
 }
 
 /// Runs every compact-wire decoder — the law harness's whole type list —
-/// on one buffer; all of them must return.
+/// on one buffer, from a slice and from a shared `Bytes`; all of them must
+/// return.
 fn decode_all_core(cases: &[Case], bytes: &[u8]) {
+    let shared = xbytes::Bytes::copy_from_slice(bytes);
     for case in cases {
         let _ = (case.recode)(bytes);
+        let _ = (case.recode_shared)(&shared);
     }
 }
 

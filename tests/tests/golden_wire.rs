@@ -241,6 +241,224 @@ const COMPACT_WIRE_GOLDEN: &[(&str, &str)] = &[
     ("GmMachine snapshot[0]", "03000000120000000109000000000000000001000000000000000900000003000000000300000003000000010203"),
 ];
 
+// ---- whole BFT frames ------------------------------------------------------
+
+/// The three ways a sender authenticates a message: a MAC authenticator
+/// for every replica, a one-entry authenticator for one client, a
+/// signature.
+const AUTH_MODES: [&str; 3] = ["mac-replicas", "mac-client", "signed"];
+
+/// Two domain ids: one small, one using every byte of its `u64`.
+const FRAME_DOMAINS: [u64; 2] = [1, 0x0807_0605_0403_0201];
+
+/// The replica (2 of 4) that sends every frame below.
+fn frame_sender() -> itdos_bft::auth::AuthContext {
+    let keys = itdos_bft::auth::KeyProvisioner::new([7u8; 32]);
+    itdos_bft::auth::AuthContext::for_replica(keys, itdos_bft::config::ReplicaId(2), 4)
+}
+
+/// Every `Message` sample under every auth mode and domain, framed the
+/// layered way: the message encoded, wrapped in an `Envelope`, that
+/// encoded and wrapped in `CoreMsg::Bft`.
+fn layered_frames() -> Vec<(String, Vec<u8>)> {
+    use itdos::wire::CoreMsg;
+    use itdos_groupmgr::membership::DomainId;
+    let auth = frame_sender();
+    let mut out = Vec::new();
+    for (i, message) in itdos_tests::wire_samples::messages().iter().enumerate() {
+        for mode in AUTH_MODES {
+            let payload = message.encode();
+            let envelope = match mode {
+                "mac-replicas" => auth.mac_envelope(payload),
+                "mac-client" => {
+                    auth.mac_envelope_for_client(itdos_bft::config::ClientId(42), payload)
+                }
+                _ => auth.signed_envelope(payload),
+            };
+            for domain in FRAME_DOMAINS {
+                let frame = CoreMsg::Bft {
+                    domain: DomainId(domain),
+                    envelope: envelope.encode().into(),
+                };
+                out.push((format!("Message[{i}] {mode} {domain:x}"), frame.encode()));
+            }
+        }
+    }
+    out
+}
+
+/// The frames the one-buffer send path (`itdos::wire::bft_frame`) builds
+/// for every `Message` sample and domain: addressed to the replicas, in
+/// the mode the message's kind calls for, and addressed to one client.
+fn one_buffer_frames() -> Vec<(String, Vec<u8>)> {
+    use itdos_bft::message::Message;
+    use itdos_groupmgr::membership::DomainId;
+    let auth = frame_sender();
+    let mut out = Vec::new();
+    for (i, message) in itdos_tests::wire_samples::messages().iter().enumerate() {
+        let own_mode = match message {
+            Message::ViewChange(_)
+            | Message::NewView(_)
+            | Message::Checkpoint(_)
+            | Message::StateData(_) => "signed",
+            _ => "mac-replicas",
+        };
+        let client = Some(itdos_bft::config::ClientId(42));
+        for (mode, client) in [(own_mode, None), ("mac-client", client)] {
+            for domain in FRAME_DOMAINS {
+                let frame = itdos::wire::bft_frame(&auth, DomainId(domain), message, client);
+                let envelope = &frame.bytes[13..];
+                assert_eq!(frame.envelope_len, envelope.len());
+                let decoded = itdos_bft::auth::Envelope::decode(envelope).expect("decodes");
+                assert_eq!(frame.auth, decoded.auth.kind());
+                out.push((
+                    format!("Message[{i}] {mode} {domain:x}"),
+                    frame.bytes.to_vec(),
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// `(case, frame length, SHA-256 of the frame)`, captured at the parent
+/// commit (7cbcef7), where every frame was built by the layered encode.
+#[rustfmt::skip]
+const BFT_FRAME_GOLDEN: &[(&str, usize, &str)] = &[
+    ("Message[0] mac-replicas 1", 99, "1efc287af7e69faff30322af4bf1c7be993b145cfd0f2bf222e99c174061a4d3"),
+    ("Message[0] mac-replicas 807060504030201", 99, "d02261c914553d7f9a896c35723528c2e1419138e6a73363508200e4c3ec5eb4"),
+    ("Message[0] mac-client 1", 75, "7aba4476a9409a86a8d4c1e8f7f2b2f58860d46b259ca6fbb302711b674d90b1"),
+    ("Message[0] mac-client 807060504030201", 75, "bcb6e4f871d35be61327dad197372752f3c44063d9d5ffda8a3828c46f3cea76"),
+    ("Message[0] signed 1", 75, "e10d91e32165842cb9121ff29410950a6af644473b2efee2eef3ef0044128fce"),
+    ("Message[0] signed 807060504030201", 75, "c827c1e235a54df5d82ddad5d3e598643f42cafac6b5a2bfb853d7cee9526b2f"),
+    ("Message[1] mac-replicas 1", 181, "921a412ed3eba6631bbfe81cf0bda2ef61ad7ca898a715e0b0040c6ad5f03975"),
+    ("Message[1] mac-replicas 807060504030201", 181, "4b0e7e8e4cb752e0e884c7d33724292ee46c77c71d52064db5f03ba928792e4b"),
+    ("Message[1] mac-client 1", 157, "530f36e2bd7583b746d9a7fd5ff6c888043797cbbb1fe1bf438110d4161442cb"),
+    ("Message[1] mac-client 807060504030201", 157, "539a6367841d0c5de5fa75b2306f7d405b2d0c0989b7d475fbdc67e71ba4d0f9"),
+    ("Message[1] signed 1", 157, "caf6bbb30c933fa2ad2ddc8addbecdec727a4a9127edc6541593428cb4d872d5"),
+    ("Message[1] signed 807060504030201", 157, "208a471e0051dd7d4dbd5656b91ac6d10a11912ca28bee7cf201c2df8f1dbd40"),
+    ("Message[2] mac-replicas 1", 120, "4f52dd5681aee108d5e7d429b576c395bba99bca5166111ac89d357af15bfeda"),
+    ("Message[2] mac-replicas 807060504030201", 120, "4b8f58a5f64e77ce769cd0a55662a08059c8eecd1870134807fd4235631ddd7d"),
+    ("Message[2] mac-client 1", 96, "26ac6a7a93e35231abc1b9e18d71943e72b290214aa69ac43a8f3872d21e0cac"),
+    ("Message[2] mac-client 807060504030201", 96, "c6b30132696e8ae8e3fbf86271f4619109cc2177047cbef0437dd787cfcaf2f3"),
+    ("Message[2] signed 1", 96, "d03da40f4a583bb1e72396891085e72944a7c3283e9b9f5209997e0aa333d6b6"),
+    ("Message[2] signed 807060504030201", 96, "9a662b657e903e31a01d9e47d0ee01574bd60cde38fe7e82f4c3a2b670c59f66"),
+    ("Message[3] mac-replicas 1", 120, "fa20ea160a3ee017e9d2d5161a74053348c1646f2b12033f1e95e744b0f6f765"),
+    ("Message[3] mac-replicas 807060504030201", 120, "bd2bdd8d6809c60ec950deb533472c36bece934ada72f52d10da351ab50639f6"),
+    ("Message[3] mac-client 1", 96, "a86910faa6063e6aa6a6e6d16099097f9051baaea66b8017027f2716030e8b01"),
+    ("Message[3] mac-client 807060504030201", 96, "82fe5673405c561cdec6d116cb2b14dcf78a29ffa978518c5e72b30760ad7afc"),
+    ("Message[3] signed 1", 96, "839d4f7722733560daf76c7e1e0feea286cca5ed1bfcc313a80207f5094c8c7d"),
+    ("Message[3] signed 807060504030201", 96, "4105c2bcb480106e8c316d2e0b5a92505155c3a9ee56083f370c62b78e65c97c"),
+    ("Message[4] mac-replicas 1", 120, "a4dbbbefa2097030f9d13cfaf4b30595eed50dca067b69a94bd312e8b0aedbe6"),
+    ("Message[4] mac-replicas 807060504030201", 120, "66fde7d6a58a5943b337be67147c47b8885abb62e1b20f25743fd75c603accf2"),
+    ("Message[4] mac-client 1", 96, "439c36cf7b75757b55b7be282621a2d36fa9be0abb9adafcc8db5a2b4eb2ca24"),
+    ("Message[4] mac-client 807060504030201", 96, "2b8924880d1da988c36e7399491eba6ada97e9bfa3d27d2e7ef264c8c1ad1785"),
+    ("Message[4] signed 1", 96, "791a9a221b391891c32d01859ef9190632602ce472ce40e38d2836997f7d25e0"),
+    ("Message[4] signed 807060504030201", 96, "fc5bf08cb9a5b7543d0b3545eb9cf669114d338ca79bc5db95aeedec1771eb2b"),
+    ("Message[5] mac-replicas 1", 101, "9f6ad040273e5832ad843a99af1a2ebf0d929e0563b9d42a057153ac5f43786e"),
+    ("Message[5] mac-replicas 807060504030201", 101, "76c6a80ab000b7addf1f87efef8ab177df26a5e3e9ab3ea0fc0cd6f3e6a49144"),
+    ("Message[5] mac-client 1", 77, "70d1b83b2a9bbebb3b17a4e073a8764d1b7afdd48bcb29d1f6437197dd584156"),
+    ("Message[5] mac-client 807060504030201", 77, "b7d5fb0d89e8c23a31c3941855ef818ebf655cc8ff6083f5a71c166cbfb63330"),
+    ("Message[5] signed 1", 77, "ef32d76ad56f02661c2efd06ddc75e80599b6df82160e37b4073492e9bc39a75"),
+    ("Message[5] signed 807060504030201", 77, "4f927d0a2bcf6ac570c8bc318bf32aef839ce86f015505898f3923599a9f4557"),
+    ("Message[6] mac-replicas 1", 112, "b3284b4b7f1c8dcbc30ec20b24d1483a6f70e176f68aca8e4c23a98fbf125a7e"),
+    ("Message[6] mac-replicas 807060504030201", 112, "15237045068b656c50bb9c58df11e2bbe2c14a7582f5025974f5f606288e56ed"),
+    ("Message[6] mac-client 1", 88, "7c939fe5e6a8b320fb6bb1962ef1c0ca288763980c63ee08956371a76ff75b9f"),
+    ("Message[6] mac-client 807060504030201", 88, "1954e40d214607b716a99940a065de0bebd95c58d76ea11156ce0db722033024"),
+    ("Message[6] signed 1", 88, "34f6bb2ec01a9d58c2c16d5fe8ff159bcac818f7df09581fa6bdce8aaa9c9547"),
+    ("Message[6] signed 807060504030201", 88, "90abe95601b9b9ffebc585a0e0ed0dd5ef4ad676ab11fabaae48b953f04d8b80"),
+    ("Message[7] mac-replicas 1", 309, "528e38317e2f3b4ff65e4ba1523273bd9c249d481eb004767abb0d91e0123ca5"),
+    ("Message[7] mac-replicas 807060504030201", 309, "e75a9231716ebc9b9557e008116a67ebee54acb997c34f7f97ee065729b6ea56"),
+    ("Message[7] mac-client 1", 285, "a439d2621f4ebf7ee9b6b03861ceb31e19ebbf209925ce23835d599ee5bed4af"),
+    ("Message[7] mac-client 807060504030201", 285, "fdfc32a7c3000de08354aa1737ae9ee6e7a34b2dcf3c27fd71507e50672799f3"),
+    ("Message[7] signed 1", 285, "43c0ac3970b54f4bfd8de841f3296f69857210735a0be121017fcf80748aa403"),
+    ("Message[7] signed 807060504030201", 285, "6da7072d7af8f12e19cc49e9baae6d5072e071cbddc45ece7aecac818d45eac1"),
+    ("Message[8] mac-replicas 1", 442, "45bad60cad4adb75b37d3378c6100f5e1c7498bcb7fe60527c37f9195b9085a8"),
+    ("Message[8] mac-replicas 807060504030201", 442, "1d416ecc56d47f3d0c1e9f8bcdaea39ea027ebb50910ef841d1f58966531b7a9"),
+    ("Message[8] mac-client 1", 418, "9c9d266d27e663f71590c4491e6ca72c554c1435821bb8f7c40b747f12a2742f"),
+    ("Message[8] mac-client 807060504030201", 418, "023d422ac4d502989a7d3b4485c99bc9bdc9c58efe408a17e843b113f90a3caf"),
+    ("Message[8] signed 1", 418, "851413bc3876a5653151f9c713fc574b13e57903e7280ef498fcef0cd51ca9c5"),
+    ("Message[8] signed 807060504030201", 418, "d2fd073e5e7f13cee540b3e1b6f7cad2a70948580fab4432044a1980bdab2cf0"),
+    ("Message[9] mac-replicas 1", 80, "a50e8884c151c4d3e169c7292184ddf97113e9d90c453f2ed9319534307744f8"),
+    ("Message[9] mac-replicas 807060504030201", 80, "41eb2670be617d64eff1db4d0e677334d065798d75c628492bd1df1576746a94"),
+    ("Message[9] mac-client 1", 56, "6bc89a52c9cfc51b286605ce4d2de2b5d248c2a1cde21b61a19ec8f3e10b9d8c"),
+    ("Message[9] mac-client 807060504030201", 56, "43332c61cbb9e690b994a9aad0f70109326ff3dd496aa3a9358872a977b20317"),
+    ("Message[9] signed 1", 56, "4db68d23d8dbdafee809168b278c75715b92b5a4ec5b974cf07563867796aae9"),
+    ("Message[9] signed 807060504030201", 56, "32942118d8e46aab0a7fe5660f3c8928eb52633490f067b9dc27425a3274fd2f"),
+    ("Message[10] mac-replicas 1", 134, "ce4bc4634268e86a4f74ad7c480340ddb22f84bb9337ca24f1fe526503e573be"),
+    ("Message[10] mac-replicas 807060504030201", 134, "94805854d4bcd810dcd9c6c35509c4a265a0d555b1bc32d041faa9acc3ea60cd"),
+    ("Message[10] mac-client 1", 110, "a688bd778ffa8531c78a3892bf795ee9c0138cd1a4df9a40400a3fb4d67f8942"),
+    ("Message[10] mac-client 807060504030201", 110, "99acfb103a2b1bc580663fb3e89304567e15c3569e13c79381bdeb5a5f676211"),
+    ("Message[10] signed 1", 110, "f60dc4f48fb87b44092f8e8d4c7c0dcdf9b7de813ebd8cabb734b2e81ddb9666"),
+    ("Message[10] signed 807060504030201", 110, "f02747bd016b37cc2c8e1a04dc95d85478fdd9c130d07cb8a92654742f6e423d"),
+];
+
+fn assert_golden_frame(name: &str, bytes: &[u8]) {
+    let (_, len, sha256) = (BFT_FRAME_GOLDEN.iter())
+        .find(|(golden, ..)| *golden == name)
+        .unwrap_or_else(|| panic!("no golden frame {name}"));
+    assert_eq!(bytes.len(), *len, "{name}");
+    assert_eq!(Digest::of(bytes).to_hex(), *sha256, "{name}");
+}
+
+#[test]
+fn layered_bft_frames_match_parent_commit() {
+    let frames = layered_frames();
+    assert_eq!(frames.len(), BFT_FRAME_GOLDEN.len());
+    for (name, bytes) in &frames {
+        assert_golden_frame(name, bytes);
+    }
+}
+
+/// The one-buffer frame is, byte for byte, the parent's layered one.
+#[test]
+fn one_buffer_bft_frames_match_parent_commit() {
+    let frames = one_buffer_frames();
+    assert_eq!(frames.len(), 11 * 2 * FRAME_DOMAINS.len());
+    for (name, bytes) in &frames {
+        assert_golden_frame(name, bytes);
+    }
+}
+
+// ---- keys and signatures -------------------------------------------------
+
+/// Key bytes captured at the parent commit (7cbcef7), whose key labels
+/// were built on the heap: hashing the label parts where they lie must
+/// derive the very same keys, or old and new replicas would disagree on
+/// every MAC.
+#[test]
+fn pairwise_keys_match_parent_commit() {
+    use itdos_bft::config::{ClientId, ReplicaId};
+    let keys = itdos_bft::auth::KeyProvisioner::new([7u8; 32]);
+    assert_eq!(
+        hex(keys.replica_pair(ReplicaId(0), ReplicaId(3)).as_bytes()),
+        "0439a5fd5dc0cf3df9eeff80305c36c703ec9fadc515db882d0f4e0efc7221b7"
+    );
+    assert_eq!(
+        hex(keys.client_pair(ClientId(42), ReplicaId(1)).as_bytes()),
+        "4f303059b94b2e63e5bdc58fdcc6ddfecbe30524d2004271371d9fa7655b149d"
+    );
+    let signing = keys.signing_key(ReplicaId(2)).verifying_key();
+    assert_eq!(signing.to_bytes(), [30, 44, 13, 114, 207, 5, 118, 0]);
+}
+
+/// A reply signature captured at the parent commit (7cbcef7), which signed
+/// a concatenated copy of `"itdos-reply:" ‖ sender ‖ sequence ‖ frame`:
+/// signing the parts in place must give the same bytes.
+#[test]
+fn reply_signature_matches_parent_commit() {
+    use itdos_crypto::sign::SigningKey;
+    use itdos_vote::detector::SignedReply;
+    let key = SigningKey::from_seed(b"golden-signer");
+    let frame: Vec<u8> = (0..300usize).map(|i| (i * 11 + 2) as u8).collect();
+    let signed = SignedReply::sign(&key, itdos_vote::vote::SenderId(5), 77, frame);
+    assert_eq!(
+        signed.signature.to_bytes(),
+        [181, 212, 61, 251, 196, 113, 43, 9, 49, 2, 171, 38, 119, 212, 148, 8]
+    );
+    assert!(signed.verify(&key.verifying_key()));
+}
+
 #[test]
 fn compact_wire_vectors_match_parent_commit() {
     let samples = compact_wire_samples();
