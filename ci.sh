@@ -20,6 +20,11 @@ echo '== liveness full-size repro (release: 8 clients x 4096 pipelined requests,
 # (ROADMAP item 1) ignored
 cargo test -q --release --offline -p itdos-tests --test liveness -- --ignored healthy
 
+echo '== group kernel sweep (release: 2^20 random pairs against textbook square-and-multiply)'
+# Montgomery pow, the generator table, inverse and the Jacobi subgroup test
+# must equal the kept reference kernel; the debug suite runs a small sweep
+cargo test -q --release --offline -p itdos-crypto --lib -- --ignored kernel_sweep
+
 echo '== cargo run -p itdos-lint (waiver ledger + budget gate)'
 # fails on any active finding, and also if the waiver count grows past
 # the checked-in budget — new waivers must be paid for in the same PR
@@ -113,11 +118,13 @@ echo '== itdos-benchmark smoke (six workloads, 2 s each: every reply checked, ru
 # last stdout line is the result object, and it must report a correct run
 # with no failed op. Every workload runs — the common case, the bulk path,
 # the two never-quiesced ones (history drift, pipelined acks), the Group
-# Manager's keying path and the healed campaign — so a change to one cannot
-# break another unnoticed. Host timings are not judged here; allocations
-# are: `allocs_per_op` is a pure function of (workload, seed), so
-# small_closed on seed 7 must not exceed what PR 25 measured (one buffer
-# per BFT frame), with no margin — the next allocation regression fails here.
+# Manager's keying path (connect_storm, where the group arithmetic — DPRF
+# shares, DLEQ proofs, combination — is exercised) and the healed campaign —
+# so a change to one cannot break another unnoticed. Host timings are not
+# judged here; allocations are: `allocs_per_op` is a pure function of
+# (workload, seed), so small_closed on seed 7 must not exceed what PR 25
+# measured (one buffer per BFT frame), with no margin — the next allocation
+# regression fails here.
 allocs_max=479.41633333333334
 bench_smoke="$(mktemp)"
 for workload in small_closed bulk_closed sustained_history pipelined_batch connect_storm intrusion_campaign; do

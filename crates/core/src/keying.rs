@@ -7,11 +7,13 @@
 //! they claim (so up to f corrupt GM elements announcing a bogus input
 //! cannot stall the honest majority's assembly), verified against the
 //! public DPRF commitments, and combined once `f_gm + 1` verified shares
-//! agree.
+//! agree. Each share is verified once, when it arrives, and each
+//! `(connection, epoch)` is combined once: the shares the other GM elements
+//! send after that are still verified and counted, but reopen nothing.
 
 use std::collections::BTreeMap;
 
-use itdos_crypto::dprf::{combine, KeyShare};
+use itdos_crypto::dprf::{combine_checked, KeyShare, VerifiedShare};
 use itdos_crypto::keys::CommunicationKey;
 use itdos_crypto::symmetric::{open, Sealed};
 use itdos_groupmgr::manager::ConnectionId;
@@ -22,7 +24,7 @@ use crate::wire::{ConnectionMeta, KeyShareMsg};
 
 #[derive(Default)]
 struct Assembly {
-    by_input: BTreeMap<[u8; 32], BTreeMap<u64, KeyShare>>,
+    by_input: BTreeMap<[u8; 32], BTreeMap<u64, VerifiedShare>>,
 }
 
 /// Span id for one `(connection, epoch)` assembly at one endpoint. The
@@ -43,6 +45,8 @@ fn assembly_span_id(my_code: u64, connection: ConnectionId, epoch: u32) -> u64 {
 pub struct ShareBank {
     my_code: u64,
     assemblies: BTreeMap<(ConnectionId, u32), Assembly>,
+    /// The latest epoch combined per connection.
+    combined: BTreeMap<ConnectionId, u32>,
     obs: Obs,
 }
 
@@ -60,6 +64,7 @@ impl ShareBank {
         ShareBank {
             my_code,
             assemblies: BTreeMap::new(),
+            combined: BTreeMap::new(),
             obs: Obs::disabled(),
         }
     }
@@ -72,7 +77,8 @@ impl ShareBank {
 
     /// Offers one share message. Returns the assembled communication key
     /// the first time `f_gm + 1` verified, input-consistent shares are
-    /// present for this `(connection, epoch)`.
+    /// present for this `(connection, epoch)`, and never again for it or
+    /// an older epoch.
     pub fn offer(
         &mut self,
         fabric: &Fabric,
@@ -87,7 +93,7 @@ impl ShareBank {
         }
         let input: [u8; 32] = plain[..32].try_into().expect("32 bytes");
         let share = KeyShare::from_bytes(plain[32..].try_into().expect("28 bytes"))?;
-        if !fabric.dprf_verifier.verify(&input, &share) {
+        let Some(share) = fabric.dprf_verifier.check(&input, &share) else {
             // corrupt GM element's share: discarded (§3.5)
             self.obs.incr("key.shares_rejected", &[]);
             self.obs.event(
@@ -98,19 +104,26 @@ impl ShareBank {
                 ],
             );
             return None;
-        }
+        };
         self.obs.incr("key.shares_verified", &[]);
-        let span_id = assembly_span_id(self.my_code, msg.meta.connection, msg.meta.epoch);
-        if !self
-            .assemblies
-            .contains_key(&(msg.meta.connection, msg.meta.epoch))
+        let (connection, epoch) = (msg.meta.connection, msg.meta.epoch);
+        if self
+            .combined
+            .get(&connection)
+            .is_some_and(|&done| epoch <= done)
         {
-            self.obs.span_begin("key.assemble_us", span_id);
+            // a share arriving after its key was made: verified and
+            // counted above, but it opens no second assembly
+            return None;
         }
+        let span_id = assembly_span_id(self.my_code, connection, epoch);
         let assembly = self
             .assemblies
-            .entry((msg.meta.connection, msg.meta.epoch))
-            .or_default();
+            .entry((connection, epoch))
+            .or_insert_with(|| {
+                self.obs.span_begin("key.assemble_us", span_id);
+                Assembly::default()
+            });
         assembly
             .by_input
             .entry(input)
@@ -121,8 +134,8 @@ impl ShareBank {
         if group.len() < needed {
             return None;
         }
-        let shares: Vec<KeyShare> = group.values().take(needed).copied().collect();
-        let key = match combine(&fabric.dprf_verifier, &input, &shares) {
+        let shares: Vec<VerifiedShare> = group.values().take(needed).copied().collect();
+        let key = match combine_checked(&fabric.dprf_verifier, &input, &shares) {
             Ok(key) => key,
             Err(_) => {
                 // verified shares that still fail to combine: abandon the
@@ -131,15 +144,15 @@ impl ShareBank {
                 return None;
             }
         };
-        self.assemblies
-            .remove(&(msg.meta.connection, msg.meta.epoch));
+        self.assemblies.remove(&(connection, epoch));
+        self.combined.insert(connection, epoch);
         self.obs.span_end("key.assemble_us", span_id, &[]);
         self.obs.incr("key.combined", &[]);
         self.obs.event(
             "key.combined",
             &[
-                ("connection", LabelValue::U64(msg.meta.connection.0)),
-                ("epoch", LabelValue::U64(u64::from(msg.meta.epoch))),
+                ("connection", LabelValue::U64(connection.0)),
+                ("epoch", LabelValue::U64(u64::from(epoch))),
             ],
         );
         Some((msg.meta, CommunicationKey(key)))

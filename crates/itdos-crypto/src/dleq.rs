@@ -56,13 +56,10 @@ impl DleqProof {
         if !(y1.is_valid() && y2.is_valid() && base1.is_valid() && base2.is_valid()) {
             return false;
         }
-        // a1' = base1^s · y1^{-e};  a2' = base2^s · y2^{-e}
-        let a1 = base1
-            .pow(self.response)
-            .mul(y1.pow(self.challenge).inverse());
-        let a2 = base2
-            .pow(self.response)
-            .mul(y2.pow(self.challenge).inverse());
+        // a1' = base1^s · y1^{-e};  a2' = base2^s · y2^{-e}, where the
+        // valid y1, y2 have order q, so y^{-e} needs no inverse
+        let a1 = base1.pow(self.response).mul(y1.pow(-self.challenge));
+        let a2 = base2.pow(self.response).mul(y2.pow(-self.challenge));
         Self::challenge(base1, y1, base2, y2, a1, a2) == self.challenge
     }
 
@@ -156,6 +153,16 @@ mod tests {
         let proof = DleqProof::prove(b1, y1, b2, y2, s);
         let other_base = Element::hash_to_group(b"other");
         assert!(!proof.verify(b1, y1, other_base, y2));
+    }
+
+    /// Negating the challenge is the inverse the old verifier computed:
+    /// `y^{-e} = (y^e)^{-1}` for every subgroup element.
+    #[test]
+    fn negated_exponent_is_the_inverse() {
+        let (_, y1, _, y2, _) = setup(4242);
+        for (y, e) in [(y1, Scalar::new(17)), (y2, Scalar::new(u64::MAX))] {
+            assert_eq!(y.pow(-e), y.pow(e).inverse());
+        }
     }
 
     #[test]

@@ -110,22 +110,44 @@ impl Shareholder {
     }
 }
 
+/// A key share that passed [`Verifier::check`] for one input. It carries
+/// that input's hash point, so shares checked for different inputs cannot
+/// be combined.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VerifiedShare {
+    share: KeyShare,
+    input: Element,
+}
+
 /// The public verification state held by combiners (clients/servers).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Verifier {
     commitments: Commitments,
+    /// Holder `i`'s Feldman point `g^{s_i}` at `[i − 1]`, computed from the
+    /// commitments once, when dealt.
+    share_points: Vec<Element>,
 }
 
 impl Verifier {
-    /// Verifies one key share for input `x`: checks the DLEQ proof against
-    /// the holder's Feldman commitment.
+    /// Checks one key share for input `x`: its DLEQ proof against the
+    /// holder's Feldman point. A share whose index names no holder is
+    /// refused before any exponentiation.
+    pub fn check(&self, x: &[u8], share: &KeyShare) -> Option<VerifiedShare> {
+        // a ShareIndex is never zero
+        let expected_pk = *self.share_points.get(share.index.value() as usize - 1)?;
+        let input = Element::hash_to_group(x);
+        share
+            .proof
+            .verify(Element::generator(), expected_pk, input, share.point)
+            .then_some(VerifiedShare {
+                share: *share,
+                input,
+            })
+    }
+
+    /// Whether [`Verifier::check`] accepts `share` for input `x`.
     pub fn verify(&self, x: &[u8], share: &KeyShare) -> bool {
-        let hx = Element::hash_to_group(x);
-        let expected_pk = self.commitments.expected_share_point(share.index);
-        share.point.is_valid()
-            && share
-                .proof
-                .verify(Element::generator(), expected_pk, hx, share.point)
+        self.check(x, share).is_some()
     }
 
     /// Number of shares required to combine.
@@ -198,9 +220,15 @@ impl Dprf {
                 commitments: commitments.clone(),
             })
             .collect();
+        let share_points = (1..=n as u32)
+            .map(|i| commitments.expected_share_point(ShareIndex::new(i)))
+            .collect();
         Dprf {
             holders,
-            verifier: Verifier { commitments },
+            verifier: Verifier {
+                commitments,
+                share_points,
+            },
         }
     }
 
@@ -220,9 +248,18 @@ impl Dprf {
     }
 }
 
+/// The first `threshold` shares, or how many are missing.
+fn threshold_prefix<'a, T>(verifier: &Verifier, shares: &'a [T]) -> Result<&'a [T], CombineError> {
+    let need = verifier.threshold();
+    shares.get(..need).ok_or(CombineError::NotEnoughShares {
+        got: shares.len(),
+        need,
+    })
+}
+
 /// Verifies and combines key shares for input `x` into the communication
 /// key. Exactly the client/server side of connection establishment step
-/// 2–3 (§3.5).
+/// 2–3 (§3.5): check each share, then [`combine_checked`].
 ///
 /// # Errors
 ///
@@ -232,34 +269,48 @@ pub fn combine(
     x: &[u8],
     shares: &[KeyShare],
 ) -> Result<SymmetricKey, CombineError> {
-    let need = verifier.threshold();
-    if shares.len() < need {
-        return Err(CombineError::NotEnoughShares {
-            got: shares.len(),
-            need,
-        });
-    }
-    let shares = &shares[..need];
+    let checked = threshold_prefix(verifier, shares)?
+        .iter()
+        .map(|s| verifier.check(x, s).ok_or(CombineError::BadShare(s.index)))
+        .collect::<Result<Vec<_>, _>>()?;
+    combine_checked(verifier, x, &checked)
+}
+
+/// Combines already-checked shares for input `x` without verifying them
+/// again.
+///
+/// # Errors
+///
+/// Fails if shares are too few or duplicated, or if one was checked for a
+/// different input ([`CombineError::BadShare`]).
+pub fn combine_checked(
+    verifier: &Verifier,
+    x: &[u8],
+    shares: &[VerifiedShare],
+) -> Result<SymmetricKey, CombineError> {
+    let shares = threshold_prefix(verifier, shares)?;
+    let input = Element::hash_to_group(x);
     for (k, s) in shares.iter().enumerate() {
-        if shares[..k].iter().any(|t| t.index == s.index) {
-            return Err(CombineError::DuplicateIndex(s.index));
+        let index = s.share.index;
+        if shares[..k].iter().any(|t| t.share.index == index) {
+            return Err(CombineError::DuplicateIndex(index));
         }
-        if !verifier.verify(x, s) {
-            return Err(CombineError::BadShare(s.index));
+        if s.input != input {
+            return Err(CombineError::BadShare(index));
         }
     }
     // Lagrange interpolation in the exponent at x = 0.
     let pseudo_shares: Vec<Share> = shares
         .iter()
         .map(|s| Share {
-            index: s.index,
+            index: s.share.index,
             value: crate::group::Scalar::ZERO, // value unused; indices drive lambdas
         })
         .collect();
     let lambdas = shamir::lagrange_at_zero(&pseudo_shares).expect("validated above");
     let mut acc = Element::IDENTITY;
-    for (share, lambda) in shares.iter().zip(lambdas) {
-        acc = acc.mul(share.point.pow(lambda));
+    for (s, lambda) in shares.iter().zip(lambdas) {
+        acc = acc.mul(s.share.point.pow(lambda));
     }
     Ok(derive_key(x, acc))
 }
@@ -397,6 +448,71 @@ mod tests {
         let honest: Vec<KeyShare> = d.holders()[1..3].iter().map(|h| h.evaluate(x)).collect();
         let key = combine(d.verifier(), x, &honest).unwrap();
         assert_eq!(key, evaluate_master(d.holders(), x).unwrap());
+    }
+
+    #[test]
+    fn checked_shares_combine_to_the_same_key() {
+        let d = dprf(1, 4);
+        let x = b"conn";
+        let shares: Vec<KeyShare> = d.holders().iter().map(|h| h.evaluate(x)).collect();
+        let checked: Vec<VerifiedShare> = shares
+            .iter()
+            .map(|s| d.verifier().check(x, s).unwrap())
+            .collect();
+        let expected = combine(d.verifier(), x, &shares[2..]).unwrap();
+        assert_eq!(
+            combine_checked(d.verifier(), x, &checked[2..]),
+            Ok(expected)
+        );
+        assert_eq!(
+            combine_checked(d.verifier(), x, &[checked[0], checked[0]]),
+            Err(CombineError::DuplicateIndex(shares[0].index))
+        );
+    }
+
+    #[test]
+    fn shares_checked_for_another_input_do_not_combine() {
+        let d = dprf(1, 4);
+        let a = d.verifier().check(b"x1", &d.holders()[0].evaluate(b"x1"));
+        let b = d.verifier().check(b"x2", &d.holders()[1].evaluate(b"x2"));
+        assert_eq!(
+            combine_checked(d.verifier(), b"x1", &[a.unwrap(), b.unwrap()]),
+            Err(CombineError::BadShare(ShareIndex::new(2)))
+        );
+    }
+
+    #[test]
+    fn share_from_no_holder_refused_before_any_exponentiation() {
+        let d = dprf(1, 4);
+        let mut share = d.holders()[3].evaluate(b"x");
+        share.index = ShareIndex::new(5);
+        let before = crate::group::mont_muls();
+        assert_eq!(d.verifier().check(b"x", &share), None);
+        assert_eq!(crate::group::mont_muls(), before);
+    }
+
+    /// Counted, not timed: one share check is a table power of `g` and
+    /// three windowed powers (the parent's method spent ≈ 1 200
+    /// Montgomery-sized products); combining checked shares is only the
+    /// `f + 1` Lagrange powers — no DLEQ verification again.
+    #[test]
+    fn each_share_is_checked_once() {
+        let d = dprf(1, 4);
+        let x = b"conn";
+        let shares: Vec<KeyShare> = d.holders()[..2].iter().map(|h| h.evaluate(x)).collect();
+        let before = crate::group::mont_muls();
+        let first = d.verifier().check(x, &shares[0]).unwrap();
+        let one_check = crate::group::mont_muls() - before;
+        let second = d.verifier().check(x, &shares[1]).unwrap();
+        let before = crate::group::mont_muls();
+        combine_checked(d.verifier(), x, &[first, second]).unwrap();
+        let combined = crate::group::mont_muls() - before;
+        assert!(one_check <= 400, "{one_check} products per share check");
+        assert!(
+            combined <= 2 * 92,
+            "{combined} products to combine 2 shares"
+        );
+        assert!(combined < one_check, "combine_checked verified again");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   against its vectors) keyed per message by HMAC, encrypt-then-MAC;
 //! * [`keys`] — key-material newtypes (communication / pairwise / group).
 //!
-//! **Security caveat:** group parameters are 62 bits so all arithmetic fits
-//! in `u128`. The *protocols* are the real constructions; the *parameters*
+//! **Security caveat:** group parameters are 62 bits (a Montgomery product
+//! fits a `u128`). The *protocols* are the real constructions; the *parameters*
 //! are toys. Do not reuse outside simulation.
 //!
 //! # Examples

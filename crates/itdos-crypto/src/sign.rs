@@ -113,10 +113,11 @@ impl VerifyingKey {
         if !self.point.is_valid() {
             return false;
         }
-        // R' = g^s · y^{-e}
+        // R' = g^s · y^{-e}; y passed is_valid, so it has order q and
+        // y^{-e} is one exponentiation, not a power and an inverse
         let r = Element::generator()
             .pow(signature.response)
-            .mul(self.point.pow(signature.challenge).inverse());
+            .mul(self.point.pow(-signature.challenge));
         let m = Digest::of_parts(message);
         challenge(&r, self, &m) == signature.challenge
     }
@@ -201,6 +202,23 @@ mod tests {
         let spent = crate::hash::compressions() - before;
         assert!(sk.verifying_key().verify(&message, &sig));
         assert!(spent <= 270, "{spent} compressions");
+    }
+
+    /// Counted, not timed: signing is two table powers of `g` (the nonce
+    /// commitment and the public key), verifying one table power and one
+    /// windowed `y^{-e}`. Square-and-multiply spent ≈ 186 and ≈ 370
+    /// Montgomery-sized products.
+    #[test]
+    fn group_work_is_bounded() {
+        let sk = SigningKey::from_seed(b"a");
+        let pk = sk.verifying_key();
+        let before = crate::group::mont_muls();
+        let sig = sk.sign(b"m");
+        let signed = crate::group::mont_muls() - before;
+        assert!(pk.verify(b"m", &sig));
+        let verified = crate::group::mont_muls() - before - signed;
+        assert!(signed <= 50, "{signed} products to sign");
+        assert!(verified <= 150, "{verified} products to verify");
     }
 
     #[test]

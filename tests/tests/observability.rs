@@ -12,7 +12,7 @@ use itdos::system::System;
 use itdos::{Invocation, ObsConfig};
 use itdos_giop::types::Value;
 use itdos_groupmgr::membership::DomainId;
-use itdos_obs::LabelValue;
+use itdos_obs::{Event, LabelValue};
 
 fn deposit(amount: i64) -> Invocation {
     Invocation::of(BANK)
@@ -146,6 +146,94 @@ fn invocation_populates_protocol_metrics() {
             "per-replica order spans survived: {ordered}"
         );
     });
+}
+
+/// Every flight event of one of the given kinds, in `seq` order.
+fn events_of(system: &System, kinds: &[&str]) -> Vec<Event> {
+    system
+        .obs
+        .with_flight(|flight| {
+            flight
+                .events()
+                .filter(|e| kinds.contains(&e.kind))
+                .cloned()
+                .collect()
+        })
+        .expect("obs enabled")
+}
+
+fn counter_total(system: &System, name: &str) -> u64 {
+    system
+        .obs
+        .with_registry(|registry| {
+            registry
+                .counters()
+                .filter(|(k, _)| k.name == name)
+                .map(|(_, v)| v)
+                .sum()
+        })
+        .expect("obs enabled")
+}
+
+/// One key per `(connection, epoch)` per endpoint. All four GM elements
+/// send a share and two suffice, so the last two arrive after the key is
+/// made: they are still verified and counted, but never open a second
+/// assembly (the parent combined twice at every endpoint — 10 keys and two
+/// `conn.keyed` for one connection — re-keying it and rebuilding its seal
+/// key). A rekey at the next epoch still combines.
+#[test]
+fn each_endpoint_combines_each_key_once() {
+    let mut builder = bank_system(75);
+    builder.obs(ObsConfig::standard().with_flight_capacity(1 << 16));
+    let mut system = builder.build();
+    // GM element 2's share reaches most endpoints after their key
+    system.gm_element_mut(2).corrupt_shares = true;
+    assert!(system.invoke(CLIENT, deposit(10)).result.is_ok());
+    system.settle();
+    // the client and the four bank elements
+    assert_eq!(counter_total(&system, "key.combined"), 5);
+    let keyed = events_of(&system, &["conn.keyed"]);
+    assert_eq!(keyed.len(), 1, "the client keyed its connection once");
+    let assembled: u64 = system
+        .obs
+        .with_registry(|registry| {
+            registry
+                .histograms()
+                .filter(|(k, _)| k.name == "key.assemble_us")
+                .map(|(_, h)| h.count())
+                .sum()
+        })
+        .expect("obs enabled");
+    assert_eq!(assembled, 5, "one assembly span per combined key");
+    // the corrupt share is refused at every endpoint, late or not
+    assert_eq!(counter_total(&system, "key.shares_rejected"), 5);
+    assert_eq!(counter_total(&system, "key.shares_verified"), 15);
+    let combined = events_of(&system, &["key.combined"]);
+    let rejected = events_of(&system, &["key.share_rejected"]);
+    assert_eq!(rejected.len(), 5);
+    let late = rejected
+        .iter()
+        .filter(|r| combined.iter().any(|c| c.scope == r.scope && c.seq < r.seq))
+        .count();
+    assert!(late >= 1, "no corrupt share arrived after its key");
+
+    // an expulsion rekeys the connection at epoch 1: the client and the
+    // three remaining bank elements each combine that key once
+    let mut builder = bank_system(83);
+    builder.behavior(BANK, 2, itdos::fault::Behavior::CorruptValue);
+    builder.obs(ObsConfig::standard().with_flight_capacity(1 << 16));
+    let mut system = builder.build();
+    assert!(system.invoke(CLIENT, deposit(9)).result.is_ok());
+    system.settle();
+    let at_epoch = |kind: &str, epoch: u64| {
+        events_of(&system, &[kind])
+            .iter()
+            .filter(|e| e.labels.contains(&("epoch", LabelValue::U64(epoch))))
+            .count()
+    };
+    assert_eq!(at_epoch("key.combined", 0), 5);
+    assert_eq!(at_epoch("key.combined", 1), 4);
+    assert_eq!(at_epoch("conn.keyed", 1), 1);
 }
 
 /// Two clients opening the same target with concurrently-assigned request
