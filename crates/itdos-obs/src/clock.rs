@@ -5,8 +5,8 @@
 //! heterogeneous replicas reading different clocks diverge. Time therefore
 //! enters the observability layer only through the [`Clock`] trait: in
 //! simulation the driver mirrors `SimTime` into a [`ManualClock`] after
-//! every event, and wall-clock implementations (e.g. the bench harness's
-//! `WallClock`) live outside the deterministic crates.
+//! every event. A wall-clock implementation, should a tool need one, lives
+//! outside the deterministic crates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

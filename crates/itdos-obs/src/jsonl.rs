@@ -5,7 +5,7 @@
 //! `BTreeMap`s and `VecDeque`s so the output is byte-identical across
 //! identical runs. The parser is a bounded recursive-descent JSON reader
 //! used three ways: [`validate`] asserts a dump parses (the
-//! `exp_report --metrics` CI gate), [`parse_value`]/[`parse_dump`] read a
+//! `dump_is_valid_json_lines` test), [`parse_value`]/[`parse_dump`] read a
 //! dump back into typed records for offline tooling (`itdos-audit`), and
 //! [`merge_events`] folds several per-process event streams into one
 //! causally ordered timeline. Std-only because the workspace forbids

@@ -15,8 +15,7 @@
 //! * **Zero cost when off** — every instrumentation hook goes through the
 //!   cloneable [`Obs`] handle. With no sink installed each hook is a
 //!   branch on an `Option` and returns; label slices are built on the
-//!   caller's stack, so the disabled path allocates nothing (verified by
-//!   `crates/bench/benches/obs_overhead.rs`).
+//!   caller's stack, so the disabled path allocates nothing.
 //!
 //! Three facilities share one [`Recorder`]:
 //!
@@ -32,7 +31,7 @@
 //!    target — cannot clobber each other's in-flight spans.
 //!
 //! [`Obs::dump_jsonl`] exports everything as JSON lines (consumed by
-//! `exp_report --metrics`); [`Obs::render_report`] formats a human
+//! `itdos-audit`); [`Obs::render_report`] formats a human
 //! summary (printed by `examples/intrusion_drill.rs`).
 
 pub mod clock;

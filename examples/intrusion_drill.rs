@@ -7,7 +7,7 @@
 //!
 //! Pass a path argument to also write the first drill's JSONL dump
 //! (metrics + flight events + embedded topology) there, ready for the
-//! offline audit CLI: `cargo run -p itdos-bench --bin audit -- FILE`.
+//! offline audit CLI: `cargo run -p itdos --example audit -- FILE`.
 //! A second path argument writes the replacement drill's dump too — CI
 //! runs the drill twice and byte-compares that dump to prove the whole
 //! expel→replace→re-intrude timeline replays deterministically.

@@ -5,7 +5,7 @@
 mod common;
 
 use common::{bank_servant, repo, BANK, PRICER};
-use itdos::{Invocation, SystemBuilder};
+use itdos::{Invocation, ObsConfig, SystemBuilder};
 use itdos_giop::types::Value;
 use itdos_orb::object::ObjectKey;
 
@@ -223,4 +223,70 @@ fn batched_and_unbatched_agree_on_final_state() {
     let expected = (1..=6i64).map(|i| i + 100 * i).sum::<i64>();
     assert_eq!(run(true), expected);
     assert_eq!(run(false), expected);
+}
+
+/// Batching pays (DESIGN.md §13): 8 clients × 32 requests each complete
+/// at least twice as many requests per simulated second with
+/// `batching(8, 16)` and an 8-deep pipeline as with one request per
+/// sequence number and no pipeline, and the batched run's metrics dump
+/// replays byte-identically.
+#[test]
+fn batching_at_least_doubles_throughput_and_replays_identically() {
+    const CLIENTS: u64 = 8;
+    const PER_CLIENT: u64 = 32;
+    // (requests per simulated second, metrics dump)
+    let run = |batched: bool| -> (f64, String) {
+        let mut builder = SystemBuilder::new(9001);
+        builder.obs(ObsConfig::standard());
+        builder.repository(repo());
+        if batched {
+            builder.batching(8, 16);
+            builder.client_pipeline(8);
+        } else {
+            builder.unbatched();
+            builder.client_pipeline(1);
+        }
+        builder.add_domain(
+            BANK,
+            1,
+            Box::new(|_| vec![(ObjectKey::from_name("acct"), bank_servant())]),
+        );
+        for client in 1..=CLIENTS {
+            builder.add_client(client);
+        }
+        let mut system = builder.build();
+        // open every connection outside the measured window
+        for client in 1..=CLIENTS {
+            system.invoke(client, deposit(0));
+        }
+        let start = system.sim.now();
+        for round in 0..PER_CLIENT {
+            for client in 1..=CLIENTS {
+                system.invoke_async(client, deposit(1 + round as i64));
+            }
+        }
+        // step until the last reply lands: `settle()` would also wait out
+        // trailing retransmit timers and stretch the window
+        let all_done = |system: &itdos::System| {
+            (1..=CLIENTS).all(|c| system.client(c).completed.len() as u64 == PER_CLIENT + 1)
+        };
+        while !all_done(&system) {
+            assert!(system.sim.step(), "batched={batched}: ran dry");
+        }
+        let sim_us = system.sim.now().since(start).as_micros().max(1);
+        system.settle();
+        let per_sim_s = (CLIENTS * PER_CLIENT) as f64 * 1e6 / sim_us as f64;
+        (per_sim_s, system.metrics_jsonl())
+    };
+    let (batched, dump) = run(true);
+    let (_, replay) = run(true);
+    assert!(
+        dump == replay,
+        "the batched run must replay byte-identically"
+    );
+    let (unbatched, _) = run(false);
+    assert!(
+        batched >= 2.0 * unbatched,
+        "batched {batched:.0} req/sim-s is not 2x unbatched {unbatched:.0}"
+    );
 }

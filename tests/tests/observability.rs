@@ -61,7 +61,7 @@ fn different_seeds_dump_different_metrics() {
 }
 
 /// Every line of a real end-to-end dump parses as a standalone JSON
-/// object (the `exp_report --metrics` CI gate relies on this).
+/// object, so any JSON-lines reader can consume it.
 #[test]
 fn dump_is_valid_json_lines() {
     let system = instrumented_run(74, 2);

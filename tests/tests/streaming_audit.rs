@@ -13,7 +13,7 @@ mod common;
 
 use common::{bank_system, BANK, CLIENT};
 use itdos::fault::Behavior;
-use itdos::system::{System, SystemBuilder};
+use itdos::system::System;
 use itdos::{Invocation, ObsConfig, Ticket};
 use itdos_giop::types::Value;
 use itdos_obs::LabelValue;
@@ -141,17 +141,37 @@ fn live_health_gauges_match_post_hoc_scores() {
 }
 
 /// With streaming audit opted out, no live report, no health gauges —
-/// and the post-hoc batch path still works on the same run.
+/// and the post-hoc batch path still works on the same run. Its
+/// streaming-on twin on the same seed sees the intrusion live and costs
+/// nothing on the network: the same simulated end time, messages and
+/// bytes, because the audit pump sends nothing.
 #[test]
 fn streaming_opt_out_leaves_only_the_batch_path() {
-    let mut builder = bank_system(95);
-    builder.obs(ObsConfig::forensic());
-    builder.streaming_audit(false);
-    builder.behavior(BANK, 3, Behavior::CorruptValue);
-    let mut system = builder.build();
-    let done = system.invoke(CLIENT, deposit(7));
-    assert!(done.result.is_ok());
-    system.settle();
+    let run = |streaming: bool| {
+        let mut builder = bank_system(95);
+        builder.obs(ObsConfig::forensic());
+        builder.streaming_audit(streaming);
+        builder.behavior(BANK, 3, Behavior::CorruptValue);
+        let mut system = builder.build();
+        let done = system.invoke(CLIENT, deposit(7));
+        assert!(done.result.is_ok());
+        system.settle();
+        system
+    };
+    let system = run(false);
+    let streaming = run(true);
+    assert_eq!(streaming.sim.now(), system.sim.now());
+    let (on, off) = (streaming.sim.stats(), system.sim.stats());
+    assert_eq!(on.total.messages, off.total.messages);
+    assert_eq!(on.total.bytes, off.total.bytes);
+    let live = streaming
+        .live_audit_report()
+        .expect("streaming audit is on");
+    assert!(
+        !live.findings.is_empty(),
+        "the live audit saw the intrusion"
+    );
+
     assert!(system.live_audit_report().is_none());
     assert!(system.live_health().is_empty());
     let gauge = system
