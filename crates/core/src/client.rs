@@ -10,6 +10,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use itdos_bft::auth::Envelope;
 use itdos_bft::wire::Wire;
 use itdos_crypto::hash::Digest;
 use itdos_crypto::sign::SigningKey;
@@ -782,7 +783,9 @@ impl Process for SingletonClient {
         match msg {
             CoreMsg::Bft { domain, envelope } => {
                 if let Some(outbound) = self.outbound.get_mut(&domain) {
-                    outbound.on_reply(ctx, &self.fabric, &envelope);
+                    if let Ok((envelope, message)) = Envelope::open(&envelope) {
+                        outbound.on_reply(ctx, &self.fabric, &envelope, message);
+                    }
                     let accepted = outbound.take_accepted();
                     if domain == self.fabric.gm_domain {
                         for result in accepted {

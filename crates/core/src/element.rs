@@ -1162,27 +1162,16 @@ impl Process for ServerElement {
         };
         match msg {
             CoreMsg::Bft { domain, envelope } => {
-                if domain == self.cfg.domain {
-                    // could be replica traffic or an ACK for our own-group
-                    // control ops: decode once, peek, and dispatch the same
-                    // message after authentication
-                    let Ok(env) = Envelope::decode_shared(&envelope) else {
-                        return;
-                    };
-                    let decoded = Message::decode_shared(&env.payload);
-                    if let Ok(Message::Reply(r)) = &decoded {
-                        if r.client.0 == self.my_code() {
-                            if let Some(outbound) = self.outbound.get_mut(&domain) {
-                                let accepted = outbound.on_reply(ctx, &self.fabric, &envelope);
-                                outbound.take_accepted();
-                                if accepted {
-                                    self.maybe_ack(ctx);
-                                }
-                            }
-                            return;
-                        }
-                    }
-                    if !self.bft_auth.verify(&env) {
+                let Ok((env, message)) = Envelope::open(&envelope) else {
+                    return;
+                };
+                // own-group traffic is replica traffic, except the ACKs for
+                // our own control ops; it is authenticated by the replica's
+                // context, the ACKs by the channel's
+                let ack_for_me =
+                    matches!(&message, Message::Reply(r) if r.client.0 == self.my_code());
+                if domain == self.cfg.domain && !ack_for_me {
+                    if !self.bft_auth.verify(&env, &message) {
                         return;
                     }
                     crate::cost::account(
@@ -1192,9 +1181,6 @@ impl Process for ServerElement {
                         &[("auth", LabelValue::Str(env.auth.kind()))],
                         envelope.len(),
                     );
-                    let Ok(message) = decoded else {
-                        return;
-                    };
                     match env.sender {
                         Peer::Replica(sender) => self.replica.on_message(sender, message),
                         Peer::Client(_) => {
@@ -1205,8 +1191,11 @@ impl Process for ServerElement {
                     }
                     self.drain_replica(ctx);
                 } else if let Some(outbound) = self.outbound.get_mut(&domain) {
-                    outbound.on_reply(ctx, &self.fabric, &envelope);
+                    let accepted = outbound.on_reply(ctx, &self.fabric, &env, message);
                     outbound.take_accepted();
+                    if accepted && domain == self.cfg.domain {
+                        self.maybe_ack(ctx);
+                    }
                 }
             }
             CoreMsg::KeyShare(m) => self.handle_key_share(ctx, m),

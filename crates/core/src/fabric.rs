@@ -206,6 +206,9 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codes::bft_client_id;
+    use itdos_bft::auth::Envelope;
+    use itdos_bft::message::{ClientRequest, Message};
     use itdos_crypto::dprf::Dprf;
     use xrand::rngs::SmallRng;
     use xrand::SeedableRng;
@@ -354,7 +357,9 @@ mod tests {
         let f = fabric();
         let replica = f.bft_auth_replica(DomainId(1), 2);
         let client = f.bft_auth_client(DomainId(1), 9);
-        let env = client.mac_envelope(vec![1, 2, 3]);
-        assert!(replica.verify(&env));
+        let request = ClientRequest::new(bft_client_id(9), 1, 0, vec![1, 2, 3]);
+        let (env, message) =
+            Envelope::open(&client.frame(&Message::Request(request), None)).expect("decodes");
+        assert!(replica.verify(&env, &message));
     }
 }

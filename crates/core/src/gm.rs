@@ -648,15 +648,12 @@ impl Process for GmElement {
         if domain != self.domain {
             return;
         }
-        let Ok(env) = Envelope::decode_shared(&envelope) else {
+        let Ok((env, message)) = Envelope::open(&envelope) else {
             return;
         };
-        if !self.bft_auth.verify(&env) {
+        if !self.bft_auth.verify(&env, &message) {
             return;
         }
-        let Ok(message) = Message::decode_shared(&env.payload) else {
-            return;
-        };
         match env.sender {
             Peer::Replica(sender) => self.replica.on_message(sender, message),
             Peer::Client(_) => {

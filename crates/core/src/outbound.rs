@@ -16,13 +16,11 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use itdos_bft::auth::AuthContext;
+use itdos_bft::auth::{AuthContext, Envelope};
 use itdos_bft::client::Client;
 use itdos_bft::message::Message;
-use itdos_bft::wire::Wire;
 use itdos_groupmgr::membership::DomainId;
 use simnet::{Context, SimDuration};
-use xbytes::Bytes;
 
 use crate::codes::{bft_client_id, pack_timer, TimerTag};
 use crate::fabric::Fabric;
@@ -161,22 +159,21 @@ impl Outbound {
         }
     }
 
-    /// Handles a verified BFT reply envelope addressed to this client.
-    /// Returns true if it completed the in-flight operation (its result is
-    /// then available via [`Outbound::take_accepted`]).
+    /// Handles a BFT envelope from the target's group and the message it
+    /// carries ([`Envelope::open`]): a reply addressed to this client once
+    /// it verifies. Returns true if it completed the in-flight operation
+    /// (its result is then available via [`Outbound::take_accepted`]).
     pub fn on_reply(
         &mut self,
         ctx: &mut Context<'_>,
         fabric: &Fabric,
-        envelope_bytes: &Bytes,
+        envelope: &Envelope,
+        message: Message,
     ) -> bool {
-        let Ok(envelope) = itdos_bft::auth::Envelope::decode_shared(envelope_bytes) else {
-            return false;
-        };
-        if !self.auth.verify(&envelope) {
+        if !self.auth.verify(envelope, &message) {
             return false;
         }
-        let Ok(Message::Reply(reply)) = Message::decode_shared(&envelope.payload) else {
+        let Message::Reply(reply) = message else {
             return false;
         };
         if let Some((timestamp, result)) = self.client.on_reply(reply) {
@@ -211,6 +208,7 @@ mod tests {
     use itdos_vote::vote::SenderId;
     use simnet::{GroupId, NodeId};
     use std::collections::BTreeMap;
+    use xbytes::Bytes;
     use xrand::rngs::SmallRng;
     use xrand::SeedableRng;
 
@@ -401,7 +399,10 @@ mod tests {
             if from.is_external() {
                 self.outbound.submit(ctx, &self.fabric, payload.to_vec());
             } else if let Ok(CoreMsg::Bft { envelope, .. }) = CoreMsg::decode(&payload) {
-                self.outbound.on_reply(ctx, &self.fabric, &envelope);
+                if let Ok((envelope, message)) = Envelope::open(&envelope) {
+                    self.outbound
+                        .on_reply(ctx, &self.fabric, &envelope, message);
+                }
             }
         }
         fn on_timer(&mut self, ctx: &mut Context<'_>, timer: simnet::Timer) {

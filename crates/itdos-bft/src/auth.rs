@@ -9,7 +9,6 @@
 //! protected" (§2.2) and does not describe a key-exchange protocol, so we
 //! provision pairwise keys at configuration time.
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use itdos_crypto::keys::SymmetricKey;
@@ -19,7 +18,7 @@ use itdos_crypto::sign::{Signature, SigningKey, VerifyingKey};
 use crate::config::{ClientId, ReplicaId};
 use crate::message::Message;
 use crate::wire::{Reader, Wire, WireError, Writer};
-use xbytes::{wire_enum, wire_frame, Bytes};
+use xbytes::{wire_enum, wire_frame, wire_struct, Bytes};
 
 /// A protocol participant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -85,44 +84,35 @@ wire_enum!(AuthProof {
     0 => Macs(authenticator),
     1 => Signature(signature),
 });
-
-/// The envelope layout, spelled once for [`Envelope`] and for
-/// [`AuthContext::put_envelope`]: the sender, the payload as length-prefixed
-/// bytes, then the proof — made over the payload where it was just written.
-fn put_envelope_with<P: Borrow<AuthProof>>(
-    w: &mut Writer,
-    sender: Peer,
-    payload: impl FnOnce(&mut Writer),
-    proof: impl FnOnce(&[u8]) -> P,
-) -> &'static str {
-    sender.put(w);
-    let proof = proof(w.framed(payload));
-    proof.borrow().put(w);
-    proof.borrow().kind()
-}
-
-/// Hand-written around `put_envelope_with`, which outgoing frames share.
-impl Wire for Envelope {
-    fn put(&self, w: &mut Writer) {
-        put_envelope_with(w, self.sender, |w| _ = w.raw(&self.payload), |_| &self.auth);
-    }
-
-    fn take(r: &mut Reader<'_>) -> Result<Envelope, WireError> {
-        Ok(Envelope {
-            sender: Wire::take(r)?,
-            payload: Wire::take(r)?,
-            auth: Wire::take(r)?,
-        })
-    }
-}
+wire_struct!(Envelope {
+    sender,
+    payload,
+    auth
+});
 wire_frame!(Envelope);
 
-/// How an outgoing message is authenticated: MACs for every replica, one
-/// MAC for one client, or the sender's signature.
+impl Envelope {
+    /// Decodes a received envelope and the message it carries, both
+    /// reading `frame` in place: what [`AuthContext::verify`] checks and,
+    /// once it has, what the receiver acts on. Both decoders run before
+    /// authentication, on bytes anyone can send (`decode_fuzz.rs` drives
+    /// them with hostile input).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] when either layer is malformed.
+    pub fn open(frame: &Bytes) -> Result<(Envelope, Message), WireError> {
+        let envelope = Envelope::decode_shared(frame)?;
+        let message = Message::decode_shared(&envelope.payload)?;
+        Ok((envelope, message))
+    }
+}
+
+/// How an outgoing message is authenticated: MACs for every replica (or
+/// the one MAC `Some(client)` reads), or the sender's signature.
 #[derive(Debug, Clone, Copy)]
 enum Scheme {
-    Replicas,
-    Client(ClientId),
+    Macs(Option<ClientId>),
     Signed,
 }
 
@@ -223,24 +213,23 @@ impl AuthContext {
         }
     }
 
-    /// The proof `scheme` attaches to `payload` (each MAC key derived as its
-    /// tag is computed).
-    fn proof(&self, scheme: Scheme, payload: &[u8]) -> AuthProof {
-        match scheme {
-            Scheme::Replicas => AuthProof::Macs(Authenticator::generate_from(
-                (0..self.n as u32).map(|i| self.pair_with_replica(ReplicaId(i))),
-                payload,
-            )),
-            Scheme::Client(client) => {
+    /// The pairwise keys of a MAC authenticator: one per replica, or the
+    /// one shared with `client` — each derived as its tag is computed.
+    fn mac_keys(
+        &self,
+        client: Option<ClientId>,
+    ) -> impl ExactSizeIterator<Item = SymmetricKey> + '_ {
+        let count = if client.is_some() { 1 } else { self.n as u32 };
+        (0..count).map(move |i| match client {
+            None => self.pair_with_replica(ReplicaId(i)),
+            Some(client) => {
                 let Peer::Replica(me) = self.me else {
                     // itdos-lint: allow(panic-freedom) -- guards our own identity (a local construction invariant), never attacker input; clients are wired without this path
                     panic!("only replicas address clients");
                 };
-                let key = self.provisioner.client_pair(client, me);
-                AuthProof::Macs(Authenticator::generate_from(std::iter::once(key), payload))
+                self.provisioner.client_pair(client, me)
             }
-            Scheme::Signed => AuthProof::Signature(self.signing.sign(payload)),
-        }
+        })
     }
 
     /// Writes `message` into `w` as an envelope from this participant —
@@ -256,7 +245,6 @@ impl AuthContext {
         // a reply carries its client's MAC; the messages that serve inside
         // third-party proofs are signed; the rest carry every replica's MAC
         let scheme = match (client, message) {
-            (Some(client), _) => Scheme::Client(client),
             (
                 None,
                 Message::ViewChange(_)
@@ -264,14 +252,33 @@ impl AuthContext {
                 | Message::Checkpoint(_)
                 | Message::StateData(_),
             ) => Scheme::Signed,
-            (None, _) => Scheme::Replicas,
+            (client, _) => Scheme::Macs(client),
         };
-        put_envelope_with(
-            w,
-            self.me,
-            |w| message.put(w),
-            |payload| self.proof(scheme, payload),
-        )
+        self.put_envelope_as(w, message, scheme)
+    }
+
+    /// [`Envelope`]'s layout, written in place: the sender, the message as
+    /// the length-prefixed payload, then the proof made over it where it
+    /// lies — its signature, or each MAC tag over
+    /// [`Message::mac_digest`], written straight into `w`.
+    fn put_envelope_as(&self, w: &mut Writer, message: &Message, scheme: Scheme) -> &'static str {
+        self.me.put(w);
+        let payload = w.framed(|w| message.put(w));
+        match scheme {
+            Scheme::Signed => {
+                let proof = AuthProof::Signature(self.signing.sign(payload));
+                proof.put(w);
+                proof.kind()
+            }
+            Scheme::Macs(client) => {
+                let digest = message.mac_digest(payload);
+                // the head of `AuthProof::Macs` as declared above; the
+                // authenticator follows, tag by tag
+                w.u8(0);
+                Authenticator::put_for_digest(w, self.mac_keys(client), &digest);
+                "mac"
+            }
+        }
     }
 
     /// Room for `message`'s envelope and a header of up to 16 bytes.
@@ -286,49 +293,60 @@ impl AuthContext {
         Bytes::from(w.finish())
     }
 
-    fn envelope(&self, scheme: Scheme, payload: impl Into<Bytes>) -> Envelope {
-        let payload = payload.into();
+    /// `message` in an [`Envelope`] value, authenticated by `scheme`
+    /// whatever its kind: byte for byte what `put_envelope_as` writes.
+    fn envelope(&self, scheme: Scheme, message: &Message) -> Envelope {
+        let payload = Bytes::from(message.encode());
+        let auth = match scheme {
+            Scheme::Signed => AuthProof::Signature(self.signing.sign(&payload)),
+            Scheme::Macs(client) => AuthProof::Macs(Authenticator::for_digest(
+                self.mac_keys(client),
+                &message.mac_digest(&payload),
+            )),
+        };
         Envelope {
             sender: self.me,
-            auth: self.proof(scheme, &payload),
             payload,
+            auth,
         }
     }
 
-    /// Wraps encoded bytes with a MAC authenticator addressed to all
-    /// replicas.
-    pub fn mac_envelope(&self, payload: impl Into<Bytes>) -> Envelope {
-        self.envelope(Scheme::Replicas, payload)
+    /// `message` with a MAC authenticator addressed to all replicas.
+    pub fn mac_envelope(&self, message: &Message) -> Envelope {
+        self.envelope(Scheme::Macs(None), message)
     }
 
-    /// Wraps encoded bytes addressed to a single client (one-entry
-    /// authenticator under the client-replica pair key).
-    pub fn mac_envelope_for_client(&self, client: ClientId, payload: impl Into<Bytes>) -> Envelope {
-        self.envelope(Scheme::Client(client), payload)
+    /// `message` addressed to a single client (one-entry authenticator
+    /// under the client-replica pair key).
+    pub fn mac_envelope_for_client(&self, client: ClientId, message: &Message) -> Envelope {
+        self.envelope(Scheme::Macs(Some(client)), message)
     }
 
-    /// Wraps encoded bytes with this replica's signature.
-    pub fn signed_envelope(&self, payload: impl Into<Bytes>) -> Envelope {
-        self.envelope(Scheme::Signed, payload)
+    /// `message` with this replica's signature.
+    pub fn signed_envelope(&self, message: &Message) -> Envelope {
+        self.envelope(Scheme::Signed, message)
     }
 
-    /// Verifies an incoming envelope at this receiver.
+    /// Verifies an incoming envelope at this receiver; `message` is its
+    /// payload decoded ([`Envelope::open`]), whose
+    /// [`Message::mac_digest`] a MAC entry covers.
     ///
     /// Returns true when the authenticator entry (or signature) verifies
     /// under the claimed sender's key material.
-    pub fn verify(&self, envelope: &Envelope) -> bool {
+    pub fn verify(&self, envelope: &Envelope, message: &Message) -> bool {
+        let mac_digest = || message.mac_digest(&envelope.payload);
         match (&envelope.auth, envelope.sender, self.me) {
             (AuthProof::Macs(a), sender, Peer::Replica(me)) => {
                 let key = match sender {
                     Peer::Replica(s) => self.provisioner.replica_pair(s, me),
                     Peer::Client(c) => self.provisioner.client_pair(c, me),
                 };
-                a.verify(me.0 as usize, &key, &envelope.payload)
+                a.verify_digest(me.0 as usize, &key, &mac_digest())
             }
             (AuthProof::Macs(a), Peer::Replica(s), Peer::Client(me)) => {
                 // reply addressed to this client: single-entry authenticator
                 let key = self.provisioner.client_pair(me, s);
-                a.verify(0, &key, &envelope.payload)
+                a.verify_digest(0, &key, &mac_digest())
             }
             (AuthProof::Macs(_), Peer::Client(_), Peer::Client(_)) => false,
             (AuthProof::Signature(sig), Peer::Replica(s), _) => self
@@ -361,13 +379,49 @@ mod tests {
         );
     }
 
+    /// One message of each MAC coverage: a request (by its digest), a
+    /// pre-prepare (by its fields and batch digest), a prepare (by its
+    /// bytes).
+    fn messages() -> Vec<Message> {
+        use crate::config::{SeqNo, View};
+        use crate::message::{Batch, ClientRequest, PrePrepare, Prepare};
+        let request = ClientRequest::new(ClientId(42), 7, 0, vec![1, 2, 3]);
+        let batch = Batch::single(request.clone());
+        vec![
+            Message::Request(request),
+            Message::PrePrepare(PrePrepare {
+                view: View(0),
+                seq: SeqNo(1),
+                digest: batch.digest(),
+                batch,
+            }),
+            Message::Prepare(Prepare {
+                view: View(0),
+                seq: SeqNo(1),
+                digest: itdos_crypto::hash::Digest::of(b"batch"),
+                replica: ReplicaId(0),
+            }),
+        ]
+    }
+
+    /// What a receiver does with an envelope: encode it as sent, open the
+    /// frame, verify the decoded pair.
+    fn accepts(receiver: &AuthContext, envelope: &Envelope) -> bool {
+        Envelope::open(&Bytes::from(envelope.encode()))
+            .is_ok_and(|(envelope, message)| receiver.verify(&envelope, &message))
+    }
+
     #[test]
     fn replica_to_replica_mac_verifies() {
         let p = provisioner();
         let sender = AuthContext::for_replica(p.clone(), ReplicaId(0), 4);
         let receiver = AuthContext::for_replica(p, ReplicaId(2), 4);
-        let env = sender.mac_envelope(vec![1, 2, 3]);
-        assert!(receiver.verify(&env));
+        for message in messages() {
+            assert!(
+                accepts(&receiver, &sender.mac_envelope(&message)),
+                "{message:?}"
+            );
+        }
     }
 
     #[test]
@@ -375,12 +429,14 @@ mod tests {
         let p = provisioner();
         let sender = AuthContext::for_replica(p.clone(), ReplicaId(0), 4);
         let receiver = AuthContext::for_replica(p, ReplicaId(2), 4);
-        let mut env = sender.mac_envelope(vec![1, 2, 3]);
-        // the payload is immutable: tamper with a rebuilt copy
-        let mut tampered = env.payload.to_vec();
-        tampered[0] ^= 1;
-        env.payload = tampered.into();
-        assert!(!receiver.verify(&env));
+        for message in messages() {
+            let mut env = sender.mac_envelope(&message);
+            // the payload is immutable: tamper with a rebuilt copy
+            let mut tampered = env.payload.to_vec();
+            *tampered.last_mut().unwrap() ^= 1;
+            env.payload = tampered.into();
+            assert!(!accepts(&receiver, &env), "{message:?}");
+        }
     }
 
     #[test]
@@ -388,19 +444,21 @@ mod tests {
         let p = provisioner();
         let sender = AuthContext::for_replica(p.clone(), ReplicaId(0), 4);
         let receiver = AuthContext::for_replica(p, ReplicaId(2), 4);
-        let mut env = sender.mac_envelope(vec![1, 2, 3]);
-        env.sender = Peer::Replica(ReplicaId(1)); // claim to be replica 1
-        assert!(!receiver.verify(&env));
+        for message in messages() {
+            let mut env = sender.mac_envelope(&message);
+            env.sender = Peer::Replica(ReplicaId(1)); // claim to be replica 1
+            assert!(!accepts(&receiver, &env));
+        }
     }
 
     #[test]
     fn client_request_verifies_at_each_replica() {
         let p = provisioner();
         let client = AuthContext::for_client(p.clone(), ClientId(42), 4);
-        let env = client.mac_envelope(vec![9]);
+        let env = client.mac_envelope(&messages()[0]);
         for i in 0..4 {
             let r = AuthContext::for_replica(p.clone(), ReplicaId(i), 4);
-            assert!(r.verify(&env), "replica {i}");
+            assert!(accepts(&r, &env), "replica {i}");
         }
     }
 
@@ -408,11 +466,11 @@ mod tests {
     fn reply_to_client_verifies_only_at_that_client() {
         let p = provisioner();
         let replica = AuthContext::for_replica(p.clone(), ReplicaId(1), 4);
-        let env = replica.mac_envelope_for_client(ClientId(42), vec![5]);
+        let env = replica.mac_envelope_for_client(ClientId(42), &messages()[2]);
         let right = AuthContext::for_client(p.clone(), ClientId(42), 4);
         let wrong = AuthContext::for_client(p, ClientId(43), 4);
-        assert!(right.verify(&env));
-        assert!(!wrong.verify(&env));
+        assert!(accepts(&right, &env));
+        assert!(!accepts(&wrong, &env));
     }
 
     #[test]
@@ -420,16 +478,14 @@ mod tests {
         let p = provisioner();
         let sender = AuthContext::for_replica(p.clone(), ReplicaId(3), 4);
         let receiver = AuthContext::for_replica(p, ReplicaId(0), 4);
-        let env = sender.signed_envelope(vec![1, 1, 2, 3, 5]);
-        assert!(receiver.verify(&env));
+        let env = sender.signed_envelope(&messages()[2]);
+        assert!(accepts(&receiver, &env));
         let mut bad = env.clone();
-        let mut extended = bad.payload.to_vec();
-        extended.push(0);
-        bad.payload = extended.into();
-        assert!(!receiver.verify(&bad));
+        bad.payload = sender.signed_envelope(&messages()[0]).payload;
+        assert!(!accepts(&receiver, &bad));
         let mut forged = env;
         forged.sender = Peer::Replica(ReplicaId(1));
-        assert!(!receiver.verify(&forged));
+        assert!(!accepts(&receiver, &forged));
     }
 
     #[test]
@@ -437,18 +493,39 @@ mod tests {
         let p = provisioner();
         let client = AuthContext::for_client(p.clone(), ClientId(1), 4);
         let receiver = AuthContext::for_replica(p, ReplicaId(0), 4);
-        let env = client.signed_envelope(vec![1]);
-        assert!(!receiver.verify(&env), "client signatures are not trusted");
+        let env = client.signed_envelope(&messages()[0]);
+        assert!(
+            !accepts(&receiver, &env),
+            "client signatures are not trusted"
+        );
+    }
+
+    /// The `Envelope` value the layered constructors build is, byte for
+    /// byte, what `put_envelope` writes in place for the same scheme.
+    #[test]
+    fn layered_envelopes_equal_the_frames_written_in_place() {
+        let p = provisioner();
+        let sender = AuthContext::for_replica(p, ReplicaId(1), 4);
+        for message in messages() {
+            let frame = |client| Envelope::decode(&sender.frame(&message, client)).unwrap();
+            assert_eq!(frame(None), sender.mac_envelope(&message));
+            let client = ClientId(42);
+            assert_eq!(
+                frame(Some(client)),
+                sender.mac_envelope_for_client(client, &message)
+            );
+        }
     }
 
     #[test]
     fn envelope_bytes_round_trip() {
         let p = provisioner();
         let sender = AuthContext::for_replica(p.clone(), ReplicaId(0), 4);
+        let [request, pre_prepare, prepare] = <[Message; 3]>::try_from(messages()).unwrap();
         for env in [
-            sender.mac_envelope(vec![1, 2]),
-            sender.signed_envelope(vec![3]),
-            AuthContext::for_client(p, ClientId(5), 4).mac_envelope(vec![4]),
+            sender.mac_envelope(&pre_prepare),
+            sender.signed_envelope(&prepare),
+            AuthContext::for_client(p, ClientId(5), 4).mac_envelope(&request),
         ] {
             assert_eq!(Envelope::decode(&env.encode()).unwrap(), env);
         }
@@ -459,7 +536,7 @@ mod tests {
         assert!(Envelope::decode(&[]).is_err());
         assert!(Envelope::decode(&[9]).is_err());
         let p = provisioner();
-        let env = AuthContext::for_replica(p, ReplicaId(0), 4).mac_envelope(vec![1]);
+        let env = AuthContext::for_replica(p, ReplicaId(0), 4).mac_envelope(&messages()[2]);
         let bytes = env.encode();
         assert!(Envelope::decode(&bytes[..bytes.len() - 1]).is_err());
     }

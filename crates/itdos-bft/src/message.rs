@@ -404,6 +404,35 @@ impl Message {
             Message::StateData(_) => "bft-state-data",
         }
     }
+
+    /// What a MAC authenticator on this message covers, given `payload`,
+    /// the message's own encoding — the one definition the send and
+    /// receive paths share.
+    ///
+    /// A request is covered through its memoised digest, and a
+    /// pre-prepare through its fields and its batch's digest, so the one
+    /// pass over a request body serves both the MAC and the protocol, and
+    /// a replica relaying or batching a request it holds MACs without
+    /// touching the body. Every decoded field is bound: the request digest
+    /// binds client, timestamp, trace and operation, and the batch digest
+    /// binds the count and every request digest. Every other message is
+    /// covered by `H(payload)`, whose preimage starts with the message's
+    /// tag byte (1–10), never with the `b` of these two labels.
+    pub fn mac_digest(&self, payload: &[u8]) -> Digest {
+        match self {
+            Message::Request(request) => {
+                Digest::of_parts(&[b"bft-mac-request", request.digest().as_bytes()])
+            }
+            Message::PrePrepare(pp) => Digest::of_parts(&[
+                b"bft-mac-pre-prepare",
+                &pp.view.0.to_le_bytes(),
+                &pp.seq.0.to_le_bytes(),
+                pp.digest.as_bytes(),
+                pp.batch.digest().as_bytes(),
+            ]),
+            _ => Digest::of(payload),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,6 @@ use crate::config::{ClientId, GroupConfig, ReplicaId, SeqNo};
 use crate::message::{ClientRequest, Message};
 use crate::replica::{Output, Replica};
 use crate::state::StateMachine;
-use crate::wire::Wire;
 
 /// Maps protocol identities to simulated network addresses.
 #[derive(Debug, Clone, Default)]
@@ -124,15 +123,14 @@ impl<S: StateMachine + 'static> Process for ReplicaNode<S> {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: Bytes) {
-        let Ok(envelope) = Envelope::decode_shared(&payload) else {
+        let Ok((envelope, message)) = Envelope::open(&payload) else {
             return;
         };
-        if !self.auth.verify(&envelope) {
+        if !self.auth.verify(&envelope, &message) {
             return; // forged or tampered: silently dropped
         }
-        let Ok(message) = Message::decode_shared(&envelope.payload) else {
-            return;
-        };
+        // the request verified is the one the replica keeps: its digest,
+        // hashed for the MAC, is remembered for the protocol
         match envelope.sender {
             Peer::Replica(sender) => self.replica.on_message(sender, message),
             Peer::Client(_) => {
@@ -216,13 +214,13 @@ impl Process for ClientNode {
             }
             return;
         }
-        let Ok(envelope) = Envelope::decode_shared(&payload) else {
+        let Ok((envelope, message)) = Envelope::open(&payload) else {
             return;
         };
-        if !self.auth.verify(&envelope) {
+        if !self.auth.verify(&envelope, &message) {
             return;
         }
-        let Ok(Message::Reply(reply)) = Message::decode_shared(&envelope.payload) else {
+        let Message::Reply(reply) = message else {
             return;
         };
         if let Some((_ts, result)) = self.client.on_reply(reply) {

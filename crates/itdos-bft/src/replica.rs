@@ -1273,7 +1273,17 @@ fn validate_view_change(vc: &ViewChange, config: &GroupConfig) -> bool {
             return false;
         }
     }
+    // Castro–Liskov bound the prepared set to the sender's window
+    // (h, h + L]: a proof outside it is refused before anything walks the
+    // range it would open, and a window that overflows is no window
+    let Some(high) = vc.stable_seq.0.checked_add(config.watermark_window) else {
+        return false;
+    };
     for proof in &vc.prepared {
+        let seq = proof.pre_prepare.seq;
+        if seq <= vc.stable_seq || seq.0 > high {
+            return false;
+        }
         if proof.pre_prepare.digest != proof.pre_prepare.batch.digest() {
             return false;
         }
@@ -1322,8 +1332,14 @@ fn compute_new_view_pre_prepares(view_changes: &[ViewChange], view: View) -> Vec
         }
     }
     let max_s = best.keys().next_back().copied().unwrap_or(min_s);
+    // every proof is above `min_s`, so `min_s` has a successor whenever
+    // there is anything to carry; validated proofs keep the walk within
+    // one watermark window
+    let Some(first) = min_s.0.checked_add(1) else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
-    for seq_raw in (min_s.0 + 1)..=max_s.0 {
+    for seq_raw in first..=max_s.0 {
         let seq = SeqNo(seq_raw);
         let pp = match best.get(&seq) {
             // the prepared batch is carried over *whole*: a view change

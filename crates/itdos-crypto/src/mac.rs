@@ -10,9 +10,13 @@
 //! message is hashed once, and entry `i` is the truncated
 //! `HMAC(keys[i], SHA-256(message))`. A sender pays one pass over the
 //! payload however many receivers it addresses, and each further tag is a
-//! fixed handful of compressions.
+//! fixed handful of compressions. A caller that already holds the digest —
+//! a replica that hashed a request body for the protocol — passes it in
+//! ([`Authenticator::for_digest`], [`Authenticator::verify_digest`]) and
+//! pays no pass at all.
 
 use xbytes::wire::Writer;
+use xbytes::Bytes;
 
 use crate::hash::Digest;
 use crate::hmac::hmac;
@@ -46,7 +50,9 @@ impl MacTag {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Authenticator {
-    tags: Vec<MacTag>,
+    /// The entries, 8 bytes each: a slice of the received frame when
+    /// decoded with `decode_shared`, so receiving one allocates nothing.
+    tags: Bytes,
 }
 
 impl Authenticator {
@@ -54,37 +60,51 @@ impl Authenticator {
     /// pairwise keys are `keys[i]`. The message is hashed once; every
     /// entry MACs that digest.
     pub fn generate(keys: &[SymmetricKey], message: &[u8]) -> Authenticator {
-        Authenticator::generate_from(keys.iter().copied(), message)
+        Authenticator::for_digest(keys.iter().copied(), &Digest::of(message))
     }
 
-    /// [`Authenticator::generate`] for keys derived as they are used, so
-    /// no key list is collected first.
-    pub fn generate_from(
-        keys: impl ExactSizeIterator<Item = SymmetricKey>,
-        message: &[u8],
-    ) -> Authenticator {
-        let d = Digest::of(message);
+    /// An authenticator over a message whose digest is `digest`, for
+    /// receivers whose keys are derived as they are used.
+    pub fn for_digest(keys: impl Iterator<Item = SymmetricKey>, digest: &Digest) -> Authenticator {
         Authenticator {
-            tags: keys.map(|k| MacTag::compute(&k, &d)).collect(),
+            tags: keys.flat_map(|k| MacTag::compute(&k, digest).0).collect(),
         }
+    }
+
+    /// Writes [`Authenticator::for_digest`]'s wire form into `w`, each tag
+    /// where it goes: no authenticator is built on the way.
+    pub fn put_for_digest(
+        w: &mut Writer,
+        keys: impl ExactSizeIterator<Item = SymmetricKey>,
+        digest: &Digest,
+    ) {
+        w.framed(|w| {
+            w.count(keys.len());
+            for key in keys {
+                w.raw(&MacTag::compute(&key, digest).0);
+            }
+        });
     }
 
     /// Verifies the entry for receiver `index` with the pairwise `key`.
     ///
     /// Returns false for out-of-range indices (a Byzantine sender may send
-    /// a short authenticator). The tag comparison is constant-time: an
-    /// early-exit `==` would let a sender measure how long a forged prefix
-    /// survived.
+    /// a short authenticator).
     pub fn verify(&self, index: usize, key: &SymmetricKey, message: &[u8]) -> bool {
-        self.tags.get(index).is_some_and(|tag| {
-            let d = Digest::of(message);
-            crate::ct::ct_eq(&tag.0, &MacTag::compute(key, &d).0)
-        })
+        index < self.len() && self.verify_digest(index, key, &Digest::of(message))
+    }
+
+    /// [`Authenticator::verify`] for a message whose digest is `digest`.
+    /// The tag comparison is constant-time: an early-exit `==` would let a
+    /// sender measure how long a forged prefix survived.
+    pub fn verify_digest(&self, index: usize, key: &SymmetricKey, digest: &Digest) -> bool {
+        (self.tags.chunks_exact(8).nth(index))
+            .is_some_and(|tag| crate::ct::ct_eq(tag, &MacTag::compute(key, digest).0))
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.tags.len()
+        self.tags.len() / 8
     }
 
     /// True when the authenticator carries no entries.
@@ -94,36 +114,39 @@ impl Authenticator {
 
     /// Serializes to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(4 + self.tags.len() * 8);
+        let mut w = Writer::with_capacity(4 + self.tags.len());
         self.put_bytes(&mut w);
         w.finish()
     }
 
     /// Appends the serialized form ([`Authenticator::to_bytes`]) in place.
     pub(crate) fn put_bytes(&self, w: &mut Writer) {
-        w.count(self.tags.len());
-        for t in &self.tags {
-            w.raw(&t.0);
-        }
+        w.count(self.len()).raw(&self.tags);
     }
 
     /// Parses the serialized form. Returns the authenticator and bytes
     /// consumed, or `None` on truncation.
     pub fn from_bytes(bytes: &[u8]) -> Option<(Authenticator, usize)> {
-        if bytes.len() < 4 {
-            return None;
-        }
-        let n = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-        let need = 4 + n * 8;
-        if bytes.len() < need {
-            return None;
-        }
-        let tags = bytes[4..need]
-            .chunks_exact(8)
-            .map(|c| MacTag(c.try_into().expect("8 bytes")))
-            .collect();
-        Some((Authenticator { tags }, need))
+        let used = serialized_len(bytes)?;
+        let tags = Bytes::copy_from_slice(bytes.get(4..used)?);
+        Some((Authenticator { tags }, used))
     }
+
+    /// Parses a serialized form that fills `raw` exactly, keeping the
+    /// entries as a slice of it.
+    pub(crate) fn from_shared(raw: &Bytes) -> Option<Authenticator> {
+        (serialized_len(raw)? == raw.len()).then(|| Authenticator {
+            tags: raw.slice(4..),
+        })
+    }
+}
+
+/// The length of the serialized authenticator at the front of `bytes` (a
+/// count, then 8 bytes per entry), or `None` when `bytes` is shorter.
+fn serialized_len(bytes: &[u8]) -> Option<usize> {
+    let count = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?);
+    let used = (count as usize).checked_mul(8)?.checked_add(4)?;
+    (bytes.len() >= used).then_some(used)
 }
 
 #[cfg(test)]
@@ -210,6 +233,55 @@ mod tests {
         let spent = crate::hash::compressions() - before;
         assert_eq!(auth.len(), 4);
         assert!(spent <= 290, "{spent} compressions");
+    }
+
+    /// The digest-level calls are the message-level ones with the hash
+    /// taken out: same tags, same verdicts, and a tag written into a frame
+    /// is the tag an authenticator value would encode.
+    #[test]
+    fn digest_level_calls_match_message_level_ones() {
+        use xbytes::wire::Wire;
+        let ks = keys(4);
+        let digest = Digest::of(b"m");
+        let auth = Authenticator::for_digest(ks.iter().copied(), &digest);
+        assert_eq!(auth, Authenticator::generate(&ks, b"m"));
+        let mut w = Writer::new();
+        Authenticator::put_for_digest(&mut w, ks.iter().copied(), &digest);
+        assert_eq!(w.finish(), auth.encode());
+        for (i, k) in ks.iter().enumerate() {
+            assert!(auth.verify_digest(i, k, &digest));
+            assert!(!auth.verify_digest(i, k, &Digest::of(b"m2")));
+        }
+        assert!(!auth.verify_digest(4, &ks[0], &digest), "out of range");
+    }
+
+    /// A receiver holding the digest pays a fixed handful of compressions
+    /// per tag, whatever the payload's size.
+    #[test]
+    fn verify_digest_does_not_touch_the_payload() {
+        let ks = keys(4);
+        let digest = Digest::of(&vec![7u8; 16_384]);
+        let auth = Authenticator::for_digest(ks.iter().copied(), &digest);
+        let before = crate::hash::compressions();
+        assert!(auth.verify_digest(3, &ks[3], &digest));
+        let spent = crate::hash::compressions() - before;
+        assert!(spent <= 6, "{spent} compressions");
+    }
+
+    /// Decoded from a received buffer, the tags are a slice of it.
+    #[test]
+    fn shared_decode_keeps_tags_in_the_frame() {
+        use xbytes::wire::Wire;
+        let auth = Authenticator::generate(&keys(3), b"m");
+        let frame = Bytes::from(auth.encode());
+        let parsed = Authenticator::decode_shared(&frame).unwrap();
+        assert_eq!(parsed, auth);
+        // the length prefix and the count come first
+        assert_eq!(parsed.tags.as_ptr(), frame[8..].as_ptr());
+        let mut long = auth.encode();
+        long[0] += 1;
+        long.push(0);
+        assert!(Authenticator::decode(&long).is_err(), "one byte too many");
     }
 
     #[test]

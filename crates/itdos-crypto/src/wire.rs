@@ -4,7 +4,7 @@
 //! they already own, so their layout stays where their tests pin it.
 
 use xbytes::wire::{Reader, Wire, WireError, Writer};
-use xbytes::wire_struct;
+use xbytes::{wire_struct, Bytes};
 
 use crate::hash::Digest;
 use crate::mac::Authenticator;
@@ -33,17 +33,14 @@ impl Wire for VerifyingKey {
 }
 
 /// [`Authenticator::to_bytes`] nested as length-prefixed bytes (written in
-/// place), which the parsed authenticator must fill exactly.
+/// place), which the parsed authenticator must fill exactly. Under
+/// `decode_shared` its tags stay a slice of the received buffer.
 impl Wire for Authenticator {
     fn put(&self, w: &mut Writer) {
         w.framed(|w| self.put_bytes(w));
     }
 
     fn take(r: &mut Reader<'_>) -> Result<Authenticator, WireError> {
-        let raw = r.bytes()?;
-        match Authenticator::from_bytes(raw) {
-            Some((authenticator, used)) if used == raw.len() => Ok(authenticator),
-            _ => Err(WireError),
-        }
+        Authenticator::from_shared(&Bytes::take(r)?).ok_or(WireError)
     }
 }

@@ -11,7 +11,7 @@ use itdos::wire::{
     decode_directives, encode_directives, AdmitNoticeMsg, ConnectionMeta, CoreMsg, DirectReplyMsg,
     Directive, FrameKind, GmOp, HealCmd, KeyShareMsg, NoticeMsg, SmiopFrame,
 };
-use itdos_bft::auth::{AuthContext, AuthProof, Envelope, KeyProvisioner, Peer};
+use itdos_bft::auth::{AuthProof, Envelope, KeyProvisioner, Peer};
 use itdos_bft::config::{ClientId, GroupConfig, ReplicaId, SeqNo, View};
 use itdos_bft::message::{
     Batch, Checkpoint, ClientRequest, Commit, Message, NewView, PrePrepare, Prepare, PreparedProof,
@@ -22,6 +22,7 @@ use itdos_bft::replica::{Output, Replica, TransferPayload};
 use itdos_bft::state::{CounterMachine, StateMachine};
 use itdos_bft::wire::{decode_seq, encode_seq, Wire, WireError};
 use itdos_crypto::hash::Digest;
+use itdos_crypto::keys::SymmetricKey;
 use itdos_crypto::mac::Authenticator;
 use itdos_crypto::sign::{Signature, SigningKey, VerifyingKey};
 use itdos_giop::idl::InterfaceRepository;
@@ -140,14 +141,36 @@ pub fn messages() -> Vec<Message> {
 }
 
 /// Both `AuthProof`s and both `Peer`s: a replica's MAC authenticator, a
-/// replica's signature, a client's MAC authenticator.
+/// replica's signature, a client's MAC authenticator — each over a short
+/// opaque payload, as the envelope layer sees it.
 pub fn envelopes() -> Vec<Envelope> {
     let keys = KeyProvisioner::new([7u8; 32]);
-    let replica = AuthContext::for_replica(keys.clone(), ReplicaId(2), 4);
+    let macs = |pair: &dyn Fn(ReplicaId) -> SymmetricKey, payload: &[u8]| {
+        let pairs: Vec<SymmetricKey> = (0..4).map(|i| pair(ReplicaId(i))).collect();
+        AuthProof::Macs(Authenticator::generate(&pairs, payload))
+    };
+    let envelope = |sender, payload: &'static [u8], auth| Envelope {
+        sender,
+        payload: Bytes::from_static(payload),
+        auth,
+    };
+    let replica = ReplicaId(2);
     vec![
-        replica.mac_envelope(vec![1, 2]),
-        replica.signed_envelope(vec![3]),
-        AuthContext::for_client(keys, ClientId(5), 4).mac_envelope(vec![4]),
+        envelope(
+            Peer::Replica(replica),
+            &[1, 2],
+            macs(&|r| keys.replica_pair(replica, r), &[1, 2]),
+        ),
+        envelope(
+            Peer::Replica(replica),
+            &[3],
+            AuthProof::Signature(keys.signing_key(replica).sign(&[3])),
+        ),
+        envelope(
+            Peer::Client(ClientId(5)),
+            &[4],
+            macs(&|r| keys.client_pair(ClientId(5), r), &[4]),
+        ),
     ]
 }
 

@@ -9,12 +9,13 @@
 //! static side of the same contract is enforced by `itdos-lint`
 //! (rule `panic-freedom`); this file is the dynamic side.
 
-use itdos_bft::auth::{AuthProof, Envelope, Peer};
+use itdos_bft::auth::{AuthContext, AuthProof, Envelope, KeyProvisioner, Peer};
 use itdos_bft::message::{
-    Batch, Checkpoint, ClientRequest, Commit, Message, PrePrepare, Prepare, StateData, StateFetch,
+    Batch, Checkpoint, ClientRequest, Commit, Message, PrePrepare, Prepare, PreparedProof,
+    StateData, StateFetch, ViewChange,
 };
 use itdos_bft::state::CounterMachine;
-use itdos_bft::{ClientId, GroupConfig, Replica, ReplicaId, SeqNo, View};
+use itdos_bft::{ClientId, GroupConfig, Output, Replica, ReplicaId, SeqNo, View};
 use itdos_crypto::hash::Digest;
 use itdos_crypto::sign::SigningKey;
 use itdos_giop::giop::{decode_message, encode_message, GiopMessage, RequestMessage};
@@ -24,6 +25,7 @@ use itdos_groupmgr::{DomainId, DomainRecord, ElementRecord, Endpoint, GroupManag
 use itdos_vote::comparator::Comparator;
 use itdos_vote::detector::FaultProof;
 use itdos_vote::vote::SenderId;
+use xbytes::Bytes;
 use xrand::rngs::SmallRng;
 use xrand::{Rng, SeedableRng};
 
@@ -298,6 +300,238 @@ fn envelope_decoding_is_total() {
         rng.fill(&mut buf[..]);
         let _ = Envelope::decode(&buf);
     }
+}
+
+// ---- what a MAC covers --------------------------------------------------
+
+const KEYS: [u8; 32] = [5u8; 32];
+
+fn replica_auth(id: u32) -> AuthContext {
+    AuthContext::for_replica(KeyProvisioner::new(KEYS), ReplicaId(id), 4)
+}
+
+/// A replica's receive path: open the frame, verify the decoded pair,
+/// and hand back what it would act on.
+fn receive(receiver: &AuthContext, frame: &[u8]) -> Option<(Peer, Message)> {
+    let (envelope, message) = Envelope::open(&Bytes::copy_from_slice(frame)).ok()?;
+    receiver
+        .verify(&envelope, &message)
+        .then_some((envelope.sender, message))
+}
+
+/// A request with a 1 KiB operation, and a pre-prepare batching it with a
+/// second request.
+fn mac_covered_messages() -> (Message, Message) {
+    let operation: Vec<u8> = (0..1024usize).map(|i| (i * 31 + 7) as u8).collect();
+    let request = ClientRequest::new(ClientId(7), 12, 99, operation);
+    let batch = Batch {
+        requests: vec![
+            request.clone(),
+            ClientRequest::new(ClientId(8), 3, 0, vec![1, 2, 3]),
+        ],
+    };
+    let pre_prepare = PrePrepare {
+        view: View(0),
+        seq: SeqNo(4),
+        digest: batch.digest(),
+        batch,
+    };
+    (Message::Request(request), Message::PrePrepare(pre_prepare))
+}
+
+/// Every single-bit flip of a MAC'd request (from its client) and of a
+/// two-request pre-prepare (from the primary), at every replica. A MAC
+/// covers the request and the pre-prepare through their digests, not
+/// their bytes, so this is the check that no byte escapes it: a flip is
+/// refused unless it lands in *another* receiver's 8-byte entry, which
+/// this receiver neither reads nor relies on — and then what it accepts
+/// is the very message and sender that were sent.
+#[test]
+fn no_single_bit_flip_of_a_macd_request_or_pre_prepare_is_accepted() {
+    let (request, pre_prepare) = mac_covered_messages();
+    let client = AuthContext::for_client(KeyProvisioner::new(KEYS), ClientId(7), 4);
+    let frames = [
+        (
+            client.frame(&request, None),
+            Peer::Client(ClientId(7)),
+            request,
+        ),
+        (
+            replica_auth(0).frame(&pre_prepare, None),
+            Peer::Replica(ReplicaId(0)),
+            pre_prepare,
+        ),
+    ];
+    for (frame, sender, message) in frames {
+        let receivers: Vec<AuthContext> = (0..4).map(replica_auth).collect();
+        for receiver in &receivers {
+            assert_eq!(receive(receiver, &frame), Some((sender, message.clone())));
+        }
+        // the four entries close the frame, in replica order
+        let entries = frame.len() - 32;
+        for bit in 0..frame.len() * 8 {
+            let mut flipped = frame.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            // decoded once, as a receiver does, then judged by each replica
+            let Ok((envelope, decoded)) = Envelope::open(&Bytes::from(flipped)) else {
+                continue;
+            };
+            for (id, receiver) in receivers.iter().enumerate() {
+                if !receiver.verify(&envelope, &decoded) {
+                    continue;
+                }
+                let byte = bit / 8;
+                assert!(
+                    byte >= entries && (byte - entries) / 8 != id,
+                    "replica {id} accepted a flip of bit {bit} in {}",
+                    message.label()
+                );
+                assert_eq!((envelope.sender, &decoded), (sender, &message));
+            }
+        }
+    }
+}
+
+/// The kinds a MAC covers by structure are domain-separated from each
+/// other and from the kinds covered by their bytes: a sender's tags on one
+/// message never verify another message in its place.
+#[test]
+fn a_tag_for_one_kind_never_verifies_another() {
+    let (request, pre_prepare) = mac_covered_messages();
+    let Message::PrePrepare(pp) = &pre_prepare else {
+        unreachable!("a pre-prepare");
+    };
+    let prepare = Message::Prepare(Prepare {
+        view: pp.view,
+        seq: pp.seq,
+        digest: pp.digest,
+        replica: ReplicaId(0),
+    });
+    let sender = replica_auth(0);
+    let messages = [request, pre_prepare, prepare];
+    for tagged in &messages {
+        let auth = sender.mac_envelope(tagged).auth;
+        for carried in messages.iter().filter(|m| *m != tagged) {
+            let forged = Envelope {
+                auth: auth.clone(),
+                ..sender.mac_envelope(carried)
+            };
+            for id in 1..4 {
+                assert!(
+                    receive(&replica_auth(id), &forged.encode()).is_none(),
+                    "{}'s tag verified a {}",
+                    tagged.label(),
+                    carried.label()
+                );
+            }
+        }
+    }
+}
+
+/// A pre-prepare's MAC covers its batch, not only the digest field that
+/// names it: swapping the batch while keeping that field breaks the MAC.
+#[test]
+fn a_pre_prepare_with_a_swapped_batch_fails_its_mac() {
+    let (_, pre_prepare) = mac_covered_messages();
+    let Message::PrePrepare(pp) = &pre_prepare else {
+        unreachable!("a pre-prepare");
+    };
+    let sender = replica_auth(0);
+    let mut swapped = pp.clone();
+    swapped.batch.requests.reverse();
+    let forged = Envelope {
+        payload: Message::PrePrepare(swapped).encode().into(),
+        ..sender.mac_envelope(&pre_prepare)
+    };
+    for id in 1..4 {
+        assert!(receive(&replica_auth(id), &forged.encode()).is_none());
+    }
+}
+
+// ---- view-change bounds ----------------------------------------------------
+
+/// Replica 0's signed view change to view 1, carrying one prepared
+/// proof at `seq` with two prepares, from a genesis stable checkpoint.
+fn view_change_with_proof_at(seq: u64) -> Vec<u8> {
+    let batch = Batch::single(ClientRequest::new(ClientId(9), 1, 0, vec![0xAB; 8]));
+    let digest = batch.digest();
+    let prepare = |replica| Prepare {
+        view: View(0),
+        seq: SeqNo(seq),
+        digest,
+        replica: ReplicaId(replica),
+    };
+    let vc = ViewChange {
+        new_view: View(1),
+        stable_seq: SeqNo(0),
+        checkpoint_proof: vec![],
+        prepared: vec![PreparedProof {
+            pre_prepare: PrePrepare {
+                view: View(0),
+                seq: SeqNo(seq),
+                digest,
+                batch,
+            },
+            prepares: vec![prepare(2), prepare(3)],
+        }],
+        replica: ReplicaId(0),
+    };
+    replica_auth(0)
+        .frame(&Message::ViewChange(vc), None)
+        .to_vec()
+}
+
+/// Replica 1, the primary of view 1, receives replica 0's view change and
+/// then honest ones from replicas 2 and 3 until it can install view 1.
+/// Returns the sequence numbers its NEW-VIEW re-issues.
+fn new_view_after(byzantine: &[u8]) -> Vec<u64> {
+    let auth = replica_auth(1);
+    let mut replica = Replica::new(GroupConfig::for_f(1), ReplicaId(1), CounterMachine::new());
+    let honest = |id: u32| {
+        let vc = ViewChange {
+            new_view: View(1),
+            stable_seq: SeqNo(0),
+            checkpoint_proof: vec![],
+            prepared: vec![],
+            replica: ReplicaId(id),
+        };
+        replica_auth(id)
+            .frame(&Message::ViewChange(vc), None)
+            .to_vec()
+    };
+    let mut new_views = Vec::new();
+    for frame in [byzantine.to_vec(), honest(2), honest(3)] {
+        let Some((Peer::Replica(sender), message)) = receive(&auth, &frame) else {
+            panic!("a signed view change verifies");
+        };
+        replica.on_message(sender, message);
+        for output in replica.take_outputs() {
+            if let Output::ToAllReplicas(Message::NewView(nv)) = output {
+                new_views.push(nv);
+            }
+        }
+    }
+    assert_eq!(new_views.len(), 1, "view 1 is installed once");
+    assert_eq!(replica.view(), View(1));
+    new_views[0]
+        .pre_prepares
+        .iter()
+        .map(|pp| pp.seq.0)
+        .collect()
+}
+
+/// A view change may only carry proofs inside its sender's watermark
+/// window `(stable_seq, stable_seq + L]`, as Castro–Liskov require. At the
+/// edge the proof is carried, with null batches filling the gap below it;
+/// one past the edge the message is refused, and a proof at `u64::MAX` is
+/// refused without the new primary walking the range it would open.
+#[test]
+fn view_change_proofs_outside_the_watermark_window_are_refused() {
+    let window = GroupConfig::for_f(1).watermark_window;
+    let carried = new_view_after(&view_change_with_proof_at(window));
+    assert_eq!(carried, (1..=window).collect::<Vec<_>>());
+    assert!(new_view_after(&view_change_with_proof_at(window + 1)).is_empty());
+    assert!(new_view_after(&view_change_with_proof_at(u64::MAX)).is_empty());
 }
 
 fn manager() -> GroupManager {

@@ -267,13 +267,12 @@ fn layered_frames() -> Vec<(String, Vec<u8>)> {
     let mut out = Vec::new();
     for (i, message) in itdos_tests::wire_samples::messages().iter().enumerate() {
         for mode in AUTH_MODES {
-            let payload = message.encode();
             let envelope = match mode {
-                "mac-replicas" => auth.mac_envelope(payload),
+                "mac-replicas" => auth.mac_envelope(message),
                 "mac-client" => {
-                    auth.mac_envelope_for_client(itdos_bft::config::ClientId(42), payload)
+                    auth.mac_envelope_for_client(itdos_bft::config::ClientId(42), message)
                 }
-                _ => auth.signed_envelope(payload),
+                _ => auth.signed_envelope(message),
             };
             for domain in FRAME_DOMAINS {
                 let frame = CoreMsg::Bft {
@@ -323,24 +322,33 @@ fn one_buffer_frames() -> Vec<(String, Vec<u8>)> {
 
 /// `(case, frame length, SHA-256 of the frame)`, captured at the parent
 /// commit (7cbcef7), where every frame was built by the layered encode.
+///
+/// Re-pinned since: the twelve MAC'd rows of `Message[0..=2]` (the request
+/// and both pre-prepares under `mac-replicas`/`mac-client`). Their MAC
+/// entries now cover `Message::mac_digest` — a request by its digest, a
+/// pre-prepare by its fields and batch digest — instead of the SHA-256 of
+/// the encoded payload; only those tag bytes moved, no length did, and
+/// every other row (signatures, and MACs over the other kinds, which stay
+/// `H(payload)`) is the 7cbcef7 capture. The tags were recomputed outside
+/// this crate from the construction in `mac_digest_is_pinned` below.
 #[rustfmt::skip]
 const BFT_FRAME_GOLDEN: &[(&str, usize, &str)] = &[
-    ("Message[0] mac-replicas 1", 99, "1efc287af7e69faff30322af4bf1c7be993b145cfd0f2bf222e99c174061a4d3"),
-    ("Message[0] mac-replicas 807060504030201", 99, "d02261c914553d7f9a896c35723528c2e1419138e6a73363508200e4c3ec5eb4"),
-    ("Message[0] mac-client 1", 75, "7aba4476a9409a86a8d4c1e8f7f2b2f58860d46b259ca6fbb302711b674d90b1"),
-    ("Message[0] mac-client 807060504030201", 75, "bcb6e4f871d35be61327dad197372752f3c44063d9d5ffda8a3828c46f3cea76"),
+    ("Message[0] mac-replicas 1", 99, "df465df98222c3959af04e6d6738cc169f401ad6381f36b1bc9438a63cbc618d"),
+    ("Message[0] mac-replicas 807060504030201", 99, "81c6c5a50c4198c8485a0c1d54893eb397eefa102bc9a9129ad510c202ad3478"),
+    ("Message[0] mac-client 1", 75, "4d17f2742f38aeadb21e533ee5f48c15f898683d7cb63ba6d3e7d729d67f9616"),
+    ("Message[0] mac-client 807060504030201", 75, "b38ad90cd70027b3900be8c84539e31f8db9e350676534afdc1f65cb3f5912be"),
     ("Message[0] signed 1", 75, "e10d91e32165842cb9121ff29410950a6af644473b2efee2eef3ef0044128fce"),
     ("Message[0] signed 807060504030201", 75, "c827c1e235a54df5d82ddad5d3e598643f42cafac6b5a2bfb853d7cee9526b2f"),
-    ("Message[1] mac-replicas 1", 181, "921a412ed3eba6631bbfe81cf0bda2ef61ad7ca898a715e0b0040c6ad5f03975"),
-    ("Message[1] mac-replicas 807060504030201", 181, "4b0e7e8e4cb752e0e884c7d33724292ee46c77c71d52064db5f03ba928792e4b"),
-    ("Message[1] mac-client 1", 157, "530f36e2bd7583b746d9a7fd5ff6c888043797cbbb1fe1bf438110d4161442cb"),
-    ("Message[1] mac-client 807060504030201", 157, "539a6367841d0c5de5fa75b2306f7d405b2d0c0989b7d475fbdc67e71ba4d0f9"),
+    ("Message[1] mac-replicas 1", 181, "06481ced9b23daa3da7bb00927c09bc0bd1c7ab3a729546a56ae88e934de534b"),
+    ("Message[1] mac-replicas 807060504030201", 181, "42a218a93cb233c33ed082e23593a27d3dbffaa163f5fdd05bb0f307b33386cf"),
+    ("Message[1] mac-client 1", 157, "a126e69a8033fc6fca5ad0df5cae8281608b2f490a190ba9f1226d8c61c0a593"),
+    ("Message[1] mac-client 807060504030201", 157, "cbc8f49df9a2c39d75ee9b24e9568b483f38529a83e16c55b15183fa304e5398"),
     ("Message[1] signed 1", 157, "caf6bbb30c933fa2ad2ddc8addbecdec727a4a9127edc6541593428cb4d872d5"),
     ("Message[1] signed 807060504030201", 157, "208a471e0051dd7d4dbd5656b91ac6d10a11912ca28bee7cf201c2df8f1dbd40"),
-    ("Message[2] mac-replicas 1", 120, "4f52dd5681aee108d5e7d429b576c395bba99bca5166111ac89d357af15bfeda"),
-    ("Message[2] mac-replicas 807060504030201", 120, "4b8f58a5f64e77ce769cd0a55662a08059c8eecd1870134807fd4235631ddd7d"),
-    ("Message[2] mac-client 1", 96, "26ac6a7a93e35231abc1b9e18d71943e72b290214aa69ac43a8f3872d21e0cac"),
-    ("Message[2] mac-client 807060504030201", 96, "c6b30132696e8ae8e3fbf86271f4619109cc2177047cbef0437dd787cfcaf2f3"),
+    ("Message[2] mac-replicas 1", 120, "0a9c63b00c65e763e7d51a5b619a3fcea25b6c334d62c3f119ed9680abc5d0ea"),
+    ("Message[2] mac-replicas 807060504030201", 120, "a0cb93298584d8fae235ad6890ac0a99ac338f540a72d7c5927755adf57734c8"),
+    ("Message[2] mac-client 1", 96, "6d9e1ae4e18166b24a1bfb7bbd515a179a197cc4c5eb09615e084ff02ea2059a"),
+    ("Message[2] mac-client 807060504030201", 96, "f28a962893ab78a66eac32e3b56c9d753e382bd447a747f719d98ec79cf54a9b"),
     ("Message[2] signed 1", 96, "d03da40f4a583bb1e72396891085e72944a7c3283e9b9f5209997e0aa333d6b6"),
     ("Message[2] signed 807060504030201", 96, "9a662b657e903e31a01d9e47d0ee01574bd60cde38fe7e82f4c3a2b670c59f66"),
     ("Message[3] mac-replicas 1", 120, "fa20ea160a3ee017e9d2d5161a74053348c1646f2b12033f1e95e744b0f6f765"),
@@ -417,6 +425,28 @@ fn one_buffer_bft_frames_match_parent_commit() {
     assert_eq!(frames.len(), 11 * 2 * FRAME_DOMAINS.len());
     for (name, bytes) in &frames {
         assert_golden_frame(name, bytes);
+    }
+}
+
+/// What a MAC on the sample request and pre-prepares covers, computed
+/// outside this crate from the construction `Message::mac_digest` states:
+/// `H("bft-mac-request" ‖ request digest)` and `H("bft-mac-pre-prepare" ‖
+/// view ‖ seq ‖ digest ‖ batch digest)`, integers little-endian. Any other
+/// kind is covered by the SHA-256 of its encoding.
+#[test]
+fn mac_digest_is_pinned() {
+    let messages = itdos_tests::wire_samples::messages();
+    let pinned = [
+        "d7c3226af5b00fd54d277e70a070a1776f1238a219c6cb6941b5d01a271cd8f4",
+        "8df85c50059e06cd4d3e81490ca08bff49cce54d7d087da320aa2bcb5f606f12",
+        "b4acdbb5a094bbb7d5cf81a394509eb19e04b31fc76171219e4edc45d3daf361",
+    ];
+    for (message, hex) in messages.iter().zip(pinned) {
+        assert_eq!(message.mac_digest(&message.encode()).to_hex(), hex);
+    }
+    for message in &messages[pinned.len()..] {
+        let payload = message.encode();
+        assert_eq!(message.mac_digest(&payload), Digest::of(&payload));
     }
 }
 
