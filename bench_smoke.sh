@@ -1,0 +1,39 @@
+#!/usr/bin/env bash
+# itdos-benchmark smoke and allocation gate; `ci.sh` and the GitHub workflow
+# both run this script, so the workload list and the pins live here only.
+#
+# The yardstick BENCHMARK.json declares, run with its `command`: the last
+# stdout line is the result object, and it must report a correct run with no
+# failed op. Every workload runs — the common case, the bulk path, the two
+# never-quiesced ones (history drift, pipelined acks), the Group Manager's
+# keying path (connect_storm, where the group arithmetic — DPRF shares, DLEQ
+# proofs, combination — is exercised) and the healed campaign — so a change
+# to one cannot break another unnoticed. Host timings are not judged here.
+#
+# Allocations are: `allocs_per_op` is a pure function of (workload, seed), so
+# each pinned workload on seed 7 must not exceed its last measured value,
+# with no margin — the next allocation regression fails here. small_closed
+# pins the per-message path (one buffer per BFT frame, MAC tags written into
+# it and read in place); bulk_closed pins the payload path, where a replica's
+# store of held requests must allocate nothing per op. A change that lowers
+# a count lowers its pin in the same diff.
+set -euo pipefail
+cd "$(dirname "$0")"
+
+declare -A allocs_max=([small_closed]=398.995 [bulk_closed]=412.5625)
+
+out="$(mktemp)"
+trap 'rm -f "$out"' EXIT
+for workload in small_closed bulk_closed sustained_history pipelined_batch connect_storm intrusion_campaign; do
+  cargo run --release --offline --quiet -p itdos-benchmark -- \
+    --workload "$workload" --seed 7 --seconds 2 --trace 0 > "$out"
+  result="$(tail -n 1 "$out")"
+  grep -q '"correct": true' <<<"$result" && grep -q '"failed": 0,' <<<"$result" \
+    || { echo "itdos-benchmark smoke ($workload): result line is not correct/failed-free"; echo "$result"; exit 1; }
+  max="${allocs_max[$workload]:-}"
+  if [ -n "$max" ]; then
+    allocs="$(sed -n 's/.*"allocs_per_op": {"value": \([0-9.e+-]*\).*/\1/p' <<<"$result")"
+    awk -v got="$allocs" -v max="$max" 'BEGIN { exit !(got != "" && got + 0 <= max + 0) }' \
+      || { echo "allocation gate: $workload seed 7 allocs_per_op ${allocs:-missing} > $max"; exit 1; }
+  fi
+done

@@ -67,32 +67,7 @@ echo '== experiment report (E1-E12 tables of EXPERIMENTS.md)'
 # every sweep runs to completion and its in-line result checks hold
 cargo run -q --release --offline -p itdos --example experiments > /dev/null
 
-echo '== itdos-benchmark smoke (six workloads, 2 s each: every reply checked, run-twice self-check, allocation gate)'
-# the yardstick BENCHMARK.json declares, run as the driver runs it; the
-# last stdout line is the result object, and it must report a correct run
-# with no failed op. Every workload runs — the common case, the bulk path,
-# the two never-quiesced ones (history drift, pipelined acks), the Group
-# Manager's keying path (connect_storm, where the group arithmetic — DPRF
-# shares, DLEQ proofs, combination — is exercised) and the healed campaign —
-# so a change to one cannot break another unnoticed. Host timings are not
-# judged here; allocations are: `allocs_per_op` is a pure function of
-# (workload, seed), so small_closed on seed 7 must not exceed its last
-# measured value (one buffer per BFT frame, MAC tags written into it and
-# read in place), with no margin — the next allocation regression fails here.
-allocs_max=398.995
-bench_smoke="$(mktemp)"
-for workload in small_closed bulk_closed sustained_history pipelined_batch connect_storm intrusion_campaign; do
-  cargo run --release --offline --quiet -p itdos-benchmark -- \
-    --workload "$workload" --seed 7 --seconds 2 --trace 0 > "$bench_smoke"
-  tail -n 1 "$bench_smoke" | grep -q '"correct": true' \
-    && tail -n 1 "$bench_smoke" | grep -q '"failed": 0,' \
-    || { echo "itdos-benchmark smoke ($workload): result line is not correct/failed-free"; tail -n 1 "$bench_smoke"; exit 1; }
-  if [ "$workload" = small_closed ]; then
-    allocs="$(tail -n 1 "$bench_smoke" | sed -n 's/.*"allocs_per_op": {"value": \([0-9.e+-]*\).*/\1/p')"
-    awk -v got="$allocs" -v max="$allocs_max" 'BEGIN { exit !(got != "" && got + 0 <= max + 0) }' \
-      || { echo "allocation gate: small_closed seed 7 allocs_per_op ${allocs:-missing} > $allocs_max"; exit 1; }
-  fi
-done
-rm -f "$bench_smoke"
+echo '== itdos-benchmark smoke (six workloads, 2 s each: every reply checked, allocation pins)'
+./bench_smoke.sh
 
 echo 'CI green'

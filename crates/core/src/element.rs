@@ -10,11 +10,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use itdos_bft::auth::{AuthContext, Envelope, Peer};
+use itdos_bft::auth::{AuthContext, Envelope};
 use itdos_bft::config::{ClientId, SeqNo};
 use itdos_bft::message::Message;
 use itdos_bft::queue::{ElementId, QueueMachine, QueueOp};
-use itdos_bft::replica::{Output, Replica};
+use itdos_bft::replica::{Output, Received, Replica};
 use itdos_bft::wire::Wire;
 use itdos_crypto::hash::Digest;
 use itdos_crypto::sign::{SigningKey, VerifyingKey};
@@ -1162,35 +1162,34 @@ impl Process for ServerElement {
         };
         match msg {
             CoreMsg::Bft { domain, envelope } => {
-                let Ok((env, message)) = Envelope::open(&envelope) else {
-                    return;
-                };
-                // own-group traffic is replica traffic, except the ACKs for
-                // our own control ops; it is authenticated by the replica's
-                // context, the ACKs by the channel's
-                let ack_for_me =
-                    matches!(&message, Message::Reply(r) if r.client.0 == self.my_code());
-                if domain == self.cfg.domain && !ack_for_me {
-                    if !self.bft_auth.verify(&env, &message) {
-                        return;
-                    }
-                    crate::cost::account(
-                        &self.obs,
-                        "bft.wire_rx",
-                        "bft.wire_rx_bytes",
-                        &[("auth", LabelValue::Str(env.auth.kind()))],
-                        envelope.len(),
-                    );
-                    match env.sender {
-                        Peer::Replica(sender) => self.replica.on_message(sender, message),
-                        Peer::Client(_) => {
-                            if let Message::Request(request) = message {
-                                self.replica.on_request(request);
-                            }
+                // own-group traffic is replica traffic, authenticated by the
+                // replica's context, except the ACKs for our own control
+                // ops, which the channel's context authenticates
+                let (env, message) = if domain == self.cfg.domain {
+                    match self.replica.receive(&self.bft_auth, &envelope) {
+                        Received::Delivered(kind) => {
+                            crate::cost::account(
+                                &self.obs,
+                                "bft.wire_rx",
+                                "bft.wire_rx_bytes",
+                                &[("auth", LabelValue::Str(kind))],
+                                envelope.len(),
+                            );
+                            self.drain_replica(ctx);
+                            return;
                         }
+                        Received::Reply(env, reply) if reply.client.0 == self.my_code() => {
+                            (env, Message::Reply(reply))
+                        }
+                        Received::Reply(..) | Received::Dropped => return,
                     }
-                    self.drain_replica(ctx);
-                } else if let Some(outbound) = self.outbound.get_mut(&domain) {
+                } else {
+                    let Ok(opened) = Envelope::open(&envelope) else {
+                        return;
+                    };
+                    opened
+                };
+                if let Some(outbound) = self.outbound.get_mut(&domain) {
                     let accepted = outbound.on_reply(ctx, &self.fabric, &env, message);
                     outbound.take_accepted();
                     if accepted && domain == self.cfg.domain {

@@ -9,9 +9,8 @@
 //! the common input and sends it, over its pairwise-secure channel, to
 //! every recipient (§3.5 — no element ever sees a whole key).
 
-use itdos_bft::auth::{AuthContext, Envelope, Peer};
-use itdos_bft::message::Message;
-use itdos_bft::replica::{Output, Replica};
+use itdos_bft::auth::AuthContext;
+use itdos_bft::replica::{Output, Received, Replica};
 use itdos_bft::state::StateMachine;
 use itdos_bft::wire::{decode_seq, encode_seq, Wire};
 use itdos_crypto::dprf::Shareholder;
@@ -648,21 +647,9 @@ impl Process for GmElement {
         if domain != self.domain {
             return;
         }
-        let Ok((env, message)) = Envelope::open(&envelope) else {
-            return;
-        };
-        if !self.bft_auth.verify(&env, &message) {
-            return;
+        if let Received::Delivered(_) = self.replica.receive(&self.bft_auth, &envelope) {
+            self.drain(ctx);
         }
-        match env.sender {
-            Peer::Replica(sender) => self.replica.on_message(sender, message),
-            Peer::Client(_) => {
-                if let Message::Request(request) = message {
-                    self.replica.on_request(request);
-                }
-            }
-        }
-        self.drain(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, timer: Timer) {

@@ -128,6 +128,9 @@ impl Client {
         let timestamp = self.next_timestamp;
         self.next_timestamp += 1;
         let request = ClientRequest::new(self.id, timestamp, trace, operation);
+        // hashed before it is kept, so every retransmitted clone carries the
+        // digest its MAC covers
+        request.digest();
         self.outstanding.insert(
             timestamp,
             Outstanding {
@@ -331,6 +334,18 @@ mod tests {
             (vec![], None),
             "decided requests are not retransmitted, and the timer dies"
         );
+    }
+
+    /// A retransmission is a clone of the kept request: it must carry the
+    /// digest memo, or each one hashes the body again for its MAC.
+    #[test]
+    fn retransmitted_requests_carry_the_digest_memo() {
+        let mut c = client();
+        let sent = c.start_request(vec![5; 64], 0).unwrap();
+        assert_eq!(sent.memo(), Some(sent.digest()));
+        let (due, _) = c.due(100, 100);
+        assert_eq!(due.len(), 1);
+        assert_eq!(due[0].memo(), Some(sent.digest()));
     }
 
     #[test]

@@ -87,6 +87,26 @@ impl ClientRequest {
             ])
         })
     }
+
+    /// Takes `held`'s digest memo when `held` is this very request — same
+    /// client, timestamp, trace and operation bytes — and this one has none
+    /// yet. The memo is then exactly what hashing would give, because the
+    /// preimage is byte-equal; comparing the operation costs one `memcmp`
+    /// where hashing it costs a pass of SHA-256. Returns whether it took one.
+    pub fn recall(&self, held: &ClientRequest) -> bool {
+        match held.digest.get() {
+            Some(&digest) if self.digest.get().is_none() && self == held => {
+                self.digest.set(digest).is_ok()
+            }
+            _ => false,
+        }
+    }
+
+    /// The digest memo, if this request has been hashed or has recalled one.
+    #[cfg(test)]
+    pub(crate) fn memo(&self) -> Option<Digest> {
+        self.digest.get().copied()
+    }
 }
 
 impl PartialEq for ClientRequest {
@@ -627,6 +647,45 @@ mod tests {
         assert_eq!(hashed.clone().digest(), first);
         assert_eq!(hashed.digest(), first);
         assert_eq!(fresh.digest(), first);
+    }
+
+    /// A memo is recalled only from an equal, hashed request, and only into
+    /// one not yet hashed. Any field off — client, timestamp, trace, one
+    /// operation bit, one operation byte fewer — leaves the memo empty, and
+    /// the digest is then a fresh hash of the request's own fields.
+    #[test]
+    fn recall_takes_only_an_equal_requests_memo() {
+        let held = ClientRequest::new(ClientId(9), 3, 77, vec![1, 2, 3, 4]);
+        let copy = ClientRequest::new(ClientId(9), 3, 77, vec![1, 2, 3, 4]);
+        assert!(
+            !copy.recall(&held),
+            "nothing to take from an unhashed request"
+        );
+        assert_eq!(copy.memo(), None);
+        let digest = held.digest();
+        assert!(copy.recall(&held));
+        assert_eq!(copy.memo(), Some(digest));
+        assert!(!copy.recall(&held), "a memo is taken once");
+        let variants = [
+            ClientRequest::new(ClientId(8), 3, 77, vec![1, 2, 3, 4]),
+            ClientRequest::new(ClientId(9), 4, 77, vec![1, 2, 3, 4]),
+            ClientRequest::new(ClientId(9), 3, 78, vec![1, 2, 3, 4]),
+            ClientRequest::new(ClientId(9), 3, 77, vec![1, 2, 3, 5]),
+            ClientRequest::new(ClientId(9), 3, 77, vec![1, 2, 3]),
+        ];
+        for variant in variants {
+            assert!(!variant.recall(&held), "{variant:?}");
+            assert_eq!(variant.memo(), None, "{variant:?}");
+            let fresh = Digest::of_parts(&[
+                b"bft-req",
+                &variant.client().0.to_le_bytes(),
+                &variant.timestamp().to_le_bytes(),
+                &variant.trace().to_le_bytes(),
+                variant.operation(),
+            ]);
+            assert_eq!(variant.digest(), fresh, "{variant:?}");
+            assert_ne!(variant.digest(), digest);
+        }
     }
 
     /// Digests captured at the parent commit (e1d2979), before requests

@@ -7,11 +7,11 @@
 use simnet::{Context, GroupId, NodeId, Process, SimDuration, Timer};
 use xbytes::Bytes;
 
-use crate::auth::{AuthContext, Envelope, Peer};
+use crate::auth::{AuthContext, Envelope};
 use crate::client::Client;
 use crate::config::{ClientId, GroupConfig, ReplicaId, SeqNo};
 use crate::message::{ClientRequest, Message};
-use crate::replica::{Output, Replica};
+use crate::replica::{Output, Received, Replica};
 use crate::state::StateMachine;
 
 /// Maps protocol identities to simulated network addresses.
@@ -123,23 +123,9 @@ impl<S: StateMachine + 'static> Process for ReplicaNode<S> {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: Bytes) {
-        let Ok((envelope, message)) = Envelope::open(&payload) else {
-            return;
-        };
-        if !self.auth.verify(&envelope, &message) {
-            return; // forged or tampered: silently dropped
+        if let Received::Delivered(_) = self.replica.receive(&self.auth, &payload) {
+            self.drain(ctx);
         }
-        // the request verified is the one the replica keeps: its digest,
-        // hashed for the MAC, is remembered for the protocol
-        match envelope.sender {
-            Peer::Replica(sender) => self.replica.on_message(sender, message),
-            Peer::Client(_) => {
-                if let Message::Request(request) = message {
-                    self.replica.on_request(request);
-                }
-            }
-        }
-        self.drain(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, timer: Timer) {

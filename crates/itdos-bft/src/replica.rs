@@ -1,18 +1,21 @@
 //! The PBFT replica state machine.
 //!
-//! Pure protocol logic: inputs are verified messages (the
-//! [`crate::node`] adapter authenticates envelopes before calling in) and
-//! timer expirations; outputs are queued [`Output`] actions drained by the
-//! adapter. Normal case, checkpointing, view changes, and state transfer
-//! follow Castro–Liskov \[7\]; the ITDOS message-queue adaptation builds on
-//! top in [`crate::queue`].
+//! Pure protocol logic: inputs are received frames, which
+//! [`Replica::receive`] opens, authenticates and dispatches for every host
+//! (the [`crate::node`] adapter and the ITDOS elements), and timer
+//! expirations; outputs are queued [`Output`] actions drained by the host.
+//! Normal case, checkpointing, view changes, and state transfer follow
+//! Castro–Liskov \[7\]; the ITDOS message-queue adaptation builds on top in
+//! [`crate::queue`].
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use itdos_crypto::hash::Digest;
 use itdos_obs::{LabelValue, Obs};
+use xbytes::Bytes;
 
+use crate::auth::{AuthContext, Envelope, Peer};
 use crate::config::{ClientId, GroupConfig, ReplicaId, SeqNo, View};
 use crate::log::Log;
 use crate::message::{
@@ -87,6 +90,19 @@ pub enum Output {
     StateTransferred(SeqNo),
 }
 
+/// What [`Replica::receive`] did with a received frame.
+#[derive(Debug)]
+pub enum Received {
+    /// Malformed or not authenticated: dropped.
+    Dropped,
+    /// Authenticated and handed to the replica, under this
+    /// [`crate::auth::AuthProof::kind`].
+    Delivered(&'static str),
+    /// A reply: addressed to a client, never to a replica, so it is handed
+    /// back decoded and *unverified* for the host's client side to check.
+    Reply(Envelope, Reply),
+}
+
 /// A PBFT replica wrapping an application state machine.
 pub struct Replica<S> {
     config: GroupConfig,
@@ -102,6 +118,13 @@ pub struct Replica<S> {
     client_table: BTreeMap<ClientId, ClientRecord>,
     /// Requests accepted but not yet executed (view-change trigger).
     pending: BTreeSet<Digest>,
+    /// The accepted, unexecuted requests themselves, hashed, one per
+    /// `(client, timestamp)` and sorted by it: a received copy equal to one
+    /// recalls its digest instead of hashing its body again
+    /// ([`Replica::receive`]). Released at execution and with `pending`;
+    /// bounded by the in-flight window and allocated once, so holding a
+    /// request allocates nothing.
+    held: Vec<ClientRequest>,
     /// Digests this primary has assigned a sequence number in the current
     /// view (prevents double ordering; rebuilt on view entry).
     ordered: BTreeSet<Digest>,
@@ -165,6 +188,9 @@ impl<S: StateMachine> Replica<S> {
     pub fn new(config: GroupConfig, id: ReplicaId, app: S) -> Replica<S> {
         config.validate();
         let log = Log::new(&config);
+        // at most this many requests are assigned and unexecuted at once
+        let in_flight = config.pipeline_depth.min(config.watermark_window) as usize;
+        let held = Vec::with_capacity(in_flight * config.max_batch);
         Replica {
             config,
             id,
@@ -175,6 +201,7 @@ impl<S: StateMachine> Replica<S> {
             next_seq: SeqNo(0),
             client_table: BTreeMap::new(),
             pending: BTreeSet::new(),
+            held,
             ordered: BTreeSet::new(),
             backlog: VecDeque::new(),
             admitted_ts: BTreeMap::new(),
@@ -289,6 +316,74 @@ impl<S: StateMachine> Replica<S> {
 
     // ---------------------------------------------------------------- input
 
+    /// The receive path of every replica host: opens `frame`
+    /// ([`Envelope::open`]), recalls the digest of each request in it that
+    /// equals one this replica holds, verifies it under `auth`, and
+    /// dispatches it — a replica's message to [`Replica::on_message`], a
+    /// client's request to [`Replica::on_request`].
+    ///
+    /// Recall runs before the MAC check, on unauthenticated bytes, and is
+    /// safe there: a memo is taken only from a byte-equal request, so it is
+    /// the digest hashing would give, and [`Message::mac_digest`] and the
+    /// pre-prepare's batch-digest check read the same value either way.
+    pub fn receive(&mut self, auth: &AuthContext, frame: &Bytes) -> Received {
+        let Ok((envelope, message)) = Envelope::open(frame) else {
+            return Received::Dropped;
+        };
+        if let Message::Reply(reply) = message {
+            return Received::Reply(envelope, reply);
+        }
+        self.recall(&message);
+        if !auth.verify(&envelope, &message) {
+            return Received::Dropped; // forged or tampered: silently dropped
+        }
+        match envelope.sender {
+            Peer::Replica(sender) => self.on_message(sender, message),
+            Peer::Client(_) => {
+                if let Message::Request(request) = message {
+                    self.on_request(request);
+                }
+            }
+        }
+        Received::Delivered(envelope.auth.kind())
+    }
+
+    /// Fills the digest memo of each request `message` carries that equals
+    /// a held one.
+    fn recall(&self, message: &Message) {
+        for request in carried(message) {
+            if let Ok(at) = self.held.binary_search_by_key(&held_key(request), held_key) {
+                request.recall(&self.held[at]);
+            }
+        }
+    }
+
+    /// Records `request` as accepted and not yet executed; returns whether
+    /// it was not already pending.
+    fn accept(&mut self, request: &ClientRequest) -> bool {
+        // hashed first, so the held clone carries the memo
+        let newly_pending = self.pending.insert(request.digest());
+        // a second request under a held (client, timestamp) is not held: the
+        // first stays, and the newcomer is hashed like any other; a full
+        // store holds nothing more rather than grow
+        if let Err(at) = self.held.binary_search_by_key(&held_key(request), held_key) {
+            if self.held.len() < self.held.capacity() {
+                self.held.insert(at, request.clone());
+            }
+        }
+        newly_pending
+    }
+
+    /// Releases the held request of an executed `(client, timestamp)`.
+    fn release(&mut self, client: ClientId, timestamp: u64) {
+        if let Ok(at) = self
+            .held
+            .binary_search_by_key(&(client, timestamp), held_key)
+        {
+            self.held.remove(at);
+        }
+    }
+
     /// Handles a verified protocol message from `sender`.
     pub fn on_message(&mut self, sender: ReplicaId, message: Message) {
         if self.joining {
@@ -349,8 +444,8 @@ impl<S: StateMachine> Replica<S> {
                 return;
             }
         }
+        let newly_pending = self.accept(&request);
         let digest = request.digest();
-        let newly_pending = self.pending.insert(digest);
         if self.in_view_change {
             return; // ordered after the view change completes (client retransmits)
         }
@@ -560,7 +655,7 @@ impl<S: StateMachine> Replica<S> {
                 .get(&request.client())
                 .is_some_and(|r| r.executed(request.timestamp()));
             if !executed {
-                self.pending.insert(request.digest());
+                self.accept(request);
             }
         }
         self.obs
@@ -706,6 +801,7 @@ impl<S: StateMachine> Replica<S> {
             for request in batch.requests {
                 let request_digest = request.digest();
                 self.pending.remove(&request_digest);
+                self.release(request.client(), request.timestamp());
                 // keep the FIFO admission floor current on every replica,
                 // so a backup elected primary later admits from the right
                 // per-client position
@@ -1031,6 +1127,7 @@ impl<S: StateMachine> Replica<S> {
         self.state_offers.clear();
         self.recovering = false;
         self.pending.clear();
+        self.held.clear();
         // rejoin normal operation: any lone view-change attempt we started
         // while stranded is abandoned with our stale state
         self.in_view_change = false;
@@ -1234,7 +1331,7 @@ impl<S: StateMachine> Replica<S> {
             }
             if !already_executed {
                 for request in &pp.batch.requests {
-                    self.pending.insert(request.digest());
+                    self.accept(request);
                 }
             }
         }
@@ -1245,6 +1342,21 @@ impl<S: StateMachine> Replica<S> {
         if self.is_primary() {
             self.drain_backlog();
         }
+    }
+}
+
+/// What a held request is found by: a client's timestamps are distinct.
+fn held_key(request: &ClientRequest) -> (ClientId, u64) {
+    (request.client(), request.timestamp())
+}
+
+/// The client requests a message carries whole: a request, or a
+/// pre-prepare's batch.
+fn carried(message: &Message) -> &[ClientRequest] {
+    match message {
+        Message::Request(request) => std::slice::from_ref(request),
+        Message::PrePrepare(pp) => &pp.batch.requests,
+        _ => &[],
     }
 }
 
@@ -2412,6 +2524,93 @@ mod tests {
         }
         for r in &g.replicas[..3] {
             assert_eq!(r.app().total(), 100, "progress despite the lying joiner");
+        }
+    }
+
+    /// Every replica hashes the client's multicast once. The three relays
+    /// reaching the primary and the pre-prepare reaching each backup then
+    /// arrive unhashed, recall the held request's digest before their MACs
+    /// are checked, and are accepted; executing the request releases it.
+    #[test]
+    fn relays_and_pre_prepares_recall_the_held_digest() {
+        use crate::auth::KeyProvisioner;
+        let keys = KeyProvisioner::new([3u8; 32]);
+        let auth: Vec<AuthContext> = (0..4)
+            .map(|i| AuthContext::for_replica(keys.clone(), ReplicaId(i), 4))
+            .collect();
+        let client = AuthContext::for_client(keys, ClientId(1), 4);
+        let mut g = Group::new();
+        let multicast = client.frame(&Message::Request(request(1, 5)), None);
+        for (replica, auth) in g.replicas.iter_mut().zip(&auth) {
+            assert!(matches!(
+                replica.receive(auth, &multicast),
+                Received::Delivered("mac")
+            ));
+            assert_eq!(replica.held.len(), 1);
+        }
+        let digest = request(1, 5).digest();
+        // what each replica sends next: three relays, one pre-prepare
+        let mut sent = Vec::new();
+        for (i, replica) in g.replicas.iter_mut().enumerate() {
+            for output in replica.take_outputs() {
+                match output {
+                    Output::ToReplica(to, message) => sent.push((i, vec![to.0 as usize], message)),
+                    Output::ToAllReplicas(message) => {
+                        sent.push((i, (0..4).filter(|&j| j != i).collect(), message));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let relays = sent
+            .iter()
+            .filter(|(_, _, m)| matches!(m, Message::Request(_)))
+            .count();
+        assert_eq!(relays, 3);
+        assert_eq!(sent.len(), 4, "three relays and the pre-prepare");
+        for (from, to, message) in sent {
+            let frame = auth[from].frame(&message, None);
+            for j in to {
+                let (_, opened) = Envelope::open(&frame).unwrap();
+                assert!(carried(&opened).iter().all(|r| r.memo().is_none()));
+                g.replicas[j].recall(&opened);
+                for request in carried(&opened) {
+                    assert_eq!(request.memo(), Some(digest), "{}", opened.label());
+                }
+                assert!(matches!(
+                    g.replicas[j].receive(&auth[j], &frame),
+                    Received::Delivered("mac")
+                ));
+            }
+        }
+        g.pump(&[]);
+        for r in &g.replicas {
+            assert_eq!(r.app().total(), 5);
+            assert!(r.held.is_empty(), "released at execution");
+        }
+    }
+
+    /// A client sending more distinct timestamps than the in-flight window
+    /// (`pipeline_depth × max_batch`) never has more than that many
+    /// requests held at any replica, and the store never grows.
+    #[test]
+    fn held_requests_never_exceed_the_in_flight_window() {
+        let mut cfg = GroupConfig::for_f(1);
+        cfg.max_batch = 2;
+        cfg.pipeline_depth = 2;
+        let mut g = group_with(cfg);
+        for ts in 1..=12 {
+            for r in g.replicas.iter_mut() {
+                r.on_request(request(ts, 1));
+                assert!(r.held.len() <= 4, "{} held", r.held.len());
+                assert_eq!(r.held.capacity(), 4);
+            }
+        }
+        g.pump(&[]);
+        for r in &g.replicas {
+            assert_eq!(r.app().total(), 12);
+            assert!(r.held.is_empty());
+            assert_eq!(r.held.capacity(), 4);
         }
     }
 }

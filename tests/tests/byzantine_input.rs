@@ -11,11 +11,11 @@
 
 use itdos_bft::auth::{AuthContext, AuthProof, Envelope, KeyProvisioner, Peer};
 use itdos_bft::message::{
-    Batch, Checkpoint, ClientRequest, Commit, Message, PrePrepare, Prepare, PreparedProof,
+    Batch, Checkpoint, ClientRequest, Commit, Message, PrePrepare, Prepare, PreparedProof, Reply,
     StateData, StateFetch, ViewChange,
 };
 use itdos_bft::state::CounterMachine;
-use itdos_bft::{ClientId, GroupConfig, Output, Replica, ReplicaId, SeqNo, View};
+use itdos_bft::{ClientId, GroupConfig, Output, Received, Replica, ReplicaId, SeqNo, View};
 use itdos_crypto::hash::Digest;
 use itdos_crypto::sign::SigningKey;
 use itdos_giop::giop::{decode_message, encode_message, GiopMessage, RequestMessage};
@@ -446,6 +446,187 @@ fn a_pre_prepare_with_a_swapped_batch_fails_its_mac() {
     for id in 1..4 {
         assert!(receive(&replica_auth(id), &forged.encode()).is_none());
     }
+}
+
+// ---- recalled request digests ----------------------------------------------
+
+fn keyed_replica(id: u32) -> Replica<CounterMachine> {
+    Replica::new(GroupConfig::for_f(1), ReplicaId(id), CounterMachine::new())
+}
+
+fn client_auth(id: u64) -> AuthContext {
+    AuthContext::for_client(KeyProvisioner::new(KEYS), ClientId(id), 4)
+}
+
+/// `replica` receives `frame` through its receive path; true when the frame
+/// was authenticated and delivered. Its outputs stay queued.
+fn receive_at(replica: &mut Replica<CounterMachine>, frame: &Bytes) -> bool {
+    let auth = replica_auth(replica.id().0);
+    matches!(replica.receive(&auth, frame), Received::Delivered(_))
+}
+
+/// Replica `id`, holding `request` as received from its client, with the
+/// outputs that produced drained.
+fn holding(id: u32, request: &ClientRequest) -> Replica<CounterMachine> {
+    let mut replica = keyed_replica(id);
+    let multicast = client_auth(7).frame(&Message::Request(request.clone()), None);
+    assert!(receive_at(&mut replica, &multicast));
+    replica.take_outputs();
+    replica
+}
+
+/// A copy of a held request under the same `(client, timestamp)` with one
+/// operation bit flipped recalls nothing: it is hashed as itself. So a MAC
+/// its sender made over it verifies, a MAC made over the original does not,
+/// and a pre-prepare's digest field is checked against the copy's own
+/// digest — every verdict is the one a replica holding nothing reaches.
+#[test]
+fn a_copy_one_bit_off_a_held_request_recalls_nothing() {
+    let honest = ClientRequest::new(ClientId(7), 1, 0, CounterMachine::op(5));
+    let mut operation = honest.operation().to_vec();
+    operation[0] ^= 1;
+    let flipped = ClientRequest::new(ClientId(7), 1, 0, operation);
+    let flipped_batch = Batch::single(flipped.clone());
+    let honest_batch = Batch::single(honest.clone());
+
+    // relayed alone to the primary by backup 2: made by it, it is ordered
+    // as a request of its own; tampered with on the way, it is dropped
+    let mut primary = holding(0, &honest);
+    let made = replica_auth(2).frame(&Message::Request(flipped.clone()), None);
+    assert!(
+        receive_at(&mut primary, &made),
+        "backup 2's MAC over the copy"
+    );
+    let proposed: Vec<PrePrepare> = primary
+        .take_outputs()
+        .into_iter()
+        .filter_map(|o| match o {
+            Output::ToAllReplicas(Message::PrePrepare(pp)) => Some(pp),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(proposed.len(), 1);
+    assert_eq!(proposed[0].seq, SeqNo(2));
+    assert_eq!(proposed[0].batch, flipped_batch);
+    assert_eq!(proposed[0].digest, flipped_batch.digest());
+    let tampered = Envelope {
+        payload: Message::Request(flipped.clone()).encode().into(),
+        ..replica_auth(2).mac_envelope(&Message::Request(honest.clone()))
+    };
+    let mut primary = holding(0, &honest);
+    assert!(!receive_at(&mut primary, &tampered.encode().into()));
+    assert!(primary.take_outputs().is_empty());
+
+    // inside a pre-prepare from the primary, at a backup holding the
+    // original: prepared under the copy's own digest when the digest field
+    // names it, refused when the field names the original's batch, and
+    // dropped when the body was swapped under the primary's MAC
+    let pre_prepare = |digest, batch| {
+        Message::PrePrepare(PrePrepare {
+            view: View(0),
+            seq: SeqNo(1),
+            digest,
+            batch,
+        })
+    };
+    let consistent = pre_prepare(flipped_batch.digest(), flipped_batch.clone());
+    let misnamed = pre_prepare(honest_batch.digest(), flipped_batch.clone());
+    let tampered = Envelope {
+        payload: misnamed.encode().into(),
+        ..replica_auth(0).mac_envelope(&pre_prepare(honest_batch.digest(), honest_batch))
+    };
+    let cases = [
+        (
+            replica_auth(0).frame(&consistent, None),
+            true,
+            Some(flipped_batch.digest()),
+        ),
+        (replica_auth(0).frame(&misnamed, None), true, None),
+        (tampered.encode().into(), false, None),
+    ];
+    for (frame, delivered, prepared) in cases {
+        let mut backup = holding(1, &honest);
+        assert_eq!(receive_at(&mut backup, &frame), delivered);
+        let prepares: Vec<Digest> = backup
+            .take_outputs()
+            .into_iter()
+            .filter_map(|o| match o {
+                Output::ToAllReplicas(Message::Prepare(p)) => Some(p.digest),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(prepares, Vec::from_iter(prepared));
+    }
+}
+
+// ---- a request ordered under another client's name (ROADMAP item 15) ------
+
+/// Four replicas exchanging real frames until quiescent: each output is
+/// framed by its sender and received through `Replica::receive`. Returns
+/// the replies sent to clients.
+fn exchange(replicas: &mut [Replica<CounterMachine>]) -> Vec<Reply> {
+    let mut replies = Vec::new();
+    loop {
+        let mut sent = Vec::new();
+        for (from, replica) in replicas.iter_mut().enumerate() {
+            for output in replica.take_outputs() {
+                match output {
+                    Output::ToReplica(to, message) => {
+                        sent.push((from, vec![to.0 as usize], message))
+                    }
+                    Output::ToAllReplicas(message) => {
+                        sent.push((from, (0..4).filter(|&to| to != from).collect(), message));
+                    }
+                    Output::ToClient(_, Message::Reply(reply)) => replies.push(reply),
+                    _ => {}
+                }
+            }
+        }
+        if sent.is_empty() {
+            return replies;
+        }
+        for (from, to, message) in sent {
+            let frame = replica_auth(from as u32).frame(&message, None);
+            for to in to {
+                receive_at(&mut replicas[to], &frame);
+            }
+        }
+    }
+}
+
+/// One Byzantine backup orders a request under a client's name. A relay is
+/// authenticated by the relaying replica, not by the client, and a
+/// pre-prepared request carries no client authentication at all. Client
+/// timestamps are consecutive, so the backup can claim the client's next
+/// one with an operation of its choosing; the client's real request is
+/// then answered from the reply cache and never executed. Castro–Liskov
+/// close this by forwarding the client's own envelope and having backups
+/// check the client's entry of each pre-prepared request.
+#[test]
+#[ignore = "ROADMAP item 15: relayed and pre-prepared requests carry no client authentication"]
+fn a_backup_cannot_order_a_request_under_a_clients_name() {
+    let mut replicas: Vec<_> = (0..4).map(keyed_replica).collect();
+    let forged = ClientRequest::new(ClientId(7), 1, 0, CounterMachine::op(-1000));
+    receive_at(
+        &mut replicas[0],
+        &replica_auth(2).frame(&Message::Request(forged), None),
+    );
+    exchange(&mut replicas);
+    let real = ClientRequest::new(ClientId(7), 1, 0, CounterMachine::op(5));
+    let multicast = client_auth(7).frame(&Message::Request(real), None);
+    for replica in replicas.iter_mut() {
+        receive_at(replica, &multicast);
+    }
+    let replies = exchange(&mut replicas);
+    for replica in &replicas {
+        assert_eq!(
+            replica.app().total(),
+            5,
+            "replica {:?} executed the backup's operation in the client's place",
+            replica.id()
+        );
+    }
+    assert!(replies.iter().all(|r| r.result == 5i64.to_le_bytes()));
 }
 
 // ---- view-change bounds ----------------------------------------------------
