@@ -12,9 +12,6 @@ use std::collections::{BTreeMap, VecDeque};
 
 use itdos_bft::auth::Envelope;
 use itdos_bft::wire::Wire;
-use itdos_crypto::hash::Digest;
-use itdos_crypto::sign::SigningKey;
-use itdos_crypto::symmetric::{open, SealKey, Sealed};
 use itdos_giop::cdr::Endianness;
 use itdos_giop::giop::{
     decode_message, encode_message, encode_request, GiopMessage, ReplyBody, RequestMessage,
@@ -34,7 +31,8 @@ use xbytes::Bytes;
 use crate::codes::{pack_timer, singleton_code, unpack_timer, TimerTag};
 use crate::fabric::Fabric;
 use crate::outbound::Outbound;
-use crate::wire::{ConnectionMeta, CoreMsg, DirectReplyMsg, FrameKind, GmOp, SmiopFrame};
+use crate::smiop::{Attestations, Smiop};
+use crate::wire::{CoreMsg, DirectReplyMsg, FrameKind, GmOp};
 
 /// A finished invocation as observed by the client.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,13 +57,6 @@ pub struct ClientConfig {
     /// Whether detected faults trigger an automatic `change_request` with
     /// proof to the Group Manager.
     pub auto_proof: bool,
-}
-
-struct ConnState {
-    meta: ConnectionMeta,
-    /// The communication key, prepared once when the connection is keyed.
-    key: SealKey,
-    next_request_id: u64,
 }
 
 struct Outstanding {
@@ -153,11 +144,8 @@ pub fn encode_traced_command(
 pub struct SingletonClient {
     fabric: Fabric,
     cfg: ClientConfig,
-    signing: SigningKey,
-    sequence: u64,
+    smiop: Smiop,
     outbound: BTreeMap<DomainId, Outbound>,
-    conns_by_target: BTreeMap<DomainId, ConnState>,
-    shares: crate::keying::ShareBank,
     queue: VecDeque<(DomainId, RequestMessage)>,
     /// In-flight (and recently decided) invocation rounds, submission
     /// order. At most `pipeline` rounds are undecided at a time; decided
@@ -167,10 +155,8 @@ pub struct SingletonClient {
     /// classic §3.6 one-outstanding-request-per-connection model).
     pipeline: usize,
     opens_requested: std::collections::BTreeSet<DomainId>,
-    /// Admission notices by (admitted, epoch) → attesting GM codes.
-    admit_notices: BTreeMap<(SenderId, u64), std::collections::BTreeSet<u64>>,
-    /// Admissions already applied to our fabric copy.
-    admissions_applied: std::collections::BTreeSet<(SenderId, u64)>,
+    /// Admission notices, by (admitted, epoch).
+    admit_notices: Attestations<(SenderId, u64)>,
     /// Targets of our in-flight GM submissions, oldest first (`Some` for
     /// an `Open`, `None` for other ops). The GM channel is a serialized
     /// FIFO, so accepted results pair with these in order — used to close
@@ -196,7 +182,7 @@ impl SingletonClient {
     /// Creates a client.
     pub fn new(fabric: Fabric, cfg: ClientConfig) -> SingletonClient {
         let code = singleton_code(cfg.id);
-        let signing = fabric.signing_key_code(code);
+        let smiop = Smiop::new(&fabric, code, ("client", LabelValue::U64(cfg.id)));
         let mut outbound = BTreeMap::new();
         outbound.insert(
             fabric.gm_domain,
@@ -205,17 +191,13 @@ impl SingletonClient {
         SingletonClient {
             fabric,
             cfg,
-            signing,
-            sequence: 0,
+            smiop,
             outbound,
-            conns_by_target: BTreeMap::new(),
-            shares: crate::keying::ShareBank::new(code),
             queue: VecDeque::new(),
             rounds: VecDeque::new(),
             pipeline: 1,
             opens_requested: std::collections::BTreeSet::new(),
-            admit_notices: BTreeMap::new(),
-            admissions_applied: std::collections::BTreeSet::new(),
+            admit_notices: Attestations::new(code),
             gm_pending: VecDeque::new(),
             obs: Obs::disabled(),
             completed: Vec::new(),
@@ -226,7 +208,7 @@ impl SingletonClient {
     /// Installs an instrumentation sink (Figure 3 connection phases,
     /// per-invocation reply latency, fault-proof counters).
     pub fn set_obs(&mut self, obs: Obs) {
-        self.shares.set_obs(obs.clone());
+        self.smiop.set_obs(obs.clone());
         self.obs = obs;
     }
 
@@ -300,7 +282,7 @@ impl SingletonClient {
     }
 
     fn ensure_connection(&mut self, ctx: &mut Context<'_>, target: DomainId) {
-        if self.conns_by_target.contains_key(&target) || !self.opens_requested.insert(target) {
+        if self.keyed(target).is_some() || !self.opens_requested.insert(target) {
             return;
         }
         // Figure 3 phase 1: open_request to the GM ordering group; the
@@ -332,9 +314,9 @@ impl SingletonClient {
                 return;
             };
             let target = *target;
-            if !self.conns_by_target.contains_key(&target) {
+            let Some(connection) = self.keyed(target) else {
                 return; // waiting for keys
-            }
+            };
             // decided rounds whose results were already released linger to
             // keep collating late straggler replies (the auditor's stall
             // evidence); they are garbage-collected only when new work
@@ -347,11 +329,8 @@ impl SingletonClient {
                 self.rounds.pop_front();
             }
             let (_, mut request) = self.queue.pop_front().expect("front exists");
-            let conn = self.conns_by_target.get_mut(&target).expect("checked");
-            request.request_id = conn.next_request_id;
-            conn.next_request_id += 1;
-            let meta = conn.meta;
-            let key = conn.key;
+            let (meta, request_id) = self.smiop.next_request(connection).expect("keyed");
+            request.request_id = request_id;
             let thresholds = self.fabric.sender_thresholds(&meta, FrameKind::Reply);
             let comparator = folded_comparator(
                 self.fabric
@@ -387,7 +366,7 @@ impl SingletonClient {
                     ("target", LabelValue::U64(target.0)),
                 ],
             );
-            self.send_request(ctx, meta, key, &request);
+            self.send_request(ctx, target, connection, &request);
             // keep-alive, not a retry: this timer sends nothing (the BFT
             // channel's own retransmission re-sends). It stays pending for
             // 8 × view_timeout after every request and re-arms while that
@@ -421,8 +400,8 @@ impl SingletonClient {
     fn send_request(
         &mut self,
         ctx: &mut Context<'_>,
-        meta: ConnectionMeta,
-        key: SealKey,
+        target: DomainId,
+        connection: ConnectionId,
         request: &RequestMessage,
     ) {
         let Ok(giop_bytes) =
@@ -430,121 +409,53 @@ impl SingletonClient {
         else {
             return;
         };
-        crate::cost::account(
-            &self.obs,
-            "giop.encode",
-            "giop.encode_bytes",
-            &[("kind", LabelValue::Str("request"))],
-            giop_bytes.len(),
-        );
-        self.sequence += 1;
-        let sequence = self.sequence;
-        let sender = crate::element::vote_sender(self.my_code());
-        let SignedReply {
-            frame: giop_bytes,
-            signature,
-            ..
-        } = SignedReply::sign(&self.signing, sender, sequence, giop_bytes);
-        let nonce = self.nonce(meta.connection, meta.epoch, request.request_id, sequence);
-        let sealed = key.seal(nonce, &giop_bytes);
-        crate::cost::account(
-            &self.obs,
-            "crypto.seal",
-            "crypto.seal_bytes",
-            &self.obs_label(),
-            sealed.wire_len(),
-        );
-        let frame = SmiopFrame {
-            connection: meta.connection,
-            epoch: meta.epoch,
-            kind: FrameKind::Request,
-            sender_code: self.my_code(),
-            request_id: request.request_id,
-            sequence,
-            sealed: sealed.to_bytes(),
-            signature,
+        let Some((_, frame)) = self.smiop.seal(
+            connection,
+            FrameKind::Request,
+            request.request_id,
+            giop_bytes,
+        ) else {
+            return;
         };
         let op = itdos_bft::queue::QueueOp::Deliver(frame.encode()).encode();
         let fabric = &self.fabric;
         let code = self.my_code();
         let pipeline = self.pipeline;
-        let outbound = self.outbound.entry(meta.server_domain).or_insert_with(|| {
-            let mut o = Outbound::new(fabric, meta.server_domain, code);
+        let outbound = self.outbound.entry(target).or_insert_with(|| {
+            let mut o = Outbound::new(fabric, target, code);
             o.set_window(pipeline);
             o
         });
         outbound.submit_traced(ctx, fabric, op, request.trace);
     }
 
-    fn nonce(&self, conn: ConnectionId, epoch: u32, request_id: u64, sequence: u64) -> [u8; 16] {
-        let d = Digest::of_parts(&[
-            b"itdos-nonce",
-            &self.my_code().to_le_bytes(),
-            &conn.0.to_le_bytes(),
-            &epoch.to_le_bytes(),
-            &request_id.to_le_bytes(),
-            &sequence.to_le_bytes(),
-        ]);
-        d.0[..16].try_into().expect("16 bytes")
+    /// The connection keyed to `target`, if any.
+    fn keyed(&self, target: DomainId) -> Option<ConnectionId> {
+        self.smiop
+            .find(|meta| meta.server_domain == target)
+            .map(|meta| meta.connection)
     }
 
     fn handle_direct_reply(&mut self, ctx: &mut Context<'_>, msg: DirectReplyMsg) {
-        let Some(conn) = self
-            .conns_by_target
-            .values()
-            .find(|c| c.meta.connection == msg.connection && c.meta.epoch == msg.epoch)
+        let Ok((meta, signed, GiopMessage::Reply(reply))) =
+            self.smiop.open(&self.fabric, &msg.into())
         else {
             return;
         };
-        let conn_key = conn.key;
-        let Some(sealed) = Sealed::from_bytes(&msg.sealed) else {
-            return;
-        };
-        let Ok(giop_bytes) = conn_key.open(&sealed) else {
-            return;
-        };
-        crate::cost::account(
-            &self.obs,
-            "crypto.open",
-            "crypto.open_bytes",
-            &self.obs_label(),
-            sealed.wire_len(),
-        );
-        let signed = SignedReply {
-            sender: msg.sender,
-            sequence: msg.sequence,
-            frame: giop_bytes,
-            signature: msg.signature,
-        };
-        if !signed.verify(&self.fabric.verifying_key(msg.sender)) {
-            return;
-        }
-        let Ok(GiopMessage::Reply(reply)) = decode_message(&signed.frame, &self.fabric.repo) else {
-            return;
-        };
-        crate::cost::account(
-            &self.obs,
-            "giop.decode",
-            "giop.decode_bytes",
-            &[("kind", LabelValue::Str("reply"))],
-            signed.frame.len(),
-        );
         // route to the round this reply answers; an unmatched reply is a
         // late straggler for an already-collected round (§3.6: discarded
         // without penalty)
         let Some(idx) = self
             .rounds
             .iter()
-            .position(|o| o.connection == msg.connection && o.request_id == reply.request_id)
+            .position(|o| o.connection == meta.connection && o.request_id == reply.request_id)
         else {
             return;
         };
-        let request_id = reply.request_id;
+        let (request_id, sender) = (reply.request_id, signed.sender);
         let round = &mut self.rounds[idx];
-        round.frames.insert(msg.sender, signed);
-        let accept = round
-            .collator
-            .offer(request_id, msg.sender, fold_reply(reply));
+        round.frames.insert(sender, signed);
+        let accept = round.collator.offer(request_id, sender, fold_reply(reply));
         match accept {
             Accept::Decided(decision) => {
                 let request_id = round.request_id;
@@ -672,30 +583,10 @@ impl SingletonClient {
     }
 
     fn handle_key_share(&mut self, ctx: &mut Context<'_>, msg: crate::wire::KeyShareMsg) {
-        let Some((meta, key)) = self.shares.offer(&self.fabric, &msg) else {
+        let Some(meta) = self.smiop.offer_share(&self.fabric, &msg) else {
             return;
         };
         let target = meta.server_domain;
-        let is_new_or_newer = self
-            .conns_by_target
-            .get(&target)
-            .map_or(true, |c| meta.epoch >= c.meta.epoch);
-        if !is_new_or_newer {
-            return;
-        }
-        let next_request_id = self
-            .conns_by_target
-            .get(&target)
-            .map(|c| c.next_request_id)
-            .unwrap_or(1);
-        self.conns_by_target.insert(
-            target,
-            ConnState {
-                meta,
-                key: SealKey::new(&key.0),
-                next_request_id,
-            },
-        );
         // Figure 3 phases 2–4 complete: the key is combined and the
         // virtual connection is usable
         self.obs.span_end(
@@ -723,51 +614,20 @@ impl SingletonClient {
     /// slot in our fabric copy so reply voting and routing follow the new
     /// roster.
     fn handle_admit_notice(&mut self, msg: crate::wire::AdmitNoticeMsg) {
-        let pairwise = self.fabric.pairwise(msg.gm_code, self.my_code());
-        let Some(sealed) = Sealed::from_bytes(&msg.sealed) else {
+        if !self.admit_notices.admit(&mut self.fabric, &msg) {
             return;
-        };
-        let Ok(plain) = open(&pairwise, &sealed) else {
-            return;
-        };
-        let expect = crate::element::admit_notice_plaintext(
-            msg.domain,
-            msg.admitted,
-            msg.replaced,
-            msg.slot,
-            msg.node,
-            msg.epoch,
-            &msg.verifying_key,
+        }
+        self.obs
+            .incr("client.admissions_applied", &self.obs_label());
+        self.obs.event(
+            "client.admission_applied",
+            &[
+                ("client", LabelValue::U64(self.cfg.id)),
+                ("admitted", LabelValue::U64(u64::from(msg.admitted.0))),
+                ("replaced", LabelValue::U64(u64::from(msg.replaced.0))),
+                ("epoch", LabelValue::U64(msg.epoch)),
+            ],
         );
-        if plain != expect {
-            return;
-        }
-        let votes = self
-            .admit_notices
-            .entry((msg.admitted, msg.epoch))
-            .or_default();
-        votes.insert(msg.gm_code);
-        let gm_f = self.fabric.domain(self.fabric.gm_domain).f;
-        if votes.len() > gm_f && self.admissions_applied.insert((msg.admitted, msg.epoch)) {
-            self.fabric.apply_admission(
-                msg.domain,
-                msg.admitted,
-                msg.replaced,
-                msg.slot as usize,
-                NodeId::from_raw(msg.node as u32),
-            );
-            self.obs
-                .incr("client.admissions_applied", &self.obs_label());
-            self.obs.event(
-                "client.admission_applied",
-                &[
-                    ("client", LabelValue::U64(self.cfg.id)),
-                    ("admitted", LabelValue::U64(u64::from(msg.admitted.0))),
-                    ("replaced", LabelValue::U64(u64::from(msg.replaced.0))),
-                    ("epoch", LabelValue::U64(msg.epoch)),
-                ],
-            );
-        }
     }
 }
 

@@ -10,10 +10,21 @@ use itdos_bft::config::ClientId;
 pub use itdos_groupmgr::membership::{
     code_endpoint, element_code, endpoint_code, singleton_code, ELEMENT_CODE_BASE,
 };
+use itdos_vote::vote::SenderId;
 
 /// The BFT client identity an endpoint uses toward any group.
 pub fn bft_client_id(code: u64) -> ClientId {
     ClientId(code)
+}
+
+/// The vote-sender id used for an endpoint code. Singleton `n` and element
+/// `n` share one, so a sender's side is judged by its code.
+pub fn vote_sender(code: u64) -> SenderId {
+    if code >= ELEMENT_CODE_BASE {
+        SenderId((code - ELEMENT_CODE_BASE) as u32)
+    } else {
+        SenderId(code as u32)
+    }
 }
 
 /// Timer tags (low 3 bits of the timer kind).
@@ -62,7 +73,6 @@ pub fn unpack_timer(kind: u64) -> Option<(TimerTag, u64)> {
 mod tests {
     use super::*;
     use itdos_groupmgr::membership::Endpoint;
-    use itdos_vote::vote::SenderId;
 
     #[test]
     fn endpoint_codes_round_trip() {

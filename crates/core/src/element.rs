@@ -16,9 +16,6 @@ use itdos_bft::message::Message;
 use itdos_bft::queue::{ElementId, QueueMachine, QueueOp};
 use itdos_bft::replica::{Output, Received, Replica};
 use itdos_bft::wire::Wire;
-use itdos_crypto::hash::Digest;
-use itdos_crypto::sign::{SigningKey, VerifyingKey};
-use itdos_crypto::symmetric::{open, SealKey, Sealed};
 use itdos_giop::giop::{GiopMessage, ReplyBody, ReplyMessage, RequestMessage};
 use itdos_giop::platform::PlatformProfile;
 use itdos_giop::types::Value;
@@ -34,13 +31,12 @@ use itdos_vote::vote::SenderId;
 use simnet::{Context, NodeId, Process, Timer};
 use xbytes::Bytes;
 
-use crate::codes::{element_code, pack_timer, unpack_timer, TimerTag, ELEMENT_CODE_BASE};
+use crate::codes::{element_code, pack_timer, unpack_timer, TimerTag};
 use crate::fabric::Fabric;
 use crate::fault::Behavior;
 use crate::outbound::Outbound;
-use crate::wire::{
-    AdmitNoticeMsg, ConnectionMeta, CoreMsg, DirectReplyMsg, FrameKind, GmOp, HealCmd, SmiopFrame,
-};
+use crate::smiop::{notice_plaintext, Attestations, Smiop, Unopened};
+use crate::wire::{AdmitNoticeMsg, ConnectionMeta, CoreMsg, FrameKind, GmOp, HealCmd, SmiopFrame};
 use itdos_vote::folding::{
     fold_reply, fold_request, folded_comparator, value_to_reply, value_to_request,
 };
@@ -65,22 +61,6 @@ pub struct ElementConfig {
     /// "the size of this message queue is limited by the size of the
     /// contiguous block of memory").
     pub queue_capacity: usize,
-}
-
-/// The vote-sender id used for an endpoint code.
-pub fn vote_sender(code: u64) -> SenderId {
-    if code >= ELEMENT_CODE_BASE {
-        SenderId((code - ELEMENT_CODE_BASE) as u32)
-    } else {
-        SenderId(code as u32)
-    }
-}
-
-struct ConnState {
-    meta: ConnectionMeta,
-    /// The communication key, prepared once when the connection is keyed.
-    key: SealKey,
-    next_request_id: u64,
 }
 
 /// Rounds per (connection, frame kind) a voter bank retains. Pipelined
@@ -124,11 +104,6 @@ enum NestedPhase {
     },
 }
 
-enum DelayedSend {
-    Direct { node: NodeId, msg: DirectReplyMsg },
-    Domain { target: DomainId, frame: SmiopFrame },
-}
-
 /// A server replication domain element (one simnet process).
 pub struct ServerElement {
     fabric: Fabric,
@@ -136,23 +111,19 @@ pub struct ServerElement {
     replica: Replica<QueueMachine>,
     bft_auth: AuthContext,
     orb: Orb,
-    signing: SigningKey,
-    sequence: u64,
-    conns: BTreeMap<ConnectionId, ConnState>,
-    shares: crate::keying::ShareBank,
+    smiop: Smiop,
     stalled: BTreeMap<ConnectionId, VecDeque<SmiopFrame>>,
-    voters: BTreeMap<(ConnectionId, u8), VoterBank>,
+    voters: BTreeMap<(ConnectionId, FrameKind), VoterBank>,
     outbound: BTreeMap<DomainId, Outbound>,
     inbox: VecDeque<(ConnectionMeta, RequestMessage)>,
     current: Option<Current>,
     nested: Option<NestedPhase>,
     processed: u64,
     acked_index: u64,
-    notices: BTreeMap<SenderId, BTreeSet<u64>>,
-    /// Admission notices by (admitted, epoch) → attesting GM codes.
-    admit_notices: BTreeMap<(SenderId, u64), BTreeSet<u64>>,
-    /// Admissions already applied (threshold reached once).
-    admissions_applied: BTreeSet<(SenderId, u64)>,
+    /// Expulsion and retirement notices about this domain, by element.
+    notices: Attestations<SenderId>,
+    /// Admission notices, by (admitted, epoch).
+    admit_notices: Attestations<(SenderId, u64)>,
     /// True while this element is a fresh replacement catching up via
     /// state transfer; cleared when the transfer completes.
     onboarding: bool,
@@ -160,8 +131,8 @@ pub struct ServerElement {
     /// on start (replica replacement).
     pending_admit: Option<SenderId>,
     reported: BTreeSet<SenderId>,
-    expel_submitted: BTreeSet<SenderId>,
-    delayed: Vec<Option<DelayedSend>>,
+    /// Replies a slow element holds back, by timer slot.
+    delayed: Vec<Option<(ConnectionMeta, SmiopFrame)>>,
     obs: Obs,
     /// Requests this element's ORB executed (observability).
     pub requests_handled: u64,
@@ -174,7 +145,7 @@ impl std::fmt::Debug for ServerElement {
         f.debug_struct("ServerElement")
             .field("element", &self.cfg.element)
             .field("domain", &self.cfg.domain)
-            .field("connections", &self.conns.len())
+            .field("connections", &self.smiop.connection_count())
             .field("handled", &self.requests_handled)
             .finish()
     }
@@ -200,8 +171,12 @@ impl ServerElement {
         for (key, servant) in servants {
             orb.activate(key, servant);
         }
-        let signing = fabric.signing_key(cfg.element);
         let my_code = element_code(cfg.element);
+        let smiop = Smiop::new(
+            &fabric,
+            my_code,
+            ("element", LabelValue::U64(u64::from(cfg.element.0))),
+        );
         let mut outbound = BTreeMap::new();
         outbound.insert(
             fabric.gm_domain,
@@ -214,10 +189,7 @@ impl ServerElement {
             replica,
             bft_auth,
             orb,
-            signing,
-            sequence: 0,
-            conns: BTreeMap::new(),
-            shares: crate::keying::ShareBank::new(my_code),
+            smiop,
             stalled: BTreeMap::new(),
             voters: BTreeMap::new(),
             outbound,
@@ -226,13 +198,11 @@ impl ServerElement {
             nested: None,
             processed: 0,
             acked_index: 0,
-            notices: BTreeMap::new(),
-            admit_notices: BTreeMap::new(),
-            admissions_applied: BTreeSet::new(),
+            notices: Attestations::new(my_code),
+            admit_notices: Attestations::new(my_code),
             onboarding: false,
             pending_admit: None,
             reported: BTreeSet::new(),
-            expel_submitted: BTreeSet::new(),
             delayed: Vec::new(),
             obs: Obs::disabled(),
             requests_handled: 0,
@@ -244,7 +214,7 @@ impl ServerElement {
     /// its key-share bank (new per-connection voters inherit it).
     pub fn set_obs(&mut self, obs: Obs) {
         self.replica.set_obs(obs.clone());
-        self.shares.set_obs(obs.clone());
+        self.smiop.set_obs(obs.clone());
         self.obs = obs;
     }
 
@@ -270,7 +240,7 @@ impl ServerElement {
 
     /// Established connections count (tests).
     pub fn connection_count(&self) -> usize {
-        self.conns.len()
+        self.smiop.connection_count()
     }
 
     /// Overrides this element's (mis)behaviour at runtime — drills use it
@@ -305,11 +275,6 @@ impl ServerElement {
     /// The element's endpoint code.
     fn my_code(&self) -> u64 {
         element_code(self.cfg.element)
-    }
-
-    fn next_sequence(&mut self) -> u64 {
-        self.sequence += 1;
-        self.sequence
     }
 
     // --------------------------------------------------------- bft plumbing
@@ -358,13 +323,7 @@ impl ServerElement {
                 } => {
                     self.on_executed(ctx, seq, request.operation(), &result);
                 }
-                Output::StartViewTimer { epoch, attempt } => {
-                    let timeout = self
-                        .fabric
-                        .domain(self.cfg.domain)
-                        .config
-                        .view_timeout
-                        .saturating_mul(1 << attempt.min(16));
+                Output::StartViewTimer { epoch, timeout } => {
                     ctx.set_timer(timeout, pack_timer(TimerTag::View, epoch));
                 }
                 Output::StateTransferred(seq) => {
@@ -477,127 +436,33 @@ impl ServerElement {
     // ------------------------------------------------------------ SMIOP rx
 
     fn process_frame(&mut self, ctx: &mut Context<'_>, frame: SmiopFrame) {
-        let Some(conn) = self.conns.get(&frame.connection) else {
-            self.stall(frame);
-            return;
+        let (meta, signed, message) = match self.smiop.open(&self.fabric, &frame) {
+            Ok(opened) => opened,
+            Err(Unopened::Early) => return self.stall(frame),
+            Err(Unopened::Refused) => return,
         };
-        if conn.meta.epoch != frame.epoch {
-            if frame.epoch > conn.meta.epoch {
-                self.stall(frame);
+        let (interface, trace, value) = match message {
+            GiopMessage::Request(r) if r.request_id == frame.request_id => {
+                (r.interface.clone(), r.trace, fold_request(r))
             }
-            // older epoch: sender was keyed out — drop (§3.5 expulsion)
-            return;
-        }
-        let key = conn.key;
-        let meta = conn.meta;
-        let Some(sealed) = Sealed::from_bytes(&frame.sealed) else {
-            return;
-        };
-        let Ok(giop_bytes) = key.open(&sealed) else {
-            return;
-        };
-        crate::cost::account(
-            &self.obs,
-            "crypto.open",
-            "crypto.open_bytes",
-            &self.obs_label(),
-            sealed.wire_len(),
-        );
-        let sender = vote_sender(frame.sender_code);
-        let signed = SignedReply {
-            sender,
-            sequence: frame.sequence,
-            frame: giop_bytes,
-            signature: frame.signature,
-        };
-        let verifying = self.fabric.verifying_key_code(frame.sender_code);
-        if !signed.verify(&verifying) {
-            return;
-        }
-        let Ok(message) = self.orb.unmarshal(&signed.frame) else {
-            return;
-        };
-        crate::cost::account(
-            &self.obs,
-            "giop.decode",
-            "giop.decode_bytes",
-            &[("kind", LabelValue::Str(message.kind_name()))],
-            signed.frame.len(),
-        );
-        match (frame.kind, message) {
-            (FrameKind::Request, GiopMessage::Request(request)) => {
-                if request.request_id != frame.request_id {
-                    return;
-                }
-                let interface = request.interface.clone();
-                let trace = request.trace;
-                self.offer(
-                    ctx,
-                    meta,
-                    FrameKind::Request,
-                    frame.request_id,
-                    sender,
-                    fold_request(request),
-                    signed,
-                    &interface,
-                    trace,
-                );
+            GiopMessage::Reply(r) if r.request_id == frame.request_id => {
+                (r.interface.clone(), 0, fold_reply(r))
             }
-            (FrameKind::Reply, GiopMessage::Reply(reply)) => {
-                if reply.request_id != frame.request_id {
-                    return;
-                }
-                let interface = reply.interface.clone();
-                self.offer(
-                    ctx,
-                    meta,
-                    FrameKind::Reply,
-                    frame.request_id,
-                    sender,
-                    fold_reply(reply),
-                    signed,
-                    &interface,
-                    0,
-                );
-            }
-            _ => {}
-        }
-    }
-
-    fn stall(&mut self, frame: SmiopFrame) {
-        let queue = self.stalled.entry(frame.connection).or_default();
-        if queue.len() < 64 {
-            queue.push_back(frame);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn offer(
-        &mut self,
-        ctx: &mut Context<'_>,
-        meta: ConnectionMeta,
-        kind: FrameKind,
-        request_id: u64,
-        sender: SenderId,
-        value: Value,
-        signed: SignedReply,
-        interface: &str,
-        trace: u64,
-    ) {
-        let kind_tag = match kind {
-            FrameKind::Request => 0u8,
-            FrameKind::Reply => 1u8,
+            _ => return,
         };
-        let key = (meta.connection, kind_tag);
+        let (kind, request_id, sender) = (frame.kind, frame.request_id, signed.sender);
         let thresholds = self.fabric.sender_thresholds(&meta, kind);
         let comparator =
-            folded_comparator(self.fabric.comparators.for_interface(interface).clone());
+            folded_comparator(self.fabric.comparators.for_interface(&interface).clone());
         let obs = self.obs.clone();
         let (accept, round_trace) = {
-            let bank = self.voters.entry(key).or_insert_with(|| VoterBank {
-                rounds: BTreeMap::new(),
-                floor: 0,
-            });
+            let bank = self
+                .voters
+                .entry((meta.connection, kind))
+                .or_insert_with(|| VoterBank {
+                    rounds: BTreeMap::new(),
+                    floor: 0,
+                });
             if request_id <= bank.floor {
                 return; // round already evicted (§3.6 GC)
             }
@@ -634,6 +499,13 @@ impl ServerElement {
                 self.report_suspects(ctx, &[s]);
             }
             _ => {}
+        }
+    }
+
+    fn stall(&mut self, frame: SmiopFrame) {
+        let queue = self.stalled.entry(frame.connection).or_default();
+        if queue.len() < 64 {
+            queue.push_back(frame);
         }
     }
 
@@ -729,11 +601,12 @@ impl ServerElement {
             }
             Dispatch::Suspended(call) => {
                 let target = DomainId(call.target.domain.0);
-                let existing = self.conns.iter().find(|(_, c)| {
-                    c.meta.server_domain == target && c.meta.client_domain == Some(self.cfg.domain)
-                });
+                let own = Some(self.cfg.domain);
+                let existing = self
+                    .smiop
+                    .find(|meta| meta.server_domain == target && meta.client_domain == own);
                 match existing {
-                    Some((&conn_id, _)) => self.send_nested_request(ctx, conn_id, call),
+                    Some(meta) => self.send_nested_request(ctx, meta.connection, call),
                     None => {
                         let op = GmOp::Open {
                             client: itdos_groupmgr::membership::Endpoint::Element(self.cfg.element),
@@ -755,11 +628,9 @@ impl ServerElement {
         conn_id: ConnectionId,
         call: NestedCall,
     ) {
-        let conn = self.conns.get_mut(&conn_id).expect("connection exists");
-        let request_id = conn.next_request_id;
-        conn.next_request_id += 1;
-        let meta = conn.meta;
-        let key = conn.key;
+        let Some((meta, request_id)) = self.smiop.next_request(conn_id) else {
+            return;
+        };
         let request = RequestMessage {
             request_id,
             // a nested call is causally part of the request being executed
@@ -779,37 +650,11 @@ impl ServerElement {
             self.continue_dispatch(ctx, dispatch);
             return;
         };
-        crate::cost::account(
-            &self.obs,
-            "giop.encode",
-            "giop.encode_bytes",
-            &[("kind", LabelValue::Str("request"))],
-            giop_bytes.len(),
-        );
-        let sequence = self.next_sequence();
-        let SignedReply {
-            frame: giop_bytes,
-            signature,
-            ..
-        } = SignedReply::sign(&self.signing, self.cfg.element, sequence, giop_bytes);
-        let nonce = self.nonce(meta.connection, meta.epoch, request_id, sequence);
-        let sealed = key.seal(nonce, &giop_bytes);
-        crate::cost::account(
-            &self.obs,
-            "crypto.seal",
-            "crypto.seal_bytes",
-            &self.obs_label(),
-            sealed.wire_len(),
-        );
-        let frame = SmiopFrame {
-            connection: meta.connection,
-            epoch: meta.epoch,
-            kind: FrameKind::Request,
-            sender_code: self.my_code(),
-            request_id,
-            sequence,
-            sealed: sealed.to_bytes(),
-            signature,
+        let Some((_, frame)) = self
+            .smiop
+            .seal(conn_id, FrameKind::Request, request_id, giop_bytes)
+        else {
+            return;
         };
         self.nested = Some(NestedPhase::AwaitingReply {
             connection: conn_id,
@@ -817,18 +662,6 @@ impl ServerElement {
         });
         let target = meta.server_domain;
         self.submit_op(ctx, target, QueueOp::Deliver(frame.encode()).encode());
-    }
-
-    fn nonce(&self, conn: ConnectionId, epoch: u32, request_id: u64, sequence: u64) -> [u8; 16] {
-        let d = Digest::of_parts(&[
-            b"itdos-nonce",
-            &self.my_code().to_le_bytes(),
-            &conn.0.to_le_bytes(),
-            &epoch.to_le_bytes(),
-            &request_id.to_le_bytes(),
-            &sequence.to_le_bytes(),
-        ]);
-        d.0[..16].try_into().expect("16 bytes")
     }
 
     fn emit_reply(&mut self, ctx: &mut Context<'_>, current: Current, mut reply: ReplyMessage) {
@@ -840,89 +673,43 @@ impl ServerElement {
                 reply.body = ReplyBody::Result(corrupted);
             }
         }
-        let Some(conn) = self.conns.get(&current.meta.connection) else {
-            return;
-        };
-        let meta = conn.meta;
-        let key = conn.key;
         let Ok(giop_bytes) = self.orb.marshal(&GiopMessage::Reply(reply)) else {
             return;
         };
-        crate::cost::account(
-            &self.obs,
-            "giop.encode",
-            "giop.encode_bytes",
-            &[("kind", LabelValue::Str("reply"))],
-            giop_bytes.len(),
-        );
-        let sequence = self.next_sequence();
-        let SignedReply {
-            frame: giop_bytes,
-            signature,
-            ..
-        } = SignedReply::sign(&self.signing, self.cfg.element, sequence, giop_bytes);
-        let nonce = self.nonce(meta.connection, meta.epoch, current.request_id, sequence);
-        let sealed = key.seal(nonce, &giop_bytes);
-        crate::cost::account(
-            &self.obs,
-            "crypto.seal",
-            "crypto.seal_bytes",
-            &self.obs_label(),
-            sealed.wire_len(),
-        );
+        // sealed under the connection's current epoch, which a rekey may
+        // have moved past the request's
+        let Some((meta, frame)) = self.smiop.seal(
+            current.meta.connection,
+            FrameKind::Reply,
+            current.request_id,
+            giop_bytes,
+        ) else {
+            return;
+        };
         self.replies_sent += 1;
         self.obs.incr("element.replies", &self.obs_label());
-        let send = if let Some(client_domain) = meta.client_domain {
-            DelayedSend::Domain {
-                target: client_domain,
-                frame: SmiopFrame {
-                    connection: meta.connection,
-                    epoch: meta.epoch,
-                    kind: FrameKind::Reply,
-                    sender_code: self.my_code(),
-                    request_id: current.request_id,
-                    sequence,
-                    sealed: sealed.to_bytes(),
-                    signature,
-                },
-            }
-        } else {
-            let Some(node) = self.fabric.node_of(meta.client_code) else {
-                return;
-            };
-            DelayedSend::Direct {
-                node,
-                msg: DirectReplyMsg {
-                    connection: meta.connection,
-                    epoch: meta.epoch,
-                    sender: self.cfg.element,
-                    sequence,
-                    sealed: sealed.to_bytes(),
-                    signature,
-                },
-            }
-        };
         match self.cfg.behavior.delay() {
             Some(delay) => {
                 let slot = self.delayed.len() as u64;
-                self.delayed.push(Some(send));
+                self.delayed.push(Some((meta, frame)));
                 ctx.set_timer(delay, pack_timer(TimerTag::DelayedSend, slot));
             }
-            None => self.dispatch_send(ctx, send),
+            None => self.send_reply(ctx, meta, frame),
         }
     }
 
-    fn dispatch_send(&mut self, ctx: &mut Context<'_>, send: DelayedSend) {
-        match send {
-            DelayedSend::Direct { node, msg } => {
-                ctx.send_labeled(
-                    node,
-                    CoreMsg::DirectReply(msg).encode().into(),
-                    "smiop-reply",
-                );
-            }
-            DelayedSend::Domain { target, frame } => {
+    /// A client domain's reply goes through its ordering group; a singleton
+    /// client gets it directly.
+    fn send_reply(&mut self, ctx: &mut Context<'_>, meta: ConnectionMeta, frame: SmiopFrame) {
+        match meta.client_domain {
+            Some(target) => {
                 self.submit_op(ctx, target, QueueOp::Deliver(frame.encode()).encode());
+            }
+            None => {
+                if let Some(node) = self.fabric.node_of(meta.client_code) {
+                    let msg = CoreMsg::DirectReply(frame.into());
+                    ctx.send_labeled(node, msg.encode().into(), "smiop-reply");
+                }
             }
         }
     }
@@ -930,29 +717,9 @@ impl ServerElement {
     // ------------------------------------------------------------- keying
 
     fn handle_key_share(&mut self, ctx: &mut Context<'_>, msg: crate::wire::KeyShareMsg) {
-        let Some((meta, key)) = self.shares.offer(&self.fabric, &msg) else {
+        let Some(meta) = self.smiop.offer_share(&self.fabric, &msg) else {
             return;
         };
-        let is_new_or_newer = self
-            .conns
-            .get(&meta.connection)
-            .map_or(true, |c| meta.epoch >= c.meta.epoch);
-        if !is_new_or_newer {
-            return;
-        }
-        let next_request_id = self
-            .conns
-            .get(&meta.connection)
-            .map(|c| c.next_request_id)
-            .unwrap_or(1);
-        self.conns.insert(
-            meta.connection,
-            ConnState {
-                meta,
-                key: SealKey::new(&key.0),
-                next_request_id,
-            },
-        );
         // retry frames that arrived before the key
         if let Some(mut frames) = self.stalled.remove(&meta.connection) {
             while let Some(frame) = frames.pop_front() {
@@ -971,133 +738,60 @@ impl ServerElement {
     }
 
     fn handle_notice(&mut self, ctx: &mut Context<'_>, msg: crate::wire::NoticeMsg) {
-        let pairwise = self.fabric.pairwise(msg.gm_code, self.my_code());
-        let Some(sealed) = Sealed::from_bytes(&msg.sealed) else {
-            return;
-        };
-        let Ok(plain) = open(&pairwise, &sealed) else {
-            return;
-        };
-        let expect = notice_plaintext(msg.domain, msg.expelled);
-        if plain != expect {
+        if msg.domain != self.cfg.domain {
             return;
         }
-        let votes = self.notices.entry(msg.expelled).or_default();
-        votes.insert(msg.gm_code);
-        let gm_f = self.fabric.domain(self.fabric.gm_domain).f;
-        if votes.len() > gm_f
-            && msg.domain == self.cfg.domain
-            && self.expel_submitted.insert(msg.expelled)
-        {
-            // unblock queue GC: the expelled element no longer gates acks
-            self.obs.incr("element.expels_applied", &self.obs_label());
-            self.obs.event(
-                "element.expel_applied",
-                &[
-                    ("element", LabelValue::U64(u64::from(self.cfg.element.0))),
-                    ("expelled", LabelValue::U64(u64::from(msg.expelled.0))),
-                ],
-            );
-            let op = QueueOp::Expel(ElementId(msg.expelled.0));
+        let expect = notice_plaintext(msg.domain, msg.expelled);
+        if !self.notices.attest(
+            &self.fabric,
+            msg.gm_code,
+            &msg.sealed,
+            &expect,
+            msg.expelled,
+        ) {
+            return;
+        }
+        // unblock queue GC: the expelled element no longer gates acks
+        self.obs.incr("element.expels_applied", &self.obs_label());
+        self.obs.event(
+            "element.expel_applied",
+            &[
+                ("element", LabelValue::U64(u64::from(self.cfg.element.0))),
+                ("expelled", LabelValue::U64(u64::from(msg.expelled.0))),
+            ],
+        );
+        let op = QueueOp::Expel(ElementId(msg.expelled.0));
+        let own = self.cfg.domain;
+        self.submit_op(ctx, own, op.encode());
+    }
+
+    fn handle_admit_notice(&mut self, ctx: &mut Context<'_>, msg: AdmitNoticeMsg) {
+        // the new roster is adopted at f_gm+1 distinct GM elements (a no-op
+        // on the joiner itself, whose fabric was built post-admission)
+        if !self.admit_notices.admit(&mut self.fabric, &msg) {
+            return;
+        }
+        self.obs
+            .incr("element.admissions_applied", &self.obs_label());
+        self.obs.event(
+            "element.admission_applied",
+            &[
+                ("element", LabelValue::U64(u64::from(self.cfg.element.0))),
+                ("admitted", LabelValue::U64(u64::from(msg.admitted.0))),
+                ("replaced", LabelValue::U64(u64::from(msg.replaced.0))),
+                ("epoch", LabelValue::U64(msg.epoch)),
+            ],
+        );
+        if msg.domain == self.cfg.domain {
+            // announce the joiner to our own ordered stream; the Join is
+            // idempotent in the queue machine and forces a barrier
+            // checkpoint at its sequence number, which the joiner's state
+            // transfer latches onto
+            let op = QueueOp::Join(ElementId(msg.admitted.0));
             let own = self.cfg.domain;
             self.submit_op(ctx, own, op.encode());
         }
     }
-
-    fn handle_admit_notice(&mut self, ctx: &mut Context<'_>, msg: AdmitNoticeMsg) {
-        let pairwise = self.fabric.pairwise(msg.gm_code, self.my_code());
-        let Some(sealed) = Sealed::from_bytes(&msg.sealed) else {
-            return;
-        };
-        let Ok(plain) = open(&pairwise, &sealed) else {
-            return;
-        };
-        let expect = admit_notice_plaintext(
-            msg.domain,
-            msg.admitted,
-            msg.replaced,
-            msg.slot,
-            msg.node,
-            msg.epoch,
-            &msg.verifying_key,
-        );
-        if plain != expect {
-            return;
-        }
-        let votes = self
-            .admit_notices
-            .entry((msg.admitted, msg.epoch))
-            .or_default();
-        votes.insert(msg.gm_code);
-        let gm_f = self.fabric.domain(self.fabric.gm_domain).f;
-        if votes.len() > gm_f && self.admissions_applied.insert((msg.admitted, msg.epoch)) {
-            // f_gm+1 distinct GM elements vouch: at least one is correct,
-            // so the GM group really ordered this admission — adopt the
-            // new roster (a no-op on the joiner itself, whose fabric was
-            // built post-admission)
-            self.fabric.apply_admission(
-                msg.domain,
-                msg.admitted,
-                msg.replaced,
-                msg.slot as usize,
-                NodeId::from_raw(msg.node as u32),
-            );
-            self.obs
-                .incr("element.admissions_applied", &self.obs_label());
-            self.obs.event(
-                "element.admission_applied",
-                &[
-                    ("element", LabelValue::U64(u64::from(self.cfg.element.0))),
-                    ("admitted", LabelValue::U64(u64::from(msg.admitted.0))),
-                    ("replaced", LabelValue::U64(u64::from(msg.replaced.0))),
-                    ("epoch", LabelValue::U64(msg.epoch)),
-                ],
-            );
-            if msg.domain == self.cfg.domain {
-                // announce the joiner to our own ordered stream; the Join
-                // is idempotent in the queue machine and forces a barrier
-                // checkpoint at its sequence number, which the joiner's
-                // state transfer latches onto
-                let op = QueueOp::Join(ElementId(msg.admitted.0));
-                let own = self.cfg.domain;
-                self.submit_op(ctx, own, op.encode());
-            }
-        }
-    }
-}
-
-/// Canonical plaintext of an expulsion notice (sealed pairwise per GM
-/// element → recipient).
-pub fn notice_plaintext(domain: DomainId, expelled: SenderId) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    out.extend_from_slice(b"expel");
-    out.extend_from_slice(&domain.0.to_le_bytes());
-    out.extend_from_slice(&expelled.0.to_le_bytes());
-    out
-}
-
-/// Canonical plaintext of an admission notice (sealed pairwise per GM
-/// element → recipient). Binds every roster-relevant field so a byzantine
-/// GM element cannot splice values between admissions.
-pub fn admit_notice_plaintext(
-    domain: DomainId,
-    admitted: SenderId,
-    replaced: SenderId,
-    slot: u32,
-    node: u64,
-    epoch: u64,
-    verifying_key: &VerifyingKey,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(48);
-    out.extend_from_slice(b"admit");
-    out.extend_from_slice(&domain.0.to_le_bytes());
-    out.extend_from_slice(&admitted.0.to_le_bytes());
-    out.extend_from_slice(&replaced.0.to_le_bytes());
-    out.extend_from_slice(&slot.to_le_bytes());
-    out.extend_from_slice(&node.to_le_bytes());
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&verifying_key.to_bytes());
-    out
 }
 
 impl Process for ServerElement {
@@ -1219,8 +913,10 @@ impl Process for ServerElement {
                 }
             }
             TimerTag::DelayedSend => {
-                if let Some(send) = self.delayed.get_mut(param as usize).and_then(Option::take) {
-                    self.dispatch_send(ctx, send);
+                if let Some((meta, frame)) =
+                    self.delayed.get_mut(param as usize).and_then(Option::take)
+                {
+                    self.send_reply(ctx, meta, frame);
                 }
             }
             TimerTag::ClientRetry => {}

@@ -204,7 +204,7 @@ impl Fabric {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::codes::bft_client_id;
     use itdos_bft::auth::Envelope;
@@ -213,7 +213,9 @@ mod tests {
     use xrand::rngs::SmallRng;
     use xrand::SeedableRng;
 
-    fn fabric() -> Fabric {
+    /// One f = 1 domain (elements 0–3, also the Group Manager's) and
+    /// singleton 9.
+    pub(crate) fn fabric() -> Fabric {
         let mut domains = BTreeMap::new();
         let spec = DomainSpec {
             id: DomainId(1),

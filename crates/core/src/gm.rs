@@ -26,9 +26,9 @@ use simnet::{Context, NodeId, Process, Timer};
 use xbytes::Bytes;
 
 use crate::codes::{element_code, endpoint_code, pack_timer, unpack_timer, TimerTag};
-use crate::element::notice_plaintext;
 use crate::fabric::Fabric;
 use crate::registry::ComparatorRegistry;
+use crate::smiop::{admit_notice_plaintext, nonce, notice_plaintext};
 use crate::wire::{
     bft_frame, encode_directives, AdmitNoticeMsg, ConnectionMeta, CoreMsg, Directive, GmOp,
     KeyShareMsg, NoticeMsg,
@@ -133,14 +133,14 @@ impl GmMachine {
                 {
                     Ok(expulsions) => expulsions
                         .into_iter()
-                        .flat_map(|e| self.expulsion_directives(e))
+                        .flat_map(|e| self.removal(e, false))
                         .collect(),
                     Err(_) => vec![Directive::Refused(refusal::PROOF)],
                 }
             }
             GmOp::ChangeVote { accuser, accused } => {
                 match self.manager.change_request_from_domain(*accuser, *accused) {
-                    Ok(Some(expulsion)) => self.expulsion_directives(expulsion),
+                    Ok(Some(expulsion)) => self.removal(expulsion, false),
                     Ok(None) => vec![Directive::VoteRecorded],
                     Err(_) => vec![Directive::Refused(refusal::VOTE)],
                 }
@@ -192,7 +192,7 @@ impl GmMachine {
                     return vec![Directive::Refused(refusal::RETIRE)];
                 }
                 match self.manager.retire(*element) {
-                    Ok(retirement) => self.retirement_directives(retirement),
+                    Ok(retirement) => self.removal(retirement, true),
                     Err(_) => vec![Directive::Refused(refusal::RETIRE)],
                 }
             }
@@ -217,29 +217,20 @@ impl GmMachine {
         }
     }
 
-    fn expulsion_directives(
+    /// The directives of an expulsion, or of a retirement when `retired`:
+    /// the roster change, then the key distributions of its rekeys.
+    fn removal(
         &self,
-        expulsion: itdos_groupmgr::manager::Expulsion,
+        removal: itdos_groupmgr::manager::Expulsion,
+        retired: bool,
     ) -> Vec<Directive> {
-        let mut out = vec![Directive::Expelled {
-            domain: expulsion.domain,
-            element: expulsion.expelled,
+        let (domain, element) = (removal.domain, removal.expelled);
+        let mut out = vec![if retired {
+            Directive::Retired { domain, element }
+        } else {
+            Directive::Expelled { domain, element }
         }];
-        for rekey in expulsion.rekeys {
-            out.push(self.key_dist_directive(rekey));
-        }
-        out
-    }
-
-    fn retirement_directives(
-        &self,
-        retirement: itdos_groupmgr::manager::Expulsion,
-    ) -> Vec<Directive> {
-        let mut out = vec![Directive::Retired {
-            domain: retirement.domain,
-            element: retirement.expelled,
-        }];
-        for rekey in retirement.rekeys {
+        for rekey in removal.rekeys {
             out.push(self.key_dist_directive(rekey));
         }
         out
@@ -394,13 +385,7 @@ impl GmElement {
                 Output::Executed { result, .. } => {
                     self.act_on_directives(ctx, &result);
                 }
-                Output::StartViewTimer { epoch, attempt } => {
-                    let timeout = self
-                        .fabric
-                        .domain(self.domain)
-                        .config
-                        .view_timeout
-                        .saturating_mul(1 << attempt.min(16));
+                Output::StartViewTimer { epoch, timeout } => {
                     ctx.set_timer(timeout, pack_timer(TimerTag::View, epoch));
                 }
                 Output::EnteredView(_) | Output::StateTransferred(_) => {}
@@ -442,75 +427,48 @@ impl GmElement {
                     let mut plain = Vec::with_capacity(60);
                     plain.extend_from_slice(&input);
                     plain.extend_from_slice(&share.to_bytes());
-                    for recipient in recipients {
-                        let Some(node) = self.fabric.node_of(recipient) else {
-                            continue;
-                        };
-                        let pairwise = self.fabric.pairwise(self.my_code(), recipient);
-                        let nonce = share_nonce(self.my_code(), recipient, &meta);
-                        let sealed = seal(&pairwise, nonce, &plain);
-                        let msg = CoreMsg::KeyShare(KeyShareMsg {
+                    let gm_code = self.my_code();
+                    let connection = meta.connection.0.to_le_bytes();
+                    let nonce = [b"share-nonce", &connection[..], &meta.epoch.to_le_bytes()];
+                    self.seal_to_each(ctx, &recipients, &plain, nonce, |sealed| {
+                        let msg = KeyShareMsg {
                             meta,
-                            gm_code: self.my_code(),
-                            sealed: sealed.to_bytes(),
-                        });
-                        ctx.send_labeled(node, msg.encode().into(), "gm-keyshare");
-                    }
+                            gm_code,
+                            sealed,
+                        };
+                        (CoreMsg::KeyShare(msg), "gm-keyshare")
+                    });
                 }
-                Directive::Expelled { domain, element } => {
-                    self.obs.incr("gm.expulsions", &[]);
+                Directive::Expelled { domain, element }
+                | Directive::Retired { domain, element } => {
+                    let (counter, event) = match directive {
+                        Directive::Expelled { .. } => ("gm.expulsions", "gm.expelled"),
+                        _ => ("gm.retirements", "gm.retired"),
+                    };
+                    self.obs.incr(counter, &[]);
                     self.obs.event(
-                        "gm.expelled",
+                        event,
                         &[
                             ("domain", LabelValue::U64(domain.0)),
                             ("element", LabelValue::U64(u64::from(element.0))),
                         ],
                     );
+                    // a retirement sends the notice an expulsion does: peers
+                    // run the one roster-removal path, and the benign cause
+                    // is recorded by the directive's event alone
                     let plain = notice_plaintext(domain, element);
-                    for code in self.fabric.element_codes(domain) {
-                        let Some(node) = self.fabric.node_of(code) else {
-                            continue;
-                        };
-                        let pairwise = self.fabric.pairwise(self.my_code(), code);
-                        let nonce = notice_nonce(self.my_code(), code, element);
-                        let sealed = seal(&pairwise, nonce, &plain);
-                        let msg = CoreMsg::Notice(NoticeMsg {
-                            gm_code: self.my_code(),
+                    let gm_code = self.my_code();
+                    let nonce = [b"notice-nonce", &element.0.to_le_bytes()[..], &[]];
+                    let codes = self.fabric.element_codes(domain);
+                    self.seal_to_each(ctx, &codes, &plain, nonce, |sealed| {
+                        let msg = NoticeMsg {
+                            gm_code,
                             domain,
                             expelled: element,
-                            sealed: sealed.to_bytes(),
-                        });
-                        ctx.send_labeled(node, msg.encode().into(), "gm-notice");
-                    }
-                }
-                Directive::Retired { domain, element } => {
-                    self.obs.incr("gm.retirements", &[]);
-                    self.obs.event(
-                        "gm.retired",
-                        &[
-                            ("domain", LabelValue::U64(domain.0)),
-                            ("element", LabelValue::U64(u64::from(element.0))),
-                        ],
-                    );
-                    // the same sealed notice an expulsion sends: peers run
-                    // the identical roster-removal path, and the benign
-                    // cause is recorded by this directive's event alone
-                    let plain = notice_plaintext(domain, element);
-                    for code in self.fabric.element_codes(domain) {
-                        let Some(node) = self.fabric.node_of(code) else {
-                            continue;
+                            sealed,
                         };
-                        let pairwise = self.fabric.pairwise(self.my_code(), code);
-                        let nonce = notice_nonce(self.my_code(), code, element);
-                        let sealed = seal(&pairwise, nonce, &plain);
-                        let msg = CoreMsg::Notice(NoticeMsg {
-                            gm_code: self.my_code(),
-                            domain,
-                            expelled: element,
-                            sealed: sealed.to_bytes(),
-                        });
-                        ctx.send_labeled(node, msg.encode().into(), "gm-notice");
-                    }
+                        (CoreMsg::Notice(msg), "gm-notice")
+                    });
                 }
                 Directive::Refused(reason) => {
                     self.obs.incr(
@@ -568,7 +526,7 @@ impl GmElement {
                     }
                     codes.sort_unstable();
                     codes.dedup();
-                    let plain = crate::element::admit_notice_plaintext(
+                    let plain = admit_notice_plaintext(
                         domain,
                         element,
                         replaced,
@@ -577,15 +535,12 @@ impl GmElement {
                         epoch,
                         &verifying_key,
                     );
-                    for code in codes {
-                        let Some(dest) = self.fabric.node_of(code) else {
-                            continue;
-                        };
-                        let pairwise = self.fabric.pairwise(self.my_code(), code);
-                        let nonce = admit_nonce(self.my_code(), code, element, epoch);
-                        let sealed = seal(&pairwise, nonce, &plain);
-                        let msg = CoreMsg::AdmitNotice(AdmitNoticeMsg {
-                            gm_code: self.my_code(),
+                    let gm_code = self.my_code();
+                    let admitted = element.0.to_le_bytes();
+                    let nonce = [b"admit-nonce", &admitted[..], &epoch.to_le_bytes()];
+                    self.seal_to_each(ctx, &codes, &plain, nonce, |sealed| {
+                        let msg = AdmitNoticeMsg {
+                            gm_code,
                             domain,
                             admitted: element,
                             replaced,
@@ -593,46 +548,38 @@ impl GmElement {
                             node,
                             epoch,
                             verifying_key,
-                            sealed: sealed.to_bytes(),
-                        });
-                        ctx.send_labeled(dest, msg.encode().into(), "gm-admit-notice");
-                    }
+                            sealed,
+                        };
+                        (CoreMsg::AdmitNotice(msg), "gm-admit-notice")
+                    });
                 }
             }
         }
     }
-}
 
-fn share_nonce(gm: u64, recipient: u64, meta: &ConnectionMeta) -> [u8; 16] {
-    let d = Digest::of_parts(&[
-        b"share-nonce",
-        &gm.to_le_bytes(),
-        &recipient.to_le_bytes(),
-        &meta.connection.0.to_le_bytes(),
-        &meta.epoch.to_le_bytes(),
-    ]);
-    d.0[..16].try_into().expect("16 bytes")
-}
-
-fn notice_nonce(gm: u64, recipient: u64, expelled: SenderId) -> [u8; 16] {
-    let d = Digest::of_parts(&[
-        b"notice-nonce",
-        &gm.to_le_bytes(),
-        &recipient.to_le_bytes(),
-        &expelled.0.to_le_bytes(),
-    ]);
-    d.0[..16].try_into().expect("16 bytes")
-}
-
-fn admit_nonce(gm: u64, recipient: u64, admitted: SenderId, epoch: u64) -> [u8; 16] {
-    let d = Digest::of_parts(&[
-        b"admit-nonce",
-        &gm.to_le_bytes(),
-        &recipient.to_le_bytes(),
-        &admitted.0.to_le_bytes(),
-        &epoch.to_le_bytes(),
-    ]);
-    d.0[..16].try_into().expect("16 bytes")
+    /// Seals `plain` to each recipient code that has a node, over this
+    /// element's pairwise channel to it, and sends the message `wrap` makes
+    /// of the sealed bytes under its label. `[tag, a, b]` name the nonce:
+    /// `nonce(tag ‖ this element ‖ recipient ‖ a ‖ b)`.
+    fn seal_to_each(
+        &self,
+        ctx: &mut Context<'_>,
+        recipients: &[u64],
+        plain: &[u8],
+        [tag, a, b]: [&[u8]; 3],
+        wrap: impl Fn(Vec<u8>) -> (CoreMsg, &'static str),
+    ) {
+        let me = self.my_code();
+        for &code in recipients {
+            let Some(node) = self.fabric.node_of(code) else {
+                continue;
+            };
+            let nonce = nonce(&[tag, &me.to_le_bytes(), &code.to_le_bytes(), a, b]);
+            let sealed = seal(&self.fabric.pairwise(me, code), nonce, plain);
+            let (msg, label) = wrap(sealed.to_bytes());
+            ctx.send_labeled(node, msg.encode().into(), label);
+        }
+    }
 }
 
 impl Process for GmElement {

@@ -43,11 +43,9 @@ fn assembly_span_id(my_code: u64, connection: ConnectionId, epoch: u32) -> u64 {
 /// Collects and combines key shares addressed to one endpoint.
 #[derive(Default)]
 pub struct ShareBank {
-    my_code: u64,
     assemblies: BTreeMap<(ConnectionId, u32), Assembly>,
     /// The latest epoch combined per connection.
     combined: BTreeMap<ConnectionId, u32>,
-    obs: Obs,
 }
 
 impl std::fmt::Debug for ShareBank {
@@ -59,33 +57,20 @@ impl std::fmt::Debug for ShareBank {
 }
 
 impl ShareBank {
-    /// Creates a bank for the endpoint with the given code.
-    pub fn new(my_code: u64) -> ShareBank {
-        ShareBank {
-            my_code,
-            assemblies: BTreeMap::new(),
-            combined: BTreeMap::new(),
-            obs: Obs::disabled(),
-        }
-    }
-
-    /// Installs an instrumentation sink (share verification / combination
-    /// counters and assembly latency).
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    /// Offers one share message. Returns the assembled communication key
-    /// the first time `f_gm + 1` verified, input-consistent shares are
-    /// present for this `(connection, epoch)`, and never again for it or
-    /// an older epoch.
+    /// Offers one share message addressed to endpoint `me`, counting share
+    /// verification, combination and assembly latency on `obs`. Returns the
+    /// assembled communication key the first time `f_gm + 1` verified,
+    /// input-consistent shares are present for this `(connection, epoch)`,
+    /// and never again for it or an older epoch.
     pub fn offer(
         &mut self,
         fabric: &Fabric,
+        me: u64,
+        obs: &Obs,
         msg: &KeyShareMsg,
     ) -> Option<(ConnectionMeta, CommunicationKey)> {
-        self.obs.incr("key.shares_received", &[]);
-        let pairwise = fabric.pairwise(msg.gm_code, self.my_code);
+        obs.incr("key.shares_received", &[]);
+        let pairwise = fabric.pairwise(msg.gm_code, me);
         let sealed = Sealed::from_bytes(&msg.sealed)?;
         let plain = open(&pairwise, &sealed).ok()?;
         if plain.len() != 32 + 28 {
@@ -95,8 +80,8 @@ impl ShareBank {
         let share = KeyShare::from_bytes(plain[32..].try_into().expect("28 bytes"))?;
         let Some(share) = fabric.dprf_verifier.check(&input, &share) else {
             // corrupt GM element's share: discarded (§3.5)
-            self.obs.incr("key.shares_rejected", &[]);
-            self.obs.event(
+            obs.incr("key.shares_rejected", &[]);
+            obs.event(
                 "key.share_rejected",
                 &[
                     ("gm_code", LabelValue::U64(msg.gm_code)),
@@ -105,7 +90,7 @@ impl ShareBank {
             );
             return None;
         };
-        self.obs.incr("key.shares_verified", &[]);
+        obs.incr("key.shares_verified", &[]);
         let (connection, epoch) = (msg.meta.connection, msg.meta.epoch);
         if self
             .combined
@@ -116,12 +101,12 @@ impl ShareBank {
             // counted above, but it opens no second assembly
             return None;
         }
-        let span_id = assembly_span_id(self.my_code, connection, epoch);
+        let span_id = assembly_span_id(me, connection, epoch);
         let assembly = self
             .assemblies
             .entry((connection, epoch))
             .or_insert_with(|| {
-                self.obs.span_begin("key.assemble_us", span_id);
+                obs.span_begin("key.assemble_us", span_id);
                 Assembly::default()
             });
         assembly
@@ -140,15 +125,15 @@ impl ShareBank {
             Err(_) => {
                 // verified shares that still fail to combine: abandon the
                 // timing rather than leaving the span open forever
-                self.obs.span_cancel("key.assemble_us", span_id);
+                obs.span_cancel("key.assemble_us", span_id);
                 return None;
             }
         };
         self.assemblies.remove(&(connection, epoch));
         self.combined.insert(connection, epoch);
-        self.obs.span_end("key.assemble_us", span_id, &[]);
-        self.obs.incr("key.combined", &[]);
-        self.obs.event(
+        obs.span_end("key.assemble_us", span_id, &[]);
+        obs.incr("key.combined", &[]);
+        obs.event(
             "key.combined",
             &[
                 ("connection", LabelValue::U64(connection.0)),

@@ -12,8 +12,9 @@
 //! 2. **Secure Reliable Multicast** — [`itdos_bft`]'s PBFT with the
 //!    message-queue state machine;
 //! 3. **ITDOS sockets / SMIOP** — [`wire::SmiopFrame`]s: per-connection
-//!    symmetric encryption and element signatures over GIOP frames,
-//!    submitted as queue operations ([`element`], [`client`]);
+//!    symmetric encryption and endpoint signatures over GIOP frames,
+//!    submitted as queue operations; one SMIOP endpoint (`smiop`) serves
+//!    both [`element`] and [`client`];
 //! 4. **Voter** — per-connection collation of unmarshalled values
 //!    ([`itdos_vote`], folded via [`itdos_vote::folding`]);
 //! 5. **Marshalling** — [`itdos_giop`]'s CDR in each replica's native
@@ -92,6 +93,7 @@ pub mod invocation;
 pub mod keying;
 pub mod outbound;
 pub mod registry;
+pub(crate) mod smiop;
 pub mod system;
 pub mod trace;
 pub mod wire;

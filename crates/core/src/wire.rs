@@ -119,7 +119,7 @@ pub struct AdmitNoticeMsg {
 }
 
 /// The kind of GIOP traffic inside an SMIOP frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FrameKind {
     /// A CORBA request flowing client → server domain.
     Request,

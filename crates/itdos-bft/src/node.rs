@@ -36,7 +36,6 @@ pub struct ReplicaNode<S> {
     auth: AuthContext,
     group: GroupId,
     directory: Directory,
-    base_timeout: SimDuration,
     /// Executions observed, newest last (test/bench observability; the
     /// ITDOS core uses its own process embedding `Replica` directly).
     pub executed: Vec<(SeqNo, ClientRequest, Vec<u8>)>,
@@ -60,13 +59,11 @@ impl<S: StateMachine> ReplicaNode<S> {
         group: GroupId,
         directory: Directory,
     ) -> ReplicaNode<S> {
-        let base_timeout = config.view_timeout;
         ReplicaNode {
             replica: Replica::new(config, id, app),
             auth,
             group,
             directory,
-            base_timeout,
             executed: Vec::new(),
         }
     }
@@ -106,9 +103,7 @@ impl<S: StateMachine> ReplicaNode<S> {
                 } => {
                     self.executed.push((seq, request, result));
                 }
-                Output::StartViewTimer { epoch, attempt } => {
-                    // PBFT doubles the timeout per consecutive attempt
-                    let timeout = self.base_timeout.saturating_mul(1 << attempt.min(16));
+                Output::StartViewTimer { epoch, timeout } => {
                     ctx.set_timer(timeout, epoch);
                 }
                 Output::EnteredView(_) | Output::StateTransferred(_) => {}

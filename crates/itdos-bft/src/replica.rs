@@ -13,6 +13,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use itdos_crypto::hash::Digest;
 use itdos_obs::{LabelValue, Obs};
+use simnet::SimDuration;
 use xbytes::Bytes;
 
 use crate::auth::{AuthContext, Envelope, Peer};
@@ -81,8 +82,9 @@ pub enum Output {
     StartViewTimer {
         /// Epoch used to ignore stale expirations.
         epoch: u64,
-        /// Consecutive view-change attempts (adapter doubles the timeout).
-        attempt: u32,
+        /// How long to wait: `view_timeout`, doubled per consecutive
+        /// view-change attempt (PBFT's backoff), at most 2^16 times.
+        timeout: SimDuration,
     },
     /// The replica moved to a new view.
     EnteredView(View),
@@ -308,9 +310,10 @@ impl<S: StateMachine> Replica<S> {
 
     fn arm_timer(&mut self) {
         self.timer_epoch += 1;
+        let backoff = 1 << self.view_change_attempts.min(16);
         self.outputs.push(Output::StartViewTimer {
             epoch: self.timer_epoch,
-            attempt: self.view_change_attempts,
+            timeout: self.config.view_timeout.saturating_mul(backoff),
         });
     }
 

@@ -9,22 +9,36 @@
 //! static side of the same contract is enforced by `itdos-lint`
 //! (rule `panic-freedom`); this file is the dynamic side.
 
+mod common;
+
+use common::{bank_system, BANK, CLIENT};
+use itdos::codes::element_code;
+use itdos::wire::{bft_frame, FrameKind, SmiopFrame};
+use itdos::{Invocation, System};
 use itdos_bft::auth::{AuthContext, AuthProof, Envelope, KeyProvisioner, Peer};
 use itdos_bft::message::{
     Batch, Checkpoint, ClientRequest, Commit, Message, PrePrepare, Prepare, PreparedProof, Reply,
     StateData, StateFetch, ViewChange,
 };
+use itdos_bft::queue::QueueOp;
 use itdos_bft::state::CounterMachine;
+use itdos_bft::wire::Wire;
 use itdos_bft::{ClientId, GroupConfig, Output, Received, Replica, ReplicaId, SeqNo, View};
+use itdos_crypto::group::Element;
 use itdos_crypto::hash::Digest;
+use itdos_crypto::keys::SymmetricKey;
+use itdos_crypto::shamir;
 use itdos_crypto::sign::SigningKey;
+use itdos_crypto::symmetric::SealKey;
+use itdos_giop::cdr::Endianness;
 use itdos_giop::giop::{decode_message, encode_message, GiopMessage, RequestMessage};
 use itdos_giop::idl::{InterfaceDef, InterfaceRepository, OperationDef};
 use itdos_giop::types::{TypeDesc, Value};
 use itdos_groupmgr::{DomainId, DomainRecord, ElementRecord, Endpoint, GroupManager, Membership};
 use itdos_vote::comparator::Comparator;
-use itdos_vote::detector::FaultProof;
+use itdos_vote::detector::{FaultProof, SignedReply};
 use itdos_vote::vote::SenderId;
+use simnet::{Context, NodeId, Process};
 use xbytes::Bytes;
 use xrand::rngs::SmallRng;
 use xrand::{Rng, SeedableRng};
@@ -627,6 +641,117 @@ fn a_backup_cannot_order_a_request_under_a_clients_name() {
         );
     }
     assert!(replies.iter().all(|r| r.result == 5i64.to_le_bytes()));
+}
+
+// ---- a connection's key holders speak only for their side (ROADMAP item 16)
+
+/// A process that sends one frame to each of `to` when it starts.
+struct SendOnce {
+    to: Vec<NodeId>,
+    frame: Bytes,
+}
+
+impl Process for SendOnce {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        for &node in &self.to {
+            ctx.send(node, self.frame.clone());
+        }
+    }
+
+    fn on_message(&mut self, _: &mut Context<'_>, _: NodeId, _: Bytes) {}
+}
+
+fn deposit(amount: i64) -> Invocation {
+    Invocation::of(BANK)
+        .object(b"acct")
+        .interface("Bank::Account")
+        .operation("deposit")
+        .arg(Value::LongLong(amount))
+}
+
+fn requests_handled(system: &System) -> Vec<u64> {
+    (0..4)
+        .map(|i| system.element(BANK, i).requests_handled)
+        .collect()
+}
+
+/// One Byzantine server element speaks for a singleton client. Every
+/// element of the domain holds the connection's key, so the element can
+/// seal the client's next request (`deposit(-1000)`) and sign it with its
+/// own key; the bank's ordering queue delivers it whoever submits it. Only
+/// the side rule refuses it: a request on a singleton connection comes
+/// from that singleton's endpoint code alone. The client's real request 2
+/// then executes as request 2.
+#[test]
+fn an_element_cannot_send_a_request_on_a_clients_connection() {
+    let mut system = bank_system(71).build();
+    let first = system.invoke(CLIENT, deposit(5));
+    assert_eq!(first.result, Ok(Value::LongLong(5)));
+    assert_eq!(requests_handled(&system), [1, 1, 1, 1]);
+
+    // the connection key as every element holds it, rebuilt here from
+    // f_gm + 1 leaked Group Manager shares and the DPRF's KDF
+    let gm_f = system.fabric.domain(system.fabric.gm_domain).f;
+    let leaked: Vec<shamir::Share> = (0..=gm_f)
+        .map(|i| system.gm_element(i).leaked_share())
+        .collect();
+    let master = shamir::combine(&leaked).expect("f_gm + 1 shares");
+    let manager = system.gm_element(0).replica().app().manager();
+    let (connection, record) = manager
+        .connections()
+        .find(|(_, record)| record.server == BANK)
+        .expect("the client's connection");
+    let input = manager.connection_input(connection, record.epoch);
+    let point = Element::hash_to_group(&input).pow(master);
+    let kdf = Digest::of_parts(&[b"itdos-dprf-kdf", &input, &point.to_bytes()]);
+    let key = SealKey::new(&SymmetricKey::from_digest(kdf));
+
+    // bank element 3 seals and signs the client's request 2 as itself
+    let forger = system.fabric.domain(BANK).elements[3];
+    let request = GiopMessage::Request(RequestMessage {
+        request_id: 2,
+        trace: 0,
+        response_expected: true,
+        object_key: b"acct".to_vec(),
+        interface: "Bank::Account".into(),
+        operation: "deposit".into(),
+        args: vec![Value::LongLong(-1000)],
+    });
+    let giop = encode_message(&request, &system.fabric.repo, Endianness::Little).unwrap();
+    let signed = SignedReply::sign(&system.fabric.signing_key(forger), forger, 1, giop);
+    let forged = SmiopFrame {
+        connection,
+        epoch: record.epoch,
+        kind: FrameKind::Request,
+        sender_code: element_code(forger),
+        request_id: 2,
+        sequence: 1,
+        sealed: key.seal([7; 16], &signed.frame).to_bytes(),
+        signature: signed.signature,
+    };
+
+    // delivered through the bank's ordering group by a BFT client of it
+    let submitter = 4242;
+    let op = QueueOp::Deliver(forged.encode()).encode();
+    let submission = Message::Request(ClientRequest::new(ClientId(submitter), 1, 0, op));
+    let auth = system.fabric.bft_auth_client(BANK, submitter);
+    let frame = bft_frame(&auth, BANK, &submission, None).bytes;
+    let to = system.fabric.domain(BANK).nodes.clone();
+    system.sim.add_process(Box::new(SendOnce { to, frame }));
+    system.settle();
+    assert_eq!(
+        requests_handled(&system),
+        [1, 1, 1, 1],
+        "the elements executed element 3's request on the client's connection"
+    );
+
+    let ticket = system.invoke_async(CLIENT, deposit(5));
+    system
+        .try_settle()
+        .expect("the client's request 2 completes");
+    let second = system.result(ticket).expect("request 2 completed");
+    assert_eq!(second.result, Ok(Value::LongLong(10)));
+    assert_eq!(requests_handled(&system), [2, 2, 2, 2]);
 }
 
 // ---- view-change bounds ----------------------------------------------------
