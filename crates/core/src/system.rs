@@ -1015,11 +1015,13 @@ impl System {
     /// `replica.health` gauges. Runs two passes so the published
     /// `audit.finding` events are themselves folded back into the
     /// stream's timeline — keeping the live summary equal to what a
-    /// post-hoc parse of the final dump sees.
+    /// post-hoc parse of the final dump sees. Health is scored once, from
+    /// the second pass's state: the gauges hold its values either way.
     fn pump_streaming_audit(&mut self) {
         let Some(sub) = self.audit_sub else {
             return;
         };
+        let mut facts = itdos_audit::MetricsFacts::default();
         for _ in 0..2 {
             let Some(stream) = self.audit_stream.as_mut() else {
                 return;
@@ -1028,36 +1030,38 @@ impl System {
             for event in self.obs.drain_subscription(sub) {
                 fresh.extend(stream.observe_event(&event));
             }
-            let facts = self
-                .obs
-                .with_registry(itdos_audit::MetricsFacts::from_registry)
-                .unwrap_or_default();
+            facts = audit_facts(&self.obs);
             fresh.extend(stream.drain_new(&facts));
-            let health = stream.health(&facts);
             for f in &fresh {
                 let severity = match f.severity {
                     itdos_audit::Severity::Info => 0u64,
                     itdos_audit::Severity::Warn => 1,
                     itdos_audit::Severity::Blame => 2,
                 };
-                let mut labels = vec![
+                let labels = [
                     ("analyzer", LabelValue::Str(f.analyzer)),
                     ("kind", LabelValue::Str(f.kind)),
                     ("severity", LabelValue::U64(severity)),
                     ("count", LabelValue::U64(f.count)),
+                    ("element", LabelValue::U64(f.element.unwrap_or(0))),
                 ];
-                if let Some(element) = f.element {
-                    labels.push(("element", LabelValue::U64(element)));
-                }
-                self.obs.event("audit.finding", &labels);
+                let labels = if f.element.is_some() {
+                    &labels[..]
+                } else {
+                    &labels[..4]
+                };
+                self.obs.event("audit.finding", labels);
             }
-            for (element, value) in health {
-                self.obs.gauge(
-                    "replica.health",
-                    &[("element", LabelValue::U64(element))],
-                    value,
-                );
-            }
+        }
+        let Some(stream) = self.audit_stream.as_ref() else {
+            return;
+        };
+        for (element, value) in stream.health(&facts) {
+            self.obs.gauge(
+                "replica.health",
+                &[("element", LabelValue::U64(element))],
+                value,
+            );
         }
     }
 
@@ -1068,19 +1072,16 @@ impl System {
     /// the end of a run this equals [`System::audit`] by construction.
     pub fn live_audit_report(&self) -> Option<itdos_audit::AuditReport> {
         let stream = self.audit_stream.as_ref()?;
-        let facts = self
-            .obs
-            .with_registry(itdos_audit::MetricsFacts::from_registry)
-            .unwrap_or_default();
-        Some(stream.report(&facts))
+        Some(stream.report(&audit_facts(&self.obs)))
     }
 
     /// Live per-element health (100 = clean, 0 = condemned) from the
     /// streaming auditor — the values currently exported as the
     /// `replica.health` gauge. Empty when streaming audit is off.
     pub fn live_health(&self) -> BTreeMap<u64, i64> {
-        self.live_audit_report()
-            .map(|r| r.health)
+        self.audit_stream
+            .as_ref()
+            .map(|stream| stream.health(&audit_facts(&self.obs)))
             .unwrap_or_default()
     }
 
@@ -1437,6 +1438,12 @@ impl System {
         let node = self.fabric.domain(self.fabric.gm_domain).nodes[index];
         self.sim.process_mut::<GmElement>(node)
     }
+}
+
+/// The registry facts the streaming audit judges against, read live.
+fn audit_facts(obs: &itdos_obs::Obs) -> itdos_audit::MetricsFacts {
+    obs.with_registry(itdos_audit::MetricsFacts::from_registry)
+        .unwrap_or_default()
 }
 
 /// Placeholder process used during two-phase wiring.

@@ -20,7 +20,6 @@
 use std::collections::BTreeMap;
 
 use itdos_obs::flight::Event;
-use itdos_obs::LabelValue;
 
 /// The trace id minted for an invocation ticket: client in the high 32
 /// bits, 1-based submission index low, so every real invocation is
@@ -186,13 +185,6 @@ fn fmt_opt(v: Option<u64>) -> String {
     v.map(|v| v.to_string()).unwrap_or_else(|| "?".into())
 }
 
-fn label_u64(event: &Event, key: &str) -> Option<u64> {
-    event.labels.iter().find_map(|(k, v)| match v {
-        LabelValue::U64(n) if *k == key => Some(*n),
-        _ => None,
-    })
-}
-
 /// Reconstructs the causal path of `trace` from a flight-event snapshot.
 ///
 /// `element_domains` maps each server element's obs scope to its domain
@@ -209,25 +201,23 @@ pub fn reconstruct(
 ) -> Option<TraceReport> {
     // anchor: the client's send record names the request id and target
     let send = events.iter().find(|e| {
-        e.scope == client_scope && e.kind == "client.send" && label_u64(e, "trace") == Some(trace)
+        e.scope == client_scope && e.kind == "client.send" && e.label_u64("trace") == Some(trace)
     })?;
-    let request_id = label_u64(send, "request");
-    let target = label_u64(send, "target");
+    let request_id = send.label_u64("request");
+    let target = send.label_u64("target");
     let send_at = send.at_micros;
     // the reply record bounds the window vote events are matched within
     // (request ids are per-connection, so an id alone is ambiguous)
     let reply = events.iter().find(|e| {
-        e.scope == client_scope
-            && e.kind == "client.decided"
-            && label_u64(e, "trace") == Some(trace)
+        e.scope == client_scope && e.kind == "client.decided" && e.label_u64("trace") == Some(trace)
     });
     let reply_at = reply.map(|e| e.at_micros).unwrap_or(u64::MAX);
     // the agreed sequence number, from any replica's batch record
     let bft_seq = events
         .iter()
-        .filter(|e| e.kind == "bft.batch" && label_u64(e, "trace") == Some(trace))
+        .filter(|e| e.kind == "bft.batch" && e.label_u64("trace") == Some(trace))
         .filter(|e| target.is_none() || element_domains.get(&e.scope) == target.as_ref())
-        .map(|e| label_u64(e, "seq"))
+        .map(|e| e.label_u64("seq"))
         .next()
         .flatten();
 
@@ -243,14 +233,14 @@ pub fn reconstruct(
         });
     };
     for e in events {
-        let traced = label_u64(e, "trace") == Some(trace);
+        let traced = e.label_u64("trace") == Some(trace);
         match e.kind {
             "client.send" if traced && e.scope == client_scope => push("send", e),
             "bft.admit" if traced && in_target(e) => push("admit", e),
             "bft.batch" if traced && in_target(e) => push("batch", e),
             "bft.prepared" | "bft.committed"
                 if bft_seq.is_some()
-                    && label_u64(e, "seq") == bft_seq
+                    && e.label_u64("seq") == bft_seq
                     && in_target(e)
                     && e.at_micros >= send_at =>
             {
@@ -267,7 +257,7 @@ pub fn reconstruct(
             "vote.reply" | "vote.decided"
                 if e.scope == client_scope
                     && request_id.is_some()
-                    && label_u64(e, "request") == request_id
+                    && e.label_u64("request") == request_id
                     && e.at_micros >= send_at
                     && e.at_micros <= reply_at =>
             {
@@ -297,6 +287,8 @@ pub fn reconstruct(
 
 #[cfg(test)]
 mod tests {
+    use itdos_obs::LabelValue;
+
     use super::*;
 
     fn event(

@@ -2,9 +2,11 @@
 //!
 //! Every built-in detector is an *incremental state machine*
 //! ([`DivergenceState`], [`ParticipationState`], [`LivenessState`]): it
-//! folds one [`EventRecord`] at a time via `observe` and can surface its
-//! current [`Finding`]s at any point. The batch [`Analyzer`]s are thin
-//! wrappers that replay a finished timeline through the same states, and
+//! folds one event at a time via `observe` — through the borrowed
+//! [`EventView`], so a live flight [`Event`] and a parsed [`EventRecord`]
+//! are read where they lie — and can surface its current [`Finding`]s at
+//! any point. The batch [`Analyzer`]s are thin wrappers that replay a
+//! finished timeline through the same states, and
 //! [`crate::Stream`] drives the identical states live inside a running
 //! system — which is how the streaming == batch equivalence guarantee is
 //! structural rather than aspirational.
@@ -25,10 +27,73 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use itdos_obs::flight::Event;
 use itdos_obs::jsonl::{Dump, EventRecord};
-use itdos_obs::{LabelValue, Registry};
+use itdos_obs::metrics::label_u64;
+use itdos_obs::Registry;
 
 use crate::topology::Topology;
+
+/// A borrowed view of one flight event — everything the detectors read.
+/// Both a live [`Event`] off the subscription tap and an [`EventRecord`]
+/// parsed from a dump implement it, so streaming and batch replay share
+/// one code path without converting either form into the other.
+pub trait EventView {
+    /// Global sequence number within the emitting recorder.
+    fn seq(&self) -> u64;
+    /// Timestamp (µs, injected clock).
+    fn at_us(&self) -> u64;
+    /// Emitting process's scope.
+    fn scope(&self) -> u64;
+    /// Event kind.
+    fn kind(&self) -> &str;
+    /// Numeric label lookup.
+    fn label_u64(&self, key: &str) -> Option<u64>;
+}
+
+impl EventView for Event {
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    fn at_us(&self) -> u64 {
+        self.at_micros
+    }
+
+    fn scope(&self) -> u64 {
+        self.scope
+    }
+
+    fn kind(&self) -> &str {
+        self.kind
+    }
+
+    fn label_u64(&self, key: &str) -> Option<u64> {
+        Event::label_u64(self, key)
+    }
+}
+
+impl EventView for EventRecord {
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    fn at_us(&self) -> u64 {
+        self.at_us
+    }
+
+    fn scope(&self) -> u64 {
+        self.scope
+    }
+
+    fn kind(&self) -> &str {
+        &self.kind
+    }
+
+    fn label_u64(&self, key: &str) -> Option<u64> {
+        EventRecord::label_u64(self, key)
+    }
+}
 
 /// Latency budgets and thresholds the detectors judge against.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -210,12 +275,6 @@ impl MetricsFacts {
 
     /// Reads the facts from a live registry (the streaming path).
     pub fn from_registry(registry: &Registry) -> MetricsFacts {
-        let label_u64 = |labels: &[itdos_obs::Label], key: &str| {
-            labels.iter().find_map(|(k, v)| match v {
-                LabelValue::U64(n) if *k == key => Some(*n),
-                _ => None,
-            })
-        };
         let mut facts = MetricsFacts::default();
         for (key, value) in registry.counters() {
             if key.name == "element.replies" {
@@ -290,15 +349,15 @@ pub struct DivergenceState {
 impl DivergenceState {
     /// Folds one event in; true when it changed the state (i.e. the
     /// current findings may differ from before).
-    pub fn observe(&mut self, e: &EventRecord) -> bool {
-        match e.kind.as_str() {
+    pub fn observe(&mut self, e: &impl EventView) -> bool {
+        match e.kind() {
             "vote.dissent" | "vote.late_dissent" => {
                 if let Some(sender) = e.label_u64("sender") {
                     *self
                         .dissent_rounds
                         .entry(sender)
                         .or_default()
-                        .entry(e.at_us)
+                        .entry(e.at_us())
                         .or_insert(0) += 1;
                     return true;
                 }
@@ -483,19 +542,19 @@ pub struct ParticipationState {
 
 impl ParticipationState {
     /// Folds one event in; true when it changed the state.
-    pub fn observe(&mut self, e: &EventRecord) -> bool {
-        match e.kind.as_str() {
+    pub fn observe(&mut self, e: &impl EventView) -> bool {
+        match e.kind() {
             "gm.admitted" => {
                 if let Some(element) = e.label_u64("element") {
-                    let at = self.admitted_at.entry(element).or_insert(e.at_us);
-                    *at = (*at).min(e.at_us);
+                    let at = self.admitted_at.entry(element).or_insert(e.at_us());
+                    *at = (*at).min(e.at_us());
                     return true;
                 }
             }
             "gm.expelled" | "gm.retired" => {
                 if let Some(element) = e.label_u64("element") {
-                    let at = self.departed_at.entry(element).or_insert(e.at_us);
-                    *at = (*at).min(e.at_us);
+                    let at = self.departed_at.entry(element).or_insert(e.at_us());
+                    *at = (*at).min(e.at_us());
                     return true;
                 }
             }
@@ -505,7 +564,7 @@ impl ParticipationState {
                         .reply_times
                         .entry(sender)
                         .or_default()
-                        .entry(e.at_us)
+                        .entry(e.at_us())
                         .or_insert(0) += 1;
                     return true;
                 }
@@ -721,13 +780,13 @@ pub struct LivenessState {
 impl LivenessState {
     /// Folds one event in against `config`'s budgets; true when it
     /// changed what the findings could report.
-    pub fn observe(&mut self, e: &EventRecord, config: &AuditConfig) -> bool {
-        match e.kind.as_str() {
+    pub fn observe(&mut self, e: &impl EventView, config: &AuditConfig) -> bool {
+        match e.kind() {
             "bft.equivocation" => {
                 if let (Some(view), Some(seq)) = (e.label_u64("view"), e.label_u64("seq")) {
                     return self
                         .equivocation_slots
-                        .entry(e.scope)
+                        .entry(e.scope())
                         .or_default()
                         .insert((view, seq));
                 }
@@ -735,18 +794,18 @@ impl LivenessState {
             "bft.view_change" => {
                 *self
                     .view_changes
-                    .entry(e.scope)
+                    .entry(e.scope())
                     .or_default()
-                    .entry(e.at_us)
+                    .entry(e.at_us())
                     .or_insert(0) += 1;
                 return true;
             }
             "bft.state_fetch" => {
                 *self
                     .fetches
-                    .entry(e.scope)
+                    .entry(e.scope())
                     .or_default()
-                    .entry(e.at_us)
+                    .entry(e.at_us())
                     .or_insert(0) += 1;
                 return true;
             }
@@ -756,12 +815,12 @@ impl LivenessState {
             // is never judged against a stale decision
             "vote.begin" => {
                 if let Some(request) = e.label_u64("request") {
-                    self.decided.remove(&(e.scope, request));
+                    self.decided.remove(&(e.scope(), request));
                 }
             }
             "vote.decided" => {
                 if let Some(request) = e.label_u64("request") {
-                    self.decided.insert((e.scope, request), e.at_us);
+                    self.decided.insert((e.scope(), request), e.at_us());
                 }
             }
             "vote.reply" => {
@@ -769,15 +828,15 @@ impl LivenessState {
                 else {
                     return false;
                 };
-                let Some(&at_decided) = self.decided.get(&(e.scope, request)) else {
+                let Some(&at_decided) = self.decided.get(&(e.scope(), request)) else {
                     return false;
                 };
-                if e.at_us.saturating_sub(at_decided) > config.stall_budget_us {
+                if e.at_us().saturating_sub(at_decided) > config.stall_budget_us {
                     *self
                         .stall_rounds
                         .entry(sender)
                         .or_default()
-                        .entry(e.at_us)
+                        .entry(e.at_us())
                         .or_insert(0) += 1;
                     return true;
                 }

@@ -38,7 +38,7 @@ pub mod stream;
 pub mod topology;
 
 pub use analyze::{
-    Analyzer, AuditConfig, AuditInput, DivergenceAnalyzer, DivergenceState, Finding,
+    Analyzer, AuditConfig, AuditInput, DivergenceAnalyzer, DivergenceState, EventView, Finding,
     LivenessAnalyzer, LivenessState, MetricsFacts, ParticipationAnalyzer, ParticipationState,
     PhaseFact, Severity,
 };
@@ -157,7 +157,7 @@ impl Auditor {
                 report.findings.extend(analyzer.run(&input));
             }
             sort_findings(&mut report.findings);
-            report.score_health();
+            report.health = report::score_health(&report.topology, &report.findings);
         }
         report
     }

@@ -25,6 +25,21 @@ pub struct TimelineSummary {
     pub processes: u64,
 }
 
+/// Health per element of `topology`: every element starts at 100 and
+/// loses `penalty_weight(kind) × min(count, 3)` per finding against it,
+/// floored at 0.
+pub(crate) fn score_health(topology: &Topology, findings: &[Finding]) -> BTreeMap<u64, i64> {
+    let mut health: BTreeMap<u64, i64> = topology.elements.keys().map(|&e| (e, 100)).collect();
+    for f in findings {
+        let Some(element) = f.element else { continue };
+        let Some(slot) = health.get_mut(&element) else {
+            continue;
+        };
+        *slot = (*slot - penalty_weight(f.kind, f.severity) * f.count.min(3) as i64).max(0);
+    }
+    health
+}
+
 /// The auditor's output for one dump.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AuditReport {
@@ -51,25 +66,6 @@ impl AuditReport {
         blamed.sort_unstable();
         blamed.dedup();
         blamed
-    }
-
-    /// Computes health from the findings: every element starts at 100 and
-    /// loses `penalty_weight(kind) × min(count, 3)` per finding against
-    /// it, floored at 0.
-    pub(crate) fn score_health(&mut self) {
-        self.health = self
-            .topology
-            .elements
-            .keys()
-            .map(|&e| (e, 100i64))
-            .collect();
-        for f in &self.findings {
-            let Some(element) = f.element else { continue };
-            let Some(slot) = self.health.get_mut(&element) else {
-                continue;
-            };
-            *slot = (*slot - penalty_weight(f.kind, f.severity) * f.count.min(3) as i64).max(0);
-        }
     }
 
     /// Exports the health scores back through the observability layer as

@@ -4,10 +4,11 @@
 //! A [`Stream`] owns one instance of each incremental analyzer state
 //! ([`DivergenceState`], [`ParticipationState`], [`LivenessState`]) and
 //! the same timeline bookkeeping `Auditor::audit_dump` derives post-hoc.
-//! Feed it [`EventRecord`]s (or raw flight [`Event`]s straight off an
-//! `itdos_obs` subscription tap) in recorded order and it returns each
-//! finding *the first time it surfaces* — that is the detection-latency
-//! signal a live controller or drill reads. At any point
+//! Feed it [`EventView`]s — parsed dump records, or raw flight [`Event`]s
+//! straight off an `itdos_obs` subscription tap, read in place — in
+//! recorded order and it returns each finding *the first time it
+//! surfaces*: that is the detection-latency signal a live controller or
+//! drill reads. At any point
 //! [`Stream::report`] produces a full [`AuditReport`] from the current
 //! state, and because `Auditor::audit_dump` is now literally a replay of
 //! a finished dump through this same type, a streaming audit and a
@@ -21,13 +22,12 @@
 use std::collections::BTreeSet;
 
 use itdos_obs::flight::Event;
-use itdos_obs::jsonl::EventRecord;
-use itdos_obs::LabelValue;
 
 use crate::analyze::{
-    AuditConfig, DivergenceState, Finding, LivenessState, MetricsFacts, ParticipationState,
+    AuditConfig, DivergenceState, EventView, Finding, LivenessState, MetricsFacts,
+    ParticipationState,
 };
-use crate::report::{AuditReport, TimelineSummary};
+use crate::report::{score_health, AuditReport, TimelineSummary};
 use crate::sort_findings;
 use crate::topology::Topology;
 
@@ -92,18 +92,18 @@ impl Stream {
     /// stream can surface here — silence and phase-budget verdicts also
     /// need registry facts, so they surface from [`Stream::drain_new`]
     /// at the next pump. `audit.*` events only advance the timeline.
-    pub fn observe(&mut self, e: &EventRecord) -> Vec<Finding> {
+    pub fn observe(&mut self, e: &impl EventView) -> Vec<Finding> {
         if self.events == 0 {
-            self.first_seq = e.seq;
-            self.last_seq = e.seq;
+            self.first_seq = e.seq();
+            self.last_seq = e.seq();
         } else {
-            self.first_seq = self.first_seq.min(e.seq);
-            self.last_seq = self.last_seq.max(e.seq);
+            self.first_seq = self.first_seq.min(e.seq());
+            self.last_seq = self.last_seq.max(e.seq());
         }
         self.events += 1;
-        self.now_us = self.now_us.max(e.at_us);
-        self.scopes.insert(e.scope);
-        if e.kind.starts_with("audit.") {
+        self.now_us = self.now_us.max(e.at_us());
+        self.scopes.insert(e.scope());
+        if e.kind().starts_with("audit.") {
             return Vec::new();
         }
         let mut changed = self.divergence.observe(e);
@@ -115,10 +115,11 @@ impl Stream {
         self.surface(&MetricsFacts::default())
     }
 
-    /// Converts a raw flight-ring event (from an `itdos_obs`
-    /// subscription tap) and feeds it.
+    /// Feeds one raw flight-ring event (from an `itdos_obs` subscription
+    /// tap), read in place: a tapped event and its dumped JSONL line are
+    /// interchangeable.
     pub fn observe_event(&mut self, event: &Event) -> Vec<Finding> {
-        self.observe(&owned_record(event))
+        self.observe(event)
     }
 
     /// Surfaces findings that depend on registry facts (reply counters,
@@ -186,44 +187,19 @@ impl Stream {
 
     /// A full audit report from the current state.
     pub fn report(&self, facts: &MetricsFacts) -> AuditReport {
-        let mut report = AuditReport {
-            findings: self.findings(facts),
-            health: Default::default(),
+        let findings = self.findings(facts);
+        AuditReport {
+            health: score_health(&self.topology, &findings),
+            findings,
             timeline: self.timeline(),
             topology: self.topology.clone(),
-        };
-        report.score_health();
-        report
+        }
     }
 
     /// Current per-element health (100 = clean, 0 = condemned) — the
-    /// live values exported as the `replica.health` gauge.
+    /// live values exported as the `replica.health` gauge. Scored from the
+    /// findings directly; equal to `self.report(facts).health`.
     pub fn health(&self, facts: &MetricsFacts) -> std::collections::BTreeMap<u64, i64> {
-        self.report(facts).health
-    }
-}
-
-/// Converts a flight-ring [`Event`] into the owned [`EventRecord`] the
-/// analyzers consume — the same shape `parse_dump` produces, so a tapped
-/// event and its dumped JSONL line are interchangeable.
-pub fn owned_record(event: &Event) -> EventRecord {
-    EventRecord {
-        seq: event.seq,
-        at_us: event.at_micros,
-        scope: event.scope,
-        kind: event.kind.to_string(),
-        labels: event
-            .labels
-            .iter()
-            .map(|(k, v)| {
-                (
-                    k.to_string(),
-                    match v {
-                        LabelValue::Str(s) => itdos_obs::jsonl::LabelOwned::Str(s.to_string()),
-                        LabelValue::U64(n) => itdos_obs::jsonl::LabelOwned::U64(*n),
-                    },
-                )
-            })
-            .collect(),
+        score_health(&self.topology, &self.findings(facts))
     }
 }

@@ -128,7 +128,10 @@ pub struct Replica<S> {
     /// request allocates nothing.
     held: Vec<ClientRequest>,
     /// Digests this primary has assigned a sequence number in the current
-    /// view (prevents double ordering; rebuilt on view entry).
+    /// view and not yet executed (prevents double ordering; rebuilt on
+    /// view entry). Released at execution — from then on the client table
+    /// answers or drops every later copy before this set is read — so it
+    /// holds at most `pipeline_depth × max_batch` digests.
     ordered: BTreeSet<Digest>,
     /// Requests a primary could not yet assign (window full).
     backlog: VecDeque<ClientRequest>,
@@ -804,6 +807,7 @@ impl<S: StateMachine> Replica<S> {
             for request in batch.requests {
                 let request_digest = request.digest();
                 self.pending.remove(&request_digest);
+                self.ordered.remove(&request_digest);
                 self.release(request.client(), request.timestamp());
                 // keep the FIFO admission floor current on every replica,
                 // so a backup elected primary later admits from the right
@@ -1855,6 +1859,40 @@ mod tests {
             );
         }
         assert_eq!(g.replies.len(), 5 * 4, "one reply per request per replica");
+    }
+
+    #[test]
+    fn primary_dedup_set_is_bounded_by_the_in_flight_window() {
+        let mut cfg = GroupConfig::for_f(1);
+        cfg.max_batch = 2;
+        cfg.pipeline_depth = 3;
+        let window = (cfg.pipeline_depth as usize) * cfg.max_batch;
+        let mut g = group_with(cfg);
+        let mut ts = 0;
+        // ten in-flight windows' worth of requests, a window per wave
+        for _ in 0..10 {
+            for _ in 0..window {
+                ts += 1;
+                g.replicas[0].on_request(request(ts, 1));
+                assert!(g.replicas[0].ordered.len() <= window);
+            }
+            g.pump(&[]);
+            assert!(
+                g.replicas[0].ordered.is_empty(),
+                "executed digests released"
+            );
+        }
+        for r in &g.replicas {
+            assert_eq!(r.app().total(), ts as i64);
+        }
+        // a late copy of an executed request is answered from the client
+        // table, never ordered a second time
+        let replies = g.replies.len();
+        g.replicas[0].on_request(request(ts, 1));
+        g.pump(&[]);
+        assert_eq!(g.replies.len(), replies + 1, "cached reply resent");
+        assert!(g.replicas[0].ordered.is_empty());
+        assert_eq!(g.replicas[0].app().total(), ts as i64, "no re-execution");
     }
 
     #[test]

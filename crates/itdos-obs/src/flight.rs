@@ -7,11 +7,87 @@
 //! after wraparound: `events()` always yields strictly increasing `seq`.
 
 use std::collections::VecDeque;
+use std::fmt;
+use std::ops::Deref;
 
-use crate::metrics::Label;
+use crate::metrics::{Label, LabelValue};
 
 /// Default ring capacity.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
+
+/// Labels an [`Event`] holds without a heap allocation: the widest
+/// `Obs::event` call site in the workspace (`audit.finding` with an
+/// element) passes five. A wider event spills its labels to the heap.
+pub const INLINE_LABELS: usize = 5;
+
+/// An event's label pairs in call-site order. Up to [`INLINE_LABELS`]
+/// live inline, so recording, tapping and cloning an event copies them
+/// without allocating; reads go through `Deref<Target = [Label]>`.
+#[derive(Clone)]
+pub struct Labels(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        len: u8,
+        slots: [Label; INLINE_LABELS],
+    },
+    Spilled(Vec<Label>),
+}
+
+/// Filler for unused inline slots; never visible through `Deref`.
+const VACANT: Label = ("", LabelValue::U64(0));
+
+impl From<&[Label]> for Labels {
+    fn from(labels: &[Label]) -> Labels {
+        if labels.len() > INLINE_LABELS {
+            return Labels(Repr::Spilled(labels.to_vec()));
+        }
+        let mut slots = [VACANT; INLINE_LABELS];
+        slots[..labels.len()].copy_from_slice(labels);
+        Labels(Repr::Inline {
+            len: labels.len() as u8,
+            slots,
+        })
+    }
+}
+
+impl FromIterator<Label> for Labels {
+    fn from_iter<I: IntoIterator<Item = Label>>(iter: I) -> Labels {
+        Labels::from(iter.into_iter().collect::<Vec<Label>>().as_slice())
+    }
+}
+
+impl Deref for Labels {
+    type Target = [Label];
+
+    fn deref(&self) -> &[Label] {
+        match &self.0 {
+            Repr::Inline { len, slots } => &slots[..usize::from(*len)],
+            Repr::Spilled(labels) => labels,
+        }
+    }
+}
+
+impl PartialEq for Labels {
+    fn eq(&self, other: &Labels) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Labels {}
+
+impl PartialEq<Vec<Label>> for Labels {
+    fn eq(&self, other: &Vec<Label>) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Labels {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// One recorded protocol event.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,7 +104,14 @@ pub struct Event {
     /// Static event kind (catalogued in DESIGN.md §9).
     pub kind: &'static str,
     /// Label pairs in call-site order.
-    pub labels: Vec<Label>,
+    pub labels: Labels,
+}
+
+impl Event {
+    /// Numeric label lookup (first pair named `key` holding a number).
+    pub fn label_u64(&self, key: &str) -> Option<u64> {
+        crate::metrics::label_u64(&self.labels, key)
+    }
 }
 
 /// The bounded event ring.
@@ -96,7 +179,7 @@ impl FlightRecorder {
             at_micros,
             scope,
             kind,
-            labels: labels.to_vec(),
+            labels: Labels::from(labels),
         });
         self.high_water = self.high_water.max(self.ring.len());
         seq

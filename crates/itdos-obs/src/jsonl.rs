@@ -14,7 +14,7 @@
 use std::fmt::Write as _;
 
 use crate::flight::Event;
-use crate::metrics::{Label, LabelValue, Registry};
+use crate::metrics::{Histogram, Label, LabelValue, Registry, SeriesKey};
 
 /// Maximum nesting depth the parser accepts. Dumps are flat (depth 2);
 /// the bound exists so adversarial input like `[[[[…` cannot overflow
@@ -60,19 +60,35 @@ fn write_labels(out: &mut String, labels: &[Label]) {
 
 /// Serializes a registry as JSON lines into `out`.
 pub fn dump_registry(out: &mut String, registry: &Registry) {
-    for (key, value) in registry.counters() {
+    dump_series(
+        out,
+        registry.counters(),
+        registry.gauges(),
+        registry.histograms(),
+    );
+}
+
+/// Serializes counter, gauge and histogram series, each in the order
+/// given, as JSON lines into `out`.
+pub(crate) fn dump_series<'a>(
+    out: &mut String,
+    counters: impl Iterator<Item = (&'a SeriesKey, u64)>,
+    gauges: impl Iterator<Item = (&'a SeriesKey, i64)>,
+    histograms: impl Iterator<Item = (&'a SeriesKey, &'a Histogram)>,
+) {
+    for (key, value) in counters {
         out.push_str("{\"type\":\"counter\",\"name\":");
         escape_into(out, key.name);
         write_labels(out, &key.labels);
         let _ = writeln!(out, ",\"value\":{value}}}");
     }
-    for (key, value) in registry.gauges() {
+    for (key, value) in gauges {
         out.push_str("{\"type\":\"gauge\",\"name\":");
         escape_into(out, key.name);
         write_labels(out, &key.labels);
         let _ = writeln!(out, ",\"value\":{value}}}");
     }
-    for (key, h) in registry.histograms() {
+    for (key, h) in histograms {
         out.push_str("{\"type\":\"histogram\",\"name\":");
         escape_into(out, key.name);
         write_labels(out, &key.labels);

@@ -358,7 +358,7 @@ impl Obs {
                 at_micros: now,
                 scope,
                 kind,
-                labels: labels.to_vec(),
+                labels: flight::Labels::from(labels),
             };
             let mut peak = rec.tap_high_water;
             for sub in rec.subs.values_mut() {
@@ -775,6 +775,53 @@ mod tests {
         assert_eq!(drained.len(), 2, "oldest copies discarded at the bound");
         assert_eq!(drained[0].labels, vec![("i", LabelValue::U64(3))]);
         assert_eq!(obs.counter_value("obs.tap_dropped", &[]), 3);
+    }
+
+    #[test]
+    fn wide_events_round_trip_through_ring_tap_and_dump() {
+        use flight::INLINE_LABELS;
+        const KEYS: [&str; INLINE_LABELS + 2] = ["a", "b", "c", "d", "e", "f", "g"];
+        let labels = |n: usize| -> Vec<Label> {
+            (0..n)
+                .map(|i| match i % 2 {
+                    0 => (KEYS[i], LabelValue::U64(i as u64 * 1_000)),
+                    _ => (KEYS[i], LabelValue::Str("v")),
+                })
+                .collect()
+        };
+        let (obs, clock) = Obs::manual();
+        let sub = obs.subscribe(8).expect("enabled");
+        // inline, exactly full, and spilled past the inline capacity
+        let widths = [0, 1, INLINE_LABELS, INLINE_LABELS + 1, INLINE_LABELS + 2];
+        for (i, &n) in widths.iter().enumerate() {
+            clock.set(i as u64);
+            obs.event("wide", &labels(n));
+        }
+        let ring: Vec<Event> = obs.with_flight(|f| f.events().cloned().collect()).unwrap();
+        let tapped = obs.drain_subscription(sub);
+        assert_eq!(ring, tapped, "the tap holds exactly what the ring holds");
+        let dump = jsonl::parse_dump(&obs.dump_jsonl()).expect("dump parses");
+        assert_eq!(dump.events.len(), widths.len());
+        for ((event, record), &n) in ring.iter().zip(&dump.events).zip(&widths) {
+            assert_eq!(event.labels, labels(n), "{n} labels");
+            let owned: Vec<(String, jsonl::LabelOwned)> = labels(n)
+                .into_iter()
+                .map(|(k, v)| {
+                    let v = match v {
+                        LabelValue::U64(x) => jsonl::LabelOwned::U64(x),
+                        LabelValue::Str(x) => jsonl::LabelOwned::Str(x.to_string()),
+                    };
+                    (k.to_string(), v)
+                })
+                .collect();
+            assert_eq!(record.labels, owned, "{n} labels dumped in call-site order");
+        }
+        let wide = &ring[widths.len() - 1];
+        assert_eq!(wide.label_u64("g"), Some(6_000));
+        assert_eq!(
+            format!("{:?}", wide.labels),
+            format!("{:?}", labels(INLINE_LABELS + 2))
+        );
     }
 
     #[test]

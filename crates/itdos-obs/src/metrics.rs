@@ -3,15 +3,19 @@
 //! Series are keyed by a `&'static str` metric name plus a small label
 //! set. Everything is stored in `BTreeMap`s so iteration order — and
 //! therefore every exported dump — is byte-stable across identical runs
-//! (the determinism contract the replay tests assert).
+//! (the determinism contract the replay tests assert). A series is looked
+//! up by its borrowed `(name, &[Label])` pair, so updating or reading one
+//! allocates nothing; only a series' first appearance copies its labels.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// A label value: either a static string or an integer.
 ///
 /// Only these two shapes exist so that building a label slice at an
 /// instrumentation site never allocates — the slice lives on the stack and
-/// is copied into the registry only when a sink is installed.
+/// is copied into the registry only when its series first appears.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum LabelValue {
     /// Static string value (e.g. an outcome kind).
@@ -47,6 +51,14 @@ impl From<usize> for LabelValue {
 /// One `key=value` label pair.
 pub type Label = (&'static str, LabelValue);
 
+/// The number under the first label named `key` that holds one.
+pub fn label_u64(labels: &[Label], key: &str) -> Option<u64> {
+    labels.iter().find_map(|(k, v)| match v {
+        LabelValue::U64(n) if *k == key => Some(*n),
+        _ => None,
+    })
+}
+
 /// Identity of one time series: metric name plus its label set.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct SeriesKey {
@@ -54,6 +66,77 @@ pub struct SeriesKey {
     pub name: &'static str,
     /// Label pairs in call-site order.
     pub labels: Vec<Label>,
+}
+
+/// A series key inside one metric's map: the whole [`SeriesKey`] (so
+/// iteration can hand it out), ordered by its labels alone — the only part
+/// that differs within one metric — so the map can be searched by a
+/// borrowed `&[Label]`.
+#[derive(Clone, Debug)]
+struct ByLabels(SeriesKey);
+
+impl Borrow<[Label]> for ByLabels {
+    fn borrow(&self) -> &[Label] {
+        &self.0.labels
+    }
+}
+
+impl PartialEq for ByLabels {
+    fn eq(&self, other: &ByLabels) -> bool {
+        self.0.labels == other.0.labels
+    }
+}
+
+impl Eq for ByLabels {}
+
+impl PartialOrd for ByLabels {
+    fn partial_cmp(&self, other: &ByLabels) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ByLabels {
+    fn cmp(&self, other: &ByLabels) -> Ordering {
+        self.0.labels.cmp(&other.0.labels)
+    }
+}
+
+/// Every series of one kind: metric name → label set → value. Iterating
+/// names, then label sets, visits series in `SeriesKey` order.
+type SeriesMap<V> = BTreeMap<&'static str, BTreeMap<ByLabels, V>>;
+
+/// Applies `update` to series `(name, labels)` of `map` in place. Only a
+/// new series allocates: its labels are copied into a [`SeriesKey`] and
+/// its value starts from the default.
+fn update<V: Default>(
+    map: &mut SeriesMap<V>,
+    name: &'static str,
+    labels: &[Label],
+    update: impl FnOnce(&mut V),
+) {
+    let series = map.entry(name).or_default();
+    match series.get_mut(labels) {
+        Some(value) => update(value),
+        None => {
+            let mut value = V::default();
+            update(&mut value);
+            let key = SeriesKey {
+                name,
+                labels: labels.to_vec(),
+            };
+            series.insert(ByLabels(key), value);
+        }
+    }
+}
+
+/// Series `(name, labels)` of `map`, if present.
+fn get<'m, V>(map: &'m SeriesMap<V>, name: &'static str, labels: &[Label]) -> Option<&'m V> {
+    map.get(name)?.get(labels)
+}
+
+/// Every series of `map` in `SeriesKey` order.
+fn iter<V>(map: &SeriesMap<V>) -> impl Iterator<Item = (&SeriesKey, &V)> {
+    map.values().flatten().map(|(key, value)| (&key.0, value))
 }
 
 /// Number of histogram buckets: bucket 0 holds exact zeros, bucket `i`
@@ -199,9 +282,9 @@ impl Histogram {
 /// The metric store. Deterministically ordered; cloneable for snapshots.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    counters: BTreeMap<SeriesKey, u64>,
-    gauges: BTreeMap<SeriesKey, i64>,
-    histograms: BTreeMap<SeriesKey, Histogram>,
+    counters: SeriesMap<u64>,
+    gauges: SeriesMap<i64>,
+    histograms: SeriesMap<Histogram>,
 }
 
 impl Registry {
@@ -210,74 +293,64 @@ impl Registry {
         Registry::default()
     }
 
-    fn key(name: &'static str, labels: &[Label]) -> SeriesKey {
-        SeriesKey {
-            name,
-            labels: labels.to_vec(),
-        }
-    }
-
     /// Adds `delta` to a counter (saturating).
     pub fn add(&mut self, name: &'static str, labels: &[Label], delta: u64) {
-        let slot = self.counters.entry(Self::key(name, labels)).or_insert(0);
-        *slot = slot.saturating_add(delta);
+        update(&mut self.counters, name, labels, |v| {
+            *v = v.saturating_add(delta);
+        });
     }
 
     /// Overwrites a counter — used by bridges that mirror an external
     /// counter (e.g. `NetStats`) so repeated exports stay idempotent.
     pub fn counter_set(&mut self, name: &'static str, labels: &[Label], value: u64) {
-        self.counters.insert(Self::key(name, labels), value);
+        update(&mut self.counters, name, labels, |v| *v = value);
     }
 
     /// Sets a gauge to an absolute value.
     pub fn gauge_set(&mut self, name: &'static str, labels: &[Label], value: i64) {
-        self.gauges.insert(Self::key(name, labels), value);
+        update(&mut self.gauges, name, labels, |v| *v = value);
     }
 
     /// Records one histogram observation.
     pub fn observe(&mut self, name: &'static str, labels: &[Label], value: u64) {
-        self.histograms
-            .entry(Self::key(name, labels))
-            .or_default()
-            .observe(value);
+        update(&mut self.histograms, name, labels, |h: &mut Histogram| {
+            h.observe(value);
+        });
     }
 
     /// Current value of a counter (0 when absent).
     pub fn counter(&self, name: &'static str, labels: &[Label]) -> u64 {
-        self.counters
-            .get(&Self::key(name, labels))
-            .copied()
-            .unwrap_or(0)
+        get(&self.counters, name, labels).copied().unwrap_or(0)
     }
 
     /// Current value of a gauge.
     pub fn gauge(&self, name: &'static str, labels: &[Label]) -> Option<i64> {
-        self.gauges.get(&Self::key(name, labels)).copied()
+        get(&self.gauges, name, labels).copied()
     }
 
     /// A histogram series, if it exists.
     pub fn histogram(&self, name: &'static str, labels: &[Label]) -> Option<&Histogram> {
-        self.histograms.get(&Self::key(name, labels))
+        get(&self.histograms, name, labels)
     }
 
     /// All counters in deterministic order.
     pub fn counters(&self) -> impl Iterator<Item = (&SeriesKey, u64)> {
-        self.counters.iter().map(|(k, &v)| (k, v))
+        iter(&self.counters).map(|(k, &v)| (k, v))
     }
 
     /// All gauges in deterministic order.
     pub fn gauges(&self) -> impl Iterator<Item = (&SeriesKey, i64)> {
-        self.gauges.iter().map(|(k, &v)| (k, v))
+        iter(&self.gauges).map(|(k, &v)| (k, v))
     }
 
     /// All histograms in deterministic order.
     pub fn histograms(&self) -> impl Iterator<Item = (&SeriesKey, &Histogram)> {
-        self.histograms.iter()
+        iter(&self.histograms)
     }
 
     /// Total number of series of any kind.
     pub fn series_count(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.histograms.len()
+        iter(&self.counters).count() + iter(&self.gauges).count() + iter(&self.histograms).count()
     }
 
     /// Clears every series.
@@ -423,5 +496,142 @@ mod tests {
         assert_eq!(order, vec![0, 1], "BTreeMap iteration is sorted");
         r.counter_set("m", &[("replica", LabelValue::U64(0))], 7);
         assert_eq!(r.counter("m", &[("replica", LabelValue::U64(0))]), 7);
+    }
+
+    /// The registry as it was before series were looked up by borrowed
+    /// keys: every update and read builds an owned [`SeriesKey`]. The
+    /// reference the borrowed-key registry must agree with byte for byte.
+    #[derive(Default)]
+    struct OwnedKeyRegistry {
+        counters: BTreeMap<SeriesKey, u64>,
+        gauges: BTreeMap<SeriesKey, i64>,
+        histograms: BTreeMap<SeriesKey, Histogram>,
+    }
+
+    impl OwnedKeyRegistry {
+        fn key(name: &'static str, labels: &[Label]) -> SeriesKey {
+            SeriesKey {
+                name,
+                labels: labels.to_vec(),
+            }
+        }
+
+        fn add(&mut self, name: &'static str, labels: &[Label], delta: u64) {
+            let slot = self.counters.entry(Self::key(name, labels)).or_insert(0);
+            *slot = slot.saturating_add(delta);
+        }
+
+        fn counter_set(&mut self, name: &'static str, labels: &[Label], value: u64) {
+            self.counters.insert(Self::key(name, labels), value);
+        }
+
+        fn gauge_set(&mut self, name: &'static str, labels: &[Label], value: i64) {
+            self.gauges.insert(Self::key(name, labels), value);
+        }
+
+        fn observe(&mut self, name: &'static str, labels: &[Label], value: u64) {
+            self.histograms
+                .entry(Self::key(name, labels))
+                .or_default()
+                .observe(value);
+        }
+
+        fn dump(&self) -> String {
+            let mut out = String::new();
+            crate::jsonl::dump_series(
+                &mut out,
+                self.counters.iter().map(|(k, &v)| (k, v)),
+                self.gauges.iter().map(|(k, &v)| (k, v)),
+                self.histograms.iter(),
+            );
+            out
+        }
+    }
+
+    #[test]
+    fn borrowed_key_registry_dumps_like_the_owned_key_reference() {
+        // splitmix64: a seeded, dependency-free operation stream
+        let mut state = 0x5eed_0000_0000_0031u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        const NAMES: [&str; 4] = [
+            "bft.wire_tx",
+            "net.messages",
+            "obs.tap_hwm",
+            "replica.health",
+        ];
+        const KEYS: [&str; 6] = ["replica", "element", "kind", "seq", "auth", "domain"];
+        const STRS: [&str; 3] = ["mac", "sig", ""];
+        // a pool of label sets (0–6 labels each, duplicates and prefixes
+        // of one another included) that the operations revisit in random
+        // order, so series are created in random order and mostly updated
+        let pool: Vec<Vec<Label>> = (0..48)
+            .map(|_| {
+                (0..next() % 7)
+                    .map(|_| {
+                        let key = KEYS[(next() % 6) as usize];
+                        let value = if next() % 2 == 0 {
+                            LabelValue::U64(next() % 3)
+                        } else {
+                            LabelValue::Str(STRS[(next() % 3) as usize])
+                        };
+                        (key, value)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut registry = Registry::new();
+        let mut reference = OwnedKeyRegistry::default();
+        for _ in 0..20_000 {
+            let name = NAMES[(next() % 4) as usize];
+            let labels = &pool[(next() % pool.len() as u64) as usize];
+            let value = next() % 5_000;
+            match next() % 4 {
+                0 => {
+                    registry.add(name, labels, value);
+                    reference.add(name, labels, value);
+                }
+                1 => {
+                    registry.counter_set(name, labels, value);
+                    reference.counter_set(name, labels, value);
+                }
+                2 => {
+                    registry.gauge_set(name, labels, value as i64 - 2_500);
+                    reference.gauge_set(name, labels, value as i64 - 2_500);
+                }
+                _ => {
+                    registry.observe(name, labels, value);
+                    reference.observe(name, labels, value);
+                }
+            }
+        }
+        for name in NAMES {
+            for labels in &pool {
+                let key = OwnedKeyRegistry::key(name, labels);
+                assert_eq!(
+                    registry.counter(name, labels),
+                    reference.counters.get(&key).copied().unwrap_or(0)
+                );
+                assert_eq!(
+                    registry.gauge(name, labels),
+                    reference.gauges.get(&key).copied()
+                );
+                assert_eq!(
+                    registry.histogram(name, labels),
+                    reference.histograms.get(&key)
+                );
+            }
+        }
+        let series = reference.counters.len() + reference.gauges.len() + reference.histograms.len();
+        assert_eq!(registry.series_count(), series);
+        assert!(series > 100, "the stream exercised many series");
+        let mut got = String::new();
+        crate::jsonl::dump_registry(&mut got, &registry);
+        assert_eq!(got, reference.dump());
     }
 }

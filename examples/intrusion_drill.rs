@@ -40,8 +40,16 @@ fn repo() -> InterfaceRepository {
 /// in-system streaming audit holds *right now* — what an operator
 /// watching the gauges sees mid-run, no dump parse involved.
 fn print_live_health(act: &str, system: &itdos::System) {
+    let health = system.live_health();
+    // scored straight from the live findings, it must equal the full
+    // report's scores at every act of every drill
+    let report = system.live_audit_report().expect("streaming audit is on");
+    assert_eq!(
+        health, report.health,
+        "live health diverged from the report"
+    );
     print!("live health [{act}]:");
-    for (element, score) in system.live_health() {
+    for (element, score) in health {
         print!(" e{element}={score}");
     }
     println!();
@@ -57,7 +65,7 @@ fn ledger_servant() -> Box<dyn Servant> {
     }))
 }
 
-fn drill(title: &str, behavior: Behavior, seed: u64, dump_to: Option<&str>) {
+fn drill(title: &str, behavior: Behavior, seed: u64, dump_to: Option<&str>) -> itdos::System {
     println!("\n=== drill: {title} ===");
     let mut builder = SystemBuilder::new(seed);
     // forensic profile: a flight ring holding the whole timeline — a
@@ -130,6 +138,7 @@ fn drill(title: &str, behavior: Behavior, seed: u64, dump_to: Option<&str>) {
         std::fs::write(path, &dump).expect("write dump");
         println!("(dump written to {path}: {} lines)", dump.lines().count());
     }
+    system
 }
 
 /// The replacement drill runs on a *stateless* servant: replies depend
@@ -158,7 +167,7 @@ fn sensor_servant() -> Box<dyn Servant> {
 /// fault budget, a GM-brokered replacement (§14) restores it to `n`
 /// elements — and a scripted *second* f-fault intrusion is masked,
 /// detected, and expelled just like the first.
-fn replacement_drill(seed: u64, dump_to: Option<&str>) {
+fn replacement_drill(seed: u64, dump_to: Option<&str>) -> itdos::System {
     println!("\n=== drill: expel, replace, re-intrude (replica replacement) ===");
     let mut builder = SystemBuilder::new(seed);
     builder.obs(itdos::ObsConfig::forensic());
@@ -277,6 +286,22 @@ fn replacement_drill(seed: u64, dump_to: Option<&str>) {
             dump.lines().count()
         );
     }
+    system
+}
+
+/// The corrupt-value drill whose dump CI audits, and the replacement
+/// drill, as their finished systems.
+#[cfg(test)]
+fn ci_drills() -> Vec<itdos::System> {
+    vec![
+        drill(
+            "value corruption (detected by the vote, expelled via proof)",
+            Behavior::CorruptValue,
+            41,
+            None,
+        ),
+        replacement_drill(45, None),
+    ]
 }
 
 fn main() {
@@ -309,4 +334,49 @@ fn main() {
     );
     replacement_drill(45, replacement_dump_path.as_deref());
     println!("\nall drills complete: integrity and availability held throughout.");
+}
+
+#[cfg(test)]
+mod tests {
+    use itdos_audit::{MetricsFacts, Stream};
+    use itdos_obs::flight::Event;
+    use itdos_obs::jsonl::parse_dump;
+
+    use super::ci_drills;
+
+    #[test]
+    fn tapped_events_and_parsed_records_audit_identically() {
+        for system in ci_drills() {
+            let dump = parse_dump(&system.audit_jsonl()).expect("dump parses");
+            let live: Vec<Event> = system
+                .obs
+                .with_flight(|f| f.events().cloned().collect())
+                .expect("observability is on");
+            assert_eq!(live.len(), dump.events.len());
+            let facts = MetricsFacts::from_dump(&dump);
+            let mut from_live = Stream::new(system.audit_topology());
+            let mut from_dump = Stream::new(system.audit_topology());
+            for (event, record) in live.iter().zip(&dump.events) {
+                assert_eq!(from_live.observe_event(event), from_dump.observe(record));
+            }
+            let findings = from_live.findings(&facts);
+            assert!(findings.iter().any(|f| f.kind == "divergence"));
+            assert_eq!(findings, from_dump.findings(&facts));
+            assert_eq!(from_live.timeline(), from_dump.timeline());
+            assert_eq!(from_live.health(&facts), from_dump.health(&facts));
+        }
+    }
+
+    #[test]
+    fn health_from_findings_equals_the_reports_after_every_event() {
+        for system in ci_drills() {
+            let dump = parse_dump(&system.audit_jsonl()).expect("dump parses");
+            let facts = MetricsFacts::from_dump(&dump);
+            let mut stream = Stream::new(system.audit_topology());
+            for record in &dump.events {
+                stream.observe(record);
+                assert_eq!(stream.health(&facts), stream.report(&facts).health);
+            }
+        }
+    }
 }
