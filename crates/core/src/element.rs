@@ -11,8 +11,9 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use itdos_bft::auth::{AuthContext, Envelope};
-use itdos_bft::config::{ClientId, SeqNo};
+use itdos_bft::config::SeqNo;
 use itdos_bft::message::Message;
+use itdos_bft::node::send;
 use itdos_bft::queue::{ElementId, QueueMachine, QueueOp};
 use itdos_bft::replica::{Output, Received, Replica};
 use itdos_bft::wire::Wire;
@@ -32,7 +33,7 @@ use simnet::{Context, NodeId, Process, Timer};
 use xbytes::Bytes;
 
 use crate::codes::{element_code, pack_timer, unpack_timer, TimerTag};
-use crate::fabric::Fabric;
+use crate::fabric::{DomainRoute, Fabric};
 use crate::fault::Behavior;
 use crate::outbound::Outbound;
 use crate::smiop::{notice_plaintext, Attestations, Smiop, Unopened};
@@ -279,43 +280,19 @@ impl ServerElement {
 
     // --------------------------------------------------------- bft plumbing
 
-    /// Sends one replica output: `to` a node, or (`None`) multicast to the
-    /// domain; `client` addresses a reply to that client.
-    fn send_bft(
-        &self,
-        ctx: &mut Context<'_>,
-        to: Option<NodeId>,
-        message: &Message,
-        client: Option<ClientId>,
-    ) {
-        let frame = crate::wire::bft_frame(&self.bft_auth, self.cfg.domain, message, client);
-        crate::cost::account(
-            &self.obs,
-            "bft.wire_tx",
-            "bft.wire_tx_bytes",
-            &[("auth", LabelValue::Str(frame.auth))],
-            frame.envelope_len,
-        );
-        let mcast = self.fabric.domain(self.cfg.domain).mcast;
-        match to {
-            Some(node) => ctx.send_labeled(node, frame.bytes, message.label()),
-            None => ctx.multicast_labeled(mcast, frame.bytes, message.label()),
+    fn route(&self) -> DomainRoute<'_> {
+        DomainRoute {
+            fabric: &self.fabric,
+            domain: self.cfg.domain,
+            auth: &self.bft_auth,
+            obs: &self.obs,
         }
     }
 
     fn drain_replica(&mut self, ctx: &mut Context<'_>) {
         for output in self.replica.take_outputs() {
             match output {
-                Output::ToReplica(to, message) => {
-                    let node = self.fabric.domain(self.cfg.domain).nodes[to.0 as usize];
-                    self.send_bft(ctx, Some(node), &message, None);
-                }
-                Output::ToAllReplicas(message) => self.send_bft(ctx, None, &message, None),
-                Output::ToClient(client, message) => {
-                    if let Some(node) = self.fabric.node_of(client.0) {
-                        self.send_bft(ctx, Some(node), &message, Some(client));
-                    }
-                }
+                Output::Send(to, message) => send(&self.route(), ctx, to, &message),
                 Output::Executed {
                     seq,
                     request,
@@ -862,13 +839,7 @@ impl Process for ServerElement {
                 let (env, message) = if domain == self.cfg.domain {
                     match self.replica.receive(&self.bft_auth, &envelope) {
                         Received::Delivered(kind) => {
-                            crate::cost::account(
-                                &self.obs,
-                                "bft.wire_rx",
-                                "bft.wire_rx_bytes",
-                                &[("auth", LabelValue::Str(kind))],
-                                envelope.len(),
-                            );
+                            self.route().received(kind, envelope.len());
                             self.drain_replica(ctx);
                             return;
                         }

@@ -11,18 +11,22 @@
 use std::collections::BTreeMap;
 
 use itdos_bft::auth::{AuthContext, KeyProvisioner};
-use itdos_bft::config::GroupConfig;
+use itdos_bft::config::{ClientId, GroupConfig, ReplicaId};
+use itdos_bft::message::Message;
+use itdos_bft::node::Route;
 use itdos_crypto::dprf::Verifier;
 use itdos_crypto::keys::SymmetricKey;
 use itdos_crypto::sign::{SigningKey, VerifyingKey};
 use itdos_giop::idl::InterfaceRepository;
 use itdos_groupmgr::membership::DomainId;
+use itdos_obs::{LabelValue, Obs};
 use itdos_vote::vote::{SenderId, Thresholds};
 use simnet::{GroupId, NodeId};
+use xbytes::Bytes;
 
 use crate::codes::{bft_client_id, element_code};
 use crate::registry::ComparatorRegistry;
-use crate::wire::ConnectionMeta;
+use crate::wire::{bft_frame, ConnectionMeta};
 
 /// One replication domain's wiring.
 #[derive(Debug, Clone)]
@@ -200,6 +204,47 @@ impl Fabric {
         self.endpoint_nodes.insert(element_code(admitted), node);
         self.retired.push((domain, replaced, slot));
         true
+    }
+}
+
+/// The [`Route`] of the replica an element of `domain` hosts: frames go
+/// behind a `CoreMsg::Bft` head ([`bft_frame`]), ids resolve through the
+/// fabric, and each frame sent counts as `bft.wire_tx*`.
+pub(crate) struct DomainRoute<'a> {
+    pub fabric: &'a Fabric,
+    pub domain: DomainId,
+    pub auth: &'a AuthContext,
+    pub obs: &'a Obs,
+}
+
+impl DomainRoute<'_> {
+    /// Counts a frame the replica received and accepted as `bft.wire_rx*`.
+    pub fn received(&self, auth: &'static str, len: usize) {
+        let labels = [("auth", LabelValue::Str(auth))];
+        crate::cost::account(self.obs, "bft.wire_rx", "bft.wire_rx_bytes", &labels, len);
+    }
+}
+
+impl Route for DomainRoute<'_> {
+    fn frame(&self, message: &Message, client: Option<ClientId>) -> Bytes {
+        let frame = bft_frame(self.auth, self.domain, message, client);
+        let labels = [("auth", LabelValue::Str(frame.auth))];
+        let len = frame.envelope_len;
+        crate::cost::account(self.obs, "bft.wire_tx", "bft.wire_tx_bytes", &labels, len);
+        frame.bytes
+    }
+
+    fn replica(&self, replica: ReplicaId) -> Option<NodeId> {
+        let nodes = &self.fabric.domain(self.domain).nodes;
+        nodes.get(replica.0 as usize).copied()
+    }
+
+    fn client(&self, client: ClientId) -> Option<NodeId> {
+        self.fabric.node_of(client.0)
+    }
+
+    fn group(&self) -> GroupId {
+        self.fabric.domain(self.domain).mcast
     }
 }
 

@@ -10,6 +10,7 @@
 //! every recipient (§3.5 — no element ever sees a whole key).
 
 use itdos_bft::auth::AuthContext;
+use itdos_bft::node::send;
 use itdos_bft::replica::{Output, Received, Replica};
 use itdos_bft::state::StateMachine;
 use itdos_bft::wire::{decode_seq, encode_seq, Wire};
@@ -26,12 +27,12 @@ use simnet::{Context, NodeId, Process, Timer};
 use xbytes::Bytes;
 
 use crate::codes::{element_code, endpoint_code, pack_timer, unpack_timer, TimerTag};
-use crate::fabric::Fabric;
+use crate::fabric::{DomainRoute, Fabric};
 use crate::registry::ComparatorRegistry;
 use crate::smiop::{admit_notice_plaintext, nonce, notice_plaintext};
 use crate::wire::{
-    bft_frame, encode_directives, AdmitNoticeMsg, ConnectionMeta, CoreMsg, Directive, GmOp,
-    KeyShareMsg, NoticeMsg,
+    encode_directives, AdmitNoticeMsg, ConnectionMeta, CoreMsg, Directive, GmOp, KeyShareMsg,
+    NoticeMsg,
 };
 
 /// Most operations one snapshot's log may claim (hostile-length defence).
@@ -366,21 +367,14 @@ impl GmElement {
     fn drain(&mut self, ctx: &mut Context<'_>) {
         for output in self.replica.take_outputs() {
             match output {
-                Output::ToReplica(to, message) => {
-                    let node = self.fabric.domain(self.domain).nodes[to.0 as usize];
-                    let frame = bft_frame(&self.bft_auth, self.domain, &message, None);
-                    ctx.send_labeled(node, frame.bytes, message.label());
-                }
-                Output::ToAllReplicas(message) => {
-                    let frame = bft_frame(&self.bft_auth, self.domain, &message, None);
-                    let mcast = self.fabric.domain(self.domain).mcast;
-                    ctx.multicast_labeled(mcast, frame.bytes, message.label());
-                }
-                Output::ToClient(client, message) => {
-                    if let Some(node) = self.fabric.node_of(client.0) {
-                        let frame = bft_frame(&self.bft_auth, self.domain, &message, Some(client));
-                        ctx.send_labeled(node, frame.bytes, message.label());
-                    }
+                Output::Send(to, message) => {
+                    let route = DomainRoute {
+                        fabric: &self.fabric,
+                        domain: self.domain,
+                        auth: &self.bft_auth,
+                        obs: &Obs::disabled(),
+                    };
+                    send(&route, ctx, to, &message);
                 }
                 Output::Executed { result, .. } => {
                     self.act_on_directives(ctx, &result);

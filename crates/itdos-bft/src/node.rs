@@ -9,10 +9,45 @@ use xbytes::Bytes;
 
 use crate::auth::{AuthContext, Envelope};
 use crate::client::Client;
-use crate::config::{ClientId, GroupConfig, ReplicaId, SeqNo};
+use crate::config::{ClientId, GroupConfig, ReplicaId};
 use crate::message::{ClientRequest, Message};
-use crate::replica::{Output, Received, Replica};
+use crate::replica::{Output, Received, Replica, To};
 use crate::state::StateMachine;
+
+/// How a replica host puts a protocol message on the network: its framing
+/// and its address book. [`send`] is the one place a replica's
+/// [`Output::Send`]s leave the process, whichever host runs the replica.
+pub trait Route {
+    /// Frames `message` under the host's authentication context; `client`
+    /// addresses a reply's MACs to that client.
+    fn frame(&self, message: &Message, client: Option<ClientId>) -> Bytes;
+    /// The node hosting `replica`, if there is one.
+    fn replica(&self, replica: ReplicaId) -> Option<NodeId>;
+    /// The node hosting `client`, if it is known.
+    fn client(&self, client: ClientId) -> Option<NodeId>;
+    /// The group's multicast group.
+    fn group(&self) -> GroupId;
+}
+
+/// Sends `message` to `to` through `route`. A send to an id the route does
+/// not know is dropped: a replica takes ids from its peers' messages, and
+/// no peer may crash its host with one.
+pub fn send(route: &impl Route, ctx: &mut Context<'_>, to: To, message: &Message) {
+    let label = message.label();
+    match to {
+        To::Replica(replica) => {
+            if let Some(node) = route.replica(replica) {
+                ctx.send_labeled(node, route.frame(message, None), label);
+            }
+        }
+        To::All => ctx.multicast_labeled(route.group(), route.frame(message, None), label),
+        To::Client(client) => {
+            if let Some(node) = route.client(client) {
+                ctx.send_labeled(node, route.frame(message, Some(client)), label);
+            }
+        }
+    }
+}
 
 /// Maps protocol identities to simulated network addresses.
 #[derive(Debug, Clone, Default)]
@@ -23,22 +58,12 @@ pub struct Directory {
     pub clients: std::collections::BTreeMap<ClientId, NodeId>,
 }
 
-impl Directory {
-    /// The node hosting `replica`.
-    pub fn replica_node(&self, replica: ReplicaId) -> NodeId {
-        self.replicas[replica.0 as usize]
-    }
-}
-
 /// A replica running as a simulated process.
 pub struct ReplicaNode<S> {
     replica: Replica<S>,
     auth: AuthContext,
     group: GroupId,
     directory: Directory,
-    /// Executions observed, newest last (test/bench observability; the
-    /// ITDOS core uses its own process embedding `Replica` directly).
-    pub executed: Vec<(SeqNo, ClientRequest, Vec<u8>)>,
 }
 
 impl<S: std::fmt::Debug> std::fmt::Debug for ReplicaNode<S> {
@@ -46,6 +71,24 @@ impl<S: std::fmt::Debug> std::fmt::Debug for ReplicaNode<S> {
         f.debug_struct("ReplicaNode")
             .field("replica", &self.replica)
             .finish()
+    }
+}
+
+impl<S> Route for ReplicaNode<S> {
+    fn frame(&self, message: &Message, client: Option<ClientId>) -> Bytes {
+        self.auth.frame(message, client)
+    }
+
+    fn replica(&self, replica: ReplicaId) -> Option<NodeId> {
+        self.directory.replicas.get(replica.0 as usize).copied()
+    }
+
+    fn client(&self, client: ClientId) -> Option<NodeId> {
+        self.directory.clients.get(&client).copied()
+    }
+
+    fn group(&self) -> GroupId {
+        self.group
     }
 }
 
@@ -64,7 +107,6 @@ impl<S: StateMachine> ReplicaNode<S> {
             auth,
             group,
             directory,
-            executed: Vec::new(),
         }
     }
 
@@ -73,40 +115,14 @@ impl<S: StateMachine> ReplicaNode<S> {
         &self.replica
     }
 
-    /// Mutable access (fault injection in tests).
-    pub fn replica_mut(&mut self) -> &mut Replica<S> {
-        &mut self.replica
-    }
-
     fn drain(&mut self, ctx: &mut Context<'_>) {
         for output in self.replica.take_outputs() {
             match output {
-                Output::ToReplica(to, message) => {
-                    let node = self.directory.replica_node(to);
-                    let frame = self.auth.frame(&message, None);
-                    ctx.send_labeled(node, frame, message.label());
-                }
-                Output::ToAllReplicas(message) => {
-                    let frame = self.auth.frame(&message, None);
-                    ctx.multicast_labeled(self.group, frame, message.label());
-                }
-                Output::ToClient(client, message) => {
-                    if let Some(&node) = self.directory.clients.get(&client) {
-                        let frame = self.auth.frame(&message, Some(client));
-                        ctx.send_labeled(node, frame, message.label());
-                    }
-                }
-                Output::Executed {
-                    seq,
-                    request,
-                    result,
-                } => {
-                    self.executed.push((seq, request, result));
-                }
+                Output::Send(to, message) => send(self, ctx, to, &message),
                 Output::StartViewTimer { epoch, timeout } => {
                     ctx.set_timer(timeout, epoch);
                 }
-                Output::EnteredView(_) | Output::StateTransferred(_) => {}
+                Output::Executed { .. } | Output::EnteredView(_) | Output::StateTransferred(_) => {}
             }
         }
     }

@@ -59,15 +59,22 @@ impl ClientRecord {
     }
 }
 
+/// Whom a replica sends a protocol message to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum To {
+    /// One replica.
+    Replica(ReplicaId),
+    /// Every other replica: the group's multicast.
+    All,
+    /// A client; the frame's MACs are addressed to it.
+    Client(ClientId),
+}
+
 /// An action the protocol asks the transport adapter to perform.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Output {
-    /// Send to one replica.
-    ToReplica(ReplicaId, Message),
-    /// Multicast to all other replicas.
-    ToAllReplicas(Message),
-    /// Send to a client.
-    ToClient(ClientId, Message),
+    /// Send a message; [`crate::node::send`] puts it on the network.
+    Send(To, Message),
     /// A request was executed at `seq` — the upper layer's delivery hook
     /// (in ITDOS this feeds the ORB thread).
     Executed {
@@ -238,6 +245,13 @@ impl<S: StateMachine> Replica<S> {
         [("replica", LabelValue::U64(u64::from(self.id.0)))]
     }
 
+    /// Records event `kind` at `seq`, labelled with this replica's id.
+    fn event_at(&self, kind: &'static str, seq: SeqNo) {
+        let [replica] = self.obs_label();
+        self.obs
+            .event(kind, &[replica, ("seq", LabelValue::U64(seq.0))]);
+    }
+
     /// Span id for a per-sequence phase: the replica id is mixed in so
     /// that replicas of one group sharing a single recorder cannot clobber
     /// each other's spans for the same sequence number. Cross-group
@@ -309,6 +323,10 @@ impl<S: StateMachine> Replica<S> {
     pub fn take_outputs(&mut self) -> Vec<Output> {
         self.obs_depths();
         std::mem::take(&mut self.outputs)
+    }
+
+    fn send(&mut self, to: To, message: Message) {
+        self.outputs.push(Output::Send(to, message));
     }
 
     fn arm_timer(&mut self) {
@@ -443,10 +461,7 @@ impl<S: StateMachine> Replica<S> {
                 return; // ancient: its reply window has passed
             }
             if let Some(reply) = record.replies.get(&request.timestamp()) {
-                self.outputs.push(Output::ToClient(
-                    request.client(),
-                    Message::Reply(reply.clone()),
-                ));
+                self.send(To::Client(request.client()), Message::Reply(reply.clone()));
                 return;
             }
         }
@@ -479,8 +494,7 @@ impl<S: StateMachine> Replica<S> {
         } else {
             // backup: relay to the primary and start the view-change timer
             let primary = self.config.primary_of(self.view);
-            self.outputs
-                .push(Output::ToReplica(primary, Message::Request(request)));
+            self.send(To::Replica(primary), Message::Request(request));
             if newly_pending {
                 self.arm_timer();
             }
@@ -601,8 +615,7 @@ impl<S: StateMachine> Replica<S> {
             };
             let entry = self.log.entry(self.view, seq);
             entry.pre_prepare = Some(pp.clone());
-            self.outputs
-                .push(Output::ToAllReplicas(Message::PrePrepare(pp)));
+            self.send(To::All, Message::PrePrepare(pp));
             // the primary's pre-prepare counts as its prepare; execution
             // still needs 2f prepares from backups
             self.try_commit(self.view, seq);
@@ -681,8 +694,7 @@ impl<S: StateMachine> Replica<S> {
             .entry(view, pp.seq)
             .prepares
             .insert(self.id, prepare);
-        self.outputs
-            .push(Output::ToAllReplicas(Message::Prepare(prepare)));
+        self.send(To::All, Message::Prepare(prepare));
         if was_idle && !self.pending.is_empty() {
             self.arm_timer();
         }
@@ -740,8 +752,7 @@ impl<S: StateMachine> Replica<S> {
             replica: self.id,
         };
         self.log.entry(view, seq).commits.insert(self.id, commit);
-        self.outputs
-            .push(Output::ToAllReplicas(Message::Commit(commit)));
+        self.send(To::All, Message::Commit(commit));
         self.try_execute();
     }
 
@@ -794,13 +805,7 @@ impl<S: StateMachine> Replica<S> {
                 .span_end("bft.order_us", self.seq_span_id(next), &labels);
             // commit certificate reached and applied: the last ordering
             // phase this replica can attest for `next`
-            self.obs.event(
-                "bft.committed",
-                &[
-                    ("replica", LabelValue::U64(u64::from(self.id.0))),
-                    ("seq", LabelValue::U64(next.0)),
-                ],
-            );
+            self.event_at("bft.committed", next);
             // unpack the batch in its agreed order; an empty batch (the
             // new-view null operation) executes nothing
             let mut barrier = false;
@@ -835,8 +840,7 @@ impl<S: StateMachine> Replica<S> {
                     .or_default()
                     .record(request.timestamp(), reply.clone(), window);
                 self.obs.incr("bft.executed", &labels);
-                self.outputs
-                    .push(Output::ToClient(request.client(), Message::Reply(reply)));
+                self.send(To::Client(request.client()), Message::Reply(reply));
                 self.outputs.push(Output::Executed {
                     seq: next,
                     request,
@@ -878,21 +882,14 @@ impl<S: StateMachine> Replica<S> {
         let state_digest = snapshot_digest(&payload);
         self.log.store_own_checkpoint(seq, state_digest, payload);
         self.obs.incr("bft.checkpoints", &self.obs_label());
-        self.obs.event(
-            "bft.checkpoint",
-            &[
-                ("replica", LabelValue::U64(u64::from(self.id.0))),
-                ("seq", LabelValue::U64(seq.0)),
-            ],
-        );
+        self.event_at("bft.checkpoint", seq);
         let checkpoint = Checkpoint {
             seq,
             state_digest,
             replica: self.id,
         };
         self.log.add_checkpoint(&checkpoint);
-        self.outputs
-            .push(Output::ToAllReplicas(Message::Checkpoint(checkpoint)));
+        self.send(To::All, Message::Checkpoint(checkpoint));
         self.maybe_stabilize(seq, state_digest);
     }
 
@@ -911,11 +908,7 @@ impl<S: StateMachine> Replica<S> {
         if self.recovering && seq >= self.last_executed {
             // a fresh-enough stable checkpoint exists: re-issue the fetch
             self.fetching = Some(seq);
-            self.outputs
-                .push(Output::ToAllReplicas(Message::StateFetch(StateFetch {
-                    seq,
-                    replica: self.id,
-                })));
+            self.fetch_state(seq);
             return;
         }
         if seq.0 >= self.last_executed.0 + self.config.checkpoint_interval {
@@ -927,13 +920,7 @@ impl<S: StateMachine> Replica<S> {
         }
         if seq <= self.last_executed && seq > self.log.low() {
             self.log.stabilize(seq);
-            self.obs.event(
-                "bft.checkpoint_stable",
-                &[
-                    ("replica", LabelValue::U64(u64::from(self.id.0))),
-                    ("seq", LabelValue::U64(seq.0)),
-                ],
-            );
+            self.event_at("bft.checkpoint_stable", seq);
             if self.is_primary() {
                 self.drain_backlog();
             }
@@ -948,19 +935,17 @@ impl<S: StateMachine> Replica<S> {
         self.obs.incr("bft.state_fetches", &self.obs_label());
         self.obs
             .span_begin("bft.state_transfer_us", u64::from(self.id.0));
-        self.obs.event(
-            "bft.state_fetch",
-            &[
-                ("replica", LabelValue::U64(u64::from(self.id.0))),
-                ("seq", LabelValue::U64(seq.0)),
-            ],
-        );
+        self.event_at("bft.state_fetch", seq);
+        self.fetch_state(seq);
+    }
+
+    /// Asks every replica for its state as of `seq` or later.
+    fn fetch_state(&mut self, seq: SeqNo) {
         let fetch = StateFetch {
             seq,
             replica: self.id,
         };
-        self.outputs
-            .push(Output::ToAllReplicas(Message::StateFetch(fetch)));
+        self.send(To::All, Message::StateFetch(fetch));
     }
 
     fn on_state_fetch(&mut self, fetch: StateFetch) {
@@ -980,8 +965,7 @@ impl<S: StateMachine> Replica<S> {
             }],
             replica: self.id,
         };
-        self.outputs
-            .push(Output::ToReplica(fetch.replica, Message::StateData(data)));
+        self.send(To::Replica(fetch.replica), Message::StateData(data));
     }
 
     /// Begins proactive recovery \[6\]: the replica assumes its application
@@ -996,11 +980,7 @@ impl<S: StateMachine> Replica<S> {
             .span_begin("bft.state_transfer_us", u64::from(self.id.0));
         self.fetching = Some(SeqNo(self.log.low().0.max(1)));
         self.state_offers.clear();
-        self.outputs
-            .push(Output::ToAllReplicas(Message::StateFetch(StateFetch {
-                seq: self.log.low(),
-                replica: self.id,
-            })));
+        self.fetch_state(self.log.low());
     }
 
     /// True while a proactive recovery is in flight.
@@ -1024,11 +1004,7 @@ impl<S: StateMachine> Replica<S> {
             .span_begin("bft.state_transfer_us", u64::from(self.id.0));
         self.fetching = Some(SeqNo(self.log.low().0.max(1)));
         self.state_offers.clear();
-        self.outputs
-            .push(Output::ToAllReplicas(Message::StateFetch(StateFetch {
-                seq: self.log.low(),
-                replica: self.id,
-            })));
+        self.fetch_state(self.log.low());
     }
 
     /// True while replacement onboarding is in flight.
@@ -1128,8 +1104,7 @@ impl<S: StateMachine> Replica<S> {
             replica: self.id,
         };
         self.log.add_checkpoint(&own);
-        self.outputs
-            .push(Output::ToAllReplicas(Message::Checkpoint(own)));
+        self.send(To::All, Message::Checkpoint(own));
         self.fetching = None;
         self.state_offers.clear();
         self.recovering = false;
@@ -1142,13 +1117,7 @@ impl<S: StateMachine> Replica<S> {
         let labels = self.obs_label();
         self.obs
             .span_end("bft.state_transfer_us", u64::from(self.id.0), &labels);
-        self.obs.event(
-            "bft.state_transferred",
-            &[
-                ("replica", LabelValue::U64(u64::from(self.id.0))),
-                ("seq", LabelValue::U64(data.seq.0)),
-            ],
-        );
+        self.event_at("bft.state_transferred", data.seq);
         self.outputs.push(Output::StateTransferred(data.seq));
     }
 
@@ -1202,8 +1171,7 @@ impl<S: StateMachine> Replica<S> {
             prepared: self.log.prepared_proofs(&self.config),
             replica: self.id,
         };
-        self.outputs
-            .push(Output::ToAllReplicas(Message::ViewChange(vc.clone())));
+        self.send(To::All, Message::ViewChange(vc.clone()));
         self.collect_view_change(vc);
         self.arm_timer(); // cascade to the next view if this one stalls
     }
@@ -1243,8 +1211,7 @@ impl<S: StateMachine> Replica<S> {
                 pre_prepares: pre_prepares.clone(),
                 primary: self.id,
             };
-            self.outputs
-                .push(Output::ToAllReplicas(Message::NewView(nv)));
+            self.send(To::All, Message::NewView(nv));
             self.enter_view(target, pre_prepares);
         }
     }
@@ -1333,8 +1300,7 @@ impl<S: StateMachine> Replica<S> {
                 .prepares
                 .insert(self.id, prepare);
             if self.id != self.config.primary_of(view) {
-                self.outputs
-                    .push(Output::ToAllReplicas(Message::Prepare(prepare)));
+                self.send(To::All, Message::Prepare(prepare));
             }
             if !already_executed {
                 for request in &pp.batch.requests {
@@ -1635,12 +1601,12 @@ mod tests {
                         }
                         moved = true;
                         match out {
-                            Output::ToReplica(to, msg) => {
+                            Output::Send(To::Replica(to), msg) => {
                                 if !mute.contains(&to.0) {
                                     self.replicas[to.0 as usize].on_message(from, msg);
                                 }
                             }
-                            Output::ToAllReplicas(msg) => {
+                            Output::Send(To::All, msg) => {
                                 for j in 0..self.replicas.len() {
                                     if j != i && !mute.contains(&(j as u32)) {
                                         let m = msg.clone();
@@ -1648,8 +1614,8 @@ mod tests {
                                     }
                                 }
                             }
-                            Output::ToClient(_, Message::Reply(r)) => self.replies.push(r),
-                            Output::ToClient(_, _) => {}
+                            Output::Send(To::Client(_), Message::Reply(r)) => self.replies.push(r),
+                            Output::Send(To::Client(_), _) => {}
                             Output::Executed { seq, result, .. } => {
                                 self.executed.push((i as u32, seq, result));
                             }
@@ -1772,7 +1738,7 @@ mod tests {
         g.replicas[0].on_request(request(1, 4));
         let outs = g.replicas[0].take_outputs();
         for out in outs {
-            if let Output::ToAllReplicas(Message::PrePrepare(pp)) = out {
+            if let Output::Send(To::All, Message::PrePrepare(pp)) = out {
                 for j in 1..4 {
                     g.replicas[j].on_message(ReplicaId(0), Message::PrePrepare(pp.clone()));
                 }
@@ -1782,7 +1748,7 @@ mod tests {
         let mut prepares = Vec::new();
         for i in 1..4 {
             for out in g.replicas[i].take_outputs() {
-                if let Output::ToAllReplicas(Message::Prepare(p)) = out {
+                if let Output::Send(To::All, Message::Prepare(p)) = out {
                     prepares.push((i, p));
                 }
             }
@@ -1944,7 +1910,7 @@ mod tests {
         let mut prepares = Vec::new();
         for i in 1..4 {
             for out in g.replicas[i].take_outputs() {
-                if let Output::ToAllReplicas(Message::Prepare(p)) = out {
+                if let Output::Send(To::All, Message::Prepare(p)) = out {
                     prepares.push((i, p));
                 }
             }
@@ -2170,13 +2136,13 @@ mod tests {
         let outs = g.replicas[3].take_outputs();
         assert!(
             outs.iter()
-                .any(|o| matches!(o, Output::ToAllReplicas(Message::StateFetch(_)))),
+                .any(|o| matches!(o, Output::Send(To::All, Message::StateFetch(_)))),
             "state fetch announced"
         );
         assert!(
             !outs.iter().any(|o| matches!(
                 o,
-                Output::ToAllReplicas(Message::ViewChange(_)) | Output::StartViewTimer { .. }
+                Output::Send(To::All, Message::ViewChange(_)) | Output::StartViewTimer { .. }
             )),
             "no view-change flood, no timer re-arm"
         );
@@ -2278,14 +2244,14 @@ mod tests {
         g.replicas[3].on_request(request(16, 2));
         let outs = g.replicas[3].take_outputs();
         let cached = outs.iter().any(|o| {
-            matches!(o, Output::ToClient(_, Message::Reply(r))
+            matches!(o, Output::Send(To::Client(_), Message::Reply(r))
                 if r.timestamp == 16 && r.result == 32i64.to_le_bytes())
         });
         assert!(cached, "cached reply resent from transferred table");
         assert!(
             !outs
                 .iter()
-                .any(|o| matches!(o, Output::ToReplica(_, Message::Request(_)))),
+                .any(|o| matches!(o, Output::Send(To::Replica(_), Message::Request(_)))),
             "duplicate not relayed for re-ordering"
         );
         assert_eq!(g.replicas[3].app().total(), total_before, "no re-execution");
@@ -2309,7 +2275,7 @@ mod tests {
             .take_outputs()
             .into_iter()
             .find_map(|o| match o {
-                Output::ToAllReplicas(Message::ViewChange(vc)) => Some(vc),
+                Output::Send(To::All, Message::ViewChange(vc)) => Some(vc),
                 _ => None,
             })
             .expect("view change started");
@@ -2441,7 +2407,7 @@ mod tests {
         // forced a checkpoint right at the admission barrier
         assert!(r0.log().own_checkpoint(SeqNo(1)).is_some());
         assert!(r0.take_outputs().iter().any(|o| {
-            matches!(o, Output::ToAllReplicas(Message::Checkpoint(c)) if c.seq == SeqNo(1))
+            matches!(o, Output::Send(To::All, Message::Checkpoint(c)) if c.seq == SeqNo(1))
         }));
     }
 
@@ -2464,9 +2430,9 @@ mod tests {
         assert!(
             !outs.iter().any(|o| matches!(
                 o,
-                Output::ToReplica(..)
-                    | Output::ToAllReplicas(Message::Prepare(_))
-                    | Output::ToAllReplicas(Message::ViewChange(_))
+                Output::Send(To::Replica(_), _)
+                    | Output::Send(To::All, Message::Prepare(_))
+                    | Output::Send(To::All, Message::ViewChange(_))
             )),
             "joining replica neither relays nor votes"
         );
@@ -2539,10 +2505,10 @@ mod tests {
         for i in 0..3usize {
             g.replicas[i].on_message(ReplicaId(3), Message::StateFetch(lie));
             assert!(
-                !g.replicas[i]
-                    .take_outputs()
-                    .iter()
-                    .any(|o| matches!(o, Output::ToReplica(ReplicaId(3), Message::StateData(_)))),
+                !g.replicas[i].take_outputs().iter().any(|o| matches!(
+                    o,
+                    Output::Send(To::Replica(ReplicaId(3)), Message::StateData(_))
+                )),
                 "no replica serves state it does not have"
             );
         }
@@ -2595,8 +2561,10 @@ mod tests {
         for (i, replica) in g.replicas.iter_mut().enumerate() {
             for output in replica.take_outputs() {
                 match output {
-                    Output::ToReplica(to, message) => sent.push((i, vec![to.0 as usize], message)),
-                    Output::ToAllReplicas(message) => {
+                    Output::Send(To::Replica(to), message) => {
+                        sent.push((i, vec![to.0 as usize], message))
+                    }
+                    Output::Send(To::All, message) => {
                         sent.push((i, (0..4).filter(|&j| j != i).collect(), message));
                     }
                     _ => {}

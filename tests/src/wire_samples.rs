@@ -18,7 +18,7 @@ use itdos_bft::message::{
     Reply, StateData, StateFetch, ViewChange,
 };
 use itdos_bft::queue::{ElementId, QueueEntry, QueueMachine, QueueOp};
-use itdos_bft::replica::{Output, Replica, TransferPayload};
+use itdos_bft::replica::{Output, Replica, To, TransferPayload};
 use itdos_bft::state::{CounterMachine, StateMachine};
 use itdos_bft::wire::{decode_seq, encode_seq, Wire, WireError};
 use itdos_crypto::hash::Digest;
@@ -364,8 +364,8 @@ pub fn transfer_payload() -> Vec<u8> {
         {
             for output in outputs {
                 let (to, message) = match output {
-                    Output::ToReplica(to, message) => (vec![to.0], message),
-                    Output::ToAllReplicas(message) => {
+                    Output::Send(To::Replica(to), message) => (vec![to.0], message),
+                    Output::Send(To::All, message) => {
                         ((0..4).filter(|to| *to != from).collect(), message)
                     }
                     _ => continue,

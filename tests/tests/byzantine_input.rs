@@ -23,7 +23,7 @@ use itdos_bft::message::{
 use itdos_bft::queue::QueueOp;
 use itdos_bft::state::CounterMachine;
 use itdos_bft::wire::Wire;
-use itdos_bft::{ClientId, GroupConfig, Output, Received, Replica, ReplicaId, SeqNo, View};
+use itdos_bft::{ClientId, GroupConfig, Output, Received, Replica, ReplicaId, SeqNo, To, View};
 use itdos_crypto::group::Element;
 use itdos_crypto::hash::Digest;
 use itdos_crypto::keys::SymmetricKey;
@@ -515,7 +515,7 @@ fn a_copy_one_bit_off_a_held_request_recalls_nothing() {
         .take_outputs()
         .into_iter()
         .filter_map(|o| match o {
-            Output::ToAllReplicas(Message::PrePrepare(pp)) => Some(pp),
+            Output::Send(To::All, Message::PrePrepare(pp)) => Some(pp),
             _ => None,
         })
         .collect();
@@ -565,7 +565,7 @@ fn a_copy_one_bit_off_a_held_request_recalls_nothing() {
             .take_outputs()
             .into_iter()
             .filter_map(|o| match o {
-                Output::ToAllReplicas(Message::Prepare(p)) => Some(p.digest),
+                Output::Send(To::All, Message::Prepare(p)) => Some(p.digest),
                 _ => None,
             })
             .collect();
@@ -585,13 +585,13 @@ fn exchange(replicas: &mut [Replica<CounterMachine>]) -> Vec<Reply> {
         for (from, replica) in replicas.iter_mut().enumerate() {
             for output in replica.take_outputs() {
                 match output {
-                    Output::ToReplica(to, message) => {
+                    Output::Send(To::Replica(to), message) => {
                         sent.push((from, vec![to.0 as usize], message))
                     }
-                    Output::ToAllReplicas(message) => {
+                    Output::Send(To::All, message) => {
                         sent.push((from, (0..4).filter(|&to| to != from).collect(), message));
                     }
-                    Output::ToClient(_, Message::Reply(reply)) => replies.push(reply),
+                    Output::Send(To::Client(_), Message::Reply(reply)) => replies.push(reply),
                     _ => {}
                 }
             }
@@ -812,7 +812,7 @@ fn new_view_after(byzantine: &[u8]) -> Vec<u64> {
         };
         replica.on_message(sender, message);
         for output in replica.take_outputs() {
-            if let Output::ToAllReplicas(Message::NewView(nv)) = output {
+            if let Output::Send(To::All, Message::NewView(nv)) = output {
                 new_views.push(nv);
             }
         }
