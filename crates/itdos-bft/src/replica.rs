@@ -441,7 +441,7 @@ impl<S: StateMachine> Replica<S> {
             Message::Checkpoint(cp) => self.on_checkpoint(sender, cp),
             Message::ViewChange(vc) => self.on_view_change(sender, vc),
             Message::NewView(nv) => self.on_new_view(sender, nv),
-            Message::StateFetch(sf) => self.on_state_fetch(sf),
+            Message::StateFetch(sf) => self.on_state_fetch(sender, sf),
             Message::StateData(sd) => self.on_state_data(sd),
             Message::Reply(_) => {} // replicas ignore replies
         }
@@ -948,7 +948,13 @@ impl<S: StateMachine> Replica<S> {
         self.send(To::All, Message::StateFetch(fetch));
     }
 
-    fn on_state_fetch(&mut self, fetch: StateFetch) {
+    /// Serves a fetch with this replica's latest checkpoint, to its
+    /// authenticated sender only: a fetch naming another replica is
+    /// dropped, so no replica can aim snapshots at a third.
+    fn on_state_fetch(&mut self, sender: ReplicaId, fetch: StateFetch) {
+        if sender != fetch.replica {
+            return;
+        }
         let Some((seq, (digest, snapshot))) = self.log.latest_own_checkpoint() else {
             return;
         };
@@ -965,7 +971,7 @@ impl<S: StateMachine> Replica<S> {
             }],
             replica: self.id,
         };
-        self.send(To::Replica(fetch.replica), Message::StateData(data));
+        self.send(To::Replica(sender), Message::StateData(data));
     }
 
     /// Begins proactive recovery \[6\]: the replica assumes its application

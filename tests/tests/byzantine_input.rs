@@ -20,6 +20,7 @@ use itdos_bft::message::{
     Batch, Checkpoint, ClientRequest, Commit, Message, PrePrepare, Prepare, PreparedProof, Reply,
     StateData, StateFetch, ViewChange,
 };
+use itdos_bft::node::{build_group, ClientNode};
 use itdos_bft::queue::QueueOp;
 use itdos_bft::state::CounterMachine;
 use itdos_bft::wire::Wire;
@@ -38,7 +39,7 @@ use itdos_groupmgr::{DomainId, DomainRecord, ElementRecord, Endpoint, GroupManag
 use itdos_vote::comparator::Comparator;
 use itdos_vote::detector::{FaultProof, SignedReply};
 use itdos_vote::vote::SenderId;
-use simnet::{Context, NodeId, Process};
+use simnet::{Context, GroupId, NodeId, Process, Simulator};
 use xbytes::Bytes;
 use xrand::rngs::SmallRng;
 use xrand::{Rng, SeedableRng};
@@ -752,6 +753,71 @@ fn an_element_cannot_send_a_request_on_a_clients_connection() {
     let second = system.result(ticket).expect("request 2 completed");
     assert_eq!(second.result, Ok(Value::LongLong(10)));
     assert_eq!(requests_handled(&system), [2, 2, 2, 2]);
+}
+
+// ---- a state fetch is answered to its sender only ---------------------------
+
+/// `StateFetch` frames from replica 1 of a group keyed by `seed`, naming a
+/// replica that does not exist and then replica 3 as the fetcher.
+fn forged_fetches(frame: impl Fn(&Message) -> Bytes) -> [Bytes; 2] {
+    [ReplicaId(99), ReplicaId(3)].map(|replica| {
+        frame(&Message::StateFetch(StateFetch {
+            seq: SeqNo(0),
+            replica,
+        }))
+    })
+}
+
+/// A replica answers a state fetch to the replica that sent it. Replica 1
+/// MACs fetches that name someone else: replica 99, which no host has a
+/// node for, and replica 3, which would then receive full snapshots it
+/// never asked for. Neither is answered, no host crashes, and the group
+/// keeps ordering.
+#[test]
+fn a_state_fetch_naming_another_replica_is_not_answered() {
+    let seed = [9u8; 32];
+    let mut sim = Simulator::new(33);
+    let (replicas, client, _) = build_group(
+        &mut sim,
+        &GroupConfig::for_f(1),
+        seed,
+        GroupId::from_raw(0),
+        ClientId(1),
+    );
+    for _ in 0..20 {
+        sim.inject(client, Bytes::from(CounterMachine::op(1)));
+        sim.run();
+    }
+    let auth = AuthContext::for_replica(KeyProvisioner::new(seed), ReplicaId(1), 4);
+    for frame in forged_fetches(|message| auth.frame(message, None)) {
+        sim.inject(replicas[0], frame);
+        sim.run();
+    }
+    assert_eq!(sim.stats().label("bft-state-data").messages, 0);
+    sim.inject(client, Bytes::from(CounterMachine::op(1)));
+    sim.run();
+    let results = &sim.process_ref::<ClientNode>(client).results;
+    assert_eq!(results.len(), 21);
+    assert_eq!(results[20], 21i64.to_le_bytes());
+}
+
+/// The same forged fetches, sent by bank replica 1 to every element of a
+/// running bank domain.
+#[test]
+fn a_server_element_answers_a_state_fetch_to_its_sender_only() {
+    let mut system = bank_system(72).build();
+    for _ in 0..20 {
+        system.invoke(CLIENT, deposit(1));
+    }
+    let auth = system.fabric.bft_auth_replica(BANK, 1);
+    for frame in forged_fetches(|message| bft_frame(&auth, BANK, message, None).bytes) {
+        let to = system.fabric.domain(BANK).nodes.clone();
+        system.sim.add_process(Box::new(SendOnce { to, frame }));
+        system.settle();
+    }
+    assert_eq!(system.sim.stats().label("bft-state-data").messages, 0);
+    let last = system.invoke(CLIENT, deposit(1));
+    assert_eq!(last.result, Ok(Value::LongLong(21)));
 }
 
 // ---- view-change bounds ----------------------------------------------------
