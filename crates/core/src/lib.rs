@@ -23,8 +23,7 @@
 //!    nested invocations.
 //!
 //! Plus the **Group Manager** replication domain ([`gm`]) handling
-//! connection establishment (Figure 3), threshold keying, and expulsion,
-//! and the **firewall proxy** ([`firewall`]) at enclave boundaries.
+//! connection establishment (Figure 3), threshold keying, and expulsion.
 //!
 //! # Examples
 //!
@@ -86,7 +85,6 @@ pub(crate) mod cost;
 pub mod element;
 pub mod fabric;
 pub mod fault;
-pub mod firewall;
 pub mod gm;
 pub mod heal;
 pub mod invocation;

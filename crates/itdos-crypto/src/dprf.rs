@@ -203,8 +203,7 @@ impl Dprf {
     ///
     /// In deployment the dealing is a configuration input (the paper: "ITDOS
     /// relies upon configuration inputs for its pseudo-random functions");
-    /// the distributed re-initialization protocol lives in
-    /// [`crate::rngshare`].
+    /// no distributed re-initialization round is reproduced.
     ///
     /// # Panics
     ///

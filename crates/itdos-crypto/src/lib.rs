@@ -11,8 +11,6 @@
 //!   machinery: a verifiable distributed PRF (Naor–Pinkas–Reingold style)
 //!   over a toy Schnorr group, with Feldman commitments and Chaum–Pedersen
 //!   share-verification proofs;
-//! * [`rngshare`] — the distributed commit–reveal coin that (re)initializes
-//!   the Group Manager PRNGs, and the derived common-input sequence;
 //! * [`symmetric`] — authenticated encryption for communication keys
 //!   (stand-in for DES \[12\]): a ChaCha20 keystream (RFC 8439, tested
 //!   against its vectors) keyed per message by HMAC, encrypt-then-MAC;
@@ -57,7 +55,6 @@ pub mod hash;
 pub mod hmac;
 pub mod keys;
 pub mod mac;
-pub mod rngshare;
 pub mod shamir;
 pub mod sign;
 pub mod symmetric;

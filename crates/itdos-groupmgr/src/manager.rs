@@ -179,9 +179,9 @@ pub struct GroupManager {
 }
 
 impl GroupManager {
-    /// Creates a Group Manager over a membership registry. `seed` is the
-    /// agreed output of the distributed RNG round
-    /// ([`itdos_crypto::rngshare`]) from which connection inputs derive.
+    /// Creates a Group Manager over a membership registry. Connection
+    /// inputs derive from `seed`, which the system builder derives from the
+    /// deployment seed (a configuration input, like the DPRF dealing).
     pub fn new(membership: Membership, seed: [u8; 32]) -> GroupManager {
         GroupManager {
             membership,

@@ -4,9 +4,10 @@
 //! *replication domains* rather than hosts, servants with
 //! continuation-based dispatch (so the single-threaded execution model can
 //! suspend on nested invocations, §3.1), a process-granularity object
-//! adapter (§3.4), an ORB core that validates and dispatches requests and
-//! marshals in the host platform's byte order, and the TAO-style
-//! pluggable-protocol seam (§3.3) that the SMIOP stack plugs into.
+//! adapter (§3.4), and an ORB core that validates and dispatches requests
+//! and marshals in the host platform's byte order. The ORB has no
+//! transport seam of its own: the SMIOP stack (§3.3) feeds it decoded
+//! requests at the simulated-process boundary.
 //!
 //! # Examples
 //!
@@ -50,11 +51,9 @@
 pub mod adapter;
 pub mod object;
 pub mod orb;
-pub mod pluggable;
 pub mod servant;
 
 pub use adapter::ObjectAdapter;
 pub use object::{DomainAddr, ObjectKey, ObjectRef};
 pub use orb::{Dispatch, Orb};
-pub use pluggable::{ConnectionHandle, PluggableProtocol};
 pub use servant::{FnServant, NestedCall, Outcome, Servant, ServantException};

@@ -47,7 +47,6 @@ fn error_types_are_well_behaved() {
     good_error::<itdos_vote::detector::ProofError>();
     good_error::<itdos_groupmgr::manager::OpenError>();
     good_error::<itdos_groupmgr::manager::ChangeError>();
-    good_error::<itdos_orb::pluggable::ProtocolError>();
 }
 
 #[test]

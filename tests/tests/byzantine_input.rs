@@ -23,7 +23,6 @@ use itdos_bft::message::{
 use itdos_bft::node::{build_group, ClientNode};
 use itdos_bft::queue::QueueOp;
 use itdos_bft::state::CounterMachine;
-use itdos_bft::wire::Wire;
 use itdos_bft::{ClientId, GroupConfig, Output, Received, Replica, ReplicaId, SeqNo, To, View};
 use itdos_crypto::group::Element;
 use itdos_crypto::hash::Digest;
