@@ -26,8 +26,11 @@ echo '== group kernel sweep (release: 2^20 random pairs against textbook square-
 cargo test -q --release --offline -p itdos-crypto --lib -- --ignored kernel_sweep
 
 echo '== cargo run -p itdos-lint (waiver ledger + budget gate)'
-# fails on any active finding, and also if the waiver count grows past
-# the checked-in budget — new waivers must be paid for in the same PR
+# the findings as JSON lines go to target/lint-findings.json (the CI
+# workflow uploads it); the second run is the gate: it fails on any active
+# finding, and also if the waiver count grows past the checked-in budget —
+# new waivers must be paid for in the same PR
+cargo run -q --release --offline -p itdos-lint -- --json > target/lint-findings.json || true
 cargo run -q --release --offline -p itdos-lint -- --waivers --budget lint-waivers.budget
 
 echo '== forensic audit smoke (drill dump -> audit example)'
