@@ -1,9 +1,10 @@
 //! L7 lock-order discipline: nested lock acquisitions must follow one
 //! global order, and no lock may be held across a send/recv call.
 //!
-//! ROADMAP item 17 gives the three replica hosts one drain loop, and that
-//! single replica host is the seam the parked threaded transport backend
-//! plugs into; once replica code runs under real locks, an order inversion
+//! The three replica hosts send through one function,
+//! `itdos_bft::node::send`, and that function and its `Route` are the seam
+//! the parked threaded transport backend plugs into; once replica code runs
+//! under real locks, an order inversion
 //! (`a.lock()` then `b.lock()` in one path, `b` then `a` in another) is a
 //! deadlock a Byzantine peer can trigger on demand by stalling one
 //! connection, and a lock held across a blocking `send`/`recv` serializes
