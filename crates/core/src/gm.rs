@@ -364,18 +364,19 @@ impl GmElement {
         element_code(self.element)
     }
 
+    fn route(&self) -> DomainRoute<'_> {
+        DomainRoute {
+            fabric: &self.fabric,
+            domain: self.domain,
+            auth: &self.bft_auth,
+            obs: &self.obs,
+        }
+    }
+
     fn drain(&mut self, ctx: &mut Context<'_>) {
         for output in self.replica.take_outputs() {
             match output {
-                Output::Send(to, message) => {
-                    let route = DomainRoute {
-                        fabric: &self.fabric,
-                        domain: self.domain,
-                        auth: &self.bft_auth,
-                        obs: &Obs::disabled(),
-                    };
-                    send(&route, ctx, to, &message);
-                }
+                Output::Send(to, message) => send(&self.route(), ctx, to, &message),
                 Output::Executed { result, .. } => {
                     self.act_on_directives(ctx, &result);
                 }
@@ -588,7 +589,8 @@ impl Process for GmElement {
         if domain != self.domain {
             return;
         }
-        if let Received::Delivered(_) = self.replica.receive(&self.bft_auth, &envelope) {
+        if let Received::Delivered(kind) = self.replica.receive(&self.bft_auth, &envelope) {
+            self.route().received(kind, envelope.len());
             self.drain(ctx);
         }
     }
