@@ -24,18 +24,21 @@
 # observability on, so its pin guards the observability path too: registry
 # updates, flight-ring records, tap copies and the live streaming audit
 # all allocate nothing per event, and an allocation put back on any of
-# them fails here. A change that lowers a count lowers its pin in the same
-# diff.
+# them fails here. The pins now also guard one buffer per sealed payload
+# and an uncopied decided vote: a seal or open through a second buffer, or
+# a voter that copies a decision no late sender can still be checked
+# against, fails here. A change that lowers a count lowers its pin in the
+# same diff.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 declare -A allocs_max=(
-  [small_closed]=398.79633333333334
-  [bulk_closed]=412.3625
-  [pipelined_batch]=295.667724609375
-  [connect_storm]=767.248046875
-  [sustained_history]=399.624
-  [intrusion_campaign]=5652.0625
+  [small_closed]=356.79633333333334
+  [bulk_closed]=366.3625
+  [pipelined_batch]=253.66845703125
+  [connect_storm]=685.248046875
+  [sustained_history]=357.624
+  [intrusion_campaign]=5248.0625
 )
 
 out="$(mktemp)"

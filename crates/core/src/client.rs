@@ -86,25 +86,9 @@ fn invoke_span_id(connection: ConnectionId, request_id: u64) -> u64 {
 }
 
 /// Encodes an invocation command for [`simnet::Simulator::inject`]: the
-/// target domain followed by a GIOP request frame.
-///
-/// # Panics
-///
-/// Panics if the request does not match the repository (caller bug).
-pub fn encode_command(
-    fabric: &Fabric,
-    target: DomainId,
-    object_key: &[u8],
-    interface: &str,
-    operation: &str,
-    args: Vec<Value>,
-) -> Bytes {
-    encode_traced_command(fabric, target, object_key, interface, operation, args, 0)
-}
-
-/// [`encode_command`] carrying a causal trace id (see `core::trace`);
-/// `System::invoke` mints one per invocation so the whole causal path is
-/// reconstructable from the flight recorder.
+/// target domain followed by a GIOP request frame carrying a causal trace
+/// id (see `core::trace`); `System::invoke` mints one per invocation so
+/// the whole causal path is reconstructable from the flight recorder.
 ///
 /// # Panics
 ///
@@ -331,14 +315,14 @@ impl SingletonClient {
             let (_, mut request) = self.queue.pop_front().expect("front exists");
             let (meta, request_id) = self.smiop.next_request(connection).expect("keyed");
             request.request_id = request_id;
-            let thresholds = self.fabric.sender_thresholds(&meta, FrameKind::Reply);
+            let (thresholds, senders) = self.fabric.sender_thresholds(&meta, FrameKind::Reply);
             let comparator = folded_comparator(
                 self.fabric
                     .comparators
                     .for_interface(&request.interface)
                     .clone(),
             );
-            let mut collator = Collator::new(thresholds, comparator);
+            let mut collator = Collator::new(thresholds, senders, comparator);
             collator.set_obs(self.obs.clone());
             collator.begin(request.request_id);
             self.rounds.push_back(Outstanding {
@@ -454,7 +438,9 @@ impl SingletonClient {
         };
         let (request_id, sender) = (reply.request_id, signed.sender);
         let round = &mut self.rounds[idx];
-        round.frames.insert(sender, signed);
+        // the first frame from each sender is the one its vote counts, and
+        // so the one a proof must carry; a repeat is discarded by the vote
+        round.frames.entry(sender).or_insert(signed);
         let accept = round.collator.offer(request_id, sender, fold_reply(reply));
         match accept {
             Accept::Decided(decision) => {

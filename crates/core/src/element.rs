@@ -27,7 +27,6 @@ use itdos_orb::object::ObjectKey;
 use itdos_orb::orb::{Dispatch, Orb};
 use itdos_orb::servant::{NestedCall, Servant, ServantException};
 use itdos_vote::collator::{Accept, Collator};
-use itdos_vote::detector::SignedReply;
 use itdos_vote::vote::SenderId;
 use simnet::{Context, NodeId, Process, Timer};
 use xbytes::Bytes;
@@ -71,9 +70,11 @@ pub struct ElementConfig {
 /// ordered delivery stream so every correct element evicts identically.
 const VOTER_ROUND_WINDOW: usize = 32;
 
+/// One round of an element's voter. It keeps no senders' frames: an
+/// element accuses by vote (`GmOp::ChangeVote`) and never builds a
+/// signed-message proof, so it drops each decrypted frame once decoded.
 struct VoterEntry {
     collator: Collator,
-    frames: BTreeMap<SenderId, SignedReply>,
     /// Causal trace id recovered from the GIOP header at decode time.
     /// The folded vote value deliberately omits it, so the round keeps
     /// the first nonzero value seen and re-stamps the decided request.
@@ -428,7 +429,7 @@ impl ServerElement {
             _ => return,
         };
         let (kind, request_id, sender) = (frame.kind, frame.request_id, signed.sender);
-        let thresholds = self.fabric.sender_thresholds(&meta, kind);
+        let (thresholds, senders) = self.fabric.sender_thresholds(&meta, kind);
         let comparator =
             folded_comparator(self.fabric.comparators.for_interface(&interface).clone());
         let obs = self.obs.clone();
@@ -444,16 +445,11 @@ impl ServerElement {
                 return; // round already evicted (§3.6 GC)
             }
             let entry = bank.rounds.entry(request_id).or_insert_with(|| {
-                let mut collator = Collator::new(thresholds, comparator.clone());
+                let mut collator = Collator::new(thresholds, senders, comparator.clone());
                 collator.set_obs(obs.clone());
                 collator.begin(request_id);
-                VoterEntry {
-                    collator,
-                    frames: BTreeMap::new(),
-                    trace: 0,
-                }
+                VoterEntry { collator, trace: 0 }
             });
-            entry.frames.insert(sender, signed);
             if entry.trace == 0 {
                 entry.trace = trace;
             }

@@ -152,21 +152,22 @@ impl Fabric {
     }
 
     /// Voting thresholds for traffic arriving over `meta` in the given
-    /// direction: requests carry the *client side's* f, replies the
-    /// *server side's* (§3.6 — the voter masks faults of the sending
-    /// domain).
+    /// direction, with how many senders may vote: requests come from the
+    /// *client side* (one singleton, f = 0, or a client domain's
+    /// elements), replies from the *server side's* elements (§3.6 — the
+    /// voter masks faults of the sending domain).
     pub fn sender_thresholds(
         &self,
         meta: &ConnectionMeta,
         kind: crate::wire::FrameKind,
-    ) -> Thresholds {
-        let f = match kind {
-            crate::wire::FrameKind::Request => {
-                meta.client_domain.map(|d| self.domain(d).f).unwrap_or(0)
-            }
-            crate::wire::FrameKind::Reply => self.domain(meta.server_domain).f,
+    ) -> (Thresholds, usize) {
+        let side = match (kind, meta.client_domain) {
+            (crate::wire::FrameKind::Request, None) => return (Thresholds::new(0), 1),
+            (crate::wire::FrameKind::Request, Some(client_domain)) => client_domain,
+            (crate::wire::FrameKind::Reply, _) => meta.server_domain,
         };
-        Thresholds::new(f)
+        let domain = self.domain(side);
+        (Thresholds::new(domain.f), domain.elements.len())
     }
 
     /// The endpoint codes of a domain's elements, in replica order.
@@ -336,14 +337,13 @@ pub(crate) mod tests {
             server_domain: DomainId(1),
         };
         assert_eq!(
-            f.sender_thresholds(&meta, crate::wire::FrameKind::Request)
-                .f,
-            0,
+            f.sender_thresholds(&meta, crate::wire::FrameKind::Request),
+            (Thresholds::new(0), 1),
             "singleton client"
         );
         assert_eq!(
-            f.sender_thresholds(&meta, crate::wire::FrameKind::Reply).f,
-            1,
+            f.sender_thresholds(&meta, crate::wire::FrameKind::Reply),
+            (Thresholds::new(1), 4),
             "replicated server"
         );
     }

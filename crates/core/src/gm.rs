@@ -570,8 +570,7 @@ impl GmElement {
                 continue;
             };
             let nonce = nonce(&[tag, &me.to_le_bytes(), &code.to_le_bytes(), a, b]);
-            let sealed = seal(&self.fabric.pairwise(me, code), nonce, plain);
-            let (msg, label) = wrap(sealed.to_bytes());
+            let (msg, label) = wrap(seal(&self.fabric.pairwise(me, code), nonce, plain));
             ctx.send_labeled(node, msg.encode().into(), label);
         }
     }

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use itdos_crypto::dprf::{combine_checked, KeyShare, VerifiedShare};
 use itdos_crypto::keys::CommunicationKey;
-use itdos_crypto::symmetric::{open, Sealed};
+use itdos_crypto::symmetric::open;
 use itdos_groupmgr::manager::ConnectionId;
 use itdos_obs::{LabelValue, Obs};
 
@@ -71,8 +71,7 @@ impl ShareBank {
     ) -> Option<(ConnectionMeta, CommunicationKey)> {
         obs.incr("key.shares_received", &[]);
         let pairwise = fabric.pairwise(msg.gm_code, me);
-        let sealed = Sealed::from_bytes(&msg.sealed)?;
-        let plain = open(&pairwise, &sealed).ok()?;
+        let plain = open(&pairwise, &msg.sealed).ok()?;
         if plain.len() != 32 + 28 {
             return None;
         }

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use itdos_crypto::hash::Digest;
 use itdos_crypto::keys::CommunicationKey;
 use itdos_crypto::sign::{SigningKey, VerifyingKey};
-use itdos_crypto::symmetric::{open, SealKey, Sealed};
+use itdos_crypto::symmetric::{open, SealKey};
 use itdos_giop::giop::{decode_message, GiopMessage};
 use itdos_groupmgr::manager::ConnectionId;
 use itdos_groupmgr::membership::DomainId;
@@ -189,7 +189,7 @@ impl Smiop {
             "crypto.seal",
             "crypto.seal_bytes",
             &[self.label],
-            sealed.wire_len(),
+            sealed.len(),
         );
         let frame = SmiopFrame {
             connection: meta.connection,
@@ -198,7 +198,7 @@ impl Smiop {
             sender_code: self.code,
             request_id,
             sequence,
-            sealed: sealed.to_bytes(),
+            sealed,
             signature: signed.signature,
         };
         Some((meta, frame))
@@ -226,14 +226,16 @@ impl Smiop {
         if !may_send(fabric, &conn.meta, frame.kind, frame.sender_code) {
             return Err(Unopened::Refused);
         }
-        let sealed = Sealed::from_bytes(&frame.sealed).ok_or(Unopened::Refused)?;
-        let giop = conn.key.open(&sealed).map_err(|_| Unopened::Refused)?;
+        let giop = conn
+            .key
+            .open(&frame.sealed)
+            .map_err(|_| Unopened::Refused)?;
         account(
             &self.obs,
             "crypto.open",
             "crypto.open_bytes",
             &[self.label],
-            sealed.wire_len(),
+            frame.sealed.len(),
         );
         let signed = SignedReply {
             sender: vote_sender(frame.sender_code),
@@ -346,10 +348,7 @@ impl<K: Ord + Copy> Attestations<K> {
         if !is_element_of(fabric, fabric.gm_domain, gm) {
             return false;
         }
-        let Some(sealed) = Sealed::from_bytes(sealed) else {
-            return false;
-        };
-        let Ok(plain) = open(&fabric.pairwise(gm, self.me), &sealed) else {
+        let Ok(plain) = open(&fabric.pairwise(gm, self.me), sealed) else {
             return false;
         };
         if plain != expect {
@@ -681,8 +680,7 @@ mod tests {
         assert_eq!(f.domain(f.gm_domain).f, 1);
         let expelled = SenderId(3);
         let plain = notice_plaintext(SERVER, expelled);
-        let notice =
-            |gm: u64, plain: &[u8]| seal(&f.pairwise(gm, CLIENT), [gm as u8; 16], plain).to_bytes();
+        let notice = |gm: u64, plain: &[u8]| seal(&f.pairwise(gm, CLIENT), [gm as u8; 16], plain);
         let mut count = Attestations::new(CLIENT);
         let mut attest = |gm, sealed: Vec<u8>| count.attest(&f, gm, &sealed, &plain, expelled);
         assert!(!attest(element(0), notice(element(0), &plain)));

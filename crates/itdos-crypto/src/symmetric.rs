@@ -9,6 +9,8 @@
 //! `HMAC(mac_key, nonce ‖ ciphertext)`, one pass over the ciphertext,
 //! checked before anything is decrypted. Both subkeys are derived from the
 //! communication key, so a single 256-bit key protects an association.
+//! A sealed message is one flat buffer, `nonce ‖ tag ‖ ciphertext`, and
+//! that buffer is what travels on the wire.
 //!
 //! A [`SealKey`] holds both subkeys in prepared form, so a connection
 //! derives them once, not on every frame; the free [`seal`] and [`open`]
@@ -20,64 +22,24 @@ use crate::hash::Digest;
 use crate::hmac::HmacKey;
 use crate::keys::SymmetricKey;
 
-/// Fixed wire overhead of a [`Sealed`] message beyond its plaintext:
-/// 16-byte nonce plus 32-byte tag. Instrumentation uses this to account
-/// crypto cost in bytes without re-serializing.
+/// Bytes a sealed message adds to its plaintext: the 16-byte nonce and
+/// the 32-byte tag that precede the ciphertext.
 pub const SEALED_OVERHEAD: usize = 48;
-
-/// A sealed message: nonce ‖ ciphertext ‖ tag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Sealed {
-    /// Caller-supplied unique nonce (e.g. connection id ‖ sequence number).
-    pub nonce: [u8; 16],
-    /// Encrypted payload.
-    pub ciphertext: Vec<u8>,
-    /// Authentication tag over nonce and ciphertext.
-    pub tag: Digest,
-}
-
-impl Sealed {
-    /// Length of the flat [`Sealed::to_bytes`] form:
-    /// [`SEALED_OVERHEAD`] plus the ciphertext.
-    pub fn wire_len(&self) -> usize {
-        SEALED_OVERHEAD + self.ciphertext.len()
-    }
-
-    /// Serializes to a flat byte vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + 32 + self.ciphertext.len());
-        out.extend_from_slice(&self.nonce);
-        out.extend_from_slice(self.tag.as_bytes());
-        out.extend_from_slice(&self.ciphertext);
-        out
-    }
-
-    /// Parses the flat form.
-    ///
-    /// Returns `None` if `bytes` is shorter than the fixed header.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Sealed> {
-        if bytes.len() < SEALED_OVERHEAD {
-            return None;
-        }
-        Some(Sealed {
-            nonce: bytes[..16].try_into().expect("16 bytes"),
-            tag: Digest(bytes[16..48].try_into().expect("32 bytes")),
-            ciphertext: bytes[48..].to_vec(),
-        })
-    }
-}
 
 /// Decryption failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpenError {
     /// The authentication tag did not verify: wrong key or tampering.
     BadTag,
+    /// Shorter than [`SEALED_OVERHEAD`]: no room for a nonce and a tag.
+    Truncated,
 }
 
 impl std::fmt::Display for OpenError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             OpenError::BadTag => write!(f, "authentication tag mismatch"),
+            OpenError::Truncated => write!(f, "sealed message shorter than nonce and tag"),
         }
     }
 }
@@ -116,32 +78,37 @@ impl SealKey {
     }
 
     /// Encrypts and authenticates `plaintext` with a caller-chosen unique
-    /// `nonce`.
-    pub fn seal(&self, nonce: [u8; 16], plaintext: &[u8]) -> Sealed {
-        let mut ciphertext = plaintext.to_vec();
-        self.keystream_xor(&nonce, &mut ciphertext);
-        let tag = self.mac.tag_parts(&[&nonce, &ciphertext]);
-        Sealed {
-            nonce,
-            ciphertext,
-            tag,
-        }
+    /// `nonce`, into one buffer laid out `nonce ‖ tag ‖ ciphertext`: the
+    /// plaintext is copied in once, then encrypted and tagged in place.
+    pub fn seal(&self, nonce: [u8; 16], plaintext: &[u8]) -> Vec<u8> {
+        let mut sealed = [&nonce[..], &[0u8; 32], plaintext].concat();
+        let (head, ciphertext) = sealed.split_at_mut(SEALED_OVERHEAD);
+        self.keystream_xor(&nonce, ciphertext);
+        let tag = self.mac.tag_parts(&[&nonce, ciphertext]);
+        head[16..].copy_from_slice(tag.as_bytes());
+        sealed
     }
 
     /// Verifies and decrypts a sealed message. The tag is checked, in
-    /// constant time, before any ciphertext is touched.
+    /// constant time, before any ciphertext is touched; the plaintext is
+    /// the one buffer this allocates.
     ///
     /// # Errors
     ///
+    /// [`OpenError::Truncated`] if `sealed` cannot hold a nonce and a tag;
     /// [`OpenError::BadTag`] if the key is wrong or the message was
     /// tampered with.
-    pub fn open(&self, sealed: &Sealed) -> Result<Vec<u8>, OpenError> {
-        let expect = self.mac.tag_parts(&[&sealed.nonce, &sealed.ciphertext]);
-        if !ct_eq(expect.as_bytes(), sealed.tag.as_bytes()) {
+    pub fn open(&self, sealed: &[u8]) -> Result<Vec<u8>, OpenError> {
+        let (nonce, rest) = sealed
+            .split_first_chunk::<16>()
+            .ok_or(OpenError::Truncated)?;
+        let (tag, ciphertext) = rest.split_first_chunk::<32>().ok_or(OpenError::Truncated)?;
+        let expect = self.mac.tag_parts(&[nonce, ciphertext]);
+        if !ct_eq(expect.as_bytes(), tag) {
             return Err(OpenError::BadTag);
         }
-        let mut plaintext = sealed.ciphertext.clone();
-        self.keystream_xor(&sealed.nonce, &mut plaintext);
+        let mut plaintext = ciphertext.to_vec();
+        self.keystream_xor(nonce, &mut plaintext);
         Ok(plaintext)
     }
 
@@ -152,7 +119,7 @@ impl SealKey {
 }
 
 /// Encrypts and authenticates `plaintext` under `key` with a caller-chosen
-/// unique `nonce`.
+/// unique `nonce`, laid out `nonce ‖ tag ‖ ciphertext`.
 ///
 /// # Examples
 ///
@@ -164,7 +131,7 @@ impl SealKey {
 /// let sealed = seal(&key, [1u8; 16], b"secret request");
 /// assert_eq!(open(&key, &sealed).unwrap(), b"secret request");
 /// ```
-pub fn seal(key: &SymmetricKey, nonce: [u8; 16], plaintext: &[u8]) -> Sealed {
+pub fn seal(key: &SymmetricKey, nonce: [u8; 16], plaintext: &[u8]) -> Vec<u8> {
     SealKey::new(key).seal(nonce, plaintext)
 }
 
@@ -172,9 +139,8 @@ pub fn seal(key: &SymmetricKey, nonce: [u8; 16], plaintext: &[u8]) -> Sealed {
 ///
 /// # Errors
 ///
-/// [`OpenError::BadTag`] if the key is wrong or the message was tampered
-/// with.
-pub fn open(key: &SymmetricKey, sealed: &Sealed) -> Result<Vec<u8>, OpenError> {
+/// As [`SealKey::open`].
+pub fn open(key: &SymmetricKey, sealed: &[u8]) -> Result<Vec<u8>, OpenError> {
     SealKey::new(key).open(sealed)
 }
 
@@ -196,7 +162,7 @@ mod tests {
         }
     }
 
-    /// Golden vectors of `Sealed::to_bytes()`, computed outside this crate
+    /// Golden vectors of the sealed layout, computed outside this crate
     /// (HMAC-SHA256 for the message key and the tag, an independent
     /// ChaCha20 for the keystream). Re-pinned by PR 19, which replaced the
     /// HMAC-in-counter-mode keystream with ChaCha20 (ciphertext and tag
@@ -208,7 +174,7 @@ mod tests {
         let nonce: [u8; 16] = std::array::from_fn(|i| i as u8);
         let sealed = |len: usize| {
             let plain: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
-            seal(&k, nonce, &plain).to_bytes()
+            seal(&k, nonce, &plain)
         };
         let hex: String = sealed(1).iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
@@ -240,21 +206,20 @@ mod tests {
             let msg: Vec<u8> = (0..len).map(|i| (i * 11) as u8).collect();
             let nonce = [len as u8; 16];
             let sealed = prepared.seal(nonce, &msg);
-            assert_eq!(sealed.to_bytes(), seal(&k, nonce, &msg).to_bytes());
+            assert_eq!(sealed, seal(&k, nonce, &msg));
             assert_eq!(prepared.open(&sealed).unwrap(), msg, "len {len}");
             assert_eq!(open(&k, &sealed).unwrap(), msg, "len {len}");
         }
     }
 
+    /// Every bit of the nonce, the tag and the ciphertext is covered.
     #[test]
     fn any_flipped_bit_is_bad_tag_under_a_prepared_key() {
         let prepared = SealKey::new(&key(b"a"));
         let sealed = prepared.seal([7u8; 16], b"forty-two bytes of plaintext, more or less");
-        let flat = sealed.to_bytes();
-        for bit in 0..flat.len() * 8 {
-            let mut bad = flat.clone();
+        for bit in 0..sealed.len() * 8 {
+            let mut bad = sealed.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            let bad = Sealed::from_bytes(&bad).unwrap();
             assert_eq!(prepared.open(&bad), Err(OpenError::BadTag), "bit {bit}");
         }
     }
@@ -269,7 +234,7 @@ mod tests {
     fn tampered_ciphertext_rejected() {
         let k = key(b"a");
         let mut sealed = seal(&k, [0u8; 16], b"msg");
-        sealed.ciphertext[0] ^= 1;
+        sealed[SEALED_OVERHEAD] ^= 1;
         assert_eq!(open(&k, &sealed), Err(OpenError::BadTag));
     }
 
@@ -277,7 +242,7 @@ mod tests {
     fn tampered_nonce_rejected() {
         let k = key(b"a");
         let mut sealed = seal(&k, [0u8; 16], b"msg");
-        sealed.nonce[0] ^= 1;
+        sealed[0] ^= 1;
         assert_eq!(open(&k, &sealed), Err(OpenError::BadTag));
     }
 
@@ -286,7 +251,7 @@ mod tests {
         let k = key(b"a");
         let s1 = seal(&k, [1u8; 16], b"same message");
         let s2 = seal(&k, [2u8; 16], b"same message");
-        assert_ne!(s1.ciphertext, s2.ciphertext);
+        assert_ne!(s1[SEALED_OVERHEAD..], s2[SEALED_OVERHEAD..]);
     }
 
     #[test]
@@ -296,10 +261,9 @@ mod tests {
         let plain = [0x33u8; 256];
         let s1 = prepared.seal([1u8; 16], &plain);
         let s2 = prepared.seal([2u8; 16], &plain);
-        for (block, (a, b)) in s1
-            .ciphertext
+        for (block, (a, b)) in s1[SEALED_OVERHEAD..]
             .chunks(64)
-            .zip(s2.ciphertext.chunks(64))
+            .zip(s2[SEALED_OVERHEAD..].chunks(64))
             .enumerate()
         {
             assert_ne!(a, b, "block {block}");
@@ -316,31 +280,47 @@ mod tests {
         let before = crate::hash::compressions();
         let sealed = prepared.seal([5u8; 16], &plain);
         let spent = crate::hash::compressions() - before;
-        assert_eq!(sealed.ciphertext.len(), plain.len());
+        assert_eq!(sealed.len(), SEALED_OVERHEAD + plain.len());
         assert!(spent <= 270, "{spent} compressions");
     }
 
+    /// The sealed buffer is the wire form: the nonce, then the tag over
+    /// nonce and ciphertext, then the ciphertext.
     #[test]
     fn flat_bytes_round_trip() {
         let k = key(b"a");
         let sealed = seal(&k, [3u8; 16], b"payload");
-        let parsed = Sealed::from_bytes(&sealed.to_bytes()).unwrap();
-        assert_eq!(parsed, sealed);
-        assert_eq!(open(&k, &parsed).unwrap(), b"payload");
-        assert_eq!(sealed.wire_len(), sealed.to_bytes().len());
-        assert_eq!(sealed.wire_len(), SEALED_OVERHEAD + b"payload".len());
+        assert_eq!(sealed.len(), SEALED_OVERHEAD + b"payload".len());
+        assert_eq!(sealed[..16], [3u8; 16]);
+        let (head, ciphertext) = sealed.split_at(SEALED_OVERHEAD);
+        let mac = SealKey::new(&k).mac;
+        assert_eq!(
+            &head[16..],
+            mac.tag_parts(&[&head[..16], ciphertext]).as_bytes()
+        );
+        assert_eq!(open(&k, &sealed).unwrap(), b"payload");
     }
 
+    /// Too short for a nonce and a tag is refused before any slicing; a
+    /// nonce and a tag of garbage (an empty ciphertext) fails the tag.
     #[test]
     fn short_input_rejected() {
-        assert_eq!(Sealed::from_bytes(&[0u8; 47]), None);
-        assert!(Sealed::from_bytes(&[0u8; 48]).is_some());
+        let k = key(b"a");
+        for len in [0usize, 1, 47] {
+            assert_eq!(
+                open(&k, &vec![0xA5; len]),
+                Err(OpenError::Truncated),
+                "{len}"
+            );
+        }
+        assert_eq!(open(&k, &[0u8; 48]), Err(OpenError::BadTag));
+        assert_eq!(open(&k, &seal(&k, [3u8; 16], b"")), Ok(Vec::new()));
     }
 
     #[test]
     fn ciphertext_differs_from_plaintext() {
         let k = key(b"a");
         let sealed = seal(&k, [0u8; 16], b"super secret payload");
-        assert_ne!(&sealed.ciphertext[..], b"super secret payload");
+        assert_ne!(&sealed[SEALED_OVERHEAD..], b"super secret payload");
     }
 }

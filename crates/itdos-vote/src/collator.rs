@@ -12,7 +12,9 @@
 //! * the vote fires once **2f+1** messages have arrived and some **f+1**
 //!   of them are equivalent; the voter does not wait for all 3f+1;
 //! * messages arriving after the decision are still checked so that slow
-//!   faulty values can be flagged;
+//!   faulty values can be flagged — while a sender the round has not
+//!   heard from may still send one; once every sender that may vote has
+//!   been heard, the decided value is handed over and not kept;
 //! * state is garbage-collected when the next request begins.
 
 use std::collections::BTreeSet;
@@ -45,6 +47,9 @@ pub enum DiscardReason {
     },
     /// This sender already contributed a candidate for this request.
     DuplicateSender,
+    /// The round decided after hearing every sender that may vote in it,
+    /// so this further sender is none of them.
+    RoundFull,
 }
 
 /// Result of offering one message to the collator.
@@ -85,8 +90,8 @@ pub struct CollationStats {
 /// use itdos_vote::comparator::Comparator;
 /// use itdos_vote::vote::{SenderId, Thresholds};
 ///
-/// // f = 1: decide on 2 equivalent of at least 3 received.
-/// let mut voter = Collator::new(Thresholds::new(1), Comparator::Exact);
+/// // f = 1 over a domain of 4: decide on 2 equivalent of at least 3 received.
+/// let mut voter = Collator::new(Thresholds::new(1), 4, Comparator::Exact);
 /// voter.begin(1);
 /// assert_eq!(voter.offer(1, SenderId(0), Value::Long(10)), Accept::Collected);
 /// assert_eq!(voter.offer(1, SenderId(1), Value::Long(99)), Accept::Collected);
@@ -98,30 +103,45 @@ pub struct CollationStats {
 #[derive(Debug, Clone)]
 pub struct Collator {
     thresholds: Thresholds,
+    /// How many distinct senders may vote in a round.
+    senders: usize,
     comparator: Comparator,
     outstanding: Option<u64>,
     /// Candidates awaiting a decision; emptied when the round decides
-    /// (late arrivals are checked against `decision` alone).
+    /// (late arrivals are checked against `decided` alone).
     candidates: Vec<Candidate>,
     seen: BTreeSet<SenderId>,
-    decision: Option<Decision>,
-    late_suspects: Vec<SenderId>,
+    decided: Option<Decided>,
+    /// Dissenters at decision time, then late dissenting arrivals.
+    suspects: Vec<SenderId>,
     stats: CollationStats,
     obs: Obs,
 }
 
+/// What a decided round keeps.
+#[derive(Debug, Clone)]
+struct Decided {
+    /// Candidates the vote counted.
+    voted: usize,
+    /// The winning value, for checking late arrivals; `None` when every
+    /// sender had been heard by the decision, so none can arrive late.
+    value: Option<Value>,
+}
+
 impl Collator {
-    /// Creates a voter for a domain tolerating `f` faults, comparing with
-    /// `comparator`.
-    pub fn new(thresholds: Thresholds, comparator: Comparator) -> Collator {
+    /// Creates a voter masking `thresholds.f` faults among at most
+    /// `senders` distinct senders per round (1 for a singleton client, the
+    /// element count for a domain), comparing with `comparator`.
+    pub fn new(thresholds: Thresholds, senders: usize, comparator: Comparator) -> Collator {
         Collator {
             thresholds,
+            senders,
             comparator,
             outstanding: None,
             candidates: Vec::new(),
             seen: BTreeSet::new(),
-            decision: None,
-            late_suspects: Vec::new(),
+            decided: None,
+            suspects: Vec::new(),
             stats: CollationStats::default(),
             obs: Obs::disabled(),
         }
@@ -143,8 +163,8 @@ impl Collator {
         self.outstanding = Some(request_id);
         self.candidates.clear();
         self.seen.clear();
-        self.decision = None;
-        self.late_suspects.clear();
+        self.decided = None;
+        self.suspects.clear();
         self.stats = CollationStats::default();
         // round marker: request ids restart per connection, so an offline
         // auditor needs this to avoid pairing a new round's ballots with a
@@ -159,25 +179,15 @@ impl Collator {
         self.outstanding
     }
 
-    /// The decision, if the round has decided.
-    pub fn decision(&self) -> Option<&Decision> {
-        self.decision.as_ref()
+    /// The decided value, while the round keeps it for late arrivals.
+    pub fn decided_value(&self) -> Option<&Value> {
+        self.decided.as_ref()?.value.as_ref()
     }
 
     /// All fault suspects so far: dissenters at decision time plus late
     /// dissenting arrivals.
-    pub fn suspects(&self) -> Vec<SenderId> {
-        let mut out = self
-            .decision
-            .as_ref()
-            .map(|d| d.dissenters.clone())
-            .unwrap_or_default();
-        for s in &self.late_suspects {
-            if !out.contains(s) {
-                out.push(*s);
-            }
-        }
-        out
+    pub fn suspects(&self) -> &[SenderId] {
+        &self.suspects
     }
 
     /// Statistics for the current round.
@@ -187,9 +197,8 @@ impl Collator {
 
     /// Number of candidates collected this round.
     pub fn collected(&self) -> usize {
-        match &self.decision {
-            // supporters and dissenters partition the candidates voted on
-            Some(d) => d.supporters.len() + d.dissenters.len(),
+        match &self.decided {
+            Some(decided) => decided.voted,
             None => self.candidates.len(),
         }
     }
@@ -207,10 +216,19 @@ impl Collator {
                 expected,
             });
         }
-        if !self.seen.insert(sender) {
+        if self.seen.contains(&sender) {
             self.stats.discarded += 1;
             return Accept::Discarded(DiscardReason::DuplicateSender);
         }
+        if self.decided.as_ref().is_some_and(|d| d.value.is_none()) {
+            // the caller said no further sender may vote, and the decided
+            // value went to it whole: discarded without penalty, as a
+            // sender outside the round (the SMIOP side rule refuses such
+            // frames before they reach a voter)
+            self.stats.discarded += 1;
+            return Accept::Discarded(DiscardReason::RoundFull);
+        }
+        self.seen.insert(sender);
         self.stats.accepted += 1;
         // every accepted ballot goes on the flight record: the per-sender
         // arrival timestamps are what lets an offline auditor measure how
@@ -222,12 +240,12 @@ impl Collator {
                 ("sender", LabelValue::U64(u64::from(sender.0))),
             ],
         );
-        if let Some(decision) = &self.decision {
+        if let Some(decided) = self.decided_value() {
             // post-decision arrival: check against the decided value
-            let suspect = if self.comparator.equivalent(&decision.value, &value) {
+            let suspect = if self.comparator.equivalent(decided, &value) {
                 None
             } else {
-                self.late_suspects.push(sender);
+                self.suspects.push(sender);
                 self.obs.incr("vote.divergent", &[]);
                 self.obs.event(
                     "vote.late_dissent",
@@ -284,8 +302,13 @@ impl Collator {
                 );
             }
         }
-        // one copy stays for late-arrival checks, one goes to the caller
-        self.decision = Some(decision.clone());
+        // a copy of the value stays only while a sender the round has not
+        // heard from may still arrive late; the decision goes to the caller
+        self.decided = Some(Decided {
+            voted: held,
+            value: (self.seen.len() < self.senders).then(|| decision.value.clone()),
+        });
+        self.suspects.clone_from(&decision.dissenters);
         Accept::Decided(decision)
     }
 }
@@ -295,7 +318,7 @@ mod tests {
     use super::*;
 
     fn collator(f: usize) -> Collator {
-        let mut c = Collator::new(Thresholds::new(f), Comparator::Exact);
+        let mut c = Collator::new(Thresholds::new(f), 3 * f + 1, Comparator::Exact);
         c.begin(1);
         c
     }
@@ -357,7 +380,7 @@ mod tests {
 
     #[test]
     fn no_outstanding_request_discards() {
-        let mut c = Collator::new(Thresholds::new(1), Comparator::Exact);
+        let mut c = Collator::new(Thresholds::new(1), 4, Comparator::Exact);
         assert_eq!(
             c.offer(1, SenderId(0), long(5)),
             Accept::Discarded(DiscardReason::NoOutstandingRequest)
@@ -393,7 +416,72 @@ mod tests {
         // the voted-on candidates were freed at the decision; their count
         // (not the late arrival's) is what the round still reports
         assert_eq!(c.collected(), 3);
-        assert_eq!(c.decision().map(|d| &d.value), Some(&long(5)));
+        assert_eq!(c.decided_value(), Some(&long(5)));
+    }
+
+    #[test]
+    fn a_round_that_heard_every_sender_keeps_no_copy() {
+        // a singleton client's request: one sender, f = 0
+        let mut c = Collator::new(Thresholds::new(0), 1, Comparator::Exact);
+        c.begin(1);
+        assert!(matches!(
+            c.offer(1, SenderId(9), long(5)),
+            Accept::Decided(_)
+        ));
+        assert_eq!(c.decided_value(), None);
+        assert_eq!(c.collected(), 1);
+        assert_eq!(
+            c.offer(1, SenderId(9), long(5)),
+            Accept::Discarded(DiscardReason::DuplicateSender)
+        );
+        assert_eq!(
+            c.offer(1, SenderId(3), long(6)),
+            Accept::Discarded(DiscardReason::RoundFull)
+        );
+        assert!(c.suspects().is_empty());
+        assert_eq!(c.stats().discarded, 2);
+    }
+
+    /// Handing the decided value over changes no verdict. Over seeded
+    /// arrival orders — every sender of a domain of 3f+1 or 3f+2 once, in
+    /// a random order, some twice, some with a wrong value, now and then
+    /// under a wrong request id — a collator told the domain's size
+    /// returns the same `Accept` sequence, suspects and count as one told
+    /// nothing, which keeps the copy for every round.
+    #[test]
+    fn handing_the_decision_over_changes_no_verdict() {
+        use xrand::rngs::SmallRng;
+        use xrand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xc011_a70e);
+        for case in 0..3_000 {
+            let f = case % 3;
+            let senders = 3 * f + 1 + rng.gen_range(0..=1usize);
+            let mut arrivals: Vec<u32> = (0..senders as u32).collect();
+            arrivals.sort_by_cached_key(|_| rng.gen::<u64>());
+            for _ in 0..rng.gen_range(0..=3usize) {
+                let repeat = arrivals[rng.gen_range(0..arrivals.len())];
+                let at = rng.gen_range(0..=arrivals.len());
+                arrivals.insert(at, repeat);
+            }
+            let mut told = Collator::new(Thresholds::new(f), senders, Comparator::Exact);
+            let mut reference = Collator::new(Thresholds::new(f), usize::MAX, Comparator::Exact);
+            told.begin(1);
+            reference.begin(1);
+            for sender in arrivals {
+                let request = if rng.gen_bool(0.05) { 2 } else { 1 };
+                let value = long(if rng.gen_bool(0.3) {
+                    8 + i32::from(rng.gen::<bool>())
+                } else {
+                    7
+                });
+                let got = told.offer(request, SenderId(sender), value.clone());
+                let want = reference.offer(request, SenderId(sender), value);
+                assert_eq!(got, want, "case {case}: sender {sender}");
+                assert_eq!(told.suspects(), reference.suspects(), "case {case}");
+                assert_eq!(told.collected(), reference.collected(), "case {case}");
+                assert_eq!(told.stats(), reference.stats(), "case {case}");
+            }
+        }
     }
 
     #[test]
@@ -427,7 +515,7 @@ mod tests {
 
     #[test]
     fn f2_needs_three_identical_of_five() {
-        let mut c = Collator::new(Thresholds::new(2), Comparator::Exact);
+        let mut c = Collator::new(Thresholds::new(2), 7, Comparator::Exact);
         c.begin(1);
         c.offer(1, SenderId(0), long(8));
         c.offer(1, SenderId(1), long(9));
@@ -444,7 +532,7 @@ mod tests {
 
     #[test]
     fn inexact_collation_decides_across_heterogeneous_values() {
-        let mut c = Collator::new(Thresholds::new(1), Comparator::InexactRel(1e-6));
+        let mut c = Collator::new(Thresholds::new(1), 4, Comparator::InexactRel(1e-6));
         c.begin(1);
         c.offer(1, SenderId(0), Value::Double(100.0));
         c.offer(1, SenderId(1), Value::Double(100.000001));

@@ -52,12 +52,6 @@ pub enum Comparator {
 }
 
 impl Comparator {
-    /// A comparator suitable for a value whose floats are measurements:
-    /// exact on everything except floats, relative-epsilon on floats.
-    pub fn inexact_floats(epsilon: f64) -> Comparator {
-        Comparator::InexactRel(epsilon)
-    }
-
     /// Tests whether `a` and `b` are equivalent under this program.
     ///
     /// Mismatched kinds or arities are never equivalent (a Byzantine

@@ -18,8 +18,6 @@
 //!   proof validation (signatures, replay watermarks, unmarshal, re-vote);
 //! * [`byte`] — the byte-by-byte baseline (Immune-style) that fails under
 //!   heterogeneity, kept for experiment E6;
-//! * [`approval`] — Parhami-style approval voting \[31\]: an arbitrary
-//!   (possibly asymmetric) acceptance relation replaces equivalence;
 //! * [`adaptive`] — the §4 future-work adaptive voter (precision vs fault
 //!   tolerance ladder), implemented as an extension for experiment E12.
 //!
@@ -33,7 +31,7 @@
 //!
 //! // An f = 1 replicated sensor: replicas on different platforms return
 //! // slightly different doubles; inexact voting unifies them.
-//! let mut voter = Collator::new(Thresholds::new(1), Comparator::InexactRel(1e-6));
+//! let mut voter = Collator::new(Thresholds::new(1), 4, Comparator::InexactRel(1e-6));
 //! voter.begin(1);
 //! voter.offer(1, SenderId(0), Value::Double(20.000000));
 //! voter.offer(1, SenderId(1), Value::Double(20.000001));
@@ -46,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod approval;
 pub mod byte;
 pub mod collator;
 pub mod comparator;

@@ -123,11 +123,6 @@ impl Thresholds {
         Thresholds { f }
     }
 
-    /// Minimum domain size, `3f + 1`.
-    pub fn domain_size(&self) -> usize {
-        3 * self.f + 1
-    }
-
     /// Identical values required to decide, `f + 1`.
     pub fn decide(&self) -> usize {
         self.f + 1
@@ -245,7 +240,6 @@ mod tests {
     #[test]
     fn thresholds_match_paper() {
         let t = Thresholds::new(2);
-        assert_eq!(t.domain_size(), 7);
         assert_eq!(t.decide(), 3);
         assert_eq!(t.quorum(), 5);
     }

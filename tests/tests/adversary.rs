@@ -10,14 +10,7 @@ use simnet::adversary::{Scripted, Verdict};
 use simnet::SimDuration;
 
 fn deposit(system: &mut itdos::System, amount: i64) -> itdos::Completed {
-    system.invoke(
-        CLIENT,
-        itdos::Invocation::of(BANK)
-            .object(b"acct")
-            .interface("Bank::Account")
-            .operation("deposit")
-            .arg(Value::LongLong(amount)),
-    )
+    system.invoke(CLIENT, common::deposit(amount))
 }
 
 /// The network duplicates every message three times (replay attack at the

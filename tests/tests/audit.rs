@@ -8,23 +8,15 @@
 
 mod common;
 
-use common::{bank_system, BANK, CLIENT};
+use common::{bank_system, deposit, BANK, CLIENT};
 use itdos::fault::Behavior;
 use itdos::system::System;
-use itdos::{Invocation, ObsConfig};
+use itdos::ObsConfig;
 use itdos_audit::Auditor;
 use itdos_giop::types::Value;
 use itdos_obs::LabelValue;
 use simnet::adversary::{Scripted, Verdict};
 use simnet::SimDuration;
-
-fn deposit(amount: i64) -> Invocation {
-    Invocation::of(BANK)
-        .object(b"acct")
-        .interface("Bank::Account")
-        .operation("deposit")
-        .arg(Value::LongLong(amount))
-}
 
 /// Builds an instrumented bank system with `behavior` on replica index 3
 /// and runs three deposits.

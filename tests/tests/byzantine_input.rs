@@ -11,10 +11,12 @@
 
 mod common;
 
-use common::{bank_system, BANK, CLIENT};
-use itdos::codes::element_code;
-use itdos::wire::{bft_frame, FrameKind, SmiopFrame};
-use itdos::{Invocation, System};
+use std::collections::VecDeque;
+
+use common::{bank_system, deposit, Inject, BANK, CLIENT};
+use itdos::codes::{element_code, singleton_code};
+use itdos::wire::{bft_frame, CoreMsg, FrameKind, SmiopFrame};
+use itdos::System;
 use itdos_bft::auth::{AuthContext, AuthProof, Envelope, KeyProvisioner, Peer};
 use itdos_bft::message::{
     Batch, Checkpoint, ClientRequest, Commit, Message, PrePrepare, Prepare, PreparedProof, Reply,
@@ -31,14 +33,18 @@ use itdos_crypto::shamir;
 use itdos_crypto::sign::SigningKey;
 use itdos_crypto::symmetric::SealKey;
 use itdos_giop::cdr::Endianness;
-use itdos_giop::giop::{decode_message, encode_message, GiopMessage, RequestMessage};
+use itdos_giop::giop::{
+    decode_message, encode_message, GiopMessage, ReplyBody, ReplyMessage, RequestMessage,
+};
 use itdos_giop::idl::{InterfaceDef, InterfaceRepository, OperationDef};
 use itdos_giop::types::{TypeDesc, Value};
-use itdos_groupmgr::{DomainId, DomainRecord, ElementRecord, Endpoint, GroupManager, Membership};
+use itdos_groupmgr::{
+    ConnectionId, DomainId, DomainRecord, ElementRecord, Endpoint, GroupManager, Membership,
+};
 use itdos_vote::comparator::Comparator;
 use itdos_vote::detector::{FaultProof, SignedReply};
 use itdos_vote::vote::SenderId;
-use simnet::{Context, GroupId, NodeId, Process, Simulator};
+use simnet::{GroupId, Simulator};
 use xbytes::Bytes;
 use xrand::rngs::SmallRng;
 use xrand::{Rng, SeedableRng};
@@ -645,34 +651,31 @@ fn a_backup_cannot_order_a_request_under_a_clients_name() {
 
 // ---- a connection's key holders speak only for their side (ROADMAP item 16)
 
-/// A process that sends one frame to each of `to` when it starts.
-struct SendOnce {
-    to: Vec<NodeId>,
-    frame: Bytes,
-}
-
-impl Process for SendOnce {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        for &node in &self.to {
-            ctx.send(node, self.frame.clone());
-        }
-    }
-
-    fn on_message(&mut self, _: &mut Context<'_>, _: NodeId, _: Bytes) {}
-}
-
-fn deposit(amount: i64) -> Invocation {
-    Invocation::of(BANK)
-        .object(b"acct")
-        .interface("Bank::Account")
-        .operation("deposit")
-        .arg(Value::LongLong(amount))
-}
-
 fn requests_handled(system: &System) -> Vec<u64> {
     (0..4)
         .map(|i| system.element(BANK, i).requests_handled)
         .collect()
+}
+
+/// The client's connection to the bank, its epoch, and its key as every
+/// element holds it, rebuilt here from f_gm + 1 leaked Group Manager
+/// shares and the DPRF's KDF.
+fn leaked_connection_key(system: &System) -> (ConnectionId, u32, SealKey) {
+    let gm_f = system.fabric.domain(system.fabric.gm_domain).f;
+    let leaked: Vec<shamir::Share> = (0..=gm_f)
+        .map(|i| system.gm_element(i).leaked_share())
+        .collect();
+    let master = shamir::combine(&leaked).expect("f_gm + 1 shares");
+    let manager = system.gm_element(0).replica().app().manager();
+    let (connection, record) = manager
+        .connections()
+        .find(|(_, record)| record.server == BANK)
+        .expect("the client's connection");
+    let input = manager.connection_input(connection, record.epoch);
+    let point = Element::hash_to_group(&input).pow(master);
+    let kdf = Digest::of_parts(&[b"itdos-dprf-kdf", &input, &point.to_bytes()]);
+    let key = SealKey::new(&SymmetricKey::from_digest(kdf));
+    (connection, record.epoch, key)
 }
 
 /// One Byzantine server element speaks for a singleton client. Every
@@ -688,23 +691,7 @@ fn an_element_cannot_send_a_request_on_a_clients_connection() {
     let first = system.invoke(CLIENT, deposit(5));
     assert_eq!(first.result, Ok(Value::LongLong(5)));
     assert_eq!(requests_handled(&system), [1, 1, 1, 1]);
-
-    // the connection key as every element holds it, rebuilt here from
-    // f_gm + 1 leaked Group Manager shares and the DPRF's KDF
-    let gm_f = system.fabric.domain(system.fabric.gm_domain).f;
-    let leaked: Vec<shamir::Share> = (0..=gm_f)
-        .map(|i| system.gm_element(i).leaked_share())
-        .collect();
-    let master = shamir::combine(&leaked).expect("f_gm + 1 shares");
-    let manager = system.gm_element(0).replica().app().manager();
-    let (connection, record) = manager
-        .connections()
-        .find(|(_, record)| record.server == BANK)
-        .expect("the client's connection");
-    let input = manager.connection_input(connection, record.epoch);
-    let point = Element::hash_to_group(&input).pow(master);
-    let kdf = Digest::of_parts(&[b"itdos-dprf-kdf", &input, &point.to_bytes()]);
-    let key = SealKey::new(&SymmetricKey::from_digest(kdf));
+    let (connection, epoch, key) = leaked_connection_key(&system);
 
     // bank element 3 seals and signs the client's request 2 as itself
     let forger = system.fabric.domain(BANK).elements[3];
@@ -721,12 +708,12 @@ fn an_element_cannot_send_a_request_on_a_clients_connection() {
     let signed = SignedReply::sign(&system.fabric.signing_key(forger), forger, 1, giop);
     let forged = SmiopFrame {
         connection,
-        epoch: record.epoch,
+        epoch,
         kind: FrameKind::Request,
         sender_code: element_code(forger),
         request_id: 2,
         sequence: 1,
-        sealed: key.seal([7; 16], &signed.frame).to_bytes(),
+        sealed: key.seal([7; 16], &signed.frame),
         signature: signed.signature,
     };
 
@@ -736,8 +723,8 @@ fn an_element_cannot_send_a_request_on_a_clients_connection() {
     let submission = Message::Request(ClientRequest::new(ClientId(submitter), 1, 0, op));
     let auth = system.fabric.bft_auth_client(BANK, submitter);
     let frame = bft_frame(&auth, BANK, &submission, None).bytes;
-    let to = system.fabric.domain(BANK).nodes.clone();
-    system.sim.add_process(Box::new(SendOnce { to, frame }));
+    let to = &system.fabric.domain(BANK).nodes;
+    system.sim.add_process(Inject::to_all(to, &frame));
     system.settle();
     assert_eq!(
         requests_handled(&system),
@@ -752,6 +739,65 @@ fn an_element_cannot_send_a_request_on_a_clients_connection() {
     let second = system.result(ticket).expect("request 2 completed");
     assert_eq!(second.result, Ok(Value::LongLong(10)));
     assert_eq!(requests_handled(&system), [2, 2, 2, 2]);
+}
+
+/// A client's proof carries the frame its vote counted. Bank element 3
+/// replies to the client's request 2 twice, straight to the client and
+/// before any honest reply: first a wrong balance, then the right one.
+/// The vote counts the first, names element 3 a suspect and discards the
+/// second as a repeat. The proof must ship the first, so the Group
+/// Manager confirms the dissent and expels element 3; shipping the
+/// second would prove nothing.
+#[test]
+fn a_clients_proof_carries_the_frame_its_vote_counted() {
+    let mut system = bank_system(72).build();
+    let first = system.invoke(CLIENT, deposit(5));
+    assert_eq!(first.result, Ok(Value::LongLong(5)));
+    let (connection, epoch, key) = leaked_connection_key(&system);
+    let liar = system.fabric.domain(BANK).elements[3];
+    let reply = |sequence: u64, balance: i64| {
+        let reply = GiopMessage::Reply(ReplyMessage {
+            request_id: 2,
+            interface: "Bank::Account".into(),
+            operation: "deposit".into(),
+            body: ReplyBody::Result(Value::LongLong(balance)),
+        });
+        let giop = encode_message(&reply, &system.fabric.repo, Endianness::Little).unwrap();
+        let signed = SignedReply::sign(&system.fabric.signing_key(liar), liar, sequence, giop);
+        let frame = SmiopFrame {
+            connection,
+            epoch,
+            kind: FrameKind::Reply,
+            sender_code: element_code(liar),
+            request_id: 2,
+            sequence,
+            sealed: key.seal([sequence as u8; 16], &signed.frame),
+            signature: signed.signature,
+        };
+        CoreMsg::DirectReply(frame.into()).encode()
+    };
+    let (dissent, matching) = (reply(1_000, -1), reply(1_001, 10));
+
+    // the client opens round 2; both replies land, in turn, before any
+    // honest one has been ordered
+    let ticket = system.invoke_async(CLIENT, deposit(5));
+    let to = system
+        .fabric
+        .node_of(singleton_code(CLIENT))
+        .expect("the client's node");
+    let frames = VecDeque::from([(to, dissent.into()), (to, matching.into())]);
+    system.sim.add_process(Box::new(Inject(frames)));
+    system.settle();
+
+    let second = system.result(ticket).expect("request 2 completed");
+    assert_eq!(second.result, Ok(Value::LongLong(10)));
+    assert_eq!(second.suspects, [liar]);
+    assert_eq!(system.client(CLIENT).proofs_sent, 1);
+    let membership = system.gm_element(0).replica().app().manager().membership();
+    assert!(
+        !membership.domain(BANK).unwrap().is_active(liar),
+        "the proof confirmed element 3's dissent"
+    );
 }
 
 // ---- a state fetch is answered to its sender only ---------------------------
@@ -810,8 +856,8 @@ fn a_server_element_answers_a_state_fetch_to_its_sender_only() {
     }
     let auth = system.fabric.bft_auth_replica(BANK, 1);
     for frame in forged_fetches(|message| bft_frame(&auth, BANK, message, None).bytes) {
-        let to = system.fabric.domain(BANK).nodes.clone();
-        system.sim.add_process(Box::new(SendOnce { to, frame }));
+        let to = &system.fabric.domain(BANK).nodes;
+        system.sim.add_process(Inject::to_all(to, &frame));
         system.settle();
     }
     assert_eq!(system.sim.stats().label("bft-state-data").messages, 0);

@@ -1,12 +1,17 @@
 //! Shared builders for the integration suite.
 
+use std::collections::VecDeque;
+
 use itdos::system::SystemBuilder;
+use itdos::Invocation;
 use itdos_giop::idl::{InterfaceDef, InterfaceRepository, OperationDef};
 use itdos_giop::types::{TypeDesc, Value};
 use itdos_groupmgr::membership::DomainId;
 use itdos_orb::object::{DomainAddr, ObjectKey, ObjectRef};
 use itdos_orb::servant::{FnServant, NestedCall, Outcome, Servant, ServantException};
 use itdos_vote::comparator::Comparator;
+use simnet::{Context, NodeId, Process, SimDuration, Timer};
+use xbytes::Bytes;
 
 /// The bank domain used throughout the suite.
 pub const BANK: DomainId = DomainId(1);
@@ -144,4 +149,43 @@ pub fn bank_system(seed: u64) -> SystemBuilder {
     );
     builder.add_client(CLIENT);
     builder
+}
+
+/// `deposit(amount)` on the bank's account.
+pub fn deposit(amount: i64) -> Invocation {
+    Invocation::of(BANK)
+        .object(b"acct")
+        .interface("Bank::Account")
+        .operation("deposit")
+        .arg(Value::LongLong(amount))
+}
+
+/// A hostile peer: sends each `(node, frame)` in turn, 50 µs apart — more
+/// than a link's jitter, so they arrive in the order given.
+pub struct Inject(pub VecDeque<(NodeId, Bytes)>);
+
+impl Inject {
+    /// Sends `frame` to every node of `to`.
+    pub fn to_all(to: &[NodeId], frame: &Bytes) -> Box<Inject> {
+        Box::new(Inject(to.iter().map(|&n| (n, frame.clone())).collect()))
+    }
+
+    fn send_next(&mut self, ctx: &mut Context<'_>) {
+        if let Some((to, frame)) = self.0.pop_front() {
+            ctx.send(to, frame);
+            ctx.set_timer(SimDuration::from_micros(50), 0);
+        }
+    }
+}
+
+impl Process for Inject {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.send_next(ctx);
+    }
+
+    fn on_message(&mut self, _: &mut Context<'_>, _: NodeId, _: Bytes) {}
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _: Timer) {
+        self.send_next(ctx);
+    }
 }

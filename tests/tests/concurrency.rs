@@ -4,18 +4,10 @@
 
 mod common;
 
-use common::{bank_servant, repo, BANK, PRICER};
+use common::{bank_servant, deposit, repo, BANK, PRICER};
 use itdos::{Invocation, ObsConfig, SystemBuilder};
 use itdos_giop::types::Value;
 use itdos_orb::object::ObjectKey;
-
-fn deposit(amount: i64) -> Invocation {
-    Invocation::of(BANK)
-        .object(b"acct")
-        .interface("Bank::Account")
-        .operation("deposit")
-        .arg(Value::LongLong(amount))
-}
 
 fn balance() -> Invocation {
     Invocation::of(BANK)

@@ -7,14 +7,7 @@ use itdos_crypto::shamir;
 use itdos_giop::types::Value;
 
 fn deposit(system: &mut itdos::System, amount: i64) {
-    let done = system.invoke(
-        CLIENT,
-        itdos::Invocation::of(BANK)
-            .object(b"acct")
-            .interface("Bank::Account")
-            .operation("deposit")
-            .arg(Value::LongLong(amount)),
-    );
+    let done = system.invoke(CLIENT, common::deposit(amount));
     assert!(done.result.is_ok());
 }
 

@@ -14,6 +14,16 @@
 //! case derives from the property name and case index, so failures replay
 //! bit-for-bit on any machine.
 
+mod common;
+
+use std::collections::VecDeque;
+
+use common::{bank_system, deposit, Inject, BANK, CLIENT};
+use itdos::codes::{element_code, singleton_code};
+use itdos::wire::{ConnectionMeta, CoreMsg, DirectReplyMsg, KeyShareMsg, NoticeMsg};
+use itdos_crypto::keys::SymmetricKey;
+use itdos_crypto::sign::SigningKey;
+use itdos_crypto::symmetric::{seal, SEALED_OVERHEAD};
 use itdos_giop::cdr::{CdrError, Decoder, Encoder, Endianness, MAX_SEQUENCE_LEN};
 use itdos_giop::giop::{decode_message, encode_message, GiopMessage, RequestMessage};
 use itdos_giop::idl::{InterfaceDef, InterfaceRepository, OperationDef};
@@ -256,4 +266,86 @@ fn giop_decoder_total_on_hostile_frames() {
             }
         }
     });
+}
+
+/// Sealed buffers an attacker can send: too short for a nonce and a tag,
+/// exactly a nonce and a tag of garbage, and a seal of `plain` under `key`
+/// with one bit flipped in its nonce, its tag or its ciphertext.
+fn hostile_sealed(key: &SymmetricKey, plain: &[u8]) -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = [0usize, 1, 47, 48].map(|len| vec![0xA5; len]).into();
+    let sealed = seal(key, [1; 16], plain);
+    for byte in [5, 16 + 9, SEALED_OVERHEAD + 2] {
+        let mut bad = sealed.clone();
+        bad[byte] ^= 0x10;
+        out.push(bad);
+    }
+    out
+}
+
+/// Hostile sealed buffers reach every path that opens one: a direct reply
+/// to the client (`Smiop::open`), a key share to the client (the share
+/// bank) and an expulsion notice to each bank element (the GM notice
+/// count). Each is refused without a panic, and every element goes on
+/// executing the client's calls.
+#[test]
+fn hostile_sealed_buffers_are_refused_on_every_open_path() {
+    let mut system = bank_system(5).build();
+    assert_eq!(
+        system.invoke(CLIENT, deposit(1)).result,
+        Ok(Value::LongLong(1))
+    );
+    let manager = system.gm_element(0).replica().app().manager();
+    let (connection, record) = manager.connections().next().expect("a connection");
+    let (fabric, epoch) = (system.fabric.clone(), record.epoch);
+    let meta = ConnectionMeta {
+        connection,
+        epoch,
+        client_code: singleton_code(CLIENT),
+        client_domain: None,
+        server_domain: BANK,
+    };
+    let gm = fabric.element_codes(fabric.gm_domain)[0];
+    let client = fabric.node_of(meta.client_code).expect("the client's node");
+    let bank = fabric.domain(BANK);
+    let signature = SigningKey::from_seed(b"hostile").sign(b"frame");
+    let mut frames = VecDeque::new();
+    for sealed in hostile_sealed(&fabric.pairwise(gm, meta.client_code), &[0; 60]) {
+        let share = KeyShareMsg {
+            meta,
+            gm_code: gm,
+            sealed: sealed.clone(),
+        };
+        let reply = DirectReplyMsg {
+            connection,
+            epoch,
+            sender: bank.elements[0],
+            sequence: 99,
+            sealed,
+            signature,
+        };
+        frames.push_back((client, CoreMsg::KeyShare(share).encode().into()));
+        frames.push_back((client, CoreMsg::DirectReply(reply).encode().into()));
+    }
+    for (&element, &node) in bank.elements.iter().zip(&bank.nodes) {
+        for sealed in hostile_sealed(&fabric.pairwise(gm, element_code(element)), b"expel") {
+            let notice = NoticeMsg {
+                gm_code: gm,
+                domain: BANK,
+                expelled: bank.elements[3],
+                sealed,
+            };
+            frames.push_back((node, CoreMsg::Notice(notice).encode().into()));
+        }
+    }
+    system.sim.add_process(Box::new(Inject(frames)));
+    system.settle();
+
+    assert_eq!(
+        system.invoke(CLIENT, deposit(1)).result,
+        Ok(Value::LongLong(2))
+    );
+    let handled: Vec<u64> = (0..4)
+        .map(|i| system.element(BANK, i).requests_handled)
+        .collect();
+    assert_eq!(handled, [2, 2, 2, 2]);
 }

@@ -8,14 +8,7 @@ use common::{bank_system, BANK, CLIENT};
 use itdos_giop::types::Value;
 
 fn deposit(system: &mut itdos::System, amount: i64) -> itdos::Completed {
-    system.invoke(
-        CLIENT,
-        itdos::Invocation::of(BANK)
-            .object(b"acct")
-            .interface("Bank::Account")
-            .operation("deposit")
-            .arg(Value::LongLong(amount)),
-    )
+    system.invoke(CLIENT, common::deposit(amount))
 }
 
 /// The full virtual-synchrony loop: crash an element, fill the queue past

@@ -9,14 +9,7 @@ use itdos_vote::vote::SenderId;
 use simnet::SimDuration;
 
 fn deposit(system: &mut itdos::System, amount: i64) -> itdos::Completed {
-    system.invoke(
-        CLIENT,
-        itdos::Invocation::of(BANK)
-            .object(b"acct")
-            .interface("Bank::Account")
-            .operation("deposit")
-            .arg(Value::LongLong(amount)),
-    )
+    system.invoke(CLIENT, common::deposit(amount))
 }
 
 /// One value-corrupting element (f = 1): the client still gets the

@@ -2,17 +2,9 @@
 
 mod common;
 
-use common::{bank_system, BANK, CLIENT};
+use common::{bank_system, deposit, BANK, CLIENT};
 use itdos::Invocation;
 use itdos_giop::types::Value;
-
-fn deposit(amount: i64) -> Invocation {
-    Invocation::of(BANK)
-        .object(b"acct")
-        .interface("Bank::Account")
-        .operation("deposit")
-        .arg(Value::LongLong(amount))
-}
 
 /// Figure 1: a singleton client invokes on a 3f+1 replicated server
 /// through the full stack; all correct replicas converge.

@@ -9,14 +9,7 @@ use itdos::GM_DOMAIN;
 use itdos_giop::types::Value;
 
 fn deposit(system: &mut itdos::System, amount: i64) -> itdos::Completed {
-    system.invoke(
-        CLIENT,
-        itdos::Invocation::of(BANK)
-            .object(b"acct")
-            .interface("Bank::Account")
-            .operation("deposit")
-            .arg(Value::LongLong(amount)),
-    )
+    system.invoke(CLIENT, common::deposit(amount))
 }
 
 /// One crashed GM backup: the GM's BFT group (f=1, n=4) orders the

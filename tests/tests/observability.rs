@@ -7,20 +7,12 @@
 
 mod common;
 
-use common::{bank_system, BANK, CLIENT};
+use common::{bank_system, deposit, BANK, CLIENT};
 use itdos::system::System;
 use itdos::{Invocation, ObsConfig};
 use itdos_giop::types::Value;
 use itdos_groupmgr::membership::DomainId;
 use itdos_obs::{Event, LabelValue};
-
-fn deposit(amount: i64) -> Invocation {
-    Invocation::of(BANK)
-        .object(b"acct")
-        .interface("Bank::Account")
-        .operation("deposit")
-        .arg(Value::LongLong(amount))
-}
 
 /// Builds an instrumented bank system and runs `invocations` deposits.
 fn instrumented_run(seed: u64, invocations: u64) -> System {

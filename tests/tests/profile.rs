@@ -10,19 +10,10 @@
 
 mod common;
 
-use common::{bank_system, BANK, CLIENT};
+use common::{bank_system, deposit, BANK, CLIENT};
 use itdos::fault::Behavior;
 use itdos::system::System;
-use itdos::{Invocation, ObsConfig};
-use itdos_giop::types::Value;
-
-fn deposit(amount: i64) -> Invocation {
-    Invocation::of(BANK)
-        .object(b"acct")
-        .interface("Bank::Account")
-        .operation("deposit")
-        .arg(Value::LongLong(amount))
-}
+use itdos::ObsConfig;
 
 /// A bank run under forensic observability (large flight ring, so no
 /// trace anchor is evicted), optionally with one corrupt-value replica.

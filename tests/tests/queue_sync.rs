@@ -6,18 +6,9 @@ mod common;
 
 use common::{bank_system, BANK, CLIENT};
 use itdos_bft::state::StateMachine;
-use itdos_giop::types::Value;
-
-fn deposit_of(amount: i64) -> itdos::Invocation {
-    itdos::Invocation::of(BANK)
-        .object(b"acct")
-        .interface("Bank::Account")
-        .operation("deposit")
-        .arg(Value::LongLong(amount))
-}
 
 fn deposit(system: &mut itdos::System, amount: i64) -> itdos::Completed {
-    system.invoke(CLIENT, deposit_of(amount))
+    system.invoke(CLIENT, common::deposit(amount))
 }
 
 /// A crashed element misses a checkpoint interval's worth of traffic,
@@ -168,7 +159,7 @@ fn one_cumulative_ack_in_flight_per_element() {
     }));
     let mut first_ack_cut_at = None;
     for _ in 0..72 {
-        let ticket = system.invoke_async(CLIENT, deposit_of(1));
+        let ticket = system.invoke_async(CLIENT, common::deposit(1));
         // closed loop without quiescing: nothing waits out a timer
         while system.result(ticket).is_none() {
             assert!(system.sim.step(), "invocation never completed");

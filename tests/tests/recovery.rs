@@ -15,14 +15,7 @@ use itdos_bft::state::StateMachine;
 use itdos_giop::types::Value;
 
 fn deposit(system: &mut itdos::System, amount: i64) -> itdos::Completed {
-    system.invoke(
-        CLIENT,
-        itdos::Invocation::of(BANK)
-            .object(b"acct")
-            .interface("Bank::Account")
-            .operation("deposit")
-            .arg(Value::LongLong(amount)),
-    )
+    system.invoke(CLIENT, common::deposit(amount))
 }
 
 /// An undetected intrusion silently corrupts one element's replicated

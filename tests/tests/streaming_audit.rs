@@ -11,21 +11,12 @@
 
 mod common;
 
-use common::{bank_system, BANK, CLIENT};
+use common::{bank_system, deposit, BANK, CLIENT};
 use itdos::fault::Behavior;
 use itdos::system::System;
-use itdos::{Invocation, ObsConfig, Ticket};
-use itdos_giop::types::Value;
+use itdos::{ObsConfig, Ticket};
 use itdos_obs::LabelValue;
 use simnet::SimDuration;
-
-fn deposit(amount: i64) -> Invocation {
-    Invocation::of(BANK)
-        .object(b"acct")
-        .interface("Bank::Account")
-        .operation("deposit")
-        .arg(Value::LongLong(amount))
-}
 
 /// Every seeded scenario the equivalence property sweeps: the clean run
 /// plus each misbehaviour profile the drill exercises.
