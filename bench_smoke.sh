@@ -27,18 +27,19 @@
 # them fails here. The pins now also guard one buffer per sealed payload
 # and an uncopied decided vote: a seal or open through a second buffer, or
 # a voter that copies a decision no late sender can still be checked
-# against, fails here. A change that lowers a count lowers its pin in the
-# same diff.
+# against, fails here. The pins now also guard the reply-count and vote
+# paths, so a per-reply count map or a per-frame comparator copy fails
+# here. A change that lowers a count lowers its pin in the same diff.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 declare -A allocs_max=(
-  [small_closed]=356.79633333333334
-  [bulk_closed]=366.3625
-  [pipelined_batch]=253.66845703125
-  [connect_storm]=685.248046875
-  [sustained_history]=357.624
-  [intrusion_campaign]=5248.0625
+  [small_closed]=341.46566666666666
+  [bulk_closed]=351.8625
+  [pipelined_batch]=240.80419921875
+  [connect_storm]=665.763671875
+  [sustained_history]=342.262
+  [intrusion_campaign]=5118.0625
 )
 
 out="$(mktemp)"

@@ -30,7 +30,7 @@ use xbytes::Bytes;
 
 use crate::codes::{pack_timer, singleton_code, unpack_timer, TimerTag};
 use crate::fabric::Fabric;
-use crate::outbound::Outbound;
+use crate::outbound::{Channels, Outbound};
 use crate::smiop::{Attestations, Smiop};
 use crate::wire::{CoreMsg, DirectReplyMsg, FrameKind, GmOp};
 
@@ -114,7 +114,7 @@ pub fn encode_traced_command(
     };
     let frame = encode_message(
         &GiopMessage::Request(request),
-        &fabric.repo,
+        fabric.repo(),
         Endianness::Little,
     )
     .expect("command matches the interface repository");
@@ -129,7 +129,8 @@ pub struct SingletonClient {
     fabric: Fabric,
     cfg: ClientConfig,
     smiop: Smiop,
-    outbound: BTreeMap<DomainId, Outbound>,
+    /// One channel to the Group Manager and one per target domain.
+    outbound: Channels,
     queue: VecDeque<(DomainId, RequestMessage)>,
     /// In-flight (and recently decided) invocation rounds, submission
     /// order. At most `pipeline` rounds are undecided at a time; decided
@@ -167,11 +168,9 @@ impl SingletonClient {
     pub fn new(fabric: Fabric, cfg: ClientConfig) -> SingletonClient {
         let code = singleton_code(cfg.id);
         let smiop = Smiop::new(&fabric, code, ("client", LabelValue::U64(cfg.id)));
-        let mut outbound = BTreeMap::new();
-        outbound.insert(
-            fabric.gm_domain,
-            Outbound::new(&fabric, fabric.gm_domain, code),
-        );
+        let mut outbound = Channels::default();
+        let gm = fabric.gm_domain();
+        outbound.get_or_open(gm, || Outbound::new(&fabric, gm, code));
         SingletonClient {
             fabric,
             cfg,
@@ -202,7 +201,7 @@ impl SingletonClient {
     /// number; results still land in `completed` in submission order.
     pub fn set_pipeline(&mut self, pipeline: usize) {
         self.pipeline = pipeline.max(1);
-        for outbound in self.outbound.values_mut() {
+        for outbound in self.outbound.iter_mut() {
             outbound.set_window(self.pipeline);
         }
     }
@@ -228,15 +227,14 @@ impl SingletonClient {
 
     fn submit_gm(&mut self, ctx: &mut Context<'_>, op: GmOp) {
         let fabric = &self.fabric;
-        let gm = fabric.gm_domain;
+        let gm = fabric.gm_domain();
         let code = self.my_code();
         self.gm_pending.push_back(match &op {
             GmOp::Open { target, .. } => Some(*target),
             _ => None,
         });
         self.outbound
-            .entry(gm)
-            .or_insert_with(|| Outbound::new(fabric, gm, code))
+            .get_or_open(gm, || Outbound::new(fabric, gm, code))
             .submit(ctx, fabric, op.encode());
     }
 
@@ -247,7 +245,7 @@ impl SingletonClient {
         let target = DomainId(u64::from_le_bytes(
             payload[..8].try_into().expect("8 bytes"),
         ));
-        let Ok(msg) = decode_message(&payload[8..], &self.fabric.repo) else {
+        let Ok(msg) = decode_message(&payload[8..], self.fabric.repo()) else {
             return;
         };
         crate::cost::account(
@@ -318,7 +316,7 @@ impl SingletonClient {
             let (thresholds, senders) = self.fabric.sender_thresholds(&meta, FrameKind::Reply);
             let comparator = folded_comparator(
                 self.fabric
-                    .comparators
+                    .comparators()
                     .for_interface(&request.interface)
                     .clone(),
             );
@@ -389,7 +387,7 @@ impl SingletonClient {
         request: &RequestMessage,
     ) {
         let Ok(giop_bytes) =
-            encode_request(request, &self.fabric.repo, self.cfg.platform.endianness)
+            encode_request(request, self.fabric.repo(), self.cfg.platform.endianness)
         else {
             return;
         };
@@ -405,7 +403,7 @@ impl SingletonClient {
         let fabric = &self.fabric;
         let code = self.my_code();
         let pipeline = self.pipeline;
-        let outbound = self.outbound.entry(target).or_insert_with(|| {
+        let outbound = self.outbound.get_or_open(target, || {
             let mut o = Outbound::new(fabric, target, code);
             o.set_window(pipeline);
             o
@@ -628,15 +626,18 @@ impl Process for SingletonClient {
         };
         match msg {
             CoreMsg::Bft { domain, envelope } => {
-                if let Some(outbound) = self.outbound.get_mut(&domain) {
+                if let Some(outbound) = self.outbound.get_mut(domain) {
                     if let Ok((envelope, message)) = Envelope::open(&envelope) {
                         outbound.on_reply(ctx, &self.fabric, &envelope, message);
                     }
-                    let accepted = outbound.take_accepted();
-                    if domain == self.fabric.gm_domain {
-                        for result in accepted {
+                    // only the Group Manager's results are read, and rarely
+                    if domain == self.fabric.gm_domain() {
+                        let results: Vec<Vec<u8>> = outbound.take_accepted().collect();
+                        for result in results {
                             self.on_gm_result(&result);
                         }
+                    } else {
+                        outbound.take_accepted();
                     }
                 }
             }
@@ -653,7 +654,7 @@ impl Process for SingletonClient {
         };
         match tag {
             TimerTag::Retransmit => {
-                if let Some(outbound) = self.outbound.get_mut(&DomainId(param)) {
+                if let Some(outbound) = self.outbound.get_mut(DomainId(param)) {
                     outbound.on_retransmit_timer(ctx, &self.fabric);
                 }
             }

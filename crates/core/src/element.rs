@@ -16,6 +16,7 @@ use itdos_bft::message::Message;
 use itdos_bft::node::send;
 use itdos_bft::queue::{ElementId, QueueMachine, QueueOp};
 use itdos_bft::replica::{Output, Received, Replica};
+use itdos_bft::window::KeyWindow;
 use itdos_bft::wire::Wire;
 use itdos_giop::giop::{GiopMessage, ReplyBody, ReplyMessage, RequestMessage};
 use itdos_giop::platform::PlatformProfile;
@@ -34,7 +35,7 @@ use xbytes::Bytes;
 use crate::codes::{element_code, pack_timer, unpack_timer, TimerTag};
 use crate::fabric::{DomainRoute, Fabric};
 use crate::fault::Behavior;
-use crate::outbound::Outbound;
+use crate::outbound::{Channels, Outbound};
 use crate::smiop::{notice_plaintext, Attestations, Smiop, Unopened};
 use crate::wire::{AdmitNoticeMsg, ConnectionMeta, CoreMsg, FrameKind, GmOp, HealCmd, SmiopFrame};
 use itdos_vote::folding::{
@@ -70,6 +71,17 @@ pub struct ElementConfig {
 /// ordered delivery stream so every correct element evicts identically.
 const VOTER_ROUND_WINDOW: usize = 32;
 
+/// Early frames — for a connection not keyed here yet — held per
+/// connection until its key arrives.
+const STALL_PER_CONNECTION: usize = 64;
+
+/// Early frames held per authenticated submitter (the BFT client that had
+/// them ordered), across connections. An honest submitter's frames in one
+/// domain's stream ride at most two connections, so they never reach it
+/// (DESIGN.md, "Early frames and the submitter quota"); a Byzantine one
+/// inventing connection ids stops here.
+const STALL_QUOTA: usize = 2 * STALL_PER_CONNECTION;
+
 /// One round of an element's voter. It keeps no senders' frames: an
 /// element accuses by vote (`GmOp::ChangeVote`) and never builds a
 /// signed-message proof, so it drops each decrypted frame once decoded.
@@ -81,11 +93,10 @@ struct VoterEntry {
     trace: u64,
 }
 
-struct VoterBank {
-    rounds: BTreeMap<u64, VoterEntry>,
-    /// Highest evicted request id; late frames at or below it are dropped.
-    floor: u64,
-}
+/// One (connection, frame kind)'s voter rounds by request id; late
+/// frames at or below the window's floor (the highest evicted request id)
+/// are dropped.
+type VoterBank = KeyWindow<VoterEntry>;
 
 struct Current {
     meta: ConnectionMeta,
@@ -114,9 +125,12 @@ pub struct ServerElement {
     bft_auth: AuthContext,
     orb: Orb,
     smiop: Smiop,
-    stalled: BTreeMap<ConnectionId, VecDeque<SmiopFrame>>,
+    /// Early frames by connection, each with its submitter's code.
+    stalled: BTreeMap<ConnectionId, VecDeque<(u64, SmiopFrame)>>,
     voters: BTreeMap<(ConnectionId, FrameKind), VoterBank>,
-    outbound: BTreeMap<DomainId, Outbound>,
+    /// One channel to the Group Manager, one to the own domain, and one
+    /// per domain this element calls or answers through its group.
+    outbound: Channels,
     inbox: VecDeque<(ConnectionMeta, RequestMessage)>,
     current: Option<Current>,
     nested: Option<NestedPhase>,
@@ -169,7 +183,7 @@ impl ServerElement {
             queue,
         );
         let bft_auth = fabric.bft_auth_replica(cfg.domain, cfg.index);
-        let mut orb = Orb::new(fabric.repo.clone(), cfg.platform);
+        let mut orb = Orb::new(fabric.repo().clone(), cfg.platform);
         for (key, servant) in servants {
             orb.activate(key, servant);
         }
@@ -179,12 +193,10 @@ impl ServerElement {
             my_code,
             ("element", LabelValue::U64(u64::from(cfg.element.0))),
         );
-        let mut outbound = BTreeMap::new();
-        outbound.insert(
-            fabric.gm_domain,
-            Outbound::new(&fabric, fabric.gm_domain, my_code),
-        );
-        outbound.insert(cfg.domain, Outbound::new(&fabric, cfg.domain, my_code));
+        let mut outbound = Channels::default();
+        let gm = fabric.gm_domain();
+        outbound.get_or_open(gm, || Outbound::new(&fabric, gm, my_code));
+        outbound.get_or_open(cfg.domain, || Outbound::new(&fabric, cfg.domain, my_code));
         ServerElement {
             fabric,
             cfg,
@@ -299,7 +311,8 @@ impl ServerElement {
                     request,
                     result,
                 } => {
-                    self.on_executed(ctx, seq, request.operation(), &result);
+                    let submitter = request.client().0;
+                    self.on_executed(ctx, seq, submitter, request.operation(), &result);
                 }
                 Output::StartViewTimer { epoch, timeout } => {
                     ctx.set_timer(timeout, pack_timer(TimerTag::View, epoch));
@@ -328,7 +341,15 @@ impl ServerElement {
 
     // ----------------------------------------------------- ordered delivery
 
-    fn on_executed(&mut self, ctx: &mut Context<'_>, _seq: SeqNo, op_bytes: &[u8], result: &[u8]) {
+    /// One executed queue op, ordered on behalf of BFT client `submitter`.
+    fn on_executed(
+        &mut self,
+        ctx: &mut Context<'_>,
+        _seq: SeqNo,
+        submitter: u64,
+        op_bytes: &[u8],
+        result: &[u8],
+    ) {
         let Ok(op) = QueueOp::decode(op_bytes) else {
             return;
         };
@@ -343,7 +364,7 @@ impl ServerElement {
                 }
                 self.processed += 1;
                 if let Ok(frame) = SmiopFrame::decode(&frame_bytes) {
-                    self.process_frame(ctx, frame);
+                    self.process_frame(ctx, frame, submitter);
                 }
                 self.maybe_ack(ctx);
                 self.check_laggards(ctx);
@@ -359,7 +380,7 @@ impl ServerElement {
     fn maybe_ack(&mut self, ctx: &mut Context<'_>) {
         let own_idle = self
             .outbound
-            .get(&self.cfg.domain)
+            .get(self.cfg.domain)
             .is_none_or(Outbound::idle);
         let head = self.replica.app().next_index();
         if own_idle && head.saturating_sub(self.acked_index) >= self.cfg.ack_interval {
@@ -397,7 +418,7 @@ impl ServerElement {
             accuser: self.cfg.element,
             accused,
         };
-        let gm = self.fabric.gm_domain;
+        let gm = self.fabric.gm_domain();
         self.submit_op(ctx, gm, op.encode());
     }
 
@@ -406,62 +427,50 @@ impl ServerElement {
         let fabric = &self.fabric;
         let outbound = self
             .outbound
-            .entry(target)
-            .or_insert_with(|| Outbound::new(fabric, target, code));
+            .get_or_open(target, || Outbound::new(fabric, target, code));
         outbound.submit(ctx, fabric, op);
     }
 
     // ------------------------------------------------------------ SMIOP rx
 
-    fn process_frame(&mut self, ctx: &mut Context<'_>, frame: SmiopFrame) {
+    fn process_frame(&mut self, ctx: &mut Context<'_>, frame: SmiopFrame, submitter: u64) {
         let (meta, signed, message) = match self.smiop.open(&self.fabric, &frame) {
             Ok(opened) => opened,
-            Err(Unopened::Early) => return self.stall(frame),
+            Err(Unopened::Early) => return self.stall(submitter, frame),
             Err(Unopened::Refused) => return,
         };
-        let (interface, trace, value) = match message {
-            GiopMessage::Request(r) if r.request_id == frame.request_id => {
-                (r.interface.clone(), r.trace, fold_request(r))
-            }
-            GiopMessage::Reply(r) if r.request_id == frame.request_id => {
-                (r.interface.clone(), 0, fold_reply(r))
-            }
+        let (interface, trace) = match &message {
+            GiopMessage::Request(r) if r.request_id == frame.request_id => (&r.interface, r.trace),
+            GiopMessage::Reply(r) if r.request_id == frame.request_id => (&r.interface, 0),
             _ => return,
         };
         let (kind, request_id, sender) = (frame.kind, frame.request_id, signed.sender);
-        let (thresholds, senders) = self.fabric.sender_thresholds(&meta, kind);
-        let comparator =
-            folded_comparator(self.fabric.comparators.for_interface(&interface).clone());
-        let obs = self.obs.clone();
-        let (accept, round_trace) = {
-            let bank = self
-                .voters
-                .entry((meta.connection, kind))
-                .or_insert_with(|| VoterBank {
-                    rounds: BTreeMap::new(),
-                    floor: 0,
-                });
-            if request_id <= bank.floor {
-                return; // round already evicted (§3.6 GC)
-            }
-            let entry = bank.rounds.entry(request_id).or_insert_with(|| {
-                let mut collator = Collator::new(thresholds, senders, comparator.clone());
-                collator.set_obs(obs.clone());
-                collator.begin(request_id);
-                VoterEntry { collator, trace: 0 }
-            });
-            if entry.trace == 0 {
-                entry.trace = trace;
-            }
-            let round_trace = entry.trace;
-            let accept = entry.collator.offer(request_id, sender, value);
-            while bank.rounds.len() > VOTER_ROUND_WINDOW {
-                let oldest = *bank.rounds.keys().next().expect("non-empty");
-                bank.rounds.remove(&oldest);
-                bank.floor = bank.floor.max(oldest);
-            }
-            (accept, round_trace)
+        let bank = self.voters.entry((meta.connection, kind)).or_default();
+        // a round's comparator is resolved once, when the round opens
+        let fabric = &self.fabric;
+        let obs = &self.obs;
+        let Some(entry) = bank.entry(request_id, VOTER_ROUND_WINDOW, || {
+            let (thresholds, senders) = fabric.sender_thresholds(&meta, kind);
+            let comparator =
+                folded_comparator(fabric.comparators().for_interface(interface).clone());
+            let mut collator = Collator::new(thresholds, senders, comparator);
+            collator.set_obs(obs.clone());
+            collator.begin(request_id);
+            VoterEntry { collator, trace: 0 }
+        }) else {
+            return; // round already evicted (§3.6 GC)
         };
+        if entry.trace == 0 {
+            entry.trace = trace;
+        }
+        let round_trace = entry.trace;
+        let value = match message {
+            GiopMessage::Request(r) => fold_request(r),
+            GiopMessage::Reply(r) => fold_reply(r),
+            _ => return, // refused above
+        };
+        let accept = entry.collator.offer(request_id, sender, value);
+        bank.evict(VOTER_ROUND_WINDOW);
         match accept {
             Accept::Decided(decision) => {
                 let suspects = decision.dissenters.clone();
@@ -475,11 +484,30 @@ impl ServerElement {
         }
     }
 
-    fn stall(&mut self, frame: SmiopFrame) {
-        let queue = self.stalled.entry(frame.connection).or_default();
-        if queue.len() < 64 {
-            queue.push_back(frame);
+    /// Holds an early frame until its connection is keyed here, within
+    /// the per-connection bound and the submitter's quota; a frame over
+    /// either is dropped and counted.
+    fn stall(&mut self, submitter: u64, frame: SmiopFrame) {
+        let held = self
+            .stalled
+            .values()
+            .flatten()
+            .filter(|(s, _)| *s == submitter)
+            .count();
+        let queued = self.stalled.get(&frame.connection).map_or(0, VecDeque::len);
+        if held >= STALL_QUOTA || queued >= STALL_PER_CONNECTION {
+            self.obs.incr("element.stall_drops", &self.obs_label());
+            return;
         }
+        self.stalled
+            .entry(frame.connection)
+            .or_default()
+            .push_back((submitter, frame));
+    }
+
+    /// Early frames held here (tests).
+    pub fn stalled_frames(&self) -> usize {
+        self.stalled.values().map(VecDeque::len).sum()
     }
 
     fn report_suspects(&mut self, ctx: &mut Context<'_>, suspects: &[SenderId]) {
@@ -587,7 +615,7 @@ impl ServerElement {
                             target,
                         };
                         self.nested = Some(NestedPhase::AwaitingConnection { target, call });
-                        let gm = self.fabric.gm_domain;
+                        let gm = self.fabric.gm_domain();
                         self.submit_op(ctx, gm, op.encode());
                     }
                 }
@@ -695,8 +723,8 @@ impl ServerElement {
         };
         // retry frames that arrived before the key
         if let Some(mut frames) = self.stalled.remove(&meta.connection) {
-            while let Some(frame) = frames.pop_front() {
-                self.process_frame(ctx, frame);
+            while let Some((submitter, frame)) = frames.pop_front() {
+                self.process_frame(ctx, frame, submitter);
             }
         }
         // fire a nested call waiting on this connection
@@ -787,7 +815,7 @@ impl Process for ServerElement {
                 node,
                 verifying_key: self.fabric.verifying_key(self.cfg.element),
             };
-            let gm = self.fabric.gm_domain;
+            let gm = self.fabric.gm_domain();
             self.submit_op(ctx, gm, op.encode());
         }
         if self.onboarding {
@@ -817,7 +845,7 @@ impl Process for ServerElement {
                             domain: self.cfg.domain,
                             element: self.cfg.element,
                         };
-                        let gm = self.fabric.gm_domain;
+                        let gm = self.fabric.gm_domain();
                         self.submit_op(ctx, gm, op.encode());
                     }
                 }
@@ -850,7 +878,7 @@ impl Process for ServerElement {
                     };
                     opened
                 };
-                if let Some(outbound) = self.outbound.get_mut(&domain) {
+                if let Some(outbound) = self.outbound.get_mut(domain) {
                     let accepted = outbound.on_reply(ctx, &self.fabric, &env, message);
                     outbound.take_accepted();
                     if accepted && domain == self.cfg.domain {
@@ -875,7 +903,7 @@ impl Process for ServerElement {
                 self.drain_replica(ctx);
             }
             TimerTag::Retransmit => {
-                if let Some(outbound) = self.outbound.get_mut(&DomainId(param)) {
+                if let Some(outbound) = self.outbound.get_mut(DomainId(param)) {
                     outbound.on_retransmit_timer(ctx, &self.fabric);
                 }
             }

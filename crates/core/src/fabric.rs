@@ -1,14 +1,23 @@
-//! The fabric: static deployment wiring shared by every process.
+//! The fabric: one process's view of the deployment wiring.
 //!
 //! A deployment is fixed at configuration time (the paper's §2.2
 //! assumption that "authentication tokens for each process are adequately
 //! protected" plus "ITDOS relies upon configuration inputs for its
 //! pseudo-random functions"): which domains exist, which simulated node
-//! hosts which element, every group's BFT provisioning seed, the global
+//! hosts which endpoint, every group's BFT provisioning seed, the global
 //! pairwise-key seed, element signing keys, the DPRF verifier, the
 //! interface repository, and the comparator registry.
+//!
+//! Almost all of it never changes, so every process shares one copy of
+//! it behind an `Arc` ([`Wiring`] plus each domain's group settings). The
+//! one part that does change is the roster — which element holds each
+//! replica slot on which node, and which elements a replacement retired —
+//! and each process keeps its own, because each applies a Group Manager
+//! admission at its own `f_gm + 1` notices ([`Fabric::apply_admission`]).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 use itdos_bft::auth::{AuthContext, KeyProvisioner};
 use itdos_bft::config::{ClientId, GroupConfig, ReplicaId};
@@ -28,7 +37,7 @@ use crate::codes::{bft_client_id, element_code};
 use crate::registry::ComparatorRegistry;
 use crate::wire::{bft_frame, ConnectionMeta};
 
-/// One replication domain's wiring.
+/// One replication domain's wiring, as [`Fabric::new`] takes it.
 #[derive(Debug, Clone)]
 pub struct DomainSpec {
     /// Domain id.
@@ -47,20 +56,9 @@ pub struct DomainSpec {
     pub elements: Vec<SenderId>,
 }
 
-impl DomainSpec {
-    /// The replica index of a global element id, if it belongs here.
-    pub fn replica_index(&self, element: SenderId) -> Option<usize> {
-        self.elements.iter().position(|e| *e == element)
-    }
-}
-
-/// The full static wiring.
-#[derive(Debug, Clone)]
-pub struct Fabric {
-    /// All domains (servers, clients-as-domains, and the GM domain).
-    pub domains: BTreeMap<DomainId, DomainSpec>,
-    /// Endpoint code → hosting node (covers singletons and all elements).
-    pub endpoint_nodes: BTreeMap<u64, NodeId>,
+/// The wiring no admission changes, besides the domains' group settings.
+#[derive(Debug)]
+pub struct Wiring {
     /// The Group Manager's domain id.
     pub gm_domain: DomainId,
     /// The shared interface repository.
@@ -71,33 +69,212 @@ pub struct Fabric {
     pub dprf_verifier: Verifier,
     /// Seed for pairwise keys and element signing keys.
     pub global_seed: [u8; 32],
-    /// Elements retired by replica replacement: `(domain, element, slot)`
-    /// in admission order. Kept so forensic tooling can still attribute a
-    /// retired element's pre-replacement traffic.
-    pub retired: Vec<(DomainId, SenderId, usize)>,
+    /// Singleton endpoint code → hosting node.
+    pub singleton_nodes: BTreeMap<u64, NodeId>,
+}
+
+/// A domain's group settings; its roster slots are `slots` of
+/// [`Roster`]'s vectors.
+#[derive(Debug)]
+struct Group {
+    id: DomainId,
+    f: usize,
+    config: GroupConfig,
+    seed: [u8; 32],
+    mcast: GroupId,
+    slots: Range<usize>,
+}
+
+/// The static part, shared by every process.
+#[derive(Debug)]
+struct Shared {
+    wiring: Wiring,
+    /// Sorted by domain id.
+    groups: Vec<Group>,
+}
+
+/// An element retired by replica replacement. Kept so forensic tooling
+/// can still attribute its pre-replacement traffic, and so straggler
+/// traffic to it still routes (and gets dropped by its receiver).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retired {
+    /// Its domain.
+    pub domain: DomainId,
+    /// The retired element.
+    pub element: SenderId,
+    /// The replica slot it held.
+    pub slot: usize,
+    /// The node that hosted it.
+    pub node: NodeId,
+}
+
+/// One process's roster: every domain's slots, laid end to end in domain
+/// order, and the elements replacements retired, in admission order.
+#[derive(Debug, Clone)]
+struct Roster {
+    elements: Vec<SenderId>,
+    nodes: Vec<NodeId>,
+    retired: Vec<Retired>,
+}
+
+/// One domain as a process currently sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct Domain<'a> {
+    /// Domain id.
+    pub id: DomainId,
+    /// Faults tolerated.
+    pub f: usize,
+    /// BFT group configuration.
+    pub config: &'a GroupConfig,
+    /// BFT key-provisioning seed for this group.
+    pub seed: &'a [u8; 32],
+    /// The domain's multicast group (one address per domain, §3.4).
+    pub mcast: GroupId,
+    /// Hosting node per replica index.
+    pub nodes: &'a [NodeId],
+    /// Global element id per replica index.
+    pub elements: &'a [SenderId],
+}
+
+impl Domain<'_> {
+    /// The replica index of a global element id, if it belongs here.
+    pub fn replica_index(&self, element: SenderId) -> Option<usize> {
+        self.elements.iter().position(|e| *e == element)
+    }
+}
+
+/// The full wiring as one process sees it: the shared static part and
+/// this process's roster. Cloning it clones the roster only.
+#[derive(Debug, Clone)]
+pub struct Fabric {
+    shared: Arc<Shared>,
+    roster: Roster,
 }
 
 impl Fabric {
+    /// Wires `domains` (any order; ids unique) around `wiring`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a domain does not list one node per element.
+    pub fn new(wiring: Wiring, mut domains: Vec<DomainSpec>) -> Fabric {
+        domains.sort_by_key(|d| d.id);
+        let mut roster = Roster {
+            elements: Vec::new(),
+            nodes: Vec::new(),
+            retired: Vec::new(),
+        };
+        let mut groups = Vec::with_capacity(domains.len());
+        for spec in domains {
+            assert_eq!(spec.nodes.len(), spec.elements.len(), "one node per slot");
+            let start = roster.elements.len();
+            roster.elements.extend(spec.elements);
+            roster.nodes.extend(spec.nodes);
+            groups.push(Group {
+                id: spec.id,
+                f: spec.f,
+                config: spec.config,
+                seed: spec.seed,
+                mcast: spec.mcast,
+                slots: start..roster.elements.len(),
+            });
+        }
+        Fabric {
+            shared: Arc::new(Shared { wiring, groups }),
+            roster,
+        }
+    }
+
+    fn view<'a>(&'a self, group: &'a Group) -> Domain<'a> {
+        Domain {
+            id: group.id,
+            f: group.f,
+            config: &group.config,
+            seed: &group.seed,
+            mcast: group.mcast,
+            nodes: &self.roster.nodes[group.slots.clone()],
+            elements: &self.roster.elements[group.slots.clone()],
+        }
+    }
+
+    fn group(&self, id: DomainId) -> Option<&Group> {
+        let groups = &self.shared.groups;
+        groups
+            .binary_search_by_key(&id, |g| g.id)
+            .ok()
+            .map(|i| &groups[i])
+    }
+
     /// The spec of a domain.
     ///
     /// # Panics
     ///
     /// Panics on an unknown domain — fabric wiring is static, so an
     /// unknown id is a deployment bug.
-    pub fn domain(&self, id: DomainId) -> &DomainSpec {
-        self.domains.get(&id).expect("domain wired in fabric")
+    pub fn domain(&self, id: DomainId) -> Domain<'_> {
+        self.get(id).expect("domain wired in fabric")
+    }
+
+    /// The spec of a domain, if it is wired.
+    pub fn get(&self, id: DomainId) -> Option<Domain<'_>> {
+        self.group(id).map(|g| self.view(g))
+    }
+
+    /// Every domain (servers, clients-as-domains, and the GM domain), in
+    /// id order.
+    pub fn domains(&self) -> impl Iterator<Item = Domain<'_>> {
+        self.shared.groups.iter().map(|g| self.view(g))
     }
 
     /// The domain containing a global element id.
-    pub fn domain_of_element(&self, element: SenderId) -> Option<&DomainSpec> {
-        self.domains
-            .values()
-            .find(|d| d.elements.contains(&element))
+    pub fn domain_of_element(&self, element: SenderId) -> Option<Domain<'_>> {
+        self.domains().find(|d| d.elements.contains(&element))
     }
 
-    /// The node hosting an endpoint code.
+    /// The Group Manager's domain id.
+    pub fn gm_domain(&self) -> DomainId {
+        self.shared.wiring.gm_domain
+    }
+
+    /// The shared interface repository.
+    pub fn repo(&self) -> &InterfaceRepository {
+        &self.shared.wiring.repo
+    }
+
+    /// Voting comparator programs.
+    pub fn comparators(&self) -> &ComparatorRegistry {
+        &self.shared.wiring.comparators
+    }
+
+    /// Public verifier for GM key shares.
+    pub fn dprf_verifier(&self) -> &Verifier {
+        &self.shared.wiring.dprf_verifier
+    }
+
+    /// Elements retired by replica replacement, in admission order.
+    pub fn retired(&self) -> &[Retired] {
+        &self.roster.retired
+    }
+
+    /// The node hosting an endpoint code: a singleton, an element on the
+    /// roster, or an element a replacement retired.
     pub fn node_of(&self, code: u64) -> Option<NodeId> {
-        self.endpoint_nodes.get(&code).copied()
+        if let Some(&node) = self.shared.wiring.singleton_nodes.get(&code) {
+            return Some(node);
+        }
+        let roster = &self.roster;
+        match roster
+            .elements
+            .iter()
+            .position(|&e| element_code(e) == code)
+        {
+            Some(slot) => Some(roster.nodes[slot]),
+            None => roster
+                .retired
+                .iter()
+                .find(|r| element_code(r.element) == code)
+                .map(|r| r.node),
+        }
     }
 
     /// The symmetric pairwise key between two endpoint codes (used for GM
@@ -105,14 +282,15 @@ impl Fabric {
     pub fn pairwise(&self, a: u64, b: u64) -> SymmetricKey {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         SymmetricKey::derive_parts(
-            &self.global_seed,
+            &self.shared.wiring.global_seed,
             &[b"pairwise", &lo.to_le_bytes(), &hi.to_le_bytes()],
         )
     }
 
     /// The signing key of any endpoint code (elements and singletons).
     pub fn signing_key_code(&self, code: u64) -> SigningKey {
-        SigningKey::from_seed_parts(&[&self.global_seed, b"sign", &code.to_le_bytes()])
+        let seed = &self.shared.wiring.global_seed;
+        SigningKey::from_seed_parts(&[seed, b"sign", &code.to_le_bytes()])
     }
 
     /// The verifying key of any endpoint code.
@@ -134,7 +312,7 @@ impl Fabric {
     pub fn bft_auth_replica(&self, domain: DomainId, index: usize) -> AuthContext {
         let spec = self.domain(domain);
         AuthContext::for_replica(
-            KeyProvisioner::new(spec.seed),
+            KeyProvisioner::new(*spec.seed),
             itdos_bft::config::ReplicaId(index as u32),
             spec.config.n,
         )
@@ -145,7 +323,7 @@ impl Fabric {
     pub fn bft_auth_client(&self, domain: DomainId, code: u64) -> AuthContext {
         let spec = self.domain(domain);
         AuthContext::for_client(
-            KeyProvisioner::new(spec.seed),
+            KeyProvisioner::new(*spec.seed),
             bft_client_id(code),
             spec.config.n,
         )
@@ -179,11 +357,11 @@ impl Fabric {
             .collect()
     }
 
-    /// Applies a GM-ordered admission to this process's wiring copy: the
-    /// fresh element takes the replaced element's roster slot and node.
-    /// Returns false (and changes nothing) unless `replaced` currently
-    /// holds `slot` — which also makes re-application a no-op, so peers
-    /// can apply the same notice-threshold event at most once.
+    /// Applies a GM-ordered admission to this process's roster: the fresh
+    /// element takes the replaced element's slot and node. Returns false
+    /// (and changes nothing) unless `replaced` currently holds `slot` —
+    /// which also makes re-application a no-op, so peers can apply the
+    /// same notice-threshold event at most once.
     pub fn apply_admission(
         &mut self,
         domain: DomainId,
@@ -192,18 +370,22 @@ impl Fabric {
         slot: usize,
         node: NodeId,
     ) -> bool {
-        let Some(spec) = self.domains.get_mut(&domain) else {
+        let Some(slots) = self.group(domain).map(|g| g.slots.clone()) else {
             return false;
         };
-        if spec.elements.get(slot) != Some(&replaced) || spec.nodes.len() <= slot {
+        let index = slots.start.saturating_add(slot);
+        if !slots.contains(&index) || self.roster.elements[index] != replaced {
             return false;
         }
-        spec.elements[slot] = admitted;
-        spec.nodes[slot] = node;
-        // the retired element keeps its endpoint_nodes entry so straggler
-        // traffic still routes (and gets dropped by its receiver)
-        self.endpoint_nodes.insert(element_code(admitted), node);
-        self.retired.push((domain, replaced, slot));
+        let retired = Retired {
+            domain,
+            element: replaced,
+            slot,
+            node: self.roster.nodes[index],
+        };
+        self.roster.elements[index] = admitted;
+        self.roster.nodes[index] = node;
+        self.roster.retired.push(retired);
         true
     }
 }
@@ -259,11 +441,9 @@ pub(crate) mod tests {
     use xrand::rngs::SmallRng;
     use xrand::SeedableRng;
 
-    /// One f = 1 domain (elements 0–3, also the Group Manager's) and
-    /// singleton 9.
-    pub(crate) fn fabric() -> Fabric {
-        let mut domains = BTreeMap::new();
-        let spec = DomainSpec {
+    /// Domain 1: f = 1, elements 0–3 on nodes 0–3.
+    pub(crate) fn domain_spec() -> DomainSpec {
+        DomainSpec {
             id: DomainId(1),
             f: 1,
             config: GroupConfig::for_f(1),
@@ -271,24 +451,30 @@ pub(crate) mod tests {
             mcast: GroupId::from_raw(0),
             nodes: (0..4).map(NodeId::from_raw).collect(),
             elements: (0..4).map(SenderId).collect(),
-        };
-        domains.insert(DomainId(1), spec);
-        let mut endpoint_nodes = BTreeMap::new();
-        for i in 0..4u32 {
-            endpoint_nodes.insert(element_code(SenderId(i)), NodeId::from_raw(i));
         }
-        endpoint_nodes.insert(9, NodeId::from_raw(9));
+    }
+
+    /// Domain 1 (also the Group Manager's) plus `extra` domains, singleton
+    /// 9, and `repo`.
+    pub(crate) fn fabric_with(repo: InterfaceRepository, extra: Vec<DomainSpec>) -> Fabric {
         let dprf = Dprf::deal(1, 4, &mut SmallRng::seed_from_u64(1));
-        Fabric {
-            domains,
-            endpoint_nodes,
+        let wiring = Wiring {
             gm_domain: DomainId(1),
-            repo: InterfaceRepository::new(),
+            repo,
             comparators: ComparatorRegistry::new(),
             dprf_verifier: dprf.verifier().clone(),
             global_seed: [9u8; 32],
-            retired: Vec::new(),
-        }
+            singleton_nodes: BTreeMap::from([(9, NodeId::from_raw(9))]),
+        };
+        let mut domains = vec![domain_spec()];
+        domains.extend(extra);
+        Fabric::new(wiring, domains)
+    }
+
+    /// One f = 1 domain (elements 0–3, also the Group Manager's) and
+    /// singleton 9.
+    pub(crate) fn fabric() -> Fabric {
+        fabric_with(InterfaceRepository::new(), Vec::new())
     }
 
     #[test]
@@ -387,7 +573,13 @@ pub(crate) mod tests {
             Some(NodeId::from_raw(3)),
             "retired element still routable for stragglers"
         );
-        assert_eq!(f.retired, vec![(DomainId(1), SenderId(3), 3)]);
+        let retired = Retired {
+            domain: DomainId(1),
+            element: SenderId(3),
+            slot: 3,
+            node: NodeId::from_raw(3),
+        };
+        assert_eq!(f.retired(), [retired]);
         // a second application of the same notice is a no-op
         assert!(!f.apply_admission(
             DomainId(1),
@@ -396,7 +588,29 @@ pub(crate) mod tests {
             3,
             NodeId::from_raw(8)
         ));
-        assert_eq!(f.retired.len(), 1);
+        assert_eq!(f.retired().len(), 1);
+    }
+
+    /// Processes share one copy of the static wiring; an admission changes
+    /// only the roster of the process that applies it.
+    #[test]
+    fn clones_share_the_wiring_and_keep_their_own_roster() {
+        let mut a = fabric();
+        let b = a.clone();
+        assert!(Arc::ptr_eq(&a.shared, &b.shared));
+        assert!(a.apply_admission(
+            DomainId(1),
+            SenderId(14),
+            SenderId(3),
+            3,
+            NodeId::from_raw(8)
+        ));
+        assert!(Arc::ptr_eq(&a.shared, &b.shared));
+        assert_eq!(a.domain(DomainId(1)).elements[3], SenderId(14));
+        assert_eq!(b.domain(DomainId(1)).elements[3], SenderId(3));
+        assert!(b.retired().is_empty());
+        assert_eq!(b.node_of(element_code(SenderId(14))), None);
+        assert_eq!(b.node_of(9), Some(NodeId::from_raw(9)), "singleton");
     }
 
     #[test]

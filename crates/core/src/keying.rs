@@ -77,7 +77,7 @@ impl ShareBank {
         }
         let input: [u8; 32] = plain[..32].try_into().expect("32 bytes");
         let share = KeyShare::from_bytes(plain[32..].try_into().expect("28 bytes"))?;
-        let Some(share) = fabric.dprf_verifier.check(&input, &share) else {
+        let Some(share) = fabric.dprf_verifier().check(&input, &share) else {
             // corrupt GM element's share: discarded (§3.5)
             obs.incr("key.shares_rejected", &[]);
             obs.event(
@@ -113,13 +113,13 @@ impl ShareBank {
             .entry(input)
             .or_default()
             .insert(msg.gm_code, share);
-        let needed = fabric.dprf_verifier.threshold();
+        let needed = fabric.dprf_verifier().threshold();
         let group = assembly.by_input.get(&input)?;
         if group.len() < needed {
             return None;
         }
         let shares: Vec<VerifiedShare> = group.values().take(needed).copied().collect();
-        let key = match combine_checked(&fabric.dprf_verifier, &input, &shares) {
+        let key = match combine_checked(fabric.dprf_verifier(), &input, &shares) {
             Ok(key) => key,
             Err(_) => {
                 // verified shares that still fail to combine: abandon the

@@ -14,7 +14,7 @@
 //! owner strictly in submission order, so every caller keeps its FIFO
 //! view of the channel.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use itdos_bft::auth::{AuthContext, Envelope};
 use itdos_bft::client::Client;
@@ -33,11 +33,10 @@ pub struct Outbound {
     client: Client,
     /// Queued `(operation, trace)` pairs awaiting a window slot.
     queue: VecDeque<(Vec<u8>, u64)>,
-    /// Timestamps of in-flight operations in submission order; results are
-    /// released to `accepted` only when the head decides (FIFO reorder).
-    in_order: VecDeque<u64>,
-    /// Decided results awaiting older operations, by timestamp.
-    decided: BTreeMap<u64, Vec<u8>>,
+    /// In-flight operations in submission order, by timestamp, each with
+    /// its result once decided; results are released to `accepted` only
+    /// when the head decides (FIFO reorder).
+    in_order: VecDeque<(u64, Option<Vec<u8>>)>,
     /// Results of accepted operations, oldest first (drained by the owner).
     accepted: VecDeque<Vec<u8>>,
 }
@@ -62,7 +61,6 @@ impl Outbound {
             client: Client::new(bft_client_id(code), spec.config.clone()),
             queue: VecDeque::new(),
             in_order: VecDeque::new(),
-            decided: BTreeMap::new(),
             accepted: VecDeque::new(),
         }
     }
@@ -97,9 +95,10 @@ impl Outbound {
         self.pump(ctx, fabric);
     }
 
-    /// Number of operations accepted and awaiting the owner.
-    pub fn take_accepted(&mut self) -> Vec<Vec<u8>> {
-        self.accepted.drain(..).collect()
+    /// Drains the results of accepted operations, oldest first; dropping
+    /// the iterator discards what it did not yield.
+    pub fn take_accepted(&mut self) -> std::collections::vec_deque::Drain<'_, Vec<u8>> {
+        self.accepted.drain(..)
     }
 
     /// True when nothing is queued or in flight.
@@ -117,7 +116,7 @@ impl Outbound {
                 .client
                 .start_request_traced(op, trace, now)
                 .expect("window has room");
-            self.in_order.push_back(request.timestamp());
+            self.in_order.push_back((request.timestamp(), None));
             self.broadcast(ctx, fabric, &Message::Request(request));
         }
         let delay = self
@@ -128,12 +127,10 @@ impl Outbound {
 
     /// Moves decided results into `accepted` in submission order.
     fn release(&mut self) {
-        while let Some(&head) = self.in_order.front() {
-            let Some(result) = self.decided.remove(&head) else {
-                break;
-            };
-            self.in_order.pop_front();
-            self.accepted.push_back(result);
+        while self.in_order.front().is_some_and(|(_, r)| r.is_some()) {
+            if let Some((_, Some(result))) = self.in_order.pop_front() {
+                self.accepted.push_back(result);
+            }
         }
     }
 
@@ -154,7 +151,7 @@ impl Outbound {
 
     fn broadcast(&self, ctx: &mut Context<'_>, fabric: &Fabric, message: &Message) {
         let frame = bft_frame(&self.auth, self.target, message, None);
-        for &node in &fabric.domain(self.target).nodes {
+        for &node in fabric.domain(self.target).nodes {
             ctx.send_labeled(node, frame.bytes.clone(), "smiop-submit");
         }
     }
@@ -177,7 +174,9 @@ impl Outbound {
             return false;
         };
         if let Some((timestamp, result)) = self.client.on_reply(reply) {
-            self.decided.insert(timestamp, result);
+            if let Some((_, slot)) = self.in_order.iter_mut().find(|(t, _)| *t == timestamp) {
+                *slot = Some(result);
+            }
             self.release();
             self.pump(ctx, fabric);
             return true;
@@ -198,46 +197,60 @@ impl Outbound {
     }
 }
 
+/// One endpoint's outbound channels, at most one per target domain. An
+/// endpoint talks to few domains — the Group Manager and, most often, one
+/// more: a client's target, an element's own domain — so they sit in a
+/// short vector, searched in order, with room for two before it grows.
+#[derive(Debug)]
+pub struct Channels(Vec<Outbound>);
+
+impl Default for Channels {
+    /// No channel yet; room for two.
+    fn default() -> Channels {
+        Channels(Vec::with_capacity(2))
+    }
+}
+
+impl Channels {
+    /// The channel to `target`, if open.
+    pub fn get(&self, target: DomainId) -> Option<&Outbound> {
+        self.0.iter().find(|o| o.target == target)
+    }
+
+    /// The channel to `target`, if open, mutably.
+    pub fn get_mut(&mut self, target: DomainId) -> Option<&mut Outbound> {
+        self.0.iter_mut().find(|o| o.target == target)
+    }
+
+    /// The channel to `target`, opened by `open` if there is none yet.
+    pub fn get_or_open(
+        &mut self,
+        target: DomainId,
+        open: impl FnOnce() -> Outbound,
+    ) -> &mut Outbound {
+        let index = match self.0.iter().position(|o| o.target == target) {
+            Some(index) => index,
+            None => {
+                self.0.push(open());
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[index]
+    }
+
+    /// Every open channel, mutably.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Outbound> {
+        self.0.iter_mut()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::tests::fabric;
     use crate::wire::CoreMsg;
-    use itdos_bft::config::GroupConfig;
-    use itdos_crypto::dprf::Dprf;
-    use itdos_giop::idl::InterfaceRepository;
-    use itdos_vote::vote::SenderId;
-    use simnet::{GroupId, NodeId};
-    use std::collections::BTreeMap;
+    use simnet::NodeId;
     use xbytes::Bytes;
-    use xrand::rngs::SmallRng;
-    use xrand::SeedableRng;
-
-    fn fabric() -> Fabric {
-        let mut domains = BTreeMap::new();
-        domains.insert(
-            DomainId(1),
-            crate::fabric::DomainSpec {
-                id: DomainId(1),
-                f: 1,
-                config: GroupConfig::for_f(1),
-                seed: [1u8; 32],
-                mcast: GroupId::from_raw(0),
-                nodes: (0..4).map(NodeId::from_raw).collect(),
-                elements: (0..4).map(SenderId).collect(),
-            },
-        );
-        let dprf = Dprf::deal(1, 4, &mut SmallRng::seed_from_u64(1));
-        Fabric {
-            domains,
-            endpoint_nodes: BTreeMap::new(),
-            gm_domain: DomainId(1),
-            repo: InterfaceRepository::new(),
-            comparators: crate::registry::ComparatorRegistry::new(),
-            dprf_verifier: dprf.verifier().clone(),
-            global_seed: [2u8; 32],
-            retired: Vec::new(),
-        }
-    }
 
     /// A process that owns one Outbound and records accepted results.
     struct Harness {

@@ -72,7 +72,9 @@ pub(crate) struct Smiop {
     code: u64,
     signing: SigningKey,
     sequence: u64,
-    conns: BTreeMap<ConnectionId, ConnState>,
+    /// Keyed connections sorted by id. A client holds one, an element one
+    /// per client, so the first is given one slot and later ones double.
+    conns: Vec<ConnState>,
     shares: ShareBank,
     obs: Obs,
     /// The owner's label on its `crypto.seal` and `crypto.open` counts.
@@ -86,7 +88,7 @@ impl Smiop {
             code,
             signing: fabric.signing_key_code(code),
             sequence: 0,
-            conns: BTreeMap::new(),
+            conns: Vec::new(),
             shares: ShareBank::default(),
             obs: Obs::disabled(),
             label,
@@ -105,7 +107,7 @@ impl Smiop {
 
     /// The first keyed connection whose metadata satisfies `pred`.
     pub(crate) fn find(&self, pred: impl Fn(&ConnectionMeta) -> bool) -> Option<ConnectionMeta> {
-        self.conns.values().map(|c| c.meta).find(pred)
+        self.conns.iter().map(|c| c.meta).find(pred)
     }
 
     /// Assigns the next request id on `connection`.
@@ -113,7 +115,7 @@ impl Smiop {
         &mut self,
         connection: ConnectionId,
     ) -> Option<(ConnectionMeta, u64)> {
-        let conn = self.conns.get_mut(&connection)?;
+        let conn = self.conn_mut(connection)?;
         let request_id = conn.next_request_id;
         conn.next_request_id += 1;
         Some((conn.meta, request_id))
@@ -130,22 +132,44 @@ impl Smiop {
         self.install(meta, SealKey::new(&key)).then_some(meta)
     }
 
+    fn conn(&self, connection: ConnectionId) -> Option<&ConnState> {
+        let i = self.position(connection).ok()?;
+        self.conns.get(i)
+    }
+
+    fn conn_mut(&mut self, connection: ConnectionId) -> Option<&mut ConnState> {
+        let i = self.position(connection).ok()?;
+        self.conns.get_mut(i)
+    }
+
+    fn position(&self, connection: ConnectionId) -> Result<usize, usize> {
+        self.conns
+            .binary_search_by_key(&connection, |c| c.meta.connection)
+    }
+
     /// Keys `meta`'s connection with `key` unless it already holds a newer
     /// epoch; a rekey keeps the connection's request ids running.
     fn install(&mut self, meta: ConnectionMeta, key: SealKey) -> bool {
-        let next_request_id = match self.conns.get(&meta.connection) {
+        let at = self.position(meta.connection);
+        let next_request_id = match at.ok().and_then(|i| self.conns.get(i)) {
             Some(c) if meta.epoch < c.meta.epoch => return false,
             Some(c) => c.next_request_id,
             None => 1,
         };
-        self.conns.insert(
-            meta.connection,
-            ConnState {
-                meta,
-                key,
-                next_request_id,
-            },
-        );
+        let conn = ConnState {
+            meta,
+            key,
+            next_request_id,
+        };
+        match at {
+            Ok(i) => self.conns[i] = conn,
+            Err(i) => {
+                if self.conns.capacity() == 0 {
+                    self.conns.reserve_exact(1);
+                }
+                self.conns.insert(i, conn);
+            }
+        }
         true
     }
 
@@ -159,7 +183,7 @@ impl Smiop {
         request_id: u64,
         giop: Vec<u8>,
     ) -> Option<(ConnectionMeta, SmiopFrame)> {
-        let conn = self.conns.get(&connection)?;
+        let conn = self.conn(connection)?;
         let (meta, key) = (conn.meta, conn.key);
         let kind_name = match kind {
             FrameKind::Request => "request",
@@ -214,7 +238,7 @@ impl Smiop {
         fabric: &Fabric,
         frame: &SmiopFrame,
     ) -> Result<(ConnectionMeta, SignedReply, GiopMessage), Unopened> {
-        let conn = self.conns.get(&frame.connection).ok_or(Unopened::Early)?;
+        let conn = self.conn(frame.connection).ok_or(Unopened::Early)?;
         if frame.epoch != conn.meta.epoch {
             // an older epoch's sender was keyed out (§3.5 expulsion)
             return Err(if frame.epoch > conn.meta.epoch {
@@ -246,7 +270,8 @@ impl Smiop {
         if !signed.verify(&fabric.verifying_key_code(frame.sender_code)) {
             return Err(Unopened::Refused);
         }
-        let message = decode_message(&signed.frame, &fabric.repo).map_err(|_| Unopened::Refused)?;
+        let message =
+            decode_message(&signed.frame, fabric.repo()).map_err(|_| Unopened::Refused)?;
         if !matches!(
             (frame.kind, &message),
             (FrameKind::Request, GiopMessage::Request(_))
@@ -278,8 +303,7 @@ fn may_send(fabric: &Fabric, meta: &ConnectionMeta, kind: FrameKind, sender: u64
 
 fn is_element_of(fabric: &Fabric, domain: DomainId, code: u64) -> bool {
     fabric
-        .domains
-        .get(&domain)
+        .get(domain)
         .is_some_and(|d| d.elements.iter().any(|&e| element_code(e) == code))
 }
 
@@ -345,7 +369,7 @@ impl<K: Ord + Copy> Attestations<K> {
         expect: &[u8],
         key: K,
     ) -> bool {
-        if !is_element_of(fabric, fabric.gm_domain, gm) {
+        if !is_element_of(fabric, fabric.gm_domain(), gm) {
             return false;
         }
         let Ok(plain) = open(&fabric.pairwise(gm, self.me), sealed) else {
@@ -356,7 +380,7 @@ impl<K: Ord + Copy> Attestations<K> {
         }
         let votes = self.votes.entry(key).or_default();
         votes.insert(gm);
-        votes.len() > fabric.domain(fabric.gm_domain).f && self.fired.insert(key)
+        votes.len() > fabric.domain(fabric.gm_domain()).f && self.fired.insert(key)
     }
 }
 
@@ -443,19 +467,20 @@ mod tests {
     /// the Group Manager, and singleton 9) plus client domain 2 of
     /// elements 4–7 and a `Counter` interface.
     fn fabric() -> Fabric {
-        let mut f = crate::fabric::tests::fabric();
-        f.repo.register(
+        let mut repo = itdos_giop::idl::InterfaceRepository::new();
+        repo.register(
             InterfaceDef::new("Counter").with_operation(OperationDef::new(
                 "add",
                 vec![("delta".into(), TypeDesc::Long)],
                 TypeDesc::Long,
             )),
         );
-        let mut client_domain = f.domain(SERVER).clone();
-        client_domain.id = CLIENT_DOMAIN;
-        client_domain.elements = (4..8).map(SenderId).collect();
-        f.domains.insert(CLIENT_DOMAIN, client_domain);
-        f
+        let client_domain = crate::fabric::DomainSpec {
+            id: CLIENT_DOMAIN,
+            elements: (4..8).map(SenderId).collect(),
+            ..crate::fabric::tests::domain_spec()
+        };
+        crate::fabric::tests::fabric_with(repo, vec![client_domain])
     }
 
     fn element(id: u32) -> u64 {
@@ -497,7 +522,7 @@ mod tests {
     }
 
     fn giop(message: GiopMessage, f: &Fabric) -> Vec<u8> {
-        encode_message(&message, &f.repo, Endianness::Little).expect("matches the repository")
+        encode_message(&message, f.repo(), Endianness::Little).expect("matches the repository")
     }
 
     fn request(f: &Fabric, request_id: u64) -> Vec<u8> {
@@ -677,7 +702,7 @@ mod tests {
     #[test]
     fn attestations_fire_once_at_f_gm_plus_one_distinct_gm_elements() {
         let f = fabric();
-        assert_eq!(f.domain(f.gm_domain).f, 1);
+        assert_eq!(f.domain(f.gm_domain()).f, 1);
         let expelled = SenderId(3);
         let plain = notice_plaintext(SERVER, expelled);
         let notice = |gm: u64, plain: &[u8]| seal(&f.pairwise(gm, CLIENT), [gm as u8; 16], plain);

@@ -29,7 +29,7 @@ use itdos_obs::LabelValue;
 use crate::client::{encode_traced_command, ClientConfig, Completed, SingletonClient};
 use crate::codes::{element_code, singleton_code};
 use crate::element::{ElementConfig, ServerElement};
-use crate::fabric::{DomainSpec, Fabric};
+use crate::fabric::{DomainSpec, Fabric, Retired, Wiring};
 use crate::fault::Behavior;
 use crate::gm::{GmElement, GmMachine};
 use crate::heal::{HealCause, HealConfig, HealState, HealStats};
@@ -431,60 +431,46 @@ impl SystemBuilder {
         let dprf = Dprf::deal(self.gm_f, gm_n, &mut rng);
         let (holders, verifier) = dprf.into_parts();
 
-        let mut domains = BTreeMap::new();
         let group_seed = |tag: u64| {
             let mut s = seed_bytes;
             s[8..16].copy_from_slice(&tag.to_le_bytes());
             s
         };
-        domains.insert(
-            GM_DOMAIN,
-            DomainSpec {
-                id: GM_DOMAIN,
-                f: self.gm_f,
-                config: tuned(self.gm_f),
-                seed: group_seed(u64::MAX),
-                mcast: GroupId::from_raw(0),
-                nodes: gm_nodes.clone(),
-                elements: gm_elements.clone(),
-            },
-        );
+        let mut domains = vec![DomainSpec {
+            id: GM_DOMAIN,
+            f: self.gm_f,
+            config: tuned(self.gm_f),
+            seed: group_seed(u64::MAX),
+            mcast: GroupId::from_raw(0),
+            nodes: gm_nodes.clone(),
+            elements: gm_elements.clone(),
+        }];
         for (i, plan) in self.domains.iter().enumerate() {
-            domains.insert(
-                plan.id,
-                DomainSpec {
-                    id: plan.id,
-                    f: plan.f,
-                    config: tuned(plan.f),
-                    seed: group_seed(plan.id.0),
-                    mcast: GroupId::from_raw(1 + i as u32),
-                    nodes: domain_nodes[i].clone(),
-                    elements: domain_elements[i].clone(),
-                },
-            );
+            domains.push(DomainSpec {
+                id: plan.id,
+                f: plan.f,
+                config: tuned(plan.f),
+                seed: group_seed(plan.id.0),
+                mcast: GroupId::from_raw(1 + i as u32),
+                nodes: domain_nodes[i].clone(),
+                elements: domain_elements[i].clone(),
+            });
         }
-        let mut endpoint_nodes = BTreeMap::new();
-        for (e, n) in gm_elements.iter().zip(&gm_nodes) {
-            endpoint_nodes.insert(element_code(*e), *n);
-        }
-        for (elems, nodes) in domain_elements.iter().zip(&domain_nodes) {
-            for (e, n) in elems.iter().zip(nodes) {
-                endpoint_nodes.insert(element_code(*e), *n);
-            }
-        }
-        for (c, n) in self.clients.iter().zip(&client_nodes) {
-            endpoint_nodes.insert(singleton_code(c.id), *n);
-        }
-        let fabric = Fabric {
-            domains,
-            endpoint_nodes,
+        let singleton_nodes = self
+            .clients
+            .iter()
+            .zip(&client_nodes)
+            .map(|(c, n)| (singleton_code(c.id), *n))
+            .collect();
+        let wiring = Wiring {
             gm_domain: GM_DOMAIN,
             repo: self.repo.clone(),
             comparators: self.comparators.clone(),
             dprf_verifier: verifier,
             global_seed: seed_bytes,
-            retired: Vec::new(),
+            singleton_nodes,
         };
+        let fabric = Fabric::new(wiring, domains);
 
         // -- GM membership (covers every server domain and client)
         let mut membership = Membership::new();
@@ -884,10 +870,9 @@ impl System {
         // GM's ordinary voted expulsion
         let server_domains: Vec<DomainId> = self
             .fabric
-            .domains
-            .keys()
-            .copied()
-            .filter(|&d| d != self.fabric.gm_domain)
+            .domains()
+            .map(|d| d.id)
+            .filter(|&d| d != self.fabric.gm_domain())
             .collect();
         for domain in server_domains {
             let Some(record) = membership.domain(domain) else {
@@ -956,10 +941,9 @@ impl System {
         if due && !acted && heal.pending.is_empty() {
             let slots: Vec<(DomainId, usize)> = self
                 .fabric
-                .domains
-                .iter()
-                .filter(|(&d, _)| d != self.fabric.gm_domain)
-                .flat_map(|(&d, spec)| (0..spec.elements.len()).map(move |i| (d, i)))
+                .domains()
+                .filter(|d| d.id != self.fabric.gm_domain())
+                .flat_map(|d| (0..d.elements.len()).map(move |i| (d.id, i)))
                 .collect();
             let mut cursor = heal.cursor;
             for _ in 0..slots.len() {
@@ -1108,15 +1092,15 @@ impl System {
     /// attributable (shared by [`System::trace`] and [`System::profile`]).
     fn element_domain_map(&self) -> BTreeMap<u64, u64> {
         let mut element_domains = BTreeMap::new();
-        for (id, spec) in &self.fabric.domains {
-            for element in &spec.elements {
-                element_domains.insert(element_code(*element), id.0);
+        for spec in self.fabric.domains() {
+            for element in spec.elements {
+                element_domains.insert(element_code(*element), spec.id.0);
             }
         }
-        for &(domain, element, _) in &self.fabric.retired {
+        for retired in self.fabric.retired() {
             element_domains
-                .entry(element_code(element))
-                .or_insert(domain.0);
+                .entry(element_code(retired.element))
+                .or_insert(retired.domain.0);
         }
         element_domains
     }
@@ -1338,16 +1322,16 @@ impl System {
     /// domain/index/scope, and every client's scope.
     pub fn audit_topology(&self) -> itdos_audit::Topology {
         let mut topology = itdos_audit::Topology {
-            gm_domain: self.fabric.gm_domain.0,
+            gm_domain: self.fabric.gm_domain().0,
             ..itdos_audit::Topology::default()
         };
-        for (id, spec) in &self.fabric.domains {
-            topology.domain_f.insert(id.0, spec.f as u64);
+        for spec in self.fabric.domains() {
+            topology.domain_f.insert(spec.id.0, spec.f as u64);
             for (index, element) in spec.elements.iter().enumerate() {
                 topology.elements.insert(
                     u64::from(element.0),
                     itdos_audit::ElementInfo {
-                        domain: id.0,
+                        domain: spec.id.0,
                         index: index as u64,
                         scope: element_code(*element),
                     },
@@ -1359,7 +1343,13 @@ impl System {
         // but they are *marked* retired so slot resolution hands the
         // membership view to their replacement and a rejoined slot does
         // not inherit its predecessor's findings
-        for &(domain, element, slot) in &self.fabric.retired {
+        for &Retired {
+            domain,
+            element,
+            slot,
+            ..
+        } in self.fabric.retired()
+        {
             topology
                 .elements
                 .entry(u64::from(element.0))
@@ -1429,13 +1419,13 @@ impl System {
 
     /// Immutable access to a GM element.
     pub fn gm_element(&self, index: usize) -> &GmElement {
-        let node = self.fabric.domain(self.fabric.gm_domain).nodes[index];
+        let node = self.fabric.domain(self.fabric.gm_domain()).nodes[index];
         self.sim.process_ref::<GmElement>(node)
     }
 
     /// Mutable access to a GM element (compromise injection).
     pub fn gm_element_mut(&mut self, index: usize) -> &mut GmElement {
-        let node = self.fabric.domain(self.fabric.gm_domain).nodes[index];
+        let node = self.fabric.domain(self.fabric.gm_domain()).nodes[index];
         self.sim.process_mut::<GmElement>(node)
     }
 }

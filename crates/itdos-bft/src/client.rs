@@ -23,7 +23,7 @@
 //! whose own deadline has passed are due, and it dies when nothing is
 //! undecided.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use crate::config::{ClientId, GroupConfig, ReplicaId};
 use crate::message::{ClientRequest, Reply};
@@ -32,7 +32,9 @@ use crate::message::{ClientRequest, Reply};
 #[derive(Debug, Clone)]
 struct Outstanding {
     request: ClientRequest,
-    replies: BTreeMap<ReplicaId, Vec<u8>>,
+    /// The latest reply from each replica that answered, in arrival order
+    /// (room for all `n` is made when the request starts).
+    replies: Vec<(ReplicaId, Vec<u8>)>,
     /// When the request was last broadcast (owner's clock, µs).
     sent_at: u64,
 }
@@ -59,9 +61,11 @@ pub struct Client {
     config: GroupConfig,
     next_timestamp: u64,
     window: usize,
-    /// Undecided requests by timestamp; an entry is removed the moment its
-    /// result is accepted, so late replies are discarded without penalty.
-    outstanding: BTreeMap<u64, Outstanding>,
+    /// Undecided requests in timestamp order; an entry is removed the
+    /// moment its result is accepted, so late replies are discarded
+    /// without penalty. Its buffer is sized to the window when a request
+    /// first needs room, and kept.
+    outstanding: VecDeque<Outstanding>,
     /// When the owner's one pending retransmit timer fires, if one is
     /// armed. It only prevents duplicates — what is due is recomputed
     /// from the per-request stamps at every firing.
@@ -76,7 +80,7 @@ impl Client {
             config,
             next_timestamp: 1,
             window: 1,
-            outstanding: BTreeMap::new(),
+            outstanding: VecDeque::new(),
             timer_at: None,
         }
     }
@@ -131,14 +135,16 @@ impl Client {
         // hashed before it is kept, so every retransmitted clone carries the
         // digest its MAC covers
         request.digest();
-        self.outstanding.insert(
-            timestamp,
-            Outstanding {
-                request: request.clone(),
-                replies: BTreeMap::new(),
-                sent_at: now,
-            },
-        );
+        if self.outstanding.len() == self.outstanding.capacity() {
+            self.outstanding
+                .reserve_exact(self.window - self.outstanding.len());
+        }
+        // timestamps only grow, so the newest request goes last
+        self.outstanding.push_back(Outstanding {
+            request: request.clone(),
+            replies: Vec::with_capacity(self.config.n),
+            sent_at: now,
+        });
         Some(request)
     }
 
@@ -151,7 +157,7 @@ impl Client {
         }
         let deadline = self
             .outstanding
-            .values()
+            .iter()
             .map(|o| o.sent_at.saturating_add(timeout))
             .min()?;
         self.timer_at = Some(deadline);
@@ -173,7 +179,7 @@ impl Client {
         }
         self.timer_at = None;
         let mut due = Vec::new();
-        for outstanding in self.outstanding.values_mut() {
+        for outstanding in self.outstanding.iter_mut() {
             if outstanding.sent_at.saturating_add(timeout) <= now {
                 outstanding.sent_at = now;
                 due.push(outstanding.request.clone());
@@ -189,27 +195,37 @@ impl Client {
         if reply.client != self.id || reply.replica.0 as usize >= self.config.n {
             return None;
         }
-        let outstanding = self.outstanding.get_mut(&reply.timestamp)?;
-        outstanding.replies.insert(reply.replica, reply.result);
-        // count matching results
-        let mut counts: BTreeMap<&[u8], usize> = BTreeMap::new();
-        for result in outstanding.replies.values() {
-            *counts.entry(result.as_slice()).or_insert(0) += 1;
+        let index = self
+            .outstanding
+            .binary_search_by_key(&reply.timestamp, |o| o.request.timestamp())
+            .ok()?;
+        let replies = &mut self.outstanding.get_mut(index)?.replies;
+        // a replica's later reply replaces its earlier one
+        let slot = match replies.iter().position(|(r, _)| *r == reply.replica) {
+            Some(slot) => {
+                let held = replies.get_mut(slot)?;
+                held.1 = reply.result;
+                slot
+            }
+            None => {
+                replies.push((reply.replica, reply.result));
+                replies.len().saturating_sub(1)
+            }
+        };
+        // only the arriving value's count changed, so only it can have
+        // newly reached f+1: every other value is below it still
+        let arrived = &replies.get(slot)?.1;
+        let matching = replies.iter().filter(|(_, r)| r == arrived).count();
+        if matching < threshold {
+            return None;
         }
-        let winner = counts
-            .iter()
-            .find(|(_, c)| **c >= threshold)
-            .map(|(r, _)| r.to_vec());
-        if let Some(result) = winner {
-            self.outstanding.remove(&reply.timestamp);
-            return Some((reply.timestamp, result));
-        }
-        None
+        let mut decided = self.outstanding.remove(index)?;
+        Some((reply.timestamp, decided.replies.swap_remove(slot).1))
     }
 
     /// Total replies collected across undecided requests.
     pub fn replies_collected(&self) -> usize {
-        self.outstanding.values().map(|o| o.replies.len()).sum()
+        self.outstanding.iter().map(|o| o.replies.len()).sum()
     }
 }
 
@@ -265,6 +281,24 @@ mod tests {
             None,
             "same replica twice"
         );
+    }
+
+    /// Only the arriving value's count can newly reach f+1: a replica that
+    /// changes its reply moves its vote, and the decision hands over the
+    /// value that reached f+1.
+    #[test]
+    fn a_replaced_reply_moves_its_vote() {
+        let mut c = client();
+        c.start_request(vec![0], 0).unwrap();
+        assert_eq!(c.on_reply(reply(&c, 0, 1, b"a")), None);
+        assert_eq!(
+            c.on_reply(reply(&c, 0, 1, b"b")),
+            None,
+            "replaced, not added"
+        );
+        assert_eq!(c.on_reply(reply(&c, 1, 1, b"a")), None, "a has one vote");
+        assert_eq!(c.on_reply(reply(&c, 2, 1, b"b")), Some((1, b"b".to_vec())));
+        assert_eq!(c.in_flight(), 0);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! * [`client`] — waits for `f+1` matching replies;
 //! * [`state`] — the replicated application trait;
 //! * [`queue`] — the ITDOS message-queue state machine;
+//! * [`window`] — the bounded by-key window behind the reply cache;
 //! * [`node`] — simnet adapters and a turnkey [`node::build_group`].
 //!
 //! # Examples
@@ -63,6 +64,7 @@ pub mod node;
 pub mod queue;
 pub mod replica;
 pub mod state;
+pub mod window;
 pub mod wire;
 
 pub use config::{ClientId, GroupConfig, ReplicaId, SeqNo, View};

@@ -24,6 +24,7 @@ use crate::message::{
     Reply, StateData, StateFetch, ViewChange,
 };
 use crate::state::StateMachine;
+use crate::window::KeyWindow;
 use crate::wire::{Reader, Wire, WireError, Writer};
 
 /// Per-client exactly-once record: replies for the last
@@ -37,25 +38,20 @@ use crate::wire::{Reader, Wire, WireError, Writer};
 /// identical on all correct replicas.
 #[derive(Debug, Clone, Default)]
 struct ClientRecord {
-    replies: BTreeMap<u64, Reply>,
-    floor: u64,
+    replies: KeyWindow<Reply>,
 }
 
 impl ClientRecord {
     /// True when `timestamp` already executed (cached or evicted).
     fn executed(&self, timestamp: u64) -> bool {
-        timestamp <= self.floor || self.replies.contains_key(&timestamp)
+        timestamp <= self.replies.floor() || self.replies.get(timestamp).is_some()
     }
 
-    /// Caches the reply for an executed timestamp, evicting the oldest
-    /// entries beyond the window.
+    /// Caches the reply for a timestamp not yet executed, evicting the
+    /// oldest entries beyond the window.
     fn record(&mut self, timestamp: u64, reply: Reply, window: usize) {
-        self.replies.insert(timestamp, reply);
-        while self.replies.len() > window.max(1) {
-            if let Some((evicted, _)) = self.replies.pop_first() {
-                self.floor = self.floor.max(evicted);
-            }
-        }
+        self.replies.insert(timestamp, reply, window);
+        self.replies.evict(window);
     }
 }
 
@@ -457,10 +453,10 @@ impl<S: StateMachine> Replica<S> {
         }
         // exactly-once: resend the cached reply for an executed timestamp
         if let Some(record) = self.client_table.get(&request.client()) {
-            if request.timestamp() <= record.floor {
+            if request.timestamp() <= record.replies.floor() {
                 return; // ancient: its reply window has passed
             }
-            if let Some(reply) = record.replies.get(&request.timestamp()) {
+            if let Some(reply) = record.replies.get(request.timestamp()) {
                 self.send(To::Client(request.client()), Message::Reply(reply.clone()));
                 return;
             }
@@ -1492,9 +1488,9 @@ impl Wire for TransferPayload<'_> {
         w.count(self.table.len());
         for (client, record) in self.table.iter() {
             client.put(w);
-            record.floor.put(w);
+            record.replies.floor().put(w);
             w.count(record.replies.len());
-            for (timestamp, reply) in &record.replies {
+            for (timestamp, reply) in record.replies.iter() {
                 timestamp.put(w);
                 reply.result.put(w);
             }
@@ -1507,8 +1503,7 @@ impl Wire for TransferPayload<'_> {
         for _ in 0..r.count(MAX_TABLE)? {
             let client = ClientId::take(r)?;
             let mut record = ClientRecord {
-                floor: Wire::take(r)?,
-                replies: BTreeMap::new(),
+                replies: KeyWindow::with_floor(Wire::take(r)?),
             };
             for _ in 0..r.count(MAX_TABLE)? {
                 let timestamp = Wire::take(r)?;
@@ -1519,7 +1514,11 @@ impl Wire for TransferPayload<'_> {
                     replica: ReplicaId(0),
                     result: Wire::take(r)?,
                 };
-                record.replies.insert(timestamp, reply);
+                // the encoder writes each client's replies in ascending
+                // timestamp order, once each
+                if !record.replies.push_newest(timestamp, reply) {
+                    return Err(WireError);
+                }
             }
             table.insert(client, record);
         }
@@ -1543,25 +1542,22 @@ mod tests {
         ClientRequest::new(ClientId(1), ts, 0, CounterMachine::op(delta))
     }
 
+    fn reply_at(timestamp: u64, result: Vec<u8>) -> Reply {
+        Reply {
+            view: View(1),
+            timestamp,
+            client: ClientId(7),
+            replica: ReplicaId(0),
+            result,
+        }
+    }
+
     #[test]
     fn transfer_payload_round_trips() {
-        let mut table = BTreeMap::new();
-        table.insert(
-            ClientId(7),
-            ClientRecord {
-                floor: 3,
-                replies: BTreeMap::from([(
-                    4u64,
-                    Reply {
-                        view: View(1),
-                        timestamp: 4,
-                        client: ClientId(7),
-                        replica: ReplicaId(0),
-                        result: vec![9, 9],
-                    },
-                )]),
-            },
-        );
+        let mut replies = KeyWindow::with_floor(3);
+        replies.insert(4, reply_at(4, vec![9, 9]), 32);
+        replies.insert(6, reply_at(6, vec![1]), 32);
+        let table = BTreeMap::from([(ClientId(7), ClientRecord { replies })]);
         let payload = TransferPayload {
             app_snapshot: b"snapshot-bytes".to_vec(),
             table: Cow::Borrowed(&table),
@@ -1571,10 +1567,38 @@ mod tests {
         assert_eq!(decoded.app_snapshot, b"snapshot-bytes");
         // only the order-determined fields travel
         let record = &decoded.table[&ClientId(7)];
-        assert_eq!(record.floor, 3);
-        assert_eq!(record.replies[&4].result, vec![9, 9]);
-        assert_eq!(record.replies[&4].view, View(0));
+        assert_eq!(record.replies.floor(), 3);
+        assert_eq!(record.replies.get(4).unwrap().result, vec![9, 9]);
+        assert_eq!(record.replies.get(4).unwrap().view, View(0));
         assert_eq!(decoded.encode(), payload);
+    }
+
+    /// The encoder writes each client's replies in ascending timestamp
+    /// order, once each; a payload that does not is refused, not sorted.
+    #[test]
+    fn transfer_payload_refuses_replies_out_of_order() {
+        let encode = |timestamps: &[u64]| {
+            let mut w = Writer::new();
+            Vec::<u8>::new().put(&mut w);
+            w.count(1);
+            ClientId(7).put(&mut w);
+            0u64.put(&mut w);
+            w.count(timestamps.len());
+            for &t in timestamps {
+                t.put(&mut w);
+                vec![t as u8].put(&mut w);
+            }
+            w.finish()
+        };
+        assert!(TransferPayload::decode(&encode(&[4, 6])).is_ok());
+        assert!(
+            TransferPayload::decode(&encode(&[6, 4])).is_err(),
+            "descending"
+        );
+        assert!(
+            TransferPayload::decode(&encode(&[4, 4])).is_err(),
+            "duplicate"
+        );
     }
 
     /// Drives a full in-memory group of 4 replicas by relaying outputs.

@@ -61,7 +61,7 @@ fn tampered_element_traffic_is_equivalent_to_a_crash() {
 #[test]
 fn delayed_key_shares_are_survivable() {
     let mut system = bank_system(303).build();
-    let gm_nodes: Vec<simnet::NodeId> = system.fabric.domain(itdos::GM_DOMAIN).nodes.clone();
+    let gm_nodes: Vec<simnet::NodeId> = system.fabric.domain(itdos::GM_DOMAIN).nodes.to_vec();
     let mut adversary = Scripted::new();
     for node in gm_nodes {
         adversary.delay_from(node, SimDuration::from_millis(40));

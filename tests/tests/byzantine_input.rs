@@ -41,6 +41,7 @@ use itdos_giop::types::{TypeDesc, Value};
 use itdos_groupmgr::{
     ConnectionId, DomainId, DomainRecord, ElementRecord, Endpoint, GroupManager, Membership,
 };
+use itdos_obs::LabelValue;
 use itdos_vote::comparator::Comparator;
 use itdos_vote::detector::{FaultProof, SignedReply};
 use itdos_vote::vote::SenderId;
@@ -649,6 +650,54 @@ fn a_backup_cannot_order_a_request_under_a_clients_name() {
     assert!(replies.iter().all(|r| r.result == 5i64.to_le_bytes()));
 }
 
+// ---- early frames are held within a quota per submitter
+
+/// A BFT client of the bank's ordering group has frames for 200
+/// connections nobody opened ordered. Each is early at every element — no
+/// key for it will ever arrive — so an element that kept them all would
+/// grow without bound, one queue per invented id. Each element keeps at
+/// most the submitter's quota of 128, drops and counts the rest, and
+/// still serves the honest client.
+#[test]
+fn early_frames_for_invented_connections_are_held_within_a_quota() {
+    let mut builder = bank_system(73);
+    builder.obs(itdos::ObsConfig::standard());
+    let mut system = builder.build();
+    let submitter = 4242;
+    let auth = system.fabric.bft_auth_client(BANK, submitter);
+    let nodes = system.fabric.domain(BANK).nodes.to_vec();
+    let signature = SigningKey::from_seed(b"invented").sign(b"frame");
+    let mut frames = VecDeque::new();
+    for i in 0..200u64 {
+        let early = SmiopFrame {
+            connection: ConnectionId(1_000_000 + i),
+            epoch: 0,
+            kind: FrameKind::Request,
+            sender_code: submitter,
+            request_id: 1,
+            sequence: 1,
+            sealed: vec![0; 48],
+            signature,
+        };
+        let op = QueueOp::Deliver(early.encode()).encode();
+        let submission = Message::Request(ClientRequest::new(ClientId(submitter), i + 1, 0, op));
+        let frame: Bytes = bft_frame(&auth, BANK, &submission, None).bytes;
+        frames.extend(nodes.iter().map(|&node| (node, frame.clone())));
+    }
+    system.sim.add_process(Box::new(Inject(frames)));
+    system.settle();
+
+    for index in 0..4 {
+        let element = system.element(BANK, index);
+        assert_eq!(element.replica().app().next_index(), 200, "all ordered");
+        assert_eq!(element.stalled_frames(), 128, "element {index}");
+        let label = [("element", LabelValue::U64(u64::from(element.element().0)))];
+        assert_eq!(system.obs.counter_value("element.stall_drops", &label), 72);
+    }
+    let done = system.invoke(CLIENT, deposit(5));
+    assert_eq!(done.result, Ok(Value::LongLong(5)));
+}
+
 // ---- a connection's key holders speak only for their side (ROADMAP item 16)
 
 fn requests_handled(system: &System) -> Vec<u64> {
@@ -661,7 +710,7 @@ fn requests_handled(system: &System) -> Vec<u64> {
 /// element holds it, rebuilt here from f_gm + 1 leaked Group Manager
 /// shares and the DPRF's KDF.
 fn leaked_connection_key(system: &System) -> (ConnectionId, u32, SealKey) {
-    let gm_f = system.fabric.domain(system.fabric.gm_domain).f;
+    let gm_f = system.fabric.domain(system.fabric.gm_domain()).f;
     let leaked: Vec<shamir::Share> = (0..=gm_f)
         .map(|i| system.gm_element(i).leaked_share())
         .collect();
@@ -704,7 +753,7 @@ fn an_element_cannot_send_a_request_on_a_clients_connection() {
         operation: "deposit".into(),
         args: vec![Value::LongLong(-1000)],
     });
-    let giop = encode_message(&request, &system.fabric.repo, Endianness::Little).unwrap();
+    let giop = encode_message(&request, system.fabric.repo(), Endianness::Little).unwrap();
     let signed = SignedReply::sign(&system.fabric.signing_key(forger), forger, 1, giop);
     let forged = SmiopFrame {
         connection,
@@ -762,7 +811,7 @@ fn a_clients_proof_carries_the_frame_its_vote_counted() {
             operation: "deposit".into(),
             body: ReplyBody::Result(Value::LongLong(balance)),
         });
-        let giop = encode_message(&reply, &system.fabric.repo, Endianness::Little).unwrap();
+        let giop = encode_message(&reply, system.fabric.repo(), Endianness::Little).unwrap();
         let signed = SignedReply::sign(&system.fabric.signing_key(liar), liar, sequence, giop);
         let frame = SmiopFrame {
             connection,

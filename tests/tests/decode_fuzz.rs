@@ -304,7 +304,7 @@ fn hostile_sealed_buffers_are_refused_on_every_open_path() {
         client_domain: None,
         server_domain: BANK,
     };
-    let gm = fabric.element_codes(fabric.gm_domain)[0];
+    let gm = fabric.element_codes(fabric.gm_domain())[0];
     let client = fabric.node_of(meta.client_code).expect("the client's node");
     let bank = fabric.domain(BANK);
     let signature = SigningKey::from_seed(b"hostile").sign(b"frame");
@@ -326,7 +326,7 @@ fn hostile_sealed_buffers_are_refused_on_every_open_path() {
         frames.push_back((client, CoreMsg::KeyShare(share).encode().into()));
         frames.push_back((client, CoreMsg::DirectReply(reply).encode().into()));
     }
-    for (&element, &node) in bank.elements.iter().zip(&bank.nodes) {
+    for (&element, &node) in bank.elements.iter().zip(bank.nodes) {
         for sealed in hostile_sealed(&fabric.pairwise(gm, element_code(element)), b"expel") {
             let notice = NoticeMsg {
                 gm_code: gm,
