@@ -13,23 +13,23 @@
 # Allocations are: `allocs_per_op` is a pure function of (workload, seed), so
 # every workload on seed 7 must not exceed its last measured value, with no
 # margin — the next allocation regression fails here, on whichever path it
-# lands: small_closed pins the per-message path (one buffer per BFT frame,
-# MAC tags written into it and read in place), bulk_closed the payload path
-# (a replica's store of held requests allocates nothing per op),
-# pipelined_batch the primary's batching, connect_storm the Group Manager's
-# keying, sustained_history the never-quiesced queue and its timers, and
-# intrusion_campaign expulsion, admission and state transfer (it builds
-# replacement replicas inside its ops, so a per-`Replica` allocation shows
-# there). intrusion_campaign is also the one untraced workload with
-# observability on, so its pin guards the observability path too: registry
-# updates, flight-ring records, tap copies and the live streaming audit
-# all allocate nothing per event, and an allocation put back on any of
-# them fails here. The pins now also guard one buffer per sealed payload
-# and an uncopied decided vote: a seal or open through a second buffer, or
-# a voter that copies a decision no late sender can still be checked
-# against, fails here. The pins now also guard the reply-count and vote
-# paths, so a per-reply count map or a per-frame comparator copy fails
-# here. A change that lowers a count lowers its pin in the same diff.
+# lands. What each workload's pin guards:
+#   every workload      one buffer per sealed payload (seal and open), an
+#                       uncopied decided vote, no per-reply count map, no
+#                       per-frame comparator copy
+#   small_closed        the per-message path: one buffer per BFT frame, MAC
+#                       tags written into it and read in place
+#   bulk_closed         the payload path: a replica's store of held requests
+#                       allocates nothing per op
+#   pipelined_batch     the primary's batching
+#   connect_storm       the Group Manager's keying
+#   sustained_history   the never-quiesced queue and its timers
+#   intrusion_campaign  expulsion, admission and state transfer (it builds
+#                       replacement replicas inside its ops, so a per-`Replica`
+#                       allocation shows there); as the one untraced workload
+#                       with observability on, also registry updates,
+#                       flight-ring records, tap copies and the live audit
+# A change that lowers a count lowers its pin in the same diff.
 set -euo pipefail
 cd "$(dirname "$0")"
 

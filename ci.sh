@@ -5,6 +5,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# every cargo step below shares these flags, so nothing builds twice; with
+# warnings denied, rustc's own `dead_code` lint fails the build on a
+# crate-private helper nothing reaches any more
+export RUSTFLAGS="-D warnings"
+
 echo '== cargo fmt --check'
 cargo fmt --check
 

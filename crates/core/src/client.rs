@@ -94,7 +94,7 @@ fn invoke_span_id(connection: ConnectionId, request_id: u64) -> u64 {
 ///
 /// Panics if the request does not match the repository (caller bug).
 #[allow(clippy::too_many_arguments)]
-pub fn encode_traced_command(
+pub(crate) fn encode_traced_command(
     fabric: &Fabric,
     target: DomainId,
     object_key: &[u8],
@@ -199,7 +199,7 @@ impl SingletonClient {
     /// at least 1). Outbound BFT channels widen to match, so a batching
     /// primary can order several of this client's requests per sequence
     /// number; results still land in `completed` in submission order.
-    pub fn set_pipeline(&mut self, pipeline: usize) {
+    pub(crate) fn set_pipeline(&mut self, pipeline: usize) {
         self.pipeline = pipeline.max(1);
         for outbound in self.outbound.iter_mut() {
             outbound.set_window(self.pipeline);

@@ -13,13 +13,13 @@ pub use itdos_groupmgr::membership::{
 use itdos_vote::vote::SenderId;
 
 /// The BFT client identity an endpoint uses toward any group.
-pub fn bft_client_id(code: u64) -> ClientId {
+pub(crate) fn bft_client_id(code: u64) -> ClientId {
     ClientId(code)
 }
 
 /// The vote-sender id used for an endpoint code. Singleton `n` and element
 /// `n` share one, so a sender's side is judged by its code.
-pub fn vote_sender(code: u64) -> SenderId {
+pub(crate) fn vote_sender(code: u64) -> SenderId {
     if code >= ELEMENT_CODE_BASE {
         SenderId((code - ELEMENT_CODE_BASE) as u32)
     } else {
@@ -47,7 +47,7 @@ const TAG_DELAYED: u64 = 3;
 const TAG_CLIENT: u64 = 5;
 
 /// Packs a tag and parameter into a timer kind.
-pub fn pack_timer(tag: TimerTag, param: u64) -> u64 {
+pub(crate) fn pack_timer(tag: TimerTag, param: u64) -> u64 {
     let t = match tag {
         TimerTag::View => TAG_VIEW,
         TimerTag::Retransmit => TAG_RETRANSMIT,
@@ -58,7 +58,7 @@ pub fn pack_timer(tag: TimerTag, param: u64) -> u64 {
 }
 
 /// Unpacks a timer kind. Returns `None` for unknown tags.
-pub fn unpack_timer(kind: u64) -> Option<(TimerTag, u64)> {
+pub(crate) fn unpack_timer(kind: u64) -> Option<(TimerTag, u64)> {
     let tag = match kind & 7 {
         TAG_VIEW => TimerTag::View,
         TAG_RETRANSMIT => TimerTag::Retransmit,

@@ -282,7 +282,7 @@ impl ServerElement {
     /// Queues a GM admission request: on process start the element asks
     /// the Group Manager group (as an ordinary BFT client) to admit it
     /// into `replaced`'s roster slot.
-    pub fn request_admission(&mut self, replaced: SenderId) {
+    pub(crate) fn request_admission(&mut self, replaced: SenderId) {
         self.pending_admit = Some(replaced);
     }
 

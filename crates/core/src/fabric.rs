@@ -247,7 +247,7 @@ impl Fabric {
     }
 
     /// Public verifier for GM key shares.
-    pub fn dprf_verifier(&self) -> &Verifier {
+    pub(crate) fn dprf_verifier(&self) -> &Verifier {
         &self.shared.wiring.dprf_verifier
     }
 
@@ -288,13 +288,13 @@ impl Fabric {
     }
 
     /// The signing key of any endpoint code (elements and singletons).
-    pub fn signing_key_code(&self, code: u64) -> SigningKey {
+    pub(crate) fn signing_key_code(&self, code: u64) -> SigningKey {
         let seed = &self.shared.wiring.global_seed;
         SigningKey::from_seed_parts(&[seed, b"sign", &code.to_le_bytes()])
     }
 
     /// The verifying key of any endpoint code.
-    pub fn verifying_key_code(&self, code: u64) -> VerifyingKey {
+    pub(crate) fn verifying_key_code(&self, code: u64) -> VerifyingKey {
         self.signing_key_code(code).verifying_key()
     }
 
@@ -334,7 +334,7 @@ impl Fabric {
     /// *client side* (one singleton, f = 0, or a client domain's
     /// elements), replies from the *server side's* elements (§3.6 — the
     /// voter masks faults of the sending domain).
-    pub fn sender_thresholds(
+    pub(crate) fn sender_thresholds(
         &self,
         meta: &ConnectionMeta,
         kind: crate::wire::FrameKind,
@@ -362,7 +362,7 @@ impl Fabric {
     /// (and changes nothing) unless `replaced` currently holds `slot` —
     /// which also makes re-application a no-op, so peers can apply the
     /// same notice-threshold event at most once.
-    pub fn apply_admission(
+    pub(crate) fn apply_admission(
         &mut self,
         domain: DomainId,
         admitted: SenderId,

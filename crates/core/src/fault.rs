@@ -42,7 +42,7 @@ impl Behavior {
     }
 
     /// True when replies should be suppressed entirely.
-    pub fn is_silent(&self) -> bool {
+    pub(crate) fn is_silent(&self) -> bool {
         matches!(self, Behavior::Silent)
     }
 

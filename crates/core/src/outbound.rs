@@ -84,7 +84,7 @@ impl Outbound {
     /// Queues an operation carrying a causal trace id (0 = untraced); the
     /// id rides the BFT request so ordering work is attributable to the
     /// invocation that caused it.
-    pub fn submit_traced(
+    pub(crate) fn submit_traced(
         &mut self,
         ctx: &mut Context<'_>,
         fabric: &Fabric,
@@ -97,7 +97,7 @@ impl Outbound {
 
     /// Drains the results of accepted operations, oldest first; dropping
     /// the iterator discards what it did not yield.
-    pub fn take_accepted(&mut self) -> std::collections::vec_deque::Drain<'_, Vec<u8>> {
+    pub(crate) fn take_accepted(&mut self) -> std::collections::vec_deque::Drain<'_, Vec<u8>> {
         self.accepted.drain(..)
     }
 
@@ -187,7 +187,7 @@ impl Outbound {
     /// Handles the retransmission timer: re-broadcasts the requests whose
     /// own deadline has passed and re-arms for the earliest remaining one,
     /// or not at all when nothing is undecided.
-    pub fn on_retransmit_timer(&mut self, ctx: &mut Context<'_>, fabric: &Fabric) {
+    pub(crate) fn on_retransmit_timer(&mut self, ctx: &mut Context<'_>, fabric: &Fabric) {
         let timeout = self.retransmit_timeout(fabric);
         let (due, next) = self.client.due(ctx.now().as_micros(), timeout);
         for request in due {
@@ -223,7 +223,7 @@ impl Channels {
     }
 
     /// The channel to `target`, opened by `open` if there is none yet.
-    pub fn get_or_open(
+    pub(crate) fn get_or_open(
         &mut self,
         target: DomainId,
         open: impl FnOnce() -> Outbound,

@@ -32,18 +32,13 @@ impl ComparatorRegistry {
         ComparatorRegistry::default()
     }
 
-    /// Replaces the default comparator.
-    pub fn set_default(&mut self, comparator: Comparator) {
-        self.default = comparator;
-    }
-
     /// Registers a comparator for an interface.
     pub fn register(&mut self, interface: impl Into<String>, comparator: Comparator) {
         self.by_interface.insert(interface.into(), comparator);
     }
 
     /// The comparator for an interface (falls back to the default).
-    pub fn for_interface(&self, interface: &str) -> &Comparator {
+    pub(crate) fn for_interface(&self, interface: &str) -> &Comparator {
         self.by_interface.get(interface).unwrap_or(&self.default)
     }
 }
@@ -69,7 +64,7 @@ mod tests {
     #[test]
     fn default_is_replaceable() {
         let mut r = ComparatorRegistry::new();
-        r.set_default(Comparator::InexactAbs(0.5));
+        r.default = Comparator::InexactAbs(0.5);
         assert_eq!(r.for_interface("X"), &Comparator::InexactAbs(0.5));
     }
 }

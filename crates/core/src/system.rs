@@ -65,7 +65,6 @@ struct ClientPlan {
 struct BftTuning {
     max_batch: Option<usize>,
     pipeline_depth: Option<u64>,
-    client_reply_window: Option<usize>,
 }
 
 /// Per-domain pieces the builder hands over to the built [`System`] so
@@ -89,7 +88,6 @@ pub struct SystemBuilder {
     settle_budget: u64,
     bft: BftTuning,
     client_pipeline: usize,
-    streaming_audit: bool,
     healing: Option<HealConfig>,
 }
 
@@ -121,7 +119,6 @@ impl SystemBuilder {
             settle_budget: DEFAULT_SETTLE_BUDGET,
             bft: BftTuning::default(),
             client_pipeline: 1,
-            streaming_audit: true,
             healing: None,
         }
     }
@@ -131,7 +128,7 @@ impl SystemBuilder {
     /// audit's live health verdict and automatically expels, replaces,
     /// and (on a period) proactively rejuvenates elements through the
     /// Group Manager's ordinary voted paths. Requires observability
-    /// ([`SystemBuilder::obs`]) with the streaming audit left on —
+    /// ([`SystemBuilder::obs`]), which turns the streaming audit on —
     /// [`SystemBuilder::build`] panics otherwise, because a controller
     /// with no verdict to act on is a misconfiguration, not a policy.
     pub fn healing(&mut self, cfg: HealConfig) -> &mut SystemBuilder {
@@ -139,22 +136,15 @@ impl SystemBuilder {
         self
     }
 
-    /// Enables or disables the always-on streaming audit (default on
-    /// whenever observability is on; a no-op when it is off). When
-    /// enabled, [`System::settle`] pumps every flight event through the
-    /// incremental audit analyzers, publishing fresh findings as
-    /// `audit.finding` flight events and live per-element
-    /// `replica.health` gauges — the in-system counterpart of the
-    /// post-hoc [`System::audit`], equal to it by construction.
-    pub fn streaming_audit(&mut self, on: bool) -> &mut SystemBuilder {
-        self.streaming_audit = on;
-        self
-    }
-
     /// Configures the deterministic observability layer: one shared
     /// [`itdos_obs::Obs`] recorder (metrics + flight recorder) driven by
     /// the simulator clock and installed on every process. Off by default
-    /// ([`ObsConfig::off`]) — disabled hooks are free. Use
+    /// ([`ObsConfig::off`]) — disabled hooks are free. With observability
+    /// on, the streaming audit is on too: [`System::settle`] pumps every
+    /// flight event through the incremental audit analyzers, publishing
+    /// fresh findings as `audit.finding` flight events and live
+    /// per-element `replica.health` gauges — the in-system counterpart of
+    /// the post-hoc [`System::audit`], equal to it by construction. Use
     /// [`ObsConfig::standard`] for metrics/spans or
     /// [`ObsConfig::forensic`] to keep a whole drill's event timeline
     /// (consumed by [`System::metrics_jsonl`] / [`System::audit_jsonl`]).
@@ -181,30 +171,15 @@ impl SystemBuilder {
         self
     }
 
-    /// Disables batching and pipelining (`max_batch = 1`,
-    /// `pipeline_depth = 1`) — the strict one-request-per-sequence
-    /// baseline used for throughput comparisons.
-    pub fn unbatched(&mut self) -> &mut SystemBuilder {
-        self.batching(1, 1)
-    }
-
     /// Sets how many invocations every client may keep in flight
     /// concurrently (default 1, the classic §3.6 model). Results are
     /// still delivered in submission order. At build time the depth is
     /// clamped to the replicas' per-client reply-cache window
-    /// ([`SystemBuilder::client_reply_window`]): a deeper pipeline could
+    /// ([`GroupConfig::client_reply_window`]): a deeper pipeline could
     /// let a retransmitted request fall out of every correct replica's
     /// cache and be re-executed.
     pub fn client_pipeline(&mut self, depth: usize) -> &mut SystemBuilder {
         self.client_pipeline = depth.max(1);
-        self
-    }
-
-    /// Overrides the per-client reply-cache window every replica retains
-    /// (the duplicate-suppression depth; default comes from
-    /// [`GroupConfig::for_f`]). Clamped to at least 1.
-    pub fn client_reply_window(&mut self, window: usize) -> &mut SystemBuilder {
-        self.bft.client_reply_window = Some(window.max(1));
         self
     }
 
@@ -357,9 +332,6 @@ impl SystemBuilder {
             }
             if let Some(depth) = self.bft.pipeline_depth {
                 config.pipeline_depth = depth.max(1);
-            }
-            if let Some(window) = self.bft.client_reply_window {
-                config.client_reply_window = window.max(1);
             }
             config
         };
@@ -607,7 +579,7 @@ impl SystemBuilder {
             audit_stream: None,
             heal: None,
         };
-        if self.streaming_audit && system.obs.is_enabled() {
+        if system.obs.is_enabled() {
             // the tap outlives the flight ring by a healthy margin so a
             // settle that wraps the ring still feeds the stream every
             // event; overflow is accounted as `obs.tap_dropped`
@@ -625,9 +597,8 @@ impl SystemBuilder {
         if let Some(cfg) = self.healing {
             assert!(
                 system.audit_stream.is_some(),
-                "healing requires obs(ObsConfig::standard()/forensic()) with \
-                 streaming_audit left on: the controller acts on the live \
-                 streaming-audit health verdict"
+                "healing requires obs(ObsConfig::standard()/forensic()): the \
+                 controller acts on the live streaming-audit health verdict"
             );
             system.heal = Some(HealState::new(cfg));
         }
@@ -1052,7 +1023,7 @@ impl System {
     /// The streaming auditor's current view of the run: a full
     /// [`itdos_audit::AuditReport`] built from the incremental analyzer
     /// state and the live metrics registry — without parsing any dump.
-    /// `None` when streaming audit is off. After [`System::settle`] at
+    /// `None` when observability is off. After [`System::settle`] at
     /// the end of a run this equals [`System::audit`] by construction.
     pub fn live_audit_report(&self) -> Option<itdos_audit::AuditReport> {
         let stream = self.audit_stream.as_ref()?;
@@ -1061,7 +1032,7 @@ impl System {
 
     /// Live per-element health (100 = clean, 0 = condemned) from the
     /// streaming auditor — the values currently exported as the
-    /// `replica.health` gauge. Empty when streaming audit is off.
+    /// `replica.health` gauge. Empty when observability is off.
     pub fn live_health(&self) -> BTreeMap<u64, i64> {
         self.audit_stream
             .as_ref()

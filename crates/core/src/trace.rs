@@ -24,7 +24,7 @@ use itdos_obs::flight::Event;
 /// The trace id minted for an invocation ticket: client in the high 32
 /// bits, 1-based submission index low, so every real invocation is
 /// nonzero and ids never collide across clients.
-pub fn trace_id(client: u64, index: usize) -> u64 {
+pub(crate) fn trace_id(client: u64, index: usize) -> u64 {
     (client << 32) | (index as u64 + 1)
 }
 
@@ -67,12 +67,12 @@ pub struct TraceReport {
 
 impl TraceReport {
     /// First timestamp on the path.
-    pub fn started_us(&self) -> u64 {
+    fn started_us(&self) -> u64 {
         self.hops.first().map(|h| h.at_us).unwrap_or(0)
     }
 
     /// Last timestamp on the path.
-    pub fn finished_us(&self) -> u64 {
+    fn finished_us(&self) -> u64 {
         self.hops.last().map(|h| h.at_us).unwrap_or(0)
     }
 

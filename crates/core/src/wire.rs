@@ -407,233 +407,3 @@ pub fn encode_directives(directives: &[Directive]) -> Vec<u8> {
 pub fn decode_directives(bytes: &[u8]) -> Result<Vec<Directive>, WireError> {
     decode_seq(bytes, MAX_PROOF_ITEMS)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use itdos_bft::wire::{Wire, Writer};
-    use itdos_crypto::sign::SigningKey;
-    use itdos_vote::detector::SignedReply;
-
-    fn sig() -> Signature {
-        SigningKey::from_seed(b"s").sign(b"m")
-    }
-
-    fn meta() -> ConnectionMeta {
-        ConnectionMeta {
-            connection: ConnectionId(7),
-            epoch: 2,
-            client_code: 42,
-            client_domain: Some(DomainId(3)),
-            server_domain: DomainId(1),
-        }
-    }
-
-    #[test]
-    fn core_msgs_round_trip() {
-        let msgs = vec![
-            CoreMsg::Bft {
-                domain: DomainId(1),
-                envelope: vec![1, 2, 3].into(),
-            },
-            CoreMsg::KeyShare(KeyShareMsg {
-                meta: meta(),
-                gm_code: 1_000_050,
-                sealed: vec![9; 60],
-            }),
-            CoreMsg::DirectReply(DirectReplyMsg {
-                connection: ConnectionId(7),
-                epoch: 0,
-                sender: SenderId(3),
-                sequence: 11,
-                sealed: vec![8; 50],
-                signature: sig(),
-            }),
-            CoreMsg::Notice(NoticeMsg {
-                gm_code: 1_000_051,
-                domain: DomainId(1),
-                expelled: SenderId(3),
-                sealed: vec![2; 48],
-            }),
-            CoreMsg::AdmitNotice(AdmitNoticeMsg {
-                gm_code: 1_000_051,
-                domain: DomainId(1),
-                admitted: SenderId(14),
-                replaced: SenderId(3),
-                slot: 3,
-                node: 22,
-                epoch: 1,
-                verifying_key: SigningKey::from_seed(b"r").verifying_key(),
-                sealed: vec![6; 48],
-            }),
-        ];
-        for m in msgs {
-            assert_eq!(CoreMsg::decode(&m.encode()).unwrap(), m);
-        }
-    }
-
-    #[test]
-    fn smiop_frame_round_trips() {
-        for kind in [FrameKind::Request, FrameKind::Reply] {
-            let f = SmiopFrame {
-                connection: ConnectionId(1),
-                epoch: 3,
-                kind,
-                sender_code: 1_000_002,
-                request_id: 5,
-                sequence: 77,
-                sealed: vec![1, 2, 3],
-                signature: sig(),
-            };
-            assert_eq!(SmiopFrame::decode(&f.encode()).unwrap(), f);
-        }
-    }
-
-    #[test]
-    fn gm_ops_round_trip() {
-        let proof = FaultProof {
-            accused: vec![SenderId(3)],
-            request_id: 9,
-            messages: vec![SignedReply {
-                sender: SenderId(0),
-                sequence: 1,
-                frame: vec![5, 5],
-                signature: sig(),
-            }],
-        };
-        let ops = vec![
-            GmOp::Open {
-                client: Endpoint::Singleton(9),
-                client_domain: None,
-                target: DomainId(1),
-            },
-            GmOp::Open {
-                client: Endpoint::Element(SenderId(4)),
-                client_domain: Some(DomainId(2)),
-                target: DomainId(1),
-            },
-            GmOp::ChangeProof(proof),
-            GmOp::ChangeVote {
-                accuser: SenderId(0),
-                accused: SenderId(3),
-            },
-            GmOp::Close(ConnectionId(2)),
-            GmOp::Admit {
-                domain: DomainId(1),
-                replacement: SenderId(14),
-                replaced: SenderId(3),
-                node: 22,
-                verifying_key: SigningKey::from_seed(b"r").verifying_key(),
-            },
-            GmOp::Retire {
-                domain: DomainId(1),
-                element: SenderId(2),
-            },
-        ];
-        for op in ops {
-            assert_eq!(GmOp::decode(&op.encode()).unwrap(), op);
-        }
-    }
-
-    #[test]
-    fn heal_cmds_round_trip_and_reject_malformed() {
-        let cmds = vec![
-            HealCmd::Accuse {
-                accused: SenderId(7),
-            },
-            HealCmd::Retire,
-        ];
-        for cmd in cmds {
-            let bytes = cmd.encode();
-            assert_eq!(HealCmd::decode(&bytes).unwrap(), cmd);
-            for cut in 0..bytes.len() {
-                assert!(HealCmd::decode(&bytes[..cut]).is_err(), "cut at {cut}");
-            }
-            let mut garbage = bytes.clone();
-            garbage.push(0);
-            assert!(HealCmd::decode(&garbage).is_err(), "trailing garbage");
-        }
-        assert!(HealCmd::decode(&[99]).is_err(), "unknown tag");
-    }
-
-    #[test]
-    fn directives_round_trip() {
-        let ds = vec![
-            Directive::KeyDist {
-                meta: meta(),
-                input: [7u8; 32],
-                recipients: vec![1, 1_000_000],
-            },
-            Directive::Refused(2),
-            Directive::Expelled {
-                domain: DomainId(1),
-                element: SenderId(3),
-            },
-            Directive::VoteRecorded,
-            Directive::Admitted {
-                domain: DomainId(1),
-                element: SenderId(14),
-                replaced: SenderId(3),
-                slot: 3,
-                node: 22,
-                epoch: 1,
-                verifying_key: SigningKey::from_seed(b"r").verifying_key(),
-            },
-            Directive::Retired {
-                domain: DomainId(1),
-                element: SenderId(2),
-            },
-        ];
-        assert_eq!(decode_directives(&encode_directives(&ds)).unwrap(), ds);
-    }
-
-    #[test]
-    fn truncated_admission_messages_rejected() {
-        let full = GmOp::Admit {
-            domain: DomainId(1),
-            replacement: SenderId(14),
-            replaced: SenderId(3),
-            node: 22,
-            verifying_key: SigningKey::from_seed(b"r").verifying_key(),
-        }
-        .encode();
-        for cut in 1..full.len() {
-            assert!(GmOp::decode(&full[..cut]).is_err(), "cut at {cut}");
-        }
-        let notice = CoreMsg::AdmitNotice(AdmitNoticeMsg {
-            gm_code: 1_000_051,
-            domain: DomainId(1),
-            admitted: SenderId(14),
-            replaced: SenderId(3),
-            slot: 3,
-            node: 22,
-            epoch: 1,
-            verifying_key: SigningKey::from_seed(b"r").verifying_key(),
-            sealed: vec![6; 48],
-        })
-        .encode();
-        for cut in 1..notice.len() {
-            assert!(CoreMsg::decode(&notice[..cut]).is_err(), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn malformed_inputs_rejected() {
-        assert!(CoreMsg::decode(&[]).is_err());
-        assert!(CoreMsg::decode(&[99]).is_err());
-        assert!(SmiopFrame::decode(&[1]).is_err());
-        assert!(GmOp::decode(&[9]).is_err());
-        assert!(decode_directives(&[0, 0, 0]).is_err());
-        // hostile length
-        let mut w = Writer::new();
-        w.u32(u32::MAX);
-        assert!(FaultProof::decode(&w.finish()).is_err());
-    }
-
-    #[test]
-    fn trailing_garbage_rejected() {
-        let mut bytes = GmOp::Close(ConnectionId(1)).encode();
-        bytes.push(0);
-        assert!(GmOp::decode(&bytes).is_err());
-    }
-}

@@ -1,15 +1,14 @@
-//! The deterministic analyzer pipeline — incremental at its core.
+//! The deterministic analyzer pipeline — incremental by construction.
 //!
-//! Every built-in detector is an *incremental state machine*
+//! Every detector is an *incremental state machine*
 //! ([`DivergenceState`], [`ParticipationState`], [`LivenessState`]): it
 //! folds one event at a time via `observe` — through the borrowed
 //! [`EventView`], so a live flight [`Event`] and a parsed [`EventRecord`]
 //! are read where they lie — and can surface its current [`Finding`]s at
-//! any point. The batch [`Analyzer`]s are thin wrappers that replay a
-//! finished timeline through the same states, and
-//! [`crate::Stream`] drives the identical states live inside a running
-//! system — which is how the streaming == batch equivalence guarantee is
-//! structural rather than aspirational.
+//! any point. [`crate::Stream`] drives these states live inside a running
+//! system, and [`crate::Auditor`] replays a finished dump through the
+//! same `Stream` — which is how the streaming == batch equivalence
+//! guarantee is structural rather than aspirational.
 //!
 //! States defer every topology lookup (scope → element, domain
 //! membership, view primaries) to finding time, so an element admitted
@@ -19,11 +18,9 @@
 //! abstracted as [`MetricsFacts`], constructible identically from a
 //! parsed dump or a live registry.
 //!
-//! Analyzers are pure functions of their input and iterate only ordered
+//! The states are pure functions of their input and iterate only ordered
 //! structures, so the pipeline's output is byte-stable for identical
-//! dumps; plugging in an extra analyzer (see
-//! [`crate::Auditor::push_analyzer`]) cannot perturb the findings of the
-//! built-in ones.
+//! dumps.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -190,26 +187,6 @@ pub struct Finding {
     pub detail: String,
 }
 
-/// Everything an analyzer may read.
-pub struct AuditInput<'a> {
-    /// The typed dump (counters, gauges, histograms).
-    pub dump: &'a Dump,
-    /// Flight events, merged into `(at_us, seq, scope)` order.
-    pub events: &'a [EventRecord],
-    /// The deployment map.
-    pub topology: &'a Topology,
-    /// Budgets and thresholds.
-    pub config: &'a AuditConfig,
-}
-
-/// One stage of the pipeline.
-pub trait Analyzer {
-    /// Stable analyzer name (used in findings and reports).
-    fn name(&self) -> &'static str;
-    /// Runs over the input and returns findings in deterministic order.
-    fn run(&self, input: &AuditInput<'_>) -> Vec<Finding>;
-}
-
 /// One ordering-phase histogram the liveness detector judges against its
 /// p99 budget.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -303,7 +280,7 @@ impl MetricsFacts {
 /// Health-score penalty per evidence unit for a finding kind. Applied as
 /// `weight × min(count, 3)` and clamped so health stays in `0..=100`
 /// (the formula documented in DESIGN.md §12).
-pub fn penalty_weight(kind: &str, severity: Severity) -> i64 {
+pub(crate) fn penalty_weight(kind: &str, severity: Severity) -> i64 {
     match kind {
         "divergence" => 30,
         "expelled" => 40,
@@ -326,13 +303,15 @@ fn domain_of(topology: &Topology, element: u64) -> Option<u64> {
     topology.elements.get(&element).map(|info| info.domain)
 }
 
+/// The `Finding::analyzer` name of each detector.
+const DIVERGENCE: &str = "divergence";
+const PARTICIPATION: &str = "participation";
+const LIVENESS: &str = "liveness";
+
 /// Divergence localization: correlates voter dissents (`vote.dissent`,
 /// `vote.late_dissent`), client fault proofs (`client.accused`),
 /// element-level accusations (`element.accuse`), and GM expulsions
 /// (`gm.expelled`) into per-element blame.
-pub struct DivergenceAnalyzer;
-
-/// Incremental state behind [`DivergenceAnalyzer`].
 #[derive(Clone, Debug, Default)]
 pub struct DivergenceState {
     /// Dissent occurrences per element, timestamped so the decay window
@@ -394,7 +373,6 @@ impl DivergenceState {
     /// latest event timestamp of the timeline; with a decay window
     /// configured, dissent rounds older than the window no longer count.
     pub fn findings(&self, topology: &Topology, config: &AuditConfig, now_us: u64) -> Vec<Finding> {
-        let name = DivergenceAnalyzer.name();
         let mut findings = Vec::new();
         for (&element, times) in &self.dissent_rounds {
             let rounds = windowed_total(times, config.decay_window_us, now_us);
@@ -408,7 +386,7 @@ impl DivergenceState {
                 "not expelled"
             };
             findings.push(Finding {
-                analyzer: name,
+                analyzer: DIVERGENCE,
                 severity: Severity::Blame,
                 kind: "divergence",
                 element: Some(element),
@@ -444,7 +422,7 @@ impl DivergenceState {
                     .to_string()
             };
             findings.push(Finding {
-                analyzer: name,
+                analyzer: DIVERGENCE,
                 severity: Severity::Blame,
                 kind: "expelled",
                 element: Some(element),
@@ -455,7 +433,7 @@ impl DivergenceState {
         }
         for &element in &self.retired {
             findings.push(Finding {
-                analyzer: name,
+                analyzer: DIVERGENCE,
                 severity: Severity::Info,
                 kind: "retired",
                 element: Some(element),
@@ -477,7 +455,7 @@ impl DivergenceState {
                 (Severity::Warn, "accusation")
             };
             findings.push(Finding {
-                analyzer: name,
+                analyzer: DIVERGENCE,
                 severity,
                 kind,
                 element: Some(accused),
@@ -490,28 +468,6 @@ impl DivergenceState {
     }
 }
 
-impl Analyzer for DivergenceAnalyzer {
-    fn name(&self) -> &'static str {
-        "divergence"
-    }
-
-    fn run(&self, input: &AuditInput<'_>) -> Vec<Finding> {
-        let mut state = DivergenceState::default();
-        for e in input.events {
-            state.observe(e);
-        }
-        state.findings(input.topology, input.config, timeline_now(input.events))
-    }
-}
-
-/// The "current time" of a finished timeline: its latest event
-/// timestamp. Decay windows are measured backwards from here, so batch
-/// replays and live streams (whose `now` is the latest event observed so
-/// far) agree once both have seen the same events.
-fn timeline_now(events: &[EventRecord]) -> u64 {
-    events.iter().map(|e| e.at_us).max().unwrap_or(0)
-}
-
 /// Participation check: a server-domain element whose domain served
 /// requests but which never emitted a reply is silent. Honest replicas
 /// all reply, so a clean run cannot trip this.
@@ -520,9 +476,8 @@ fn timeline_now(events: &[EventRecord]) -> u64 {
 /// could not have replied before it existed, so its pre-admission window
 /// is benign: its silence is judged only against the voted rounds its
 /// domain served *after* the GM's `gm.admitted` event for it.
-pub struct ParticipationAnalyzer;
-
-/// Incremental state behind [`ParticipationAnalyzer`]. Reply counters
+///
+/// Reply counters
 /// come from [`MetricsFacts`] at finding time; the event stream only
 /// contributes admission timestamps and voted-reply timestamps (kept per
 /// sender so domain membership can be resolved against the *final*
@@ -583,7 +538,6 @@ impl ParticipationState {
         facts: &MetricsFacts,
         now_us: u64,
     ) -> Vec<Finding> {
-        let name = ParticipationAnalyzer.name();
         let mut findings = Vec::new();
         for domain in topology.server_domains() {
             // judge the full historical roster, not just the live slots:
@@ -645,7 +599,7 @@ impl ParticipationState {
                         continue;
                     }
                     findings.push(Finding {
-                        analyzer: name,
+                        analyzer: PARTICIPATION,
                         severity: Severity::Blame,
                         kind: "silent",
                         element: Some(element),
@@ -666,7 +620,7 @@ impl ParticipationState {
                         let post = served(admitted, None);
                         if post == 0 {
                             findings.push(Finding {
-                                analyzer: name,
+                                analyzer: PARTICIPATION,
                                 severity: Severity::Info,
                                 kind: "quiet-joiner",
                                 element: Some(element),
@@ -680,7 +634,7 @@ impl ParticipationState {
                             continue;
                         }
                         findings.push(Finding {
-                            analyzer: name,
+                            analyzer: PARTICIPATION,
                             severity: Severity::Blame,
                             kind: "silent",
                             element: Some(element),
@@ -700,7 +654,7 @@ impl ParticipationState {
                             continue; // the domain served nothing on its watch
                         }
                         findings.push(Finding {
-                            analyzer: name,
+                            analyzer: PARTICIPATION,
                             severity: Severity::Blame,
                             kind: "silent",
                             element: Some(element),
@@ -714,7 +668,7 @@ impl ParticipationState {
                     }
                     (None, None) => {
                         findings.push(Finding {
-                            analyzer: name,
+                            analyzer: PARTICIPATION,
                             severity: Severity::Blame,
                             kind: "silent",
                             element: Some(element),
@@ -732,31 +686,11 @@ impl ParticipationState {
     }
 }
 
-impl Analyzer for ParticipationAnalyzer {
-    fn name(&self) -> &'static str {
-        "participation"
-    }
-
-    fn run(&self, input: &AuditInput<'_>) -> Vec<Finding> {
-        let mut state = ParticipationState::default();
-        for e in input.events {
-            state.observe(e);
-        }
-        state.findings(
-            input.topology,
-            input.config,
-            &MetricsFacts::from_dump(input.dump),
-            timeline_now(input.events),
-        )
-    }
-}
-
 /// Liveness forensics: primary equivocation, straggler stalls against
 /// the per-round voting decision, view-change storms, state-transfer
 /// loops, and ordering-phase latency budgets.
-pub struct LivenessAnalyzer;
-
-/// Incremental state behind [`LivenessAnalyzer`]. The stall tracker is a
+///
+/// The stall tracker is a
 /// genuine streaming state machine (decision markers consumed in
 /// timeline order); equivocation slots and storm counters are kept per
 /// *scope* and resolved to elements/primaries only at finding time so
@@ -869,7 +803,6 @@ impl LivenessState {
         // the contradictory pre-prepare; the culprit is the primary of
         // that view in the refuser's domain. Several refusers may report
         // the same (view, seq), so dedup per primary.
-        let name = LivenessAnalyzer.name();
         let mut contradicted: BTreeMap<u64, BTreeSet<(u64, u64)>> = BTreeMap::new();
         for (&scope, slots) in &self.equivocation_slots {
             let Some(refuser) = topology.element_of_scope(scope) else {
@@ -888,7 +821,7 @@ impl LivenessState {
         for (&primary, slots) in &contradicted {
             let (view, seq) = *slots.iter().next().expect("nonempty");
             findings.push(Finding {
-                analyzer: name,
+                analyzer: LIVENESS,
                 severity: Severity::Blame,
                 kind: "equivocation",
                 element: Some(primary),
@@ -909,14 +842,13 @@ impl LivenessState {
         now_us: u64,
         findings: &mut Vec<Finding>,
     ) {
-        let name = LivenessAnalyzer.name();
         for (&element, times) in &self.stall_rounds {
             let rounds = windowed_total(times, config.decay_window_us, now_us);
             if rounds == 0 || rounds < config.min_stall_rounds {
                 continue;
             }
             findings.push(Finding {
-                analyzer: name,
+                analyzer: LIVENESS,
                 severity: Severity::Blame,
                 kind: "stall",
                 element: Some(element),
@@ -937,7 +869,6 @@ impl LivenessState {
         now_us: u64,
         findings: &mut Vec<Finding>,
     ) {
-        let name = LivenessAnalyzer.name();
         let mut view_changes: BTreeMap<u64, u64> = BTreeMap::new();
         let mut fetches: BTreeMap<u64, u64> = BTreeMap::new();
         for (per_scope, per_element) in [
@@ -954,7 +885,7 @@ impl LivenessState {
         for (&element, &n) in &view_changes {
             if n >= config.view_change_storm {
                 findings.push(Finding {
-                    analyzer: name,
+                    analyzer: LIVENESS,
                     severity: Severity::Warn,
                     kind: "view-change-storm",
                     element: Some(element),
@@ -970,7 +901,7 @@ impl LivenessState {
         for (&element, &n) in &fetches {
             if n >= config.state_fetch_loop {
                 findings.push(Finding {
-                    analyzer: name,
+                    analyzer: LIVENESS,
                     severity: Severity::Warn,
                     kind: "state-transfer-loop",
                     element: Some(element),
@@ -991,7 +922,6 @@ impl LivenessState {
         facts: &MetricsFacts,
         findings: &mut Vec<Finding>,
     ) {
-        let name = LivenessAnalyzer.name();
         for h in &facts.phases {
             if h.count == 0 || h.p99 <= config.phase_budget_us {
                 continue;
@@ -1001,7 +931,7 @@ impl LivenessState {
                 .map(|r| format!(" (replica index {r})"))
                 .unwrap_or_default();
             findings.push(Finding {
-                analyzer: name,
+                analyzer: LIVENESS,
                 severity: Severity::Warn,
                 kind: "phase-budget",
                 element: None,
@@ -1013,24 +943,5 @@ impl LivenessState {
                 ),
             });
         }
-    }
-}
-
-impl Analyzer for LivenessAnalyzer {
-    fn name(&self) -> &'static str {
-        "liveness"
-    }
-
-    fn run(&self, input: &AuditInput<'_>) -> Vec<Finding> {
-        let mut state = LivenessState::default();
-        for e in input.events {
-            state.observe(e, input.config);
-        }
-        state.findings(
-            input.topology,
-            input.config,
-            &MetricsFacts::from_dump(input.dump),
-            timeline_now(input.events),
-        )
     }
 }

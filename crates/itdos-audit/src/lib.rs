@@ -14,12 +14,13 @@
 //! 2. **Merge** — per-process event streams become one causally ordered
 //!    timeline keyed by `(sim-time, global seq, scope)`
 //!    (`itdos_obs::jsonl::merge_events`).
-//! 3. **Analyze** — a pluggable pipeline of deterministic [`Analyzer`]s:
-//!    [`DivergenceAnalyzer`] (voter dissents × client fault proofs ×
-//!    peer accusations × GM expulsions), [`ParticipationAnalyzer`]
-//!    (silent replicas), and [`LivenessAnalyzer`] (primary equivocation,
-//!    straggler stalls against per-round decisions, view-change storms,
-//!    state-transfer loops, phase-latency budgets).
+//! 3. **Analyze** — three deterministic incremental detectors, driven
+//!    by one [`Stream`]: [`DivergenceState`] (voter dissents × client
+//!    fault proofs × peer accusations × GM expulsions),
+//!    [`ParticipationState`] (silent replicas), and [`LivenessState`]
+//!    (primary equivocation, straggler stalls against per-round
+//!    decisions, view-change storms, state-transfer loops,
+//!    phase-latency budgets).
 //! 4. **Score** — every finding debits the implicated replica's health
 //!    (100 = clean, 0 = condemned); [`AuditReport::export_health`]
 //!    writes the scores back through `itdos-obs` as the
@@ -38,9 +39,8 @@ pub mod stream;
 pub mod topology;
 
 pub use analyze::{
-    Analyzer, AuditConfig, AuditInput, DivergenceAnalyzer, DivergenceState, EventView, Finding,
-    LivenessAnalyzer, LivenessState, MetricsFacts, ParticipationAnalyzer, ParticipationState,
-    PhaseFact, Severity,
+    AuditConfig, DivergenceState, EventView, Finding, LivenessState, MetricsFacts,
+    ParticipationState, PhaseFact, Severity,
 };
 pub use report::{AuditReport, TimelineSummary};
 pub use stream::Stream;
@@ -48,20 +48,11 @@ pub use topology::{ElementInfo, Topology};
 
 use itdos_obs::jsonl::{merge_events, parse_dump, Dump};
 
-/// The audit pipeline: a topology, a configuration, and an ordered list
-/// of analyzers.
+/// The audit pipeline: a topology and a configuration.
+#[derive(Debug)]
 pub struct Auditor {
     topology: Topology,
     config: AuditConfig,
-    analyzers: Vec<Box<dyn Analyzer>>,
-}
-
-impl std::fmt::Debug for Auditor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Auditor")
-            .field("analyzers", &self.analyzers.len())
-            .finish()
-    }
 }
 
 impl Auditor {
@@ -70,15 +61,9 @@ impl Auditor {
         Auditor::with_config(topology, AuditConfig::default())
     }
 
-    /// An auditor with explicit budgets. The built-in detectors run as
-    /// the incremental [`Stream`] core; `analyzers` holds only custom
-    /// stages appended via [`Auditor::push_analyzer`].
+    /// An auditor with explicit budgets.
     pub fn with_config(topology: Topology, config: AuditConfig) -> Auditor {
-        Auditor {
-            topology,
-            config,
-            analyzers: Vec::new(),
-        }
+        Auditor { topology, config }
     }
 
     /// An auditor whose topology is read from the dump itself (the
@@ -87,13 +72,6 @@ impl Auditor {
         let dump = parse_dump(text)?;
         let topology = Topology::from_dump(&dump).ok_or("dump carries no topology records")?;
         Ok(Auditor::new(topology))
-    }
-
-    /// Appends a custom analyzer to the pipeline (runs after the built-in
-    /// ones; its findings sort into the same report).
-    pub fn push_analyzer(&mut self, analyzer: Box<dyn Analyzer>) -> &mut Auditor {
-        self.analyzers.push(analyzer);
-        self
     }
 
     /// The topology under audit.
@@ -134,10 +112,8 @@ impl Auditor {
     /// Audits an already-parsed dump (events are re-merged into timeline
     /// order first). This *is* the streaming pipeline: the dump's events
     /// replay through a fresh [`Stream`], so batch and live audits of
-    /// the same run are byte-identical by construction. Custom analyzers
-    /// (if any) still run over the assembled batch input and sort into
-    /// the same report.
-    pub fn audit_dump(&self, dump: &Dump) -> AuditReport {
+    /// the same run are byte-identical by construction.
+    pub(crate) fn audit_dump(&self, dump: &Dump) -> AuditReport {
         let mut dump = dump.clone();
         dump.events = merge_events(vec![std::mem::take(&mut dump.events)]);
 
@@ -145,21 +121,7 @@ impl Auditor {
         for e in &dump.events {
             stream.observe(e);
         }
-        let mut report = stream.report(&MetricsFacts::from_dump(&dump));
-        if !self.analyzers.is_empty() {
-            let input = AuditInput {
-                dump: &dump,
-                events: &dump.events,
-                topology: &self.topology,
-                config: &self.config,
-            };
-            for analyzer in &self.analyzers {
-                report.findings.extend(analyzer.run(&input));
-            }
-            sort_findings(&mut report.findings);
-            report.health = report::score_health(&report.topology, &report.findings);
-        }
-        report
+        stream.report(&MetricsFacts::from_dump(&dump))
     }
 }
 

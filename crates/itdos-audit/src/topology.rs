@@ -45,7 +45,7 @@ pub struct Topology {
 
 impl Topology {
     /// The element whose telemetry carries `scope`, if any.
-    pub fn element_of_scope(&self, scope: u64) -> Option<u64> {
+    pub(crate) fn element_of_scope(&self, scope: u64) -> Option<u64> {
         self.elements
             .iter()
             .find(|(_, info)| info.scope == scope)
@@ -57,7 +57,7 @@ impl Topology {
     /// (non-retired) occupant, so the list length always equals the
     /// domain's slot count — a retired id never shadows its replacement,
     /// and primary rotation stays modulo the BFT group's fixed `n`.
-    pub fn domain_members(&self, domain: u64) -> Vec<u64> {
+    fn domain_members(&self, domain: u64) -> Vec<u64> {
         let mut by_slot: BTreeMap<u64, u64> = BTreeMap::new();
         for (index, id) in self.roster_pairs(domain) {
             match by_slot.entry(index) {
@@ -78,7 +78,7 @@ impl Topology {
     /// included), ordered by (replica index, id). The participation
     /// analyzer judges this full roster so a culprit's silence record
     /// survives its expulsion and replacement.
-    pub fn domain_roster(&self, domain: u64) -> Vec<u64> {
+    pub(crate) fn domain_roster(&self, domain: u64) -> Vec<u64> {
         self.roster_pairs(domain).map(|(_, id)| id).collect()
     }
 

@@ -155,7 +155,7 @@ impl KeyProvisioner {
     }
 
     /// All replicas' verifying keys for a group of size `n`.
-    pub fn verifying_keys(&self, n: usize) -> BTreeMap<ReplicaId, VerifyingKey> {
+    fn verifying_keys(&self, n: usize) -> BTreeMap<ReplicaId, VerifyingKey> {
         (0u32..)
             .take(n)
             .map(|i| (ReplicaId(i), self.signing_key(ReplicaId(i)).verifying_key()))
@@ -515,29 +515,5 @@ mod tests {
                 sender.mac_envelope_for_client(client, &message)
             );
         }
-    }
-
-    #[test]
-    fn envelope_bytes_round_trip() {
-        let p = provisioner();
-        let sender = AuthContext::for_replica(p.clone(), ReplicaId(0), 4);
-        let [request, pre_prepare, prepare] = <[Message; 3]>::try_from(messages()).unwrap();
-        for env in [
-            sender.mac_envelope(&pre_prepare),
-            sender.signed_envelope(&prepare),
-            AuthContext::for_client(p, ClientId(5), 4).mac_envelope(&request),
-        ] {
-            assert_eq!(Envelope::decode(&env.encode()).unwrap(), env);
-        }
-    }
-
-    #[test]
-    fn malformed_envelope_rejected() {
-        assert!(Envelope::decode(&[]).is_err());
-        assert!(Envelope::decode(&[9]).is_err());
-        let p = provisioner();
-        let env = AuthContext::for_replica(p, ReplicaId(0), 4).mac_envelope(&messages()[2]);
-        let bytes = env.encode();
-        assert!(Envelope::decode(&bytes[..bytes.len() - 1]).is_err());
     }
 }

@@ -222,11 +222,6 @@ impl Client {
         let mut decided = self.outstanding.remove(index)?;
         Some((reply.timestamp, decided.replies.swap_remove(slot).1))
     }
-
-    /// Total replies collected across undecided requests.
-    pub fn replies_collected(&self) -> usize {
-        self.outstanding.iter().map(|o| o.replies.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -336,6 +331,11 @@ mod tests {
         assert_eq!(due, vec![r1.timestamp(), r3.timestamp()], "oldest first");
     }
 
+    /// Replies collected across undecided requests.
+    fn collected(c: &Client) -> usize {
+        c.outstanding.iter().map(|o| o.replies.len()).sum()
+    }
+
     #[test]
     fn stale_timestamp_ignored() {
         let mut c = client();
@@ -345,7 +345,7 @@ mod tests {
         c.start_request(vec![1], 0).unwrap();
         // replies for ts=1 arrive late during ts=2
         assert_eq!(c.on_reply(reply(&c, 2, 1, b"ok")), None);
-        assert_eq!(c.replies_collected(), 0);
+        assert_eq!(collected(&c), 0);
     }
 
     #[test]
@@ -353,7 +353,7 @@ mod tests {
         let mut c = client();
         c.start_request(vec![0], 0).unwrap();
         assert_eq!(c.on_reply(reply(&c, 99, 1, b"ok")), None);
-        assert_eq!(c.replies_collected(), 0);
+        assert_eq!(collected(&c), 0);
     }
 
     #[test]

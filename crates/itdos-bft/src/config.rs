@@ -84,15 +84,6 @@ impl GroupConfig {
         }
     }
 
-    /// The same group with batching and pipelining disabled: one request
-    /// per sequence number, one sequence number in flight (the pre-batching
-    /// protocol, used as the bench baseline).
-    pub fn unbatched(mut self) -> GroupConfig {
-        self.max_batch = 1;
-        self.pipeline_depth = 1;
-        self
-    }
-
     /// The 2f+1 quorum used for prepared/committed certificates.
     pub fn quorum(&self) -> usize {
         2 * self.f + 1
@@ -175,10 +166,14 @@ mod tests {
 
     #[test]
     fn unbatched_disables_batching_and_pipelining() {
-        let cfg = GroupConfig::for_f(1).unbatched();
+        // one request per sequence number, one sequence number in flight:
+        // the smallest values `validate` accepts
+        let cfg = GroupConfig {
+            max_batch: 1,
+            pipeline_depth: 1,
+            ..GroupConfig::for_f(1)
+        };
         cfg.validate();
-        assert_eq!(cfg.max_batch, 1);
-        assert_eq!(cfg.pipeline_depth, 1);
     }
 
     #[test]

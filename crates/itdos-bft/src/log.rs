@@ -38,7 +38,7 @@ impl Entry {
 
     /// PBFT `committed-local(m, v, n, i)`: prepared plus 2f+1 matching
     /// commits (own commit included by the caller inserting it).
-    pub fn committed_local(&self, config: &GroupConfig) -> bool {
+    pub(crate) fn committed_local(&self, config: &GroupConfig) -> bool {
         if !self.prepared(config) {
             return false;
         }
@@ -104,12 +104,12 @@ impl Log {
     }
 
     /// Read-only entry access.
-    pub fn entry_ref(&self, view: View, seq: SeqNo) -> Option<&Entry> {
+    pub(crate) fn entry_ref(&self, view: View, seq: SeqNo) -> Option<&Entry> {
         self.entries.get(&(view, seq))
     }
 
     /// Records a checkpoint vote; returns the set size for `(seq, digest)`.
-    pub fn add_checkpoint(&mut self, checkpoint: &Checkpoint) -> usize {
+    pub(crate) fn add_checkpoint(&mut self, checkpoint: &Checkpoint) -> usize {
         let set = self
             .checkpoints
             .entry((checkpoint.seq, checkpoint.state_digest))
@@ -119,7 +119,7 @@ impl Log {
     }
 
     /// Number of distinct replicas that checkpointed `(seq, digest)`.
-    pub fn checkpoint_votes(&self, seq: SeqNo, digest: Digest) -> usize {
+    pub(crate) fn checkpoint_votes(&self, seq: SeqNo, digest: Digest) -> usize {
         self.checkpoints
             .get(&(seq, digest))
             .map(|s| s.len())
@@ -131,7 +131,7 @@ impl Log {
     /// `low()`. Prefers the digest this replica itself checkpointed; falls
     /// back to any digest group reaching the size. Empty at genesis
     /// (`low() == 0`, nothing to prove) or when no group qualifies.
-    pub fn stable_certificate(&self, needed: usize) -> Vec<Checkpoint> {
+    pub(crate) fn stable_certificate(&self, needed: usize) -> Vec<Checkpoint> {
         if self.low.0 == 0 {
             return Vec::new();
         }
@@ -153,7 +153,7 @@ impl Log {
     }
 
     /// Stores this replica's own checkpoint snapshot for state transfer.
-    pub fn store_own_checkpoint(&mut self, seq: SeqNo, digest: Digest, snapshot: Vec<u8>) {
+    pub(crate) fn store_own_checkpoint(&mut self, seq: SeqNo, digest: Digest, snapshot: Vec<u8>) {
         self.own_checkpoints.insert(seq, (digest, snapshot));
     }
 
@@ -173,7 +173,7 @@ impl Log {
     /// Makes `seq` the stable checkpoint: advances the low watermark and
     /// garbage-collects entries, checkpoint votes, and snapshots at or
     /// below it (keeping the stable snapshot itself for state transfer).
-    pub fn stabilize(&mut self, seq: SeqNo) {
+    pub(crate) fn stabilize(&mut self, seq: SeqNo) {
         if seq <= self.low {
             return;
         }
@@ -188,7 +188,7 @@ impl Log {
     /// slot (`executed + 1`) holds a full commit certificate: proof that a
     /// live group ordered requests past a gap this replica cannot fill by
     /// itself (it crashed or was partitioned while the traffic flowed).
-    pub fn committed_beyond(&self, executed: SeqNo, config: &GroupConfig) -> bool {
+    pub(crate) fn committed_beyond(&self, executed: SeqNo, config: &GroupConfig) -> bool {
         self.entries.iter().any(|((_, seq), entry)| {
             seq.0 > executed.0 + 1 && !entry.executed && entry.committed_local(config)
         })
@@ -196,7 +196,7 @@ impl Log {
 
     /// Collects prepared certificates above the stable checkpoint, for a
     /// view-change message.
-    pub fn prepared_proofs(&self, config: &GroupConfig) -> Vec<PreparedProof> {
+    pub(crate) fn prepared_proofs(&self, config: &GroupConfig) -> Vec<PreparedProof> {
         let mut out = Vec::new();
         for ((view, seq), entry) in &self.entries {
             if *seq <= self.low || !entry.prepared(config) {

@@ -572,22 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn ops_round_trip_encoding() {
-        for op in [
-            QueueOp::Deliver(vec![1, 2, 3]),
-            QueueOp::Ack {
-                element: ElementId(7),
-                up_to: 42,
-            },
-            QueueOp::Expel(ElementId(2)),
-            QueueOp::Join(ElementId(5)),
-        ] {
-            assert_eq!(QueueOp::decode(&op.encode()).unwrap(), op);
-        }
-        assert!(QueueOp::decode(&[77]).is_err());
-    }
-
-    #[test]
     fn ack_never_regresses() {
         let mut q = queue(100);
         q.run(&QueueOp::Deliver(vec![1]));

@@ -286,7 +286,7 @@ impl<S: StateMachine> Replica<S> {
     }
 
     /// True when this replica is the current primary.
-    pub fn is_primary(&self) -> bool {
+    fn is_primary(&self) -> bool {
         self.config.primary_of(self.view) == self.id
     }
 
@@ -308,11 +308,6 @@ impl<S: StateMachine> Replica<S> {
     /// The protocol log (tests / diagnostics).
     pub fn log(&self) -> &Log {
         &self.log
-    }
-
-    /// True while a view change is in progress.
-    pub fn in_view_change(&self) -> bool {
-        self.in_view_change
     }
 
     /// Drains queued outputs.
@@ -1009,11 +1004,6 @@ impl<S: StateMachine> Replica<S> {
         self.fetch_state(self.log.low());
     }
 
-    /// True while replacement onboarding is in flight.
-    pub fn is_joining(&self) -> bool {
-        self.joining
-    }
-
     fn note_peer_view(&mut self, sender: ReplicaId, view: View) {
         if sender.0 >= self.config.n as u32 {
             return;
@@ -1459,7 +1449,7 @@ fn compute_new_view_pre_prepares(view_changes: &[ViewChange], view: View) -> Vec
 /// snapshot against checkpoint votes without re-executing. The digested
 /// bytes are the full transfer payload (application snapshot plus reply
 /// cache), so the duplicate-suppression table is covered by agreement too.
-pub fn snapshot_digest(snapshot: &[u8]) -> Digest {
+fn snapshot_digest(snapshot: &[u8]) -> Digest {
     Digest::of_parts(&[b"bft-snapshot", snapshot])
 }
 
@@ -1540,37 +1530,6 @@ mod tests {
 
     fn request(ts: u64, delta: i64) -> ClientRequest {
         ClientRequest::new(ClientId(1), ts, 0, CounterMachine::op(delta))
-    }
-
-    fn reply_at(timestamp: u64, result: Vec<u8>) -> Reply {
-        Reply {
-            view: View(1),
-            timestamp,
-            client: ClientId(7),
-            replica: ReplicaId(0),
-            result,
-        }
-    }
-
-    #[test]
-    fn transfer_payload_round_trips() {
-        let mut replies = KeyWindow::with_floor(3);
-        replies.insert(4, reply_at(4, vec![9, 9]), 32);
-        replies.insert(6, reply_at(6, vec![1]), 32);
-        let table = BTreeMap::from([(ClientId(7), ClientRecord { replies })]);
-        let payload = TransferPayload {
-            app_snapshot: b"snapshot-bytes".to_vec(),
-            table: Cow::Borrowed(&table),
-        }
-        .encode();
-        let decoded = TransferPayload::decode(&payload).unwrap();
-        assert_eq!(decoded.app_snapshot, b"snapshot-bytes");
-        // only the order-determined fields travel
-        let record = &decoded.table[&ClientId(7)];
-        assert_eq!(record.replies.floor(), 3);
-        assert_eq!(record.replies.get(4).unwrap().result, vec![9, 9]);
-        assert_eq!(record.replies.get(4).unwrap().view, View(0));
-        assert_eq!(decoded.encode(), payload);
     }
 
     /// The encoder writes each client's replies in ascending timestamp
@@ -2111,7 +2070,7 @@ mod tests {
         let stale = g.replicas[1].timer_epoch;
         g.pump(&[]); // executes; timer epoch advanced / pending cleared
         g.replicas[1].on_view_timeout(stale);
-        assert!(!g.replicas[1].in_view_change(), "stale epoch ignored");
+        assert!(!g.replicas[1].in_view_change, "stale epoch ignored");
         assert_eq!(g.replicas[1].view(), View(0));
     }
 
@@ -2162,7 +2121,7 @@ mod tests {
         // state instead of flooding the group once per timeout
         let epoch = g.replicas[3].timer_epoch;
         g.replicas[3].on_view_timeout(epoch);
-        assert!(!g.replicas[3].in_view_change(), "no lone view change");
+        assert!(!g.replicas[3].in_view_change, "no lone view change");
         let outs = g.replicas[3].take_outputs();
         assert!(
             outs.iter()
@@ -2453,7 +2412,7 @@ mod tests {
         // slot 3 is replaced: a fresh, empty-state instance onboards
         g.replicas[3] = replica(3);
         g.replicas[3].begin_onboarding();
-        assert!(g.replicas[3].is_joining());
+        assert!(g.replicas[3].joining);
         // ordering traffic is ignored while quiescent: no relay, no votes
         g.replicas[3].on_request(request(99, 1));
         let outs = g.replicas[3].take_outputs();
@@ -2467,7 +2426,7 @@ mod tests {
             "joining replica neither relays nor votes"
         );
         transfer_state_to_replica_3(&mut g);
-        assert!(!g.replicas[3].is_joining(), "onboarding completed");
+        assert!(!g.replicas[3].joining, "onboarding completed");
         assert_eq!(g.replicas[3].last_executed(), SeqNo(16));
         assert_eq!(g.replicas[3].app().total(), 32, "caught up at the barrier");
         // and it now participates normally
@@ -2510,7 +2469,7 @@ mod tests {
                 }),
             );
         }
-        assert!(!r3.is_joining());
+        assert!(!r3.joining);
         assert_eq!(
             r3.view(),
             View(2),

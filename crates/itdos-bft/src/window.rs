@@ -28,7 +28,7 @@ impl<T> Default for KeyWindow<T> {
 
 impl<T> KeyWindow<T> {
     /// An empty window whose keys at or below `floor` count as evicted.
-    pub fn with_floor(floor: u64) -> KeyWindow<T> {
+    pub(crate) fn with_floor(floor: u64) -> KeyWindow<T> {
         KeyWindow {
             entries: VecDeque::new(),
             floor,
@@ -111,7 +111,7 @@ impl<T> KeyWindow<T> {
 
     /// Appends an entry whose key is above every key held. Returns false
     /// (and holds nothing new) for any other key.
-    pub fn push_newest(&mut self, key: u64, value: T) -> bool {
+    pub(crate) fn push_newest(&mut self, key: u64, value: T) -> bool {
         if self.entries.back().is_some_and(|(last, _)| *last >= key) {
             return false;
         }

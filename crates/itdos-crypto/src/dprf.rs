@@ -320,24 +320,24 @@ fn derive_key(x: &[u8], point: Element) -> SymmetricKey {
     SymmetricKey::from_digest(d)
 }
 
-/// Direct master evaluation (test oracle): what the key *should* be.
-pub fn evaluate_master(holders: &[Shareholder], x: &[u8]) -> Option<SymmetricKey> {
-    // Reconstruct the master secret from the first `threshold` raw shares.
-    let threshold = holders.first()?.commitments.threshold();
-    if holders.len() < threshold {
-        return None;
-    }
-    let raw: Vec<Share> = holders[..threshold].iter().map(|h| h.share).collect();
-    let s = shamir::combine(&raw).ok()?;
-    let point = Element::hash_to_group(x).pow(s);
-    Some(derive_key(x, point))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xrand::rngs::SmallRng;
     use xrand::SeedableRng;
+
+    /// Direct master evaluation (test oracle): what the key *should* be.
+    fn evaluate_master(holders: &[Shareholder], x: &[u8]) -> Option<SymmetricKey> {
+        // Reconstruct the master secret from the first `threshold` raw shares.
+        let threshold = holders.first()?.commitments.threshold();
+        if holders.len() < threshold {
+            return None;
+        }
+        let raw: Vec<Share> = holders[..threshold].iter().map(|h| h.share).collect();
+        let s = shamir::combine(&raw).ok()?;
+        let point = Element::hash_to_group(x).pow(s);
+        Some(derive_key(x, point))
+    }
 
     fn dprf(f: usize, n: usize) -> Dprf {
         Dprf::deal(f, n, &mut SmallRng::seed_from_u64(7))

@@ -12,7 +12,7 @@
 //! a table of `g^(d·16^i)` built at compile time. Subgroup membership is the
 //! Legendre symbol, computed by the binary Jacobi algorithm: for a safe
 //! prime, Euler's criterion makes `x^q = 1` exactly "`x` is a quadratic
-//! residue". Scalars mod `q` keep the plain [`mul_mod`]/[`pow_mod`] path.
+//! residue". Scalars mod `q` keep the plain `mul_mod`/[`pow_mod`] path.
 //!
 //! These parameters instantiate the paper's §3.5 threshold machinery (the
 //! Naor–Pinkas–Reingold distributed PRF \[26\] is DDH-based and lives in
@@ -148,11 +148,6 @@ impl Element {
         Element(G)
     }
 
-    /// The independent generator `h`.
-    pub fn generator_h() -> Element {
-        Element(H)
-    }
-
     /// Hashes arbitrary bytes onto the subgroup: `(H(x) mod p)^2`, squaring
     /// to land in the quadratic residues (= the order-`q` subgroup of a safe
     /// prime group).
@@ -192,7 +187,7 @@ impl Element {
 
     /// Checks subgroup membership (`x^q == 1`, decided as "`x` is a
     /// quadratic residue").
-    pub fn is_valid(self) -> bool {
+    pub(crate) fn is_valid(self) -> bool {
         self.0 != 0 && self.0 < P && is_residue(self.0)
     }
 
@@ -209,7 +204,7 @@ impl Element {
 }
 
 /// `(a * b) mod m` without overflow for `m < 2^64`.
-pub fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
+fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
 }
 
@@ -380,7 +375,7 @@ mod reference {
         pow(x, P - 2)
     }
 
-    pub fn is_valid(x: u64) -> bool {
+    pub(crate) fn is_valid(x: u64) -> bool {
         x != 0 && x < P && pow(x, Q) == 1
     }
 }
@@ -395,8 +390,8 @@ mod tests {
     fn parameters_are_consistent() {
         assert_eq!(P, 2 * Q + 1);
         assert!(Element::generator().is_valid());
-        assert!(Element::generator_h().is_valid());
-        assert_ne!(Element::generator(), Element::generator_h());
+        assert!(Element(H).is_valid());
+        assert_ne!(Element::generator(), Element(H));
     }
 
     #[test]
@@ -578,9 +573,9 @@ mod tests {
         let before = mont_muls();
         let _ = Element::generator().pow(e);
         let table = mont_muls() - before;
-        let _ = Element::generator_h().pow(e);
+        let _ = Element(H).pow(e);
         let window = mont_muls() - before - table;
-        let _ = Element::generator_h().is_valid();
+        let _ = Element(H).is_valid();
         assert!(table <= 16, "{table} products for g^e");
         assert!(window <= 92, "{window} products for h^e");
         assert_eq!(mont_muls() - before - table - window, 0, "is_valid");

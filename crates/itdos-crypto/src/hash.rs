@@ -46,12 +46,6 @@ impl Digest {
     pub fn to_hex(&self) -> String {
         self.0.iter().map(|b| format!("{b:02x}")).collect()
     }
-
-    /// Interprets the first 8 bytes as a big-endian u64 (for deterministic
-    /// derived values like scalar reduction inputs).
-    pub fn to_u64(&self) -> u64 {
-        u64::from_be_bytes(self.0[..8].try_into().expect("8 bytes"))
-    }
 }
 
 impl AsRef<[u8]> for Digest {
@@ -482,14 +476,5 @@ mod tests {
             h.update(&data[blocks * 64..]);
             assert_eq!(h.finish(), Digest::of(&data), "{blocks} blocks");
         }
-    }
-
-    #[test]
-    fn digest_to_u64_is_big_endian_prefix() {
-        let d = Digest([
-            0, 0, 0, 0, 0, 0, 0, 42, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9,
-            9, 9, 9,
-        ]);
-        assert_eq!(d.to_u64(), 42);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The two pad blocks depend on the key alone, so [`HmacKey`] compresses
 //! them once and every tag resumes from the saved midstates: a short
-//! message costs two compressions instead of four. [`hmac`] and
-//! [`hmac_parts`] prepare a key and use it once.
+//! message costs two compressions instead of four. [`hmac`] prepares a
+//! key and uses it once.
 
 use crate::hash::{Digest, Sha256};
 
@@ -78,7 +78,7 @@ pub fn hmac(key: &[u8], message: &[u8]) -> Digest {
 
 /// HMAC over the concatenation of several message parts, avoiding an
 /// intermediate allocation.
-pub fn hmac_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
+fn hmac_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
     HmacKey::new(key).tag_parts(parts)
 }
 

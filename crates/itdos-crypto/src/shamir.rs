@@ -31,7 +31,7 @@ impl ShareIndex {
     }
 
     /// The index as a field scalar.
-    pub fn scalar(self) -> Scalar {
+    pub(crate) fn scalar(self) -> Scalar {
         Scalar::new(self.0 as u64)
     }
 }
@@ -53,13 +53,8 @@ pub struct Commitments {
 }
 
 impl Commitments {
-    /// The committed public value of the secret itself (`g^{a_0}`).
-    pub fn public_secret(&self) -> Element {
-        self.coefficients[0]
-    }
-
     /// The expected public value `g^{s_i}` for holder `index`.
-    pub fn expected_share_point(&self, index: ShareIndex) -> Element {
+    pub(crate) fn expected_share_point(&self, index: ShareIndex) -> Element {
         // g^{p(i)} = Π_k (g^{a_k})^{i^k}
         let x = index.scalar();
         let mut x_pow = Scalar::ONE;
@@ -191,7 +186,7 @@ pub fn combine(shares: &[Share]) -> Result<Scalar, CombineError> {
 /// # Errors
 ///
 /// Returns [`CombineError`] on empty input or duplicate indices.
-pub fn lagrange_at_zero(shares: &[Share]) -> Result<Vec<Scalar>, CombineError> {
+pub(crate) fn lagrange_at_zero(shares: &[Share]) -> Result<Vec<Scalar>, CombineError> {
     if shares.is_empty() {
         return Err(CombineError::Empty);
     }
@@ -275,8 +270,9 @@ mod tests {
     fn public_secret_matches() {
         let secret = Scalar::new(31337);
         let (_, commitments) = split(secret, 2, 3, &mut rng());
+        // the first commitment is the public value of the secret itself
         assert_eq!(
-            commitments.public_secret(),
+            commitments.coefficients[0],
             Element::generator().pow(secret)
         );
     }

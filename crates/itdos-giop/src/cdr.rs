@@ -22,7 +22,7 @@ pub enum Endianness {
 
 impl Endianness {
     /// The GIOP flags bit for this byte order.
-    pub fn flag_bit(self) -> u8 {
+    pub(crate) fn flag_bit(self) -> u8 {
         match self {
             Endianness::Big => 0,
             Endianness::Little => 1,
@@ -30,7 +30,7 @@ impl Endianness {
     }
 
     /// Parses the GIOP flags bit.
-    pub fn from_flag_bit(bit: u8) -> Endianness {
+    pub(crate) fn from_flag_bit(bit: u8) -> Endianness {
         if bit & 1 == 1 {
             Endianness::Little
         } else {
@@ -193,7 +193,7 @@ impl Encoder {
     }
 
     /// Encodes a raw string (length incl. NUL, bytes, NUL).
-    pub fn put_string(&mut self, s: &str) {
+    pub(crate) fn put_string(&mut self, s: &str) {
         self.put_u32(s.len() as u32 + 1);
         self.put(s.as_bytes());
         self.buffer.push(0);
@@ -202,7 +202,7 @@ impl Encoder {
     /// Encodes a raw `sequence<octet>` (count, then the bytes). Octets
     /// have no alignment and no byte order, so this is what the item walk
     /// over `Value::Octet`s would write.
-    pub fn put_octets(&mut self, octets: &[u8]) {
+    pub(crate) fn put_octets(&mut self, octets: &[u8]) {
         // no silent truncation: a count that does not fit reads as one
         // every decoder refuses (it is past `MAX_SEQUENCE_LEN`)
         self.put_u32(u32::try_from(octets.len()).unwrap_or(u32::MAX));

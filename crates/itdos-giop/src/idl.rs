@@ -35,11 +35,6 @@ impl OperationDef {
             result,
         }
     }
-
-    /// The parameter types only (marshalling schema for a request body).
-    pub fn param_types(&self) -> Vec<TypeDesc> {
-        self.params.iter().map(|(_, t)| t.clone()).collect()
-    }
 }
 
 /// One interface: a named set of operations.
@@ -158,16 +153,6 @@ mod tests {
         assert!(repo.lookup("Bank::Account", "deposit").is_some());
         assert!(repo.lookup("Bank::Account", "missing").is_none());
         assert!(repo.lookup("Nope", "deposit").is_none());
-    }
-
-    #[test]
-    fn param_types_projects_schema() {
-        let op = OperationDef::new(
-            "f",
-            vec![("a".into(), TypeDesc::Long), ("b".into(), TypeDesc::String)],
-            TypeDesc::Void,
-        );
-        assert_eq!(op.param_types(), vec![TypeDesc::Long, TypeDesc::String]);
     }
 
     #[test]

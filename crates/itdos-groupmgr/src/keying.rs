@@ -45,13 +45,6 @@ impl ThresholdKeying {
         self.holders.len()
     }
 
-    /// GM element `index` evaluates its key share on the connection input,
-    /// or `None` when `index` is out of range (indices can arrive from
-    /// untrusted admission paths).
-    pub fn share_for(&self, index: usize, input: &[u8]) -> Option<KeyShare> {
-        Some(self.holders.get(index)?.evaluate(input))
-    }
-
     /// The public verifier endpoints use to check shares.
     pub fn verifier(&self) -> &Verifier {
         &self.verifier
@@ -72,7 +65,7 @@ impl ThresholdKeying {
 
     /// What an attacker holding the listed GM elements can compute for a
     /// given input: `Some(key)` iff they hold at least `f+1` shares.
-    pub fn attacker_key(&self, compromised: &[usize], input: &[u8]) -> Option<CommunicationKey> {
+    fn attacker_key(&self, compromised: &[usize], input: &[u8]) -> Option<CommunicationKey> {
         if compromised.len() < self.f + 1 {
             return None;
         }
@@ -112,13 +105,13 @@ impl TraditionalKeying {
     /// The communication key for a connection input — identical at every
     /// element (each one "agrees on each communication key and distributes
     /// the entire key").
-    pub fn key_for(&self, input: &[u8]) -> CommunicationKey {
+    fn key_for(&self, input: &[u8]) -> CommunicationKey {
         CommunicationKey(SymmetricKey::derive(self.master.as_bytes(), input))
     }
 
     /// What an attacker holding the listed GM elements can compute: with
     /// even **one** element, every key (past and future).
-    pub fn attacker_key(&self, compromised: &[usize], input: &[u8]) -> Option<CommunicationKey> {
+    fn attacker_key(&self, compromised: &[usize], input: &[u8]) -> Option<CommunicationKey> {
         if compromised.is_empty() {
             None
         } else {
@@ -177,7 +170,7 @@ mod tests {
     fn threshold_endpoints_derive_same_key_from_any_f_plus_1() {
         let k = ThresholdKeying::deal(1, 4, &mut rng());
         let input = b"conn-1";
-        let shares: Vec<KeyShare> = (0..4).map(|i| k.share_for(i, input).unwrap()).collect();
+        let shares: Vec<KeyShare> = (0..4).map(|i| k.holders[i].evaluate(input)).collect();
         let a = k.combine(input, &shares[0..2]).unwrap();
         let b = k.combine(input, &shares[2..4]).unwrap();
         assert_eq!(a, b);
@@ -195,7 +188,7 @@ mod tests {
             "f+1 elements break it"
         );
         // and the broken key is the real one (soundness of the model)
-        let shares: Vec<KeyShare> = (0..2).map(|i| k.share_for(i, b"x").unwrap()).collect();
+        let shares: Vec<KeyShare> = (0..2).map(|i| k.holders[i].evaluate(b"x")).collect();
         assert_eq!(
             k.attacker_key(&[0, 1], b"x").unwrap(),
             k.combine(b"x", &shares).unwrap()
@@ -238,8 +231,8 @@ mod tests {
         let t = TraditionalKeying::new(4, &mut r);
         assert_ne!(t.key_for(b"a"), t.key_for(b"b"));
         let k = ThresholdKeying::deal(1, 4, &mut r);
-        let sa: Vec<KeyShare> = (0..2).map(|i| k.share_for(i, b"a").unwrap()).collect();
-        let sb: Vec<KeyShare> = (0..2).map(|i| k.share_for(i, b"b").unwrap()).collect();
+        let sa: Vec<KeyShare> = (0..2).map(|i| k.holders[i].evaluate(b"a")).collect();
+        let sb: Vec<KeyShare> = (0..2).map(|i| k.holders[i].evaluate(b"b")).collect();
         assert_ne!(k.combine(b"a", &sa).unwrap(), k.combine(b"b", &sb).unwrap());
     }
 
@@ -247,8 +240,8 @@ mod tests {
     fn corrupt_share_detected_at_endpoint() {
         let k = ThresholdKeying::deal(1, 4, &mut rng());
         let input = b"conn";
-        let mut shares: Vec<KeyShare> = (0..2).map(|i| k.share_for(i, input).unwrap()).collect();
-        shares[0] = k.share_for(0, b"other-input").unwrap(); // corrupt element reuses an old share
+        let mut shares: Vec<KeyShare> = (0..2).map(|i| k.holders[i].evaluate(input)).collect();
+        shares[0] = k.holders[0].evaluate(b"other-input"); // corrupt element reuses an old share
         assert!(k.combine(input, &shares).is_err());
     }
 }

@@ -160,7 +160,7 @@ impl DomainRecord {
     }
 
     /// All originally registered elements.
-    pub fn all_elements(&self) -> &[ElementRecord] {
+    pub(crate) fn all_elements(&self) -> &[ElementRecord] {
         &self.elements
     }
 
@@ -243,7 +243,7 @@ impl Membership {
     }
 
     /// Mutable domain access.
-    pub fn domain_mut(&mut self, id: DomainId) -> Option<&mut DomainRecord> {
+    pub(crate) fn domain_mut(&mut self, id: DomainId) -> Option<&mut DomainRecord> {
         self.domains.get_mut(&id)
     }
 
@@ -255,7 +255,7 @@ impl Membership {
     /// The verifying key of an element, searched across domains. Retired
     /// (replaced) elements are included so pre-replacement signatures can
     /// still be verified forensically.
-    pub fn element_key(&self, element: SenderId) -> Option<VerifyingKey> {
+    pub(crate) fn element_key(&self, element: SenderId) -> Option<VerifyingKey> {
         self.domains.values().find_map(|d| {
             d.elements
                 .iter()
@@ -266,16 +266,11 @@ impl Membership {
     }
 
     /// True when the endpoint is known and active.
-    pub fn endpoint_valid(&self, endpoint: Endpoint) -> bool {
+    pub(crate) fn endpoint_valid(&self, endpoint: Endpoint) -> bool {
         match endpoint {
             Endpoint::Singleton(id) => self.singletons.contains_key(&id),
             Endpoint::Element(e) => self.domain_of(e).is_some_and(|d| d.is_active(e)),
         }
-    }
-
-    /// Registered domain ids.
-    pub fn domain_ids(&self) -> impl Iterator<Item = DomainId> + '_ {
-        self.domains.keys().copied()
     }
 }
 

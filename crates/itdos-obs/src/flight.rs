@@ -194,7 +194,7 @@ impl FlightRecorder {
     }
 
     /// Changes the bound, evicting oldest events if shrinking.
-    pub fn set_capacity(&mut self, capacity: usize) {
+    pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
         while self.ring.len() > capacity {
             self.evict_front();
@@ -203,19 +203,14 @@ impl FlightRecorder {
 
     /// Raises the consumed watermark: every event with `seq < upto` has
     /// been delivered to all live subscribers. Monotone (never lowers).
-    pub fn mark_consumed(&mut self, upto: u64) {
+    pub(crate) fn mark_consumed(&mut self, upto: u64) {
         self.consumed = self.consumed.max(upto);
-    }
-
-    /// Current consumed watermark.
-    pub fn consumed_watermark(&self) -> u64 {
-        self.consumed
     }
 
     /// How many events were evicted before any subscriber consumed them
     /// (with no subscribers every eviction counts — the retained ring is
     /// then the only copy forensics will ever see).
-    pub fn evicted_unconsumed(&self) -> u64 {
+    pub(crate) fn evicted_unconsumed(&self) -> u64 {
         self.evicted_unconsumed
     }
 
@@ -247,7 +242,7 @@ impl FlightRecorder {
     /// Largest ring occupancy ever reached. A high-water mark well below
     /// the capacity means the ring is oversized; one pinned at the
     /// capacity means history is being truncated.
-    pub fn high_water_mark(&self) -> usize {
+    pub(crate) fn high_water_mark(&self) -> usize {
         self.high_water
     }
 
@@ -316,14 +311,14 @@ mod tests {
         assert_eq!(fr.evicted_unconsumed(), 2);
         // the watermark never lowers
         fr.mark_consumed(0);
-        assert_eq!(fr.consumed_watermark(), 4);
+        assert_eq!(fr.consumed, 4);
         // shrinking evicts seq 4 (>= watermark): that is loss again
         fr.set_capacity(1);
         assert_eq!(fr.evicted_unconsumed(), 3);
         // clear() is a deliberate reset, not loss
         fr.clear();
         assert_eq!(fr.evicted_unconsumed(), 0);
-        assert_eq!(fr.consumed_watermark(), fr.total_recorded());
+        assert_eq!(fr.consumed, fr.total_recorded());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::metrics::{Histogram, Label, LabelValue, Registry, SeriesKey};
 pub const MAX_PARSE_DEPTH: usize = 64;
 
 /// Appends `s` to `out` as a JSON string literal (with quotes).
-pub fn escape_into(out: &mut String, s: &str) {
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -108,7 +108,7 @@ pub(crate) fn dump_series<'a>(
 /// Serializes flight-recorder events as JSON lines into `out`. Every
 /// record carries the emitting process's scope, so offline tools can
 /// attribute events without an out-of-band process map.
-pub fn dump_events<'a>(out: &mut String, events: impl Iterator<Item = &'a Event>) {
+pub(crate) fn dump_events<'a>(out: &mut String, events: impl Iterator<Item = &'a Event>) {
     for e in events {
         let _ = write!(
             out,
@@ -169,7 +169,7 @@ impl Number {
     }
 
     /// The value as `i64`, if it is a plain integer.
-    pub fn as_i64(&self) -> Option<i64> {
+    fn as_i64(&self) -> Option<i64> {
         self.raw.parse().ok()
     }
 }
@@ -192,7 +192,7 @@ impl JsonValue {
     }
 
     /// The value as `i64`, if it is a plain integer.
-    pub fn as_i64(&self) -> Option<i64> {
+    fn as_i64(&self) -> Option<i64> {
         match self {
             JsonValue::Num(n) => n.as_i64(),
             _ => None,
@@ -210,7 +210,7 @@ impl JsonValue {
 
 /// Parses one complete JSON value from `text` (surrounding whitespace
 /// allowed, nothing else).
-pub fn parse_value(text: &str) -> Result<JsonValue, String> {
+pub(crate) fn parse_value(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
@@ -360,14 +360,6 @@ impl EventRecord {
     /// Numeric label lookup.
     pub fn label_u64(&self, key: &str) -> Option<u64> {
         label_u64(&self.labels, key)
-    }
-
-    /// String label lookup.
-    pub fn label_str(&self, key: &str) -> Option<&str> {
-        self.labels.iter().find_map(|(k, v)| match v {
-            LabelOwned::Str(s) if k == key => Some(s.as_str()),
-            _ => None,
-        })
     }
 }
 

@@ -265,7 +265,7 @@ impl Obs {
     }
 
     /// An enabled handle reading time from `clock`.
-    pub fn with_clock(clock: Arc<dyn Clock>) -> Obs {
+    fn with_clock(clock: Arc<dyn Clock>) -> Obs {
         Obs {
             inner: Some(Arc::new(Mutex::new(Recorder::new(clock)))),
             scope: 0,
@@ -294,14 +294,6 @@ impl Obs {
     /// True when a sink is installed.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Current time from the injected clock (0 when disabled).
-    pub fn now_micros(&self) -> u64 {
-        match &self.inner {
-            Some(r) => r.lock().map(|rec| rec.clock.now_micros()).unwrap_or(0),
-            None => 0,
-        }
     }
 
     /// Adds `delta` to a counter.
@@ -482,15 +474,6 @@ impl Obs {
         sub.delivered = sub.delivered.max(total);
         rec.update_watermark();
         events
-    }
-
-    /// Closes a subscription. The slowest remaining subscriber then
-    /// defines the consumed watermark.
-    pub fn unsubscribe(&self, id: u64) {
-        let Some(r) = &self.inner else { return };
-        let Ok(mut rec) = r.lock() else { return };
-        rec.subs.remove(&id);
-        rec.update_watermark();
     }
 
     /// Reads the registry under a closure (None when disabled).
@@ -750,7 +733,13 @@ mod tests {
         }
         assert_eq!(obs.counter_value("obs.flight_dropped", &[]), 0);
         assert_eq!(obs.drain_subscription(sub).len(), 6);
-        obs.unsubscribe(sub);
+        // close the subscription; the watermark is then the slowest
+        // remaining subscriber's (none)
+        {
+            let mut rec = obs.inner.as_ref().expect("enabled").lock().expect("lock");
+            rec.subs.remove(&sub);
+            rec.update_watermark();
+        }
         // with no subscribers, wrapping the ring is silent loss: 9 events
         // into a capacity-4 ring evict the 4 consumed stragglers plus 5
         // post-unsubscribe events nobody ever saw

@@ -174,7 +174,7 @@ impl Histogram {
 
     /// Bucket index for `value`: 0 for zero, `floor(log2(value)) + 1`
     /// otherwise (so each power of two opens a new bucket).
-    pub fn bucket_index(value: u64) -> usize {
+    fn bucket_index(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -183,7 +183,7 @@ impl Histogram {
     }
 
     /// Inclusive upper bound of bucket `index`.
-    pub fn bucket_upper_bound(index: usize) -> u64 {
+    fn bucket_upper_bound(index: usize) -> u64 {
         match index {
             0 => 0,
             i if i >= 64 => u64::MAX,
@@ -307,7 +307,7 @@ impl Registry {
     }
 
     /// Sets a gauge to an absolute value.
-    pub fn gauge_set(&mut self, name: &'static str, labels: &[Label], value: i64) {
+    pub(crate) fn gauge_set(&mut self, name: &'static str, labels: &[Label], value: i64) {
         update(&mut self.gauges, name, labels, |v| *v = value);
     }
 
@@ -346,11 +346,6 @@ impl Registry {
     /// All histograms in deterministic order.
     pub fn histograms(&self) -> impl Iterator<Item = (&SeriesKey, &Histogram)> {
         iter(&self.histograms)
-    }
-
-    /// Total number of series of any kind.
-    pub fn series_count(&self) -> usize {
-        iter(&self.counters).count() + iter(&self.gauges).count() + iter(&self.histograms).count()
     }
 
     /// Clears every series.
@@ -628,7 +623,12 @@ mod tests {
             }
         }
         let series = reference.counters.len() + reference.gauges.len() + reference.histograms.len();
-        assert_eq!(registry.series_count(), series);
+        assert_eq!(
+            iter(&registry.counters).count()
+                + iter(&registry.gauges).count()
+                + iter(&registry.histograms).count(),
+            series
+        );
         assert!(series > 100, "the stream exercised many series");
         let mut got = String::new();
         crate::jsonl::dump_registry(&mut got, &registry);

@@ -35,13 +35,8 @@ impl ObjectAdapter {
         self.servants.insert(key, servant);
     }
 
-    /// Deactivates the object at `key`, returning its servant.
-    pub fn deactivate(&mut self, key: &ObjectKey) -> Option<Box<dyn Servant>> {
-        self.servants.remove(key)
-    }
-
     /// Looks up a servant.
-    pub fn servant_mut(&mut self, key: &ObjectKey) -> Option<&mut (dyn Servant + '_)> {
+    pub(crate) fn servant_mut(&mut self, key: &ObjectKey) -> Option<&mut (dyn Servant + '_)> {
         self.servants.get_mut(key).map(|s| s.as_mut() as _)
     }
 
@@ -100,7 +95,7 @@ mod tests {
         let mut a = ObjectAdapter::new();
         let key = ObjectKey::from_name("e1");
         a.activate(key.clone(), echo());
-        assert!(a.deactivate(&key).is_some());
+        assert!(a.servants.remove(&key).is_some());
         assert!(!a.is_active(&key));
         assert!(a.is_empty());
     }

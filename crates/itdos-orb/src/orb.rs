@@ -1,7 +1,6 @@
 //! The ORB core: request dispatch, suspension for nested invocations, and
 //! platform-faithful marshalling.
 
-use itdos_giop::cdr::Endianness;
 use itdos_giop::giop::{
     decode_message, encode_message, GiopError, GiopMessage, ReplyBody, ReplyMessage, RequestMessage,
 };
@@ -233,7 +232,7 @@ impl Orb {
     ///
     /// Propagates [`GiopError`] from encoding.
     pub fn marshal(&self, message: &GiopMessage) -> Result<Vec<u8>, GiopError> {
-        encode_message(message, &self.repo, self.native_endianness())
+        encode_message(message, &self.repo, self.platform.endianness)
     }
 
     /// Unmarshals a GIOP frame (any byte order — the frame says).
@@ -243,11 +242,6 @@ impl Orb {
     /// Propagates [`GiopError`] from decoding.
     pub fn unmarshal(&self, bytes: &[u8]) -> Result<GiopMessage, GiopError> {
         decode_message(bytes, &self.repo)
-    }
-
-    /// This platform's native byte order.
-    pub fn native_endianness(&self) -> Endianness {
-        self.platform.endianness
     }
 }
 

@@ -180,7 +180,7 @@ impl Collator {
     }
 
     /// The decided value, while the round keeps it for late arrivals.
-    pub fn decided_value(&self) -> Option<&Value> {
+    pub(crate) fn decided_value(&self) -> Option<&Value> {
         self.decided.as_ref()?.value.as_ref()
     }
 

@@ -99,11 +99,6 @@ impl Scripted {
         self
     }
 
-    /// Convenience: drop everything sent by `from`.
-    pub fn drop_from(&mut self, from: NodeId) -> &mut Self {
-        self.rule(Some(from), None, |_, _| Verdict::Drop)
-    }
-
     /// Convenience: delay everything sent by `from` by `delay`.
     pub fn delay_from(&mut self, from: NodeId, delay: SimDuration) -> &mut Self {
         self.rule(Some(from), None, move |_, _| Verdict::Delay(delay))

@@ -91,19 +91,9 @@ impl NetConfig {
         self.isolated.remove(&node);
     }
 
-    /// Returns true if `node` is currently isolated.
-    pub fn is_isolated(&self, node: NodeId) -> bool {
-        self.isolated.contains(&node)
-    }
-
     /// Blocks the directed link `from -> to`.
-    pub fn block_link(&mut self, from: NodeId, to: NodeId) {
+    fn block_link(&mut self, from: NodeId, to: NodeId) {
         self.blocked_links.insert((from, to));
-    }
-
-    /// Unblocks the directed link `from -> to`.
-    pub fn unblock_link(&mut self, from: NodeId, to: NodeId) {
-        self.blocked_links.remove(&(from, to));
     }
 
     /// Partitions the network into two sides: every link crossing the
@@ -201,7 +191,7 @@ mod tests {
         cfg.block_link(n(0), n(1));
         assert!(cfg.is_blocked(n(0), n(1)));
         assert!(!cfg.is_blocked(n(1), n(0)));
-        cfg.unblock_link(n(0), n(1));
+        cfg.blocked_links.remove(&(n(0), n(1)));
         assert!(!cfg.is_blocked(n(0), n(1)));
     }
 }

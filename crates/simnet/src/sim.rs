@@ -130,7 +130,7 @@ impl Simulator {
 
     /// Registers a process built from its own node id (useful when the
     /// process needs to know its address at construction).
-    pub fn add_with<F>(&mut self, build: F) -> NodeId
+    fn add_with<F>(&mut self, build: F) -> NodeId
     where
         F: FnOnce(NodeId) -> Box<dyn Process>,
     {
@@ -176,7 +176,7 @@ impl Simulator {
     }
 
     /// Returns the current members of `group` in id order.
-    pub fn group_members(&self, group: GroupId) -> Vec<NodeId> {
+    fn group_members(&self, group: GroupId) -> Vec<NodeId> {
         self.groups
             .get(&group)
             .map(|m| m.iter().copied().collect())

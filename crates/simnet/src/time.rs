@@ -85,11 +85,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Returns the duration in (fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Multiplies the duration by an integer factor, saturating on overflow.
     pub fn saturating_mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(factor))
@@ -152,7 +147,6 @@ mod tests {
     fn duration_conversions() {
         assert_eq!(SimDuration::from_secs(1).as_micros(), 1_000_000);
         assert_eq!(SimDuration::from_millis(5).as_micros(), 5_000);
-        assert_eq!(SimDuration::from_micros(1_500).as_millis_f64(), 1.5);
     }
 
     #[test]

@@ -74,13 +74,6 @@ pub struct LedgerEntry {
     pub dropped: Option<DropReason>,
 }
 
-impl LedgerEntry {
-    /// True when the network dropped this copy.
-    pub fn is_dropped(&self) -> bool {
-        self.dropped.is_some()
-    }
-}
-
 /// Network-wide statistics collected during a run.
 ///
 /// # Examples
@@ -125,38 +118,14 @@ impl Default for NetStats {
 
 impl NetStats {
     /// Enables the per-message ledger (disabled by default). The ledger is
-    /// bounded by [`DEFAULT_LEDGER_CAP`] — override with
-    /// [`NetStats::set_ledger_cap`] — and keeps the most recent entries.
+    /// bounded by [`DEFAULT_LEDGER_CAP`] and keeps the most recent entries.
     pub fn enable_ledger(&mut self) {
         self.ledger_enabled = true;
-    }
-
-    /// Sets the ledger bound, evicting oldest entries if shrinking.
-    pub fn set_ledger_cap(&mut self, cap: usize) {
-        self.ledger_cap = cap;
-        while self.ledger.len() > cap {
-            self.ledger.pop_front();
-        }
-    }
-
-    /// The current ledger bound.
-    pub fn ledger_cap(&self) -> usize {
-        self.ledger_cap
     }
 
     /// The recorded ledger entries, oldest first (empty unless enabled).
     pub fn ledger(&self) -> impl Iterator<Item = &LedgerEntry> {
         self.ledger.iter()
-    }
-
-    /// Number of retained ledger entries.
-    pub fn ledger_len(&self) -> usize {
-        self.ledger.len()
-    }
-
-    /// Copies dropped for `reason` so far.
-    pub fn dropped_for(&self, reason: DropReason) -> u64 {
-        self.dropped_by.get(&reason).copied().unwrap_or(0)
     }
 
     /// Clears counters and the ledger, keeping the ledger flag and cap.
@@ -276,9 +245,9 @@ mod tests {
             Some(DropReason::Partition),
         );
         assert_eq!(s.dropped, 3);
-        assert_eq!(s.dropped_for(DropReason::Loss), 1);
-        assert_eq!(s.dropped_for(DropReason::Partition), 2);
-        assert_eq!(s.dropped_for(DropReason::Adversary), 0);
+        assert_eq!(s.dropped_by.get(&DropReason::Loss), Some(&1));
+        assert_eq!(s.dropped_by.get(&DropReason::Partition), Some(&2));
+        assert_eq!(s.dropped_by.get(&DropReason::Adversary), None);
         assert_eq!(s.total.messages, 0);
     }
 
@@ -286,7 +255,7 @@ mod tests {
     fn ledger_records_when_enabled() {
         let mut s = NetStats::default();
         s.record(SimTime::ZERO, n(0), n(1), 1, "x", None);
-        assert_eq!(s.ledger_len(), 0, "ledger off by default");
+        assert_eq!(s.ledger.len(), 0, "ledger off by default");
         s.enable_ledger();
         s.record(
             SimTime::from_micros(5),
@@ -296,10 +265,9 @@ mod tests {
             "y",
             Some(DropReason::Adversary),
         );
-        assert_eq!(s.ledger_len(), 1);
+        assert_eq!(s.ledger.len(), 1);
         let e = s.ledger().next().unwrap();
         assert_eq!(e.label, "y");
-        assert!(e.is_dropped());
         assert_eq!(e.dropped, Some(DropReason::Adversary));
     }
 
@@ -307,31 +275,28 @@ mod tests {
     fn ledger_cap_keeps_most_recent() {
         let mut s = NetStats::default();
         s.enable_ledger();
-        s.set_ledger_cap(3);
+        s.ledger_cap = 3;
         for i in 0..10u32 {
             s.record(SimTime::from_micros(i as u64), n(i), n(0), 1, "x", None);
         }
-        assert_eq!(s.ledger_len(), 3);
+        assert_eq!(s.ledger.len(), 3);
         let froms: Vec<u32> = s.ledger().map(|e| e.from.as_raw()).collect();
         assert_eq!(froms, vec![7, 8, 9], "oldest evicted first");
         // counters are unaffected by eviction
         assert_eq!(s.total.messages, 10);
-        s.set_ledger_cap(1);
-        assert_eq!(s.ledger_len(), 1);
-        assert_eq!(s.ledger().next().unwrap().from, n(9));
     }
 
     #[test]
     fn reset_preserves_ledger_flag_and_cap() {
         let mut s = NetStats::default();
         s.enable_ledger();
-        s.set_ledger_cap(7);
+        s.ledger_cap = 7;
         s.record(SimTime::ZERO, n(0), n(1), 1, "x", None);
         s.reset();
         assert_eq!(s.total.messages, 0);
-        assert_eq!(s.ledger_cap(), 7);
+        assert_eq!(s.ledger_cap, 7);
         s.record(SimTime::ZERO, n(0), n(1), 1, "x", None);
-        assert_eq!(s.ledger_len(), 1, "ledger still enabled after reset");
+        assert_eq!(s.ledger.len(), 1, "ledger still enabled after reset");
     }
 
     #[test]

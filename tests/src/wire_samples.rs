@@ -44,6 +44,14 @@ fn request() -> ClientRequest {
     ClientRequest::new(ClientId(9), 3, (9 << 32) | 3, vec![1, 2, 3])
 }
 
+/// Requests carrying the edge trace ids (the other samples carry 0 and
+/// `(9 << 32) | 3`): the trace id travels whole.
+fn traced_requests() -> Vec<ClientRequest> {
+    [1, u64::MAX]
+        .map(|trace| ClientRequest::new(ClientId(7), 11, trace, vec![9, 9]))
+        .to_vec()
+}
+
 fn pre_prepare() -> PrePrepare {
     let batch = Batch {
         requests: vec![
@@ -539,8 +547,15 @@ pub fn cases() -> Vec<Case> {
         case::<ClientId>(&[ClientId(9)]),
         case::<View>(&[View(1)]),
         case::<SeqNo>(&[SeqNo(5)]),
-        case::<ClientRequest>(&[request()]),
-        case::<Batch>(&[pre_prepare().batch, Batch::default()]).count(0, MAX_VEC),
+        case::<ClientRequest>(&[vec![request()], traced_requests()].concat()),
+        case::<Batch>(&[
+            pre_prepare().batch,
+            Batch::default(),
+            Batch {
+                requests: traced_requests(),
+            },
+        ])
+        .count(0, MAX_VEC),
         case::<PrePrepare>(&[pre_prepare()]).count(48, MAX_VEC),
         case::<Prepare>(&[prepare()]),
         case::<Commit>(&payloads!(messages(), Message::Commit)),

@@ -1,12 +1,15 @@
 //! Shared builders for the integration suite.
 
+// Each test binary compiles these shared helpers and uses only some of them.
+#![allow(dead_code)]
+
 use std::collections::VecDeque;
 
-use itdos::system::SystemBuilder;
-use itdos::Invocation;
+use itdos::system::{System, SystemBuilder};
+use itdos::{Completed, Invocation, GM_DOMAIN};
 use itdos_giop::idl::{InterfaceDef, InterfaceRepository, OperationDef};
 use itdos_giop::types::{TypeDesc, Value};
-use itdos_groupmgr::membership::DomainId;
+use itdos_groupmgr::membership::{DomainId, Membership};
 use itdos_orb::object::{DomainAddr, ObjectKey, ObjectRef};
 use itdos_orb::servant::{FnServant, NestedCall, Outcome, Servant, ServantException};
 use itdos_vote::comparator::Comparator;
@@ -15,6 +18,9 @@ use xbytes::Bytes;
 
 /// The bank domain used throughout the suite.
 pub const BANK: DomainId = DomainId(1);
+/// The sensor domain of the replacement drills (a deployment has either it
+/// or [`BANK`]).
+pub const SENSOR: DomainId = DomainId(1);
 /// A pricing domain used by nested-invocation scenarios.
 pub const PRICER: DomainId = DomainId(2);
 /// The default test client.
@@ -158,6 +164,61 @@ pub fn deposit(amount: i64) -> Invocation {
         .interface("Bank::Account")
         .operation("deposit")
         .arg(Value::LongLong(amount))
+}
+
+/// A builder with the shared repository, the (stateless) sensor domain
+/// (f = 1) and one client. Its replies depend only on the request
+/// arguments, matching the paper's §3.1 model where the replicated message
+/// queue — not application object state — is what state synchronization
+/// transfers: a fresh joiner converges with its peers from its admission
+/// point onward.
+pub fn sensor_system(seed: u64) -> SystemBuilder {
+    let mut builder = SystemBuilder::new(seed);
+    builder.repository(repo());
+    builder.comparator("Sensor::Fusion", Comparator::InexactRel(1e-6));
+    builder.add_domain(
+        SENSOR,
+        1,
+        Box::new(|_| vec![(ObjectKey::from_name("fusion"), sensor_servant())]),
+    );
+    builder.add_client(CLIENT);
+    builder
+}
+
+/// `read_average([1.0, 3.0])` on the sensor domain.
+pub fn read_average(system: &mut System) -> Completed {
+    system.invoke(
+        CLIENT,
+        Invocation::of(SENSOR)
+            .object(b"fusion")
+            .interface("Sensor::Fusion")
+            .operation("read_average")
+            .arg(Value::Sequence(
+                vec![Value::Double(1.0), Value::Double(3.0)].into(),
+            )),
+    )
+}
+
+/// Asserts `read_average`'s reply is the mean, 2.0.
+pub fn assert_mean(done: &Completed) {
+    match done.result {
+        Ok(Value::Double(v)) => assert!((v - 2.0).abs() < 1e-6, "mean: {v}"),
+        ref other => panic!("expected a double, got {other:?}"),
+    }
+}
+
+/// Every Group Manager element's membership table, in element order: as
+/// many as the GM domain has elements (3 f_gm + 1).
+pub fn gm_memberships(system: &System) -> impl Iterator<Item = &Membership> {
+    let n = system.fabric.domain(GM_DOMAIN).nodes.len();
+    (0..n).map(|i| system.gm_element(i).replica().app().manager().membership())
+}
+
+/// `domain`'s active roster size as each GM element sees it.
+pub fn gm_active_counts(system: &System, domain: DomainId) -> Vec<usize> {
+    gm_memberships(system)
+        .map(|m| m.domain(domain).expect("domain registered").active_count())
+        .collect()
 }
 
 /// A hostile peer: sends each `(node, frame)` in turn, 50 µs apart — more

@@ -199,7 +199,7 @@ fn batched_and_unbatched_agree_on_final_state() {
         if batched {
             builder.batching(8, 16);
         } else {
-            builder.unbatched();
+            builder.batching(1, 1);
         }
         let mut system = builder.build();
         for i in 1..=6i64 {
@@ -235,7 +235,7 @@ fn batching_at_least_doubles_throughput_and_replays_identically() {
             builder.batching(8, 16);
             builder.client_pipeline(8);
         } else {
-            builder.unbatched();
+            builder.batching(1, 1);
             builder.client_pipeline(1);
         }
         builder.add_domain(

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{bank_system, BANK, CLIENT};
+use common::{bank_system, gm_active_counts, gm_memberships, BANK, CLIENT};
 use itdos_giop::types::Value;
 
 fn deposit(system: &mut itdos::System, amount: i64) -> itdos::Completed {
@@ -33,13 +33,7 @@ fn laggard_is_expelled_and_gc_resumes() {
     }
     system.settle();
     // the GM expelled the laggard (votes from >= f+1 healthy elements)
-    for gm_index in 0..4 {
-        let membership = system
-            .gm_element(gm_index)
-            .replica()
-            .app()
-            .manager()
-            .membership();
+    for (gm_index, membership) in gm_memberships(&system).enumerate() {
         assert!(
             !membership.domain(BANK).unwrap().is_active(crashed_element),
             "gm {gm_index}: laggard expelled"
@@ -74,15 +68,7 @@ fn healthy_domain_never_expels() {
         deposit(&mut system, 1);
     }
     system.settle();
-    for gm_index in 0..4 {
-        let membership = system
-            .gm_element(gm_index)
-            .replica()
-            .app()
-            .manager()
-            .membership();
-        assert_eq!(membership.domain(BANK).unwrap().active_count(), 4);
-    }
+    assert_eq!(gm_active_counts(&system, BANK), vec![4; 4]);
 }
 
 /// Expulsion bumps the connection epoch on every element (rekey) — the

@@ -4,8 +4,10 @@
 
 mod common;
 
-use common::{bank_system, BANK, CLIENT};
-use itdos::GM_DOMAIN;
+use common::{assert_mean, bank_system, gm_active_counts, gm_memberships, read_average};
+use common::{sensor_system, BANK, CLIENT, SENSOR};
+use itdos::{Behavior, GM_DOMAIN};
+use itdos_crypto::shamir;
 use itdos_giop::types::Value;
 
 fn deposit(system: &mut itdos::System, amount: i64) -> itdos::Completed {
@@ -77,4 +79,72 @@ fn gm_elements_converge() {
             "gm element {index} state diverged"
         );
     }
+}
+
+// ---- a seven-element Group Manager (f_gm = 2) --------------------------------
+
+/// Two crashed GM elements at f_gm = 2: the GM's ordering group (n = 7)
+/// still has its 2f+1 = 5 live elements, and 5 share streams ≥ f_gm+1 = 3
+/// assemble the connection key.
+#[test]
+fn two_crashed_gm_elements_are_masked_at_f_gm_2() {
+    let mut builder = bank_system(405);
+    builder.gm_faults(2);
+    let mut system = builder.build();
+    let gm = system.fabric.domain(GM_DOMAIN);
+    assert_eq!(gm.nodes.len(), 7);
+    let (first, second) = (gm.nodes[2], gm.nodes[5]);
+    system.sim.config_mut().isolate(first);
+    system.sim.config_mut().isolate(second);
+    let done = deposit(&mut system, 19);
+    assert_eq!(done.result, Ok(Value::LongLong(19)));
+}
+
+/// §3.5's share threshold at f_gm = 2: any f_gm+1 = 3 leaked GM shares
+/// rebuild one master secret, and f_gm = 2 rebuild something else.
+#[test]
+fn gm_share_threshold_at_f_gm_2() {
+    let mut builder = bank_system(406);
+    builder.gm_faults(2);
+    let mut system = builder.build();
+    assert_eq!(deposit(&mut system, 3).result, Ok(Value::LongLong(3)));
+    let leaked: Vec<shamir::Share> = (0..7)
+        .map(|i| system.gm_element(i).leaked_share())
+        .collect();
+    let master = shamir::combine(&leaked[0..3]).expect("three shares");
+    for subset in [[1, 3, 5], [4, 5, 6], [0, 2, 6]] {
+        let shares = subset.map(|i| leaked[i]);
+        assert_eq!(shamir::combine(&shares), Ok(master), "{subset:?}");
+    }
+    let two = shamir::combine(&leaked[0..2]).expect("two shares");
+    assert_ne!(two, master, "f_gm elements learn nothing");
+}
+
+/// Expel-then-replace at f_gm = 2: a corrupt sensor element is expelled
+/// and a replacement restores the roster, as all seven GM elements see it;
+/// the next call is correct and names no suspect. The expulsion is
+/// asserted after `settle()`: the corrupt reply may arrive after the vote
+/// has decided, and the late-dissent proof expels the element then.
+#[test]
+fn expelled_element_is_replaced_at_f_gm_2() {
+    let mut builder = sensor_system(141);
+    builder.gm_faults(2);
+    builder.behavior(SENSOR, 2, Behavior::CorruptValue);
+    let mut system = builder.build();
+    let intruder = system.fabric.domain(SENSOR).elements[2];
+    assert_mean(&read_average(&mut system));
+    system.settle();
+    assert_eq!(gm_active_counts(&system, SENSOR), vec![3; 7], "expelled");
+
+    let admitted = system.spawn_replacement(SENSOR, intruder);
+    system.settle();
+    assert_eq!(gm_active_counts(&system, SENSOR), vec![4; 7], "restored");
+    for (i, membership) in gm_memberships(&system).enumerate() {
+        let domain = membership.domain(SENSOR).expect("registered");
+        assert!(domain.is_active(admitted), "gm {i}: newcomer on roster");
+        assert!(!domain.is_active(intruder), "gm {i}: intruder stays out");
+    }
+    let done = read_average(&mut system);
+    assert_mean(&done);
+    assert!(done.suspects.is_empty());
 }

@@ -11,71 +11,11 @@
 
 mod common;
 
-use common::{repo, sensor_servant, CLIENT};
+use common::{assert_mean, gm_active_counts, gm_memberships, read_average as read, sensor_system};
+use common::{CLIENT, SENSOR};
 use itdos::fault::Behavior;
-use itdos::{ObsConfig, ServerElement, SystemBuilder};
+use itdos::{ObsConfig, ServerElement};
 use itdos_bft::state::StateMachine;
-use itdos_giop::types::Value;
-use itdos_groupmgr::membership::DomainId;
-use itdos_orb::object::ObjectKey;
-use itdos_vote::comparator::Comparator;
-
-const SENSOR: DomainId = DomainId(1);
-
-/// The drill runs on the (stateless) sensor servant: its replies depend
-/// only on the request arguments, matching the paper's §3.1 model where
-/// the replicated message queue — not application object state — is what
-/// state synchronization transfers. A fresh joiner therefore converges
-/// with its peers from its admission point onward.
-fn sensor_system(seed: u64) -> SystemBuilder {
-    let mut builder = SystemBuilder::new(seed);
-    builder.repository(repo());
-    builder.comparator("Sensor::Fusion", Comparator::InexactRel(1e-6));
-    builder.add_domain(
-        SENSOR,
-        1,
-        Box::new(|_| vec![(ObjectKey::from_name("fusion"), sensor_servant())]),
-    );
-    builder.add_client(CLIENT);
-    builder
-}
-
-fn read(system: &mut itdos::System) -> itdos::Completed {
-    system.invoke(
-        CLIENT,
-        itdos::Invocation::of(SENSOR)
-            .object(b"fusion")
-            .interface("Sensor::Fusion")
-            .operation("read_average")
-            .arg(Value::Sequence(
-                vec![Value::Double(1.0), Value::Double(3.0)].into(),
-            )),
-    )
-}
-
-fn assert_mean(done: &itdos::Completed) {
-    match done.result {
-        Ok(Value::Double(v)) => assert!((v - 2.0).abs() < 1e-6, "mean: {v}"),
-        ref other => panic!("expected a double, got {other:?}"),
-    }
-}
-
-/// Active roster size as each GM element sees it.
-fn gm_active_counts(system: &itdos::System) -> Vec<usize> {
-    (0..4)
-        .map(|i| {
-            system
-                .gm_element(i)
-                .replica()
-                .app()
-                .manager()
-                .membership()
-                .domain(SENSOR)
-                .expect("sensor domain registered")
-                .active_count()
-        })
-        .collect()
-}
 
 /// The tentpole acceptance drill: expel an intruded element, replace it,
 /// verify the domain is back to `n` elements, then script a *second*
@@ -93,14 +33,21 @@ fn expelled_element_is_replaced_and_the_domain_tolerates_a_fresh_fault() {
     assert_mean(&done);
     assert_eq!(done.suspects, vec![first]);
     system.settle();
-    assert_eq!(gm_active_counts(&system), vec![3; 4], "degraded to n-1");
+    assert_eq!(
+        gm_active_counts(&system, SENSOR),
+        vec![3; 4],
+        "degraded to n-1"
+    );
 
     // replacement: a freshly keyed element takes the vacated slot
     let admitted = system.spawn_replacement(SENSOR, first);
     system.settle();
-    assert_eq!(gm_active_counts(&system), vec![4; 4], "restored to n");
-    for i in 0..4 {
-        let membership = system.gm_element(i).replica().app().manager().membership();
+    assert_eq!(
+        gm_active_counts(&system, SENSOR),
+        vec![4; 4],
+        "restored to n"
+    );
+    for (i, membership) in gm_memberships(&system).enumerate() {
         let domain = membership.domain(SENSOR).expect("registered");
         assert!(domain.is_active(admitted), "gm {i}: newcomer on roster");
         assert!(!domain.is_active(first), "gm {i}: expelled stays out");
@@ -133,15 +80,18 @@ fn expelled_element_is_replaced_and_the_domain_tolerates_a_fresh_fault() {
     assert_mean(&done);
     assert_eq!(done.suspects, vec![second], "second intruder detected");
     system.settle();
-    assert_eq!(gm_active_counts(&system), vec![3; 4], "expelled again");
+    assert_eq!(
+        gm_active_counts(&system, SENSOR),
+        vec![3; 4],
+        "expelled again"
+    );
 
     // and the cycle closes: replace the second casualty too
     let admitted2 = system.spawn_replacement(SENSOR, second);
     system.settle();
-    assert_eq!(gm_active_counts(&system), vec![4; 4]);
+    assert_eq!(gm_active_counts(&system, SENSOR), vec![4; 4]);
     assert_ne!(admitted2, admitted, "identities are never reused");
-    for i in 0..4 {
-        let membership = system.gm_element(i).replica().app().manager().membership();
+    for (i, membership) in gm_memberships(&system).enumerate() {
         assert_eq!(
             membership.domain(SENSOR).expect("registered").epoch(),
             2,
@@ -166,11 +116,11 @@ fn replacing_the_primary_slot_survives_the_view_change_race() {
     let done = read(&mut system);
     assert_mean(&done);
     system.settle();
-    assert_eq!(gm_active_counts(&system), vec![3; 4]);
+    assert_eq!(gm_active_counts(&system, SENSOR), vec![3; 4]);
 
     let admitted = system.spawn_replacement(SENSOR, primary);
     system.settle();
-    assert_eq!(gm_active_counts(&system), vec![4; 4]);
+    assert_eq!(gm_active_counts(&system, SENSOR), vec![4; 4]);
     let joiner = system.element(SENSOR, 0);
     assert_eq!(joiner.element(), admitted);
     assert!(!joiner.is_onboarding(), "onboarded through the view change");
@@ -197,11 +147,15 @@ fn byzantine_replacement_is_masked_and_expelled_in_turn() {
     let first = system.fabric.domain(SENSOR).elements[3];
     read(&mut system);
     system.settle();
-    assert_eq!(gm_active_counts(&system), vec![3; 4]);
+    assert_eq!(gm_active_counts(&system, SENSOR), vec![3; 4]);
 
     let admitted = system.spawn_replacement_with(SENSOR, first, Behavior::CorruptValue);
     system.settle();
-    assert_eq!(gm_active_counts(&system), vec![4; 4], "restored first");
+    assert_eq!(
+        gm_active_counts(&system, SENSOR),
+        vec![4; 4],
+        "restored first"
+    );
 
     let done = read(&mut system);
     assert_mean(&done);
@@ -214,12 +168,11 @@ fn byzantine_replacement_is_masked_and_expelled_in_turn() {
         "second proof sent against the faulty newcomer"
     );
     assert_eq!(
-        gm_active_counts(&system),
+        gm_active_counts(&system, SENSOR),
         vec![3; 4],
         "faulty newcomer expelled in turn"
     );
-    for i in 0..4 {
-        let membership = system.gm_element(i).replica().app().manager().membership();
+    for (i, membership) in gm_memberships(&system).enumerate() {
         assert!(
             !membership
                 .domain(SENSOR)

@@ -131,17 +131,17 @@ fn live_health_gauges_match_post_hoc_scores() {
     }
 }
 
-/// With streaming audit opted out, no live report, no health gauges —
-/// and the post-hoc batch path still works on the same run. Its
-/// streaming-on twin on the same seed sees the intrusion live and costs
-/// nothing on the network: the same simulated end time, messages and
-/// bytes, because the audit pump sends nothing.
+/// The streaming audit costs nothing on the network: the same seed with
+/// observability off and with the forensic recorder (and so the live
+/// audit) on reaches the same simulated end time, messages and bytes,
+/// because the audit pump sends nothing. The live report sees the
+/// intrusion and equals the post-hoc batch audit; with observability off
+/// there is no live report and no live health.
 #[test]
-fn streaming_opt_out_leaves_only_the_batch_path() {
-    let run = |streaming: bool| {
+fn the_streaming_audit_costs_nothing_on_the_network() {
+    let run = |obs: ObsConfig| {
         let mut builder = bank_system(95);
-        builder.obs(ObsConfig::forensic());
-        builder.streaming_audit(streaming);
+        builder.obs(obs);
         builder.behavior(BANK, 3, Behavior::CorruptValue);
         let mut system = builder.build();
         let done = system.invoke(CLIENT, deposit(7));
@@ -149,28 +149,26 @@ fn streaming_opt_out_leaves_only_the_batch_path() {
         system.settle();
         system
     };
-    let system = run(false);
-    let streaming = run(true);
-    assert_eq!(streaming.sim.now(), system.sim.now());
-    let (on, off) = (streaming.sim.stats(), system.sim.stats());
-    assert_eq!(on.total.messages, off.total.messages);
-    assert_eq!(on.total.bytes, off.total.bytes);
-    let live = streaming
+    let off = run(ObsConfig::off());
+    let forensic = run(ObsConfig::forensic());
+    assert_eq!(forensic.sim.now(), off.sim.now());
+    let (on, quiet) = (forensic.sim.stats(), off.sim.stats());
+    assert_eq!(on.total.messages, quiet.total.messages);
+    assert_eq!(on.total.bytes, quiet.total.bytes);
+
+    let live = forensic
         .live_audit_report()
-        .expect("streaming audit is on");
+        .expect("observability on: the streaming audit is on");
     assert!(
         !live.findings.is_empty(),
         "the live audit saw the intrusion"
     );
+    let batch = forensic.audit();
+    assert!(!batch.blamed_elements().is_empty());
+    assert_eq!(live, batch, "live report != post-hoc audit");
 
-    assert!(system.live_audit_report().is_none());
-    assert!(system.live_health().is_empty());
-    let gauge = system
-        .obs
-        .with_registry(|r| r.gauge("replica.health", &[("element", LabelValue::U64(7))]))
-        .expect("obs enabled");
-    assert_eq!(gauge, None, "no live gauges without the streaming pump");
-    assert!(!system.audit().blamed_elements().is_empty());
+    assert!(off.live_audit_report().is_none());
+    assert!(off.live_health().is_empty());
 }
 
 /// Builds a batched+pipelined deployment, submits `count` deposits

@@ -75,8 +75,11 @@ fn every_undeclared_tag_is_rejected() {
         for tag in (0..=u8::MAX).filter(|tag| !case.tags.contains(tag)) {
             let mut bytes = sample.to_vec();
             bytes[0] = tag;
-            for recoded in recode_both(case, &bytes) {
-                assert_eq!(recoded, Err(WireError), "{} tag {tag}", case.name);
+            // the tag alone, and the tag in front of a valid body
+            for bytes in [&[tag][..], &bytes] {
+                for recoded in recode_both(case, bytes) {
+                    assert_eq!(recoded, Err(WireError), "{} tag {tag}", case.name);
+                }
             }
         }
     });
