@@ -16,7 +16,10 @@
 # lands. What each workload's pin guards:
 #   every workload      one buffer per sealed payload (seal and open), an
 #                       uncopied decided vote, no per-reply count map, no
-#                       per-frame comparator copy
+#                       per-frame comparator copy; the simulator's event
+#                       loop (an event's payload rides in its queue entry,
+#                       one reused action buffer, a multicast fans out
+#                       without copying its group)
 #   small_closed        the per-message path: one buffer per BFT frame, MAC
 #                       tags written into it and read in place
 #   bulk_closed         the payload path: a replica's store of held requests
@@ -28,18 +31,21 @@
 #                       replacement replicas inside its ops, so a per-`Replica`
 #                       allocation shows there); as the one untraced workload
 #                       with observability on, also registry updates,
-#                       flight-ring records, tap copies and the live audit
+#                       flight-ring records, tap copies and the live audit;
+#                       live-audit surfacing (a finding's prose is formatted
+#                       only when its key first surfaces, health is scored
+#                       once per pump, the healer copies no membership)
 # A change that lowers a count lowers its pin in the same diff.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 declare -A allocs_max=(
-  [small_closed]=341.46566666666666
-  [bulk_closed]=351.8625
-  [pipelined_batch]=240.80419921875
-  [connect_storm]=665.763671875
-  [sustained_history]=342.262
-  [intrusion_campaign]=5118.0625
+  [small_closed]=297.43666666666667
+  [bulk_closed]=307.71666666666664
+  [pipelined_batch]=222.987060546875
+  [connect_storm]=583.525390625
+  [sustained_history]=296.6893333333333
+  [intrusion_campaign]=3885.1875
 )
 
 out="$(mktemp)"

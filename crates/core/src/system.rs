@@ -577,6 +577,7 @@ impl SystemBuilder {
             audit_cfg,
             audit_sub: None,
             audit_stream: None,
+            health: BTreeMap::new(),
             heal: None,
         };
         if system.obs.is_enabled() {
@@ -634,6 +635,9 @@ pub struct System {
     audit_sub: Option<u64>,
     /// The incremental audit pipeline pumped by [`System::settle`].
     audit_stream: Option<itdos_audit::Stream>,
+    /// Per-element health as the last pump scored it and exported it as
+    /// the `replica.health` gauges; what the healing controller acts on.
+    health: BTreeMap<u64, i64>,
     /// The self-healing controller, if [`SystemBuilder::healing`] set one.
     heal: Option<HealState>,
 }
@@ -787,40 +791,13 @@ impl System {
     /// Every decision is a deterministic function of the GM membership
     /// state, the live health map, and the simulated clock.
     fn heal_round(&mut self) -> bool {
-        let Some(heal) = self.heal.as_ref() else {
+        let Some(plan) = self.heal_plan() else {
             return false;
         };
-        let cfg = heal.cfg.clone();
-        let pending: Vec<(SenderId, DomainId, HealCause)> = heal
-            .pending
-            .iter()
-            .map(|(&e, &(d, cause))| (e, d, cause))
-            .collect();
-        // the GM replicas agree on membership by construction; replica 0's
-        // copy is as authoritative as any for reading departures
-        let membership = self
-            .gm_element(0)
-            .replica()
-            .app()
-            .manager()
-            .membership()
-            .clone();
-        let health = self.live_health();
-        let healthy = |element: SenderId| {
-            health
-                .get(&u64::from(element.0))
-                .is_none_or(|&h| h >= cfg.expel_below)
-        };
-        let mut acted = false;
+        let acted = !plan.replace.is_empty() || !plan.expel.is_empty() || plan.retire.is_some();
 
         // 1) replacements: departures the GM group has since executed
-        for (element, domain, cause) in pending {
-            let departed = membership
-                .domain(domain)
-                .is_some_and(|d| !d.is_active(element));
-            if !departed {
-                continue;
-            }
+        for (element, domain, cause) in plan.replace {
             self.obs.event(
                 "heal.replace",
                 &[
@@ -833,83 +810,130 @@ impl System {
             let heal = self.heal.as_mut().expect("controller is installed");
             heal.pending.remove(&element);
             heal.stats.replacements += 1;
-            acted = true;
         }
 
-        // 2) threshold expulsions: active elements whose live health fell
-        // below the bar are accused by f+1 healthy peers, driving the
-        // GM's ordinary voted expulsion
-        let server_domains: Vec<DomainId> = self
+        // 2) threshold expulsions: accusations by f+1 healthy peers drive
+        // the GM's ordinary voted expulsion
+        for (domain, suspect, accusers) in plan.expel {
+            let suspect_health = self.health.get(&u64::from(suspect.0)).copied().unwrap_or(0);
+            self.obs.event(
+                "heal.expel",
+                &[
+                    ("element", LabelValue::U64(u64::from(suspect.0))),
+                    ("domain", LabelValue::U64(domain.0)),
+                    ("cause", LabelValue::Str(HealCause::Health.label())),
+                    ("health", LabelValue::U64(suspect_health.max(0) as u64)),
+                ],
+            );
+            for accuser in accusers {
+                let node = self
+                    .fabric
+                    .node_of(element_code(accuser))
+                    .expect("active element has a node");
+                self.sim
+                    .inject(node, HealCmd::Accuse { accused: suspect }.encode().into());
+            }
+            let heal = self.heal.as_mut().expect("controller is installed");
+            heal.pending.insert(suspect, (domain, HealCause::Health));
+            heal.stats.expulsions += 1;
+        }
+
+        // 3) proactive rejuvenation of the chosen slot's occupant
+        if let Some((domain, occupant, cursor)) = plan.retire {
+            self.obs.event(
+                "heal.rejuvenate",
+                &[
+                    ("element", LabelValue::U64(u64::from(occupant.0))),
+                    ("domain", LabelValue::U64(domain.0)),
+                    ("cause", LabelValue::Str(HealCause::Rejuvenation.label())),
+                ],
+            );
+            let node = self
+                .fabric
+                .node_of(element_code(occupant))
+                .expect("active element has a node");
+            self.sim.inject(node, HealCmd::Retire.encode().into());
+            let now_us = self.sim.now().as_micros();
+            let heal = self.heal.as_mut().expect("controller is installed");
+            heal.pending
+                .insert(occupant, (domain, HealCause::Rejuvenation));
+            heal.stats.rejuvenations += 1;
+            heal.next_rejuvenation_us =
+                now_us.saturating_add(heal.cfg.rejuvenation_period_us.unwrap_or(u64::MAX));
+            heal.cursor = cursor;
+        }
+        acted
+    }
+
+    /// Decides one heal round, reading the GM's membership in place.
+    /// Acting changes neither that membership nor the health map before
+    /// the simulator runs again, and the fabric's slots are read only in
+    /// a round that spawns no replacement, so deciding everything first
+    /// and then acting in order takes the decisions acting step by step
+    /// would. `None` without a controller.
+    fn heal_plan(&self) -> Option<HealPlan> {
+        let heal = self.heal.as_ref()?;
+        // the GM replicas agree on membership by construction; replica 0's
+        // copy is as authoritative as any for reading departures
+        let membership = self.gm_element(0).replica().app().manager().membership();
+        let healthy = |element: SenderId| {
+            self.health
+                .get(&u64::from(element.0))
+                .is_none_or(|&h| h >= heal.cfg.expel_below)
+        };
+
+        let replace: Vec<(SenderId, DomainId, HealCause)> = heal
+            .pending
+            .iter()
+            .filter(|&(&element, &(domain, _))| {
+                membership
+                    .domain(domain)
+                    .is_some_and(|d| !d.is_active(element))
+            })
+            .map(|(&element, &(domain, cause))| (element, domain, cause))
+            .collect();
+
+        // active elements whose live health fell below the bar, at most
+        // one per domain and round: a second departure before the first
+        // replacement has onboarded would drop the domain below quorum
+        // even though each fault alone is tolerable
+        let mut expel = Vec::new();
+        let server_domains = self
             .fabric
             .domains()
             .map(|d| d.id)
-            .filter(|&d| d != self.fabric.gm_domain())
-            .collect();
+            .filter(|&d| d != self.fabric.gm_domain());
         for domain in server_domains {
             let Some(record) = membership.domain(domain) else {
                 continue;
             };
-            let f = record.f;
-            let active: Vec<SenderId> = record.active_elements().map(|e| e.id).collect();
-            // at most one expulsion per round: a second departure before
-            // the first replacement has onboarded would drop the domain
-            // below quorum even though each fault alone is tolerable
-            let suspect = active.iter().copied().find(|&e| {
-                !healthy(e)
-                    && !self
-                        .heal
-                        .as_ref()
-                        .expect("controller is installed")
-                        .pending
-                        .contains_key(&e)
-            });
-            if let Some(suspect) = suspect {
-                let accusers: Vec<SenderId> = active
-                    .iter()
-                    .copied()
-                    .filter(|&e| e != suspect && healthy(e))
-                    .take(f + 1)
-                    .collect();
-                if accusers.len() < f + 1 {
-                    // not enough healthy voters to reach the GM threshold;
-                    // the domain is already past its fault bound
-                    continue;
-                }
-                let suspect_health = health.get(&u64::from(suspect.0)).copied().unwrap_or(0);
-                self.obs.event(
-                    "heal.expel",
-                    &[
-                        ("element", LabelValue::U64(u64::from(suspect.0))),
-                        ("domain", LabelValue::U64(domain.0)),
-                        ("cause", LabelValue::Str(HealCause::Health.label())),
-                        ("health", LabelValue::U64(suspect_health.max(0) as u64)),
-                    ],
-                );
-                for accuser in accusers {
-                    let node = self
-                        .fabric
-                        .node_of(element_code(accuser))
-                        .expect("active element has a node");
-                    self.sim
-                        .inject(node, HealCmd::Accuse { accused: suspect }.encode().into());
-                }
-                let heal = self.heal.as_mut().expect("controller is installed");
-                heal.pending.insert(suspect, (domain, HealCause::Health));
-                heal.stats.expulsions += 1;
-                acted = true;
+            let active = || record.active_elements().map(|e| e.id);
+            let Some(suspect) = active().find(|&e| !healthy(e) && !heal.pending.contains_key(&e))
+            else {
+                continue;
+            };
+            let accusers: Vec<SenderId> = active()
+                .filter(|&e| e != suspect && healthy(e))
+                .take(record.f + 1)
+                .collect();
+            if accusers.len() < record.f + 1 {
+                // not enough healthy voters to reach the GM threshold;
+                // the domain is already past its fault bound
+                continue;
             }
+            expel.push((domain, suspect, accusers));
         }
 
-        // 3) proactive rejuvenation: on the configured period, retire one
-        // healthy element round-robin so no slot's keys or state outlive
-        // the window. Only in a *quiet* round — no departures in flight
-        // and no action taken above — so a retirement never overlaps an
-        // expulsion or a still-onboarding replacement: two simultaneous
-        // departures from a 3f+1 group would cost quorum even though each
-        // alone is tolerable.
-        let heal = self.heal.as_ref().expect("controller is installed");
+        // on the configured period, retire one healthy element
+        // round-robin so no slot's keys or state outlive the window. Only
+        // in a *quiet* round — no departures in flight and no action taken
+        // above — so a retirement never overlaps an expulsion or a
+        // still-onboarding replacement: two simultaneous departures from a
+        // 3f+1 group would cost quorum even though each alone is
+        // tolerable. (An empty `pending` leaves nothing to replace.)
         let due = self.sim.now().as_micros() >= heal.next_rejuvenation_us;
-        if due && !acted && heal.pending.is_empty() {
+        let mut retire = None;
+        if due && expel.is_empty() && heal.pending.is_empty() {
             let slots: Vec<(DomainId, usize)> = self
                 .fabric
                 .domains()
@@ -925,37 +949,17 @@ impl System {
                     .domain(domain)
                     .is_some_and(|d| d.is_active(occupant))
                     && healthy(occupant);
-                if !eligible {
-                    continue;
+                if eligible {
+                    retire = Some((domain, occupant, cursor));
+                    break;
                 }
-                self.obs.event(
-                    "heal.rejuvenate",
-                    &[
-                        ("element", LabelValue::U64(u64::from(occupant.0))),
-                        ("domain", LabelValue::U64(domain.0)),
-                        ("cause", LabelValue::Str(HealCause::Rejuvenation.label())),
-                    ],
-                );
-                let node = self
-                    .fabric
-                    .node_of(element_code(occupant))
-                    .expect("active element has a node");
-                self.sim.inject(node, HealCmd::Retire.encode().into());
-                let heal = self.heal.as_mut().expect("controller is installed");
-                heal.pending
-                    .insert(occupant, (domain, HealCause::Rejuvenation));
-                heal.stats.rejuvenations += 1;
-                heal.next_rejuvenation_us = self
-                    .sim
-                    .now()
-                    .as_micros()
-                    .saturating_add(cfg.rejuvenation_period_us.unwrap_or(u64::MAX));
-                heal.cursor = cursor;
-                acted = true;
-                break;
             }
         }
-        acted
+        Some(HealPlan {
+            replace,
+            expel,
+            retire,
+        })
     }
 
     /// The healing controller's cumulative action counters; all zero when
@@ -973,20 +977,20 @@ impl System {
     /// post-hoc parse of the final dump sees. Health is scored once, from
     /// the second pass's state: the gauges hold its values either way.
     fn pump_streaming_audit(&mut self) {
-        let Some(sub) = self.audit_sub else {
+        let (Some(sub), Some(stream)) = (self.audit_sub, self.audit_stream.as_mut()) else {
             return;
         };
-        let mut facts = itdos_audit::MetricsFacts::default();
+        // the registry facts are read once: between the passes only the
+        // first pass's `audit.finding` events are recorded, and they move
+        // no reply counter or phase histogram
+        let mut facts = None;
         for _ in 0..2 {
-            let Some(stream) = self.audit_stream.as_mut() else {
-                return;
-            };
             let mut fresh = Vec::new();
             for event in self.obs.drain_subscription(sub) {
                 fresh.extend(stream.observe_event(&event));
             }
-            facts = audit_facts(&self.obs);
-            fresh.extend(stream.drain_new(&facts));
+            let facts = facts.get_or_insert_with(|| audit_facts(&self.obs));
+            fresh.extend(stream.drain_new(facts));
             for f in &fresh {
                 let severity = match f.severity {
                     itdos_audit::Severity::Info => 0u64,
@@ -1008,10 +1012,8 @@ impl System {
                 self.obs.event("audit.finding", labels);
             }
         }
-        let Some(stream) = self.audit_stream.as_ref() else {
-            return;
-        };
-        for (element, value) in stream.health(&facts) {
+        self.health = stream.health(&facts.unwrap_or_default());
+        for (&element, &value) in &self.health {
             self.obs.gauge(
                 "replica.health",
                 &[("element", LabelValue::U64(element))],
@@ -1031,13 +1033,11 @@ impl System {
     }
 
     /// Live per-element health (100 = clean, 0 = condemned) from the
-    /// streaming auditor — the values currently exported as the
-    /// `replica.health` gauge. Empty when observability is off.
-    pub fn live_health(&self) -> BTreeMap<u64, i64> {
-        self.audit_stream
-            .as_ref()
-            .map(|stream| stream.health(&audit_facts(&self.obs)))
-            .unwrap_or_default()
+    /// streaming auditor, as the last pump scored it — the values
+    /// currently exported as the `replica.health` gauge. Empty when
+    /// observability is off.
+    pub fn live_health(&self) -> &BTreeMap<u64, i64> {
+        &self.health
     }
 
     /// Reconstructs the causal path of a ticket's invocation from the
@@ -1405,6 +1405,19 @@ impl System {
 fn audit_facts(obs: &itdos_obs::Obs) -> itdos_audit::MetricsFacts {
     obs.with_registry(itdos_audit::MetricsFacts::from_registry)
         .unwrap_or_default()
+}
+
+/// One heal round's decisions, taken before any of them is carried out.
+struct HealPlan {
+    /// Departures the GM group has executed, in `pending` order: each
+    /// gets a replacement.
+    replace: Vec<(SenderId, DomainId, HealCause)>,
+    /// Per server domain, at most one suspect and the f+1 healthy peers
+    /// that accuse it.
+    expel: Vec<(DomainId, SenderId, Vec<SenderId>)>,
+    /// The element a quiet round retires, and the rejuvenation cursor
+    /// after it.
+    retire: Option<(DomainId, SenderId, u64)>,
 }
 
 /// Placeholder process used during two-phase wiring.

@@ -187,13 +187,78 @@ pub struct Finding {
     pub detail: String,
 }
 
+impl Finding {
+    /// Everything but the prose.
+    pub(crate) fn head(&self) -> Head {
+        Head {
+            analyzer: self.analyzer,
+            severity: self.severity,
+            kind: self.kind,
+            element: self.element,
+            domain: self.domain,
+            count: self.count,
+        }
+    }
+}
+
+/// A [`Finding`] without its `detail`: what an analyzer concludes before
+/// any prose is formatted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Head {
+    pub(crate) analyzer: &'static str,
+    pub(crate) severity: Severity,
+    pub(crate) kind: &'static str,
+    pub(crate) element: Option<u64>,
+    pub(crate) domain: Option<u64>,
+    pub(crate) count: u64,
+}
+
+/// The key a stream surfaces a finding under, `(analyzer, kind,
+/// element)`: a finding whose evidence count merely grows keeps its key
+/// and is not surfaced again.
+pub(crate) type Key = (&'static str, &'static str, Option<u64>);
+
+impl Head {
+    pub(crate) fn key(&self) -> Key {
+        (self.analyzer, self.kind, self.element)
+    }
+
+    pub(crate) fn with_detail(self, detail: String) -> Finding {
+        Finding {
+            analyzer: self.analyzer,
+            severity: self.severity,
+            kind: self.kind,
+            element: self.element,
+            domain: self.domain,
+            count: self.count,
+            detail,
+        }
+    }
+}
+
+/// Where the analyzers put what they conclude. Each analyzer's rules are
+/// written once, against this trait: a finding arrives as its [`Head`]
+/// plus its `detail` as a closure, so a sink that needs no prose (health
+/// scoring, or surfacing a key already surfaced) formats none.
+pub(crate) trait Sink {
+    /// Receives one finding.
+    fn emit(&mut self, head: Head, detail: impl FnOnce() -> String);
+}
+
+/// The full findings, prose included.
+impl Sink for Vec<Finding> {
+    fn emit(&mut self, head: Head, detail: impl FnOnce() -> String) {
+        self.push(head.with_detail(detail()));
+    }
+}
+
 /// One ordering-phase histogram the liveness detector judges against its
 /// p99 budget.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseFact {
     /// Histogram series name (`bft.prepare_us` / `bft.commit_us` /
     /// `bft.order_us`).
-    pub name: String,
+    pub name: &'static str,
     /// The `replica` label, when the series carries one.
     pub replica: Option<u64>,
     /// Observation count.
@@ -238,9 +303,9 @@ impl MetricsFacts {
             }
         }
         for h in &dump.histograms {
-            if PHASE_NAMES.contains(&h.name.as_str()) {
+            if let Some(&name) = PHASE_NAMES.iter().find(|&&name| name == h.name) {
                 facts.phases.push(PhaseFact {
-                    name: h.name.clone(),
+                    name,
                     replica: h.label_u64("replica"),
                     count: h.count,
                     p99: h.p99,
@@ -266,7 +331,7 @@ impl MetricsFacts {
         for (key, h) in registry.histograms() {
             if PHASE_NAMES.contains(&key.name) {
                 facts.phases.push(PhaseFact {
-                    name: key.name.to_string(),
+                    name: key.name,
                     replica: label_u64(&key.labels, "replica"),
                     count: h.count(),
                     p99: h.percentile(99),
@@ -369,79 +434,86 @@ impl DivergenceState {
         false
     }
 
-    /// Findings implied by everything observed so far. `now_us` is the
-    /// latest event timestamp of the timeline; with a decay window
-    /// configured, dissent rounds older than the window no longer count.
-    pub fn findings(&self, topology: &Topology, config: &AuditConfig, now_us: u64) -> Vec<Finding> {
-        let mut findings = Vec::new();
+    /// Findings implied by everything observed so far, handed to `out`.
+    /// `now_us` is the latest event timestamp of the timeline; with a
+    /// decay window configured, dissent rounds older than the window no
+    /// longer count.
+    pub(crate) fn findings(
+        &self,
+        topology: &Topology,
+        config: &AuditConfig,
+        now_us: u64,
+        out: &mut impl Sink,
+    ) {
         for (&element, times) in &self.dissent_rounds {
             let rounds = windowed_total(times, config.decay_window_us, now_us);
             if rounds == 0 {
                 continue; // every dissent round aged out of the window
             }
-            let n_proofs = self.proofs.get(&element).copied().unwrap_or(0);
-            let fate = if self.expelled.contains(&element) {
-                "expelled by GM"
-            } else {
-                "not expelled"
-            };
-            findings.push(Finding {
+            let head = Head {
                 analyzer: DIVERGENCE,
                 severity: Severity::Blame,
                 kind: "divergence",
                 element: Some(element),
                 domain: domain_of(topology, element),
                 count: rounds,
-                detail: format!(
+            };
+            out.emit(head, || {
+                let n_proofs = self.proofs.get(&element).copied().unwrap_or(0);
+                let fate = if self.expelled.contains(&element) {
+                    "expelled by GM"
+                } else {
+                    "not expelled"
+                };
+                format!(
                     "replies diverged from the voted value in {rounds} round(s); \
                      {n_proofs} signed fault proof(s); {fate}"
-                ),
+                )
             });
         }
         for &element in &self.expelled {
             // an expulsion is structural: it must keep debiting health
             // even after the dissent evidence behind it has decayed away,
             // or a culprit could out-wait the window and score clean
-            let ever_dissented = self.dissent_rounds.contains_key(&element);
-            if ever_dissented
-                && windowed_total(
-                    &self.dissent_rounds[&element],
-                    config.decay_window_us,
-                    now_us,
-                ) > 0
+            let dissent = self.dissent_rounds.get(&element);
+            if dissent
+                .is_some_and(|times| windowed_total(times, config.decay_window_us, now_us) > 0)
             {
                 continue; // the divergence finding above already covers it
             }
-            let detail = if ever_dissented {
-                "expelled by the GM; the dissent evidence has aged out of \
-                 the decay window"
-                    .to_string()
-            } else {
-                "expelled by the GM without recorded value dissent \
-                 (laggard / queue-GC path)"
-                    .to_string()
-            };
-            findings.push(Finding {
+            let head = Head {
                 analyzer: DIVERGENCE,
                 severity: Severity::Blame,
                 kind: "expelled",
                 element: Some(element),
                 domain: domain_of(topology, element),
                 count: 1,
-                detail,
+            };
+            out.emit(head, || {
+                if dissent.is_some() {
+                    "expelled by the GM; the dissent evidence has aged out of \
+                     the decay window"
+                        .to_string()
+                } else {
+                    "expelled by the GM without recorded value dissent \
+                     (laggard / queue-GC path)"
+                        .to_string()
+                }
             });
         }
         for &element in &self.retired {
-            findings.push(Finding {
+            let head = Head {
                 analyzer: DIVERGENCE,
                 severity: Severity::Info,
                 kind: "retired",
                 element: Some(element),
                 domain: domain_of(topology, element),
                 count: 1,
-                detail: "proactively retired by the GM (rejuvenation); \
-                         no fault implied"
-                    .to_string(),
+            };
+            out.emit(head, || {
+                "proactively retired by the GM (rejuvenation); \
+                 no fault implied"
+                    .to_string()
             });
         }
         for (&accused, who) in &self.accusers {
@@ -454,17 +526,18 @@ impl DivergenceState {
             } else {
                 (Severity::Warn, "accusation")
             };
-            findings.push(Finding {
+            let head = Head {
                 analyzer: DIVERGENCE,
                 severity,
                 kind,
                 element: Some(accused),
                 domain: domain_of(topology, accused),
                 count: distinct,
-                detail: format!("accused by {distinct} distinct peer(s) (f+1 = {})", f + 1),
+            };
+            out.emit(head, || {
+                format!("accused by {distinct} distinct peer(s) (f+1 = {})", f + 1)
             });
         }
-        findings
     }
 }
 
@@ -530,45 +603,51 @@ impl ParticipationState {
     }
 
     /// Findings implied by everything observed so far plus the reply
-    /// counters in `facts`.
-    pub fn findings(
+    /// counters in `facts`, handed to `out`.
+    pub(crate) fn findings(
         &self,
         topology: &Topology,
         config: &AuditConfig,
         facts: &MetricsFacts,
         now_us: u64,
-    ) -> Vec<Finding> {
-        let mut findings = Vec::new();
+        out: &mut impl Sink,
+    ) {
         for domain in topology.server_domains() {
             // judge the full historical roster, not just the live slots:
             // a culprit's silence record must survive its expulsion and
             // replacement (retired ids stay accountable for their tenure)
-            let roster = topology.domain_roster(domain);
-            let replies: Vec<u64> = roster
-                .iter()
-                .map(|e| facts.replies.get(e).copied().unwrap_or(0))
-                .collect();
-            let busiest = replies.iter().copied().max().unwrap_or(0);
+            let roster = || topology.domain_roster(domain);
+            let replies = |element: u64| facts.replies.get(&element).copied().unwrap_or(0);
+            let busiest = roster().map(replies).max().unwrap_or(0);
             if busiest == 0 {
                 continue; // the domain saw no traffic; silence proves nothing
             }
-            // voted replies by any roster member within a tenure window
+            // voted replies by any roster member within a tenure window;
+            // a departure recorded before the admission leaves it empty
             let served = |from: u64, until: Option<u64>| -> u64 {
                 let upper = match until {
+                    Some(u) if u < from => return 0,
                     Some(u) => std::ops::Bound::Excluded(u),
                     None => std::ops::Bound::Unbounded,
                 };
-                roster
-                    .iter()
-                    .filter_map(|m| self.reply_times.get(m))
+                roster()
+                    .filter_map(|m| self.reply_times.get(&m))
                     .flat_map(|times| times.range((std::ops::Bound::Included(from), upper)))
                     .map(|(_, &n)| n)
                     .sum()
             };
-            for (&element, &emitted) in roster.iter().zip(&replies) {
+            let silent = |element: u64, count: u64| Head {
+                analyzer: PARTICIPATION,
+                severity: Severity::Blame,
+                kind: "silent",
+                element: Some(element),
+                domain: Some(domain),
+                count,
+            };
+            for element in roster() {
                 let admitted = self.admitted_at.get(&element).copied();
                 let departed = self.departed_at.get(&element).copied();
-                if emitted != 0 {
+                if replies(element) != 0 {
                     // the element has served at some point. With a decay
                     // window configured, a member that *stopped* serving
                     // is still catchable: zero own replies across the
@@ -598,17 +677,11 @@ impl ParticipationState {
                     if peer_recent == 0 {
                         continue;
                     }
-                    findings.push(Finding {
-                        analyzer: PARTICIPATION,
-                        severity: Severity::Blame,
-                        kind: "silent",
-                        element: Some(element),
-                        domain: Some(domain),
-                        count: peer_recent,
-                        detail: format!(
+                    out.emit(silent(element, peer_recent), || {
+                        format!(
                             "emitted 0 replies across {peer_recent} voted peer reply(ies) \
                              within the trailing {window}us decay window"
-                        ),
+                        )
                     });
                     continue;
                 }
@@ -619,31 +692,27 @@ impl ParticipationState {
                         // newcomer
                         let post = served(admitted, None);
                         if post == 0 {
-                            findings.push(Finding {
+                            let head = Head {
                                 analyzer: PARTICIPATION,
                                 severity: Severity::Info,
                                 kind: "quiet-joiner",
                                 element: Some(element),
                                 domain: Some(domain),
                                 count: 0,
-                                detail: format!(
+                            };
+                            out.emit(head, || {
+                                format!(
                                     "admitted at {admitted}us; the domain served no voted \
                                      round afterwards, so its silence is benign"
-                                ),
+                                )
                             });
                             continue;
                         }
-                        findings.push(Finding {
-                            analyzer: PARTICIPATION,
-                            severity: Severity::Blame,
-                            kind: "silent",
-                            element: Some(element),
-                            domain: Some(domain),
-                            count: post,
-                            detail: format!(
+                        out.emit(silent(element, post), || {
+                            format!(
                                 "emitted 0 replies across {post} voted peer reply(ies) \
                                  after its admission at {admitted}us"
-                            ),
+                            )
                         });
                     }
                     (admitted, Some(departed)) => {
@@ -653,36 +722,21 @@ impl ParticipationState {
                         if tenure == 0 {
                             continue; // the domain served nothing on its watch
                         }
-                        findings.push(Finding {
-                            analyzer: PARTICIPATION,
-                            severity: Severity::Blame,
-                            kind: "silent",
-                            element: Some(element),
-                            domain: Some(domain),
-                            count: tenure,
-                            detail: format!(
+                        out.emit(silent(element, tenure), || {
+                            format!(
                                 "emitted 0 replies across {tenure} voted peer reply(ies) \
                                  before its departure at {departed}us"
-                            ),
+                            )
                         });
                     }
                     (None, None) => {
-                        findings.push(Finding {
-                            analyzer: PARTICIPATION,
-                            severity: Severity::Blame,
-                            kind: "silent",
-                            element: Some(element),
-                            domain: Some(domain),
-                            count: busiest,
-                            detail: format!(
-                                "emitted 0 replies while a domain peer emitted {busiest}"
-                            ),
+                        out.emit(silent(element, busiest), || {
+                            format!("emitted 0 replies while a domain peer emitted {busiest}")
                         });
                     }
                 }
             }
         }
-        findings
     }
 }
 
@@ -781,24 +835,23 @@ impl LivenessState {
     }
 
     /// Findings implied by everything observed so far plus the phase
-    /// histograms in `facts`. `now_us` is the latest event timestamp of
-    /// the timeline, the anchor for the decay window.
-    pub fn findings(
+    /// histograms in `facts`, handed to `out`. `now_us` is the latest
+    /// event timestamp of the timeline, the anchor for the decay window.
+    pub(crate) fn findings(
         &self,
         topology: &Topology,
         config: &AuditConfig,
         facts: &MetricsFacts,
         now_us: u64,
-    ) -> Vec<Finding> {
-        let mut findings = Vec::new();
-        self.equivocations(topology, &mut findings);
-        self.stalls(topology, config, now_us, &mut findings);
-        self.storms_and_loops(topology, config, now_us, &mut findings);
-        self.phase_budgets(config, facts, &mut findings);
-        findings
+        out: &mut impl Sink,
+    ) {
+        self.equivocations(topology, out);
+        self.stalls(topology, config, now_us, out);
+        self.storms_and_loops(topology, config, now_us, out);
+        self.phase_budgets(config, facts, out);
     }
 
-    fn equivocations(&self, topology: &Topology, findings: &mut Vec<Finding>) {
+    fn equivocations(&self, topology: &Topology, out: &mut impl Sink) {
         // a `bft.equivocation` event is recorded by the replica that saw
         // the contradictory pre-prepare; the culprit is the primary of
         // that view in the refuser's domain. Several refusers may report
@@ -820,44 +873,42 @@ impl LivenessState {
         }
         for (&primary, slots) in &contradicted {
             let (view, seq) = *slots.iter().next().expect("nonempty");
-            findings.push(Finding {
+            let head = Head {
                 analyzer: LIVENESS,
                 severity: Severity::Blame,
                 kind: "equivocation",
                 element: Some(primary),
                 domain: domain_of(topology, primary),
                 count: slots.len() as u64,
-                detail: format!(
+            };
+            out.emit(head, || {
+                format!(
                     "sent contradictory pre-prepares for {} slot(s), first at view {view} seq {seq}",
                     slots.len()
-                ),
+                )
             });
         }
     }
 
-    fn stalls(
-        &self,
-        topology: &Topology,
-        config: &AuditConfig,
-        now_us: u64,
-        findings: &mut Vec<Finding>,
-    ) {
+    fn stalls(&self, topology: &Topology, config: &AuditConfig, now_us: u64, out: &mut impl Sink) {
         for (&element, times) in &self.stall_rounds {
             let rounds = windowed_total(times, config.decay_window_us, now_us);
             if rounds == 0 || rounds < config.min_stall_rounds {
                 continue;
             }
-            findings.push(Finding {
+            let head = Head {
                 analyzer: LIVENESS,
                 severity: Severity::Blame,
                 kind: "stall",
                 element: Some(element),
                 domain: domain_of(topology, element),
                 count: rounds,
-                detail: format!(
+            };
+            out.emit(head, || {
+                format!(
                     "voted replies landed more than {}us after the decision in {rounds} round(s)",
                     config.stall_budget_us
-                ),
+                )
             });
         }
     }
@@ -867,7 +918,7 @@ impl LivenessState {
         topology: &Topology,
         config: &AuditConfig,
         now_us: u64,
-        findings: &mut Vec<Finding>,
+        out: &mut impl Sink,
     ) {
         let mut view_changes: BTreeMap<u64, u64> = BTreeMap::new();
         let mut fetches: BTreeMap<u64, u64> = BTreeMap::new();
@@ -884,63 +935,64 @@ impl LivenessState {
         }
         for (&element, &n) in &view_changes {
             if n >= config.view_change_storm {
-                findings.push(Finding {
+                let head = Head {
                     analyzer: LIVENESS,
                     severity: Severity::Warn,
                     kind: "view-change-storm",
                     element: Some(element),
                     domain: domain_of(topology, element),
                     count: n,
-                    detail: format!(
+                };
+                out.emit(head, || {
+                    format!(
                         "attempted {n} view changes (threshold {})",
                         config.view_change_storm
-                    ),
+                    )
                 });
             }
         }
         for (&element, &n) in &fetches {
             if n >= config.state_fetch_loop {
-                findings.push(Finding {
+                let head = Head {
                     analyzer: LIVENESS,
                     severity: Severity::Warn,
                     kind: "state-transfer-loop",
                     element: Some(element),
                     domain: domain_of(topology, element),
                     count: n,
-                    detail: format!(
+                };
+                out.emit(head, || {
+                    format!(
                         "requested state transfer {n} times (threshold {})",
                         config.state_fetch_loop
-                    ),
+                    )
                 });
             }
         }
     }
 
-    fn phase_budgets(
-        &self,
-        config: &AuditConfig,
-        facts: &MetricsFacts,
-        findings: &mut Vec<Finding>,
-    ) {
+    fn phase_budgets(&self, config: &AuditConfig, facts: &MetricsFacts, out: &mut impl Sink) {
         for h in &facts.phases {
             if h.count == 0 || h.p99 <= config.phase_budget_us {
                 continue;
             }
-            let replica = h
-                .replica
-                .map(|r| format!(" (replica index {r})"))
-                .unwrap_or_default();
-            findings.push(Finding {
+            let head = Head {
                 analyzer: LIVENESS,
                 severity: Severity::Warn,
                 kind: "phase-budget",
                 element: None,
                 domain: None,
                 count: h.count,
-                detail: format!(
+            };
+            out.emit(head, || {
+                let replica = h
+                    .replica
+                    .map(|r| format!(" (replica index {r})"))
+                    .unwrap_or_default();
+                format!(
                     "{}{replica}: p99 {}us exceeds the {}us budget",
                     h.name, h.p99, config.phase_budget_us
-                ),
+                )
             });
         }
     }

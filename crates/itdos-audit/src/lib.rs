@@ -46,6 +46,7 @@ pub use report::{AuditReport, TimelineSummary};
 pub use stream::Stream;
 pub use topology::{ElementInfo, Topology};
 
+use analyze::{Head, Sink};
 use itdos_obs::jsonl::{merge_events, parse_dump, Dump};
 
 /// The audit pipeline: a topology and a configuration.
@@ -127,19 +128,21 @@ impl Auditor {
 
 /// The Info finding reporting a truncated timeline (`evicted` events
 /// lost to ring eviction before the audit saw them).
-pub(crate) fn truncation_finding(evicted: u64) -> Finding {
-    Finding {
+pub(crate) fn truncation_finding(evicted: u64, out: &mut impl Sink) {
+    let head = Head {
         analyzer: "timeline",
         severity: Severity::Info,
         kind: "truncated",
         element: None,
         domain: None,
         count: evicted,
-        detail: format!(
+    };
+    out.emit(head, || {
+        format!(
             "{evicted} event(s) evicted from the flight ring before the dump; \
              early evidence may be missing (raise the flight capacity)"
-        ),
-    }
+        )
+    });
 }
 
 /// The Info finding reporting tap loss: the live streaming audit's
@@ -147,19 +150,21 @@ pub(crate) fn truncation_finding(evicted: u64) -> Finding {
 /// flight ring but never the live detectors. The verdict may be
 /// degraded relative to a batch replay of the full dump — reported
 /// explicitly instead of letting the two silently diverge.
-pub(crate) fn degraded_finding(dropped: u64) -> Finding {
-    Finding {
+pub(crate) fn degraded_finding(dropped: u64, out: &mut impl Sink) {
+    let head = Head {
         analyzer: "timeline",
         severity: Severity::Info,
         kind: "degraded",
         element: None,
         domain: None,
         count: dropped,
-        detail: format!(
+    };
+    out.emit(head, || {
+        format!(
             "{dropped} event(s) overflowed the streaming-audit tap; the live \
              verdict may lag the batch replay (raise the tap capacity)"
-        ),
-    }
+        )
+    });
 }
 
 /// The one finding order every report uses: most severe first, with a

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 use itdos_obs::{LabelValue, Obs};
 
-use crate::analyze::{penalty_weight, Finding, Severity};
+use crate::analyze::{penalty_weight, Finding, Head, Severity, Sink};
 use crate::topology::Topology;
 
 /// Summary of the merged event timeline.
@@ -25,19 +25,45 @@ pub struct TimelineSummary {
     pub processes: u64,
 }
 
-/// Health per element of `topology`: every element starts at 100 and
-/// loses `penalty_weight(kind) × min(count, 3)` per finding against it,
-/// floored at 0.
-pub(crate) fn score_health(topology: &Topology, findings: &[Finding]) -> BTreeMap<u64, i64> {
-    let mut health: BTreeMap<u64, i64> = topology.elements.keys().map(|&e| (e, 100)).collect();
-    for f in findings {
-        let Some(element) = f.element else { continue };
-        let Some(slot) = health.get_mut(&element) else {
-            continue;
-        };
-        *slot = (*slot - penalty_weight(f.kind, f.severity) * f.count.min(3) as i64).max(0);
+/// Health per element of a topology, scored as findings arrive: every
+/// element starts at 100 and loses `penalty_weight(kind) × min(count, 3)`
+/// per finding against it, floored at 0. Every debit is non-negative, so
+/// the score does not depend on the order findings arrive in.
+pub(crate) struct Health(BTreeMap<u64, i64>);
+
+impl Health {
+    pub(crate) fn new(topology: &Topology) -> Health {
+        Health(topology.elements.keys().map(|&e| (e, 100)).collect())
     }
-    health
+
+    pub(crate) fn scores(self) -> BTreeMap<u64, i64> {
+        self.0
+    }
+
+    fn debit(&mut self, head: &Head) {
+        let Some(element) = head.element else { return };
+        let Some(slot) = self.0.get_mut(&element) else {
+            return;
+        };
+        *slot =
+            (*slot - penalty_weight(head.kind, head.severity) * head.count.min(3) as i64).max(0);
+    }
+}
+
+/// Scoring reads the heads alone, so no `detail` is formatted for it.
+impl Sink for Health {
+    fn emit(&mut self, head: Head, _detail: impl FnOnce() -> String) {
+        self.debit(&head);
+    }
+}
+
+/// Health per element of `topology` from a finished finding list.
+pub(crate) fn score_health(topology: &Topology, findings: &[Finding]) -> BTreeMap<u64, i64> {
+    let mut health = Health::new(topology);
+    for f in findings {
+        health.debit(&f.head());
+    }
+    health.scores()
 }
 
 /// The auditor's output for one dump.

@@ -58,8 +58,15 @@ impl Topology {
     /// domain's slot count — a retired id never shadows its replacement,
     /// and primary rotation stays modulo the BFT group's fixed `n`.
     fn domain_members(&self, domain: u64) -> Vec<u64> {
+        let mut members: Vec<(u64, u64)> = self
+            .elements
+            .iter()
+            .filter(|(_, info)| info.domain == domain)
+            .map(|(&id, info)| (info.index, id))
+            .collect();
+        members.sort_unstable();
         let mut by_slot: BTreeMap<u64, u64> = BTreeMap::new();
-        for (index, id) in self.roster_pairs(domain) {
+        for (index, id) in members {
             match by_slot.entry(index) {
                 std::collections::btree_map::Entry::Vacant(slot) => {
                     slot.insert(id);
@@ -75,22 +82,16 @@ impl Topology {
     }
 
     /// Every element that ever held a slot in `domain` (retired ids
-    /// included), ordered by (replica index, id). The participation
-    /// analyzer judges this full roster so a culprit's silence record
-    /// survives its expulsion and replacement.
-    pub(crate) fn domain_roster(&self, domain: u64) -> Vec<u64> {
-        self.roster_pairs(domain).map(|(_, id)| id).collect()
-    }
-
-    fn roster_pairs(&self, domain: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let mut members: Vec<(u64, u64)> = self
-            .elements
+    /// included), in id order. The participation analyzer judges this
+    /// full roster so a culprit's silence record survives its expulsion
+    /// and replacement. Its order is not observable: the analyzer sums
+    /// over the roster and judges each member once, into a finding that
+    /// `sort_findings` orders by element.
+    pub(crate) fn domain_roster(&self, domain: u64) -> impl Iterator<Item = u64> + '_ {
+        self.elements
             .iter()
-            .filter(|(_, info)| info.domain == domain)
-            .map(|(&id, info)| (info.index, id))
-            .collect();
-        members.sort_unstable();
-        members.into_iter()
+            .filter(move |(_, info)| info.domain == domain)
+            .map(|(&id, _)| id)
     }
 
     /// The primary element of `domain` in `view` (round-robin rotation,
@@ -104,12 +105,11 @@ impl Topology {
     }
 
     /// Server (non-GM) domain ids in ascending order.
-    pub fn server_domains(&self) -> Vec<u64> {
+    pub fn server_domains(&self) -> impl Iterator<Item = u64> + '_ {
         self.domain_f
             .keys()
             .copied()
             .filter(|&d| d != self.gm_domain)
-            .collect()
     }
 
     /// Serializes the topology as JSONL records appended to a dump.
@@ -236,7 +236,7 @@ mod tests {
         assert_eq!(topo.primary_of(1, 0), Some(4));
         assert_eq!(topo.primary_of(1, 3), Some(5));
         assert_eq!(topo.primary_of(9, 0), None);
-        assert_eq!(topo.server_domains(), vec![1]);
+        assert_eq!(topo.server_domains().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
@@ -258,7 +258,7 @@ mod tests {
         assert_eq!(topo.primary_of(1, 1), Some(9));
         assert_eq!(topo.primary_of(1, 2), Some(4));
         // the roster keeps the retired id for forensic continuity
-        assert_eq!(topo.domain_roster(1), vec![4, 5, 9]);
+        assert_eq!(topo.domain_roster(1).collect::<Vec<_>>(), vec![4, 5, 9]);
         // a retired slot nobody refilled still counts (BFT n is fixed)
         topo.retired.insert(4);
         assert_eq!(topo.domain_members(1), vec![4, 9]);

@@ -1,6 +1,6 @@
 //! The discrete-event simulator.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use xbytes::Bytes;
@@ -32,12 +32,41 @@ enum EventKind {
     },
 }
 
+/// A scheduled event. The payload travels in the queue entry itself;
+/// entries order by `(at, seq)` alone, and `seq` is unique, so the queue
+/// pops in exactly the order the events were scheduled at each instant.
+#[derive(Debug)]
+struct Event {
+    at: SimTime,
+    seq: u64,
+    kind: EventKind,
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Event {}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
 struct NodeSlot {
     process: Box<dyn Process>,
     rng: SmallRng,
     next_timer: u64,
     cancelled: BTreeSet<TimerId>,
-    started: bool,
 }
 
 /// A deterministic discrete-event network simulation.
@@ -71,9 +100,13 @@ struct NodeSlot {
 pub struct Simulator {
     now: SimTime,
     seq: u64,
-    events: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    event_payloads: BTreeMap<u64, EventKind>,
+    events: BinaryHeap<Reverse<Event>>,
     nodes: Vec<NodeSlot>,
+    /// Nodes whose process has not run `on_start` yet: filled where a
+    /// process is added or replaced, emptied before the next event.
+    unstarted: Vec<NodeId>,
+    /// The action buffer every handler invocation reuses.
+    actions: Vec<Action>,
     groups: BTreeMap<GroupId, BTreeSet<NodeId>>,
     config: NetConfig,
     adversary: Box<dyn Adversary>,
@@ -101,8 +134,9 @@ impl Simulator {
             now: SimTime::ZERO,
             seq: 0,
             events: BinaryHeap::new(),
-            event_payloads: BTreeMap::new(),
             nodes: Vec::new(),
+            unstarted: Vec::new(),
+            actions: Vec::new(),
             groups: BTreeMap::new(),
             config: NetConfig::default(),
             adversary: Box::new(PassThrough),
@@ -144,8 +178,8 @@ impl Simulator {
             rng: SmallRng::seed_from_u64(seed),
             next_timer: 0,
             cancelled: BTreeSet::new(),
-            started: false,
         });
+        self.unstarted.push(id);
         id
     }
 
@@ -158,9 +192,8 @@ impl Simulator {
     ///
     /// Panics if `id` is unknown.
     pub fn replace_process(&mut self, id: NodeId, process: Box<dyn Process>) {
-        let slot = &mut self.nodes[id.as_raw() as usize];
-        slot.process = process;
-        slot.started = false;
+        self.nodes[id.as_raw() as usize].process = process;
+        self.unstarted.push(id);
     }
 
     /// Adds `node` to a multicast group (idempotent).
@@ -173,14 +206,6 @@ impl Simulator {
         if let Some(members) = self.groups.get_mut(&group) {
             members.remove(&node);
         }
-    }
-
-    /// Returns the current members of `group` in id order.
-    fn group_members(&self, group: GroupId) -> Vec<NodeId> {
-        self.groups
-            .get(&group)
-            .map(|m| m.iter().copied().collect())
-            .unwrap_or_default()
     }
 
     /// The current simulated time.
@@ -198,8 +223,8 @@ impl Simulator {
     /// step budget, this names the nodes the event loop is spinning on.
     pub fn pending_by_node(&self) -> BTreeMap<NodeId, (usize, usize)> {
         let mut out: BTreeMap<NodeId, (usize, usize)> = BTreeMap::new();
-        for kind in self.event_payloads.values() {
-            match kind {
+        for Reverse(event) in &self.events {
+            match &event.kind {
                 EventKind::Deliver { to, .. } => out.entry(*to).or_default().0 += 1,
                 EventKind::TimerFire { node, .. } => out.entry(*node).or_default().1 += 1,
             }
@@ -328,8 +353,8 @@ impl Simulator {
     /// exactly `deadline` are processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut steps = 0;
-        while let Some(&Reverse((t, _, _))) = self.events.peek() {
-            if t > deadline {
+        while let Some(Reverse(next)) = self.events.peek() {
+            if next.at > deadline {
                 break;
             }
             self.step();
@@ -354,89 +379,70 @@ impl Simulator {
     /// Processes the next event. Returns false when quiescent.
     pub fn step(&mut self) -> bool {
         self.start_pending();
-        let Some(Reverse((t, _, key))) = self.events.pop() else {
+        let Some(Reverse(Event { at, kind, .. })) = self.events.pop() else {
             return false;
         };
-        let kind = self
-            .event_payloads
-            .remove(&key)
-            .expect("event payload present");
-        debug_assert!(t >= self.now, "time went backwards");
-        self.now = t;
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
         if let Some(clock) = &self.obs_clock {
-            clock.set(t.as_micros());
+            clock.set(at.as_micros());
         }
         match kind {
             EventKind::Deliver { to, from, payload } => {
-                self.dispatch_message(to, from, payload);
+                if (to.as_raw() as usize) < self.nodes.len() {
+                    self.handle(to, |process, ctx| process.on_message(ctx, from, payload));
+                }
+                // else: a message to a node that never existed is dropped
             }
             EventKind::TimerFire { node, timer } => {
-                let slot = &mut self.nodes[node.as_raw() as usize];
-                if slot.cancelled.remove(&timer.id) {
-                    return true;
-                }
-                let mut actions = Vec::new();
+                if !self.nodes[node.as_raw() as usize]
+                    .cancelled
+                    .remove(&timer.id)
                 {
-                    let mut ctx = Context::new(
-                        self.now,
-                        node,
-                        &mut slot.rng,
-                        &mut actions,
-                        &mut slot.next_timer,
-                    );
-                    slot.process.on_timer(&mut ctx, timer);
+                    self.handle(node, |process, ctx| process.on_timer(ctx, timer));
                 }
-                self.apply_actions(node, actions);
             }
         }
         true
     }
 
+    /// Runs `on_start` for every process added or replaced since the last
+    /// step, in node-id order.
     fn start_pending(&mut self) {
-        for idx in 0..self.nodes.len() {
-            if self.nodes[idx].started {
-                continue;
-            }
-            self.nodes[idx].started = true;
-            let id = NodeId::from_raw(idx as u32);
-            let slot = &mut self.nodes[idx];
-            let mut actions = Vec::new();
-            {
-                let mut ctx = Context::new(
-                    self.now,
-                    id,
-                    &mut slot.rng,
-                    &mut actions,
-                    &mut slot.next_timer,
-                );
-                slot.process.on_start(&mut ctx);
-            }
-            self.apply_actions(id, actions);
+        if self.unstarted.is_empty() {
+            return;
         }
+        let mut unstarted = std::mem::take(&mut self.unstarted);
+        unstarted.sort_unstable();
+        unstarted.dedup();
+        for &id in &unstarted {
+            self.handle(id, |process, ctx| process.on_start(ctx));
+        }
+        unstarted.clear();
+        self.unstarted = unstarted;
     }
 
-    fn dispatch_message(&mut self, to: NodeId, from: NodeId, payload: Bytes) {
-        let idx = to.as_raw() as usize;
-        if idx >= self.nodes.len() {
-            return; // message to a node that never existed: dropped silently
-        }
-        let slot = &mut self.nodes[idx];
-        let mut actions = Vec::new();
+    /// Runs one handler of the process at `id` and applies the actions it
+    /// queued, through the simulator's one reused action buffer.
+    fn handle(&mut self, id: NodeId, run: impl FnOnce(&mut dyn Process, &mut Context<'_>)) {
+        let mut actions = std::mem::take(&mut self.actions);
+        let slot = &mut self.nodes[id.as_raw() as usize];
         {
             let mut ctx = Context::new(
                 self.now,
-                to,
+                id,
                 &mut slot.rng,
                 &mut actions,
                 &mut slot.next_timer,
             );
-            slot.process.on_message(&mut ctx, from, payload);
+            run(slot.process.as_mut(), &mut ctx);
         }
-        self.apply_actions(to, actions);
+        self.apply_actions(id, &mut actions);
+        self.actions = actions;
     }
 
-    fn apply_actions(&mut self, node: NodeId, actions: Vec<Action>) {
-        for action in actions {
+    fn apply_actions(&mut self, node: NodeId, actions: &mut Vec<Action>) {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, payload, label } => {
                     self.transmit(node, to, payload, label);
@@ -446,12 +452,19 @@ impl Simulator {
                     payload,
                     label,
                 } => {
-                    let members = self.group_members(group);
-                    for member in members {
+                    // the group is lent out while its copies are sent
+                    // (`transmit` never touches groups) and put back
+                    // under its existing key, so a fan-out allocates
+                    // nothing
+                    let Some(members) = self.groups.get_mut(&group).map(std::mem::take) else {
+                        continue;
+                    };
+                    for &member in &members {
                         if member != node {
                             self.transmit(node, member, payload.clone(), label);
                         }
                     }
+                    self.groups.insert(group, members);
                 }
                 Action::SetTimer { id, delay, kind } => {
                     let fire_at = self.now + delay;
@@ -543,10 +556,9 @@ impl Simulator {
     }
 
     fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let key = self.seq;
+        let seq = self.seq;
         self.seq += 1;
-        self.events.push(Reverse((at, key, key)));
-        self.event_payloads.insert(key, kind);
+        self.events.push(Reverse(Event { at, seq, kind }));
     }
 }
 

@@ -45,7 +45,7 @@ fn print_live_health(act: &str, system: &itdos::System) {
     // report's scores at every act of every drill
     let report = system.live_audit_report().expect("streaming audit is on");
     assert_eq!(
-        health, report.health,
+        *health, report.health,
         "live health diverged from the report"
     );
     print!("live health [{act}]:");

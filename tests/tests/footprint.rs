@@ -1,12 +1,13 @@
-//! What one more connection costs in live heap.
+//! What the heap pays: per connection, and per simulated event.
+//!
+//! The allocator of this binary counts the live bytes and the allocations
+//! of each thread. Every test runs on its own thread and the system under
+//! test starts none, so concurrent tests cannot pollute each other's
+//! figures.
 //!
 //! ITDOS sockets are virtual connections, each with its own GM-generated
 //! key and its own voter at every element, so the heap a connection holds
-//! bounds how many clients a domain can serve. This binary holds a single
-//! test and counts every allocation of the process, so no concurrent test
-//! can pollute the figure.
-//!
-//! The test builds the same deployment twice — one f = 1 domain, the Group
+//! bounds how many clients a domain can serve. The first test builds the same deployment twice — one f = 1 domain, the Group
 //! Manager, and 16 or 64 singleton clients — has each client open its
 //! connection and make one call, and reads the live heap. The difference
 //! divided by the 48 added clients is the cost of one client with one open
@@ -17,47 +18,80 @@
 //! table was a `BTreeMap` whose first leaf has 11 slots; 12 999 B once the
 //! wiring is shared and those tables are sized to their window. The bound
 //! is half the first figure.
+//!
+//! Every op of every workload passes through the simulator's event loop,
+//! and every flight event of a run with observability on through the
+//! streaming audit. Both must allocate nothing per event once warm; the
+//! last two tests hold them to that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::cell::Cell;
 
 use itdos::{Invocation, SystemBuilder};
+use itdos_audit::{ElementInfo, MetricsFacts, Stream, Topology};
 use itdos_giop::idl::{InterfaceDef, InterfaceRepository, OperationDef};
 use itdos_giop::types::{TypeDesc, Value};
 use itdos_groupmgr::membership::DomainId;
+use itdos_obs::flight::{Event, Labels};
+use itdos_obs::LabelValue;
 use itdos_orb::object::ObjectKey;
 use itdos_orb::servant::{FnServant, ServantException};
+use simnet::{Context, GroupId, NodeId, Process, SimDuration, Simulator, Timer};
+use xbytes::Bytes;
 
-/// Live heap bytes: requested minus freed. Statistics only, so `Relaxed`.
-static LIVE: AtomicI64 = AtomicI64::new(0);
+thread_local! {
+    /// This thread's live heap bytes: requested minus freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// This thread's allocations (a `realloc` counts as one).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// The system allocator plus a live-bytes counter.
+/// Adds `bytes` to this thread's live heap, and counts an allocation
+/// when `allocation` is set. Const-initialised cells without a destructor
+/// are never torn down, so the counters stay reachable from the allocator
+/// for the whole life of the thread.
+fn count(bytes: i64, allocation: bool) {
+    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+    if allocation {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+fn live() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// The system allocator plus per-thread counters.
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+// upholds the `GlobalAlloc` contract; the counters touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        count(layout.size() as i64, true);
         // SAFETY: the caller's `layout` obligations pass through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        count(layout.size() as i64, true);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        count(new_size as i64 - layout.size() as i64, true);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
         // `layout`; the caller guarantees `new_size` is valid for it.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        count(-(layout.size() as i64), false);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -71,7 +105,7 @@ const DOMAIN: DomainId = DomainId(1);
 /// Live heap held by a built system whose `clients` clients each opened
 /// their connection and made one call.
 fn live_bytes_after_one_call_each(clients: u64) -> i64 {
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = live();
     let mut builder = SystemBuilder::new(7);
     let mut repo = InterfaceRepository::new();
     repo.register(
@@ -110,9 +144,9 @@ fn live_bytes_after_one_call_each(clients: u64) -> i64 {
         let done = system.invoke(client, call);
         assert!(done.result.is_ok(), "client {client}: {:?}", done.result);
     }
-    let live = LIVE.load(Ordering::Relaxed) - before;
+    let held = live() - before;
     drop(system);
-    live
+    held
 }
 
 #[test]
@@ -128,5 +162,184 @@ fn an_added_client_costs_at_most_half_its_former_heap() {
         per_client <= COPIED_WIRING_BYTES_PER_CLIENT / 2,
         "{per_client} B per added client, bound {} B",
         COPIED_WIRING_BYTES_PER_CLIENT / 2
+    );
+}
+
+/// Three processes that relay one payload among themselves by send,
+/// multicast and timer, and allocate nothing doing it.
+struct Relay {
+    next: NodeId,
+    group: GroupId,
+    hops: u32,
+}
+
+impl Process for Relay {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.join(self.group);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: Bytes) {
+        if self.hops == 0 {
+            return;
+        }
+        self.hops -= 1;
+        match self.hops % 3 {
+            0 => ctx.send_labeled(self.next, payload, "relay"),
+            1 => ctx.multicast_labeled(self.group, payload, "relay"),
+            _ => {
+                ctx.set_timer(SimDuration::from_micros(300), 0);
+            }
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: Timer) {
+        ctx.send_labeled(self.next, Bytes::from_static(b"tick"), "relay");
+    }
+}
+
+/// Events the relays process after each holds `hops` hops, and the
+/// allocations made meanwhile.
+fn relay_round(sim: &mut Simulator, nodes: &[NodeId], hops: u32) -> (u64, u64) {
+    for &node in nodes {
+        sim.process_mut::<Relay>(node).hops = hops;
+    }
+    let before = allocs();
+    sim.inject(nodes[0], Bytes::from_static(b"payload"));
+    let steps = sim.run();
+    (steps, allocs() - before)
+}
+
+#[test]
+fn the_simulator_allocates_nothing_per_event_once_warm() {
+    let group = GroupId::from_raw(0);
+    let mut sim = Simulator::new(7);
+    let nodes: Vec<NodeId> = (0..3)
+        .map(|_| {
+            sim.add_process(Box::new(Relay {
+                next: NodeId::from_raw(0),
+                group,
+                hops: 0,
+            }))
+        })
+        .collect();
+    for (i, &node) in nodes.iter().enumerate() {
+        sim.process_mut::<Relay>(node).next = nodes[(i + 1) % nodes.len()];
+    }
+    // warm-up: the queue, the action buffer and the per-link counters
+    // reach the size the measured round needs
+    relay_round(&mut sim, &nodes, 2_000);
+    let (steps, allocations) = relay_round(&mut sim, &nodes, 2_000);
+    assert!(steps > 5_000, "only {steps} events processed");
+    assert_eq!(
+        allocations, 0,
+        "{allocations} allocations over {steps} events"
+    );
+}
+
+#[test]
+fn a_warm_stream_surfaces_ten_thousand_replies_without_allocating() {
+    let mut topology = Topology {
+        gm_domain: 0,
+        ..Topology::default()
+    };
+    for domain in 0..2 {
+        topology.domain_f.insert(domain, 1);
+        for index in 0..4 {
+            let element = 4 * domain + index;
+            topology.elements.insert(
+                element,
+                ElementInfo {
+                    domain,
+                    index,
+                    scope: 1_000_000 + element,
+                },
+            );
+        }
+    }
+    let mut stream = Stream::new(topology);
+    let event = |seq: u64, at_micros: u64, scope: u64, kind, labels: &[(&'static str, u64)]| {
+        let labels: Vec<_> = labels
+            .iter()
+            .map(|&(k, v)| (k, LabelValue::U64(v)))
+            .collect();
+        Event {
+            seq,
+            at_micros,
+            scope,
+            kind,
+            labels: Labels::from(labels.as_slice()),
+        }
+    };
+    // evidence behind a divergence blame (with a fault proof and an
+    // expulsion), an accusation and a stall: findings every surface
+    // recomputes
+    let warm = [
+        event(0, 10, 1, "vote.dissent", &[("request", 1), ("sender", 7)]),
+        event(1, 12, 1, "client.accused", &[("accused", 7)]),
+        event(
+            2,
+            20,
+            1,
+            "element.accuse",
+            &[("accuser", 4), ("accused", 6)],
+        ),
+        event(3, 30, 1, "gm.expelled", &[("element", 7)]),
+        event(4, 40, 1, "vote.decided", &[("request", 2)]),
+        event(
+            5,
+            100_000,
+            1,
+            "vote.reply",
+            &[("request", 2), ("sender", 5)],
+        ),
+        event(
+            6,
+            100_000,
+            1,
+            "vote.reply",
+            &[("request", 3), ("sender", 4)],
+        ),
+        event(
+            7,
+            100_000,
+            1,
+            "vote.reply",
+            &[("request", 3), ("sender", 6)],
+        ),
+    ];
+    for e in &warm {
+        stream.observe_event(e);
+    }
+    let held = stream.findings(&MetricsFacts::default());
+    assert_eq!(
+        held.iter().map(|f| f.kind).collect::<Vec<_>>(),
+        ["stall", "divergence", "accusation"],
+        "the warm stream's findings"
+    );
+
+    // replies at an instant the stream already holds, so the evidence
+    // maps only count up: what is left to allocate is the surfacing
+    let before = allocs();
+    for i in 0..10_000u64 {
+        let sender = 4 + i % 3;
+        let e = Event {
+            seq: 8 + i,
+            at_micros: 100_000,
+            scope: 1,
+            kind: "vote.reply",
+            labels: Labels::from(
+                &[
+                    ("request", LabelValue::U64(3)),
+                    ("sender", LabelValue::U64(sender)),
+                ][..],
+            ),
+        };
+        let fresh = stream.observe_event(&e);
+        assert!(fresh.is_empty(), "nothing new surfaces");
+    }
+    let allocations = allocs() - before;
+    assert!(
+        allocations <= 4,
+        "{allocations} allocations for 10 000 replies"
     );
 }

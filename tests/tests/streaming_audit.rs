@@ -11,6 +11,8 @@
 
 mod common;
 
+use std::collections::BTreeMap;
+
 use common::{bank_system, deposit, BANK, CLIENT};
 use itdos::fault::Behavior;
 use itdos::system::System;
@@ -169,6 +171,59 @@ fn the_streaming_audit_costs_nothing_on_the_network() {
 
     assert!(off.live_audit_report().is_none());
     assert!(off.live_health().is_empty());
+}
+
+/// The `replica.health` gauges one element at a time, as the registry
+/// holds them now.
+fn health_gauges(system: &System) -> BTreeMap<u64, i64> {
+    system
+        .obs
+        .with_registry(|registry| {
+            system
+                .audit_topology()
+                .elements
+                .keys()
+                .filter_map(|&element| {
+                    registry
+                        .gauge("replica.health", &[("element", LabelValue::U64(element))])
+                        .map(|gauge| (element, gauge))
+                })
+                .collect()
+        })
+        .expect("obs enabled")
+}
+
+/// `live_health()` returns what the last pump scored and exported as the
+/// `replica.health` gauges, also once the run has moved on without a
+/// pump: the silent replica's peers have answered a second deposit since,
+/// so rescoring against the registry now would dock it further.
+#[test]
+fn live_health_is_what_the_last_pump_exported() {
+    let mut builder = bank_system(96);
+    builder.obs(ObsConfig::forensic());
+    builder.behavior(BANK, 3, Behavior::Silent);
+    let mut system = builder.build();
+    let done = system.invoke(CLIENT, deposit(10));
+    assert!(done.result.is_ok());
+    let pumped = health_gauges(&system);
+    assert!(
+        pumped.values().any(|&h| 0 < h && h < 100),
+        "the silent replica is docked but not floored: {pumped:?}"
+    );
+
+    // the second deposit runs on the simulator alone: no settle, no pump
+    let ticket = system.invoke_async(CLIENT, deposit(11));
+    system.sim.run();
+    assert!(system.result(ticket).is_some(), "the deposit completed");
+    let rescored = system
+        .live_audit_report()
+        .expect("streaming audit is on")
+        .health;
+    assert_ne!(rescored, pumped, "the registry has moved on since the pump");
+
+    assert_eq!(health_gauges(&system), pumped, "no pump, no new gauges");
+    let live: BTreeMap<u64, i64> = system.live_health().clone();
+    assert_eq!(live, pumped, "live_health() != the exported gauges");
 }
 
 /// Builds a batched+pipelined deployment, submits `count` deposits
