@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the ITDOS workspace. Everything runs offline — the
-# workspace is hermetic (path dependencies only), and itdos-lint
-# rejects any manifest entry that would change that.
+# workspace is hermetic (path dependencies only), and a tier-1 test
+# (`the_workspace_is_hermetic`) fails on any package fetched from elsewhere.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -30,13 +30,19 @@ echo '== group kernel sweep (release: 2^20 random pairs against textbook square-
 # must equal the kept reference kernel; the debug suite runs a small sweep
 cargo test -q --release --offline -p itdos-crypto --lib -- --ignored kernel_sweep
 
-echo '== cargo run -p itdos-lint (waiver ledger + budget gate)'
-# the findings as JSON lines go to target/lint-findings.json (the CI
-# workflow uploads it); the second run is the gate: it fails on any active
-# finding, and also if the waiver count grows past the checked-in budget —
-# new waivers must be paid for in the same PR
-cargo run -q --release --offline -p itdos-lint -- --json > target/lint-findings.json || true
-cargo run -q --release --offline -p itdos-lint -- --waivers --budget lint-waivers.budget
+echo '== cargo clippy (invariants L2-L5 and the waiver rules: clippy.toml, DESIGN.md §8)'
+# itdos-benchmark is the host-time yardstick and reads the wall clock by
+# design, so the determinism rule (L2) never covered it; it stays out
+cargo clippy -q --offline --workspace --all-targets --exclude itdos-benchmark
+
+echo '== lint waivers (every #[expect] / #[allow] counts against lint-waivers.budget)'
+# a new waiver must be paid for in the same PR: fix an old one, or raise
+# the budget where review sees it
+waivers="$(grep -rE '#!?\[(allow|expect)\(|cfg_attr\(.*\b(allow|expect)\(' \
+    --include='*.rs' crates tests examples | grep -vc '^crates/benchmark/' || true)"
+budget="$(grep -Ev '^[[:space:]]*(#|$)' lint-waivers.budget)"
+echo "waivers: $waivers, budget: $budget"
+[ "$waivers" -le "$budget" ] || { echo "waiver count grew past lint-waivers.budget"; exit 1; }
 
 echo '== forensic audit smoke (drill dump -> audit example)'
 # the drill writes its corrupt-replica dump; the audit example must parse

@@ -14,7 +14,8 @@ use itdos_bft::auth::Envelope;
 use itdos_bft::wire::Wire;
 use itdos_giop::cdr::Endianness;
 use itdos_giop::giop::{
-    decode_message, encode_message, encode_request, GiopMessage, ReplyBody, RequestMessage,
+    decode_message, encode_message, encode_request, GiopError, GiopMessage, ReplyBody,
+    RequestMessage,
 };
 use itdos_giop::platform::PlatformProfile;
 use itdos_giop::types::Value;
@@ -90,10 +91,9 @@ fn invoke_span_id(connection: ConnectionId, request_id: u64) -> u64 {
 /// id (see `core::trace`); `System::invoke` mints one per invocation so
 /// the whole causal path is reconstructable from the flight recorder.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the request does not match the repository (caller bug).
-#[allow(clippy::too_many_arguments)]
+/// The encoder's error when the request does not match the repository.
 pub(crate) fn encode_traced_command(
     fabric: &Fabric,
     target: DomainId,
@@ -102,7 +102,7 @@ pub(crate) fn encode_traced_command(
     operation: &str,
     args: Vec<Value>,
     trace: u64,
-) -> Bytes {
+) -> Result<Bytes, GiopError> {
     let request = RequestMessage {
         request_id: 0, // assigned by the client when sent
         trace,
@@ -116,12 +116,11 @@ pub(crate) fn encode_traced_command(
         &GiopMessage::Request(request),
         fabric.repo(),
         Endianness::Little,
-    )
-    .expect("command matches the interface repository");
-    let mut out = Vec::with_capacity(8 + frame.len());
+    )?;
+    let mut out = Vec::with_capacity(frame.len().saturating_add(8));
     out.extend_from_slice(&target.0.to_le_bytes());
     out.extend_from_slice(&frame);
-    Bytes::from(out)
+    Ok(Bytes::from(out))
 }
 
 /// A singleton client process.
@@ -233,19 +232,20 @@ impl SingletonClient {
             GmOp::Open { target, .. } => Some(*target),
             _ => None,
         });
-        self.outbound
+        if let Some(outbound) = self
+            .outbound
             .get_or_open(gm, || Outbound::new(fabric, gm, code))
-            .submit(ctx, fabric, op.encode());
+        {
+            outbound.submit(ctx, fabric, op.encode());
+        }
     }
 
     fn on_command(&mut self, ctx: &mut Context<'_>, payload: &[u8]) {
-        if payload.len() < 8 {
+        let Some((target, frame)) = payload.split_first_chunk::<8>() else {
             return;
-        }
-        let target = DomainId(u64::from_le_bytes(
-            payload[..8].try_into().expect("8 bytes"),
-        ));
-        let Ok(msg) = decode_message(&payload[8..], self.fabric.repo()) else {
+        };
+        let target = DomainId(u64::from_le_bytes(*target));
+        let Ok(msg) = decode_message(frame, self.fabric.repo()) else {
             return;
         };
         crate::cost::account(
@@ -310,8 +310,12 @@ impl SingletonClient {
             {
                 self.rounds.pop_front();
             }
-            let (_, mut request) = self.queue.pop_front().expect("front exists");
-            let (meta, request_id) = self.smiop.next_request(connection).expect("keyed");
+            let Some((_, mut request)) = self.queue.pop_front() else {
+                return;
+            };
+            let Some((meta, request_id)) = self.smiop.next_request(connection) else {
+                return;
+            };
             request.request_id = request_id;
             let (thresholds, senders) = self.fabric.sender_thresholds(&meta, FrameKind::Reply);
             let comparator = folded_comparator(
@@ -408,7 +412,9 @@ impl SingletonClient {
             o.set_window(pipeline);
             o
         });
-        outbound.submit_traced(ctx, fabric, op, request.trace);
+        if let Some(outbound) = outbound {
+            outbound.submit_traced(ctx, fabric, op, request.trace);
+        }
     }
 
     /// The connection keyed to `target`, if any.
@@ -435,7 +441,9 @@ impl SingletonClient {
             return;
         };
         let (request_id, sender) = (reply.request_id, signed.sender);
-        let round = &mut self.rounds[idx];
+        let Some(round) = self.rounds.get_mut(idx) else {
+            return;
+        };
         // the first frame from each sender is the one its vote counts, and
         // so the one a proof must carry; a repeat is discarded by the vote
         round.frames.entry(sender).or_insert(signed);
@@ -486,11 +494,9 @@ impl SingletonClient {
                 self.release();
                 self.pump(ctx);
             }
-            Accept::Late { suspect: Some(s) } => {
+            Accept::Late { suspect: Some(s) } if self.cfg.auto_proof => {
                 // a slow faulty value arrived after the decision
-                if self.cfg.auto_proof {
-                    self.send_proof(ctx, idx, &[s]);
-                }
+                self.send_proof(ctx, idx, &[s]);
             }
             _ => {}
         }

@@ -76,11 +76,15 @@ mod tests {
 
     #[test]
     fn endpoint_codes_round_trip() {
-        assert_eq!(code_endpoint(singleton_code(42)), Endpoint::Singleton(42));
+        assert_eq!(
+            code_endpoint(singleton_code(42)),
+            Some(Endpoint::Singleton(42))
+        );
         assert_eq!(
             code_endpoint(element_code(SenderId(7))),
-            Endpoint::Element(SenderId(7))
+            Some(Endpoint::Element(SenderId(7)))
         );
+        assert_eq!(code_endpoint(element_code(SenderId(u32::MAX)) + 1), None);
     }
 
     #[test]

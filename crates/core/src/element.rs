@@ -428,7 +428,9 @@ impl ServerElement {
         let outbound = self
             .outbound
             .get_or_open(target, || Outbound::new(fabric, target, code));
-        outbound.submit(ctx, fabric, op);
+        if let Some(outbound) = outbound {
+            outbound.submit(ctx, fabric, op);
+        }
     }
 
     // ------------------------------------------------------------ SMIOP rx
@@ -596,8 +598,10 @@ impl ServerElement {
     fn continue_dispatch(&mut self, ctx: &mut Context<'_>, dispatch: Dispatch) {
         match dispatch {
             Dispatch::Reply(reply) => {
-                let current = self.current.take().expect("reply concludes a request");
-                self.emit_reply(ctx, current, reply);
+                // a reply concludes the current request
+                if let Some(current) = self.current.take() {
+                    self.emit_reply(ctx, current, reply);
+                }
                 self.try_process(ctx);
             }
             Dispatch::Suspended(call) => {
@@ -728,13 +732,12 @@ impl ServerElement {
             }
         }
         // fire a nested call waiting on this connection
-        if let Some(NestedPhase::AwaitingConnection { target, .. }) = &self.nested {
-            if *target == meta.server_domain && meta.client_domain == Some(self.cfg.domain) {
-                let Some(NestedPhase::AwaitingConnection { call, .. }) = self.nested.take() else {
-                    unreachable!("matched above");
-                };
-                self.send_nested_request(ctx, meta.connection, call);
-            }
+        let ours = meta.client_domain == Some(self.cfg.domain);
+        let waiting = self.nested.take_if(|phase| {
+            ours && matches!(phase, NestedPhase::AwaitingConnection { target, .. } if *target == meta.server_domain)
+        });
+        if let Some(NestedPhase::AwaitingConnection { call, .. }) = waiting {
+            self.send_nested_request(ctx, meta.connection, call);
         }
     }
 

@@ -186,14 +186,15 @@ impl Fabric {
     }
 
     fn view<'a>(&'a self, group: &'a Group) -> Domain<'a> {
+        let roster = &self.roster;
         Domain {
             id: group.id,
             f: group.f,
             config: &group.config,
             seed: &group.seed,
             mcast: group.mcast,
-            nodes: &self.roster.nodes[group.slots.clone()],
-            elements: &self.roster.elements[group.slots.clone()],
+            nodes: roster.nodes.get(group.slots.clone()).unwrap_or_default(),
+            elements: roster.elements.get(group.slots.clone()).unwrap_or_default(),
         }
     }
 
@@ -202,7 +203,7 @@ impl Fabric {
         groups
             .binary_search_by_key(&id, |g| g.id)
             .ok()
-            .map(|i| &groups[i])
+            .and_then(|i| groups.get(i))
     }
 
     /// The spec of a domain.
@@ -211,6 +212,10 @@ impl Fabric {
     ///
     /// Panics on an unknown domain — fabric wiring is static, so an
     /// unknown id is a deployment bug.
+    #[expect(
+        clippy::expect_used,
+        reason = "callers name their own domain, a target the local caller chose, or one a GM quorum agreed; no field a single Byzantine sender writes reaches it"
+    )]
     pub fn domain(&self, id: DomainId) -> Domain<'_> {
         self.get(id).expect("domain wired in fabric")
     }
@@ -268,7 +273,7 @@ impl Fabric {
             .iter()
             .position(|&e| element_code(e) == code)
         {
-            Some(slot) => Some(roster.nodes[slot]),
+            Some(slot) => roster.nodes.get(slot).copied(),
             None => roster
                 .retired
                 .iter()
@@ -374,17 +379,24 @@ impl Fabric {
             return false;
         };
         let index = slots.start.saturating_add(slot);
-        if !slots.contains(&index) || self.roster.elements[index] != replaced {
+        let held = (
+            self.roster.elements.get_mut(index),
+            self.roster.nodes.get_mut(index),
+        );
+        let (Some(element), Some(host)) = held else {
+            return false;
+        };
+        if !slots.contains(&index) || *element != replaced {
             return false;
         }
         let retired = Retired {
             domain,
             element: replaced,
             slot,
-            node: self.roster.nodes[index],
+            node: *host,
         };
-        self.roster.elements[index] = admitted;
-        self.roster.nodes[index] = node;
+        *element = admitted;
+        *host = node;
         self.roster.retired.push(retired);
         true
     }

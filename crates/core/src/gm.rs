@@ -106,7 +106,9 @@ impl GmMachine {
                 client_domain,
                 target,
             } => match self.manager.open_request(*client, *client_domain, *target) {
-                Ok(dist) => vec![self.key_dist_directive(dist)],
+                Ok(dist) => self
+                    .key_dist_directive(dist)
+                    .map_or_else(Vec::new, |d| vec![d]),
                 Err(_) => vec![Directive::Refused(refusal::OPEN)],
             },
             GmOp::ChangeProof(proof) => {
@@ -176,7 +178,7 @@ impl GmMachine {
                             verifying_key: *verifying_key,
                         }];
                         for rekey in admission.rekeys {
-                            out.push(self.key_dist_directive(rekey));
+                            out.extend(self.key_dist_directive(rekey));
                         }
                         out
                     }
@@ -200,12 +202,13 @@ impl GmMachine {
         }
     }
 
-    fn key_dist_directive(&self, dist: itdos_groupmgr::manager::KeyDistribution) -> Directive {
-        let rec = self
-            .manager
-            .connection(dist.connection)
-            .expect("distribution names a live connection");
-        Directive::KeyDist {
+    /// `None` when the distribution names no live connection.
+    fn key_dist_directive(
+        &self,
+        dist: itdos_groupmgr::manager::KeyDistribution,
+    ) -> Option<Directive> {
+        let rec = self.manager.connection(dist.connection)?;
+        Some(Directive::KeyDist {
             meta: ConnectionMeta {
                 connection: dist.connection,
                 epoch: dist.epoch,
@@ -215,7 +218,7 @@ impl GmMachine {
             },
             input: dist.input,
             recipients: dist.recipients.iter().map(|e| endpoint_code(*e)).collect(),
-        }
+        })
     }
 
     /// The directives of an expulsion, or of a retirement when `retired`:
@@ -232,7 +235,7 @@ impl GmMachine {
             Directive::Expelled { domain, element }
         }];
         for rekey in removal.rekeys {
-            out.push(self.key_dist_directive(rekey));
+            out.extend(self.key_dist_directive(rekey));
         }
         out
     }

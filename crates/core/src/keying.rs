@@ -11,6 +11,17 @@
 //! `(connection, epoch)` is combined once: the shares the other GM elements
 //! send after that are still verified and counted, but reopen nothing.
 
+// L5 hostile arithmetic: a decoded length never wraps, truncates or
+// indexes out of bounds
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::collections::BTreeMap;
 
 use itdos_crypto::dprf::{combine_checked, KeyShare, VerifiedShare};
@@ -72,11 +83,9 @@ impl ShareBank {
         obs.incr("key.shares_received", &[]);
         let pairwise = fabric.pairwise(msg.gm_code, me);
         let plain = open(&pairwise, &msg.sealed).ok()?;
-        if plain.len() != 32 + 28 {
-            return None;
-        }
-        let input: [u8; 32] = plain[..32].try_into().expect("32 bytes");
-        let share = KeyShare::from_bytes(plain[32..].try_into().expect("28 bytes"))?;
+        // exactly a 32-byte input, then a 28-byte share
+        let (&input, share) = plain.split_first_chunk::<32>()?;
+        let share = KeyShare::from_bytes(share.try_into().ok()?)?;
         let Some(share) = fabric.dprf_verifier().check(&input, &share) else {
             // corrupt GM element's share: discarded (§3.5)
             obs.incr("key.shares_rejected", &[]);

@@ -112,10 +112,10 @@ impl Outbound {
             let Some((op, trace)) = self.queue.pop_front() else {
                 break;
             };
-            let request = self
-                .client
-                .start_request_traced(op, trace, now)
-                .expect("window has room");
+            // not busy, so the window has room
+            let Some(request) = self.client.start_request_traced(op, trace, now) else {
+                break;
+            };
             self.in_order.push_back((request.timestamp(), None));
             self.broadcast(ctx, fabric, &Message::Request(request));
         }
@@ -227,15 +227,15 @@ impl Channels {
         &mut self,
         target: DomainId,
         open: impl FnOnce() -> Outbound,
-    ) -> &mut Outbound {
+    ) -> Option<&mut Outbound> {
         let index = match self.0.iter().position(|o| o.target == target) {
             Some(index) => index,
             None => {
                 self.0.push(open());
-                self.0.len() - 1
+                self.0.len().saturating_sub(1)
             }
         };
-        &mut self.0[index]
+        self.0.get_mut(index)
     }
 
     /// Every open channel, mutably.

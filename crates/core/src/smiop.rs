@@ -45,7 +45,7 @@ use crate::wire::{
 /// first part is the caller's domain-separation tag.
 pub(crate) fn nonce(parts: &[&[u8]]) -> [u8; 16] {
     let d = Digest::of_parts(parts);
-    d.0[..16].try_into().expect("16 bytes")
+    d.0.first_chunk().copied().unwrap_or_default()
 }
 
 /// One keyed connection.
@@ -162,7 +162,11 @@ impl Smiop {
             next_request_id,
         };
         match at {
-            Ok(i) => self.conns[i] = conn,
+            Ok(i) => {
+                if let Some(slot) = self.conns.get_mut(i) {
+                    *slot = conn;
+                }
+            }
             Err(i) => {
                 if self.conns.capacity() == 0 {
                     self.conns.reserve_exact(1);

@@ -7,6 +7,16 @@
 //! membership) and hands back a [`System`] that can run invocations and
 //! inspect every process.
 
+// The builder and driver take no hostile input: an unwired id, a missing
+// process or an invocation that never completes is the caller's bug, and
+// their panics are documented on each method.
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "test and benchmark harness: a caller bug panics by contract"
+)]
+
 use std::collections::BTreeMap;
 
 use itdos_bft::config::GroupConfig;
@@ -671,7 +681,8 @@ impl System {
             &invocation.operation,
             invocation.args,
             crate::trace::trace_id(client, index),
-        );
+        )
+        .expect("invocation matches the interface repository");
         let node = self.client_nodes[&client];
         self.sim.inject(node, cmd);
         self.submitted.insert(client, index + 1);

@@ -1,6 +1,17 @@
 //! Core wire formats: fabric-level messages, SMIOP frames, Group Manager
 //! operations and directives, and fault-proof serialization.
 
+// L5 hostile arithmetic: a decoded length never wraps, truncates or
+// indexes out of bounds
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing
+    )
+)]
+
 use itdos_bft::auth::AuthContext;
 use itdos_bft::config::ClientId;
 use itdos_bft::message::Message;

@@ -521,7 +521,7 @@ impl DivergenceState {
                 .and_then(|d| topology.domain_f.get(&d).copied())
                 .unwrap_or(0);
             let distinct = who.len() as u64;
-            let (severity, kind) = if distinct >= f + 1 {
+            let (severity, kind) = if distinct > f {
                 (Severity::Blame, "accused")
             } else {
                 (Severity::Warn, "accusation")

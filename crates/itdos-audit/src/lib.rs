@@ -27,9 +27,9 @@
 //!    `replica.health{element}` gauge.
 //!
 //! Like everything in the workspace, the output is a pure function of
-//! the input bytes: this crate is on the itdos-lint L2 determinism list,
-//! stores everything in `BTreeMap`s, and never reads a clock, so
-//! identical seeded runs produce byte-identical reports.
+//! the input bytes: this crate is held to the L2 determinism rule
+//! (`clippy.toml`), stores everything in `BTreeMap`s, and never reads a
+//! clock, so identical seeded runs produce byte-identical reports.
 
 #![warn(missing_docs)]
 

@@ -456,12 +456,11 @@ mod tests {
         };
         let mut keyed = Stream::with_config(topology(), config.clone());
         let mut oracle = Stream::with_config(topology(), config);
-        let mut seq = rng.gen_range(0..2u64);
+        let first_seq = rng.gen_range(0..2u64);
         let mut at_us = 0;
-        for step in 0..160 {
+        for (step, seq) in (0..160).zip(first_seq..) {
             at_us += [0, 1, 50, 400, 2_000][rng.gen_range(0..5usize)];
             let e = random_event(&mut rng, seq, at_us);
-            seq += 1;
             assert_eq!(
                 keyed.observe(&e),
                 oracle.observe_by_recompute(&e),

@@ -219,16 +219,16 @@ impl AuthContext {
         &self,
         client: Option<ClientId>,
     ) -> impl ExactSizeIterator<Item = SymmetricKey> + '_ {
-        let count = if client.is_some() { 1 } else { self.n as u32 };
-        (0..count).map(move |i| match client {
-            None => self.pair_with_replica(ReplicaId(i)),
-            Some(client) => {
-                let Peer::Replica(me) = self.me else {
-                    // itdos-lint: allow(panic-freedom) -- guards our own identity (a local construction invariant), never attacker input; clients are wired without this path
-                    panic!("only replicas address clients");
-                };
-                self.provisioner.client_pair(client, me)
-            }
+        // only a replica addresses a client: a client asking to gets no
+        // key, and an empty authenticator no receiver accepts
+        let count = match (client, self.me) {
+            (None, _) => u32::try_from(self.n).unwrap_or(u32::MAX),
+            (Some(_), Peer::Replica(_)) => 1,
+            (Some(_), Peer::Client(_)) => 0,
+        };
+        (0..count).map(move |i| match (client, self.me) {
+            (Some(client), Peer::Replica(me)) => self.provisioner.client_pair(client, me),
+            _ => self.pair_with_replica(ReplicaId(i)),
         })
     }
 
@@ -283,7 +283,8 @@ impl AuthContext {
 
     /// Room for `message`'s envelope and a header of up to 16 bytes.
     pub fn frame_capacity(&self, message: &Message) -> usize {
-        message.wire_len() + 48 + 8 * self.n
+        let macs = self.n.saturating_mul(8);
+        message.wire_len().saturating_add(48).saturating_add(macs)
     }
 
     /// `message`'s envelope alone, in one buffer.

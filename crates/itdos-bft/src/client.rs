@@ -130,14 +130,14 @@ impl Client {
             return None;
         }
         let timestamp = self.next_timestamp;
-        self.next_timestamp += 1;
+        self.next_timestamp = self.next_timestamp.saturating_add(1);
         let request = ClientRequest::new(self.id, timestamp, trace, operation);
         // hashed before it is kept, so every retransmitted clone carries the
         // digest its MAC covers
         request.digest();
         if self.outstanding.len() == self.outstanding.capacity() {
             self.outstanding
-                .reserve_exact(self.window - self.outstanding.len());
+                .reserve_exact(self.window.saturating_sub(self.outstanding.len()));
         }
         // timestamps only grow, so the newest request goes last
         self.outstanding.push_back(Outstanding {
@@ -191,7 +191,7 @@ impl Client {
     /// Processes one reply. Returns `(timestamp, result)` the first time
     /// f+1 matching replies have arrived for that timestamp.
     pub fn on_reply(&mut self, reply: Reply) -> Option<(u64, Vec<u8>)> {
-        let threshold = self.config.f + 1;
+        let threshold = self.config.weak_quorum();
         if reply.client != self.id || reply.replica.0 as usize >= self.config.n {
             return None;
         }

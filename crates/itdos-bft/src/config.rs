@@ -72,7 +72,7 @@ impl GroupConfig {
     /// Minimal configuration tolerating `f` faults with `n = 3f + 1`.
     pub fn for_f(f: usize) -> GroupConfig {
         GroupConfig {
-            n: 3 * f + 1,
+            n: f.saturating_mul(3).saturating_add(1),
             f,
             checkpoint_interval: 16,
             watermark_window: 64,
@@ -86,12 +86,26 @@ impl GroupConfig {
 
     /// The 2f+1 quorum used for prepared/committed certificates.
     pub fn quorum(&self) -> usize {
-        2 * self.f + 1
+        self.prepare_quorum().saturating_add(1)
+    }
+
+    /// The 2f matching prepares a prepared certificate holds besides its
+    /// pre-prepare.
+    pub fn prepare_quorum(&self) -> usize {
+        self.f.saturating_mul(2)
+    }
+
+    /// The f+1 matching votes of which at least one is correct.
+    pub fn weak_quorum(&self) -> usize {
+        self.f.saturating_add(1)
     }
 
     /// The primary of `view`.
     pub fn primary_of(&self, view: View) -> ReplicaId {
-        ReplicaId((view.0 % self.n as u64) as u32)
+        // `validate` holds n ≥ 1, so the remainder exists and fits a u32 id
+        let n = u64::try_from(self.n).unwrap_or(u64::MAX);
+        let index = view.0.checked_rem(n).and_then(|i| u32::try_from(i).ok());
+        ReplicaId(index.unwrap_or(0))
     }
 
     /// Validates invariants.
@@ -101,7 +115,10 @@ impl GroupConfig {
     /// Panics if `n < 3f + 1` or the checkpoint interval is zero or larger
     /// than the watermark window.
     pub fn validate(&self) {
-        assert!(self.n >= 3 * self.f + 1, "n must be at least 3f+1");
+        assert!(
+            self.f.checked_mul(3).is_some_and(|bound| self.n > bound),
+            "n must be at least 3f+1"
+        );
         assert!(
             self.checkpoint_interval > 0,
             "checkpoint interval must be positive"

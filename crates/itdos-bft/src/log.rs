@@ -33,7 +33,7 @@ impl Entry {
             .values()
             .filter(|p| p.digest == pp.digest && p.view == pp.view)
             .count();
-        matching >= 2 * config.f
+        matching >= config.prepare_quorum()
     }
 
     /// PBFT `committed-local(m, v, n, i)`: prepared plus 2f+1 matching
@@ -90,7 +90,7 @@ impl Log {
 
     /// The high watermark `H = h + window`.
     pub fn high(&self) -> SeqNo {
-        SeqNo(self.low.0 + self.window)
+        SeqNo(self.low.0.saturating_add(self.window))
     }
 
     /// True when `seq` is inside the acceptance window `(h, H]`.
@@ -190,7 +190,7 @@ impl Log {
     /// itself (it crashed or was partitioned while the traffic flowed).
     pub(crate) fn committed_beyond(&self, executed: SeqNo, config: &GroupConfig) -> bool {
         self.entries.iter().any(|((_, seq), entry)| {
-            seq.0 > executed.0 + 1 && !entry.executed && entry.committed_local(config)
+            seq.0 > executed.0.saturating_add(1) && !entry.executed && entry.committed_local(config)
         })
     }
 
@@ -211,7 +211,7 @@ impl Log {
                 .prepares
                 .values()
                 .filter(|p| p.digest == pp.digest && p.view == *view)
-                .take(2 * config.f)
+                .take(config.prepare_quorum())
                 .copied()
                 .collect();
             out.push(PreparedProof {

@@ -261,11 +261,11 @@ pub fn build_group(
     let client_node = sim.add_process(Box::new(Idle));
     directory.replicas = replica_nodes.clone();
     directory.clients.insert(client_id, client_node);
-    for (i, &node) in replica_nodes.iter().enumerate() {
-        let auth = AuthContext::for_replica(provisioner.clone(), ReplicaId(i as u32), config.n);
+    for (id, &node) in (0..).map(ReplicaId).zip(&replica_nodes) {
+        let auth = AuthContext::for_replica(provisioner.clone(), id, config.n);
         let replica = ReplicaNode::new(
             config.clone(),
-            ReplicaId(i as u32),
+            id,
             CounterMachine::new(),
             auth,
             group,

@@ -142,7 +142,7 @@ impl QueueMachine {
     /// the queue head while the queue is above half capacity — the
     /// virtual-synchrony expulsion candidates.
     pub fn laggards(&self, window: u64) -> Vec<ElementId> {
-        if self.bytes_used * 2 < self.capacity {
+        if self.bytes_used.saturating_mul(2) < self.capacity {
             return Vec::new();
         }
         self.members
@@ -166,16 +166,17 @@ impl QueueMachine {
         let link = request_digest.as_bytes();
         match op {
             QueueOp::Deliver(payload) => {
-                if self.bytes_used + payload.len() > self.capacity {
+                let used = self.bytes_used.checked_add(payload.len());
+                let Some(used) = used.filter(|&used| used <= self.capacity) else {
                     // refusal is part of the replicated state (all replicas
                     // refuse identically), so it is chained too
                     self.mix_chain(b"refused");
                     return Applied::Refused;
-                }
+                };
                 self.mix_chain(link);
                 let index = self.next_index;
-                self.next_index += 1;
-                self.bytes_used += payload.len();
+                self.next_index = self.next_index.saturating_add(1);
+                self.bytes_used = used;
                 self.entries.push_back(QueueEntry {
                     index,
                     payload: payload.clone(),
@@ -221,8 +222,8 @@ impl QueueMachine {
         let mut freed = 0u64;
         while let Some(front) = self.entries.front() {
             if front.index < floor {
-                freed += front.payload.len() as u64;
-                self.bytes_used -= front.payload.len();
+                freed = freed.saturating_add(front.payload.len() as u64);
+                self.bytes_used = self.bytes_used.saturating_sub(front.payload.len());
                 self.entries.pop_front();
             } else {
                 break;

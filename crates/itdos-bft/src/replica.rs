@@ -197,8 +197,9 @@ impl<S: StateMachine> Replica<S> {
         config.validate();
         let log = Log::new(&config);
         // at most this many requests are assigned and unexecuted at once
-        let in_flight = config.pipeline_depth.min(config.watermark_window) as usize;
-        let held = Vec::with_capacity(in_flight * config.max_batch);
+        let in_flight = config.pipeline_depth.min(config.watermark_window);
+        let in_flight = usize::try_from(in_flight).unwrap_or(usize::MAX);
+        let held = Vec::with_capacity(in_flight.saturating_mul(config.max_batch));
         Replica {
             config,
             id,
@@ -321,7 +322,7 @@ impl<S: StateMachine> Replica<S> {
     }
 
     fn arm_timer(&mut self) {
-        self.timer_epoch += 1;
+        self.timer_epoch = self.timer_epoch.saturating_add(1);
         let backoff = 1 << self.view_change_attempts.min(16);
         self.outputs.push(Output::StartViewTimer {
             epoch: self.timer_epoch,
@@ -367,8 +368,9 @@ impl<S: StateMachine> Replica<S> {
     /// a held one.
     fn recall(&self, message: &Message) {
         for request in carried(message) {
-            if let Ok(at) = self.held.binary_search_by_key(&held_key(request), held_key) {
-                request.recall(&self.held[at]);
+            let at = self.held.binary_search_by_key(&held_key(request), held_key);
+            if let Some(held) = at.ok().and_then(|at| self.held.get(at)) {
+                request.recall(held);
             }
         }
     }
@@ -408,17 +410,13 @@ impl<S: StateMachine> Replica<S> {
             match message {
                 Message::Checkpoint(cp) => self.on_checkpoint(sender, cp),
                 Message::StateData(sd) => self.on_state_data(sd),
-                Message::PrePrepare(pp) => {
-                    if sender == self.config.primary_of(pp.view) {
-                        self.note_peer_view(sender, pp.view);
-                    }
+                Message::PrePrepare(pp) if sender == self.config.primary_of(pp.view) => {
+                    self.note_peer_view(sender, pp.view);
                 }
                 Message::Prepare(p) => self.note_peer_view(sender, p.view),
                 Message::Commit(c) => self.note_peer_view(sender, c.view),
-                Message::NewView(nv) => {
-                    if sender == nv.primary {
-                        self.note_peer_view(sender, nv.view);
-                    }
+                Message::NewView(nv) if sender == nv.primary => {
+                    self.note_peer_view(sender, nv.view);
                 }
                 _ => {}
             }
@@ -500,15 +498,15 @@ impl<S: StateMachine> Replica<S> {
     /// submission order.
     fn enqueue_in_client_order(&mut self, request: ClientRequest) {
         let client = request.client();
-        let next = self.admitted_ts.get(&client).copied().unwrap_or(0) + 1;
-        if request.timestamp() > next {
+        let admitted = self.admitted_ts.get(&client).copied().unwrap_or(0);
+        if request.timestamp() > admitted.saturating_add(1) {
             self.reorder
                 .entry(client)
                 .or_default()
                 .insert(request.timestamp(), request);
             return;
         }
-        if request.timestamp() < next {
+        if request.timestamp() <= admitted {
             // a view change ordered a later timestamp while this one fell
             // through (its slot lost its prepared proof); submission order
             // is already broken for it, so re-admit out of band rather
@@ -521,8 +519,8 @@ impl<S: StateMachine> Replica<S> {
         self.backlog.push_back(request);
         // the gap just filled: release consecutive parked successors
         while let Some(buf) = self.reorder.get_mut(&client) {
-            let next = self.admitted_ts.get(&client).copied().unwrap_or(0) + 1;
-            match buf.remove(&next) {
+            let admitted = self.admitted_ts.get(&client).copied().unwrap_or(0);
+            match buf.remove(&admitted.saturating_add(1)) {
                 Some(parked) => {
                     self.admitted_ts.insert(client, parked.timestamp());
                     self.backlog.push_back(parked);
@@ -547,7 +545,7 @@ impl<S: StateMachine> Replica<S> {
     /// batch — so batch size adapts to load with no timer in the loop.
     fn drain_backlog(&mut self) {
         loop {
-            let seq = SeqNo(self.next_seq.0 + 1);
+            let seq = SeqNo(self.next_seq.0.saturating_add(1));
             if !self.log.in_window(seq) {
                 break; // window full until the next stable checkpoint
             }
@@ -571,7 +569,7 @@ impl<S: StateMachine> Replica<S> {
                 {
                     break;
                 }
-                bytes += size;
+                bytes = bytes.saturating_add(size);
                 if let Some(front) = self.backlog.pop_front() {
                     requests.push(front);
                 }
@@ -754,8 +752,12 @@ impl<S: StateMachine> Replica<S> {
         // a commit far past our execution point means we missed traffic
         // (crash, partition): fetch the latest stable checkpoint instead
         // of waiting for requests that will never be retransmitted
-        if commit.seq.0 > self.last_executed.0 + self.config.checkpoint_interval {
-            let target = SeqNo(commit.seq.0 - commit.seq.0 % self.config.checkpoint_interval);
+        let interval = self.config.checkpoint_interval;
+        if commit.seq.0 > self.last_executed.0.saturating_add(interval) {
+            // the checkpoint at or below the commit (`validate` holds the
+            // interval above zero)
+            let past = commit.seq.0.checked_rem(interval).unwrap_or(0);
+            let target = SeqNo(commit.seq.0.saturating_sub(past));
             if target > self.last_executed {
                 self.request_state(target, Digest::default());
             }
@@ -773,7 +775,7 @@ impl<S: StateMachine> Replica<S> {
     fn try_execute(&mut self) {
         let mut progressed = false;
         loop {
-            let next = SeqNo(self.last_executed.0 + 1);
+            let next = SeqNo(self.last_executed.0.saturating_add(1));
             let view = self.view;
             let batch = match self.log.entry_ref(view, next) {
                 Some(entry) if !entry.executed && entry.committed_local(&self.config) => {
@@ -842,7 +844,7 @@ impl<S: StateMachine> Replica<S> {
                 // membership-change barrier: checkpoint immediately so a
                 // joiner can state-transfer from a quorum at this exact seq
                 self.emit_checkpoint(next);
-            } else if next.0 % self.config.checkpoint_interval == 0 {
+            } else if next.0.is_multiple_of(self.config.checkpoint_interval) {
                 self.emit_checkpoint(next);
             }
         }
@@ -902,7 +904,12 @@ impl<S: StateMachine> Replica<S> {
             self.fetch_state(seq);
             return;
         }
-        if seq.0 >= self.last_executed.0 + self.config.checkpoint_interval {
+        if seq.0
+            >= self
+                .last_executed
+                .0
+                .saturating_add(self.config.checkpoint_interval)
+        {
             // the group has provably moved a full checkpoint interval past
             // us: fetch state instead of waiting to catch up message by
             // message
@@ -1005,7 +1012,7 @@ impl<S: StateMachine> Replica<S> {
     }
 
     fn note_peer_view(&mut self, sender: ReplicaId, view: View) {
-        if sender.0 >= self.config.n as u32 {
+        if sender.0 as usize >= self.config.n {
             return;
         }
         let entry = self.peer_views.entry(sender).or_insert(0);
@@ -1130,15 +1137,19 @@ impl<S: StateMachine> Replica<S> {
         // a fresh-enough stable checkpoint exists.
         if self.log.committed_beyond(self.last_executed, &self.config) {
             self.fetching = None;
-            self.request_state(SeqNo(self.last_executed.0 + 1), Digest::default());
+            self.request_state(
+                SeqNo(self.last_executed.0.saturating_add(1)),
+                Digest::default(),
+            );
             return;
         }
-        self.start_view_change(View(self.view.0 + 1 + self.view_change_attempts as u64));
+        let skip = u64::from(self.view_change_attempts).saturating_add(1);
+        self.start_view_change(View(self.view.0.saturating_add(skip)));
     }
 
     fn start_view_change(&mut self, target: View) {
         self.in_view_change = true;
-        self.view_change_attempts += 1;
+        self.view_change_attempts = self.view_change_attempts.saturating_add(1);
         self.obs.incr("bft.view_changes", &self.obs_label());
         self.obs
             .span_begin("bft.view_change_us", u64::from(self.id.0));
@@ -1159,7 +1170,7 @@ impl<S: StateMachine> Replica<S> {
             // the real f+1 checkpoint certificate proving stable_seq; at
             // genesis (stable_seq 0) there is no checkpoint and nothing to
             // prove, so the certificate is empty
-            checkpoint_proof: self.log.stable_certificate(self.config.f + 1),
+            checkpoint_proof: self.log.stable_certificate(self.config.weak_quorum()),
             prepared: self.log.prepared_proofs(&self.config),
             replica: self.id,
         };
@@ -1186,11 +1197,8 @@ impl<S: StateMachine> Replica<S> {
 
     fn collect_view_change(&mut self, vc: ViewChange) {
         let target = vc.new_view;
-        self.view_changes
-            .entry(target)
-            .or_default()
-            .insert(vc.replica, vc);
-        let set = &self.view_changes[&target];
+        let set = self.view_changes.entry(target).or_default();
+        set.insert(vc.replica, vc);
         if target > self.view
             && set.len() >= self.config.quorum()
             && self.config.primary_of(target) == self.id
@@ -1346,7 +1354,7 @@ fn validate_view_change(vc: &ViewChange, config: &GroupConfig) -> bool {
             .map(|c| c.replica)
             .collect::<BTreeSet<_>>()
             .len();
-        if attesters < config.f + 1 {
+        if attesters < config.weak_quorum() {
             return false;
         }
     }
@@ -1375,7 +1383,7 @@ fn validate_view_change(vc: &ViewChange, config: &GroupConfig) -> bool {
             .map(|p| p.replica)
             .collect::<BTreeSet<_>>()
             .len();
-        if matching < 2 * config.f {
+        if matching < config.prepare_quorum() {
             return false;
         }
     }
@@ -2060,7 +2068,7 @@ mod tests {
         assert!(r1
             .log()
             .entry_ref(View(0), SeqNo(1))
-            .map_or(true, |e| e.prepares.is_empty()));
+            .is_none_or(|e| e.prepares.is_empty()));
     }
 
     #[test]
@@ -2347,7 +2355,7 @@ mod tests {
         // a receiving replica drops the unproven message entirely
         let mut r2 = replica(2);
         r2.on_message(ReplicaId(3), Message::ViewChange(bare.clone()));
-        assert!(r2.view_changes.get(&View(1)).map_or(true, |m| m.is_empty()));
+        assert!(r2.view_changes.get(&View(1)).is_none_or(|m| m.is_empty()));
         // genesis claims need no certificate
         let genesis = ViewChange {
             stable_seq: SeqNo(0),

@@ -79,7 +79,7 @@ impl StateMachine for CounterMachine {
             .map(i64::from_le_bytes)
             .unwrap_or(0);
         self.total = self.total.wrapping_add(delta);
-        self.applied += 1;
+        self.applied = self.applied.saturating_add(1);
         self.total.to_le_bytes().to_vec()
     }
 

@@ -3,10 +3,12 @@
 //! Comparing a MAC, digest, or key with `==` short-circuits at the first
 //! differing byte, so the comparison time reveals how long a forged prefix
 //! matched — a classic remote timing oracle against authenticators. Every
-//! comparison of secret-derived bytes in this crate goes through [`ct_eq`],
-//! which touches every byte regardless of where the buffers differ. The
-//! workspace linter (`itdos-lint`, rule `ct-crypto`) rejects `==`/`!=` on
-//! MAC/digest/key material so new call sites cannot regress.
+//! comparison of secret-derived bytes goes through [`ct_eq`], which touches
+//! every byte regardless of where the buffers differ. The secret-bearing
+//! types ([`MacTag`](crate::mac::MacTag),
+//! [`Authenticator`](crate::mac::Authenticator),
+//! [`SymmetricKey`](crate::keys::SymmetricKey) and its newtypes) implement
+//! `==` with it, so `==` on them is constant-time in every crate.
 
 /// Compares two byte slices in time independent of their contents.
 ///

@@ -58,8 +58,8 @@ impl DleqProof {
         }
         // a1' = base1^s · y1^{-e};  a2' = base2^s · y2^{-e}, where the
         // valid y1, y2 have order q, so y^{-e} needs no inverse
-        let a1 = base1.pow(self.response).mul(y1.pow(-self.challenge));
-        let a2 = base2.pow(self.response).mul(y2.pow(-self.challenge));
+        let a1 = base1.pow(self.response) * y1.pow(-self.challenge);
+        let a2 = base2.pow(self.response) * y2.pow(-self.challenge);
         Self::challenge(base1, y1, base2, y2, a1, a2) == self.challenge
     }
 

@@ -209,7 +209,7 @@ impl Dprf {
     ///
     /// Panics if `n < f + 1`.
     pub fn deal<R: Rng + ?Sized>(f: usize, n: usize, rng: &mut R) -> Dprf {
-        assert!(n >= f + 1, "need at least f+1 holders");
+        assert!(n > f, "need at least f+1 holders");
         let secret = crate::group::Scalar::new(rng.gen());
         let (shares, commitments) = shamir::split(secret, f + 1, n, rng);
         let holders = shares
@@ -309,7 +309,7 @@ pub fn combine_checked(
     let lambdas = shamir::lagrange_at_zero(&pseudo_shares).expect("validated above");
     let mut acc = Element::IDENTITY;
     for (s, lambda) in shares.iter().zip(lambdas) {
-        acc = acc.mul(s.share.point.pow(lambda));
+        acc = acc * s.share.point.pow(lambda);
     }
     Ok(derive_key(x, acc))
 }

@@ -170,11 +170,6 @@ impl Element {
         Element(from_mont(window_pow(to_mont(self.0), exponent.0)))
     }
 
-    /// Group operation (modular multiplication).
-    pub fn mul(self, rhs: Element) -> Element {
-        Element(mul_mod(self.0, rhs.0, P))
-    }
-
     /// Inverse element.
     pub fn inverse(self) -> Element {
         Element(from_mont(window_pow(to_mont(self.0), P - 2)))
@@ -200,6 +195,14 @@ impl Element {
     /// untrusted input.
     pub fn from_bytes(bytes: [u8; 8]) -> Element {
         Element(u64::from_le_bytes(bytes))
+    }
+}
+
+/// The group operation (modular multiplication).
+impl std::ops::Mul for Element {
+    type Output = Element;
+    fn mul(self, rhs: Element) -> Element {
+        Element(mul_mod(self.0, rhs.0, P))
     }
 }
 
@@ -438,7 +441,7 @@ mod tests {
     #[test]
     fn element_inverse_round_trips() {
         let e = Element::generator().pow(Scalar::new(99));
-        assert_eq!(e.mul(e.inverse()), Element::IDENTITY);
+        assert_eq!(e * e.inverse(), Element::IDENTITY);
     }
 
     #[test]
@@ -446,7 +449,7 @@ mod tests {
         let g = Element::generator();
         let a = Scalar::new(7_000_000);
         let b = Scalar::new(13);
-        assert_eq!(g.pow(a).mul(g.pow(b)), g.pow(a + b));
+        assert_eq!(g.pow(a) * g.pow(b), g.pow(a + b));
         assert_eq!(g.pow(a).pow(b), g.pow(a * b));
     }
 

@@ -8,8 +8,19 @@ use crate::hash::{Digest, Sha256};
 /// interchanged silently (the paper distinguishes all three in §3.5's
 /// footnote: pairwise GM↔element keys, a per-domain group key, and the
 /// per-association communication key).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// Its `==` is [`ct_eq`](crate::ct::ct_eq), and so is that of every newtype
+/// below, whose derived `==` compares the key inside.
+#[derive(Debug, Clone, Copy)]
 pub struct SymmetricKey([u8; 32]);
+
+impl PartialEq for SymmetricKey {
+    fn eq(&self, other: &SymmetricKey) -> bool {
+        crate::ct::ct_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for SymmetricKey {}
 
 impl SymmetricKey {
     /// Builds a key from raw bytes.
@@ -44,17 +55,17 @@ impl SymmetricKey {
 }
 
 /// The per-association communication key (client domain ↔ server domain).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommunicationKey(pub SymmetricKey);
 
 /// The pairwise key shared between one Group Manager element and one
 /// replication domain element (protects key-share distribution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairwiseKey(pub SymmetricKey);
 
 /// The key one Group Manager element shares with all elements of a
 /// replication domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupKey(pub SymmetricKey);
 
 #[cfg(test)]

@@ -22,9 +22,18 @@ use crate::hash::Digest;
 use crate::hmac::hmac;
 use crate::keys::SymmetricKey;
 
-/// Compact 8-byte MAC entry (PBFT truncates MACs similarly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Compact 8-byte MAC entry (PBFT truncates MACs similarly). Its `==` is
+/// [`ct_eq`](crate::ct::ct_eq).
+#[derive(Debug, Clone, Copy)]
 pub struct MacTag(pub [u8; 8]);
+
+impl PartialEq for MacTag {
+    fn eq(&self, other: &MacTag) -> bool {
+        crate::ct::ct_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for MacTag {}
 
 impl MacTag {
     fn compute(key: &SymmetricKey, message_digest: &Digest) -> MacTag {
@@ -48,12 +57,22 @@ impl MacTag {
 /// assert!(auth.verify(2, &keys[2], b"pre-prepare"));
 /// assert!(!auth.verify(2, &keys[2], b"tampered"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Its `==` compares every tag with [`ct_eq`](crate::ct::ct_eq).
+#[derive(Debug, Clone)]
 pub struct Authenticator {
     /// The entries, 8 bytes each: a slice of the received frame when
     /// decoded with `decode_shared`, so receiving one allocates nothing.
     tags: Bytes,
 }
+
+impl PartialEq for Authenticator {
+    fn eq(&self, other: &Authenticator) -> bool {
+        crate::ct::ct_eq(&self.tags, &other.tags)
+    }
+}
+
+impl Eq for Authenticator {}
 
 impl Authenticator {
     /// Generates an authenticator over `message` for receivers whose

@@ -60,7 +60,7 @@ impl Commitments {
         let mut x_pow = Scalar::ONE;
         let mut acc = Element::IDENTITY;
         for c in &self.coefficients {
-            acc = acc.mul(c.pow(x_pow));
+            acc = acc * c.pow(x_pow);
             x_pow = x_pow * x;
         }
         acc

@@ -115,9 +115,7 @@ impl VerifyingKey {
         }
         // R' = g^s · y^{-e}; y passed is_valid, so it has order q and
         // y^{-e} is one exponentiation, not a power and an inverse
-        let r = Element::generator()
-            .pow(signature.response)
-            .mul(self.point.pow(-signature.challenge));
+        let r = Element::generator().pow(signature.response) * self.point.pow(-signature.challenge);
         let m = Digest::of_parts(message);
         challenge(&r, self, &m) == signature.challenge
     }

@@ -9,6 +9,13 @@
 //! value, which is exactly why the paper votes on unmarshalled data
 //! (§3.6).
 
+// L5 hostile arithmetic: a decoded length never wraps or truncates (the
+// crate's one other module, `platform`, reads no bytes)
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use crate::types::{Seq, TypeDesc, Value};
 
 /// Byte order of an encapsulation.
@@ -159,7 +166,7 @@ impl Encoder {
     }
 
     fn align(&mut self, n: usize) {
-        while self.buffer.len() % n != 0 {
+        while !self.buffer.len().is_multiple_of(n) {
             self.buffer.push(0);
         }
     }
@@ -194,7 +201,10 @@ impl Encoder {
 
     /// Encodes a raw string (length incl. NUL, bytes, NUL).
     pub(crate) fn put_string(&mut self, s: &str) {
-        self.put_u32(s.len() as u32 + 1);
+        // as `put_octets`: a length that does not fit reads as one every
+        // decoder refuses
+        let len = u32::try_from(s.len()).ok().and_then(|n| n.checked_add(1));
+        self.put_u32(len.unwrap_or(u32::MAX));
         self.put(s.as_bytes());
         self.buffer.push(0);
     }
@@ -235,7 +245,7 @@ impl Encoder {
             (Value::Sequence(items), TypeDesc::Sequence(elem)) => match items.as_octets() {
                 Some(octets) if **elem == TypeDesc::Octet => self.put_octets(octets),
                 _ => {
-                    self.put_u32(items.len() as u32);
+                    self.put_u32(u32::try_from(items.len()).unwrap_or(u32::MAX));
                     for item in items {
                         self.encode(item, elem)?;
                     }
@@ -281,7 +291,7 @@ impl<'a> Decoder<'a> {
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.position
+        self.bytes.len().saturating_sub(self.position)
     }
 
     /// Current read offset.
@@ -290,49 +300,62 @@ impl<'a> Decoder<'a> {
     }
 
     fn align(&mut self, n: usize) {
-        let rem = self.position % n;
-        if rem != 0 {
-            self.position += n - rem;
-        }
+        // past the end, the next `take` reports the truncation
+        self.position = self
+            .position
+            .checked_next_multiple_of(n)
+            .unwrap_or(usize::MAX);
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CdrError> {
         // checked: `position + n` must not wrap when `n` is hostile
-        let slice = self
-            .position
-            .checked_add(n)
-            .and_then(|end| self.bytes.get(self.position..end));
-        let Some(slice) = slice else {
+        let end = self.position.checked_add(n);
+        let slice = end.and_then(|end| self.bytes.get(self.position..end));
+        let (Some(end), Some(slice)) = (end, slice) else {
             return Err(CdrError::Truncated {
                 needed: n,
-                remaining: self.bytes.len().saturating_sub(self.position),
+                remaining: self.remaining(),
             });
         };
-        self.position += n;
+        self.position = end;
         Ok(slice)
     }
 
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CdrError> {
+        self.align(N);
+        let raw = self.take(N)?;
+        raw.try_into().map_err(|_| CdrError::Truncated {
+            needed: N,
+            remaining: raw.len(),
+        })
+    }
+
+    pub(crate) fn take_bool(&mut self) -> Result<bool, CdrError> {
+        match self.take_array()? {
+            [0] => Ok(false),
+            [1] => Ok(true),
+            [b] => Err(CdrError::BadBoolean(b)),
+        }
+    }
+
     fn take_u16(&mut self) -> Result<u16, CdrError> {
-        self.align(2);
-        let b: [u8; 2] = self.take(2)?.try_into().expect("2 bytes");
+        let b = self.take_array()?;
         Ok(match self.endianness {
             Endianness::Big => u16::from_be_bytes(b),
             Endianness::Little => u16::from_le_bytes(b),
         })
     }
 
-    fn take_u32(&mut self) -> Result<u32, CdrError> {
-        self.align(4);
-        let b: [u8; 4] = self.take(4)?.try_into().expect("4 bytes");
+    pub(crate) fn take_u32(&mut self) -> Result<u32, CdrError> {
+        let b = self.take_array()?;
         Ok(match self.endianness {
             Endianness::Big => u32::from_be_bytes(b),
             Endianness::Little => u32::from_le_bytes(b),
         })
     }
 
-    fn take_u64(&mut self) -> Result<u64, CdrError> {
-        self.align(8);
-        let b: [u8; 8] = self.take(8)?.try_into().expect("8 bytes");
+    pub(crate) fn take_u64(&mut self) -> Result<u64, CdrError> {
+        let b = self.take_array()?;
         Ok(match self.endianness {
             Endianness::Big => u64::from_be_bytes(b),
             Endianness::Little => u64::from_le_bytes(b),
@@ -388,12 +411,8 @@ impl<'a> Decoder<'a> {
     pub fn decode(&mut self, desc: &TypeDesc) -> Result<Value, CdrError> {
         Ok(match desc {
             TypeDesc::Void => Value::Void,
-            TypeDesc::Octet => Value::Octet(self.take(1)?[0]),
-            TypeDesc::Boolean => match self.take(1)?[0] {
-                0 => Value::Boolean(false),
-                1 => Value::Boolean(true),
-                b => return Err(CdrError::BadBoolean(b)),
-            },
+            TypeDesc::Octet => Value::Octet(u8::from_le_bytes(self.take_array()?)),
+            TypeDesc::Boolean => Value::Boolean(self.take_bool()?),
             TypeDesc::Short => Value::Short(self.take_u16()? as i16),
             TypeDesc::UShort => Value::UShort(self.take_u16()?),
             TypeDesc::Long => Value::Long(self.take_u32()? as i32),

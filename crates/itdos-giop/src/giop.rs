@@ -7,6 +7,13 @@
 //! (§3.6) — the Group Manager needs them to unmarshal and vote on proof
 //! messages without running inside an ORB.
 
+// L5 hostile arithmetic: a decoded length never wraps or truncates (the
+// crate's one other module, `platform`, reads no bytes)
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use crate::cdr::{CdrError, Decoder, Encoder, Endianness};
 use crate::idl::InterfaceRepository;
 use crate::types::Value;
@@ -238,13 +245,14 @@ pub fn encode_request(
 }
 
 fn frame(msg_type: u8, body: Vec<u8>, endianness: Endianness) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + body.len());
+    let mut out = Vec::with_capacity(body.len().saturating_add(12));
     out.extend_from_slice(&MAGIC);
     out.push(VERSION.0);
     out.push(VERSION.1);
     out.push(endianness.flag_bit());
     out.push(msg_type);
-    let size = body.len() as u32;
+    // a body that does not fit reads as a size every decoder refuses
+    let size = u32::try_from(body.len()).unwrap_or(u32::MAX);
     match endianness {
         Endianness::Big => out.extend_from_slice(&size.to_be_bytes()),
         Endianness::Little => out.extend_from_slice(&size.to_le_bytes()),
@@ -382,18 +390,9 @@ fn decode_request(
     endianness: Endianness,
 ) -> Result<RequestMessage, GiopError> {
     let mut dec = Decoder::new(body, endianness);
-    let request_id = match dec.decode(&crate::types::TypeDesc::ULongLong)? {
-        Value::ULongLong(v) => v,
-        _ => unreachable!("decode honors desc"),
-    };
-    let trace = match dec.decode(&crate::types::TypeDesc::ULongLong)? {
-        Value::ULongLong(v) => v,
-        _ => unreachable!("decode honors desc"),
-    };
-    let response_expected = match dec.decode(&crate::types::TypeDesc::Boolean)? {
-        Value::Boolean(v) => v,
-        _ => unreachable!("decode honors desc"),
-    };
+    let request_id = dec.take_u64()?;
+    let trace = dec.take_u64()?;
+    let response_expected = dec.take_bool()?;
     let object_key = dec.take_octets()?;
     let interface = dec.take_string()?;
     let operation = dec.take_string()?;
@@ -424,10 +423,7 @@ fn decode_reply(
     endianness: Endianness,
 ) -> Result<ReplyMessage, GiopError> {
     let mut dec = Decoder::new(body, endianness);
-    let request_id = match dec.decode(&crate::types::TypeDesc::ULongLong)? {
-        Value::ULongLong(v) => v,
-        _ => unreachable!("decode honors desc"),
-    };
+    let request_id = dec.take_u64()?;
     let interface = dec.take_string()?;
     let operation = dec.take_string()?;
     let op = repo
@@ -436,18 +432,14 @@ fn decode_reply(
             interface: interface.clone(),
             operation: operation.clone(),
         })?;
-    let status = match dec.decode(&crate::types::TypeDesc::ULong)? {
-        Value::ULong(v) => v,
-        _ => unreachable!("decode honors desc"),
-    };
+    let status = dec.take_u32()?;
     let body = match status {
         STATUS_NO_EXCEPTION => ReplyBody::Result(dec.decode(&op.result)?),
         STATUS_USER_EXCEPTION => ReplyBody::UserException {
             name: dec.take_string()?,
         },
-        STATUS_SYSTEM_EXCEPTION => match dec.decode(&crate::types::TypeDesc::ULong)? {
-            Value::ULong(minor) => ReplyBody::SystemException { minor },
-            _ => unreachable!("decode honors desc"),
+        STATUS_SYSTEM_EXCEPTION => ReplyBody::SystemException {
+            minor: dec.take_u32()?,
         },
         other => return Err(GiopError::BadReplyStatus(other)),
     };

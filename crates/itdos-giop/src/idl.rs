@@ -6,6 +6,13 @@
 //! Manager — which does not run in an ORB — can look up signatures and
 //! unmarshal values when validating fault proofs (§3.6).
 
+// L5 hostile arithmetic: a decoded length never wraps or truncates (the
+// crate's one other module, `platform`, reads no bytes)
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use std::collections::BTreeMap;
 
 use crate::types::TypeDesc;

@@ -43,6 +43,17 @@
 //! ```
 
 #![warn(missing_docs)]
+// L3 panic-freedom: hostile input surfaces as a typed error or a drop,
+// never as a panic (DESIGN.md §8)
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod cdr;
 pub mod giop;

@@ -5,6 +5,13 @@
 //! [`Value`] trees — *after* unmarshalling — which is what makes
 //! heterogeneous replicas comparable.
 
+// L5 hostile arithmetic: a decoded length never wraps or truncates (the
+// crate's one other module, `platform`, reads no bytes)
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
+
 use std::fmt;
 
 /// A runtime CORBA value.
@@ -124,12 +131,14 @@ static OCTETS: [Value; 256] = octet_table();
 
 const fn octet_table() -> [Value; 256] {
     let mut table = [const { Value::Octet(0) }; 256];
-    let mut i = 0;
-    while i < table.len() {
+    let mut rest: &mut [Value] = &mut table;
+    let mut octet = 0u8;
+    while let Some((slot, tail)) = rest.split_first_mut() {
         // `forget` because a `Value` destructor cannot run in a const fn;
         // the replaced `Octet` owns nothing
-        std::mem::forget(std::mem::replace(&mut table[i], Value::Octet(i as u8)));
-        i += 1;
+        std::mem::forget(std::mem::replace(slot, Value::Octet(octet)));
+        octet = octet.wrapping_add(1);
+        rest = tail;
     }
     table
 }
@@ -282,7 +291,7 @@ impl<'a> Iterator for Iter<'a> {
 
     fn next(&mut self) -> Option<&'a Value> {
         match &mut self.0 {
-            IterRepr::Octets(octets) => octets.next().map(|b| &OCTETS[usize::from(*b)]),
+            IterRepr::Octets(octets) => octets.next().and_then(|b| OCTETS.get(usize::from(*b))),
             IterRepr::Items(items) => items.next(),
         }
     }

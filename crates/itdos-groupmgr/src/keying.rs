@@ -66,13 +66,14 @@ impl ThresholdKeying {
     /// What an attacker holding the listed GM elements can compute for a
     /// given input: `Some(key)` iff they hold at least `f+1` shares.
     fn attacker_key(&self, compromised: &[usize], input: &[u8]) -> Option<CommunicationKey> {
-        if compromised.len() < self.f + 1 {
+        if compromised.len() <= self.f {
             return None;
         }
         let shares: Vec<KeyShare> = compromised
             .iter()
-            .take(self.f + 1)
-            .map(|&i| self.holders[i].evaluate(input))
+            .take(self.f.saturating_add(1))
+            .filter_map(|&i| self.holders.get(i))
+            .map(|holder| holder.evaluate(input))
             .collect();
         self.combine(input, &shares).ok()
     }

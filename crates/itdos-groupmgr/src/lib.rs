@@ -44,6 +44,22 @@
 //! ```
 
 #![warn(missing_docs)]
+// L3 panic-freedom: hostile input surfaces as a typed error or a drop,
+// never as a panic (DESIGN.md §8)
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+// L5 hostile arithmetic: a decoded length never wraps or truncates
+#![cfg_attr(
+    not(test),
+    deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation)
+)]
 
 pub mod keying;
 pub mod manager;

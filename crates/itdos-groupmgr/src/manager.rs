@@ -287,7 +287,7 @@ impl GroupManager {
             (c, None) => recipients.push(c),
         }
         let connection = ConnectionId(self.next_connection);
-        self.next_connection += 1;
+        self.next_connection = self.next_connection.wrapping_add(1);
         self.connections.insert(
             connection,
             ConnectionRecord {
@@ -387,7 +387,7 @@ impl GroupManager {
         if !accuser_domain.is_active(accuser) || accuser == accused {
             return Err(ChangeError::ForeignAccuser(accuser));
         }
-        let threshold = accuser_domain.f + 1;
+        let threshold = accuser_domain.f.saturating_add(1);
         let votes = self.change_votes.entry(accused).or_default();
         if !votes.contains(&accuser) {
             votes.push(accuser);
@@ -515,17 +515,20 @@ impl GroupManager {
             .collect();
         let mut rekeys = Vec::with_capacity(affected.len());
         for id in affected {
-            let input = {
-                let rec = &self.connections[&id];
-                self.connection_input(id, rec.epoch + 1)
-            };
             // `id` was just collected from self.connections, but a missing
             // record must drop the rekey, not crash the Group Manager
+            let Some(epoch) = self
+                .connections
+                .get(&id)
+                .map(|rec| rec.epoch.wrapping_add(1))
+            else {
+                continue;
+            };
+            let input = self.connection_input(id, epoch);
             let Some(rec) = self.connections.get_mut(&id) else {
                 continue;
             };
-            rec.epoch += 1;
-            let epoch = rec.epoch;
+            rec.epoch = epoch;
             let rec = rec.clone();
             // the server domain can only vanish through a concurrent
             // membership change; skip the connection rather than panic

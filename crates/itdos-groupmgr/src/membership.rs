@@ -48,7 +48,8 @@ pub fn singleton_code(id: u64) -> u64 {
 
 /// The endpoint code for a domain element.
 pub fn element_code(id: SenderId) -> u64 {
-    ELEMENT_CODE_BASE + id.0 as u64
+    // cannot saturate: the base leaves room for every u32 id
+    ELEMENT_CODE_BASE.saturating_add(u64::from(id.0))
 }
 
 /// The endpoint code of any [`Endpoint`]: the globally unique `u64` that
@@ -61,12 +62,13 @@ pub fn endpoint_code(endpoint: Endpoint) -> u64 {
     }
 }
 
-/// Decodes an endpoint code.
-pub fn code_endpoint(code: u64) -> Endpoint {
-    if code >= ELEMENT_CODE_BASE {
-        Endpoint::Element(SenderId((code - ELEMENT_CODE_BASE) as u32))
-    } else {
-        Endpoint::Singleton(code)
+/// Decodes an endpoint code; `None` for a code past every element's.
+pub fn code_endpoint(code: u64) -> Option<Endpoint> {
+    match code.checked_sub(ELEMENT_CODE_BASE) {
+        Some(element) => u32::try_from(element)
+            .ok()
+            .map(|e| Endpoint::Element(SenderId(e))),
+        None => Some(Endpoint::Singleton(code)),
     }
 }
 
@@ -77,7 +79,7 @@ impl Wire for Endpoint {
     }
 
     fn take(r: &mut Reader<'_>) -> Result<Endpoint, WireError> {
-        u64::take(r).map(code_endpoint)
+        code_endpoint(u64::take(r)?).ok_or(WireError)
     }
 }
 
@@ -114,7 +116,7 @@ impl DomainRecord {
     /// Panics if fewer than `3f + 1` elements are supplied (§2).
     pub fn new(id: DomainId, f: usize, elements: Vec<ElementRecord>) -> DomainRecord {
         assert!(
-            elements.len() >= 3 * f + 1,
+            f.checked_mul(3).is_some_and(|bound| elements.len() > bound),
             "replication domain needs at least 3f+1 elements"
         );
         DomainRecord {
@@ -152,10 +154,9 @@ impl DomainRecord {
             return None;
         }
         let slot = self.elements.iter().position(|e| e.id == replaced)?;
-        let old = self.elements[slot];
-        self.elements[slot] = replacement;
+        let old = std::mem::replace(self.elements.get_mut(slot)?, replacement);
         self.retired.push(old);
-        self.epoch += 1;
+        self.epoch = self.epoch.wrapping_add(1);
         Some(slot)
     }
 

@@ -1,7 +1,8 @@
 //! Injected clocks.
 //!
-//! Replica-deterministic crates must never read a wall clock — itdos-lint
-//! L2 bans `Instant::now`/`SystemTime::now` in them outright, because two
+//! Replica-deterministic crates must never read a wall clock — clippy's
+//! `disallowed-methods` (`clippy.toml`, invariant L2) bans
+//! `Instant::now`/`SystemTime::now` in them outright, because two
 //! heterogeneous replicas reading different clocks diverge. Time therefore
 //! enters the observability layer only through the [`Clock`] trait: in
 //! simulation the driver mirrors `SimTime` into a [`ManualClock`] after

@@ -483,7 +483,7 @@ pub fn parse_dump(text: &str) -> Result<Dump, String> {
 /// recorders. The sort is stable, so equal keys keep input order.
 pub fn merge_events(streams: Vec<Vec<EventRecord>>) -> Vec<EventRecord> {
     let mut all: Vec<EventRecord> = streams.into_iter().flatten().collect();
-    all.sort_by(|a, b| (a.at_us, a.seq, a.scope).cmp(&(b.at_us, b.seq, b.scope)));
+    all.sort_by_key(|e| (e.at_us, e.seq, e.scope));
     all
 }
 

@@ -6,8 +6,8 @@
 //! This crate is the cross-cutting layer that measures them without
 //! breaking the two invariants the rest of the workspace is built on:
 //!
-//! * **Determinism** — this crate is itself on the itdos-lint L2
-//!   replica-deterministic list. It never reads a wall clock or iterates
+//! * **Determinism** — this crate is itself held to the L2 determinism
+//!   rule (`clippy.toml`). It never reads a wall clock or iterates
 //!   a `HashMap`; time arrives only through the injected [`Clock`] trait
 //!   ([`ManualClock`] mirrored from `SimTime` in simulation), and all
 //!   storage is `BTreeMap`/`VecDeque`, so two identical seeded runs emit
@@ -235,7 +235,7 @@ impl Recorder {
 /// `Arc<Mutex<_>>`, so a single dump covers the whole protocol stack and
 /// instrumented state machines stay `Send` (the workspace's API contract
 /// for `Replica`). In simulation everything runs on one thread, so the
-/// lock is never contended.
+/// lock is never contended; every hook takes it through `Obs::with`.
 #[derive(Clone, Default)]
 pub struct Obs {
     inner: Option<Arc<Mutex<Recorder>>>,
@@ -296,12 +296,19 @@ impl Obs {
         self.inner.is_some()
     }
 
+    /// Runs `f` on the recorder under its lock: `None` when disabled (or
+    /// the lock is poisoned). Every hook goes through here, so no guard
+    /// outlives one call and no two locks are ever held at once.
+    #[inline]
+    fn with<T>(&self, f: impl FnOnce(&mut Recorder) -> T) -> Option<T> {
+        let mut rec = self.inner.as_ref()?.lock().ok()?;
+        Some(f(&mut rec))
+    }
+
     /// Adds `delta` to a counter.
     #[inline]
     pub fn add(&self, name: &'static str, labels: &[Label], delta: u64) {
-        let Some(r) = &self.inner else { return };
-        let Ok(mut rec) = r.lock() else { return };
-        rec.registry.add(name, labels, delta);
+        self.with(|rec| rec.registry.add(name, labels, delta));
     }
 
     /// Adds 1 to a counter.
@@ -313,25 +320,19 @@ impl Obs {
     /// Overwrites a counter (for bridges mirroring external counters).
     #[inline]
     pub fn counter_set(&self, name: &'static str, labels: &[Label], value: u64) {
-        let Some(r) = &self.inner else { return };
-        let Ok(mut rec) = r.lock() else { return };
-        rec.registry.counter_set(name, labels, value);
+        self.with(|rec| rec.registry.counter_set(name, labels, value));
     }
 
     /// Sets a gauge.
     #[inline]
     pub fn gauge(&self, name: &'static str, labels: &[Label], value: i64) {
-        let Some(r) = &self.inner else { return };
-        let Ok(mut rec) = r.lock() else { return };
-        rec.registry.gauge_set(name, labels, value);
+        self.with(|rec| rec.registry.gauge_set(name, labels, value));
     }
 
     /// Records a histogram observation.
     #[inline]
     pub fn observe(&self, name: &'static str, labels: &[Label], value: u64) {
-        let Some(r) = &self.inner else { return };
-        let Ok(mut rec) = r.lock() else { return };
-        rec.registry.observe(name, labels, value);
+        self.with(|rec| rec.registry.observe(name, labels, value));
     }
 
     /// Records a flight-recorder event stamped with the injected clock
@@ -339,32 +340,32 @@ impl Obs {
     /// every event to the process that emitted it.
     #[inline]
     pub fn event(&self, kind: &'static str, labels: &[Label]) {
-        let Some(r) = &self.inner else { return };
-        let Ok(mut rec) = r.lock() else { return };
-        let now = rec.clock.now_micros();
-        let scope = self.scope;
-        let seq = rec.flight.record(now, scope, kind, labels);
-        if !rec.subs.is_empty() {
-            let event = Event {
-                seq,
-                at_micros: now,
-                scope,
-                kind,
-                labels: flight::Labels::from(labels),
-            };
-            let mut peak = rec.tap_high_water;
-            for sub in rec.subs.values_mut() {
-                sub.push(event.clone());
-                sub.delivered = sub.delivered.max(seq.saturating_add(1));
-                peak = peak.max(sub.buf.len() as u64);
+        self.with(|rec| {
+            let now = rec.clock.now_micros();
+            let scope = self.scope;
+            let seq = rec.flight.record(now, scope, kind, labels);
+            if !rec.subs.is_empty() {
+                let event = Event {
+                    seq,
+                    at_micros: now,
+                    scope,
+                    kind,
+                    labels: flight::Labels::from(labels),
+                };
+                let mut peak = rec.tap_high_water;
+                for sub in rec.subs.values_mut() {
+                    sub.push(event.clone());
+                    sub.delivered = sub.delivered.max(seq.saturating_add(1));
+                    peak = peak.max(sub.buf.len() as u64);
+                }
+                rec.tap_high_water = peak;
+                // every live subscriber now holds (or knowingly dropped) a
+                // copy: evicting this event from the ring later is no longer
+                // silent loss — tap overflow is accounted separately
+                rec.flight.mark_consumed(seq.saturating_add(1));
             }
-            rec.tap_high_water = peak;
-            // every live subscriber now holds (or knowingly dropped) a
-            // copy: evicting this event from the ring later is no longer
-            // silent loss — tap overflow is accounted separately
-            rec.flight.mark_consumed(seq.saturating_add(1));
-        }
-        rec.mirror_drops();
+            rec.mirror_drops();
+        });
     }
 
     /// Opens a span keyed by `(name, id)` in this handle's scope.
@@ -374,23 +375,23 @@ impl Obs {
     /// without bound.
     #[inline]
     pub fn span_begin(&self, name: &'static str, id: u64) {
-        let Some(r) = &self.inner else { return };
-        let Ok(mut rec) = r.lock() else { return };
-        let now = rec.clock.now_micros();
-        let key = (name, self.scope, id);
-        if rec.spans.len() >= MAX_OPEN_SPANS && !rec.spans.contains_key(&key) {
-            // evict the oldest open span (smallest start time; key order
-            // breaks ties, so eviction is deterministic)
-            if let Some(oldest) = rec
-                .spans
-                .iter()
-                .min_by_key(|&(k, &t)| (t, *k))
-                .map(|(k, _)| *k)
-            {
-                rec.spans.remove(&oldest);
+        self.with(|rec| {
+            let now = rec.clock.now_micros();
+            let key = (name, self.scope, id);
+            if rec.spans.len() >= MAX_OPEN_SPANS && !rec.spans.contains_key(&key) {
+                // evict the oldest open span (smallest start time; key order
+                // breaks ties, so eviction is deterministic)
+                if let Some(oldest) = rec
+                    .spans
+                    .iter()
+                    .min_by_key(|&(k, &t)| (t, *k))
+                    .map(|(k, _)| *k)
+                {
+                    rec.spans.remove(&oldest);
+                }
             }
-        }
-        rec.spans.insert(key, now);
+            rec.spans.insert(key, now);
+        });
     }
 
     /// Closes a span and records its duration (microseconds) in the
@@ -398,29 +399,27 @@ impl Obs {
     /// ignored.
     #[inline]
     pub fn span_end(&self, name: &'static str, id: u64, labels: &[Label]) {
-        let Some(r) = &self.inner else { return };
-        let Ok(mut rec) = r.lock() else { return };
-        let Some(started) = rec.spans.remove(&(name, self.scope, id)) else {
-            return;
-        };
-        let elapsed = rec.clock.now_micros().saturating_sub(started);
-        rec.registry.observe(name, labels, elapsed);
+        self.with(|rec| {
+            let Some(started) = rec.spans.remove(&(name, self.scope, id)) else {
+                return;
+            };
+            let elapsed = rec.clock.now_micros().saturating_sub(started);
+            rec.registry.observe(name, labels, elapsed);
+        });
     }
 
     /// Abandons a span without recording anything.
     #[inline]
     pub fn span_cancel(&self, name: &'static str, id: u64) {
-        let Some(r) = &self.inner else { return };
-        let Ok(mut rec) = r.lock() else { return };
-        rec.spans.remove(&(name, self.scope, id));
+        self.with(|rec| rec.spans.remove(&(name, self.scope, id)));
     }
 
     /// Resizes the flight-recorder ring.
     pub fn set_flight_capacity(&self, capacity: usize) {
-        let Some(r) = &self.inner else { return };
-        let Ok(mut rec) = r.lock() else { return };
-        rec.flight.set_capacity(capacity);
-        rec.mirror_drops();
+        self.with(|rec| {
+            rec.flight.set_capacity(capacity);
+            rec.mirror_drops();
+        });
     }
 
     /// Opens a live subscription to the flight-event stream: every event
@@ -430,64 +429,56 @@ impl Obs {
     /// of re-parsing a JSONL dump after the run. A `capacity` of 0 uses
     /// [`DEFAULT_TAP_CAPACITY`]. Returns `None` when disabled.
     pub fn subscribe(&self, capacity: usize) -> Option<u64> {
-        let r = self.inner.as_ref()?;
-        let mut rec = r.lock().ok()?;
-        let id = rec.next_sub;
-        rec.next_sub = rec.next_sub.saturating_add(1);
-        let delivered = rec.flight.total_recorded();
-        rec.subs.insert(
-            id,
-            Subscriber {
-                buf: VecDeque::new(),
-                capacity: if capacity == 0 {
-                    DEFAULT_TAP_CAPACITY
-                } else {
-                    capacity
+        self.with(|rec| {
+            let id = rec.next_sub;
+            rec.next_sub = rec.next_sub.saturating_add(1);
+            let delivered = rec.flight.total_recorded();
+            rec.subs.insert(
+                id,
+                Subscriber {
+                    buf: VecDeque::new(),
+                    capacity: if capacity == 0 {
+                        DEFAULT_TAP_CAPACITY
+                    } else {
+                        capacity
+                    },
+                    delivered,
+                    dropped: 0,
                 },
-                delivered,
-                dropped: 0,
-            },
-        );
-        // a new subscriber starts at the present: everything already
-        // recorded counts as consumed from its point of view
-        rec.update_watermark();
-        Some(id)
+            );
+            // a new subscriber starts at the present: everything already
+            // recorded counts as consumed from its point of view
+            rec.update_watermark();
+            id
+        })
     }
 
     /// Empties a subscription's buffer, advancing the ring's consumed
     /// watermark past everything delivered. Unknown ids (or a disabled
     /// handle) return an empty vec.
     pub fn drain_subscription(&self, id: u64) -> Vec<Event> {
-        let Some(r) = &self.inner else {
-            return Vec::new();
-        };
-        let Ok(mut rec) = r.lock() else {
-            return Vec::new();
-        };
-        let total = rec.flight.total_recorded();
-        let Some(sub) = rec.subs.get_mut(&id) else {
-            return Vec::new();
-        };
-        let events: Vec<Event> = sub.buf.drain(..).collect();
-        // even when the buffer overflowed, everything up to the present
-        // was offered to this subscriber — it is no longer "unconsumed"
-        sub.delivered = sub.delivered.max(total);
-        rec.update_watermark();
-        events
+        self.with(|rec| {
+            let total = rec.flight.total_recorded();
+            let sub = rec.subs.get_mut(&id)?;
+            let events: Vec<Event> = sub.buf.drain(..).collect();
+            // even when the buffer overflowed, everything up to the present
+            // was offered to this subscriber — it is no longer "unconsumed"
+            sub.delivered = sub.delivered.max(total);
+            rec.update_watermark();
+            Some(events)
+        })
+        .flatten()
+        .unwrap_or_default()
     }
 
     /// Reads the registry under a closure (None when disabled).
     pub fn with_registry<T>(&self, f: impl FnOnce(&Registry) -> T) -> Option<T> {
-        self.inner
-            .as_ref()
-            .and_then(|r| r.lock().ok().map(|rec| f(&rec.registry)))
+        self.with(|rec| f(&rec.registry))
     }
 
     /// Reads the flight recorder under a closure (None when disabled).
     pub fn with_flight<T>(&self, f: impl FnOnce(&FlightRecorder) -> T) -> Option<T> {
-        self.inner
-            .as_ref()
-            .and_then(|r| r.lock().ok().map(|rec| f(&rec.flight)))
+        self.with(|rec| f(&rec.flight))
     }
 
     /// Convenience counter read (0 when disabled or absent).
@@ -500,84 +491,78 @@ impl Obs {
     /// Subscriptions stay registered but their buffers and drop counts
     /// restart with the rest of the recorder.
     pub fn reset(&self) {
-        let Some(r) = &self.inner else { return };
-        let Ok(mut rec) = r.lock() else { return };
-        rec.registry.clear();
-        rec.flight.clear();
-        rec.spans.clear();
-        let total = rec.flight.total_recorded();
-        for sub in rec.subs.values_mut() {
-            sub.buf.clear();
-            sub.dropped = 0;
-            sub.delivered = total;
-        }
-        rec.flight_dropped_mirror = 0;
-        rec.tap_dropped_mirror = 0;
-        rec.tap_high_water = 0;
-        rec.flight_hwm_mirror = 0;
-        rec.tap_hwm_mirror = 0;
+        self.with(|rec| {
+            rec.registry.clear();
+            rec.flight.clear();
+            rec.spans.clear();
+            let total = rec.flight.total_recorded();
+            for sub in rec.subs.values_mut() {
+                sub.buf.clear();
+                sub.dropped = 0;
+                sub.delivered = total;
+            }
+            rec.flight_dropped_mirror = 0;
+            rec.tap_dropped_mirror = 0;
+            rec.tap_high_water = 0;
+            rec.flight_hwm_mirror = 0;
+            rec.tap_hwm_mirror = 0;
+        });
     }
 
     /// Serializes the whole recorder — counters, gauges, histogram
     /// summaries, then retained events — as JSON lines. Empty string when
     /// disabled. Byte-identical across identical seeded runs.
     pub fn dump_jsonl(&self) -> String {
-        let Some(r) = &self.inner else {
-            return String::new();
-        };
-        let Ok(rec) = r.lock() else {
-            return String::new();
-        };
-        let mut out = String::new();
-        jsonl::dump_registry(&mut out, &rec.registry);
-        jsonl::dump_events(&mut out, rec.flight.events());
-        out
+        self.with(|rec| {
+            let mut out = String::new();
+            jsonl::dump_registry(&mut out, &rec.registry);
+            jsonl::dump_events(&mut out, rec.flight.events());
+            out
+        })
+        .unwrap_or_default()
     }
 
     /// Human-readable per-phase report: histograms with p50/p99/max,
     /// then counters and gauges. Empty string when disabled.
     pub fn render_report(&self) -> String {
-        let Some(r) = &self.inner else {
-            return String::new();
-        };
-        let Ok(rec) = r.lock() else {
-            return String::new();
-        };
-        let mut out = String::new();
-        if rec.registry.histograms().next().is_some() {
-            out.push_str("phase timings (us):\n");
-            for (key, h) in rec.registry.histograms() {
-                let _ = write!(out, "  {:<28}", format_series(key));
-                let _ = writeln!(
-                    out,
-                    " count={:<5} p50={:<8} p99={:<8} max={}",
-                    h.count(),
-                    h.percentile(50),
-                    h.percentile(99),
-                    h.max()
-                );
+        self.with(|rec| {
+            let mut out = String::new();
+            if rec.registry.histograms().next().is_some() {
+                out.push_str("phase timings (us):\n");
+                for (key, h) in rec.registry.histograms() {
+                    let _ = write!(out, "  {:<28}", format_series(key));
+                    let _ = writeln!(
+                        out,
+                        " count={:<5} p50={:<8} p99={:<8} max={}",
+                        h.count(),
+                        h.percentile(50),
+                        h.percentile(99),
+                        h.max()
+                    );
+                }
             }
-        }
-        if rec.registry.counters().next().is_some() {
-            out.push_str("counters:\n");
-            for (key, v) in rec.registry.counters() {
-                let _ = writeln!(out, "  {:<40} {v}", format_series(key));
+            if rec.registry.counters().next().is_some() {
+                out.push_str("counters:\n");
+                for (key, v) in rec.registry.counters() {
+                    let _ = writeln!(out, "  {:<40} {v}", format_series(key));
+                }
             }
-        }
-        if rec.registry.gauges().next().is_some() {
-            out.push_str("gauges:\n");
-            for (key, v) in rec.registry.gauges() {
-                let _ = writeln!(out, "  {:<40} {v}", format_series(key));
+            if rec.registry.gauges().next().is_some() {
+                out.push_str("gauges:\n");
+                for (key, v) in rec.registry.gauges() {
+                    let _ = writeln!(out, "  {:<40} {v}", format_series(key));
+                }
             }
-        }
-        let _ = writeln!(
-            out,
-            "flight recorder: {} retained of {} events ({} evicted unconsumed)",
-            rec.flight.len(),
-            rec.flight.total_recorded(),
-            rec.flight.evicted_unconsumed()
-        );
-        out
+            let _ = writeln!(
+                out,
+                "flight recorder: {} retained of {} events ({} evicted unconsumed)",
+                rec.flight.len(),
+                rec.flight.total_recorded(),
+                rec.flight.evicted_unconsumed()
+            );
+            out
+        })
+        .unwrap_or_default()
     }
 }
 

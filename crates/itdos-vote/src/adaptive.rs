@@ -61,7 +61,7 @@ impl AdaptiveVoter {
     pub fn new(mut ladder: Vec<f64>) -> AdaptiveVoter {
         assert!(!ladder.is_empty(), "epsilon ladder must not be empty");
         assert!(ladder.iter().all(|e| *e > 0.0), "epsilons must be positive");
-        ladder.sort_by(|a, b| a.partial_cmp(b).expect("no NaN epsilons"));
+        ladder.sort_by(f64::total_cmp);
         AdaptiveVoter { ladder }
     }
 

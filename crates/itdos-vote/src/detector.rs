@@ -212,8 +212,10 @@ pub fn verify_proof(
     let mut candidates = Vec::with_capacity(proof.messages.len());
     let mut sequences = Vec::with_capacity(proof.messages.len());
     for (k, message) in proof.messages.iter().enumerate() {
-        if proof.messages[..k]
+        if proof
+            .messages
             .iter()
+            .take(k)
             .any(|m| m.sender == message.sender)
         {
             return Err(ProofError::DuplicateSender(message.sender));

@@ -100,14 +100,17 @@ pub(crate) fn tally(
 /// making the vote deterministic given the candidate list — the property
 /// §3.6 relies on so replicated voters need not synchronize.
 pub fn vote(candidates: &[Candidate], comparator: &Comparator, threshold: usize) -> VoteOutcome {
-    match tally(candidates, comparator, threshold) {
-        Some(tally) => VoteOutcome::Decided(Decision {
-            value: candidates[tally.pivot].value.clone(),
-            supporters: tally.supporters,
-            dissenters: tally.dissenters,
-        }),
-        None => VoteOutcome::Pending,
-    }
+    let Some(tally) = tally(candidates, comparator, threshold) else {
+        return VoteOutcome::Pending;
+    };
+    let Some(pivot) = candidates.get(tally.pivot) else {
+        return VoteOutcome::Pending;
+    };
+    VoteOutcome::Decided(Decision {
+        value: pivot.value.clone(),
+        supporters: tally.supporters,
+        dissenters: tally.dissenters,
+    })
 }
 
 /// Vote thresholds for a domain tolerating `f` faults (§3.6).

@@ -73,10 +73,13 @@ pub struct Scripted {
     rules: Vec<Rule>,
 }
 
+/// What a rule does to a message it matches.
+type Action = Box<dyn FnMut(&Bytes, &mut SmallRng) -> Verdict>;
+
 struct Rule {
     from: Option<NodeId>,
     to: Option<NodeId>,
-    action: Box<dyn FnMut(&Bytes, &mut SmallRng) -> Verdict>,
+    action: Action,
 }
 
 impl Scripted {
@@ -134,8 +137,8 @@ impl Adversary for Scripted {
         rng: &mut SmallRng,
     ) -> Verdict {
         for rule in &mut self.rules {
-            let from_ok = rule.from.map_or(true, |f| f == from);
-            let to_ok = rule.to.map_or(true, |t| t == to);
+            let from_ok = rule.from.is_none_or(|f| f == from);
+            let to_ok = rule.to.is_none_or(|t| t == to);
             if from_ok && to_ok {
                 return (rule.action)(payload, rng);
             }

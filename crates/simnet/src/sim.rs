@@ -142,7 +142,7 @@ impl Simulator {
             adversary: Box::new(PassThrough),
             stats: NetStats::default(),
             fault_ledger: FaultLedger::new(),
-            net_rng: SmallRng::seed_from_u64(seed ^ 0x6e65_745f_726e_67),
+            net_rng: SmallRng::seed_from_u64(seed ^ 0x006e_6574_5f72_6e67),
             master_seed: seed,
             obs_clock: None,
         }

@@ -333,8 +333,8 @@ mod tests {
         let b = Bytes::from(vec![1, 2]);
         assert_eq!(b, vec![1, 2]);
         assert_eq!(b, [1, 2]);
-        assert_eq!(b, *&[1u8, 2][..]);
-        assert!(Bytes::from(vec![1]) < Bytes::from(vec![2]));
+        assert_eq!(b, [1u8, 2][..]);
+        assert!(Bytes::copy_from_slice(&[1]) < Bytes::copy_from_slice(&[2]));
     }
 
     #[test]

@@ -13,6 +13,17 @@
 //! out. Truncation, a trailing byte, an unknown tag and an over-bound count
 //! are each rejected in exactly one place below.
 
+// L5 hostile arithmetic: a decoded length never wraps, truncates or
+// indexes out of bounds
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::Bytes;
 
 /// Writer for the compact format.
@@ -76,7 +87,7 @@ impl Writer {
     /// Appends fixed-size raw bytes without a length prefix.
     pub fn raw(&mut self, v: &[u8]) -> &mut Writer {
         match &mut self.counted {
-            Some(n) => *n += v.len(),
+            Some(n) => *n = n.saturating_add(v.len()),
             None => self.buffer.extend_from_slice(v),
         }
         self
@@ -85,12 +96,14 @@ impl Writer {
     /// Appends what `put` writes as length-prefixed bytes, patching the
     /// prefix afterwards; returns those bytes (none when only counting).
     pub fn framed(&mut self, put: impl FnOnce(&mut Writer)) -> &[u8] {
+        let at = self.len();
         self.u32(0);
         let start = self.len();
         put(self);
-        let len = prefix(self.len() - start);
-        if self.counted.is_none() {
-            self.buffer[start - 4..start].copy_from_slice(&len);
+        let len = prefix(self.len().saturating_sub(start));
+        // a counting writer holds no bytes to patch
+        if let Some(slot) = self.buffer.get_mut(at..start) {
+            slot.copy_from_slice(&len);
         }
         self.buffer.get(start..).unwrap_or_default()
     }
@@ -103,9 +116,9 @@ impl Writer {
 
 /// The u32 prefix of a byte length or an element count.
 fn prefix(n: usize) -> [u8; 4] {
-    // encoder input is locally built, never a hostile length; protocol
-    // frames are bounded far below u32::MAX and the decode side enforces it
-    (n as u32).to_le_bytes()
+    // encoder input is locally built and bounded far below u32::MAX; were it
+    // not, a saturated prefix claims more bytes than follow and is refused
+    u32::try_from(n).unwrap_or(u32::MAX).to_le_bytes()
 }
 
 /// Decode failure: input truncated or length field hostile.
@@ -130,8 +143,9 @@ pub struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    /// Creates a reader.
-    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+    /// Creates a reader; decoding starts at [`Wire::decode`] or
+    /// [`decode_seq`], which end every read in [`Reader::expect_end`].
+    fn new(bytes: &'a [u8]) -> Reader<'a> {
         Reader {
             bytes,
             shared: None,
@@ -155,21 +169,23 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        self.take(N)?.try_into().map_err(|_| WireError)
+    }
+
     /// Reads a u8.
     pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        self.array().map(u8::from_le_bytes)
     }
 
     /// Reads a little-endian u32.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        let raw = self.take(4)?.try_into().map_err(|_| WireError)?;
-        Ok(u32::from_le_bytes(raw))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian u64.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        let raw = self.take(8)?.try_into().map_err(|_| WireError)?;
-        Ok(u64::from_le_bytes(raw))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads an element count, refusing one above `max` before anything
@@ -191,9 +207,11 @@ impl<'a> Reader<'a> {
     /// Reads length-prefixed bytes: a slice of the buffer under
     /// [`Wire::decode_shared`], else a copy.
     fn shared_bytes(&mut self) -> Result<Bytes, WireError> {
-        let slice = self.bytes()?;
+        let len = self.u32()? as usize;
+        let start = self.position;
+        let slice = self.take(len)?;
         Ok(match self.shared {
-            Some(buffer) => buffer.slice(self.position - slice.len()..self.position),
+            Some(buffer) => buffer.slice(start..self.position),
             None => Bytes::copy_from_slice(slice),
         })
     }
@@ -205,7 +223,7 @@ impl<'a> Reader<'a> {
 
     /// Remaining unread bytes.
     pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.position
+        self.bytes.len().saturating_sub(self.position)
     }
 
     /// Fails unless the reader is exhausted.
@@ -304,7 +322,7 @@ impl<const N: usize> Wire for [u8; N] {
     }
 
     fn take(r: &mut Reader<'_>) -> Result<[u8; N], WireError> {
-        r.raw(N)?.try_into().map_err(|_| WireError)
+        r.array()
     }
 }
 

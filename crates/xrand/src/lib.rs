@@ -5,8 +5,8 @@
 //! heterogeneous replicas. That rules out OS entropy at runtime, so this
 //! crate deliberately offers **no** `thread_rng`, `from_entropy`, or `OsRng`
 //! equivalent — every generator is constructed from an explicit seed that the
-//! caller owns. The `itdos-lint` L2 determinism rule enforces the same policy
-//! at the source level.
+//! caller owns. Clippy's `disallowed-methods` (`clippy.toml`, invariant L2)
+//! keeps std's own entropy source (`RandomState::new`) out of the workspace.
 //!
 //! The API mirrors the (tiny) slice of the `rand` crate the workspace
 //! actually uses — [`Rng`], [`SeedableRng`], and [`rngs::SmallRng`] — so

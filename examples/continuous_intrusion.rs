@@ -120,9 +120,6 @@ fn wave(system: &mut itdos::System, wave_no: usize, slot: usize) -> bool {
     if let Err(e) = system.try_settle() {
         let first = e.lines().next().unwrap_or("");
         println!("  wave {wave_no}: LIVENESS LOST ({first})");
-        if std::env::var_os("CONTINUOUS_INTRUSION_DEBUG").is_some() {
-            println!("{e}");
-        }
         return false;
     }
     for (sample, ticket) in tickets {
@@ -155,16 +152,6 @@ fn campaign(title: &str, healing: bool, waves: usize) -> (itdos::System, usize) 
             print!(" e{e}={h}");
         }
         println!();
-        if std::env::var_os("CONTINUOUS_INTRUSION_DEBUG").is_some() {
-            if let Some(r) = system.live_audit_report() {
-                for f in &r.findings {
-                    println!(
-                        "    [{:?}] {}/{} element {:?}: {}",
-                        f.severity, f.analyzer, f.kind, f.element, f.detail
-                    );
-                }
-            }
-        }
         let stats = system.heal_stats();
         println!(
             "  wave {wave_no}: survived (sim {}; expulsions {}, replacements {}, rejuvenations {})",

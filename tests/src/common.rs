@@ -1,8 +1,5 @@
 //! Shared builders for the integration suite.
 
-// Each test binary compiles these shared helpers and uses only some of them.
-#![allow(dead_code)]
-
 use std::collections::VecDeque;
 
 use itdos::system::{System, SystemBuilder};
@@ -98,16 +95,9 @@ pub fn sensor_servant() -> Box<dyn Servant> {
 
 /// A trading-desk servant that makes a nested invocation on the pricer
 /// domain to value a position.
+#[derive(Default)]
 pub struct DeskServant {
     pending_quantity: Option<i64>,
-}
-
-impl DeskServant {
-    pub fn new() -> DeskServant {
-        DeskServant {
-            pending_quantity: None,
-        }
-    }
 }
 
 impl Servant for DeskServant {

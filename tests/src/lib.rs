@@ -2,13 +2,14 @@
 //!
 //! The centerpiece is [`prop`], a miniature deterministic property-check
 //! harness that replaced the external `proptest` dependency when the
-//! workspace went hermetic (itdos-lint rule L1): every trial derives its RNG
+//! workspace went hermetic (invariant L1): every trial derives its RNG
 //! from a fixed master seed, so a failure report's case number reproduces
 //! exactly on any machine, with no shrink files or OS entropy involved.
 
 use xrand::rngs::SmallRng;
 use xrand::SeedableRng;
 
+pub mod common;
 pub mod wire_samples;
 
 pub mod prop {
@@ -125,5 +126,18 @@ mod tests {
             assert!(arbitrary::bytes(&mut rng, 0).is_empty());
             assert!(arbitrary::ascii_string(&mut rng, 12).len() <= 12);
         }
+    }
+
+    /// L1: every package is a path dependency, so the build never reaches
+    /// for a registry, a git host or anything not in this repository.
+    #[test]
+    fn the_workspace_is_hermetic() {
+        let lock = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../Cargo.lock");
+        let lock = std::fs::read_to_string(lock).expect("cargo writes Cargo.lock");
+        let fetched: Vec<&str> = lock
+            .lines()
+            .filter(|l| l.starts_with("source = "))
+            .collect();
+        assert!(fetched.is_empty(), "non-path packages: {fetched:?}");
     }
 }

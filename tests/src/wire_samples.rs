@@ -508,7 +508,7 @@ impl Case {
 }
 
 /// Every `Wire` type in the workspace — generated or hand-written — and
-/// the two lists that travel alone. `itdos-lint` (L6) fails when a `Wire`
+/// the two lists that travel alone. `wire_laws.rs` fails when a `Wire`
 /// impl is not named here. Bounds are spelled as numbers on purpose: they
 /// pin the values the decoders must keep rejecting at.
 pub fn cases() -> Vec<Case> {

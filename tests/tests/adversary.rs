@@ -2,7 +2,7 @@
 //! in-flight tampering, selective delay — all below the authentication
 //! layer, all absorbed by the stack.
 
-mod common;
+use itdos_tests::common;
 
 use common::{bank_system, BANK, CLIENT};
 use itdos_giop::types::Value;

@@ -6,7 +6,7 @@
 //! with a non-honest [`Behavior`] there, the auditor never reads it, and
 //! these tests assert `blamed == ledger` with no false positives.
 
-mod common;
+use itdos_tests::common;
 
 use common::{bank_system, deposit, BANK, CLIENT};
 use itdos::fault::Behavior;

@@ -6,10 +6,11 @@
 //! *independent* failures, not an input that kills every replica the same
 //! way). These tests drive the real decode and handler entry points with
 //! truncated, oversized, bit-flipped, and random garbage inputs. The
-//! static side of the same contract is enforced by `itdos-lint`
-//! (rule `panic-freedom`); this file is the dynamic side.
+//! static side of the same contract is clippy's panic-freedom lints (L3),
+//! denied in every crate that handles hostile input; this file is the
+//! dynamic side.
 
-mod common;
+use itdos_tests::common;
 
 use std::collections::VecDeque;
 

@@ -2,7 +2,7 @@
 //! order serializes everyone's requests, per-connection voters keep the
 //! streams separate, and state converges.
 
-mod common;
+use itdos_tests::common;
 
 use common::{bank_servant, deposit, repo, BANK, PRICER};
 use itdos::{Invocation, ObsConfig, SystemBuilder};

@@ -1,6 +1,6 @@
 //! E7/E11: confidentiality under Group Manager and element compromise.
 
-mod common;
+use itdos_tests::common;
 
 use common::{bank_system, BANK, CLIENT};
 use itdos_crypto::shamir;

@@ -14,22 +14,27 @@
 //! case derives from the property name and case index, so failures replay
 //! bit-for-bit on any machine.
 
-mod common;
+use itdos_tests::common;
 
 use std::collections::VecDeque;
 
 use common::{bank_system, deposit, Inject, BANK, CLIENT};
 use itdos::codes::{element_code, singleton_code};
+use itdos::keying::ShareBank;
 use itdos::wire::{ConnectionMeta, CoreMsg, DirectReplyMsg, KeyShareMsg, NoticeMsg};
 use itdos_crypto::keys::SymmetricKey;
 use itdos_crypto::sign::SigningKey;
-use itdos_crypto::symmetric::{seal, SEALED_OVERHEAD};
+use itdos_crypto::symmetric::{open, seal, SEALED_OVERHEAD};
 use itdos_giop::cdr::{CdrError, Decoder, Encoder, Endianness, MAX_SEQUENCE_LEN};
 use itdos_giop::giop::{decode_message, encode_message, GiopMessage, RequestMessage};
 use itdos_giop::idl::{InterfaceDef, InterfaceRepository, OperationDef};
 use itdos_giop::types::{TypeDesc, Value};
+use itdos_obs::Obs;
 use itdos_tests::wire_samples::{cases, Case};
 use itdos_tests::{arbitrary, prop};
+use simnet::adversary::{Scripted, Verdict};
+use std::cell::RefCell;
+use std::rc::Rc;
 use xrand::rngs::SmallRng;
 use xrand::Rng;
 
@@ -348,4 +353,103 @@ fn hostile_sealed_buffers_are_refused_on_every_open_path() {
         .map(|i| system.element(BANK, i).requests_handled)
         .collect();
     assert_eq!(handled, [2, 2, 2, 2]);
+}
+
+/// Key-share plaintexts as the share bank opens them (`ShareBank::offer`):
+/// a plaintext of every length 0..=64 and a bit flip in every byte of a
+/// genuine one are refused without a panic, and a flipped share never
+/// completes a key that one genuine share is waiting on. The genuine shares
+/// the Group Manager sent still assemble the key.
+#[test]
+fn key_share_plaintexts_are_refused_at_every_length_and_flip() {
+    let mut system = bank_system(5).build();
+    let me = singleton_code(CLIENT);
+    let client = system.fabric.node_of(me).expect("the client's node");
+    let captured = Rc::new(RefCell::new(Vec::new()));
+    let sink = Rc::clone(&captured);
+    let mut tap = Scripted::new();
+    tap.rule(None, Some(client), move |payload, _| {
+        if let Ok(CoreMsg::KeyShare(share)) = CoreMsg::decode(payload) {
+            sink.borrow_mut().push(share);
+        }
+        Verdict::Pass
+    });
+    system.sim.set_adversary(Box::new(tap));
+    system.invoke(CLIENT, deposit(1));
+    let shares = captured.take();
+    let fabric = system.fabric.clone();
+    let obs = Obs::disabled();
+    let offer = |bank: &mut ShareBank, msg: &KeyShareMsg| bank.offer(&fabric, me, &obs, msg);
+    let genuine_key = shares
+        .iter()
+        .filter_map(|msg| offer(&mut ShareBank::default(), msg))
+        .count();
+    assert_eq!(genuine_key, 0, "one share alone makes no key");
+    let mut bank = ShareBank::default();
+    let keys = shares
+        .iter()
+        .filter_map(|msg| offer(&mut bank, msg))
+        .count();
+    assert_eq!(keys, 1, "the genuine shares make the key once");
+
+    let (first, second) = (&shares[0], &shares[1]);
+    let pairwise = fabric.pairwise(first.gm_code, me);
+    let plain = open(&pairwise, &first.sealed).expect("a genuine share opens");
+    assert_eq!(plain.len(), 60, "a 32-byte input, then a 28-byte share");
+    let resealed = |plain: &[u8]| KeyShareMsg {
+        sealed: seal(&pairwise, [9; 16], plain),
+        ..first.clone()
+    };
+    for len in 0..=64 {
+        let hostile: Vec<u8> = plain.iter().copied().cycle().take(len).collect();
+        assert!(offer(&mut ShareBank::default(), &resealed(&hostile)).is_none());
+    }
+    for byte in 0..plain.len() {
+        let mut flipped = plain.clone();
+        flipped[byte] ^= 1 << (byte % 8);
+        let mut waiting = ShareBank::default();
+        assert!(offer(&mut waiting, second).is_none());
+        assert!(
+            offer(&mut waiting, &resealed(&flipped)).is_none(),
+            "a share flipped in byte {byte} completed a key"
+        );
+    }
+}
+
+/// The client's command path (`SingletonClient::on_command`: an 8-byte
+/// target, then a GIOP request) cut at every boundary: each prefix is
+/// dropped without a panic or a call, and the whole command still runs.
+#[test]
+fn client_commands_truncated_at_every_boundary_are_dropped() {
+    let mut system = bank_system(5).build();
+    let request = RequestMessage {
+        request_id: 0,
+        trace: 7,
+        response_expected: true,
+        object_key: b"acct".to_vec(),
+        interface: "Bank::Account".into(),
+        operation: "deposit".into(),
+        args: vec![Value::LongLong(5)],
+    };
+    let frame = encode_message(
+        &GiopMessage::Request(request),
+        system.fabric.repo(),
+        Endianness::Little,
+    )
+    .expect("deposit matches the repository");
+    let command = [&BANK.0.to_le_bytes()[..], &frame].concat();
+    let client = system
+        .fabric
+        .node_of(singleton_code(CLIENT))
+        .expect("the client's node");
+    for cut in 0..command.len() {
+        system.sim.inject(client, command[..cut].to_vec().into());
+    }
+    system.settle();
+    assert!(system.client(CLIENT).completed.is_empty());
+    system.sim.inject(client, command.into());
+    system.settle();
+    let completed = &system.client(CLIENT).completed;
+    assert_eq!(completed.len(), 1);
+    assert_eq!(completed[0].result, Ok(Value::LongLong(5)));
 }

@@ -2,7 +2,7 @@
 //! queue GC, is reported as a laggard, voted out through the Group
 //! Manager, and keyed out so the queue makes progress again (§3.1, §3.2).
 
-mod common;
+use itdos_tests::common;
 
 use common::{bank_system, gm_active_counts, gm_memberships, BANK, CLIENT};
 use itdos_giop::types::Value;

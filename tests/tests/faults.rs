@@ -1,6 +1,6 @@
 //! E5/E9: Byzantine fault masking, detection, and voting thresholds.
 
-mod common;
+use itdos_tests::common;
 
 use common::{bank_system, BANK, CLIENT};
 use itdos::fault::Behavior;

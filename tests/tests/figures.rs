@@ -1,6 +1,6 @@
 //! E1–E3: executable reproductions of the paper's three figures.
 
-mod common;
+use itdos_tests::common;
 
 use common::{bank_system, deposit, BANK, CLIENT};
 use itdos::Invocation;

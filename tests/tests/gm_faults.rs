@@ -2,7 +2,7 @@
 //! service … implemented in an intrusion tolerant manner" (§3.3): the GM
 //! is a replication domain, so it must mask its own element failures.
 
-mod common;
+use itdos_tests::common;
 
 use common::{assert_mean, bank_system, gm_active_counts, gm_memberships, read_average};
 use common::{sensor_system, BANK, CLIENT, SENSOR};

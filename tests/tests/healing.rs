@@ -10,7 +10,7 @@
 //! the forensic blame set must equal the injected-fault ledger exactly —
 //! proactively rejuvenated elements included on the *not blamed* side.
 
-mod common;
+use itdos_tests::common;
 
 use common::CLIENT;
 use itdos::fault::Behavior;

@@ -1,7 +1,7 @@
 //! E6: heterogeneous platforms — unmarshalled + inexact voting succeeds
 //! where exact/byte comparison fails.
 
-mod common;
+use itdos_tests::common;
 
 use common::{repo, sensor_servant, CLIENT};
 use itdos::SystemBuilder;

@@ -5,7 +5,7 @@
 //! so per-op cost does not drift with history and a healthy domain never
 //! fills its queue, accuses itself and stalls.
 
-mod common;
+use itdos_tests::common;
 
 use common::{bank_system, BANK, CLIENT};
 use itdos::system::SystemBuilder;

@@ -2,7 +2,7 @@
 //! another (§3.1's second-thread delivery model, §3.3 domain-to-domain
 //! connections).
 
-mod common;
+use itdos_tests::common;
 
 use common::{repo, DeskServant, BANK, CLIENT, PRICER};
 use itdos::fault::Behavior;
@@ -27,7 +27,7 @@ fn trading_system(seed: u64) -> SystemBuilder {
         Box::new(|_| {
             vec![(
                 ObjectKey::from_name("desk"),
-                Box::new(DeskServant::new()) as Box<dyn Servant>,
+                Box::new(DeskServant::default()) as Box<dyn Servant>,
             )]
         }),
     );

@@ -5,7 +5,7 @@
 //! must produce byte-identical metric dumps, so a flight-recorder dump
 //! attached to a bug report can be regenerated exactly from the seed.
 
-mod common;
+use itdos_tests::common;
 
 use common::{bank_system, deposit, BANK, CLIENT};
 use itdos::system::System;

@@ -8,7 +8,7 @@
 //! **useful** (at least 90% of latency lands on named hops in both the
 //! clean and the intruded scenario).
 
-mod common;
+use itdos_tests::common;
 
 use common::{bank_system, deposit, BANK, CLIENT};
 use itdos::fault::Behavior;

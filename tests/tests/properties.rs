@@ -4,7 +4,7 @@
 //! than proptest: every case is derived from the property name and case
 //! index, so failures replay bit-for-bit on any machine.
 
-mod common;
+use itdos_tests::common;
 
 use itdos_giop::cdr::{Decoder, Encoder, Endianness};
 use itdos_giop::types::{Seq, TypeDesc, Value};

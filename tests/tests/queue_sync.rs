@@ -2,7 +2,7 @@
 //! by state transfer over the replicated queue, and queue GC keeps the
 //! bounded memory usable.
 
-mod common;
+use itdos_tests::common;
 
 use common::{bank_system, BANK, CLIENT};
 use itdos_bft::state::StateMachine;

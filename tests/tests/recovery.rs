@@ -7,7 +7,7 @@
 //! communication key" — its corrupt shares are rejected by the per-share
 //! verification information.
 
-mod common;
+use itdos_tests::common;
 
 use common::{bank_system, BANK, CLIENT};
 use itdos::ServerElement;

@@ -9,7 +9,7 @@
 //! checkpoint-granularity state-transfer machinery and only then votes —
 //! after which the domain again tolerates its full `f` faults.
 
-mod common;
+use itdos_tests::common;
 
 use common::{assert_mean, gm_active_counts, gm_memberships, read_average as read, sensor_system};
 use common::{CLIENT, SENSOR};

@@ -9,7 +9,7 @@
 //! operator watching the live gauges and findings sees exactly what a
 //! forensic analyst reading the dump later would conclude.
 
-mod common;
+use itdos_tests::common;
 
 use std::collections::BTreeMap;
 

@@ -154,3 +154,58 @@ fn shared_decode_points_into_the_received_buffer() {
     assert_eq!(copied, envelope);
     assert!(!inside(&copied.payload), "a plain-slice decode copies");
 }
+
+/// The `.rs` files under `dir`, recursively.
+fn rust_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("readable source tree") {
+        let path = entry.expect("a directory entry").path();
+        if path.is_dir() {
+            out.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// Every type the crates give a `Wire` layout (`impl Wire for T`,
+/// `wire_struct!(T ..`, `wire_enum!(T ..`) is named in `cases()`, so the
+/// laws above and the decode fuzzers reach it. This is the one wire
+/// invariant no type or lint holds.
+#[test]
+fn every_wire_type_is_in_the_law_list() {
+    let laws = include_str!("../src/wire_samples.rs");
+    let listed = |name: &str| {
+        laws.split(|c: char| !c.is_alphanumeric() && c != '_')
+            .any(|w| w == name)
+    };
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates");
+    let mut missing = Vec::new();
+    for file in rust_files(&crates) {
+        if file.components().any(|c| c.as_os_str() == "benchmark") {
+            continue;
+        }
+        let source = std::fs::read_to_string(&file).expect("readable source");
+        for line in source
+            .lines()
+            .map(str::trim)
+            .filter(|l| !l.starts_with("//"))
+        {
+            let declared = ["Wire for ", "wire_struct!(", "wire_enum!("]
+                .iter()
+                .find_map(|marker| line.split_once(marker).map(|(_, rest)| rest));
+            // `[u8; N]` names `u8`; a macro's own `$ty` names nothing
+            let name: String = declared
+                .unwrap_or_default()
+                .trim_start_matches('[')
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            if !name.is_empty() && !listed(&name) {
+                missing.push(format!("{name} ({})", file.display()));
+            }
+        }
+    }
+    assert!(missing.is_empty(), "Wire types without a case: {missing:?}");
+}
