@@ -19,7 +19,12 @@
 #                       per-frame comparator copy; the simulator's event
 #                       loop (an event's payload rides in its queue entry,
 #                       one reused action buffer, a multicast fans out
-#                       without copying its group)
+#                       without copying its group); the ordering layer (each
+#                       replica host drains into a reused output buffer,
+#                       log entries are recycled with their vote sets, a
+#                       committed batch executes from the log without a
+#                       copy, and one result buffer serves the reply cache,
+#                       the reply and the host)
 #   small_closed        the per-message path: one buffer per BFT frame, MAC
 #                       tags written into it and read in place
 #   bulk_closed         the payload path: a replica's store of held requests
@@ -40,12 +45,12 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 declare -A allocs_max=(
-  [small_closed]=297.43666666666667
-  [bulk_closed]=307.71666666666664
-  [pipelined_batch]=222.987060546875
-  [connect_storm]=583.525390625
-  [sustained_history]=296.6893333333333
-  [intrusion_campaign]=3885.1875
+  [small_closed]=226.796
+  [bulk_closed]=238.18333333333334
+  [pipelined_batch]=188.8818359375
+  [connect_storm]=475.970703125
+  [sustained_history]=225.87216666666666
+  [intrusion_campaign]=3195.625
 )
 
 out="$(mktemp)"

@@ -46,6 +46,9 @@ pub struct Completed {
     pub result: Result<Value, String>,
     /// Elements whose reply dissented from the decided value.
     pub suspects: Vec<SenderId>,
+    /// The causal trace id the invocation's command carried (0 =
+    /// untraced): what names it among the client's completions.
+    pub trace: u64,
 }
 
 /// Client configuration.
@@ -469,6 +472,7 @@ impl SingletonClient {
                     target,
                     result,
                     suspects: suspects.clone(),
+                    trace,
                 });
                 self.obs.span_end(
                     "invoke.reply_us",
@@ -638,7 +642,7 @@ impl Process for SingletonClient {
                     }
                     // only the Group Manager's results are read, and rarely
                     if domain == self.fabric.gm_domain() {
-                        let results: Vec<Vec<u8>> = outbound.take_accepted().collect();
+                        let results: Vec<Bytes> = outbound.take_accepted().collect();
                         for result in results {
                             self.on_gm_result(&result);
                         }

@@ -14,7 +14,7 @@ use itdos_bft::auth::{AuthContext, Envelope};
 use itdos_bft::config::SeqNo;
 use itdos_bft::message::Message;
 use itdos_bft::node::send;
-use itdos_bft::queue::{ElementId, QueueMachine, QueueOp};
+use itdos_bft::queue::{delivered, ElementId, QueueMachine, QueueOp};
 use itdos_bft::replica::{Output, Received, Replica};
 use itdos_bft::window::KeyWindow;
 use itdos_bft::wire::Wire;
@@ -122,6 +122,8 @@ pub struct ServerElement {
     fabric: Fabric,
     cfg: ElementConfig,
     replica: Replica<QueueMachine>,
+    /// The output buffer the element drains ([`Replica::swap_outputs`]).
+    drained: Vec<Output>,
     bft_auth: AuthContext,
     orb: Orb,
     smiop: Smiop,
@@ -201,6 +203,7 @@ impl ServerElement {
             fabric,
             cfg,
             replica,
+            drained: Vec::new(),
             bft_auth,
             orb,
             smiop,
@@ -303,7 +306,9 @@ impl ServerElement {
     }
 
     fn drain_replica(&mut self, ctx: &mut Context<'_>) {
-        for output in self.replica.take_outputs() {
+        let mut outputs = std::mem::take(&mut self.drained);
+        self.replica.swap_outputs(&mut outputs);
+        for output in outputs.drain(..) {
             match output {
                 Output::Send(to, message) => send(&self.route(), ctx, to, &message),
                 Output::Executed {
@@ -337,6 +342,7 @@ impl ServerElement {
                 Output::EnteredView(_) => {}
             }
         }
+        self.drained = outputs;
     }
 
     // ----------------------------------------------------- ordered delivery
@@ -350,27 +356,24 @@ impl ServerElement {
         op_bytes: &[u8],
         result: &[u8],
     ) {
-        let Ok(op) = QueueOp::decode(op_bytes) else {
+        // only a delivered message concerns the element; the queue machine
+        // has decoded the op already, so its payload is read in place
+        let Some(frame_bytes) = delivered(op_bytes) else {
             return;
         };
-        match op {
-            QueueOp::Deliver(frame_bytes) => {
-                if result.first() == Some(&1) {
-                    // the bounded queue refused this message (§3.1): it was
-                    // never enqueued, so it must not reach the ORB either —
-                    // identically on every element
-                    self.check_laggards(ctx);
-                    return;
-                }
-                self.processed += 1;
-                if let Ok(frame) = SmiopFrame::decode(&frame_bytes) {
-                    self.process_frame(ctx, frame, submitter);
-                }
-                self.maybe_ack(ctx);
-                self.check_laggards(ctx);
-            }
-            QueueOp::Ack { .. } | QueueOp::Expel(_) | QueueOp::Join(_) => {}
+        if result.first() == Some(&1) {
+            // the bounded queue refused this message (§3.1): it was never
+            // enqueued, so it must not reach the ORB either — identically
+            // on every element
+            self.check_laggards(ctx);
+            return;
         }
+        self.processed += 1;
+        if let Ok(frame) = SmiopFrame::decode(frame_bytes) {
+            self.process_frame(ctx, frame, submitter);
+        }
+        self.maybe_ack(ctx);
+        self.check_laggards(ctx);
     }
 
     /// Acks are cumulative, so at most one per element is queued or in

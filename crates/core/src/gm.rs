@@ -293,6 +293,8 @@ pub struct GmElement {
     index: usize,
     element: SenderId,
     replica: Replica<GmMachine>,
+    /// The output buffer the element drains ([`Replica::swap_outputs`]).
+    drained: Vec<Output>,
     bft_auth: AuthContext,
     shareholder: Shareholder,
     obs: Obs,
@@ -337,6 +339,7 @@ impl GmElement {
             index,
             element,
             replica,
+            drained: Vec::new(),
             bft_auth,
             shareholder,
             obs: Obs::disabled(),
@@ -377,7 +380,9 @@ impl GmElement {
     }
 
     fn drain(&mut self, ctx: &mut Context<'_>) {
-        for output in self.replica.take_outputs() {
+        let mut outputs = std::mem::take(&mut self.drained);
+        self.replica.swap_outputs(&mut outputs);
+        for output in outputs.drain(..) {
             match output {
                 Output::Send(to, message) => send(&self.route(), ctx, to, &message),
                 Output::Executed { result, .. } => {
@@ -389,6 +394,7 @@ impl GmElement {
                 Output::EnteredView(_) | Output::StateTransferred(_) => {}
             }
         }
+        self.drained = outputs;
     }
 
     fn act_on_directives(&mut self, ctx: &mut Context<'_>, result: &[u8]) {

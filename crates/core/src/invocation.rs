@@ -82,13 +82,16 @@ impl Invocation {
 }
 
 /// Handle for one asynchronously submitted invocation: the `index`-th
-/// completion of `client`. Valid forever — completions accumulate in
-/// submission order on the client.
+/// that `client` was given through `System::invoke_async`, named by the
+/// trace id minted from the pair. Valid forever — completions accumulate
+/// on the client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Ticket {
     /// The submitting client's id.
     pub client: u64,
-    /// Position of this invocation in the client's completion list.
+    /// Position of this invocation among the client's submissions through
+    /// `System::invoke_async`; its completion's position too, unless
+    /// commands reached the client another way.
     pub index: usize,
 }
 

@@ -21,6 +21,7 @@ use itdos_bft::client::Client;
 use itdos_bft::message::Message;
 use itdos_groupmgr::membership::DomainId;
 use simnet::{Context, SimDuration};
+use xbytes::Bytes;
 
 use crate::codes::{bft_client_id, pack_timer, TimerTag};
 use crate::fabric::Fabric;
@@ -36,9 +37,9 @@ pub struct Outbound {
     /// In-flight operations in submission order, by timestamp, each with
     /// its result once decided; results are released to `accepted` only
     /// when the head decides (FIFO reorder).
-    in_order: VecDeque<(u64, Option<Vec<u8>>)>,
+    in_order: VecDeque<(u64, Option<Bytes>)>,
     /// Results of accepted operations, oldest first (drained by the owner).
-    accepted: VecDeque<Vec<u8>>,
+    accepted: VecDeque<Bytes>,
 }
 
 impl std::fmt::Debug for Outbound {
@@ -97,7 +98,7 @@ impl Outbound {
 
     /// Drains the results of accepted operations, oldest first; dropping
     /// the iterator discards what it did not yield.
-    pub(crate) fn take_accepted(&mut self) -> std::collections::vec_deque::Drain<'_, Vec<u8>> {
+    pub(crate) fn take_accepted(&mut self) -> std::collections::vec_deque::Drain<'_, Bytes> {
         self.accepted.drain(..)
     }
 
@@ -394,7 +395,7 @@ mod tests {
                 timestamp: request.timestamp(),
                 client: request.client(),
                 replica: ReplicaId(self.index),
-                result: b"ok".to_vec(),
+                result: Bytes::from_static(b"ok"),
             });
             let frame = bft_frame(&self.auth, domain, &reply, Some(request.client()));
             ctx.send(from, frame.bytes);

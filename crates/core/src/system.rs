@@ -628,8 +628,9 @@ pub struct System {
     pub obs: itdos_obs::Obs,
     client_nodes: BTreeMap<u64, NodeId>,
     settle_budget: u64,
-    /// Per-client count of submitted invocations, which doubles as the
-    /// next completion index (results release in submission order).
+    /// Per-client count of invocations submitted through
+    /// [`System::invoke_async`]: the next one's [`Ticket::index`], from
+    /// which its trace id is minted.
     submitted: BTreeMap<u64, usize>,
     /// Per-domain servant factories and platform plans, retained so
     /// replica replacement can build a like-for-like fresh element.
@@ -702,11 +703,18 @@ impl System {
             .unwrap_or_else(|| panic!("invocation did not complete (client {client})"))
     }
 
-    /// The completed outcome a ticket refers to, if it has been reached.
+    /// The completed outcome a ticket refers to, if it has been reached:
+    /// the completion carrying the trace id the ticket's command was
+    /// minted. Completions list in submission order, and a command that
+    /// reached the client another way (a raw [`simnet::Simulator::inject`])
+    /// only adds entries, so it is found at the ticket's index or later.
     pub fn result(&self, ticket: Ticket) -> Option<Completed> {
+        let trace = crate::trace::trace_id(ticket.client, ticket.index);
         self.client(ticket.client)
             .completed
-            .get(ticket.index)
+            .get(ticket.index..)?
+            .iter()
+            .find(|completed| completed.trace == trace)
             .cloned()
     }
 

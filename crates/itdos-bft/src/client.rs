@@ -27,6 +27,7 @@ use std::collections::VecDeque;
 
 use crate::config::{ClientId, GroupConfig, ReplicaId};
 use crate::message::{ClientRequest, Reply};
+use xbytes::Bytes;
 
 /// One in-flight request's reply collection state.
 #[derive(Debug, Clone)]
@@ -34,7 +35,7 @@ struct Outstanding {
     request: ClientRequest,
     /// The latest reply from each replica that answered, in arrival order
     /// (room for all `n` is made when the request starts).
-    replies: Vec<(ReplicaId, Vec<u8>)>,
+    replies: Vec<(ReplicaId, Bytes)>,
     /// When the request was last broadcast (owner's clock, µs).
     sent_at: u64,
 }
@@ -190,7 +191,7 @@ impl Client {
 
     /// Processes one reply. Returns `(timestamp, result)` the first time
     /// f+1 matching replies have arrived for that timestamp.
-    pub fn on_reply(&mut self, reply: Reply) -> Option<(u64, Vec<u8>)> {
+    pub fn on_reply(&mut self, reply: Reply) -> Option<(u64, Bytes)> {
         let threshold = self.config.weak_quorum();
         if reply.client != self.id || reply.replica.0 as usize >= self.config.n {
             return None;
@@ -235,7 +236,7 @@ mod tests {
             timestamp: ts,
             client: client.id(),
             replica: ReplicaId(replica),
-            result: result.to_vec(),
+            result: Bytes::copy_from_slice(result),
         }
     }
 
@@ -250,7 +251,7 @@ mod tests {
         assert_eq!(c.on_reply(reply(&c, 0, 1, b"ok")), None);
         assert_eq!(
             c.on_reply(reply(&c, 1, 1, b"ok")),
-            Some((1, b"ok".to_vec()))
+            Some((1, Bytes::from_static(b"ok")))
         );
     }
 
@@ -262,7 +263,7 @@ mod tests {
         assert_eq!(c.on_reply(reply(&c, 1, 1, b"ok")), None);
         assert_eq!(
             c.on_reply(reply(&c, 2, 1, b"ok")),
-            Some((1, b"ok".to_vec()))
+            Some((1, Bytes::from_static(b"ok")))
         );
     }
 
@@ -292,7 +293,10 @@ mod tests {
             "replaced, not added"
         );
         assert_eq!(c.on_reply(reply(&c, 1, 1, b"a")), None, "a has one vote");
-        assert_eq!(c.on_reply(reply(&c, 2, 1, b"b")), Some((1, b"b".to_vec())));
+        assert_eq!(
+            c.on_reply(reply(&c, 2, 1, b"b")),
+            Some((1, Bytes::from_static(b"b")))
+        );
         assert_eq!(c.in_flight(), 0);
     }
 
@@ -322,7 +326,7 @@ mod tests {
         c.on_reply(reply(&c, 0, r2.timestamp(), b"b"));
         assert_eq!(
             c.on_reply(reply(&c, 1, r2.timestamp(), b"b")),
-            Some((r2.timestamp(), b"b".to_vec()))
+            Some((r2.timestamp(), Bytes::from_static(b"b")))
         );
         assert_eq!(c.in_flight(), 2);
         assert!(!c.busy(), "slot freed");

@@ -7,20 +7,76 @@ use itdos_crypto::hash::Digest;
 use crate::config::{GroupConfig, ReplicaId, SeqNo, View};
 use crate::message::{Checkpoint, Commit, PrePrepare, Prepare, PreparedProof};
 
+/// The votes of one phase for one entry: at most one per replica, a later
+/// vote from a replica replacing its earlier one, kept in replica order.
+/// A group has few replicas, so the set is a short vector; cleared in
+/// place when its entry is recycled, it counts votes without allocating
+/// once warm.
+#[derive(Debug, Clone)]
+pub struct Votes<T>(Vec<(ReplicaId, T)>);
+
+impl<T> Default for Votes<T> {
+    fn default() -> Votes<T> {
+        Votes(Vec::new())
+    }
+}
+
+impl<T> Votes<T> {
+    /// Counts `vote` as `replica`'s, replacing any earlier one.
+    pub fn insert(&mut self, replica: ReplicaId, vote: T) {
+        match self.0.binary_search_by_key(&replica, |(r, _)| *r) {
+            Ok(at) => {
+                if let Some(held) = self.0.get_mut(at) {
+                    held.1 = vote;
+                }
+            }
+            Err(at) => self.0.insert(at, (replica, vote)),
+        }
+    }
+
+    /// True when `replica` has voted.
+    pub fn contains_key(&self, replica: &ReplicaId) -> bool {
+        self.0.iter().any(|(r, _)| r == replica)
+    }
+
+    /// The votes, in replica order.
+    pub fn values(&self) -> impl Iterator<Item = &T> {
+        self.0.iter().map(|(_, vote)| vote)
+    }
+
+    /// Number of replicas that voted.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when nobody voted.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 /// Certificate state for one sequence number in one view.
 #[derive(Debug, Clone, Default)]
 pub struct Entry {
     /// The accepted pre-prepare, if any.
     pub pre_prepare: Option<PrePrepare>,
-    /// Prepares received, by replica (at most one counted per replica).
-    pub prepares: BTreeMap<ReplicaId, Prepare>,
-    /// Commits received, by replica.
-    pub commits: BTreeMap<ReplicaId, Commit>,
+    /// Prepares received (at most one counted per replica).
+    pub prepares: Votes<Prepare>,
+    /// Commits received (at most one counted per replica).
+    pub commits: Votes<Commit>,
     /// Whether this entry's request has been executed.
     pub executed: bool,
 }
 
 impl Entry {
+    /// Empties the entry for reuse, keeping its vote sets' capacity.
+    fn recycle(&mut self) {
+        self.pre_prepare = None;
+        self.prepares.0.clear();
+        self.commits.0.clear();
+        self.executed = false;
+    }
+
     /// PBFT `prepared(m, v, n, i)`: pre-prepare plus 2f matching prepares
     /// from *other* replicas (the pre-prepare stands in for the primary's
     /// prepare).
@@ -59,6 +115,9 @@ impl Entry {
 #[derive(Debug, Clone)]
 pub struct Log {
     entries: BTreeMap<(View, SeqNo), Entry>,
+    /// Entries garbage-collected by [`Log::stabilize`], emptied, for the
+    /// next sequence numbers to reuse.
+    spare: Vec<Entry>,
     /// Low watermark: sequence of the last stable checkpoint.
     low: SeqNo,
     window: u64,
@@ -76,6 +135,7 @@ impl Log {
     pub fn new(config: &GroupConfig) -> Log {
         Log {
             entries: BTreeMap::new(),
+            spare: Vec::new(),
             low: SeqNo(0),
             window: config.watermark_window,
             checkpoints: BTreeMap::new(),
@@ -98,9 +158,12 @@ impl Log {
         seq > self.low && seq <= self.high()
     }
 
-    /// The entry for `(view, seq)`, created on first access.
+    /// The entry for `(view, seq)`, created on first access from a spare
+    /// one when there is one.
     pub fn entry(&mut self, view: View, seq: SeqNo) -> &mut Entry {
-        self.entries.entry((view, seq)).or_default()
+        self.entries
+            .entry((view, seq))
+            .or_insert_with(|| self.spare.pop().unwrap_or_default())
     }
 
     /// Read-only entry access.
@@ -178,7 +241,15 @@ impl Log {
             return;
         }
         self.low = seq;
-        self.entries.retain(|(_, s), _| *s > seq);
+        let spare = &mut self.spare;
+        self.entries.retain(|(_, s), entry| {
+            if *s > seq {
+                return true;
+            }
+            entry.recycle();
+            spare.push(std::mem::take(entry));
+            false
+        });
         self.checkpoints.retain(|(s, _), _| *s >= seq);
         let keep_from = seq;
         self.own_checkpoints.retain(|s, _| *s >= keep_from);
@@ -321,6 +392,59 @@ mod tests {
         assert!(!entry.committed_local(&cfg), "2 commits < quorum 3");
         entry.commits.insert(ReplicaId(2), commit_from(&pp, 2));
         assert!(entry.committed_local(&cfg));
+    }
+
+    #[test]
+    fn a_later_vote_from_a_replica_replaces_its_earlier_one() {
+        let pp = pre_prepare(0, 1);
+        let other = pre_prepare(0, 2);
+        let mut votes = Votes::default();
+        votes.insert(ReplicaId(2), prepare_from(&pp, 2));
+        votes.insert(ReplicaId(0), prepare_from(&pp, 0));
+        votes.insert(
+            ReplicaId(2),
+            Prepare {
+                digest: other.digest,
+                ..prepare_from(&pp, 2)
+            },
+        );
+        assert_eq!(votes.len(), 2, "one vote counted per replica");
+        assert!(votes.contains_key(&ReplicaId(0)) && !votes.contains_key(&ReplicaId(1)));
+        let held: Vec<(ReplicaId, Digest)> =
+            votes.values().map(|p| (p.replica, p.digest)).collect();
+        assert_eq!(
+            held,
+            [(ReplicaId(0), pp.digest), (ReplicaId(2), other.digest)],
+            "in replica order, the later vote kept"
+        );
+    }
+
+    #[test]
+    fn a_recycled_entry_starts_empty() {
+        let cfg = config();
+        let mut log = Log::new(&cfg);
+        for seq in 1..=16u64 {
+            let pp = pre_prepare(0, seq);
+            let entry = log.entry(View(0), SeqNo(seq));
+            entry.pre_prepare = Some(pp.clone());
+            for i in 0..4 {
+                entry.prepares.insert(ReplicaId(i), prepare_from(&pp, i));
+                entry.commits.insert(ReplicaId(i), commit_from(&pp, i));
+            }
+            entry.executed = true;
+        }
+        log.stabilize(SeqNo(16));
+        assert!(log.is_empty());
+        assert_eq!(log.spare.len(), 16, "every collected entry kept for reuse");
+        // the next sequence numbers, in this view and in a later one, reuse
+        // them: empty, and with their vote sets' room kept
+        for (view, seq) in [(0, 17u64), (1, 17), (1, 18)] {
+            let entry = log.entry(View(view), SeqNo(seq));
+            assert!(entry.pre_prepare.is_none() && !entry.executed);
+            assert!(entry.prepares.is_empty() && entry.commits.is_empty());
+            assert!(entry.prepares.0.capacity() >= 4 && entry.commits.0.capacity() >= 4);
+        }
+        assert_eq!(log.spare.len(), 13);
     }
 
     #[test]

@@ -224,8 +224,9 @@ pub struct Reply {
     pub client: ClientId,
     /// Replying replica.
     pub replica: ReplicaId,
-    /// Execution result bytes.
-    pub result: Vec<u8>,
+    /// Execution result bytes: under [`Wire::decode_shared`] a slice of
+    /// the received frame.
+    pub result: Bytes,
 }
 
 /// Periodic proof of state at a sequence number.
@@ -518,7 +519,7 @@ mod tests {
                 timestamp: 3,
                 client: ClientId(9),
                 replica: ReplicaId(0),
-                result: vec![42],
+                result: Bytes::from_static(&[42]),
             }),
             Message::Checkpoint(checkpoint),
             Message::ViewChange(vc.clone()),

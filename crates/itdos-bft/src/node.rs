@@ -61,6 +61,8 @@ pub struct Directory {
 /// A replica running as a simulated process.
 pub struct ReplicaNode<S> {
     replica: Replica<S>,
+    /// The output buffer the host drains ([`Replica::swap_outputs`]).
+    drained: Vec<Output>,
     auth: AuthContext,
     group: GroupId,
     directory: Directory,
@@ -104,6 +106,7 @@ impl<S: StateMachine> ReplicaNode<S> {
     ) -> ReplicaNode<S> {
         ReplicaNode {
             replica: Replica::new(config, id, app),
+            drained: Vec::new(),
             auth,
             group,
             directory,
@@ -116,7 +119,9 @@ impl<S: StateMachine> ReplicaNode<S> {
     }
 
     fn drain(&mut self, ctx: &mut Context<'_>) {
-        for output in self.replica.take_outputs() {
+        let mut outputs = std::mem::take(&mut self.drained);
+        self.replica.swap_outputs(&mut outputs);
+        for output in outputs.drain(..) {
             match output {
                 Output::Send(to, message) => send(self, ctx, to, &message),
                 Output::StartViewTimer { epoch, timeout } => {
@@ -125,6 +130,7 @@ impl<S: StateMachine> ReplicaNode<S> {
                 Output::Executed { .. } | Output::EnteredView(_) | Output::StateTransferred(_) => {}
             }
         }
+        self.drained = outputs;
     }
 }
 
@@ -221,7 +227,7 @@ impl Process for ClientNode {
             return;
         };
         if let Some((_ts, result)) = self.client.on_reply(reply) {
-            self.results.push(result);
+            self.results.push(result.to_vec());
         }
     }
 

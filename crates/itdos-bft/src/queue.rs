@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use itdos_crypto::hash::Digest;
 
 use crate::state::StateMachine;
-use crate::wire::{put_seq, take_seq, Reader, Wire, WireError, Writer};
+use crate::wire::{put_seq, read_whole, take_seq, Reader, Wire, WireError, Writer};
 use xbytes::{wire_enum, wire_frame, wire_struct};
 
 /// Identifies a replication domain element within its queue group.
@@ -48,18 +48,34 @@ pub enum QueueOp {
     Join(ElementId),
 }
 
+/// Wire tag of [`QueueOp::Deliver`], whose payload [`delivered`] reads in
+/// place.
+const DELIVER_TAG: u8 = 0;
+
 /// Wire tag of [`QueueOp::Join`], the one op [`QueueMachine::is_barrier`]
 /// must recognise without decoding.
 const JOIN_TAG: u8 = 3;
 
 wire_struct!(ElementId(id));
 wire_enum!(QueueOp {
-    0 => Deliver(payload),
+    DELIVER_TAG => Deliver(payload),
     1 => Ack { element, up_to },
     2 => Expel(element),
     JOIN_TAG => Join(element),
 });
 wire_frame!(QueueOp);
+
+/// The payload of a [`QueueOp::Deliver`] encoded in `operation`, read in
+/// place: the bytes [`QueueOp::decode`] would copy into `Deliver`, for a
+/// host that has already had the op executed and only reads the message.
+/// `None` for any other op and for bytes that do not decode.
+pub fn delivered(operation: &[u8]) -> Option<&[u8]> {
+    read_whole(operation, |r| match r.u8()? {
+        DELIVER_TAG => r.bytes(),
+        _ => Err(WireError),
+    })
+    .ok()
+}
 
 /// One queued message with its absolute index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,10 +175,11 @@ impl QueueMachine {
         self.chain = Digest::of_parts(&[b"itdos-queue-link", self.chain.as_bytes(), link]);
     }
 
-    /// Applies one decoded operation. `request_digest` is the digest of the
-    /// ordered request that carried it: the chain links that agreed value,
-    /// so an operation is never hashed (or re-encoded) here.
-    pub fn apply(&mut self, op: &QueueOp, request_digest: Digest) -> Applied {
+    /// Applies one decoded operation, keeping a delivered payload without
+    /// copying it. `request_digest` is the digest of the ordered request
+    /// that carried it: the chain links that agreed value, so an operation
+    /// is never hashed (or re-encoded) here.
+    pub fn apply(&mut self, op: QueueOp, request_digest: Digest) -> Applied {
         let link = request_digest.as_bytes();
         match op {
             QueueOp::Deliver(payload) => {
@@ -177,34 +194,31 @@ impl QueueMachine {
                 let index = self.next_index;
                 self.next_index = self.next_index.saturating_add(1);
                 self.bytes_used = used;
-                self.entries.push_back(QueueEntry {
-                    index,
-                    payload: payload.clone(),
-                });
+                self.entries.push_back(QueueEntry { index, payload });
                 Applied::Enqueued(index)
             }
             QueueOp::Ack { element, up_to } => {
                 self.mix_chain(link);
-                if self.members.contains(element) {
-                    let entry = self.acks.entry(*element).or_insert(0);
-                    if *up_to > *entry {
-                        *entry = *up_to;
+                if self.members.contains(&element) {
+                    let entry = self.acks.entry(element).or_insert(0);
+                    if up_to > *entry {
+                        *entry = up_to;
                     }
                 }
                 Applied::Collected(self.collect())
             }
             QueueOp::Expel(element) => {
                 self.mix_chain(link);
-                self.members.remove(element);
-                self.acks.remove(element);
+                self.members.remove(&element);
+                self.acks.remove(&element);
                 Applied::Collected(self.collect())
             }
             QueueOp::Join(element) => {
                 self.mix_chain(link);
-                if self.members.insert(*element) {
+                if self.members.insert(element) {
                     // a joiner starts acknowledged at the current head: it
                     // is only responsible for messages from now on
-                    self.acks.insert(*element, self.next_index);
+                    self.acks.insert(element, self.next_index);
                 }
                 Applied::Collected(0)
             }
@@ -236,20 +250,13 @@ impl QueueMachine {
 impl StateMachine for QueueMachine {
     fn execute(&mut self, operation: &[u8], request_digest: Digest) -> Vec<u8> {
         match QueueOp::decode(operation) {
-            Ok(op) => match self.apply(&op, request_digest) {
-                Applied::Enqueued(index) => {
-                    // the "static reply that acts as an acknowledgement
-                    // message for the protocol" (§3.1)
-                    let mut out = vec![0u8];
-                    out.extend_from_slice(&index.to_le_bytes());
-                    out
-                }
+            // the "static reply that acts as an acknowledgement message for
+            // the protocol" (§3.1): a tag and, but for a refusal, a count,
+            // allocated once at its size
+            Ok(op) => match self.apply(op, request_digest) {
+                Applied::Enqueued(index) => tagged(0, index),
                 Applied::Refused => vec![1u8],
-                Applied::Collected(freed) => {
-                    let mut out = vec![2u8];
-                    out.extend_from_slice(&freed.to_le_bytes());
-                    out
-                }
+                Applied::Collected(freed) => tagged(2, freed),
             },
             Err(_) => {
                 self.mix_chain(b"malformed");
@@ -281,6 +288,14 @@ impl StateMachine for QueueMachine {
         operation.first() == Some(&JOIN_TAG)
             && matches!(QueueOp::decode(operation), Ok(QueueOp::Join(_)))
     }
+}
+
+/// An execution result: `tag` then `value`, little-endian.
+fn tagged(tag: u8, value: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(9);
+    out.push(tag);
+    out.extend_from_slice(&value.to_le_bytes());
+    out
 }
 
 /// Bound on the retained messages and on the members one snapshot may
@@ -349,7 +364,7 @@ mod tests {
 
     impl AsRequest for QueueMachine {
         fn run(&mut self, op: &QueueOp) -> Applied {
-            self.apply(op, digest_of(&op.encode()))
+            self.apply(op.clone(), digest_of(&op.encode()))
         }
 
         fn exec(&mut self, operation: &[u8]) -> Vec<u8> {
@@ -527,6 +542,31 @@ mod tests {
         assert_eq!(r.run(&next), q.run(&next));
         assert_eq!(r.digest(), q.digest());
         assert_eq!(r, q);
+    }
+
+    #[test]
+    fn delivered_reads_what_decode_would_copy() {
+        let ops = [
+            QueueOp::Deliver(vec![7; 40]),
+            QueueOp::Deliver(Vec::new()),
+            QueueOp::Ack {
+                element: ElementId(1),
+                up_to: 9,
+            },
+            QueueOp::Expel(ElementId(2)),
+            QueueOp::Join(ElementId(3)),
+        ];
+        for op in ops {
+            let bytes = op.encode();
+            let longer = [&bytes[..], &[0]].concat();
+            for cut in (0..=bytes.len()).map(|n| &bytes[..n]).chain([&longer[..]]) {
+                let copied = match QueueOp::decode(cut) {
+                    Ok(QueueOp::Deliver(payload)) => Some(payload),
+                    _ => None,
+                };
+                assert_eq!(delivered(cut).map(<[u8]>::to_vec), copied, "{op:?}");
+            }
+        }
     }
 
     #[test]

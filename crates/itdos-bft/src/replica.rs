@@ -78,8 +78,8 @@ pub enum Output {
         seq: SeqNo,
         /// The executed request.
         request: ClientRequest,
-        /// Result bytes from the state machine.
-        result: Vec<u8>,
+        /// Result bytes from the state machine, shared with the reply.
+        result: Bytes,
     },
     /// (Re)arm the view-change timer with the given epoch.
     StartViewTimer {
@@ -311,10 +311,18 @@ impl<S: StateMachine> Replica<S> {
         &self.log
     }
 
-    /// Drains queued outputs.
-    pub fn take_outputs(&mut self) -> Vec<Output> {
+    /// Hands the queued outputs to the host, oldest first, appended to
+    /// `drained`. A host that passes back the buffer it drained last time
+    /// swaps it in: the replica queues into the host's spare buffer and
+    /// the host drains this one, so neither allocates once both are warm.
+    /// Outputs queued while the host drains wait for its next call.
+    pub fn swap_outputs(&mut self, drained: &mut Vec<Output>) {
         self.obs_depths();
-        std::mem::take(&mut self.outputs)
+        if drained.is_empty() {
+            std::mem::swap(&mut self.outputs, drained);
+        } else {
+            drained.append(&mut self.outputs);
+        }
     }
 
     fn send(&mut self, to: To, message: Message) {
@@ -651,7 +659,6 @@ impl<S: StateMachine> Replica<S> {
             }
             return; // duplicate
         }
-        entry.pre_prepare = Some(pp.clone());
         let was_idle = self.pending.is_empty();
         for request in &pp.batch.requests {
             // a primary that fell behind can legitimately re-propose a
@@ -679,15 +686,15 @@ impl<S: StateMachine> Replica<S> {
             digest: pp.digest,
             replica: self.id,
         };
-        self.log
-            .entry(view, pp.seq)
-            .prepares
-            .insert(self.id, prepare);
+        // the log keeps the received pre-prepare itself
+        let entry = self.log.entry(view, prepare.seq);
+        entry.pre_prepare = Some(pp);
+        entry.prepares.insert(self.id, prepare);
         self.send(To::All, Message::Prepare(prepare));
         if was_idle && !self.pending.is_empty() {
             self.arm_timer();
         }
-        self.try_commit(view, pp.seq);
+        self.try_commit(view, prepare.seq);
     }
 
     fn on_prepare(&mut self, sender: ReplicaId, prepare: Prepare) {
@@ -777,17 +784,15 @@ impl<S: StateMachine> Replica<S> {
         loop {
             let next = SeqNo(self.last_executed.0.saturating_add(1));
             let view = self.view;
-            let batch = match self.log.entry_ref(view, next) {
-                Some(entry) if !entry.executed && entry.committed_local(&self.config) => {
-                    // committed implies a pre-prepare; stall rather than
-                    // panic on an inconsistent entry
-                    match entry.pre_prepare.as_ref() {
-                        Some(pp) => pp.batch.clone(),
-                        None => break,
-                    }
-                }
+            match self.log.entry_ref(view, next) {
+                // committed implies a pre-prepare; stall rather than panic
+                // on an inconsistent entry
+                Some(entry)
+                    if !entry.executed
+                        && entry.committed_local(&self.config)
+                        && entry.pre_prepare.is_some() => {}
                 _ => break,
-            };
+            }
             progressed = true;
             self.log.entry(view, next).executed = true;
             self.last_executed = next;
@@ -799,10 +804,20 @@ impl<S: StateMachine> Replica<S> {
             // commit certificate reached and applied: the last ordering
             // phase this replica can attest for `next`
             self.event_at("bft.committed", next);
-            // unpack the batch in its agreed order; an empty batch (the
-            // new-view null operation) executes nothing
+            // unpack the logged batch in its agreed order, one request at a
+            // time (a clone shares the request's bytes); an empty batch
+            // (the new-view null operation) executes nothing
             let mut barrier = false;
-            for request in batch.requests {
+            for index in 0.. {
+                let Some(request) = self
+                    .log
+                    .entry_ref(view, next)
+                    .and_then(|entry| entry.pre_prepare.as_ref())
+                    .and_then(|pp| pp.batch.requests.get(index))
+                    .cloned()
+                else {
+                    break;
+                };
                 let request_digest = request.digest();
                 self.pending.remove(&request_digest);
                 self.ordered.remove(&request_digest);
@@ -819,7 +834,8 @@ impl<S: StateMachine> Replica<S> {
                     continue;
                 }
                 barrier |= self.app.is_barrier(request.operation());
-                let result = self.app.execute(request.operation(), request_digest);
+                let result = Bytes::from(self.app.execute(request.operation(), request_digest));
+                // one reply, shared by the cache, the send and the host
                 let reply = Reply {
                     view,
                     timestamp: request.timestamp(),
@@ -828,10 +844,7 @@ impl<S: StateMachine> Replica<S> {
                     result: result.clone(),
                 };
                 let window = self.config.client_reply_window;
-                self.client_table
-                    .entry(request.client())
-                    .or_default()
-                    .record(request.timestamp(), reply.clone(), window);
+                record.record(request.timestamp(), reply.clone(), window);
                 self.obs.incr("bft.executed", &labels);
                 self.send(To::Client(request.client()), Message::Reply(reply));
                 self.outputs.push(Output::Executed {
@@ -1281,13 +1294,10 @@ impl<S: StateMachine> Replica<S> {
         for pp in pre_prepares {
             max_seq = max_seq.max(pp.seq);
             let already_executed = pp.seq <= self.last_executed;
-            let entry = self.log.entry(view, pp.seq);
-            entry.pre_prepare = Some(pp.clone());
-            if already_executed {
-                // executed in a prior view: the flag stops local
-                // re-execution, but agreement must still run so a peer
-                // that missed the commit can assemble a quorum
-                entry.executed = true;
+            if !already_executed {
+                for request in &pp.batch.requests {
+                    self.accept(request);
+                }
             }
             let prepare = Prepare {
                 view,
@@ -1295,17 +1305,17 @@ impl<S: StateMachine> Replica<S> {
                 digest: pp.digest,
                 replica: self.id,
             };
-            self.log
-                .entry(view, pp.seq)
-                .prepares
-                .insert(self.id, prepare);
+            let entry = self.log.entry(view, pp.seq);
+            entry.pre_prepare = Some(pp);
+            if already_executed {
+                // executed in a prior view: the flag stops local
+                // re-execution, but agreement must still run so a peer
+                // that missed the commit can assemble a quorum
+                entry.executed = true;
+            }
+            entry.prepares.insert(self.id, prepare);
             if self.id != self.config.primary_of(view) {
                 self.send(To::All, Message::Prepare(prepare));
-            }
-            if !already_executed {
-                for request in &pp.batch.requests {
-                    self.accept(request);
-                }
             }
         }
         self.next_seq = max_seq.max(SeqNo(self.last_executed.0));
@@ -1536,6 +1546,13 @@ mod tests {
         Replica::new(GroupConfig::for_f(1), ReplicaId(id), CounterMachine::new())
     }
 
+    /// Drains `replica`'s queued outputs into a fresh buffer.
+    fn outputs<S: StateMachine>(replica: &mut Replica<S>) -> Vec<Output> {
+        let mut outputs = Vec::new();
+        replica.swap_outputs(&mut outputs);
+        outputs
+    }
+
     fn request(ts: u64, delta: i64) -> ClientRequest {
         ClientRequest::new(ClientId(1), ts, 0, CounterMachine::op(delta))
     }
@@ -1572,7 +1589,7 @@ mod tests {
     struct Group {
         replicas: Vec<Replica<CounterMachine>>,
         replies: Vec<Reply>,
-        executed: Vec<(u32, SeqNo, Vec<u8>)>,
+        executed: Vec<(u32, SeqNo, Bytes)>,
     }
 
     impl Group {
@@ -1590,9 +1607,9 @@ mod tests {
             loop {
                 let mut moved = false;
                 for i in 0..self.replicas.len() {
-                    let outputs = self.replicas[i].take_outputs();
+                    let drained = outputs(&mut self.replicas[i]);
                     let from = ReplicaId(i as u32);
-                    for out in outputs {
+                    for out in drained {
                         if mute.contains(&(i as u32)) {
                             continue;
                         }
@@ -1733,7 +1750,7 @@ mod tests {
         // but all COMMITs are dropped, so the request is prepared-not-
         // committed when the view change starts
         g.replicas[0].on_request(request(1, 4));
-        let outs = g.replicas[0].take_outputs();
+        let outs = outputs(&mut g.replicas[0]);
         for out in outs {
             if let Output::Send(To::All, Message::PrePrepare(pp)) = out {
                 for j in 1..4 {
@@ -1744,7 +1761,7 @@ mod tests {
         // deliver prepares between backups, drop everything else
         let mut prepares = Vec::new();
         for i in 1..4 {
-            for out in g.replicas[i].take_outputs() {
+            for out in outputs(&mut g.replicas[i]) {
                 if let Output::Send(To::All, Message::Prepare(p)) = out {
                     prepares.push((i, p));
                 }
@@ -1759,7 +1776,7 @@ mod tests {
         }
         // drop the resulting commits
         for i in 1..4 {
-            let _ = g.replicas[i].take_outputs();
+            let _ = outputs(&mut g.replicas[i]);
         }
         assert_eq!(g.replicas[1].app().total(), 0, "not yet executed");
         // view change
@@ -1906,7 +1923,7 @@ mod tests {
         }
         let mut prepares = Vec::new();
         for i in 1..4 {
-            for out in g.replicas[i].take_outputs() {
+            for out in outputs(&mut g.replicas[i]) {
                 if let Output::Send(To::All, Message::Prepare(p)) = out {
                     prepares.push((i, p));
                 }
@@ -1920,7 +1937,7 @@ mod tests {
             }
         }
         for i in 1..4 {
-            let _ = g.replicas[i].take_outputs(); // drop the commits
+            let _ = outputs(&mut g.replicas[i]); // drop the commits
         }
         assert_eq!(g.replicas[1].app().total(), 0, "not yet executed");
         for i in 1..4 {
@@ -2130,7 +2147,7 @@ mod tests {
         let epoch = g.replicas[3].timer_epoch;
         g.replicas[3].on_view_timeout(epoch);
         assert!(!g.replicas[3].in_view_change, "no lone view change");
-        let outs = g.replicas[3].take_outputs();
+        let outs = outputs(&mut g.replicas[3]);
         assert!(
             outs.iter()
                 .any(|o| matches!(o, Output::Send(To::All, Message::StateFetch(_)))),
@@ -2239,7 +2256,7 @@ mod tests {
         // re-executed (the §10 regression: the table used to arrive empty)
         let total_before = g.replicas[3].app().total();
         g.replicas[3].on_request(request(16, 2));
-        let outs = g.replicas[3].take_outputs();
+        let outs = outputs(&mut g.replicas[3]);
         let cached = outs.iter().any(|o| {
             matches!(o, Output::Send(To::Client(_), Message::Reply(r))
                 if r.timestamp == 16 && r.result == 32i64.to_le_bytes())
@@ -2268,8 +2285,7 @@ mod tests {
         g.pump(&[0]);
         let epoch = g.replicas[1].timer_epoch;
         g.replicas[1].on_view_timeout(epoch);
-        let vc = g.replicas[1]
-            .take_outputs()
+        let vc = outputs(&mut g.replicas[1])
             .into_iter()
             .find_map(|o| match o {
                 Output::Send(To::All, Message::ViewChange(vc)) => Some(vc),
@@ -2403,7 +2419,7 @@ mod tests {
         // seq 1 is far from the checkpoint interval (16), yet the Join
         // forced a checkpoint right at the admission barrier
         assert!(r0.log().own_checkpoint(SeqNo(1)).is_some());
-        assert!(r0.take_outputs().iter().any(|o| {
+        assert!(outputs(&mut r0).iter().any(|o| {
             matches!(o, Output::Send(To::All, Message::Checkpoint(c)) if c.seq == SeqNo(1))
         }));
     }
@@ -2423,7 +2439,7 @@ mod tests {
         assert!(g.replicas[3].joining);
         // ordering traffic is ignored while quiescent: no relay, no votes
         g.replicas[3].on_request(request(99, 1));
-        let outs = g.replicas[3].take_outputs();
+        let outs = outputs(&mut g.replicas[3]);
         assert!(
             !outs.iter().any(|o| matches!(
                 o,
@@ -2502,7 +2518,7 @@ mod tests {
         for i in 0..3usize {
             g.replicas[i].on_message(ReplicaId(3), Message::StateFetch(lie));
             assert!(
-                !g.replicas[i].take_outputs().iter().any(|o| matches!(
+                !outputs(&mut g.replicas[i]).iter().any(|o| matches!(
                     o,
                     Output::Send(To::Replica(ReplicaId(3)), Message::StateData(_))
                 )),
@@ -2556,7 +2572,7 @@ mod tests {
         // what each replica sends next: three relays, one pre-prepare
         let mut sent = Vec::new();
         for (i, replica) in g.replicas.iter_mut().enumerate() {
-            for output in replica.take_outputs() {
+            for output in outputs(replica) {
                 match output {
                     Output::Send(To::Replica(to), message) => {
                         sent.push((i, vec![to.0 as usize], message))
@@ -2617,6 +2633,177 @@ mod tests {
             assert_eq!(r.app().total(), 12);
             assert!(r.held.is_empty());
             assert_eq!(r.held.capacity(), 4);
+        }
+    }
+
+    /// Every output of every replica in `g`, by replica, as drained.
+    fn drain_all(g: &mut Group) -> Vec<Vec<Output>> {
+        g.replicas.iter_mut().map(outputs).collect()
+    }
+
+    /// A committed batch of several requests executes in batch order, and
+    /// each request gets one reply, the very one its replica caches.
+    #[test]
+    fn a_committed_batch_executes_in_order_with_one_reply_each() {
+        let mut cfg = GroupConfig::for_f(1);
+        cfg.max_batch = 4;
+        cfg.pipeline_depth = 1;
+        let mut g = group_with(cfg);
+        // ts 1 takes the one slot alone; ts 2..=5 wait and are agreed as
+        // one batch at seq 2
+        for ts in 1..=5 {
+            g.replicas[0].on_request(request(ts, 10 * ts as i64));
+        }
+        let mut executed: Vec<Vec<(SeqNo, u64, Bytes)>> = vec![Vec::new(); 4];
+        let mut replies: Vec<Vec<Reply>> = vec![Vec::new(); 4];
+        loop {
+            let mut sent = Vec::new();
+            for (i, outs) in drain_all(&mut g).into_iter().enumerate() {
+                for out in outs {
+                    match out {
+                        Output::Executed {
+                            seq,
+                            request,
+                            result,
+                        } => executed[i].push((seq, request.timestamp(), result)),
+                        Output::Send(To::Client(_), Message::Reply(reply)) => {
+                            replies[i].push(reply)
+                        }
+                        Output::Send(To::All, message) => sent.push((i, message)),
+                        _ => {}
+                    }
+                }
+            }
+            if sent.is_empty() {
+                break;
+            }
+            for (from, message) in sent {
+                for j in (0..4).filter(|&j| j != from) {
+                    g.replicas[j].on_message(ReplicaId(from as u32), message.clone());
+                }
+            }
+        }
+        let totals = |ts: u64| (1..=ts).map(|t| 10 * t as i64).sum::<i64>();
+        for (i, r) in g.replicas.iter().enumerate() {
+            assert_eq!(r.last_executed(), SeqNo(2), "two batches");
+            let order: Vec<(SeqNo, u64)> = executed[i].iter().map(|e| (e.0, e.1)).collect();
+            assert_eq!(
+                order,
+                [
+                    (SeqNo(1), 1),
+                    (SeqNo(2), 2),
+                    (SeqNo(2), 3),
+                    (SeqNo(2), 4),
+                    (SeqNo(2), 5)
+                ],
+                "replica {i} executed the batch in its agreed order"
+            );
+            for (_, ts, result) in &executed[i] {
+                assert_eq!(**result, totals(*ts).to_le_bytes());
+            }
+            let mut answered: Vec<u64> = replies[i].iter().map(|r| r.timestamp).collect();
+            answered.sort_unstable();
+            assert_eq!(answered, [1, 2, 3, 4, 5], "one reply per request");
+            let record = &r.client_table[&ClientId(1)];
+            for reply in &replies[i] {
+                assert_eq!(record.replies.get(reply.timestamp), Some(reply));
+                let executed = executed[i].iter().find(|e| e.1 == reply.timestamp);
+                assert_eq!(executed.map(|e| &e.2), Some(&reply.result));
+            }
+        }
+    }
+
+    /// A host that drains one buffer while the replica queues into the
+    /// other loses nothing: what is queued meanwhile comes with the next
+    /// swap, after anything the host passes back undrained, in order.
+    #[test]
+    fn outputs_queued_while_the_host_drains_come_with_the_next_swap() {
+        let relayed = |outputs: &[Output]| -> Vec<u64> {
+            outputs
+                .iter()
+                .filter_map(|o| match o {
+                    Output::Send(To::Replica(_), Message::Request(r)) => Some(r.timestamp()),
+                    _ => None,
+                })
+                .collect()
+        };
+        // a backup relays each request to the primary
+        let mut backup = replica(1);
+        let mut drained = Vec::new();
+        backup.on_request(request(1, 1));
+        backup.swap_outputs(&mut drained);
+        // the host works through `drained` while the replica queues more
+        backup.on_request(request(2, 1));
+        assert_eq!(relayed(&drained), [1]);
+        drained.clear();
+        backup.swap_outputs(&mut drained);
+        assert_eq!(relayed(&drained), [2], "queued meanwhile, next swap");
+        // the host passes back what it did not drain: new outputs follow it
+        backup.on_request(request(3, 1));
+        backup.on_request(request(4, 1));
+        backup.swap_outputs(&mut drained);
+        assert_eq!(relayed(&drained), [2, 3, 4]);
+        drained.clear();
+        backup.swap_outputs(&mut drained);
+        assert!(drained.is_empty(), "nothing delivered twice");
+        // once warm, the two buffers trade places without allocating
+        backup.on_request(request(5, 1));
+        let capacity = drained.capacity() + backup.outputs.capacity();
+        backup.swap_outputs(&mut drained);
+        assert_eq!(relayed(&drained), [5]);
+        assert_eq!(drained.capacity() + backup.outputs.capacity(), capacity);
+    }
+
+    /// Log entries collected at a stable checkpoint are reused by later
+    /// sequence numbers, in the view and after a view change, and carry
+    /// none of their earlier votes.
+    #[test]
+    fn recycled_log_entries_hold_only_their_own_votes() {
+        let mut g = Group::new();
+        for ts in 1..=17 {
+            g.replicas[0].on_request(request(ts, 1));
+            g.pump(&[]);
+        }
+        for r in &g.replicas {
+            assert_eq!(r.log().low(), SeqNo(16), "entries 1..=16 collected");
+        }
+        // seq 18 in view 0 reuses a collected entry
+        g.replicas[0].on_request(request(18, 1));
+        g.pump(&[]);
+        let fresh = |r: &Replica<CounterMachine>, view: u64, seq: u64| {
+            let entry = r.log().entry_ref(View(view), SeqNo(seq)).expect("entry");
+            let pp = entry.pre_prepare.as_ref().expect("pre-prepare");
+            assert!(entry.prepares.len() <= 4 && entry.commits.len() <= 4);
+            assert!(entry
+                .prepares
+                .values()
+                .all(|p| (p.view, p.seq, p.digest) == (View(view), SeqNo(seq), pp.digest)));
+            assert!(entry
+                .commits
+                .values()
+                .all(|c| (c.view, c.seq, c.digest) == (View(view), SeqNo(seq), pp.digest)));
+        };
+        for r in &g.replicas {
+            assert_eq!(r.app().total(), 18);
+            fresh(r, 0, 18);
+        }
+        // the primary goes dark with a request outstanding; the view
+        // change re-issues and agrees on it in entries reused again
+        for i in 1..4 {
+            g.replicas[i].on_request(request(19, 1));
+        }
+        g.pump(&[0]);
+        for i in 1..4 {
+            let epoch = g.replicas[i].timer_epoch;
+            g.replicas[i].on_view_timeout(epoch);
+        }
+        g.pump(&[0]);
+        g.replicas[1].on_request(request(19, 1));
+        g.pump(&[0]);
+        for r in &g.replicas[1..] {
+            assert_eq!(r.view(), View(1));
+            assert_eq!(r.app().total(), 19, "ordered in the new view");
+            fresh(r, 1, r.last_executed().0);
         }
     }
 }

@@ -244,9 +244,9 @@ fn written(len: usize, put: impl FnOnce(&mut Writer)) -> Vec<u8> {
 }
 
 /// Runs `take` over all of `r`: a value followed by anything is refused.
-fn whole<T>(
-    mut r: Reader<'_>,
-    take: impl FnOnce(&mut Reader<'_>) -> Result<T, WireError>,
+fn whole<'a, T>(
+    mut r: Reader<'a>,
+    take: impl FnOnce(&mut Reader<'a>) -> Result<T, WireError>,
 ) -> Result<T, WireError> {
     let value = take(&mut r)?;
     r.expect_end()?;
@@ -410,6 +410,19 @@ pub fn encode_seq<T: Wire>(items: &[T]) -> Vec<u8> {
 /// As [`take_seq`], and on any trailing byte.
 pub fn decode_seq<T: Wire>(bytes: &[u8], max: u32) -> Result<Vec<T>, WireError> {
     whole(Reader::new(bytes), |r| take_seq(r, max))
+}
+
+/// Reads all of `bytes` with `take`, which may return slices of them: a
+/// view of an encoded value that copies none of it.
+///
+/// # Errors
+///
+/// What `take` returns, and [`WireError`] on any trailing byte.
+pub fn read_whole<'a, T>(
+    bytes: &'a [u8],
+    take: impl FnOnce(&mut Reader<'a>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    whole(Reader::new(bytes), take)
 }
 
 /// Appends a value as a length-delimited sub-message (a `field as framed`

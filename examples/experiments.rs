@@ -434,7 +434,7 @@ fn e8() {
         let mut queue = QueueMachine::new(1 << 22, (0..4).map(ElementId));
         for i in 0..64 {
             // only the snapshot's size matters here, not what the chain links
-            queue.apply(&QueueOp::Deliver(vec![i as u8; 256]), Digest::default());
+            queue.apply(QueueOp::Deliver(vec![i as u8; 256]), Digest::default());
         }
         let queue_bytes = queue.snapshot().len();
         println!(

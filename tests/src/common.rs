@@ -4,6 +4,8 @@ use std::collections::VecDeque;
 
 use itdos::system::{System, SystemBuilder};
 use itdos::{Completed, Invocation, GM_DOMAIN};
+use itdos_bft::state::StateMachine;
+use itdos_bft::{Output, Replica};
 use itdos_giop::idl::{InterfaceDef, InterfaceRepository, OperationDef};
 use itdos_giop::types::{TypeDesc, Value};
 use itdos_groupmgr::membership::{DomainId, Membership};
@@ -22,6 +24,14 @@ pub const SENSOR: DomainId = DomainId(1);
 pub const PRICER: DomainId = DomainId(2);
 /// The default test client.
 pub const CLIENT: u64 = 1;
+
+/// Drains `replica`'s queued outputs into a fresh buffer, as a host that
+/// keeps none of its own would.
+pub fn outputs<S: StateMachine>(replica: &mut Replica<S>) -> Vec<Output> {
+    let mut outputs = Vec::new();
+    replica.swap_outputs(&mut outputs);
+    outputs
+}
 
 /// The shared interface repository: a bank account, a float-valued sensor,
 /// and a two-level trading service.

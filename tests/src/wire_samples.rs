@@ -125,7 +125,7 @@ pub fn messages() -> Vec<Message> {
             timestamp: 3,
             client: ClientId(9),
             replica: ReplicaId(0),
-            result: vec![42],
+            result: Bytes::from_static(&[42]),
         }),
         Message::Checkpoint(checkpoint()),
         Message::ViewChange(view_change()),
@@ -367,7 +367,7 @@ pub fn transfer_payload() -> Vec<u8> {
         replicas[0].on_request(ClientRequest::new(ClientId(client), timestamp, 0, op));
         // relay replica-to-replica traffic until the group is quiet
         while let Some((from, outputs)) = (0..4u32)
-            .map(|i| (i, replicas[i as usize].take_outputs()))
+            .map(|i| (i, crate::common::outputs(&mut replicas[i as usize])))
             .find(|(_, outputs)| !outputs.is_empty())
         {
             for output in outputs {
@@ -403,7 +403,7 @@ pub fn queue_machine() -> QueueMachine {
             up_to: 1,
         },
     ]
-    .iter()
+    .into_iter()
     .enumerate()
     {
         queue.apply(op, Digest::of(&[n as u8]));

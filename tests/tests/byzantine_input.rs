@@ -225,7 +225,7 @@ fn replica_absorbs_hostile_decoded_messages() {
         if let Ok(msg) = Message::decode(&buf) {
             let sender = ReplicaId(rng.gen_range(0..5u32));
             replica.on_message(sender, msg);
-            replica.take_outputs();
+            common::outputs(&mut replica);
             delivered += 1;
         }
     }
@@ -292,7 +292,7 @@ fn replica_survives_adversarial_field_values() {
     for msg in hostile {
         for sender in [0u32, 3, u32::MAX] {
             replica.on_message(ReplicaId(sender), msg.clone());
-            replica.take_outputs();
+            common::outputs(&mut replica);
         }
     }
     // the replica made no ordering progress off hostile input
@@ -493,7 +493,7 @@ fn holding(id: u32, request: &ClientRequest) -> Replica<CounterMachine> {
     let mut replica = keyed_replica(id);
     let multicast = client_auth(7).frame(&Message::Request(request.clone()), None);
     assert!(receive_at(&mut replica, &multicast));
-    replica.take_outputs();
+    common::outputs(&mut replica);
     replica
 }
 
@@ -519,8 +519,7 @@ fn a_copy_one_bit_off_a_held_request_recalls_nothing() {
         receive_at(&mut primary, &made),
         "backup 2's MAC over the copy"
     );
-    let proposed: Vec<PrePrepare> = primary
-        .take_outputs()
+    let proposed: Vec<PrePrepare> = common::outputs(&mut primary)
         .into_iter()
         .filter_map(|o| match o {
             Output::Send(To::All, Message::PrePrepare(pp)) => Some(pp),
@@ -537,7 +536,7 @@ fn a_copy_one_bit_off_a_held_request_recalls_nothing() {
     };
     let mut primary = holding(0, &honest);
     assert!(!receive_at(&mut primary, &tampered.encode().into()));
-    assert!(primary.take_outputs().is_empty());
+    assert!(common::outputs(&mut primary).is_empty());
 
     // inside a pre-prepare from the primary, at a backup holding the
     // original: prepared under the copy's own digest when the digest field
@@ -569,8 +568,7 @@ fn a_copy_one_bit_off_a_held_request_recalls_nothing() {
     for (frame, delivered, prepared) in cases {
         let mut backup = holding(1, &honest);
         assert_eq!(receive_at(&mut backup, &frame), delivered);
-        let prepares: Vec<Digest> = backup
-            .take_outputs()
+        let prepares: Vec<Digest> = common::outputs(&mut backup)
             .into_iter()
             .filter_map(|o| match o {
                 Output::Send(To::All, Message::Prepare(p)) => Some(p.digest),
@@ -591,7 +589,7 @@ fn exchange(replicas: &mut [Replica<CounterMachine>]) -> Vec<Reply> {
     loop {
         let mut sent = Vec::new();
         for (from, replica) in replicas.iter_mut().enumerate() {
-            for output in replica.take_outputs() {
+            for output in common::outputs(replica) {
                 match output {
                     Output::Send(To::Replica(to), message) => {
                         sent.push((from, vec![to.0 as usize], message))
@@ -972,7 +970,7 @@ fn new_view_after(byzantine: &[u8]) -> Vec<u64> {
             panic!("a signed view change verifies");
         };
         replica.on_message(sender, message);
-        for output in replica.take_outputs() {
+        for output in common::outputs(&mut replica) {
             if let Output::Send(To::All, Message::NewView(nv)) = output {
                 new_views.push(nv);
             }

@@ -22,6 +22,7 @@ use common::{bank_system, deposit, Inject, BANK, CLIENT};
 use itdos::codes::{element_code, singleton_code};
 use itdos::keying::ShareBank;
 use itdos::wire::{ConnectionMeta, CoreMsg, DirectReplyMsg, KeyShareMsg, NoticeMsg};
+use itdos::System;
 use itdos_crypto::keys::SymmetricKey;
 use itdos_crypto::sign::SigningKey;
 use itdos_crypto::symmetric::{open, seal, SEALED_OVERHEAD};
@@ -416,20 +417,17 @@ fn key_share_plaintexts_are_refused_at_every_length_and_flip() {
     }
 }
 
-/// The client's command path (`SingletonClient::on_command`: an 8-byte
-/// target, then a GIOP request) cut at every boundary: each prefix is
-/// dropped without a panic or a call, and the whole command still runs.
-#[test]
-fn client_commands_truncated_at_every_boundary_are_dropped() {
-    let mut system = bank_system(5).build();
+/// A raw client command (`SingletonClient::on_command`: an 8-byte target,
+/// then a GIOP request) depositing `amount`, under trace id `trace`.
+fn raw_deposit(system: &System, amount: i64, trace: u64) -> Vec<u8> {
     let request = RequestMessage {
         request_id: 0,
-        trace: 7,
+        trace,
         response_expected: true,
         object_key: b"acct".to_vec(),
         interface: "Bank::Account".into(),
         operation: "deposit".into(),
-        args: vec![Value::LongLong(5)],
+        args: vec![Value::LongLong(amount)],
     };
     let frame = encode_message(
         &GiopMessage::Request(request),
@@ -437,7 +435,15 @@ fn client_commands_truncated_at_every_boundary_are_dropped() {
         Endianness::Little,
     )
     .expect("deposit matches the repository");
-    let command = [&BANK.0.to_le_bytes()[..], &frame].concat();
+    [&BANK.0.to_le_bytes()[..], &frame].concat()
+}
+
+/// The client's command path cut at every boundary: each prefix is
+/// dropped without a panic or a call, and the whole command still runs.
+#[test]
+fn client_commands_truncated_at_every_boundary_are_dropped() {
+    let mut system = bank_system(5).build();
+    let command = raw_deposit(&system, 5, 7);
     let client = system
         .fabric
         .node_of(singleton_code(CLIENT))
@@ -452,4 +458,21 @@ fn client_commands_truncated_at_every_boundary_are_dropped() {
     let completed = &system.client(CLIENT).completed;
     assert_eq!(completed.len(), 1);
     assert_eq!(completed[0].result, Ok(Value::LongLong(5)));
+}
+
+/// A ticket names its own invocation: a raw command that completed on
+/// the client first does not shift it onto that command's result.
+#[test]
+fn a_ticket_is_not_shifted_by_a_command_injected_before_it() {
+    let mut system = bank_system(5).build();
+    let command = raw_deposit(&system, 5, 7);
+    let client = system
+        .fabric
+        .node_of(singleton_code(CLIENT))
+        .expect("the client's node");
+    system.sim.inject(client, command.into());
+    system.settle();
+    assert_eq!(system.client(CLIENT).completed.len(), 1);
+    let done = system.invoke(CLIENT, deposit(1));
+    assert_eq!(done.result, Ok(Value::LongLong(6)));
 }

@@ -22,13 +22,27 @@
 //! Every op of every workload passes through the simulator's event loop,
 //! and every flight event of a run with observability on through the
 //! streaming audit. Both must allocate nothing per event once warm; the
-//! last two tests hold them to that.
+//! next two tests hold them to that.
+//!
+//! Every message to a replication domain is ordered by its BFT group, so
+//! the last test counts what ordering one request costs: a warm group of
+//! four replicas and one client on the simulator orders 100 requests, one
+//! at a time. Measured on x86-64 Linux, debug build: 89.8 allocations per
+//! ordered request while each drain of a replica's outputs took a fresh
+//! buffer, executing a batch copied it, each result was copied for the
+//! reply cache and again for the host, and every log entry's vote sets
+//! were maps; 52.8 once the outputs buffer is reused, the logged batch is
+//! executed in place, one result buffer is shared, and log entries are
+//! recycled with their vote sets. The bound lies between the two.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use itdos::{Invocation, SystemBuilder};
 use itdos_audit::{ElementInfo, MetricsFacts, Stream, Topology};
+use itdos_bft::node::{build_group, ClientNode};
+use itdos_bft::state::CounterMachine;
+use itdos_bft::{ClientId, GroupConfig};
 use itdos_giop::idl::{InterfaceDef, InterfaceRepository, OperationDef};
 use itdos_giop::types::{TypeDesc, Value};
 use itdos_groupmgr::membership::DomainId;
@@ -341,5 +355,45 @@ fn a_warm_stream_surfaces_ten_thousand_replies_without_allocating() {
     assert!(
         allocations <= 4,
         "{allocations} allocations for 10 000 replies"
+    );
+}
+
+/// Runs `requests` increments of 1 through a [`build_group`] group, one
+/// at a time, each to quiescence; returns the allocations made meanwhile.
+fn order_one_at_a_time(sim: &mut Simulator, client: NodeId, requests: usize) -> u64 {
+    let before = allocs();
+    for _ in 0..requests {
+        let done = sim.process_ref::<ClientNode>(client).results.len();
+        sim.inject(client, Bytes::from(CounterMachine::op(1)));
+        sim.run();
+        assert_eq!(
+            sim.process_ref::<ClientNode>(client).results.len(),
+            done + 1,
+            "the request was ordered and answered"
+        );
+    }
+    allocs() - before
+}
+
+#[test]
+fn ordering_a_request_allocates_at_most_sixty_times_once_warm() {
+    const ORDERED: usize = 100;
+    let mut sim = Simulator::new(7);
+    let (_, client, _) = build_group(
+        &mut sim,
+        &GroupConfig::for_f(1),
+        [9u8; 32],
+        GroupId::from_raw(0),
+        ClientId(1),
+    );
+    // warm-up: past two stable checkpoints, so log entries are recycled
+    // and every reused buffer has reached its size
+    order_one_at_a_time(&mut sim, client, 40);
+    let allocations = order_one_at_a_time(&mut sim, client, ORDERED);
+    let per_request = allocations as f64 / ORDERED as f64;
+    println!("ordering: {per_request:.1} allocations per request");
+    assert!(
+        per_request <= 60.0,
+        "{per_request:.1} allocations per ordered request, bound 60"
     );
 }
