@@ -24,7 +24,9 @@
 #                       log entries are recycled with their vote sets, a
 #                       committed batch executes from the log without a
 #                       copy, and one result buffer serves the reply cache,
-#                       the reply and the host)
+#                       the reply and the host); a sealed frame submitted
+#                       for ordering is written into its queue op's
+#                       buffer, not encoded on its own first
 #   small_closed        the per-message path: one buffer per BFT frame, MAC
 #                       tags written into it and read in place
 #   bulk_closed         the payload path: a replica's store of held requests
@@ -45,12 +47,12 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 declare -A allocs_max=(
-  [small_closed]=226.796
-  [bulk_closed]=238.18333333333334
-  [pipelined_batch]=188.8818359375
-  [connect_storm]=475.970703125
-  [sustained_history]=225.87216666666666
-  [intrusion_campaign]=3195.625
+  [small_closed]=225.796
+  [bulk_closed]=237.18333333333334
+  [pipelined_batch]=187.8818359375
+  [connect_storm]=474.970703125
+  [sustained_history]=224.87216666666666
+  [intrusion_campaign]=3189.625
 )
 
 out="$(mktemp)"

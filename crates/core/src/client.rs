@@ -406,7 +406,7 @@ impl SingletonClient {
         ) else {
             return;
         };
-        let op = itdos_bft::queue::QueueOp::Deliver(frame.encode()).encode();
+        let op = itdos_bft::queue::deliver(&frame);
         let fabric = &self.fabric;
         let code = self.my_code();
         let pipeline = self.pipeline;

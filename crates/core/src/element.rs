@@ -14,7 +14,7 @@ use itdos_bft::auth::{AuthContext, Envelope};
 use itdos_bft::config::SeqNo;
 use itdos_bft::message::Message;
 use itdos_bft::node::send;
-use itdos_bft::queue::{delivered, ElementId, QueueMachine, QueueOp};
+use itdos_bft::queue::{deliver, delivered, ElementId, QueueMachine, QueueOp};
 use itdos_bft::replica::{Output, Received, Replica};
 use itdos_bft::window::KeyWindow;
 use itdos_bft::wire::Wire;
@@ -268,25 +268,20 @@ impl ServerElement {
         self.cfg.behavior = behavior;
     }
 
-    /// Marks this element as a fresh replacement that must onboard via
-    /// state transfer before participating. The replica enters its
-    /// quiescent joining mode on process start (so the state-fetch sends
-    /// get a context), and normal operation resumes once a trusted
-    /// checkpoint is installed.
-    pub fn begin_onboarding(&mut self) {
+    /// Marks this element as a fresh replacement for `replaced`. On
+    /// process start it asks the Group Manager group (as an ordinary BFT
+    /// client) to admit it into `replaced`'s roster slot, and its replica
+    /// enters its quiescent joining mode (so the state-fetch sends get a
+    /// context); it onboards via state transfer and resumes normal
+    /// operation once a trusted checkpoint is installed.
+    pub(crate) fn join_replacing(&mut self, replaced: SenderId) {
         self.onboarding = true;
+        self.pending_admit = Some(replaced);
     }
 
     /// True while the element is still catching up (tests).
     pub fn is_onboarding(&self) -> bool {
         self.onboarding
-    }
-
-    /// Queues a GM admission request: on process start the element asks
-    /// the Group Manager group (as an ordinary BFT client) to admit it
-    /// into `replaced`'s roster slot.
-    pub(crate) fn request_admission(&mut self, replaced: SenderId) {
-        self.pending_admit = Some(replaced);
     }
 
     /// The element's endpoint code.
@@ -669,7 +664,7 @@ impl ServerElement {
             request_id,
         });
         let target = meta.server_domain;
-        self.submit_op(ctx, target, QueueOp::Deliver(frame.encode()).encode());
+        self.submit_op(ctx, target, deliver(&frame));
     }
 
     fn emit_reply(&mut self, ctx: &mut Context<'_>, current: Current, mut reply: ReplyMessage) {
@@ -711,7 +706,7 @@ impl ServerElement {
     fn send_reply(&mut self, ctx: &mut Context<'_>, meta: ConnectionMeta, frame: SmiopFrame) {
         match meta.client_domain {
             Some(target) => {
-                self.submit_op(ctx, target, QueueOp::Deliver(frame.encode()).encode());
+                self.submit_op(ctx, target, deliver(&frame));
             }
             None => {
                 if let Some(node) = self.fabric.node_of(meta.client_code) {

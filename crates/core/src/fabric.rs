@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
+use itdos_audit::{ElementInfo, Topology};
 use itdos_bft::auth::{AuthContext, KeyProvisioner};
 use itdos_bft::config::{ClientId, GroupConfig, ReplicaId};
 use itdos_bft::message::Message;
@@ -27,13 +28,13 @@ use itdos_crypto::dprf::Verifier;
 use itdos_crypto::keys::SymmetricKey;
 use itdos_crypto::sign::{SigningKey, VerifyingKey};
 use itdos_giop::idl::InterfaceRepository;
-use itdos_groupmgr::membership::DomainId;
+use itdos_groupmgr::membership::{DomainId, Endpoint};
 use itdos_obs::{LabelValue, Obs};
 use itdos_vote::vote::{SenderId, Thresholds};
 use simnet::{GroupId, NodeId};
 use xbytes::Bytes;
 
-use crate::codes::{bft_client_id, element_code};
+use crate::codes::{bft_client_id, code_endpoint, element_code};
 use crate::registry::ComparatorRegistry;
 use crate::wire::{bft_frame, ConnectionMeta};
 
@@ -227,7 +228,7 @@ impl Fabric {
 
     /// Every domain (servers, clients-as-domains, and the GM domain), in
     /// id order.
-    pub fn domains(&self) -> impl Iterator<Item = Domain<'_>> {
+    pub fn domains(&self) -> impl Iterator<Item = Domain<'_>> + Clone {
         self.shared.groups.iter().map(|g| self.view(g))
     }
 
@@ -259,6 +260,45 @@ impl Fabric {
     /// Elements retired by replica replacement, in admission order.
     pub fn retired(&self) -> &[Retired] {
         &self.roster.retired
+    }
+
+    /// The deployment map the forensic auditor runs against: every
+    /// domain's fault bound, every element's domain/index/scope, and every
+    /// singleton client's scope.
+    pub fn topology(&self) -> Topology {
+        let info = |element: SenderId, domain: DomainId, slot: usize| ElementInfo {
+            domain: domain.0,
+            index: slot as u64,
+            scope: element_code(element),
+        };
+        let mut topology = Topology {
+            gm_domain: self.gm_domain().0,
+            ..Topology::default()
+        };
+        for spec in self.domains() {
+            topology.domain_f.insert(spec.id.0, spec.f as u64);
+            for (slot, &element) in spec.elements.iter().enumerate() {
+                let id = u64::from(element.0);
+                topology.elements.insert(id, info(element, spec.id, slot));
+            }
+        }
+        // retired (replaced) elements stay in the map: their signed
+        // pre-replacement traffic must remain attributable to a slot —
+        // but they are *marked* retired so slot resolution hands the
+        // membership view to their replacement and a rejoined slot does
+        // not inherit its predecessor's findings
+        for retired in self.retired() {
+            let id = u64::from(retired.element.0);
+            let placed = info(retired.element, retired.domain, retired.slot);
+            topology.elements.entry(id).or_insert(placed);
+            topology.retired.insert(id);
+        }
+        for &code in self.shared.wiring.singleton_nodes.keys() {
+            if let Some(Endpoint::Singleton(id)) = code_endpoint(code) {
+                topology.clients.insert(id, code);
+            }
+        }
+        topology
     }
 
     /// The node hosting an endpoint code: a singleton, an element on the

@@ -20,6 +20,10 @@
 use std::collections::BTreeMap;
 
 use itdos_obs::flight::Event;
+use itdos_obs::Profile;
+
+use crate::codes::singleton_code;
+use crate::invocation::Ticket;
 
 /// The trace id minted for an invocation ticket: client in the high 32
 /// bits, 1-based submission index low, so every real invocation is
@@ -183,6 +187,44 @@ impl TraceReport {
 
 fn fmt_opt(v: Option<u64>) -> String {
     v.map(|v| v.to_string()).unwrap_or_else(|| "?".into())
+}
+
+/// Reconstructs the causal path of a ticket's invocation: [`reconstruct`]
+/// for the trace id it was minted and its client's scope.
+pub(crate) fn of_ticket(
+    ticket: Ticket,
+    element_domains: &BTreeMap<u64, u64>,
+    events: &[Event],
+) -> Option<TraceReport> {
+    reconstruct(
+        trace_id(ticket.client, ticket.index),
+        ticket.client,
+        singleton_code(ticket.client),
+        element_domains,
+        events,
+    )
+}
+
+/// Folds the causal trace of every invocation `submitted` counts (client
+/// → invocations submitted) into `profile`; one whose anchor the flight
+/// ring already evicted is counted as untraced.
+pub(crate) fn fold_into(
+    profile: &mut Profile,
+    submitted: &BTreeMap<u64, usize>,
+    element_domains: &BTreeMap<u64, u64>,
+    events: &[Event],
+) {
+    for (&client, &count) in submitted {
+        for index in 0..count {
+            match of_ticket(Ticket { client, index }, element_domains, events) {
+                Some(report) => {
+                    let (hops, residual) = report.attributions();
+                    profile.record_invocation(report.total_us(), &hops, residual);
+                }
+                None => profile.record_untraced(),
+            }
+        }
+    }
 }
 
 /// Reconstructs the causal path of `trace` from a flight-event snapshot.

@@ -11,9 +11,9 @@
 //!    emitting process's scope, and `System::audit_jsonl` embeds the
 //!    deployment [`Topology`] as `{"type":"topology",…}` lines, so one
 //!    file is a complete forensic artifact with no out-of-band maps.
-//! 2. **Merge** — per-process event streams become one causally ordered
-//!    timeline keyed by `(sim-time, global seq, scope)`
-//!    (`itdos_obs::jsonl::merge_events`).
+//! 2. **Merge** — [`merge_dumps`] concatenates the registries and turns
+//!    per-process event streams into one causally ordered timeline keyed
+//!    by `(sim-time, global seq, scope)`.
 //! 3. **Analyze** — three deterministic incremental detectors, driven
 //!    by one [`Stream`]: [`DivergenceState`] (voter dissents × client
 //!    fault proofs × peer accusations × GM expulsions),
@@ -85,22 +85,9 @@ impl Auditor {
         self.audit_streams(&[text])
     }
 
-    /// Audits several per-process dumps as one system: registries are
-    /// concatenated and the event streams merged into a single causally
-    /// ordered timeline.
+    /// Audits several per-process dumps as one system ([`merge_dumps`]).
     pub fn audit_streams(&self, texts: &[&str]) -> Result<AuditReport, String> {
-        let mut combined = Dump::default();
-        let mut streams = Vec::with_capacity(texts.len());
-        for text in texts {
-            let mut dump = parse_dump(text)?;
-            streams.push(std::mem::take(&mut dump.events));
-            combined.counters.append(&mut dump.counters);
-            combined.gauges.append(&mut dump.gauges);
-            combined.histograms.append(&mut dump.histograms);
-            combined.extras.append(&mut dump.extras);
-        }
-        combined.events = merge_events(streams);
-        Ok(self.audit_dump(&combined))
+        Ok(self.audit_dump(&merge_dumps(texts)?))
     }
 
     /// A live [`Stream`] with this auditor's topology and budgets — the
@@ -110,20 +97,39 @@ impl Auditor {
         Stream::with_config(self.topology.clone(), self.config.clone())
     }
 
-    /// Audits an already-parsed dump (events are re-merged into timeline
-    /// order first). This *is* the streaming pipeline: the dump's events
-    /// replay through a fresh [`Stream`], so batch and live audits of
-    /// the same run are byte-identical by construction.
+    /// Audits a merged dump ([`merge_dumps`]). This *is* the streaming
+    /// pipeline: the dump's events replay through a fresh [`Stream`], so
+    /// batch and live audits of the same run are byte-identical by
+    /// construction.
     pub(crate) fn audit_dump(&self, dump: &Dump) -> AuditReport {
-        let mut dump = dump.clone();
-        dump.events = merge_events(vec![std::mem::take(&mut dump.events)]);
-
         let mut stream = self.stream();
         for e in &dump.events {
             stream.observe(e);
         }
-        stream.report(&MetricsFacts::from_dump(&dump))
+        stream.report(&MetricsFacts::from_dump(dump))
     }
+}
+
+/// Parses per-process dumps into one: registries concatenated and the
+/// event streams merged into a single causally ordered timeline — what
+/// both the batch audit and an incremental replay run over.
+///
+/// # Errors
+///
+/// The first dump that does not parse.
+pub fn merge_dumps(texts: &[&str]) -> Result<Dump, String> {
+    let mut combined = Dump::default();
+    let mut streams = Vec::with_capacity(texts.len());
+    for text in texts {
+        let mut dump = parse_dump(text)?;
+        streams.push(std::mem::take(&mut dump.events));
+        combined.counters.append(&mut dump.counters);
+        combined.gauges.append(&mut dump.gauges);
+        combined.histograms.append(&mut dump.histograms);
+        combined.extras.append(&mut dump.extras);
+    }
+    combined.events = merge_events(streams);
+    Ok(combined)
 }
 
 /// The Info finding reporting a truncated timeline (`evicted` events
@@ -445,7 +451,7 @@ mod tests {
             ));
         }
         let auditor = Auditor::new(topo());
-        let parsed = itdos_obs::jsonl::parse_dump(&dump).unwrap();
+        let parsed = merge_dumps(&[&dump]).unwrap();
         let batch = auditor.audit_dump(&parsed);
 
         let mut stream = auditor.stream();

@@ -286,9 +286,11 @@ pub fn build_group(
     (replica_nodes, client_node, directory)
 }
 
-/// Placeholder process used while wiring up mutual references.
+/// A process that does nothing: the placeholder a node hosts while
+/// processes that name each other are wired up in two phases, and what a
+/// node taken off the network hosts.
 #[derive(Debug)]
-struct Idle;
+pub struct Idle;
 
 impl Process for Idle {
     fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _payload: Bytes) {}

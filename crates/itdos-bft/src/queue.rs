@@ -77,6 +77,17 @@ pub fn delivered(operation: &[u8]) -> Option<&[u8]> {
     .ok()
 }
 
+/// The bytes of `QueueOp::Deliver(message.encode())`, written into one
+/// buffer: the tag, the length prefix and the message itself, with no
+/// separately encoded copy of the message.
+pub fn deliver(message: &impl Wire) -> Vec<u8> {
+    let len = message.wire_len();
+    let mut w = Writer::with_capacity(len.saturating_add(5));
+    w.u8(DELIVER_TAG).count(len);
+    message.put(&mut w);
+    w.finish()
+}
+
 /// One queued message with its absolute index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueEntry {
@@ -566,6 +577,16 @@ mod tests {
                 };
                 assert_eq!(delivered(cut).map(<[u8]>::to_vec), copied, "{op:?}");
             }
+        }
+    }
+
+    #[test]
+    fn deliver_writes_what_the_layered_encoding_does() {
+        for len in [0, 130, 16 * 1024] {
+            let message: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let layered = QueueOp::Deliver(message.encode()).encode();
+            assert_eq!(deliver(&message), layered, "{len}-byte frame");
+            assert_eq!(delivered(&layered), Some(&message.encode()[..]));
         }
     }
 

@@ -31,8 +31,7 @@
 
 use std::process::ExitCode;
 
-use itdos_audit::{Auditor, MetricsFacts};
-use itdos_obs::jsonl::{merge_events, parse_dump, Dump};
+use itdos_audit::{merge_dumps, Auditor, MetricsFacts};
 
 fn usage() -> ExitCode {
     eprintln!("usage: audit [--expect-blame] FILE...");
@@ -118,25 +117,14 @@ fn main() -> ExitCode {
 /// then the final report. With `assert_equivalence` the same bytes are
 /// re-audited through the batch path and the two renders compared.
 fn stream(auditor: &Auditor, refs: &[&str], assert_equivalence: bool) -> ExitCode {
-    // merge the per-process dumps exactly as `Auditor::audit_streams`
-    // does, so the incremental replay sees the same timeline
-    let mut combined = Dump::default();
-    let mut streams = Vec::with_capacity(refs.len());
-    for text in refs {
-        let mut dump = match parse_dump(text) {
-            Ok(dump) => dump,
-            Err(err) => {
-                eprintln!("audit: malformed dump: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        streams.push(std::mem::take(&mut dump.events));
-        combined.counters.append(&mut dump.counters);
-        combined.gauges.append(&mut dump.gauges);
-        combined.histograms.append(&mut dump.histograms);
-        combined.extras.append(&mut dump.extras);
-    }
-    combined.events = merge_events(streams);
+    // the timeline `Auditor::audit_streams` audits, replayed event by event
+    let combined = match merge_dumps(refs) {
+        Ok(dump) => dump,
+        Err(err) => {
+            eprintln!("audit: malformed dump: {err}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let mut live = auditor.stream();
     println!("== streaming audit ==");

@@ -127,11 +127,14 @@ fn drill(title: &str, behavior: Behavior, seed: u64, dump_to: Option<&str>) -> i
 
     // where did the latency go? the causal cost tree over both appends
     println!("\n-- whole-stack profile (DESIGN.md §16) --");
-    print!("{}", system.profile_report());
+    print!(
+        "{}",
+        system.profile().expect("observability is on").render()
+    );
 
     // the forensic layer: from telemetry alone, which element was bad?
     println!("\n-- forensic audit --");
-    print!("{}", system.audit_report());
+    print!("{}", system.audit().render());
 
     if let Some(path) = dump_to {
         let dump = system.audit_jsonl();
@@ -233,7 +236,7 @@ fn replacement_drill(seed: u64, dump_to: Option<&str>) -> itdos::System {
     print_live_health("act 1: first intrusion expelled", &system);
 
     // act 2: a freshly keyed element is admitted into the vacated slot
-    let admitted = system.spawn_replacement(LEDGER, compromised);
+    let admitted = system.spawn_replacement(LEDGER, compromised, Behavior::Honest);
     system.settle();
     println!(
         "element {:?} admitted into slot 2; active elements: {} of 4",
@@ -276,7 +279,7 @@ fn replacement_drill(seed: u64, dump_to: Option<&str>) -> itdos::System {
     print_live_health("act 3: second intrusion expelled", &system);
 
     println!("\n-- forensic audit across the replacement --");
-    print!("{}", system.audit_report());
+    print!("{}", system.audit().render());
 
     if let Some(path) = dump_to {
         let dump = system.audit_jsonl();

@@ -152,8 +152,8 @@ fn network_adversaries_are_not_blamed_on_replicas() {
 fn audit_reports_are_byte_identical_across_identical_runs() {
     let a = faulty_run(68, Behavior::CorruptValue);
     let b = faulty_run(68, Behavior::CorruptValue);
-    let report_a = a.audit_report();
-    let report_b = b.audit_report();
+    let report_a = a.audit().render();
+    let report_b = b.audit().render();
     assert!(!report_a.is_empty());
     assert_eq!(report_a, report_b, "seeded audits must replay exactly");
     assert_eq!(a.audit_jsonl(), b.audit_jsonl());

@@ -136,7 +136,7 @@ fn expelled_element_is_replaced_at_f_gm_2() {
     system.settle();
     assert_eq!(gm_active_counts(&system, SENSOR), vec![3; 7], "expelled");
 
-    let admitted = system.spawn_replacement(SENSOR, intruder);
+    let admitted = system.spawn_replacement(SENSOR, intruder, Behavior::Honest);
     system.settle();
     assert_eq!(gm_active_counts(&system, SENSOR), vec![4; 7], "restored");
     for (i, membership) in gm_memberships(&system).enumerate() {

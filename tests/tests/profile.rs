@@ -92,14 +92,14 @@ fn profile_sees_every_subsystem() {
 /// not vacuous.
 #[test]
 fn profile_output_is_byte_identical_across_identical_runs() {
-    let a = profiled_run(84, 3, false);
-    let b = profiled_run(84, 3, false);
-    assert_eq!(a.profile_jsonl(), b.profile_jsonl());
-    assert_eq!(a.profile_folded(), b.profile_folded());
-    assert_eq!(a.profile_report(), b.profile_report());
-    assert!(!a.profile_folded().is_empty());
-    let c = profiled_run(85, 3, false);
-    assert_ne!(a.profile_jsonl(), c.profile_jsonl());
+    let profile = |seed: u64| profiled_run(seed, 3, false).profile().unwrap();
+    let (a, b) = (profile(84), profile(84));
+    assert_eq!(a.to_json(), b.to_json());
+    assert_eq!(a.folded(), b.folded());
+    assert_eq!(a.render(), b.render());
+    assert!(!a.folded().is_empty());
+    let c = profile(85);
+    assert_ne!(a.to_json(), c.to_json());
 }
 
 /// The JSON profile line rides an existing metrics dump: appended to
@@ -109,7 +109,8 @@ fn profile_output_is_byte_identical_across_identical_runs() {
 fn profile_json_rides_the_metrics_dump() {
     let system = profiled_run(86, 2, false);
     let mut dump = system.metrics_jsonl();
-    dump.push_str(&system.profile_jsonl());
+    dump.push_str(&system.profile().unwrap().to_json());
+    dump.push('\n');
     itdos_obs::jsonl::validate(&dump).expect("dump with profile line parses");
     let parsed = itdos_obs::jsonl::parse_dump(&dump).expect("dump parses");
     assert_eq!(parsed.extras.len(), 1, "profile is an extras line");

@@ -40,7 +40,7 @@ fn expelled_element_is_replaced_and_the_domain_tolerates_a_fresh_fault() {
     );
 
     // replacement: a freshly keyed element takes the vacated slot
-    let admitted = system.spawn_replacement(SENSOR, first);
+    let admitted = system.spawn_replacement(SENSOR, first, Behavior::Honest);
     system.settle();
     assert_eq!(
         gm_active_counts(&system, SENSOR),
@@ -87,7 +87,7 @@ fn expelled_element_is_replaced_and_the_domain_tolerates_a_fresh_fault() {
     );
 
     // and the cycle closes: replace the second casualty too
-    let admitted2 = system.spawn_replacement(SENSOR, second);
+    let admitted2 = system.spawn_replacement(SENSOR, second, Behavior::Honest);
     system.settle();
     assert_eq!(gm_active_counts(&system, SENSOR), vec![4; 4]);
     assert_ne!(admitted2, admitted, "identities are never reused");
@@ -118,7 +118,7 @@ fn replacing_the_primary_slot_survives_the_view_change_race() {
     system.settle();
     assert_eq!(gm_active_counts(&system, SENSOR), vec![3; 4]);
 
-    let admitted = system.spawn_replacement(SENSOR, primary);
+    let admitted = system.spawn_replacement(SENSOR, primary, Behavior::Honest);
     system.settle();
     assert_eq!(gm_active_counts(&system, SENSOR), vec![4; 4]);
     let joiner = system.element(SENSOR, 0);
@@ -149,7 +149,7 @@ fn byzantine_replacement_is_masked_and_expelled_in_turn() {
     system.settle();
     assert_eq!(gm_active_counts(&system, SENSOR), vec![3; 4]);
 
-    let admitted = system.spawn_replacement_with(SENSOR, first, Behavior::CorruptValue);
+    let admitted = system.spawn_replacement(SENSOR, first, Behavior::CorruptValue);
     system.settle();
     assert_eq!(
         gm_active_counts(&system, SENSOR),
@@ -198,7 +198,7 @@ fn audit_blame_matches_the_ledger_across_a_replacement() {
     read(&mut system);
     system.settle();
 
-    let admitted = system.spawn_replacement_with(SENSOR, first, Behavior::CorruptValue);
+    let admitted = system.spawn_replacement(SENSOR, first, Behavior::CorruptValue);
     system.settle();
     let done = read(&mut system);
     assert_mean(&done);
@@ -240,11 +240,11 @@ fn replacement_drills_replay_deterministically() {
         let first = system.fabric.domain(SENSOR).elements[2];
         read(&mut system);
         system.settle();
-        system.spawn_replacement(SENSOR, first);
+        system.spawn_replacement(SENSOR, first, Behavior::Honest);
         system.settle();
         read(&mut system);
         system.settle();
-        (system.audit_jsonl(), system.audit_report())
+        (system.audit_jsonl(), system.audit().render())
     };
     let (dump_a, report_a) = run(145);
     let (dump_b, report_b) = run(145);
