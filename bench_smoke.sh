@@ -41,18 +41,20 @@
 #                       flight-ring records, tap copies and the live audit;
 #                       live-audit surfacing (a finding's prose is formatted
 #                       only when its key first surfaces, health is scored
-#                       once per pump, the healer copies no membership)
+#                       once per pump into the map it last filled, the tap
+#                       drains into a kept buffer, the healer copies no
+#                       membership)
 # A change that lowers a count lowers its pin in the same diff.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 declare -A allocs_max=(
-  [small_closed]=225.796
-  [bulk_closed]=237.18333333333334
-  [pipelined_batch]=187.8818359375
-  [connect_storm]=474.970703125
-  [sustained_history]=224.87216666666666
-  [intrusion_campaign]=3189.625
+  [small_closed]=225.78766666666667
+  [bulk_closed]=237.10416666666666
+  [pipelined_batch]=187.87451171875
+  [connect_storm]=474.875
+  [sustained_history]=224.86433333333332
+  [intrusion_campaign]=3164.5625
 )
 
 out="$(mktemp)"

@@ -44,6 +44,9 @@ budget="$(grep -Ev '^[[:space:]]*(#|$)' lint-waivers.budget)"
 echo "waivers: $waivers, budget: $budget"
 [ "$waivers" -le "$budget" ] || { echo "waiver count grew past lint-waivers.budget"; exit 1; }
 
+echo '== cargo doc (every intra-doc link resolves, and to a public item)'
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace --keep-going
+
 echo '== forensic audit smoke (drill dump -> audit example)'
 # the drill writes its corrupt-replica dump; the audit example must parse
 # it, produce a byte-identical report twice, and blame at least one element

@@ -11,11 +11,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use itdos_bft::auth::{AuthContext, Envelope};
-use itdos_bft::config::SeqNo;
-use itdos_bft::message::Message;
+use itdos_bft::message::{ClientRequest, Message};
 use itdos_bft::node::send;
 use itdos_bft::queue::{deliver, delivered, ElementId, QueueMachine, QueueOp};
-use itdos_bft::replica::{Output, Received, Replica};
+use itdos_bft::replica::{Fact, Output, Received, Replica};
 use itdos_bft::window::KeyWindow;
 use itdos_bft::wire::Wire;
 use itdos_giop::giop::{GiopMessage, ReplyBody, ReplyMessage, RequestMessage};
@@ -142,9 +141,6 @@ pub struct ServerElement {
     notices: Attestations<SenderId>,
     /// Admission notices, by (admitted, epoch).
     admit_notices: Attestations<(SenderId, u64)>,
-    /// True while this element is a fresh replacement catching up via
-    /// state transfer; cleared when the transfer completes.
-    onboarding: bool,
     /// Slot incumbent whose place this element should request from the GM
     /// on start (replica replacement).
     pending_admit: Option<SenderId>,
@@ -203,7 +199,7 @@ impl ServerElement {
             fabric,
             cfg,
             replica,
-            drained: Vec::new(),
+            drained: Vec::with_capacity(16),
             bft_auth,
             orb,
             smiop,
@@ -217,7 +213,6 @@ impl ServerElement {
             acked_index: 0,
             notices: Attestations::new(my_code),
             admit_notices: Attestations::new(my_code),
-            onboarding: false,
             pending_admit: None,
             reported: BTreeSet::new(),
             delayed: Vec::new(),
@@ -227,10 +222,9 @@ impl ServerElement {
         }
     }
 
-    /// Installs an instrumentation sink on this element, its replica, and
-    /// its key-share bank (new per-connection voters inherit it).
+    /// Installs an instrumentation sink on this element, which records its
+    /// replica's facts, and on its key-share bank (new voters inherit it).
     pub fn set_obs(&mut self, obs: Obs) {
-        self.replica.set_obs(obs.clone());
         self.smiop.set_obs(obs.clone());
         self.obs = obs;
     }
@@ -275,13 +269,12 @@ impl ServerElement {
     /// context); it onboards via state transfer and resumes normal
     /// operation once a trusted checkpoint is installed.
     pub(crate) fn join_replacing(&mut self, replaced: SenderId) {
-        self.onboarding = true;
         self.pending_admit = Some(replaced);
     }
 
-    /// True while the element is still catching up (tests).
+    /// True while the element is a fresh replacement still catching up.
     pub fn is_onboarding(&self) -> bool {
-        self.onboarding
+        self.pending_admit.is_some() || self.replica.is_joining()
     }
 
     /// The element's endpoint code.
@@ -303,38 +296,24 @@ impl ServerElement {
     fn drain_replica(&mut self, ctx: &mut Context<'_>) {
         let mut outputs = std::mem::take(&mut self.drained);
         self.replica.swap_outputs(&mut outputs);
+        self.route().record(&self.replica, &outputs);
         for output in outputs.drain(..) {
             match output {
                 Output::Send(to, message) => send(&self.route(), ctx, to, &message),
                 Output::Executed {
-                    seq,
-                    request,
-                    result,
-                } => {
-                    let submitter = request.client().0;
-                    self.on_executed(ctx, seq, submitter, request.operation(), &result);
-                }
+                    request, result, ..
+                } => self.on_executed(ctx, &request, &result),
                 Output::StartViewTimer { epoch, timeout } => {
                     ctx.set_timer(timeout, pack_timer(TimerTag::View, epoch));
                 }
-                Output::StateTransferred(seq) => {
-                    if self.onboarding {
-                        self.onboarding = false;
-                        self.obs.span_end(
-                            "replica.onboarding_us",
-                            u64::from(self.cfg.element.0),
-                            &self.obs_label(),
-                        );
-                        self.obs.event(
-                            "element.onboarded",
-                            &[
-                                ("element", LabelValue::U64(u64::from(self.cfg.element.0))),
-                                ("seq", LabelValue::U64(seq.0)),
-                            ],
-                        );
-                    }
+                Output::Fact(Fact::Onboarded(seq, _)) => {
+                    let [element] = self.obs_label();
+                    let id = u64::from(self.cfg.element.0);
+                    self.obs.span_end("replica.onboarding_us", id, &[element]);
+                    let seq = ("seq", LabelValue::U64(seq.0));
+                    self.obs.event("element.onboarded", &[element, seq]);
                 }
-                Output::EnteredView(_) => {}
+                Output::Fact(_) => {}
             }
         }
         self.drained = outputs;
@@ -342,18 +321,11 @@ impl ServerElement {
 
     // ----------------------------------------------------- ordered delivery
 
-    /// One executed queue op, ordered on behalf of BFT client `submitter`.
-    fn on_executed(
-        &mut self,
-        ctx: &mut Context<'_>,
-        _seq: SeqNo,
-        submitter: u64,
-        op_bytes: &[u8],
-        result: &[u8],
-    ) {
+    /// One executed queue op, ordered on behalf of `request`'s BFT client.
+    fn on_executed(&mut self, ctx: &mut Context<'_>, request: &ClientRequest, result: &[u8]) {
         // only a delivered message concerns the element; the queue machine
         // has decoded the op already, so its payload is read in place
-        let Some(frame_bytes) = delivered(op_bytes) else {
+        let Some(frame_bytes) = delivered(request.operation()) else {
             return;
         };
         if result.first() == Some(&1) {
@@ -365,7 +337,7 @@ impl ServerElement {
         }
         self.processed += 1;
         if let Ok(frame) = SmiopFrame::decode(frame_bytes) {
-            self.process_frame(ctx, frame, submitter);
+            self.process_frame(ctx, frame, request.client().0);
         }
         self.maybe_ack(ctx);
         self.check_laggards(ctx);
@@ -818,8 +790,6 @@ impl Process for ServerElement {
             };
             let gm = self.fabric.gm_domain();
             self.submit_op(ctx, gm, op.encode());
-        }
-        if self.onboarding {
             self.obs
                 .span_begin("replica.onboarding_us", u64::from(self.cfg.element.0));
             self.replica.begin_onboarding();

@@ -13,7 +13,7 @@
 //! one part that does change is the roster — which element holds each
 //! replica slot on which node, and which elements a replacement retired —
 //! and each process keeps its own, because each applies a Group Manager
-//! admission at its own `f_gm + 1` notices ([`Fabric::apply_admission`]).
+//! admission at its own `f_gm + 1` notices (`Fabric::apply_admission`).
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -21,9 +21,11 @@ use std::sync::Arc;
 
 use itdos_audit::{ElementInfo, Topology};
 use itdos_bft::auth::{AuthContext, KeyProvisioner};
-use itdos_bft::config::{ClientId, GroupConfig, ReplicaId};
+use itdos_bft::config::{ClientId, GroupConfig, ReplicaId, SeqNo};
 use itdos_bft::message::Message;
 use itdos_bft::node::Route;
+use itdos_bft::replica::{Fact, Output, Replica};
+use itdos_bft::state::StateMachine;
 use itdos_crypto::dprf::Verifier;
 use itdos_crypto::keys::SymmetricKey;
 use itdos_crypto::sign::{SigningKey, VerifyingKey};
@@ -457,6 +459,112 @@ impl DomainRoute<'_> {
     pub fn received(&self, auth: &'static str, len: usize) {
         let labels = [("auth", LabelValue::Str(auth))];
         crate::cost::account(self.obs, "bft.wire_rx", "bft.wire_rx_bytes", &labels, len);
+    }
+
+    /// Records what `replica` saw since its last drain — the [`Fact`]s in
+    /// `outputs` and one `bft.executed` per execution, in the order it saw
+    /// them — and its queue depths. A host calls this before it acts on
+    /// the rest of `outputs`, so the replica's evidence precedes its own.
+    pub fn record(&self, replica: &Replica<impl StateMachine>, outputs: &[Output]) {
+        let obs = self.obs;
+        if !obs.is_enabled() {
+            return;
+        }
+        let id = u64::from(replica.id().0);
+        let me = [("replica", LabelValue::U64(id))];
+        // a flight event labelled with the replica and up to two numbers
+        let event = |kind, more: &[(&'static str, u64)]| {
+            let [replica] = me;
+            let mut labels = [replica; 3];
+            for (label, &(key, value)) in labels.iter_mut().skip(1).zip(more) {
+                *label = (key, LabelValue::U64(value));
+            }
+            obs.event(kind, labels.get(..=more.len()).unwrap_or(&labels));
+        };
+        // a per-sequence span mixes in the replica id, so the replicas of
+        // one group sharing a recorder scope keep their spans apart
+        let phase = |seq: SeqNo| (id << 48) ^ seq.0;
+        for output in outputs {
+            if let Output::Executed { .. } = output {
+                obs.incr("bft.executed", &me);
+            }
+            let &Output::Fact(fact) = output else {
+                continue;
+            };
+            match fact {
+                Fact::Request => obs.incr("bft.requests", &me),
+                Fact::Admitted(client, trace) => {
+                    event("bft.admit", &[("client", client.0), ("trace", trace)]);
+                }
+                Fact::Batched(seq, trace) => {
+                    event("bft.batch", &[("seq", seq.0), ("trace", trace)]);
+                }
+                Fact::Ordering(seq, requests) => {
+                    obs.observe("bft.batch_size", &me, requests as u64);
+                    obs.span_begin("bft.prepare_us", phase(seq));
+                    obs.span_begin("bft.order_us", phase(seq));
+                }
+                Fact::BadBatch(seq, view) => {
+                    obs.incr("bft.bad_batches", &me);
+                    event("bft.bad_batch_digest", &[("seq", seq.0), ("view", view.0)]);
+                }
+                Fact::Equivocation(seq, view) => {
+                    obs.incr("bft.equivocations", &me);
+                    event("bft.equivocation", &[("seq", seq.0), ("view", view.0)]);
+                }
+                Fact::Prepared(seq, view) => {
+                    obs.span_end("bft.prepare_us", phase(seq), &me);
+                    obs.span_begin("bft.commit_us", phase(seq));
+                    event("bft.prepared", &[("seq", seq.0), ("view", view.0)]);
+                }
+                Fact::Committed(seq) => {
+                    obs.span_end("bft.commit_us", phase(seq), &me);
+                    obs.span_end("bft.order_us", phase(seq), &me);
+                    event("bft.committed", &[("seq", seq.0)]);
+                }
+                Fact::Checkpoint(seq) => {
+                    obs.incr("bft.checkpoints", &me);
+                    event("bft.checkpoint", &[("seq", seq.0)]);
+                }
+                Fact::Stable(seq) => event("bft.checkpoint_stable", &[("seq", seq.0)]),
+                Fact::StateFetch(seq) => {
+                    obs.incr("bft.state_fetches", &me);
+                    obs.span_begin("bft.state_transfer_us", id);
+                    event("bft.state_fetch", &[("seq", seq.0)]);
+                }
+                Fact::Recovery => {
+                    obs.incr("bft.recoveries", &me);
+                    obs.span_begin("bft.state_transfer_us", id);
+                }
+                Fact::Onboarding => {
+                    obs.incr("bft.onboardings", &me);
+                    obs.span_begin("bft.state_transfer_us", id);
+                }
+                Fact::Onboarded(seq, view) => {
+                    event("bft.onboarded", &[("seq", seq.0), ("view", view.0)]);
+                }
+                Fact::StateTransferred(seq) => {
+                    obs.span_end("bft.state_transfer_us", id, &me);
+                    event("bft.state_transferred", &[("seq", seq.0)]);
+                }
+                Fact::ViewChange(target, attempt) => {
+                    obs.incr("bft.view_changes", &me);
+                    obs.span_begin("bft.view_change_us", id);
+                    event(
+                        "bft.view_change",
+                        &[("target_view", target.0), ("attempt", attempt.into())],
+                    );
+                }
+                Fact::ViewEntered(view) => {
+                    obs.span_end("bft.view_change_us", id, &me);
+                    event("bft.view_entered", &[("view", view.0)]);
+                }
+            }
+        }
+        let (backlog, pending, pipeline) = replica.depths();
+        obs.gauge("bft.backlog_depth", &me, backlog as i64);
+        obs.gauge("bft.pending_depth", &me, pending as i64);
+        obs.gauge("bft.pipeline_depth", &me, pipeline as i64);
     }
 }
 

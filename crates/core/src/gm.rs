@@ -339,7 +339,7 @@ impl GmElement {
             index,
             element,
             replica,
-            drained: Vec::new(),
+            drained: Vec::with_capacity(16),
             bft_auth,
             shareholder,
             obs: Obs::disabled(),
@@ -348,9 +348,9 @@ impl GmElement {
         }
     }
 
-    /// Installs an instrumentation sink on this element and its replica.
+    /// Installs an instrumentation sink on this element, which records
+    /// its replica's facts.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.replica.set_obs(obs.clone());
         self.obs = obs;
     }
 
@@ -382,16 +382,15 @@ impl GmElement {
     fn drain(&mut self, ctx: &mut Context<'_>) {
         let mut outputs = std::mem::take(&mut self.drained);
         self.replica.swap_outputs(&mut outputs);
+        self.route().record(&self.replica, &outputs);
         for output in outputs.drain(..) {
             match output {
                 Output::Send(to, message) => send(&self.route(), ctx, to, &message),
-                Output::Executed { result, .. } => {
-                    self.act_on_directives(ctx, &result);
-                }
+                Output::Executed { result, .. } => self.act_on_directives(ctx, &result),
                 Output::StartViewTimer { epoch, timeout } => {
                     ctx.set_timer(timeout, pack_timer(TimerTag::View, epoch));
                 }
-                Output::EnteredView(_) | Output::StateTransferred(_) => {}
+                Output::Fact(_) => {}
             }
         }
         self.drained = outputs;

@@ -28,10 +28,10 @@
 //!    can never accumulate more than `f` undetected compromises within a
 //!    window.
 //!
-//! A round's decision is [`HealState::plan`], a pure function of the GM
+//! A round's decision is `HealState::plan`, a pure function of the GM
 //! membership, the live health map, the server rosters and the sim clock;
-//! the system only carries the [`HealPlan`] out (replacements, then
-//! expulsions, then the retirement) and [`HealState::record`]s it.
+//! the system only carries the `HealPlan` out (replacements, then
+//! expulsions, then the retirement) and `HealState::record`s it.
 //! Every controller decision is a flight event (`heal.expel`,
 //! `heal.replace`, `heal.rejuvenate` with cause labels), visible to
 //! traces, the profiler, and the auditor itself. All decisions are

@@ -160,7 +160,7 @@ impl Outbound {
     /// Handles a BFT envelope from the target's group and the message it
     /// carries ([`Envelope::open`]): a reply addressed to this client once
     /// it verifies. Returns true if it completed the in-flight operation
-    /// (its result is then available via [`Outbound::take_accepted`]).
+    /// (its result is then available via `Outbound::take_accepted`).
     pub fn on_reply(
         &mut self,
         ctx: &mut Context<'_>,

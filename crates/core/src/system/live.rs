@@ -2,8 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use itdos_audit::{AuditConfig, AuditReport, MetricsFacts, Stream, Topology};
-use itdos_obs::{LabelValue, Obs};
+use itdos_audit::{AuditConfig, AuditReport, Finding, MetricsFacts, Stream, Topology};
+use itdos_obs::{Event, LabelValue, Obs};
 
 /// The incremental audit pipeline [`super::System::settle`] pumps, fed by
 /// a flight-tap subscription, and the per-element health it last scored.
@@ -17,6 +17,10 @@ pub(super) struct LiveAudit {
     /// Per-element health as the last pump scored it and exported it as
     /// the `replica.health` gauges; what the healing controller acts on.
     pub(super) health: BTreeMap<u64, i64>,
+    /// The tapped events and the findings of one pass, kept between pumps
+    /// so a warm pump drains into storage it already has.
+    events: Vec<Event>,
+    fresh: Vec<Finding>,
 }
 
 impl LiveAudit {
@@ -29,6 +33,8 @@ impl LiveAudit {
             cfg,
             sub,
             health: BTreeMap::new(),
+            events: Vec::new(),
+            fresh: Vec::new(),
         })
     }
 
@@ -45,13 +51,14 @@ impl LiveAudit {
         // no reply counter or phase histogram
         let mut facts = None;
         for _ in 0..2 {
-            let mut fresh = Vec::new();
-            for event in obs.drain_subscription(self.sub) {
-                fresh.extend(self.stream.observe_event(&event));
+            self.fresh.clear();
+            obs.drain_subscription_into(self.sub, &mut self.events);
+            for event in self.events.drain(..) {
+                self.fresh.extend(self.stream.observe_event(&event));
             }
             let facts = facts.get_or_insert_with(|| facts_of(obs));
-            fresh.extend(self.stream.drain_new(facts));
-            for f in &fresh {
+            self.fresh.extend(self.stream.drain_new(facts));
+            for f in &self.fresh {
                 let labels = [
                     ("analyzer", LabelValue::Str(f.analyzer)),
                     ("kind", LabelValue::Str(f.kind)),
@@ -60,15 +67,12 @@ impl LiveAudit {
                     ("count", LabelValue::U64(f.count)),
                     ("element", LabelValue::U64(f.element.unwrap_or(0))),
                 ];
-                let labels = if f.element.is_some() {
-                    &labels[..]
-                } else {
-                    &labels[..4]
-                };
-                obs.event("audit.finding", labels);
+                let len = 4 + usize::from(f.element.is_some());
+                obs.event("audit.finding", labels.get(..len).unwrap_or(&labels));
             }
         }
-        self.health = self.stream.health(&facts.unwrap_or_default());
+        self.stream
+            .health_into(&facts.unwrap_or_default(), &mut self.health);
         for (&element, &value) in &self.health {
             obs.gauge(
                 "replica.health",

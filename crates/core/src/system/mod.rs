@@ -110,7 +110,7 @@ impl System {
     /// client complete in submission order even when the client pipelines
     /// several concurrently ([`SystemBuilder::client_pipeline`]).
     /// Every invocation is minted a nonzero causal trace id
-    /// ([`crate::trace::trace_id`]) that rides the GIOP header and BFT
+    /// (`crate::trace::trace_id`) that rides the GIOP header and BFT
     /// request; redeem the ticket with [`System::trace`] to reconstruct
     /// the invocation's full causal path from the flight recorder.
     pub fn invoke_async(&mut self, client: u64, invocation: Invocation) -> Ticket {
@@ -508,7 +508,7 @@ impl System {
         self.sim.join_group(node, mcast);
     }
 
-    /// Mirrors the simulator's [`simnet::NetStats`] into the metrics
+    /// Mirrors the simulator's [`simnet::trace::NetStats`] into the metrics
     /// registry (idempotent) and returns the combined JSON-lines dump.
     /// Empty string when observability is off.
     pub fn metrics_jsonl(&self) -> String {

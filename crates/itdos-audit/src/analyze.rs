@@ -872,7 +872,9 @@ impl LivenessState {
             }
         }
         for (&primary, slots) in &contradicted {
-            let (view, seq) = *slots.iter().next().expect("nonempty");
+            let Some(&(view, seq)) = slots.first() else {
+                continue;
+            };
             let head = Head {
                 analyzer: LIVENESS,
                 severity: Severity::Blame,

@@ -32,6 +32,17 @@
 //! clock, so identical seeded runs produce byte-identical reports.
 
 #![warn(missing_docs)]
+// L3 panic-freedom: hostile input surfaces as a typed error or a drop,
+// never as a panic (DESIGN.md §8)
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod analyze;
 pub mod report;
@@ -91,7 +102,7 @@ impl Auditor {
     }
 
     /// A live [`Stream`] with this auditor's topology and budgets — the
-    /// exact pipeline [`Auditor::audit_dump`] replays a finished dump
+    /// exact pipeline `Auditor::audit_dump` replays a finished dump
     /// through.
     pub fn stream(&self) -> Stream {
         Stream::with_config(self.topology.clone(), self.config.clone())

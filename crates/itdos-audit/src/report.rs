@@ -33,7 +33,17 @@ pub(crate) struct Health(BTreeMap<u64, i64>);
 
 impl Health {
     pub(crate) fn new(topology: &Topology) -> Health {
-        Health(topology.elements.keys().map(|&e| (e, 100)).collect())
+        Health::reusing(topology, BTreeMap::new())
+    }
+
+    /// Full health for every element of `topology`, kept in `scores`: a
+    /// map that already holds those elements is reset in place.
+    pub(crate) fn reusing(topology: &Topology, mut scores: BTreeMap<u64, i64>) -> Health {
+        scores.retain(|element, _| topology.elements.contains_key(element));
+        for &element in topology.elements.keys() {
+            scores.insert(element, 100);
+        }
+        Health(scores)
     }
 
     pub(crate) fn scores(self) -> BTreeMap<u64, i64> {

@@ -19,7 +19,7 @@
 //! they still count toward the timeline summary, which keeps the
 //! summary equal to what a later batch parse of the dump sees.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use itdos_obs::flight::Event;
 
@@ -244,10 +244,18 @@ impl Stream {
     /// live values exported as the `replica.health` gauge. Scored from the
     /// analyzers' findings without formatting their prose; equal to
     /// `self.report(facts).health`.
-    pub fn health(&self, facts: &MetricsFacts) -> std::collections::BTreeMap<u64, i64> {
-        let mut health = Health::new(&self.topology);
-        self.run(facts, &mut health);
-        health.scores()
+    pub fn health(&self, facts: &MetricsFacts) -> BTreeMap<u64, i64> {
+        let mut health = BTreeMap::new();
+        self.health_into(facts, &mut health);
+        health
+    }
+
+    /// [`Stream::health`] into `health`, replacing what it held: scoring
+    /// the same elements again reuses its storage.
+    pub fn health_into(&self, facts: &MetricsFacts, health: &mut BTreeMap<u64, i64>) {
+        let mut scored = Health::reusing(&self.topology, std::mem::take(health));
+        self.run(facts, &mut scored);
+        *health = scored.scores();
     }
 }
 

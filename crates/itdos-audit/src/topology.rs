@@ -38,7 +38,7 @@ pub struct Topology {
     /// Elements no longer in their domain's active roster (expelled or
     /// voluntarily retired). They stay in [`Topology::elements`] — their
     /// findings and health history must survive a replacement — but
-    /// [`Topology::domain_members`] resolves their slot to the current
+    /// `Topology::domain_members` resolves their slot to the current
     /// occupant so rosters and primary rotation match the live groups.
     pub retired: BTreeSet<u64>,
 }
@@ -98,10 +98,8 @@ impl Topology {
     /// matching `itdos_bft::config::GroupConfig::primary_of`).
     pub fn primary_of(&self, domain: u64, view: u64) -> Option<u64> {
         let members = self.domain_members(domain);
-        if members.is_empty() {
-            return None;
-        }
-        Some(members[(view % members.len() as u64) as usize])
+        let at = view.checked_rem(members.len() as u64)?;
+        members.get(usize::try_from(at).ok()?).copied()
     }
 
     /// Server (non-GM) domain ids in ascending order.

@@ -85,5 +85,5 @@ pub mod wire;
 
 pub use config::{ClientId, GroupConfig, ReplicaId, SeqNo, View};
 pub use message::Message;
-pub use replica::{Output, Received, Replica, To};
+pub use replica::{Fact, Output, Received, Replica, To};
 pub use state::StateMachine;

@@ -106,7 +106,7 @@ impl<S: StateMachine> ReplicaNode<S> {
     ) -> ReplicaNode<S> {
         ReplicaNode {
             replica: Replica::new(config, id, app),
-            drained: Vec::new(),
+            drained: Vec::with_capacity(16),
             auth,
             group,
             directory,
@@ -127,7 +127,7 @@ impl<S: StateMachine> ReplicaNode<S> {
                 Output::StartViewTimer { epoch, timeout } => {
                     ctx.set_timer(timeout, epoch);
                 }
-                Output::Executed { .. } | Output::EnteredView(_) | Output::StateTransferred(_) => {}
+                Output::Executed { .. } | Output::Fact(_) => {}
             }
         }
         self.drained = outputs;

@@ -12,7 +12,6 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use itdos_crypto::hash::Digest;
-use itdos_obs::{LabelValue, Obs};
 use simnet::SimDuration;
 use xbytes::Bytes;
 
@@ -89,10 +88,49 @@ pub enum Output {
         /// view-change attempt (PBFT's backoff), at most 2^16 times.
         timeout: SimDuration,
     },
-    /// The replica moved to a new view.
-    EnteredView(View),
-    /// The replica fell behind and restored state from a transfer.
+    /// Something the replica saw, for its host to record.
+    Fact(Fact),
+}
+
+/// One protocol moment the replica saw. The replica records nothing: its
+/// host turns the facts among its outputs into counters, phase spans and
+/// flight events before it acts on the rest of the buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fact {
+    /// A client request arrived, directly or relayed by a backup.
+    Request,
+    /// `(client, trace)`: the primary admitted a traced request to ordering.
+    Admitted(ClientId, u64),
+    /// `(seq, trace)`: the primary put a traced request in the batch at `seq`.
+    Batched(SeqNo, u64),
+    /// `(seq, requests)`: a batch was proposed or accepted; `seq`'s phases begin.
+    Ordering(SeqNo, usize),
+    /// `(seq, view)`: a pre-prepare with an empty or misnamed batch was refused.
+    BadBatch(SeqNo, View),
+    /// `(seq, view)`: a second pre-prepare naming another batch was refused.
+    Equivocation(SeqNo, View),
+    /// `(seq, view)`: `seq` prepared; its commit phase begins.
+    Prepared(SeqNo, View),
+    /// `seq` committed and is executed: its ordering phases end.
+    Committed(SeqNo),
+    /// The replica took a checkpoint at `seq`.
+    Checkpoint(SeqNo),
+    /// The checkpoint at `seq` became stable.
+    Stable(SeqNo),
+    /// The replica fell behind and asked its peers for state at `seq`.
+    StateFetch(SeqNo),
+    /// Proactive recovery began ([`Replica::start_recovery`]).
+    Recovery,
+    /// Replacement onboarding began ([`Replica::begin_onboarding`]).
+    Onboarding,
+    /// `(seq, view)`: an onboarding replica restored state and adopted a view.
+    Onboarded(SeqNo, View),
+    /// The replica restored state from a transfer at `seq`.
     StateTransferred(SeqNo),
+    /// `(target, attempt)`: the `attempt`-th view change in a row began.
+    ViewChange(View, u32),
+    /// The replica moved to a new view.
+    ViewEntered(View),
 }
 
 /// What [`Replica::receive`] did with a received frame.
@@ -108,7 +146,10 @@ pub enum Received {
     Reply(Envelope, Reply),
 }
 
-/// A PBFT replica wrapping an application state machine.
+/// A PBFT replica wrapping an application state machine. It is a value:
+/// its outputs depend only on its inputs, so a clone fed the same inputs
+/// emits the same outputs.
+#[derive(Clone)]
 pub struct Replica<S> {
     config: GroupConfig,
     id: ReplicaId,
@@ -170,10 +211,9 @@ pub struct Replica<S> {
     /// joiner adopts the (f+1)-th highest — vouched for by at least one
     /// correct replica, so Byzantine peers cannot inflate it.
     peer_views: BTreeMap<ReplicaId, u64>,
+    /// Queued outputs, sized for a busy handler so a warm host's two
+    /// buffers never regrow ([`Replica::swap_outputs`]).
     outputs: Vec<Output>,
-    /// Instrumentation sink; a disabled handle (the default) makes every
-    /// hook a no-op.
-    obs: Obs,
 }
 
 impl<S: std::fmt::Debug> std::fmt::Debug for Replica<S> {
@@ -196,10 +236,7 @@ impl<S: StateMachine> Replica<S> {
     pub fn new(config: GroupConfig, id: ReplicaId, app: S) -> Replica<S> {
         config.validate();
         let log = Log::new(&config);
-        // at most this many requests are assigned and unexecuted at once
-        let in_flight = config.pipeline_depth.min(config.watermark_window);
-        let in_flight = usize::try_from(in_flight).unwrap_or(usize::MAX);
-        let held = Vec::with_capacity(in_flight.saturating_mul(config.max_batch));
+        let held = Vec::with_capacity(in_flight(&config));
         Replica {
             config,
             id,
@@ -224,56 +261,16 @@ impl<S: StateMachine> Replica<S> {
             recovering: false,
             joining: false,
             peer_views: BTreeMap::new(),
-            outputs: Vec::new(),
-            obs: Obs::disabled(),
+            outputs: Vec::with_capacity(16),
         }
     }
 
-    /// Installs an observability sink. Phase spans (`bft.prepare_us`,
-    /// `bft.commit_us`, `bft.order_us`) and protocol events are recorded
-    /// against the sink's injected clock; with the default disabled handle
-    /// every hook is a zero-allocation no-op.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    /// This replica's metric label set.
-    fn obs_label(&self) -> [itdos_obs::Label; 1] {
-        [("replica", LabelValue::U64(u64::from(self.id.0)))]
-    }
-
-    /// Records event `kind` at `seq`, labelled with this replica's id.
-    fn event_at(&self, kind: &'static str, seq: SeqNo) {
-        let [replica] = self.obs_label();
-        self.obs
-            .event(kind, &[replica, ("seq", LabelValue::U64(seq.0))]);
-    }
-
-    /// Span id for a per-sequence phase: the replica id is mixed in so
-    /// that replicas of one group sharing a single recorder cannot clobber
-    /// each other's spans for the same sequence number. Cross-group
-    /// separation comes from the scoped handle the wiring installs
-    /// ([`itdos_obs::Obs::scoped`]).
-    fn seq_span_id(&self, seq: SeqNo) -> u64 {
-        (u64::from(self.id.0) << 48) ^ seq.0
-    }
-
-    /// Publishes queue-depth gauges (request backlog, accepted-but-
-    /// unexecuted requests, and sequence numbers in flight).
-    fn obs_depths(&self) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        let labels = self.obs_label();
-        self.obs
-            .gauge("bft.backlog_depth", &labels, self.backlog.len() as i64);
-        self.obs
-            .gauge("bft.pending_depth", &labels, self.pending.len() as i64);
-        self.obs.gauge(
-            "bft.pipeline_depth",
-            &labels,
-            self.next_seq.0.saturating_sub(self.last_executed.0) as i64,
-        );
+    /// The replica's queue depths now, for its host's gauges: requests a
+    /// primary could not yet assign, accepted requests not yet executed,
+    /// and sequence numbers assigned and not yet executed.
+    pub fn depths(&self) -> (usize, usize, u64) {
+        let pipeline = self.next_seq.0.saturating_sub(self.last_executed.0);
+        (self.backlog.len(), self.pending.len(), pipeline)
     }
 
     /// This replica's id.
@@ -317,7 +314,6 @@ impl<S: StateMachine> Replica<S> {
     /// the host drains this one, so neither allocates once both are warm.
     /// Outputs queued while the host drains wait for its next call.
     pub fn swap_outputs(&mut self, drained: &mut Vec<Output>) {
-        self.obs_depths();
         if drained.is_empty() {
             std::mem::swap(&mut self.outputs, drained);
         } else {
@@ -327,6 +323,10 @@ impl<S: StateMachine> Replica<S> {
 
     fn send(&mut self, to: To, message: Message) {
         self.outputs.push(Output::Send(to, message));
+    }
+
+    fn saw(&mut self, fact: Fact) {
+        self.outputs.push(Output::Fact(fact));
     }
 
     fn arm_timer(&mut self) {
@@ -392,7 +392,7 @@ impl<S: StateMachine> Replica<S> {
         // first stays, and the newcomer is hashed like any other; a full
         // store holds nothing more rather than grow
         if let Err(at) = self.held.binary_search_by_key(&held_key(request), held_key) {
-            if self.held.len() < self.held.capacity() {
+            if self.held.len() < in_flight(&self.config) {
                 self.held.insert(at, request.clone());
             }
         }
@@ -446,7 +446,7 @@ impl<S: StateMachine> Replica<S> {
 
     /// Handles a client request (also called when a backup relays one).
     pub fn on_request(&mut self, request: ClientRequest) {
-        self.obs.incr("bft.requests", &self.obs_label());
+        self.saw(Fact::Request);
         if self.joining {
             // quiescent while onboarding: no relays, no ordering — the
             // client's retransmission finds us once we are caught up
@@ -477,14 +477,7 @@ impl<S: StateMachine> Replica<S> {
                 // causal trace: the primary admitting a traced request is
                 // the first ordering-side hop of the invocation
                 if request.trace() != 0 {
-                    self.obs.event(
-                        "bft.admit",
-                        &[
-                            ("replica", LabelValue::U64(u64::from(self.id.0))),
-                            ("client", LabelValue::U64(request.client().0)),
-                            ("trace", LabelValue::U64(request.trace())),
-                        ],
-                    );
+                    self.saw(Fact::Admitted(request.client(), request.trace()));
                 }
                 self.enqueue_in_client_order(request);
             }
@@ -589,21 +582,11 @@ impl<S: StateMachine> Replica<S> {
                 // causal trace: bind each traced request to the sequence
                 // number its batch agrees under
                 if request.trace() != 0 {
-                    self.obs.event(
-                        "bft.batch",
-                        &[
-                            ("replica", LabelValue::U64(u64::from(self.id.0))),
-                            ("seq", LabelValue::U64(seq.0)),
-                            ("trace", LabelValue::U64(request.trace())),
-                        ],
-                    );
+                    self.saw(Fact::Batched(seq, request.trace()));
                 }
             }
-            self.obs
-                .observe("bft.batch_size", &self.obs_label(), batch.len() as u64);
             // the primary's ordering phases start when it proposes
-            self.obs.span_begin("bft.prepare_us", self.seq_span_id(seq));
-            self.obs.span_begin("bft.order_us", self.seq_span_id(seq));
+            self.saw(Fact::Ordering(seq, batch.len()));
             let pp = PrePrepare {
                 view: self.view,
                 seq,
@@ -632,13 +615,7 @@ impl<S: StateMachine> Replica<S> {
             // the sequence space with empty batches): refuse, and put the
             // self-contradictory message on the flight record — like an
             // equivocation it is hard forensic evidence against the sender
-            let labels = [
-                ("replica", LabelValue::U64(u64::from(self.id.0))),
-                ("seq", LabelValue::U64(pp.seq.0)),
-                ("view", LabelValue::U64(pp.view.0)),
-            ];
-            self.obs.incr("bft.bad_batches", &self.obs_label());
-            self.obs.event("bft.bad_batch_digest", &labels);
+            self.saw(Fact::BadBatch(pp.seq, pp.view));
             return;
         }
         let view = self.view;
@@ -648,13 +625,7 @@ impl<S: StateMachine> Replica<S> {
                 // equivocating primary: refuse; the timer will expire and a
                 // view change will remove it. The contradiction itself is
                 // hard forensic evidence, so put it on the flight record.
-                let labels = [
-                    ("replica", LabelValue::U64(u64::from(self.id.0))),
-                    ("seq", LabelValue::U64(pp.seq.0)),
-                    ("view", LabelValue::U64(view.0)),
-                ];
-                self.obs.incr("bft.equivocations", &self.obs_label());
-                self.obs.event("bft.equivocation", &labels);
+                self.saw(Fact::Equivocation(pp.seq, view));
                 return;
             }
             return; // duplicate
@@ -673,13 +644,8 @@ impl<S: StateMachine> Replica<S> {
                 self.accept(request);
             }
         }
-        self.obs
-            .observe("bft.batch_size", &self.obs_label(), pp.batch.len() as u64);
         // a backup's ordering phases start at pre-prepare acceptance
-        self.obs
-            .span_begin("bft.prepare_us", self.seq_span_id(pp.seq));
-        self.obs
-            .span_begin("bft.order_us", self.seq_span_id(pp.seq));
+        self.saw(Fact::Ordering(pp.seq, pp.batch.len()));
         let prepare = Prepare {
             view: self.view,
             seq: pp.seq,
@@ -730,17 +696,7 @@ impl<S: StateMachine> Replica<S> {
             return;
         };
         // prepared for the first time: close the prepare phase, open commit
-        self.obs
-            .span_end("bft.prepare_us", self.seq_span_id(seq), &self.obs_label());
-        self.obs.span_begin("bft.commit_us", self.seq_span_id(seq));
-        self.obs.event(
-            "bft.prepared",
-            &[
-                ("replica", LabelValue::U64(u64::from(self.id.0))),
-                ("seq", LabelValue::U64(seq.0)),
-                ("view", LabelValue::U64(view.0)),
-            ],
-        );
+        self.saw(Fact::Prepared(seq, view));
         let commit = Commit {
             view,
             seq,
@@ -766,7 +722,7 @@ impl<S: StateMachine> Replica<S> {
             let past = commit.seq.0.checked_rem(interval).unwrap_or(0);
             let target = SeqNo(commit.seq.0.saturating_sub(past));
             if target > self.last_executed {
-                self.request_state(target, Digest::default());
+                self.request_state(target);
             }
         }
         if commit.view != self.view || !self.log.in_window(commit.seq) {
@@ -796,14 +752,9 @@ impl<S: StateMachine> Replica<S> {
             progressed = true;
             self.log.entry(view, next).executed = true;
             self.last_executed = next;
-            let labels = self.obs_label();
-            self.obs
-                .span_end("bft.commit_us", self.seq_span_id(next), &labels);
-            self.obs
-                .span_end("bft.order_us", self.seq_span_id(next), &labels);
             // commit certificate reached and applied: the last ordering
             // phase this replica can attest for `next`
-            self.event_at("bft.committed", next);
+            self.saw(Fact::Committed(next));
             // unpack the logged batch in its agreed order, one request at a
             // time (a clone shares the request's bytes); an empty batch
             // (the new-view null operation) executes nothing
@@ -845,7 +796,6 @@ impl<S: StateMachine> Replica<S> {
                 };
                 let window = self.config.client_reply_window;
                 record.record(request.timestamp(), reply.clone(), window);
-                self.obs.incr("bft.executed", &labels);
                 self.send(To::Client(request.client()), Message::Reply(reply));
                 self.outputs.push(Output::Executed {
                     seq: next,
@@ -887,8 +837,7 @@ impl<S: StateMachine> Replica<S> {
         .encode();
         let state_digest = snapshot_digest(&payload);
         self.log.store_own_checkpoint(seq, state_digest, payload);
-        self.obs.incr("bft.checkpoints", &self.obs_label());
-        self.event_at("bft.checkpoint", seq);
+        self.saw(Fact::Checkpoint(seq));
         let checkpoint = Checkpoint {
             seq,
             state_digest,
@@ -926,27 +875,24 @@ impl<S: StateMachine> Replica<S> {
             // the group has provably moved a full checkpoint interval past
             // us: fetch state instead of waiting to catch up message by
             // message
-            self.request_state(seq, digest);
+            self.request_state(seq);
             return;
         }
         if seq <= self.last_executed && seq > self.log.low() {
             self.log.stabilize(seq);
-            self.event_at("bft.checkpoint_stable", seq);
+            self.saw(Fact::Stable(seq));
             if self.is_primary() {
                 self.drain_backlog();
             }
         }
     }
 
-    fn request_state(&mut self, seq: SeqNo, _digest: Digest) {
+    fn request_state(&mut self, seq: SeqNo) {
         if self.fetching.is_some_and(|s| s >= seq) {
             return;
         }
         self.fetching = Some(seq);
-        self.obs.incr("bft.state_fetches", &self.obs_label());
-        self.obs
-            .span_begin("bft.state_transfer_us", u64::from(self.id.0));
-        self.event_at("bft.state_fetch", seq);
+        self.saw(Fact::StateFetch(seq));
         self.fetch_state(seq);
     }
 
@@ -992,12 +938,16 @@ impl<S: StateMachine> Replica<S> {
     /// system until they are proactively recovered" — this is that path.)
     pub fn start_recovery(&mut self) {
         self.recovering = true;
-        self.obs.incr("bft.recoveries", &self.obs_label());
-        self.obs
-            .span_begin("bft.state_transfer_us", u64::from(self.id.0));
+        self.saw(Fact::Recovery);
         self.fetching = Some(SeqNo(self.log.low().0.max(1)));
         self.state_offers.clear();
         self.fetch_state(self.log.low());
+    }
+
+    /// True while onboarding as a replacement
+    /// ([`Replica::begin_onboarding`]), until its state transfer lands.
+    pub fn is_joining(&self) -> bool {
+        self.joining
     }
 
     /// True while a proactive recovery is in flight.
@@ -1016,9 +966,7 @@ impl<S: StateMachine> Replica<S> {
     pub fn begin_onboarding(&mut self) {
         self.joining = true;
         self.recovering = true;
-        self.obs.incr("bft.onboardings", &self.obs_label());
-        self.obs
-            .span_begin("bft.state_transfer_us", u64::from(self.id.0));
+        self.saw(Fact::Onboarding);
         self.fetching = Some(SeqNo(self.log.low().0.max(1)));
         self.state_offers.clear();
         self.fetch_state(self.log.low());
@@ -1084,14 +1032,7 @@ impl<S: StateMachine> Replica<S> {
                 self.view = self.view.max(View(*v));
             }
             self.peer_views.clear();
-            self.obs.event(
-                "bft.onboarded",
-                &[
-                    ("replica", LabelValue::U64(u64::from(self.id.0))),
-                    ("seq", LabelValue::U64(data.seq.0)),
-                    ("view", LabelValue::U64(self.view.0)),
-                ],
-            );
+            self.saw(Fact::Onboarded(data.seq, self.view));
         }
         // adopt the transferred duplicate-suppression table; view/replica
         // are local presentation fields on resend
@@ -1126,11 +1067,7 @@ impl<S: StateMachine> Replica<S> {
         // while stranded is abandoned with our stale state
         self.in_view_change = false;
         self.view_change_attempts = 0;
-        let labels = self.obs_label();
-        self.obs
-            .span_end("bft.state_transfer_us", u64::from(self.id.0), &labels);
-        self.event_at("bft.state_transferred", data.seq);
-        self.outputs.push(Output::StateTransferred(data.seq));
+        self.saw(Fact::StateTransferred(data.seq));
     }
 
     // ---------------------------------------------------------- view change
@@ -1150,10 +1087,7 @@ impl<S: StateMachine> Replica<S> {
         // a fresh-enough stable checkpoint exists.
         if self.log.committed_beyond(self.last_executed, &self.config) {
             self.fetching = None;
-            self.request_state(
-                SeqNo(self.last_executed.0.saturating_add(1)),
-                Digest::default(),
-            );
+            self.request_state(SeqNo(self.last_executed.0.saturating_add(1)));
             return;
         }
         let skip = u64::from(self.view_change_attempts).saturating_add(1);
@@ -1163,20 +1097,7 @@ impl<S: StateMachine> Replica<S> {
     fn start_view_change(&mut self, target: View) {
         self.in_view_change = true;
         self.view_change_attempts = self.view_change_attempts.saturating_add(1);
-        self.obs.incr("bft.view_changes", &self.obs_label());
-        self.obs
-            .span_begin("bft.view_change_us", u64::from(self.id.0));
-        self.obs.event(
-            "bft.view_change",
-            &[
-                ("replica", LabelValue::U64(u64::from(self.id.0))),
-                ("target_view", LabelValue::U64(target.0)),
-                (
-                    "attempt",
-                    LabelValue::U64(u64::from(self.view_change_attempts)),
-                ),
-            ],
-        );
+        self.saw(Fact::ViewChange(target, self.view_change_attempts));
         let vc = ViewChange {
             new_view: target,
             stable_seq: self.log.low(),
@@ -1263,17 +1184,7 @@ impl<S: StateMachine> Replica<S> {
         self.in_view_change = false;
         self.view_change_attempts = 0;
         self.view_changes.retain(|v, _| *v > view);
-        let labels = self.obs_label();
-        self.obs
-            .span_end("bft.view_change_us", u64::from(self.id.0), &labels);
-        self.obs.event(
-            "bft.view_entered",
-            &[
-                ("replica", LabelValue::U64(u64::from(self.id.0))),
-                ("view", LabelValue::U64(view.0)),
-            ],
-        );
-        self.outputs.push(Output::EnteredView(view));
+        self.saw(Fact::ViewEntered(view));
         // ordering state is per-view: rebuilt from every request carried
         // inside the re-issued batches
         self.ordered = pre_prepares
@@ -1326,6 +1237,13 @@ impl<S: StateMachine> Replica<S> {
             self.drain_backlog();
         }
     }
+}
+
+/// The most requests assigned and unexecuted at once: what `held` holds.
+fn in_flight(config: &GroupConfig) -> usize {
+    let window = config.pipeline_depth.min(config.watermark_window);
+    let window = usize::try_from(window).unwrap_or(usize::MAX);
+    window.saturating_mul(config.max_batch)
 }
 
 /// What a held request is found by: a client's timestamps are distinct.
@@ -1594,11 +1512,41 @@ mod tests {
 
     impl Group {
         fn new() -> Group {
-            Group {
-                replicas: (0..4).map(replica).collect(),
-                replies: Vec::new(),
-                executed: Vec::new(),
+            group_with(GroupConfig::for_f(1))
+        }
+
+        /// Delivers `pp` from primary 0 to backups 1–3 and their prepares
+        /// to each other, dropping every commit: `pp` is prepared, not
+        /// committed, when the backups' view timers fire.
+        fn prepare_only(&mut self, pp: PrePrepare) {
+            for backup in &mut self.replicas[1..] {
+                backup.on_message(ReplicaId(0), Message::PrePrepare(pp.clone()));
             }
+            let mut prepares = Vec::new();
+            for i in 1..4 {
+                for out in outputs(&mut self.replicas[i]) {
+                    if let Output::Send(To::All, Message::Prepare(p)) = out {
+                        prepares.push((i, p));
+                    }
+                }
+            }
+            for (from, p) in prepares {
+                for j in (1..4).filter(|&j| j != from) {
+                    self.replicas[j].on_message(ReplicaId(from as u32), Message::Prepare(p));
+                }
+            }
+            for backup in &mut self.replicas[1..] {
+                outputs(backup); // drop the commits
+            }
+        }
+
+        /// Fires the view timers of backups 1–3 while primary 0 is silent.
+        fn time_out_backups(&mut self) {
+            for backup in &mut self.replicas[1..] {
+                let epoch = backup.timer_epoch;
+                backup.on_view_timeout(epoch);
+            }
+            self.pump(&[0]);
         }
 
         /// Delivers every queued output until quiescent. `mute` crashes
@@ -1633,9 +1581,7 @@ mod tests {
                             Output::Executed { seq, result, .. } => {
                                 self.executed.push((i as u32, seq, result));
                             }
-                            Output::StartViewTimer { .. }
-                            | Output::EnteredView(_)
-                            | Output::StateTransferred(_) => {}
+                            Output::StartViewTimer { .. } | Output::Fact(_) => {}
                         }
                     }
                 }
@@ -1727,11 +1673,7 @@ mod tests {
         g.pump(&[0]);
         assert_eq!(g.replicas[1].app().total(), 0, "stuck without primary");
         // timers fire on the three live backups
-        for i in 1..4 {
-            let epoch = g.replicas[i].timer_epoch;
-            g.replicas[i].on_view_timeout(epoch);
-        }
-        g.pump(&[0]);
+        g.time_out_backups();
         for r in &g.replicas[1..4] {
             assert_eq!(r.view(), View(1), "moved to view 1");
         }
@@ -1750,41 +1692,13 @@ mod tests {
         // but all COMMITs are dropped, so the request is prepared-not-
         // committed when the view change starts
         g.replicas[0].on_request(request(1, 4));
-        let outs = outputs(&mut g.replicas[0]);
-        for out in outs {
+        for out in outputs(&mut g.replicas[0]) {
             if let Output::Send(To::All, Message::PrePrepare(pp)) = out {
-                for j in 1..4 {
-                    g.replicas[j].on_message(ReplicaId(0), Message::PrePrepare(pp.clone()));
-                }
+                g.prepare_only(pp);
             }
-        }
-        // deliver prepares between backups, drop everything else
-        let mut prepares = Vec::new();
-        for i in 1..4 {
-            for out in outputs(&mut g.replicas[i]) {
-                if let Output::Send(To::All, Message::Prepare(p)) = out {
-                    prepares.push((i, p));
-                }
-            }
-        }
-        for (from, p) in prepares {
-            for j in 1..4 {
-                if j != from {
-                    g.replicas[j].on_message(ReplicaId(from as u32), Message::Prepare(p));
-                }
-            }
-        }
-        // drop the resulting commits
-        for i in 1..4 {
-            let _ = outputs(&mut g.replicas[i]);
         }
         assert_eq!(g.replicas[1].app().total(), 0, "not yet executed");
-        // view change
-        for i in 1..4 {
-            let epoch = g.replicas[i].timer_epoch;
-            g.replicas[i].on_view_timeout(epoch);
-        }
-        g.pump(&[0]);
+        g.time_out_backups();
         // the prepared request must be re-executed in view 1 without the
         // client retransmitting
         for r in &g.replicas[1..4] {
@@ -1917,34 +1831,13 @@ mod tests {
         // primary 0 proposes a batch of three requests, then crashes; the
         // backups prepare it but every COMMIT is dropped, so the batch is
         // prepared-not-committed when the view change starts
-        let pp = pre_prepare_of(0, 1, vec![request(1, 5), request(2, 6), request(3, 7)]);
-        for j in 1..4 {
-            g.replicas[j].on_message(ReplicaId(0), Message::PrePrepare(pp.clone()));
-        }
-        let mut prepares = Vec::new();
-        for i in 1..4 {
-            for out in outputs(&mut g.replicas[i]) {
-                if let Output::Send(To::All, Message::Prepare(p)) = out {
-                    prepares.push((i, p));
-                }
-            }
-        }
-        for (from, p) in prepares {
-            for j in 1..4 {
-                if j != from {
-                    g.replicas[j].on_message(ReplicaId(from as u32), Message::Prepare(p));
-                }
-            }
-        }
-        for i in 1..4 {
-            let _ = outputs(&mut g.replicas[i]); // drop the commits
-        }
+        g.prepare_only(pre_prepare_of(
+            0,
+            1,
+            vec![request(1, 5), request(2, 6), request(3, 7)],
+        ));
         assert_eq!(g.replicas[1].app().total(), 0, "not yet executed");
-        for i in 1..4 {
-            let epoch = g.replicas[i].timer_epoch;
-            g.replicas[i].on_view_timeout(epoch);
-        }
-        g.pump(&[0]);
+        g.time_out_backups();
         // the whole batch carried over: every request executed exactly
         // once, in the original order, with no client retransmission
         for r in &g.replicas[1..4] {
@@ -2050,24 +1943,19 @@ mod tests {
     #[test]
     fn mismatched_batch_digest_refused_and_audited() {
         let mut r1 = replica(1);
-        let (obs, _clock) = Obs::manual();
-        r1.set_obs(obs.clone());
+        let bad = Output::Fact(Fact::BadBatch(SeqNo(1), View(0)));
         // the digest claims a different batch than the one embedded
         let mut pp = pre_prepare_of(0, 1, vec![request(1, 1)]);
         pp.digest = Digest::of(b"lie");
         r1.on_message(ReplicaId(0), Message::PrePrepare(pp));
         assert!(r1.log().entry_ref(View(0), SeqNo(1)).is_none(), "refused");
-        let labels = [("replica", LabelValue::U64(1))];
-        assert_eq!(obs.counter_value("bft.bad_batches", &labels), 1);
-        let audited = obs
-            .with_flight(|f| f.events().any(|e| e.kind == "bft.bad_batch_digest"))
-            .unwrap_or(false);
-        assert!(audited, "contradiction lands on the flight record");
+        let emitted = outputs(&mut r1);
+        assert_eq!(emitted, [bad], "the contradiction is emitted, nothing else");
         // an empty batch from a live primary is refused the same way
         let null = pre_prepare_of(0, 1, Vec::new());
         r1.on_message(ReplicaId(0), Message::PrePrepare(null));
         assert!(r1.log().entry_ref(View(0), SeqNo(1)).is_none());
-        assert_eq!(obs.counter_value("bft.bad_batches", &labels), 2);
+        assert_eq!(outputs(&mut r1), emitted);
     }
 
     #[test]
@@ -2793,11 +2681,7 @@ mod tests {
             g.replicas[i].on_request(request(19, 1));
         }
         g.pump(&[0]);
-        for i in 1..4 {
-            let epoch = g.replicas[i].timer_epoch;
-            g.replicas[i].on_view_timeout(epoch);
-        }
-        g.pump(&[0]);
+        g.time_out_backups();
         g.replicas[1].on_request(request(19, 1));
         g.pump(&[0]);
         for r in &g.replicas[1..] {

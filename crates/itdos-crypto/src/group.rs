@@ -191,7 +191,7 @@ impl Element {
         self.0.to_le_bytes()
     }
 
-    /// Deserializes without validation; call [`Element::is_valid`] on
+    /// Deserializes without validation; call `Element::is_valid` on
     /// untrusted input.
     pub fn from_bytes(bytes: [u8; 8]) -> Element {
         Element(u64::from_le_bytes(bytes))

@@ -44,7 +44,9 @@ impl From<&[Label]> for Labels {
             return Labels(Repr::Spilled(labels.to_vec()));
         }
         let mut slots = [VACANT; INLINE_LABELS];
-        slots[..labels.len()].copy_from_slice(labels);
+        for (slot, label) in slots.iter_mut().zip(labels) {
+            *slot = *label;
+        }
         Labels(Repr::Inline {
             len: labels.len() as u8,
             slots,
@@ -63,7 +65,7 @@ impl Deref for Labels {
 
     fn deref(&self) -> &[Label] {
         match &self.0 {
-            Repr::Inline { len, slots } => &slots[..usize::from(*len)],
+            Repr::Inline { len, slots } => slots.get(..usize::from(*len)).unwrap_or(&[]),
             Repr::Spilled(labels) => labels,
         }
     }

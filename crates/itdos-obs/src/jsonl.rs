@@ -5,7 +5,7 @@
 //! `BTreeMap`s and `VecDeque`s so the output is byte-identical across
 //! identical runs. The parser is a bounded recursive-descent JSON reader
 //! used three ways: [`validate`] asserts a dump parses (the
-//! `dump_is_valid_json_lines` test), [`parse_value`]/[`parse_dump`] read a
+//! `dump_is_valid_json_lines` test), `parse_value`/[`parse_dump`] read a
 //! dump back into typed records for offline tooling (`itdos-audit`), and
 //! [`merge_events`] folds several per-process event streams into one
 //! causally ordered timeline. Std-only because the workspace forbids
@@ -642,9 +642,10 @@ impl Parser<'_> {
                     for _ in 1..width {
                         self.bump();
                     }
-                    match std::str::from_utf8(&self.bytes[start..self.pos.min(self.bytes.len())]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return Err("bad utf-8".into()),
+                    let end = self.pos.min(self.bytes.len());
+                    match self.bytes.get(start..end).map(std::str::from_utf8) {
+                        Some(Ok(s)) => out.push_str(s),
+                        _ => return Err("bad utf-8".into()),
                     }
                 }
                 None => return Err("unterminated string".into()),
@@ -680,8 +681,11 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number")?
+        let raw = self
+            .bytes
+            .get(start..self.pos)
+            .and_then(|raw| std::str::from_utf8(raw).ok())
+            .ok_or("bad number")?
             .to_string();
         Ok(JsonValue::Num(Number { raw }))
     }

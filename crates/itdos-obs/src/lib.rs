@@ -34,6 +34,18 @@
 //! `itdos-audit`); [`Obs::render_report`] formats a human
 //! summary (printed by `examples/intrusion_drill.rs`).
 
+// L3 panic-freedom: hostile input surfaces as a typed error or a drop,
+// never as a panic (DESIGN.md §8)
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod clock;
 pub mod flight;
 pub mod jsonl;
@@ -457,18 +469,25 @@ impl Obs {
     /// watermark past everything delivered. Unknown ids (or a disabled
     /// handle) return an empty vec.
     pub fn drain_subscription(&self, id: u64) -> Vec<Event> {
+        let mut events = Vec::new();
+        self.drain_subscription_into(id, &mut events);
+        events
+    }
+
+    /// [`Obs::drain_subscription`] into `events`, appended: a caller that
+    /// keeps its buffer drains without allocating once it is warm.
+    pub fn drain_subscription_into(&self, id: u64, events: &mut Vec<Event>) {
         self.with(|rec| {
             let total = rec.flight.total_recorded();
-            let sub = rec.subs.get_mut(&id)?;
-            let events: Vec<Event> = sub.buf.drain(..).collect();
+            let Some(sub) = rec.subs.get_mut(&id) else {
+                return;
+            };
+            events.extend(sub.buf.drain(..));
             // even when the buffer overflowed, everything up to the present
             // was offered to this subscriber — it is no longer "unconsumed"
             sub.delivered = sub.delivered.max(total);
             rec.update_watermark();
-            Some(events)
-        })
-        .flatten()
-        .unwrap_or_default()
+        });
     }
 
     /// Reads the registry under a closure (None when disabled).

@@ -194,7 +194,9 @@ impl Histogram {
     /// Records one observation.
     pub fn observe(&mut self, value: u64) {
         let idx = Self::bucket_index(value).min(HISTOGRAM_BUCKETS - 1);
-        self.buckets[idx] = self.buckets[idx].saturating_add(1);
+        if let Some(bucket) = self.buckets.get_mut(idx) {
+            *bucket = bucket.saturating_add(1);
+        }
         self.count = self.count.saturating_add(1);
         self.sum = self.sum.saturating_add(value);
         if value < self.min {

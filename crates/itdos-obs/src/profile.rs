@@ -10,7 +10,7 @@
 //!
 //! * [`Profile::render`] — a human-readable cost report;
 //! * [`Profile::to_json`] — one `{"type":"profile",...}` JSON line that
-//!   parses through [`crate::jsonl::parse_value`] (and rides along a
+//!   parses through `crate::jsonl::parse_value` (and rides along a
 //!   [`crate::Obs::dump_jsonl`] stream as an `extras` line);
 //! * [`Profile::folded`] — flamegraph-ready folded-stack text
 //!   (`frame;frame VALUE` lines). The latency tree and the subsystem
@@ -78,14 +78,12 @@ impl Profile {
         self.total.observe(total_us);
         self.residual.observe(residual_us);
         for &(stage, us) in hops {
-            let slot = match self.stages.iter_mut().find(|(s, _)| *s == stage) {
-                Some((_, h)) => h,
-                None => {
-                    self.stages.push((stage, Histogram::new()));
-                    &mut self.stages.last_mut().expect("just pushed").1
-                }
-            };
-            slot.observe(us);
+            if !self.stages.iter().any(|(s, _)| *s == stage) {
+                self.stages.push((stage, Histogram::new()));
+            }
+            if let Some((_, slot)) = self.stages.iter_mut().find(|(s, _)| *s == stage) {
+                slot.observe(us);
+            }
         }
     }
 
@@ -185,7 +183,7 @@ impl Profile {
     }
 
     /// One JSON line: `{"type":"profile",...}`. Parses through
-    /// [`crate::jsonl::parse_value`]; appended to a metrics dump it lands
+    /// `crate::jsonl::parse_value`; appended to a metrics dump it lands
     /// in [`crate::jsonl::Dump::extras`], so every existing JSONL
     /// consumer passes over it untouched.
     pub fn to_json(&self) -> String {

@@ -434,7 +434,7 @@ fn gm_machine() -> GmMachine {
     )
 }
 
-/// The snapshot of [`gm_machine`] after an open, a vote and a malformed
+/// The snapshot of `gm_machine` after an open, a vote and a malformed
 /// operation (the log keeps all three).
 pub fn gm_snapshot() -> Vec<u8> {
     let mut machine = gm_machine();

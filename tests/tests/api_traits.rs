@@ -4,6 +4,13 @@
 
 use std::error::Error;
 
+use itdos_bft::config::{ClientId, GroupConfig, ReplicaId, View};
+use itdos_bft::message::ClientRequest;
+use itdos_bft::replica::{Fact, Output, Replica, To};
+use itdos_bft::state::CounterMachine;
+use itdos_bft::Message;
+use itdos_tests::common;
+
 fn assert_send<T: Send>() {}
 fn assert_send_sync<T: Send + Sync>() {}
 
@@ -33,6 +40,79 @@ fn protocol_state_machines_are_send() {
     assert_send::<itdos_bft::Replica<itdos_bft::state::CounterMachine>>();
     assert_send::<itdos_bft::client::Client>();
     assert_send::<itdos_bft::queue::QueueMachine>();
+}
+
+/// A replica is a value: it holds no recorder, lock or channel, so it
+/// clones, and its outputs depend on its inputs alone.
+#[test]
+fn replicas_are_values() {
+    fn assert_clone<T: Clone>() {}
+    assert_clone::<Replica<CounterMachine>>();
+    assert_clone::<itdos_bft::Fact>();
+}
+
+/// A replica cloned in the middle of a view change, and its original,
+/// fed the same inputs, emit the same outputs and land in the same view.
+#[test]
+fn a_replica_cloned_mid_view_change_behaves_as_its_original() {
+    let config = GroupConfig::for_f(1);
+    let mut replicas: Vec<_> = (0..4)
+        .map(|i| Replica::new(config.clone(), ReplicaId(i), CounterMachine::new()))
+        .collect();
+    let request = ClientRequest::new(ClientId(9), 1, 0, CounterMachine::op(4));
+    // primary 0 is silent: the backups accept the request, relay it into
+    // the void and arm their view timers, which then fire
+    let mut view_changes = Vec::new();
+    for (i, backup) in replicas.iter_mut().enumerate().skip(1) {
+        backup.on_request(request.clone());
+        let epoch = common::outputs(backup)
+            .into_iter()
+            .find_map(|output| match output {
+                Output::StartViewTimer { epoch, .. } => Some(epoch),
+                _ => None,
+            })
+            .expect("a backup holding a request arms its view timer");
+        backup.on_view_timeout(epoch);
+        for output in common::outputs(backup) {
+            if let Output::Send(To::All, Message::ViewChange(vc)) = output {
+                view_changes.push((ReplicaId(i as u32), vc));
+            }
+        }
+    }
+    assert_eq!(view_changes.len(), 3, "one view change per backup");
+    // the new primary, replica 1, collects a quorum and announces view 1
+    for (from, vc) in &view_changes {
+        if from.0 != 1 {
+            replicas[1].on_message(*from, Message::ViewChange(vc.clone()));
+        }
+    }
+    let new_view = common::outputs(&mut replicas[1])
+        .into_iter()
+        .find_map(|output| match output {
+            Output::Send(To::All, message @ Message::NewView(_)) => Some(message),
+            _ => None,
+        })
+        .expect("the new primary announces the view");
+    // replica 2 is between its own view change and the new view
+    let mut original = replicas.swap_remove(2);
+    let mut twin = original.clone();
+    let mut inputs: Vec<(ReplicaId, Message)> = view_changes
+        .into_iter()
+        .filter(|(from, _)| from.0 != 2)
+        .map(|(from, vc)| (from, Message::ViewChange(vc)))
+        .collect();
+    inputs.push((ReplicaId(1), new_view));
+    inputs.push((ReplicaId(1), Message::Request(request)));
+    let mut emitted = Vec::new();
+    for (from, message) in inputs {
+        original.on_message(from, message.clone());
+        twin.on_message(from, message);
+        let outputs = common::outputs(&mut original);
+        assert_eq!(outputs, common::outputs(&mut twin));
+        emitted.extend(outputs);
+    }
+    assert!(emitted.contains(&Output::Fact(Fact::ViewEntered(View(1)))));
+    assert_eq!((original.view(), twin.view()), (View(1), View(1)));
 }
 
 #[test]

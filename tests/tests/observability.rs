@@ -12,7 +12,8 @@ use itdos::system::System;
 use itdos::{Invocation, ObsConfig};
 use itdos_giop::types::Value;
 use itdos_groupmgr::membership::DomainId;
-use itdos_obs::{Event, LabelValue};
+use itdos_obs::metrics::label_u64;
+use itdos_obs::{Event, LabelValue, SeriesKey};
 
 /// Builds an instrumented bank system and runs `invocations` deposits.
 fn instrumented_run(seed: u64, invocations: u64) -> System {
@@ -391,4 +392,137 @@ fn disabled_by_default_and_dumps_empty() {
     assert!(!system.obs.is_enabled());
     assert_eq!(system.metrics_jsonl(), "");
     assert_eq!(system.metrics_report(), "");
+}
+
+/// The hosts record every fact their replicas emit. One observed bank
+/// domain goes through a view change (its primary, element 0, is cut off)
+/// and a state transfer (element 0 comes back more than a checkpoint
+/// interval behind). Per replica, each event kind and phase histogram it
+/// emitted is in the recorder, and `bft.committed` appears once per
+/// sequence number it executed by agreement.
+#[test]
+fn hosts_record_every_replica_fact() {
+    let mut builder = bank_system(76);
+    builder.obs(ObsConfig::standard().with_flight_capacity(1 << 16));
+    let mut system = builder.build();
+    let primary = system.fabric.domain(BANK).nodes[0];
+    let deposits = |system: &mut System, count: usize| {
+        for _ in 0..count {
+            assert!(system.invoke(CLIENT, deposit(1)).result.is_ok());
+        }
+    };
+    // past the first checkpoint (interval 16) with all four elements
+    deposits(&mut system, 20);
+    system.sim.config_mut().isolate(primary);
+    deposits(&mut system, 20);
+    system.sim.config_mut().reconnect(primary);
+    deposits(&mut system, 20);
+    system.settle();
+
+    let elements = system.fabric.domain(BANK).elements.to_vec();
+    let flight = events_of(
+        &system,
+        &[
+            "bft.admit",
+            "bft.batch",
+            "bft.prepared",
+            "bft.committed",
+            "bft.checkpoint",
+            "bft.checkpoint_stable",
+            "bft.state_fetch",
+            "bft.state_transferred",
+            "bft.view_change",
+            "bft.view_entered",
+        ],
+    );
+    // the (name, replica) of every nonzero `bft.*` counter and histogram
+    let by_replica = |key: &SeriesKey| Some((key.name, label_u64(&key.labels, "replica")?));
+    let series: Vec<(&str, u64)> = system
+        .obs
+        .with_registry(|registry| {
+            let counters = registry.counters().filter(|(_, v)| *v > 0);
+            let histograms = registry.histograms().filter(|(_, h)| h.count() > 0);
+            let keys = counters.map(|(k, _)| k).chain(histograms.map(|(k, _)| k));
+            keys.filter(|k| k.name.starts_with("bft."))
+                .filter_map(by_replica)
+                .collect()
+        })
+        .expect("obs enabled");
+    for (index, &element) in elements.iter().enumerate() {
+        let scope = itdos::codes::element_code(element);
+        let mine: Vec<&Event> = flight.iter().filter(|e| e.scope == scope).collect();
+        let mut kinds = vec![
+            "bft.prepared",
+            "bft.committed",
+            "bft.checkpoint",
+            "bft.checkpoint_stable",
+        ];
+        let mut metrics = vec![
+            "bft.requests",
+            "bft.executed",
+            "bft.checkpoints",
+            "bft.batch_size",
+            "bft.prepare_us",
+            "bft.commit_us",
+            "bft.order_us",
+        ];
+        // the primaries of views 0 and 1 admit and batch traced requests
+        if index <= 1 {
+            kinds.extend(["bft.admit", "bft.batch"]);
+        }
+        if index == 0 {
+            kinds.extend(["bft.state_fetch", "bft.state_transferred"]);
+            metrics.extend(["bft.state_fetches", "bft.state_transfer_us"]);
+        } else {
+            kinds.extend(["bft.view_change", "bft.view_entered"]);
+            metrics.extend(["bft.view_changes", "bft.view_change_us"]);
+        }
+        for kind in kinds {
+            assert!(
+                mine.iter().any(|e| e.kind == kind),
+                "replica {index} emitted no {kind}"
+            );
+        }
+        for metric in metrics {
+            assert!(
+                series.contains(&(metric, index as u64)),
+                "replica {index} recorded no {metric}"
+            );
+        }
+        // each sequence number executed by agreement is committed once:
+        // every one above a transferred snapshot, and, below it, each one
+        // executed before the transfer
+        let seq = |e: &Event| label_u64(&e.labels, "seq");
+        let committed: Vec<u64> = mine
+            .iter()
+            .filter(|e| e.kind == "bft.committed")
+            .filter_map(|e| seq(e))
+            .collect();
+        let transferred = mine
+            .iter()
+            .filter(|e| e.kind == "bft.state_transferred")
+            .filter_map(|e| seq(e))
+            .max()
+            .unwrap_or(0);
+        let executed = system.element(BANK, index).replica().last_executed().0;
+        let mut sorted = committed.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(
+            sorted.len(),
+            committed.len(),
+            "replica {index} committed a seq twice"
+        );
+        let after: Vec<u64> = sorted
+            .iter()
+            .copied()
+            .filter(|&s| s > transferred)
+            .collect();
+        assert_eq!(after, (transferred + 1..=executed).collect::<Vec<_>>());
+        let before = sorted.len() - after.len();
+        assert_eq!(
+            sorted[..before],
+            (1..=before as u64).collect::<Vec<_>>()[..]
+        );
+    }
 }
