@@ -51,11 +51,12 @@ echo '== forensic audit smoke (drill dump -> audit example)'
 # the drill writes its corrupt-replica dump; the audit example must parse
 # it, produce a byte-identical report twice, and blame at least one element
 drill_dump="$(mktemp)"
+drill_b="$(mktemp)"
 rep_a="$(mktemp)"
 rep_b="$(mktemp)"
 heal_a="$(mktemp)"
 heal_b="$(mktemp)"
-trap 'rm -f "$drill_dump" "$rep_a" "$rep_b" "$heal_a" "$heal_b"' EXIT
+trap 'rm -f "$drill_dump" "$drill_b" "$rep_a" "$rep_b" "$heal_a" "$heal_b"' EXIT
 cargo run -q --release --offline -p itdos --example intrusion_drill -- "$drill_dump" "$rep_a" > /dev/null
 cargo run -q --release --offline -p itdos --example audit -- --expect-blame "$drill_dump" > /dev/null
 
@@ -64,11 +65,13 @@ echo '== streaming/batch audit equivalence (incremental replay of the drill dump
 # pipeline must render byte-identically to the batch report
 cargo run -q --release --offline -p itdos --example audit -- --stream --assert-equivalence "$drill_dump" > /dev/null
 
-echo '== replacement drill determinism (run twice, byte-identical dumps)'
-# the expel->replace->re-intrude drill must replay exactly: same seed,
-# same admission, same second expulsion, byte-identical forensic dump —
-# and that dump must itself audit to a blame set (both intruders)
-cargo run -q --release --offline -p itdos --example intrusion_drill -- "$drill_dump" "$rep_b" > /dev/null
+echo '== drill determinism (run twice, both dumps byte-identical)'
+# the corrupt-replica dump and the expel->replace->re-intrude dump must
+# both replay exactly: same seed, same admission, same second expulsion,
+# byte-identical forensic dumps — and the replacement dump must itself
+# audit to a blame set (both intruders)
+cargo run -q --release --offline -p itdos --example intrusion_drill -- "$drill_b" "$rep_b" > /dev/null
+cmp "$drill_dump" "$drill_b" || { echo 'corrupt-replica drill dump diverged between runs'; exit 1; }
 cmp "$rep_a" "$rep_b" || { echo 'replacement drill dump diverged between runs'; exit 1; }
 cargo run -q --release --offline -p itdos --example audit -- --expect-blame "$rep_a" > /dev/null
 

@@ -21,7 +21,7 @@ use itdos_giop::platform::PlatformProfile;
 use itdos_giop::types::Value;
 use itdos_groupmgr::manager::ConnectionId;
 use itdos_groupmgr::membership::{DomainId, Endpoint};
-use itdos_obs::{LabelValue, Obs};
+use itdos_obs::{Fact, LabelValue, Obs};
 use itdos_vote::collator::{Accept, Collator};
 use itdos_vote::detector::{FaultProof, SignedReply};
 use itdos_vote::folding::{fold_reply, folded_comparator, value_to_reply};
@@ -274,13 +274,10 @@ impl SingletonClient {
         // span closes when the combined communication key arrives
         self.obs.incr("conn.opens", &self.obs_label());
         self.obs.span_begin("conn.open_us", target.0);
-        self.obs.event(
-            "conn.open_request",
-            &[
-                ("client", LabelValue::U64(self.cfg.id)),
-                ("target", LabelValue::U64(target.0)),
-            ],
-        );
+        self.obs.fact(Fact::ConnOpenRequest {
+            client: self.cfg.id,
+            target: target.0,
+        });
         let op = GmOp::Open {
             client: Endpoint::Singleton(self.cfg.id),
             client_domain: None,
@@ -346,15 +343,12 @@ impl SingletonClient {
                 "invoke.reply_us",
                 invoke_span_id(meta.connection, request.request_id),
             );
-            self.obs.event(
-                "client.send",
-                &[
-                    ("client", LabelValue::U64(self.cfg.id)),
-                    ("request", LabelValue::U64(request.request_id)),
-                    ("trace", LabelValue::U64(request.trace)),
-                    ("target", LabelValue::U64(target.0)),
-                ],
-            );
+            self.obs.fact(Fact::ClientSend {
+                client: self.cfg.id,
+                request: request.request_id,
+                trace: request.trace,
+                target: target.0,
+            });
             self.send_request(ctx, target, connection, &request);
             // keep-alive, not a retry: this timer sends nothing (the BFT
             // channel's own retransmission re-sends). It stays pending for
@@ -480,15 +474,12 @@ impl SingletonClient {
                     &self.obs_label(),
                 );
                 self.obs.incr("client.completed", &self.obs_label());
-                self.obs.event(
-                    "client.decided",
-                    &[
-                        ("client", LabelValue::U64(self.cfg.id)),
-                        ("request", LabelValue::U64(request_id)),
-                        ("trace", LabelValue::U64(trace)),
-                        ("suspects", LabelValue::U64(suspects.len() as u64)),
-                    ],
-                );
+                self.obs.fact(Fact::ClientDecided {
+                    client: self.cfg.id,
+                    request: request_id,
+                    trace,
+                    suspects: suspects.len() as u64,
+                });
                 if self.cfg.auto_proof && !suspects.is_empty() {
                     self.send_proof(ctx, idx, &suspects);
                 }
@@ -516,28 +507,21 @@ impl SingletonClient {
         round.proof_sent = true;
         let request_id = round.request_id;
         let messages: Vec<SignedReply> = round.frames.values().cloned().collect();
-        self.obs
-            .incr("client.proofs", &[("client", LabelValue::U64(self.cfg.id))]);
-        self.obs.event(
-            "client.proof",
-            &[
-                ("client", LabelValue::U64(self.cfg.id)),
-                ("request", LabelValue::U64(request_id)),
-                ("accused", LabelValue::U64(accused.len() as u64)),
-            ],
-        );
+        self.obs.incr("client.proofs", &self.obs_label());
+        self.obs.fact(Fact::ClientProof {
+            client: self.cfg.id,
+            request: request_id,
+            accused: accused.len() as u64,
+        });
         // one record per accused sender: the count above sizes the proof,
         // these name its targets so an offline auditor can correlate the
         // client's signed-message evidence with voter dissents
         for s in accused {
-            self.obs.event(
-                "client.accused",
-                &[
-                    ("client", LabelValue::U64(self.cfg.id)),
-                    ("request", LabelValue::U64(request_id)),
-                    ("accused", LabelValue::U64(u64::from(s.0))),
-                ],
-            );
+            self.obs.fact(Fact::ClientAccused {
+                client: self.cfg.id,
+                request: request_id,
+                accused: u64::from(s.0),
+            });
         }
         let proof = FaultProof {
             accused: accused.to_vec(),
@@ -564,13 +548,10 @@ impl SingletonClient {
             if let Some(target) = pending_open {
                 self.obs.span_cancel("conn.open_us", target.0);
                 self.obs.incr("conn.refused", &self.obs_label());
-                self.obs.event(
-                    "conn.open_refused",
-                    &[
-                        ("client", LabelValue::U64(self.cfg.id)),
-                        ("target", LabelValue::U64(target.0)),
-                    ],
-                );
+                self.obs.fact(Fact::ConnOpenRefused {
+                    client: self.cfg.id,
+                    target: target.0,
+                });
                 self.opens_requested.remove(&target);
             }
         }
@@ -591,14 +572,11 @@ impl SingletonClient {
                 ("target", LabelValue::U64(target.0)),
             ],
         );
-        self.obs.event(
-            "conn.keyed",
-            &[
-                ("client", LabelValue::U64(self.cfg.id)),
-                ("target", LabelValue::U64(target.0)),
-                ("epoch", LabelValue::U64(u64::from(meta.epoch))),
-            ],
-        );
+        self.obs.fact(Fact::ConnKeyed {
+            client: self.cfg.id,
+            target: target.0,
+            epoch: u64::from(meta.epoch),
+        });
         self.pump(ctx);
     }
 
@@ -613,15 +591,12 @@ impl SingletonClient {
         }
         self.obs
             .incr("client.admissions_applied", &self.obs_label());
-        self.obs.event(
-            "client.admission_applied",
-            &[
-                ("client", LabelValue::U64(self.cfg.id)),
-                ("admitted", LabelValue::U64(u64::from(msg.admitted.0))),
-                ("replaced", LabelValue::U64(u64::from(msg.replaced.0))),
-                ("epoch", LabelValue::U64(msg.epoch)),
-            ],
-        );
+        self.obs.fact(Fact::ClientAdmissionApplied {
+            client: self.cfg.id,
+            admitted: u64::from(msg.admitted.0),
+            replaced: u64::from(msg.replaced.0),
+            epoch: msg.epoch,
+        });
     }
 }
 

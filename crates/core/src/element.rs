@@ -14,15 +14,16 @@ use itdos_bft::auth::{AuthContext, Envelope};
 use itdos_bft::message::{ClientRequest, Message};
 use itdos_bft::node::send;
 use itdos_bft::queue::{deliver, delivered, ElementId, QueueMachine, QueueOp};
-use itdos_bft::replica::{Fact, Output, Received, Replica};
+use itdos_bft::replica::{Fact as ReplicaFact, Output, Received, Replica};
 use itdos_bft::window::KeyWindow;
 use itdos_bft::wire::Wire;
+use itdos_bft::SeqNo;
 use itdos_giop::giop::{GiopMessage, ReplyBody, ReplyMessage, RequestMessage};
 use itdos_giop::platform::PlatformProfile;
 use itdos_giop::types::Value;
 use itdos_groupmgr::manager::ConnectionId;
 use itdos_groupmgr::membership::DomainId;
-use itdos_obs::{LabelValue, Obs};
+use itdos_obs::{fact, Fact, LabelValue, Obs};
 use itdos_orb::object::ObjectKey;
 use itdos_orb::orb::{Dispatch, Orb};
 use itdos_orb::servant::{NestedCall, Servant, ServantException};
@@ -230,7 +231,10 @@ impl ServerElement {
     }
 
     fn obs_label(&self) -> [itdos_obs::Label; 1] {
-        [("element", LabelValue::U64(u64::from(self.cfg.element.0)))]
+        [(
+            fact::ELEMENT,
+            LabelValue::U64(u64::from(self.cfg.element.0)),
+        )]
     }
 
     /// This element's global id.
@@ -306,12 +310,11 @@ impl ServerElement {
                 Output::StartViewTimer { epoch, timeout } => {
                     ctx.set_timer(timeout, pack_timer(TimerTag::View, epoch));
                 }
-                Output::Fact(Fact::Onboarded(seq, _)) => {
-                    let [element] = self.obs_label();
-                    let id = u64::from(self.cfg.element.0);
-                    self.obs.span_end("replica.onboarding_us", id, &[element]);
-                    let seq = ("seq", LabelValue::U64(seq.0));
-                    self.obs.event("element.onboarded", &[element, seq]);
+                Output::Fact(ReplicaFact::Onboarded(SeqNo(seq), _)) => {
+                    let element = u64::from(self.cfg.element.0);
+                    self.obs
+                        .span_end("replica.onboarding_us", element, &self.obs_label());
+                    self.obs.fact(Fact::ElementOnboarded { element, seq });
                 }
                 Output::Fact(_) => {}
             }
@@ -377,13 +380,10 @@ impl ServerElement {
 
     fn accuse(&mut self, ctx: &mut Context<'_>, accused: SenderId) {
         self.obs.incr("element.accusations", &self.obs_label());
-        self.obs.event(
-            "element.accuse",
-            &[
-                ("accuser", LabelValue::U64(u64::from(self.cfg.element.0))),
-                ("accused", LabelValue::U64(u64::from(accused.0))),
-            ],
-        );
+        self.obs.fact(Fact::ElementAccuse {
+            accuser: u64::from(self.cfg.element.0),
+            accused: u64::from(accused.0),
+        });
         let op = GmOp::ChangeVote {
             accuser: self.cfg.element,
             accused,
@@ -552,14 +552,11 @@ impl ServerElement {
             });
             self.requests_handled += 1;
             self.obs.incr("element.requests", &self.obs_label());
-            self.obs.event(
-                "element.execute",
-                &[
-                    ("element", LabelValue::U64(u64::from(self.cfg.element.0))),
-                    ("request", LabelValue::U64(request.request_id)),
-                    ("trace", LabelValue::U64(request.trace)),
-                ],
-            );
+            self.obs.fact(Fact::ElementExecute {
+                element: u64::from(self.cfg.element.0),
+                request: request.request_id,
+                trace: request.trace,
+            });
             let dispatch = self.orb.handle_request(&request);
             self.continue_dispatch(ctx, dispatch);
         }
@@ -662,7 +659,7 @@ impl ServerElement {
             return;
         };
         self.replies_sent += 1;
-        self.obs.incr("element.replies", &self.obs_label());
+        self.obs.incr(fact::ELEMENT_REPLIES, &self.obs_label());
         match self.cfg.behavior.delay() {
             Some(delay) => {
                 let slot = self.delayed.len() as u64;
@@ -727,13 +724,10 @@ impl ServerElement {
         }
         // unblock queue GC: the expelled element no longer gates acks
         self.obs.incr("element.expels_applied", &self.obs_label());
-        self.obs.event(
-            "element.expel_applied",
-            &[
-                ("element", LabelValue::U64(u64::from(self.cfg.element.0))),
-                ("expelled", LabelValue::U64(u64::from(msg.expelled.0))),
-            ],
-        );
+        self.obs.fact(Fact::ElementExpelApplied {
+            element: u64::from(self.cfg.element.0),
+            expelled: u64::from(msg.expelled.0),
+        });
         let op = QueueOp::Expel(ElementId(msg.expelled.0));
         let own = self.cfg.domain;
         self.submit_op(ctx, own, op.encode());
@@ -747,15 +741,12 @@ impl ServerElement {
         }
         self.obs
             .incr("element.admissions_applied", &self.obs_label());
-        self.obs.event(
-            "element.admission_applied",
-            &[
-                ("element", LabelValue::U64(u64::from(self.cfg.element.0))),
-                ("admitted", LabelValue::U64(u64::from(msg.admitted.0))),
-                ("replaced", LabelValue::U64(u64::from(msg.replaced.0))),
-                ("epoch", LabelValue::U64(msg.epoch)),
-            ],
-        );
+        self.obs.fact(Fact::ElementAdmissionApplied {
+            element: u64::from(self.cfg.element.0),
+            admitted: u64::from(msg.admitted.0),
+            replaced: u64::from(msg.replaced.0),
+            epoch: msg.epoch,
+        });
         if msg.domain == self.cfg.domain {
             // announce the joiner to our own ordered stream; the Join is
             // idempotent in the queue machine and forces a barrier

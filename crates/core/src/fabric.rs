@@ -21,17 +21,17 @@ use std::sync::Arc;
 
 use itdos_audit::{ElementInfo, Topology};
 use itdos_bft::auth::{AuthContext, KeyProvisioner};
-use itdos_bft::config::{ClientId, GroupConfig, ReplicaId, SeqNo};
+use itdos_bft::config::{ClientId, GroupConfig, ReplicaId, SeqNo, View};
 use itdos_bft::message::Message;
 use itdos_bft::node::Route;
-use itdos_bft::replica::{Fact, Output, Replica};
+use itdos_bft::replica::{Fact as ReplicaFact, Output, Replica};
 use itdos_bft::state::StateMachine;
 use itdos_crypto::dprf::Verifier;
 use itdos_crypto::keys::SymmetricKey;
 use itdos_crypto::sign::{SigningKey, VerifyingKey};
 use itdos_giop::idl::InterfaceRepository;
 use itdos_groupmgr::membership::{DomainId, Endpoint};
-use itdos_obs::{LabelValue, Obs};
+use itdos_obs::{fact, Fact, LabelValue, Obs};
 use itdos_vote::vote::{SenderId, Thresholds};
 use simnet::{GroupId, NodeId};
 use xbytes::Bytes;
@@ -461,103 +461,107 @@ impl DomainRoute<'_> {
         crate::cost::account(self.obs, "bft.wire_rx", "bft.wire_rx_bytes", &labels, len);
     }
 
-    /// Records what `replica` saw since its last drain — the [`Fact`]s in
-    /// `outputs` and one `bft.executed` per execution, in the order it saw
-    /// them — and its queue depths. A host calls this before it acts on
-    /// the rest of `outputs`, so the replica's evidence precedes its own.
+    /// Records what `replica` saw since its last drain — the
+    /// [`ReplicaFact`]s in `outputs`, each as its `bft.*` [`Fact`], and one
+    /// `bft.executed` per execution, in the order it saw them — and its
+    /// queue depths. A host calls this before it acts on the rest of
+    /// `outputs`, so the replica's evidence precedes its own.
     pub fn record(&self, replica: &Replica<impl StateMachine>, outputs: &[Output]) {
         let obs = self.obs;
         if !obs.is_enabled() {
             return;
         }
         let id = u64::from(replica.id().0);
-        let me = [("replica", LabelValue::U64(id))];
-        // a flight event labelled with the replica and up to two numbers
-        let event = |kind, more: &[(&'static str, u64)]| {
-            let [replica] = me;
-            let mut labels = [replica; 3];
-            for (label, &(key, value)) in labels.iter_mut().skip(1).zip(more) {
-                *label = (key, LabelValue::U64(value));
-            }
-            obs.event(kind, labels.get(..=more.len()).unwrap_or(&labels));
-        };
+        let me = [(fact::REPLICA, LabelValue::U64(id))];
         // a per-sequence span mixes in the replica id, so the replicas of
         // one group sharing a recorder scope keep their spans apart
-        let phase = |seq: SeqNo| (id << 48) ^ seq.0;
+        let phase = |seq: u64| (id << 48) ^ seq;
         for output in outputs {
             if let Output::Executed { .. } = output {
                 obs.incr("bft.executed", &me);
             }
-            let &Output::Fact(fact) = output else {
+            let &Output::Fact(seen) = output else {
                 continue;
             };
-            match fact {
-                Fact::Request => obs.incr("bft.requests", &me),
-                Fact::Admitted(client, trace) => {
-                    event("bft.admit", &[("client", client.0), ("trace", trace)]);
+            let replica = id;
+            match seen {
+                ReplicaFact::Request => obs.incr("bft.requests", &me),
+                ReplicaFact::Admitted(ClientId(client), trace) => {
+                    obs.fact(Fact::BftAdmit {
+                        replica,
+                        client,
+                        trace,
+                    });
                 }
-                Fact::Batched(seq, trace) => {
-                    event("bft.batch", &[("seq", seq.0), ("trace", trace)]);
+                ReplicaFact::Batched(SeqNo(seq), trace) => {
+                    obs.fact(Fact::BftBatch {
+                        replica,
+                        seq,
+                        trace,
+                    });
                 }
-                Fact::Ordering(seq, requests) => {
+                ReplicaFact::Ordering(SeqNo(seq), requests) => {
                     obs.observe("bft.batch_size", &me, requests as u64);
-                    obs.span_begin("bft.prepare_us", phase(seq));
-                    obs.span_begin("bft.order_us", phase(seq));
+                    obs.span_begin(fact::PREPARE_US, phase(seq));
+                    obs.span_begin(fact::ORDER_US, phase(seq));
                 }
-                Fact::BadBatch(seq, view) => {
+                ReplicaFact::BadBatch(SeqNo(seq), View(view)) => {
                     obs.incr("bft.bad_batches", &me);
-                    event("bft.bad_batch_digest", &[("seq", seq.0), ("view", view.0)]);
+                    obs.fact(Fact::BftBadBatchDigest { replica, seq, view });
                 }
-                Fact::Equivocation(seq, view) => {
+                ReplicaFact::Equivocation(SeqNo(seq), View(view)) => {
                     obs.incr("bft.equivocations", &me);
-                    event("bft.equivocation", &[("seq", seq.0), ("view", view.0)]);
+                    obs.fact(Fact::BftEquivocation { replica, seq, view });
                 }
-                Fact::Prepared(seq, view) => {
-                    obs.span_end("bft.prepare_us", phase(seq), &me);
-                    obs.span_begin("bft.commit_us", phase(seq));
-                    event("bft.prepared", &[("seq", seq.0), ("view", view.0)]);
+                ReplicaFact::Prepared(SeqNo(seq), View(view)) => {
+                    obs.span_end(fact::PREPARE_US, phase(seq), &me);
+                    obs.span_begin(fact::COMMIT_US, phase(seq));
+                    obs.fact(Fact::BftPrepared { replica, seq, view });
                 }
-                Fact::Committed(seq) => {
-                    obs.span_end("bft.commit_us", phase(seq), &me);
-                    obs.span_end("bft.order_us", phase(seq), &me);
-                    event("bft.committed", &[("seq", seq.0)]);
+                ReplicaFact::Committed(SeqNo(seq)) => {
+                    obs.span_end(fact::COMMIT_US, phase(seq), &me);
+                    obs.span_end(fact::ORDER_US, phase(seq), &me);
+                    obs.fact(Fact::BftCommitted { replica, seq });
                 }
-                Fact::Checkpoint(seq) => {
+                ReplicaFact::Checkpoint(SeqNo(seq)) => {
                     obs.incr("bft.checkpoints", &me);
-                    event("bft.checkpoint", &[("seq", seq.0)]);
+                    obs.fact(Fact::BftCheckpoint { replica, seq });
                 }
-                Fact::Stable(seq) => event("bft.checkpoint_stable", &[("seq", seq.0)]),
-                Fact::StateFetch(seq) => {
+                ReplicaFact::Stable(SeqNo(seq)) => {
+                    obs.fact(Fact::BftCheckpointStable { replica, seq });
+                }
+                ReplicaFact::StateFetch(SeqNo(seq)) => {
                     obs.incr("bft.state_fetches", &me);
                     obs.span_begin("bft.state_transfer_us", id);
-                    event("bft.state_fetch", &[("seq", seq.0)]);
+                    obs.fact(Fact::BftStateFetch { replica, seq });
                 }
-                Fact::Recovery => {
+                ReplicaFact::Recovery => {
                     obs.incr("bft.recoveries", &me);
                     obs.span_begin("bft.state_transfer_us", id);
                 }
-                Fact::Onboarding => {
+                ReplicaFact::Onboarding => {
                     obs.incr("bft.onboardings", &me);
                     obs.span_begin("bft.state_transfer_us", id);
                 }
-                Fact::Onboarded(seq, view) => {
-                    event("bft.onboarded", &[("seq", seq.0), ("view", view.0)]);
+                ReplicaFact::Onboarded(SeqNo(seq), View(view)) => {
+                    obs.fact(Fact::BftOnboarded { replica, seq, view });
                 }
-                Fact::StateTransferred(seq) => {
+                ReplicaFact::StateTransferred(SeqNo(seq)) => {
                     obs.span_end("bft.state_transfer_us", id, &me);
-                    event("bft.state_transferred", &[("seq", seq.0)]);
+                    obs.fact(Fact::BftStateTransferred { replica, seq });
                 }
-                Fact::ViewChange(target, attempt) => {
+                ReplicaFact::ViewChange(View(target_view), attempt) => {
                     obs.incr("bft.view_changes", &me);
                     obs.span_begin("bft.view_change_us", id);
-                    event(
-                        "bft.view_change",
-                        &[("target_view", target.0), ("attempt", attempt.into())],
-                    );
+                    obs.fact(Fact::BftViewChange {
+                        replica,
+                        target_view,
+                        attempt: attempt.into(),
+                    });
                 }
-                Fact::ViewEntered(view) => {
+                ReplicaFact::ViewEntered(View(view)) => {
                     obs.span_end("bft.view_change_us", id, &me);
-                    event("bft.view_entered", &[("view", view.0)]);
+                    obs.fact(Fact::BftViewEntered { replica, view });
                 }
             }
         }

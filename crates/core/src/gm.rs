@@ -21,7 +21,7 @@ use itdos_giop::giop::{decode_message, GiopMessage};
 use itdos_giop::idl::InterfaceRepository;
 use itdos_groupmgr::manager::GroupManager;
 use itdos_groupmgr::membership::{DomainId, Membership};
-use itdos_obs::{LabelValue, Obs};
+use itdos_obs::{Fact, LabelValue, Obs};
 use itdos_vote::vote::SenderId;
 use simnet::{Context, NodeId, Process, Timer};
 use xbytes::Bytes;
@@ -409,14 +409,11 @@ impl GmElement {
                 } => {
                     self.obs.incr("gm.keydists", &[]);
                     self.obs.add("gm.shares_sent", &[], recipients.len() as u64);
-                    self.obs.event(
-                        "gm.keydist",
-                        &[
-                            ("connection", LabelValue::U64(meta.connection.0)),
-                            ("epoch", LabelValue::U64(u64::from(meta.epoch))),
-                            ("recipients", LabelValue::U64(recipients.len() as u64)),
-                        ],
-                    );
+                    self.obs.fact(Fact::GmKeydist {
+                        connection: meta.connection.0,
+                        epoch: u64::from(meta.epoch),
+                        recipients: recipients.len() as u64,
+                    });
                     let share = if self.corrupt_shares {
                         // Byzantine GM element: a share for a different
                         // input, claimed as the real one — the recipient's
@@ -444,18 +441,17 @@ impl GmElement {
                 }
                 Directive::Expelled { domain, element }
                 | Directive::Retired { domain, element } => {
-                    let (counter, event) = match directive {
-                        Directive::Expelled { .. } => ("gm.expulsions", "gm.expelled"),
-                        _ => ("gm.retirements", "gm.retired"),
+                    let (counter, fact) = {
+                        let (domain, element) = (domain.0, u64::from(element.0));
+                        match directive {
+                            Directive::Expelled { .. } => {
+                                ("gm.expulsions", Fact::GmExpelled { domain, element })
+                            }
+                            _ => ("gm.retirements", Fact::GmRetired { domain, element }),
+                        }
                     };
                     self.obs.incr(counter, &[]);
-                    self.obs.event(
-                        event,
-                        &[
-                            ("domain", LabelValue::U64(domain.0)),
-                            ("element", LabelValue::U64(u64::from(element.0))),
-                        ],
-                    );
+                    self.obs.fact(fact);
                     // a retirement sends the notice an expulsion does: peers
                     // run the one roster-removal path, and the benign cause
                     // is recorded by the directive's event alone
@@ -492,15 +488,12 @@ impl GmElement {
                     verifying_key,
                 } => {
                     self.obs.incr("gm.admissions", &[]);
-                    self.obs.event(
-                        "gm.admitted",
-                        &[
-                            ("domain", LabelValue::U64(domain.0)),
-                            ("element", LabelValue::U64(u64::from(element.0))),
-                            ("replaced", LabelValue::U64(u64::from(replaced.0))),
-                            ("epoch", LabelValue::U64(epoch)),
-                        ],
-                    );
+                    self.obs.fact(Fact::GmAdmitted {
+                        domain: domain.0,
+                        element: u64::from(element.0),
+                        replaced: u64::from(replaced.0),
+                        epoch,
+                    });
                     // apply the roster update to our own wiring first so
                     // the rekey KeyDists following in this directive list
                     // resolve the newcomer's node

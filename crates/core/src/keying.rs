@@ -28,7 +28,7 @@ use itdos_crypto::dprf::{combine_checked, KeyShare, VerifiedShare};
 use itdos_crypto::keys::CommunicationKey;
 use itdos_crypto::symmetric::open;
 use itdos_groupmgr::manager::ConnectionId;
-use itdos_obs::{LabelValue, Obs};
+use itdos_obs::{Fact, Obs};
 
 use crate::fabric::Fabric;
 use crate::wire::{ConnectionMeta, KeyShareMsg};
@@ -89,13 +89,10 @@ impl ShareBank {
         let Some(share) = fabric.dprf_verifier().check(&input, &share) else {
             // corrupt GM element's share: discarded (§3.5)
             obs.incr("key.shares_rejected", &[]);
-            obs.event(
-                "key.share_rejected",
-                &[
-                    ("gm_code", LabelValue::U64(msg.gm_code)),
-                    ("connection", LabelValue::U64(msg.meta.connection.0)),
-                ],
-            );
+            obs.fact(Fact::KeyShareRejected {
+                gm_code: msg.gm_code,
+                connection: msg.meta.connection.0,
+            });
             return None;
         };
         obs.incr("key.shares_verified", &[]);
@@ -141,13 +138,10 @@ impl ShareBank {
         self.combined.insert(connection, epoch);
         obs.span_end("key.assemble_us", span_id, &[]);
         obs.incr("key.combined", &[]);
-        obs.event(
-            "key.combined",
-            &[
-                ("connection", LabelValue::U64(connection.0)),
-                ("epoch", LabelValue::U64(u64::from(epoch))),
-            ],
-        );
+        obs.fact(Fact::KeyCombined {
+            connection: connection.0,
+            epoch: u64::from(epoch),
+        });
         Some((msg.meta, CommunicationKey(key)))
     }
 }

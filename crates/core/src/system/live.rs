@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use itdos_audit::{AuditConfig, AuditReport, Finding, MetricsFacts, Stream, Topology};
-use itdos_obs::{Event, LabelValue, Obs};
+use itdos_obs::{Event, Fact, LabelValue, Obs};
 
 /// The incremental audit pipeline [`super::System::settle`] pumps, fed by
 /// a flight-tap subscription, and the per-element health it last scored.
@@ -59,16 +59,13 @@ impl LiveAudit {
             let facts = facts.get_or_insert_with(|| facts_of(obs));
             self.fresh.extend(self.stream.drain_new(facts));
             for f in &self.fresh {
-                let labels = [
-                    ("analyzer", LabelValue::Str(f.analyzer)),
-                    ("kind", LabelValue::Str(f.kind)),
-                    // Info 0, Warn 1, Blame 2
-                    ("severity", LabelValue::U64(f.severity as u64)),
-                    ("count", LabelValue::U64(f.count)),
-                    ("element", LabelValue::U64(f.element.unwrap_or(0))),
-                ];
-                let len = 4 + usize::from(f.element.is_some());
-                obs.event("audit.finding", labels.get(..len).unwrap_or(&labels));
+                obs.fact(Fact::AuditFinding {
+                    analyzer: f.analyzer,
+                    kind: f.kind,
+                    severity: f.severity as u64,
+                    count: f.count,
+                    element: f.element,
+                });
             }
         }
         self.stream

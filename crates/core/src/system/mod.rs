@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use itdos_bft::node::Idle;
 use itdos_giop::platform::PlatformProfile;
 use itdos_groupmgr::membership::DomainId;
-use itdos_obs::LabelValue;
+use itdos_obs::Fact;
 use itdos_orb::object::ObjectKey;
 use itdos_orb::servant::Servant;
 use itdos_vote::vote::SenderId;
@@ -260,7 +260,12 @@ impl System {
 
         // 1) replacements: departures the GM group has since executed
         for &(element, domain, cause) in &plan.replace {
-            self.heal_event("heal.replace", element, domain, cause, None);
+            self.obs.fact(Fact::HealReplace {
+                element: u64::from(element.0),
+                domain: domain.0,
+                cause: cause.label(),
+                health: None,
+            });
             self.spawn_replacement(domain, element, Behavior::Honest);
         }
         // 2) threshold expulsions: accusations by f+1 healthy peers drive
@@ -271,54 +276,30 @@ impl System {
                 .get(&u64::from(suspect.0))
                 .copied()
                 .unwrap_or(0);
-            self.heal_event(
-                "heal.expel",
-                *suspect,
-                *domain,
-                HealCause::Health,
-                Some(health),
-            );
+            self.obs.fact(Fact::HealExpel {
+                element: u64::from(suspect.0),
+                domain: domain.0,
+                cause: HealCause::Health.label(),
+                health: Some(health.max(0) as u64),
+            });
             for &accuser in accusers {
                 self.inject_heal_cmd(accuser, HealCmd::Accuse { accused: *suspect });
             }
         }
         // 3) proactive rejuvenation of the chosen slot's occupant
         if let Some((domain, occupant, _)) = plan.retire {
-            self.heal_event(
-                "heal.rejuvenate",
-                occupant,
-                domain,
-                HealCause::Rejuvenation,
-                None,
-            );
+            self.obs.fact(Fact::HealRejuvenate {
+                element: u64::from(occupant.0),
+                domain: domain.0,
+                cause: HealCause::Rejuvenation.label(),
+                health: None,
+            });
             self.inject_heal_cmd(occupant, HealCmd::Retire);
         }
         let now_us = self.sim.now().as_micros();
         let heal = self.heal.as_mut().expect("controller is installed");
         heal.record(&plan, now_us);
         plan != HealPlan::default()
-    }
-
-    fn heal_event(
-        &self,
-        name: &'static str,
-        element: SenderId,
-        domain: DomainId,
-        cause: HealCause,
-        health: Option<i64>,
-    ) {
-        let labels = [
-            ("element", LabelValue::U64(u64::from(element.0))),
-            ("domain", LabelValue::U64(domain.0)),
-            ("cause", LabelValue::Str(cause.label())),
-            ("health", LabelValue::U64(health.unwrap_or(0).max(0) as u64)),
-        ];
-        let labels = if health.is_some() {
-            &labels[..]
-        } else {
-            &labels[..3]
-        };
-        self.obs.event(name, labels);
     }
 
     fn inject_heal_cmd(&mut self, element: SenderId, cmd: HealCmd) {

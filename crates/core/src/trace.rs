@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use itdos_obs::flight::Event;
-use itdos_obs::Profile;
+use itdos_obs::{Fact, Profile};
 
 use crate::codes::singleton_code;
 use crate::invocation::Ticket;
@@ -241,87 +241,67 @@ pub fn reconstruct(
     element_domains: &BTreeMap<u64, u64>,
     events: &[Event],
 ) -> Option<TraceReport> {
+    let client_fact = |e: &Event| (e.scope == client_scope).then(|| e.fact()).flatten();
     // anchor: the client's send record names the request id and target
-    let send = events.iter().find(|e| {
-        e.scope == client_scope && e.kind == "client.send" && e.label_u64("trace") == Some(trace)
+    let (send_at, request_id, target) = events.iter().find_map(|e| match client_fact(e)? {
+        Fact::ClientSend {
+            trace: t,
+            request,
+            target,
+            ..
+        } if t == trace => Some((e.at_micros, request, target)),
+        _ => None,
     })?;
-    let request_id = send.label_u64("request");
-    let target = send.label_u64("target");
-    let send_at = send.at_micros;
     // the reply record bounds the window vote events are matched within
     // (request ids are per-connection, so an id alone is ambiguous)
-    let reply = events.iter().find(|e| {
-        e.scope == client_scope && e.kind == "client.decided" && e.label_u64("trace") == Some(trace)
-    });
-    let reply_at = reply.map(|e| e.at_micros).unwrap_or(u64::MAX);
-    // the agreed sequence number, from any replica's batch record
-    let bft_seq = events
+    let reply_at = events
         .iter()
-        .filter(|e| e.kind == "bft.batch" && e.label_u64("trace") == Some(trace))
-        .filter(|e| target.is_none() || element_domains.get(&e.scope) == target.as_ref())
-        .map(|e| e.label_u64("seq"))
-        .next()
-        .flatten();
+        .find_map(|e| match client_fact(e)? {
+            Fact::ClientDecided { trace: t, .. } if t == trace => Some(e.at_micros),
+            _ => None,
+        })
+        .unwrap_or(u64::MAX);
+    let in_target = |e: &Event| element_domains.get(&e.scope) == Some(&target);
+    // the agreed sequence number, from any replica's batch record
+    let bft_seq = events.iter().find_map(|e| match e.fact()? {
+        Fact::BftBatch { seq, trace: t, .. } if t == trace && in_target(e) => Some(seq),
+        _ => None,
+    });
 
-    let in_target =
-        |e: &Event| target.is_none() || element_domains.get(&e.scope) == target.as_ref();
     let mut hops: Vec<TraceHop> = Vec::new();
-    let mut push = |stage: &'static str, e: &Event| {
+    for e in events {
+        let Some(fact) = e.fact() else {
+            continue;
+        };
+        let mine = e.scope == client_scope;
+        let agreed = |seq| Some(seq) == bft_seq && in_target(e) && e.at_micros >= send_at;
+        let voted =
+            |request| mine && request == request_id && (send_at..=reply_at).contains(&e.at_micros);
+        let stage = match fact {
+            Fact::ClientSend { trace: t, .. } if t == trace && mine => "send",
+            Fact::BftAdmit { trace: t, .. } if t == trace && in_target(e) => "admit",
+            Fact::BftBatch { trace: t, .. } if t == trace && in_target(e) => "batch",
+            Fact::BftPrepared { seq, .. } if agreed(seq) => "prepare",
+            Fact::BftCommitted { seq, .. } if agreed(seq) => "commit",
+            Fact::ElementExecute { trace: t, .. } if t == trace => "execute",
+            Fact::VoteReply { request, .. } if voted(request) => "vote",
+            Fact::VoteDecided { request } if voted(request) => "decide",
+            Fact::ClientDecided { trace: t, .. } if t == trace && mine => "reply",
+            _ => continue,
+        };
         hops.push(TraceHop {
             stage,
             scope: e.scope,
             seq: e.seq,
             at_us: e.at_micros,
         });
-    };
-    for e in events {
-        let traced = e.label_u64("trace") == Some(trace);
-        match e.kind {
-            "client.send" if traced && e.scope == client_scope => push("send", e),
-            "bft.admit" if traced && in_target(e) => push("admit", e),
-            "bft.batch" if traced && in_target(e) => push("batch", e),
-            "bft.prepared" | "bft.committed"
-                if bft_seq.is_some()
-                    && e.label_u64("seq") == bft_seq
-                    && in_target(e)
-                    && e.at_micros >= send_at =>
-            {
-                push(
-                    if e.kind == "bft.prepared" {
-                        "prepare"
-                    } else {
-                        "commit"
-                    },
-                    e,
-                );
-            }
-            "element.execute" if traced => push("execute", e),
-            "vote.reply" | "vote.decided"
-                if e.scope == client_scope
-                    && request_id.is_some()
-                    && e.label_u64("request") == request_id
-                    && e.at_micros >= send_at
-                    && e.at_micros <= reply_at =>
-            {
-                push(
-                    if e.kind == "vote.reply" {
-                        "vote"
-                    } else {
-                        "decide"
-                    },
-                    e,
-                );
-            }
-            "client.decided" if traced && e.scope == client_scope => push("reply", e),
-            _ => {}
-        }
     }
     hops.sort_by_key(|h| (h.at_us, h.seq));
     Some(TraceReport {
         trace,
         client,
-        request_id,
-        target,
+        request_id: Some(request_id),
+        target: Some(target),
         bft_seq,
         hops,
     })
@@ -329,26 +309,15 @@ pub fn reconstruct(
 
 #[cfg(test)]
 mod tests {
-    use itdos_obs::LabelValue;
-
     use super::*;
 
-    fn event(
-        seq: u64,
-        at: u64,
-        scope: u64,
-        kind: &'static str,
-        labels: &[(&'static str, u64)],
-    ) -> Event {
+    fn event(seq: u64, at: u64, scope: u64, fact: Fact<'static>) -> Event {
         Event {
             seq,
             at_micros: at,
             scope,
-            kind,
-            labels: labels
-                .iter()
-                .map(|&(k, v)| (k, LabelValue::U64(v)))
-                .collect(),
+            kind: fact.kind(),
+            labels: fact.labels(),
         }
     }
 
@@ -362,42 +331,85 @@ mod tests {
                 0,
                 10,
                 9,
-                "client.send",
-                &[("request", 1), ("trace", t), ("target", 2)],
+                Fact::ClientSend {
+                    client: 1,
+                    request: 1,
+                    trace: t,
+                    target: 2,
+                },
             ),
-            event(1, 20, 100, "bft.admit", &[("client", 1), ("trace", t)]),
-            event(2, 25, 100, "bft.batch", &[("seq", 5), ("trace", t)]),
+            event(
+                1,
+                20,
+                100,
+                Fact::BftAdmit {
+                    replica: 0,
+                    client: 1,
+                    trace: t,
+                },
+            ),
+            event(
+                2,
+                25,
+                100,
+                Fact::BftBatch {
+                    replica: 0,
+                    seq: 5,
+                    trace: t,
+                },
+            ),
             event(
                 3,
                 40,
                 100,
-                "bft.prepared",
-                &[("replica", 0), ("seq", 5), ("view", 0)],
+                Fact::BftPrepared {
+                    replica: 0,
+                    seq: 5,
+                    view: 0,
+                },
             ),
-            event(4, 55, 100, "bft.committed", &[("replica", 0), ("seq", 5)]),
+            event(4, 55, 100, Fact::BftCommitted { replica: 0, seq: 5 }),
             event(
                 5,
                 60,
                 100,
-                "element.execute",
-                &[("element", 4), ("request", 1), ("trace", t)],
+                Fact::ElementExecute {
+                    element: 4,
+                    request: 1,
+                    trace: t,
+                },
             ),
-            event(6, 70, 9, "vote.reply", &[("request", 1), ("sender", 4)]),
-            event(7, 75, 9, "vote.decided", &[("request", 1)]),
+            event(
+                6,
+                70,
+                9,
+                Fact::VoteReply {
+                    request: 1,
+                    sender: 4,
+                },
+            ),
+            event(7, 75, 9, Fact::VoteDecided { request: 1 }),
             event(
                 8,
                 80,
                 9,
-                "client.decided",
-                &[("client", 1), ("request", 1), ("trace", t), ("suspects", 0)],
+                Fact::ClientDecided {
+                    client: 1,
+                    request: 1,
+                    trace: t,
+                    suspects: 0,
+                },
             ),
             // noise: another trace and an unrelated seq
             event(
                 9,
                 81,
                 100,
-                "bft.prepared",
-                &[("replica", 0), ("seq", 6), ("view", 0)],
+                Fact::BftPrepared {
+                    replica: 0,
+                    seq: 6,
+                    view: 0,
+                },
             ),
         ];
         let report = reconstruct(t, 1, 9, &domains, &events).expect("anchored");

@@ -24,6 +24,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use itdos_obs::fact::{self, Fact};
 use itdos_obs::flight::Event;
 use itdos_obs::jsonl::{Dump, EventRecord};
 use itdos_obs::metrics::label_u64;
@@ -42,10 +43,8 @@ pub trait EventView {
     fn at_us(&self) -> u64;
     /// Emitting process's scope.
     fn scope(&self) -> u64;
-    /// Event kind.
-    fn kind(&self) -> &str;
-    /// Numeric label lookup.
-    fn label_u64(&self, key: &str) -> Option<u64>;
+    /// The fact the event records; `None` for one outside the table.
+    fn fact(&self) -> Option<Fact<'_>>;
 }
 
 impl EventView for Event {
@@ -61,12 +60,8 @@ impl EventView for Event {
         self.scope
     }
 
-    fn kind(&self) -> &str {
-        self.kind
-    }
-
-    fn label_u64(&self, key: &str) -> Option<u64> {
-        Event::label_u64(self, key)
+    fn fact(&self) -> Option<Fact<'_>> {
+        Event::fact(self)
     }
 }
 
@@ -83,12 +78,8 @@ impl EventView for EventRecord {
         self.scope
     }
 
-    fn kind(&self) -> &str {
-        &self.kind
-    }
-
-    fn label_u64(&self, key: &str) -> Option<u64> {
-        EventRecord::label_u64(self, key)
+    fn fact(&self) -> Option<Fact<'_>> {
+        EventRecord::fact(self)
     }
 }
 
@@ -144,6 +135,13 @@ fn windowed_total(times: &BTreeMap<u64, u64>, window: Option<u64>, now_us: u64) 
             .map(|(_, &n)| n)
             .sum(),
     }
+}
+
+/// Counts one occurrence at `at_us` in `key`'s timestamped series; true,
+/// since a count always changes the state.
+fn tick(series: &mut BTreeMap<u64, BTreeMap<u64, u64>>, key: u64, at_us: u64) -> bool {
+    *series.entry(key).or_default().entry(at_us).or_insert(0) += 1;
+    true
 }
 
 /// How strongly a finding implicates its subject.
@@ -256,8 +254,8 @@ impl Sink for Vec<Finding> {
 /// p99 budget.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseFact {
-    /// Histogram series name (`bft.prepare_us` / `bft.commit_us` /
-    /// `bft.order_us`).
+    /// Histogram series name ([`fact::PREPARE_US`], [`fact::COMMIT_US`]
+    /// or [`fact::ORDER_US`]).
     pub name: &'static str,
     /// The `replica` label, when the series carries one.
     pub replica: Option<u64>,
@@ -274,31 +272,30 @@ pub struct PhaseFact {
 /// identical facts — the other half of the equivalence guarantee.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsFacts {
-    /// `element.replies` counter per element (first series wins, matching
-    /// [`Dump::counter_with_label`] lookup semantics).
+    /// [`fact::ELEMENT_REPLIES`] counter per element (first series wins).
     pub replies: BTreeMap<u64, u64>,
     /// Ordering-phase histogram summaries, in series order.
     pub phases: Vec<PhaseFact>,
-    /// Events lost at the bounded subscription tap (`obs.tap_dropped`,
+    /// Events lost at the bounded subscription tap ([`fact::TAP_DROPPED`],
     /// summed across processes). Nonzero means the live streaming audit
     /// saw fewer events than the flight ring recorded — the verdicts may
     /// be degraded, and the report says so instead of diverging silently.
     pub tap_dropped: u64,
 }
 
-const PHASE_NAMES: [&str; 3] = ["bft.prepare_us", "bft.commit_us", "bft.order_us"];
+const PHASE_NAMES: [&str; 3] = [fact::PREPARE_US, fact::COMMIT_US, fact::ORDER_US];
 
 impl MetricsFacts {
     /// Reads the facts back from a parsed dump (the batch path).
     pub fn from_dump(dump: &Dump) -> MetricsFacts {
         let mut facts = MetricsFacts::default();
         for c in &dump.counters {
-            if c.name == "element.replies" {
-                if let Some(element) = c.label_u64("element") {
+            if c.name == fact::ELEMENT_REPLIES {
+                if let Some(element) = label_u64(&c.labels, fact::ELEMENT) {
                     facts.replies.entry(element).or_insert(c.value);
                 }
             }
-            if c.name == "obs.tap_dropped" {
+            if c.name == fact::TAP_DROPPED {
                 facts.tap_dropped += c.value;
             }
         }
@@ -306,7 +303,7 @@ impl MetricsFacts {
             if let Some(&name) = PHASE_NAMES.iter().find(|&&name| name == h.name) {
                 facts.phases.push(PhaseFact {
                     name,
-                    replica: h.label_u64("replica"),
+                    replica: label_u64(&h.labels, fact::REPLICA),
                     count: h.count,
                     p99: h.p99,
                 });
@@ -319,12 +316,12 @@ impl MetricsFacts {
     pub fn from_registry(registry: &Registry) -> MetricsFacts {
         let mut facts = MetricsFacts::default();
         for (key, value) in registry.counters() {
-            if key.name == "element.replies" {
-                if let Some(element) = label_u64(&key.labels, "element") {
+            if key.name == fact::ELEMENT_REPLIES {
+                if let Some(element) = label_u64(&key.labels, fact::ELEMENT) {
                     facts.replies.entry(element).or_insert(value);
                 }
             }
-            if key.name == "obs.tap_dropped" {
+            if key.name == fact::TAP_DROPPED {
                 facts.tap_dropped += value;
             }
         }
@@ -332,7 +329,7 @@ impl MetricsFacts {
             if PHASE_NAMES.contains(&key.name) {
                 facts.phases.push(PhaseFact {
                     name: key.name,
-                    replica: label_u64(&key.labels, "replica"),
+                    replica: label_u64(&key.labels, fact::REPLICA),
                     count: h.count(),
                     p99: h.percentile(99),
                 });
@@ -391,47 +388,24 @@ pub struct DivergenceState {
 }
 
 impl DivergenceState {
-    /// Folds one event in; true when it changed the state (i.e. the
-    /// current findings may differ from before).
-    pub fn observe(&mut self, e: &impl EventView) -> bool {
-        match e.kind() {
-            "vote.dissent" | "vote.late_dissent" => {
-                if let Some(sender) = e.label_u64("sender") {
-                    *self
-                        .dissent_rounds
-                        .entry(sender)
-                        .or_default()
-                        .entry(e.at_us())
-                        .or_insert(0) += 1;
-                    return true;
-                }
+    /// Folds one fact recorded at `at_us` in; true when it changed the
+    /// state (i.e. the current findings may differ from before).
+    pub fn observe(&mut self, fact: Fact<'_>, at_us: u64) -> bool {
+        match fact {
+            Fact::VoteDissent { sender, .. } | Fact::VoteLateDissent { sender, .. } => {
+                tick(&mut self.dissent_rounds, sender, at_us)
             }
-            "client.accused" => {
-                if let Some(accused) = e.label_u64("accused") {
-                    *self.proofs.entry(accused).or_insert(0) += 1;
-                    return true;
-                }
+            Fact::ClientAccused { accused, .. } => {
+                *self.proofs.entry(accused).or_insert(0) += 1;
+                true
             }
-            "element.accuse" => {
-                if let (Some(accuser), Some(accused)) =
-                    (e.label_u64("accuser"), e.label_u64("accused"))
-                {
-                    return self.accusers.entry(accused).or_default().insert(accuser);
-                }
+            Fact::ElementAccuse { accuser, accused } => {
+                self.accusers.entry(accused).or_default().insert(accuser)
             }
-            "gm.expelled" => {
-                if let Some(element) = e.label_u64("element") {
-                    return self.expelled.insert(element);
-                }
-            }
-            "gm.retired" => {
-                if let Some(element) = e.label_u64("element") {
-                    return self.retired.insert(element);
-                }
-            }
-            _ => {}
+            Fact::GmExpelled { element, .. } => self.expelled.insert(element),
+            Fact::GmRetired { element, .. } => self.retired.insert(element),
+            _ => false,
         }
-        false
     }
 
     /// Findings implied by everything observed so far, handed to `out`.
@@ -569,37 +543,23 @@ pub struct ParticipationState {
 }
 
 impl ParticipationState {
-    /// Folds one event in; true when it changed the state.
-    pub fn observe(&mut self, e: &impl EventView) -> bool {
-        match e.kind() {
-            "gm.admitted" => {
-                if let Some(element) = e.label_u64("element") {
-                    let at = self.admitted_at.entry(element).or_insert(e.at_us());
-                    *at = (*at).min(e.at_us());
-                    return true;
-                }
+    /// Folds one fact recorded at `at_us` in; true when it changed the
+    /// state.
+    pub fn observe(&mut self, fact: Fact<'_>, at_us: u64) -> bool {
+        let earliest = |at: &mut u64| {
+            *at = (*at).min(at_us);
+            true
+        };
+        match fact {
+            Fact::GmAdmitted { element, .. } => {
+                earliest(self.admitted_at.entry(element).or_insert(at_us))
             }
-            "gm.expelled" | "gm.retired" => {
-                if let Some(element) = e.label_u64("element") {
-                    let at = self.departed_at.entry(element).or_insert(e.at_us());
-                    *at = (*at).min(e.at_us());
-                    return true;
-                }
+            Fact::GmExpelled { element, .. } | Fact::GmRetired { element, .. } => {
+                earliest(self.departed_at.entry(element).or_insert(at_us))
             }
-            "vote.reply" => {
-                if let Some(sender) = e.label_u64("sender") {
-                    *self
-                        .reply_times
-                        .entry(sender)
-                        .or_default()
-                        .entry(e.at_us())
-                        .or_insert(0) += 1;
-                    return true;
-                }
-            }
-            _ => {}
+            Fact::VoteReply { sender, .. } => tick(&mut self.reply_times, sender, at_us),
+            _ => false,
         }
-        false
     }
 
     /// Findings implied by everything observed so far plus the reply
@@ -766,72 +726,45 @@ pub struct LivenessState {
 }
 
 impl LivenessState {
-    /// Folds one event in against `config`'s budgets; true when it
-    /// changed what the findings could report.
-    pub fn observe(&mut self, e: &impl EventView, config: &AuditConfig) -> bool {
-        match e.kind() {
-            "bft.equivocation" => {
-                if let (Some(view), Some(seq)) = (e.label_u64("view"), e.label_u64("seq")) {
-                    return self
-                        .equivocation_slots
-                        .entry(e.scope())
-                        .or_default()
-                        .insert((view, seq));
-                }
+    /// Folds one fact `scope` recorded at `at_us` in against `config`'s
+    /// budgets; true when it changed what the findings could report.
+    pub fn observe(
+        &mut self,
+        fact: Fact<'_>,
+        at_us: u64,
+        scope: u64,
+        config: &AuditConfig,
+    ) -> bool {
+        match fact {
+            Fact::BftEquivocation { view, seq, .. } => {
+                let slots = self.equivocation_slots.entry(scope).or_default();
+                slots.insert((view, seq))
             }
-            "bft.view_change" => {
-                *self
-                    .view_changes
-                    .entry(e.scope())
-                    .or_default()
-                    .entry(e.at_us())
-                    .or_insert(0) += 1;
-                return true;
-            }
-            "bft.state_fetch" => {
-                *self
-                    .fetches
-                    .entry(e.scope())
-                    .or_default()
-                    .entry(e.at_us())
-                    .or_insert(0) += 1;
-                return true;
-            }
+            Fact::BftViewChange { .. } => tick(&mut self.view_changes, scope, at_us),
+            Fact::BftStateFetch { .. } => tick(&mut self.fetches, scope, at_us),
             // walk the timeline in order, tracking the decision time of
             // the round currently open per (scope, request); `vote.begin`
             // resets the slot so a new round with a recycled request id
             // is never judged against a stale decision
-            "vote.begin" => {
-                if let Some(request) = e.label_u64("request") {
-                    self.decided.remove(&(e.scope(), request));
-                }
+            Fact::VoteBegin { request } => {
+                self.decided.remove(&(scope, request));
+                false
             }
-            "vote.decided" => {
-                if let Some(request) = e.label_u64("request") {
-                    self.decided.insert((e.scope(), request), e.at_us());
-                }
+            Fact::VoteDecided { request } => {
+                self.decided.insert((scope, request), at_us);
+                false
             }
-            "vote.reply" => {
-                let (Some(request), Some(sender)) = (e.label_u64("request"), e.label_u64("sender"))
-                else {
+            Fact::VoteReply { request, sender } => {
+                let Some(&at_decided) = self.decided.get(&(scope, request)) else {
                     return false;
                 };
-                let Some(&at_decided) = self.decided.get(&(e.scope(), request)) else {
+                if at_us.saturating_sub(at_decided) <= config.stall_budget_us {
                     return false;
-                };
-                if e.at_us().saturating_sub(at_decided) > config.stall_budget_us {
-                    *self
-                        .stall_rounds
-                        .entry(sender)
-                        .or_default()
-                        .entry(e.at_us())
-                        .or_insert(0) += 1;
-                    return true;
                 }
+                tick(&mut self.stall_rounds, sender, at_us)
             }
-            _ => {}
+            _ => false,
         }
-        false
     }
 
     /// Findings implied by everything observed so far plus the phase

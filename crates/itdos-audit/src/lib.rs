@@ -201,6 +201,7 @@ pub(crate) fn sort_findings(findings: &mut [Finding]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itdos_obs::{Fact, LabelValue};
 
     fn topo() -> Topology {
         let mut t = Topology {
@@ -231,16 +232,20 @@ mod tests {
         t
     }
 
-    fn event(seq: u64, at_us: u64, scope: u64, kind: &str, labels: &[(&str, u64)]) -> String {
-        let mut l = String::new();
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                l.push(',');
-            }
-            l.push_str(&format!("\"{k}\":{v}"));
-        }
+    /// The dump line the recorder writes for `fact`.
+    fn event(seq: u64, at_us: u64, scope: u64, fact: Fact<'static>) -> String {
+        let labels: Vec<String> = fact
+            .labels()
+            .iter()
+            .map(|(k, v)| match v {
+                LabelValue::U64(n) => format!("\"{k}\":{n}"),
+                LabelValue::Str(s) => format!("\"{k}\":\"{s}\""),
+            })
+            .collect();
         format!(
-            "{{\"type\":\"event\",\"seq\":{seq},\"at_us\":{at_us},\"scope\":{scope},\"kind\":\"{kind}\",\"labels\":{{{l}}}}}\n"
+            "{{\"type\":\"event\",\"seq\":{seq},\"at_us\":{at_us},\"scope\":{scope},\"kind\":\"{}\",\"labels\":{{{}}}}}\n",
+            fact.kind(),
+            labels.join(",")
         )
     }
 
@@ -251,22 +256,29 @@ mod tests {
             0,
             10,
             1,
-            "vote.dissent",
-            &[("request", 1), ("sender", 7)],
+            Fact::VoteDissent {
+                request: 1,
+                sender: 7,
+            },
         ));
         dump.push_str(&event(
             1,
             12,
             1,
-            "client.accused",
-            &[("client", 1), ("request", 1), ("accused", 7)],
+            Fact::ClientAccused {
+                client: 1,
+                request: 1,
+                accused: 7,
+            },
         ));
         dump.push_str(&event(
             2,
             90,
             1_000_000,
-            "gm.expelled",
-            &[("domain", 1), ("element", 7)],
+            Fact::GmExpelled {
+                domain: 1,
+                element: 7,
+            },
         ));
         let report = Auditor::new(topo()).audit(&dump).unwrap();
         assert_eq!(report.blamed_elements(), vec![7]);
@@ -311,15 +323,21 @@ mod tests {
             0,
             40,
             1,
-            "vote.reply",
-            &[("request", 1), ("sender", 4)],
+            Fact::VoteReply {
+                request: 1,
+                sender: 4,
+            },
         ));
         dump.push_str(&event(
             1,
             500,
             1_000_000,
-            "gm.admitted",
-            &[("domain", 1), ("element", 7), ("replaced", 6), ("epoch", 1)],
+            Fact::GmAdmitted {
+                domain: 1,
+                element: 7,
+                replaced: 6,
+                epoch: 1,
+            },
         ));
         let report = Auditor::new(topo()).audit(&dump).unwrap();
         assert!(
@@ -338,15 +356,19 @@ mod tests {
             2,
             900,
             1,
-            "vote.reply",
-            &[("request", 2), ("sender", 4)],
+            Fact::VoteReply {
+                request: 2,
+                sender: 4,
+            },
         ));
         dump.push_str(&event(
             3,
             905,
             1,
-            "vote.reply",
-            &[("request", 2), ("sender", 5)],
+            Fact::VoteReply {
+                request: 2,
+                sender: 5,
+            },
         ));
         let report = Auditor::new(topo()).audit(&dump).unwrap();
         assert_eq!(report.blamed_elements(), vec![7]);
@@ -361,32 +383,38 @@ mod tests {
         let late = c.stall_budget_us + 1;
         let mut dump = String::new();
         // round 1: decided at t=100, element 6 replies way past budget
-        dump.push_str(&event(0, 50, 1, "vote.begin", &[("request", 1)]));
+        dump.push_str(&event(0, 50, 1, Fact::VoteBegin { request: 1 }));
         dump.push_str(&event(
             1,
             60,
             1,
-            "vote.reply",
-            &[("request", 1), ("sender", 4)],
+            Fact::VoteReply {
+                request: 1,
+                sender: 4,
+            },
         ));
-        dump.push_str(&event(2, 100, 1, "vote.decided", &[("request", 1)]));
+        dump.push_str(&event(2, 100, 1, Fact::VoteDecided { request: 1 }));
         dump.push_str(&event(
             3,
             100 + late,
             1,
-            "vote.reply",
-            &[("request", 1), ("sender", 6)],
+            Fact::VoteReply {
+                request: 1,
+                sender: 6,
+            },
         ));
         // round 2 reuses request id 1 much later: its pre-decision replies
         // must NOT count as stalls against round 1's decision
         let t2 = 10 * late;
-        dump.push_str(&event(4, t2, 1, "vote.begin", &[("request", 1)]));
+        dump.push_str(&event(4, t2, 1, Fact::VoteBegin { request: 1 }));
         dump.push_str(&event(
             5,
             t2 + 5,
             1,
-            "vote.reply",
-            &[("request", 1), ("sender", 4)],
+            Fact::VoteReply {
+                request: 1,
+                sender: 4,
+            },
         ));
         let report = Auditor::new(topo()).audit(&dump).unwrap();
         assert_eq!(report.blamed_elements(), vec![6]);
@@ -403,15 +431,21 @@ mod tests {
             0,
             10,
             1_000_005,
-            "bft.equivocation",
-            &[("replica", 1), ("seq", 3), ("view", 0)],
+            Fact::BftEquivocation {
+                replica: 1,
+                seq: 3,
+                view: 0,
+            },
         ));
         dump.push_str(&event(
             1,
             11,
             1_000_006,
-            "bft.equivocation",
-            &[("replica", 2), ("seq", 3), ("view", 0)],
+            Fact::BftEquivocation {
+                replica: 2,
+                seq: 3,
+                view: 0,
+            },
         ));
         let report = Auditor::new(topo()).audit(&dump).unwrap();
         assert_eq!(report.blamed_elements(), vec![4]);
@@ -422,7 +456,7 @@ mod tests {
 
     #[test]
     fn truncated_timeline_is_reported_not_ignored() {
-        let dump = event(40, 10, 1, "vote.begin", &[("request", 1)]);
+        let dump = event(40, 10, 1, Fact::VoteBegin { request: 1 });
         let report = Auditor::new(topo()).audit(&dump).unwrap();
         assert_eq!(report.timeline.evicted, 40);
         assert!(report
@@ -439,22 +473,29 @@ mod tests {
             0,
             10,
             1,
-            "vote.dissent",
-            &[("request", 1), ("sender", 7)],
+            Fact::VoteDissent {
+                request: 1,
+                sender: 7,
+            },
         ));
         dump.push_str(&event(
             1,
             12,
             1,
-            "client.accused",
-            &[("client", 1), ("request", 1), ("accused", 7)],
+            Fact::ClientAccused {
+                client: 1,
+                request: 1,
+                accused: 7,
+            },
         ));
         dump.push_str(&event(
             2,
             90,
             1_000_000,
-            "gm.expelled",
-            &[("domain", 1), ("element", 7)],
+            Fact::GmExpelled {
+                domain: 1,
+                element: 7,
+            },
         ));
         for e in [4u64, 5, 6] {
             dump.push_str(&format!(
@@ -512,7 +553,15 @@ mod tests {
         }
         let mut seq = 0;
         for e in [4u64, 5, 6, 7] {
-            dump.push_str(&event(seq, 100 + seq, 1, "vote.reply", &[("sender", e)]));
+            dump.push_str(&event(
+                seq,
+                100 + seq,
+                1,
+                Fact::VoteReply {
+                    request: 1,
+                    sender: e,
+                },
+            ));
             seq += 1;
         }
         // a later round: 4, 6, 7 reply, 5 does not
@@ -521,8 +570,10 @@ mod tests {
                 seq,
                 500_000 + seq,
                 1,
-                "vote.reply",
-                &[("sender", e)],
+                Fact::VoteReply {
+                    request: 2,
+                    sender: e,
+                },
             ));
             seq += 1;
         }
@@ -553,8 +604,12 @@ mod tests {
             seq,
             400_000,
             1_000_000,
-            "gm.admitted",
-            &[("domain", 1), ("element", 5)],
+            Fact::GmAdmitted {
+                domain: 1,
+                element: 5,
+                replaced: 9,
+                epoch: 1,
+            },
         ));
         let report = Auditor::with_config(topo(), config).audit(&joiner).unwrap();
         assert!(
@@ -573,17 +628,21 @@ mod tests {
             0,
             10,
             1,
-            "vote.dissent",
-            &[("request", 1), ("sender", 5)],
+            Fact::VoteDissent {
+                request: 1,
+                sender: 5,
+            },
         ));
         dump.push_str(&event(
             1,
             20,
             1,
-            "vote.dissent",
-            &[("request", 2), ("sender", 5)],
+            Fact::VoteDissent {
+                request: 2,
+                sender: 5,
+            },
         ));
-        dump.push_str(&event(2, 10_000, 1, "vote.begin", &[("request", 9)]));
+        dump.push_str(&event(2, 10_000, 1, Fact::VoteBegin { request: 9 }));
 
         // default config: no decay, historical verdict preserved exactly
         let whole = Auditor::new(topo()).audit(&dump).unwrap();
@@ -611,10 +670,12 @@ mod tests {
             3,
             10_050,
             1_000_000,
-            "gm.expelled",
-            &[("domain", 1), ("element", 5)],
+            Fact::GmExpelled {
+                domain: 1,
+                element: 5,
+            },
         ));
-        dump.push_str(&event(4, 20_000, 1, "vote.begin", &[("request", 10)]));
+        dump.push_str(&event(4, 20_000, 1, Fact::VoteBegin { request: 10 }));
         let expelled = Auditor::with_config(topo(), config).audit(&dump).unwrap();
         assert_eq!(expelled.blamed_elements(), vec![5]);
         let f = expelled
@@ -631,18 +692,20 @@ mod tests {
         let c = AuditConfig::default();
         let late = c.stall_budget_us + 1;
         let mut dump = String::new();
-        dump.push_str(&event(0, 50, 1, "vote.begin", &[("request", 1)]));
-        dump.push_str(&event(1, 100, 1, "vote.decided", &[("request", 1)]));
+        dump.push_str(&event(0, 50, 1, Fact::VoteBegin { request: 1 }));
+        dump.push_str(&event(1, 100, 1, Fact::VoteDecided { request: 1 }));
         dump.push_str(&event(
             2,
             100 + late,
             1,
-            "vote.reply",
-            &[("request", 1), ("sender", 6)],
+            Fact::VoteReply {
+                request: 1,
+                sender: 6,
+            },
         ));
         // much later traffic moves "now" past the blip
         let far = 100 * late;
-        dump.push_str(&event(3, far, 1, "vote.begin", &[("request", 2)]));
+        dump.push_str(&event(3, far, 1, Fact::VoteBegin { request: 2 }));
         let whole = Auditor::new(topo()).audit(&dump).unwrap();
         assert_eq!(whole.blamed_elements(), vec![6], "default keeps the stall");
         let windowed = Auditor::with_config(
@@ -667,7 +730,7 @@ mod tests {
         dump.push_str(
             "{\"type\":\"counter\",\"name\":\"obs.tap_dropped\",\"labels\":{},\"value\":3}\n",
         );
-        dump.push_str(&event(0, 10, 1, "vote.begin", &[("request", 1)]));
+        dump.push_str(&event(0, 10, 1, Fact::VoteBegin { request: 1 }));
         let report = Auditor::new(topo()).audit(&dump).unwrap();
         let f = report
             .findings
@@ -684,7 +747,7 @@ mod tests {
         );
         // a clean dump carries no such finding
         let clean = Auditor::new(topo())
-            .audit(&event(0, 10, 1, "vote.begin", &[("request", 1)]))
+            .audit(&event(0, 10, 1, Fact::VoteBegin { request: 1 }))
             .unwrap();
         assert!(clean.findings.iter().all(|f| f.kind != "degraded"));
     }
@@ -695,8 +758,10 @@ mod tests {
             0,
             500,
             1_000_000,
-            "gm.retired",
-            &[("domain", 1), ("element", 6)],
+            Fact::GmRetired {
+                domain: 1,
+                element: 6,
+            },
         );
         let report = Auditor::new(topo()).audit(&dump).unwrap();
         let f = report
@@ -735,29 +800,39 @@ mod tests {
             0,
             100,
             1,
-            "vote.reply",
-            &[("request", 1), ("sender", 4)],
+            Fact::VoteReply {
+                request: 1,
+                sender: 4,
+            },
         ));
         dump.push_str(&event(
             1,
             105,
             1,
-            "vote.reply",
-            &[("request", 1), ("sender", 5)],
+            Fact::VoteReply {
+                request: 1,
+                sender: 5,
+            },
         ));
         dump.push_str(&event(
             2,
             200,
             1_000_000,
-            "gm.expelled",
-            &[("domain", 1), ("element", 7)],
+            Fact::GmExpelled {
+                domain: 1,
+                element: 7,
+            },
         ));
         dump.push_str(&event(
             3,
             400,
             1_000_000,
-            "gm.admitted",
-            &[("domain", 1), ("element", 9), ("replaced", 7), ("epoch", 1)],
+            Fact::GmAdmitted {
+                domain: 1,
+                element: 9,
+                replaced: 7,
+                epoch: 1,
+            },
         ));
         let report = Auditor::new(t).audit(&dump).unwrap();
         // the culprit's tenure silence survives its replacement
@@ -804,8 +879,10 @@ mod tests {
             0,
             10,
             1,
-            "vote.dissent",
-            &[("request", 1), ("sender", 5)],
+            Fact::VoteDissent {
+                request: 1,
+                sender: 5,
+            },
         ));
         let auditor = Auditor::new(topo());
         let a = auditor.audit(&dump).unwrap();

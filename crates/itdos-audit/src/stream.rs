@@ -14,14 +14,16 @@
 //! a finished dump through this same type, a streaming audit and a
 //! post-hoc audit of the same run are byte-identical by construction.
 //!
-//! The stream ignores `audit.*` events (the findings it publishes back
-//! into the flight ring) so the pipeline cannot feed on its own output;
-//! they still count toward the timeline summary, which keeps the
-//! summary equal to what a later batch parse of the dump sees.
+//! The stream ignores [`Fact::AuditFinding`] events (the findings it
+//! publishes back into the flight ring) so the pipeline cannot feed on
+//! its own output; they still count toward the timeline summary, as does
+//! an event that reads as no fact, which keeps the summary equal to what
+//! a later batch parse of the dump sees.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use itdos_obs::flight::Event;
+use itdos_obs::Fact;
 
 use crate::analyze::{
     AuditConfig, DivergenceState, EventView, Finding, Head, Key, LivenessState, MetricsFacts,
@@ -116,7 +118,8 @@ impl Stream {
     /// because of it. Only detectors that are pure functions of the event
     /// stream can surface here — silence and phase-budget verdicts also
     /// need registry facts, so they surface from [`Stream::drain_new`]
-    /// at the next pump. `audit.*` events only advance the timeline.
+    /// at the next pump. An `audit.finding` event, or one that reads as no
+    /// [`Fact`], only advances the timeline.
     pub fn observe(&mut self, e: &impl EventView) -> Vec<Finding> {
         if !self.fold(e) {
             return Vec::new();
@@ -140,13 +143,17 @@ impl Stream {
         self.events += 1;
         self.now_us = self.now_us.max(e.at_us());
         self.scopes.insert(e.scope());
-        if e.kind().starts_with("audit.") {
-            return false;
+        match e.fact() {
+            // the stream's own published findings are never fed on
+            None | Some(Fact::AuditFinding { .. }) => false,
+            // every analyzer sees every fact (`|`, not `||`)
+            Some(fact) => {
+                let at_us = e.at_us();
+                self.divergence.observe(fact, at_us)
+                    | self.participation.observe(fact, at_us)
+                    | self.liveness.observe(fact, at_us, e.scope(), &self.config)
+            }
         }
-        let mut changed = self.divergence.observe(e);
-        changed |= self.participation.observe(e);
-        changed |= self.liveness.observe(e, &self.config);
-        changed
     }
 
     /// Feeds one raw flight-ring event (from an `itdos_obs` subscription
@@ -287,16 +294,16 @@ mod tests {
     use super::*;
     use crate::analyze::PhaseFact;
     use crate::topology::ElementInfo;
+    use itdos_obs::fact;
     use xrand::rngs::SmallRng;
     use xrand::{Rng, SeedableRng};
 
-    /// A flight event built in place.
+    /// A flight event built in place; `None` is one that reads as no fact.
     struct Ev {
         seq: u64,
         at_us: u64,
         scope: u64,
-        kind: &'static str,
-        labels: Vec<(&'static str, u64)>,
+        fact: Option<Fact<'static>>,
     }
 
     impl EventView for Ev {
@@ -312,12 +319,8 @@ mod tests {
             self.scope
         }
 
-        fn kind(&self) -> &str {
-            self.kind
-        }
-
-        fn label_u64(&self, key: &str) -> Option<u64> {
-            self.labels.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+        fn fact(&self) -> Option<Fact<'_>> {
+            self.fact
         }
     }
 
@@ -361,52 +364,108 @@ mod tests {
         rng.gen_range(0..14u64)
     }
 
+    /// An event the product could record, or now and then one outside
+    /// the fact table.
     fn random_event(rng: &mut SmallRng, seq: u64, at_us: u64) -> Ev {
         let request = rng.gen_range(0..4u64);
-        let (kind, scope, labels): (&'static str, u64, Vec<(&'static str, u64)>) =
-            match rng.gen_range(0..16u32) {
-                0 => ("vote.begin", 1, vec![("request", request)]),
-                1 => ("vote.decided", 1, vec![("request", request)]),
-                2..=5 => (
-                    "vote.reply",
+        let on_element = |e: u64| SCOPE + e;
+        let (scope, fact) = match rng.gen_range(0..17u32) {
+            0 => (1, Fact::VoteBegin { request }),
+            1 => (1, Fact::VoteDecided { request }),
+            2..=5 => {
+                let sender = element(rng);
+                (1, Fact::VoteReply { request, sender })
+            }
+            6 => {
+                let sender = element(rng);
+                (1, Fact::VoteDissent { request, sender })
+            }
+            7 => {
+                let sender = element(rng);
+                (1, Fact::VoteLateDissent { request, sender })
+            }
+            8 => {
+                let accused = element(rng);
+                (
                     1,
-                    vec![("request", request), ("sender", element(rng))],
-                ),
-                6 => ("vote.dissent", 1, vec![("sender", element(rng))]),
-                7 => ("vote.late_dissent", 1, vec![("sender", element(rng))]),
-                8 => ("client.accused", 1, vec![("accused", element(rng))]),
-                9 => (
-                    "element.accuse",
-                    SCOPE + element(rng),
-                    vec![("accuser", element(rng)), ("accused", element(rng))],
-                ),
-                10 => ("gm.expelled", SCOPE, vec![("element", element(rng))]),
-                11 => ("gm.retired", SCOPE, vec![("element", element(rng))]),
-                12 => ("gm.admitted", SCOPE, vec![("element", element(rng))]),
-                13 => {
-                    let kind = if rng.gen_bool(0.5) {
-                        "bft.view_change"
-                    } else {
-                        "bft.state_fetch"
-                    };
-                    (kind, SCOPE + element(rng), Vec::new())
-                }
-                14 => (
-                    "bft.equivocation",
-                    SCOPE + element(rng),
-                    vec![
-                        ("view", rng.gen_range(0..6u64)),
-                        ("seq", rng.gen_range(0..3u64)),
-                    ],
-                ),
-                _ => ("audit.finding", SCOPE + element(rng), Vec::new()),
-            };
+                    Fact::ClientAccused {
+                        client: 1,
+                        request,
+                        accused,
+                    },
+                )
+            }
+            9 => {
+                let scope = on_element(element(rng));
+                let (accuser, accused) = (element(rng), element(rng));
+                (scope, Fact::ElementAccuse { accuser, accused })
+            }
+            10..=12 => {
+                let element = element(rng);
+                let domain = element / 4;
+                let fact = match rng.gen_range(0..3u32) {
+                    0 => Fact::GmExpelled { domain, element },
+                    1 => Fact::GmRetired { domain, element },
+                    _ => Fact::GmAdmitted {
+                        domain,
+                        element,
+                        replaced: rng.gen_range(0..14u64),
+                        epoch: 1,
+                    },
+                };
+                (SCOPE, fact)
+            }
+            13 => {
+                let element = element(rng);
+                let replica = element % 4;
+                let fact = if rng.gen_bool(0.5) {
+                    let target_view = rng.gen_range(1..4u64);
+                    Fact::BftViewChange {
+                        replica,
+                        target_view,
+                        attempt: 1,
+                    }
+                } else {
+                    let seq = rng.gen_range(0..20u64);
+                    Fact::BftStateFetch { replica, seq }
+                };
+                (on_element(element), fact)
+            }
+            14 => {
+                let element = element(rng);
+                let fact = Fact::BftEquivocation {
+                    replica: element % 4,
+                    view: rng.gen_range(0..6u64),
+                    seq: rng.gen_range(0..3u64),
+                };
+                (on_element(element), fact)
+            }
+            15 => {
+                let element = element(rng);
+                let fact = Fact::AuditFinding {
+                    analyzer: "divergence",
+                    kind: "divergence",
+                    severity: 2,
+                    count: 1,
+                    element: Some(element),
+                };
+                (on_element(element), fact)
+            }
+            _ => {
+                let scope = on_element(element(rng));
+                return Ev {
+                    seq,
+                    at_us,
+                    scope,
+                    fact: None,
+                };
+            }
+        };
         Ev {
             seq,
             at_us,
             scope,
-            kind,
-            labels,
+            fact: Some(fact),
         }
     }
 
@@ -422,7 +481,7 @@ mod tests {
         }
         for _ in 0..rng.gen_range(0..4usize) {
             let name =
-                ["bft.prepare_us", "bft.commit_us", "bft.order_us"][rng.gen_range(0..3usize)];
+                [fact::PREPARE_US, fact::COMMIT_US, fact::ORDER_US][rng.gen_range(0..3usize)];
             facts.phases.push(PhaseFact {
                 name,
                 replica: rng.gen_bool(0.5).then(|| rng.gen_range(0..2u64)),
@@ -472,8 +531,8 @@ mod tests {
             assert_eq!(
                 keyed.observe(&e),
                 oracle.observe_by_recompute(&e),
-                "seed {seed} step {step}: {} surfaced differently",
-                e.kind
+                "seed {seed} step {step}: {:?} surfaced differently",
+                e.fact
             );
             if rng.gen_bool(0.15) {
                 let facts = random_facts(&mut rng);
@@ -517,22 +576,28 @@ mod tests {
                 seq: 0,
                 at_us: 10,
                 scope: 1,
-                kind: "vote.dissent",
-                labels: vec![("sender", 5)],
+                fact: Some(Fact::VoteDissent {
+                    request: 1,
+                    sender: 5,
+                }),
             },
             Ev {
                 seq: 1,
                 at_us: 20,
                 scope: SCOPE,
-                kind: "gm.expelled",
-                labels: vec![("element", 5)],
+                fact: Some(Fact::GmExpelled {
+                    domain: 1,
+                    element: 5,
+                }),
             },
             Ev {
                 seq: 2,
                 at_us: 5_000,
                 scope: 1,
-                kind: "vote.reply",
-                labels: vec![("request", 1), ("sender", 4)],
+                fact: Some(Fact::VoteReply {
+                    request: 1,
+                    sender: 4,
+                }),
             },
         ];
         let mut surfaced = Vec::new();
@@ -548,7 +613,7 @@ mod tests {
         assert!(expelled.detail.contains("aged out"));
 
         let phase = |replica, p99| PhaseFact {
-            name: "bft.order_us",
+            name: fact::ORDER_US,
             replica,
             count: 1,
             p99,

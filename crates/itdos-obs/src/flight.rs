@@ -10,14 +10,15 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Deref;
 
+use crate::fact::Fact;
 use crate::metrics::{Label, LabelValue};
 
 /// Default ring capacity.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
 
-/// Labels an [`Event`] holds without a heap allocation: the widest
-/// `Obs::event` call site in the workspace (`audit.finding` with an
-/// element) passes five. A wider event spills its labels to the heap.
+/// Labels an [`Event`] holds without a heap allocation. No row of the
+/// [`crate::Fact`] table writes more (a compile-time assertion there holds
+/// it); a wider raw [`crate::Obs::event`] spills its labels to the heap.
 pub const INLINE_LABELS: usize = 5;
 
 /// An event's label pairs in call-site order. Up to [`INLINE_LABELS`]
@@ -38,25 +39,34 @@ enum Repr {
 /// Filler for unused inline slots; never visible through `Deref`.
 const VACANT: Label = ("", LabelValue::U64(0));
 
-impl From<&[Label]> for Labels {
-    fn from(labels: &[Label]) -> Labels {
-        if labels.len() > INLINE_LABELS {
-            return Labels(Repr::Spilled(labels.to_vec()));
+impl Labels {
+    /// No labels.
+    pub(crate) const EMPTY: Labels = Labels(Repr::Inline {
+        len: 0,
+        slots: [VACANT; INLINE_LABELS],
+    });
+
+    /// Appends `label`, spilling to the heap past [`INLINE_LABELS`].
+    pub(crate) fn push(&mut self, label: Label) {
+        if let Repr::Inline { len, slots } = &mut self.0 {
+            if let Some(slot) = slots.get_mut(usize::from(*len)) {
+                *slot = label;
+                *len += 1;
+                return;
+            }
+            self.0 = Repr::Spilled(slots.to_vec());
         }
-        let mut slots = [VACANT; INLINE_LABELS];
-        for (slot, label) in slots.iter_mut().zip(labels) {
-            *slot = *label;
+        if let Repr::Spilled(labels) = &mut self.0 {
+            labels.push(label);
         }
-        Labels(Repr::Inline {
-            len: labels.len() as u8,
-            slots,
-        })
     }
 }
 
-impl FromIterator<Label> for Labels {
-    fn from_iter<I: IntoIterator<Item = Label>>(iter: I) -> Labels {
-        Labels::from(iter.into_iter().collect::<Vec<Label>>().as_slice())
+impl From<&[Label]> for Labels {
+    fn from(labels: &[Label]) -> Labels {
+        let mut all = Labels::EMPTY;
+        labels.iter().for_each(|&label| all.push(label));
+        all
     }
 }
 
@@ -79,12 +89,6 @@ impl PartialEq for Labels {
 
 impl Eq for Labels {}
 
-impl PartialEq<Vec<Label>> for Labels {
-    fn eq(&self, other: &Vec<Label>) -> bool {
-        **self == **other
-    }
-}
-
 impl fmt::Debug for Labels {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
@@ -103,16 +107,21 @@ pub struct Event {
     /// on every record so an offline consumer of one merged dump can
     /// attribute events to processes without an out-of-band process map.
     pub scope: u64,
-    /// Static event kind (catalogued in DESIGN.md §9).
+    /// Static event kind: for every product event, a row of the
+    /// [`crate::Fact`] table.
     pub kind: &'static str,
     /// Label pairs in call-site order.
     pub labels: Labels,
 }
 
 impl Event {
-    /// Numeric label lookup (first pair named `key` holding a number).
-    pub fn label_u64(&self, key: &str) -> Option<u64> {
-        crate::metrics::label_u64(&self.labels, key)
+    /// The fact this event records; `None` for a kind outside the
+    /// [`Fact`] table or labels that do not fit its row.
+    pub fn fact(&self) -> Option<Fact<'static>> {
+        Fact::read(self.kind, |key| {
+            let (_, value) = self.labels.iter().find(|(k, _)| *k == key)?;
+            Some(*value)
+        })
     }
 }
 

@@ -13,6 +13,7 @@
 
 use std::fmt::Write as _;
 
+use crate::fact::Fact;
 use crate::flight::Event;
 use crate::metrics::{Histogram, Label, LabelValue, Registry, SeriesKey};
 
@@ -246,13 +247,7 @@ pub fn parse_lines(text: &str) -> Result<Vec<JsonValue>, String> {
 }
 
 /// An owned label value read back from a dump.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LabelOwned {
-    /// String label.
-    Str(String),
-    /// Numeric label.
-    U64(u64),
-}
+pub type LabelOwned = LabelValue<String>;
 
 fn read_labels(v: &JsonValue) -> Result<Vec<(String, LabelOwned)>, String> {
     let Some(JsonValue::Object(fields)) = v.get("labels") else {
@@ -270,13 +265,6 @@ fn read_labels(v: &JsonValue) -> Result<Vec<(String, LabelOwned)>, String> {
     Ok(out)
 }
 
-fn label_u64(labels: &[(String, LabelOwned)], key: &str) -> Option<u64> {
-    labels.iter().find_map(|(k, v)| match v {
-        LabelOwned::U64(n) if k == key => Some(*n),
-        _ => None,
-    })
-}
-
 /// One counter line read back from a dump.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CounterRecord {
@@ -288,13 +276,6 @@ pub struct CounterRecord {
     pub value: u64,
 }
 
-impl CounterRecord {
-    /// Numeric label lookup.
-    pub fn label_u64(&self, key: &str) -> Option<u64> {
-        label_u64(&self.labels, key)
-    }
-}
-
 /// One gauge line read back from a dump.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GaugeRecord {
@@ -304,13 +285,6 @@ pub struct GaugeRecord {
     pub labels: Vec<(String, LabelOwned)>,
     /// Gauge value.
     pub value: i64,
-}
-
-impl GaugeRecord {
-    /// Numeric label lookup.
-    pub fn label_u64(&self, key: &str) -> Option<u64> {
-        label_u64(&self.labels, key)
-    }
 }
 
 /// One histogram summary line read back from a dump.
@@ -334,13 +308,6 @@ pub struct HistogramRecord {
     pub p99: u64,
 }
 
-impl HistogramRecord {
-    /// Numeric label lookup.
-    pub fn label_u64(&self, key: &str) -> Option<u64> {
-        label_u64(&self.labels, key)
-    }
-}
-
 /// One flight-recorder event read back from a dump.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EventRecord {
@@ -357,9 +324,16 @@ pub struct EventRecord {
 }
 
 impl EventRecord {
-    /// Numeric label lookup.
-    pub fn label_u64(&self, key: &str) -> Option<u64> {
-        label_u64(&self.labels, key)
+    /// The fact this record holds; `None` for a kind outside the
+    /// [`crate::Fact`] table or labels that do not fit its row.
+    pub fn fact(&self) -> Option<Fact<'_>> {
+        Fact::read(&self.kind, |key| {
+            let (_, value) = self.labels.iter().find(|(k, _)| k == key)?;
+            Some(match value {
+                LabelOwned::U64(n) => LabelValue::U64(*n),
+                LabelOwned::Str(s) => LabelValue::Str(s.as_str()),
+            })
+        })
     }
 }
 
@@ -388,14 +362,6 @@ impl Dump {
             .filter(|c| c.name == name)
             .map(|c| c.value)
             .sum()
-    }
-
-    /// Value of a counter carrying a specific numeric label, if present.
-    pub fn counter_with_label(&self, name: &str, key: &str, value: u64) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|c| c.name == name && c.label_u64(key) == Some(value))
-            .map(|c| c.value)
     }
 }
 
@@ -768,12 +734,11 @@ mod tests {
         r.gauge_set("replica.health", &[("element", LabelValue::U64(4))], 60);
         r.observe("bft.order_us", &[], 300);
         let mut fr = FlightRecorder::new(8);
-        fr.record(
-            10,
-            1_000_004,
-            "vote.dissent",
-            &[("sender", LabelValue::U64(4))],
-        );
+        let dissent = Fact::VoteDissent {
+            request: 1,
+            sender: 4,
+        };
+        fr.record(10, 1_000_004, dissent.kind(), &dissent.labels());
         let mut out = String::new();
         dump_registry(&mut out, &r);
         dump_events(&mut out, fr.events());
@@ -781,10 +746,8 @@ mod tests {
 
         let dump = parse_dump(&out).expect("typed parse");
         assert_eq!(dump.counters.len(), 1);
-        assert_eq!(
-            dump.counter_with_label("element.replies", "element", 4),
-            Some(7)
-        );
+        let element = crate::metrics::label_u64(&dump.counters[0].labels, "element");
+        assert_eq!(element, Some(4));
         assert_eq!(dump.counter_total("element.replies"), 7);
         assert_eq!(dump.gauges[0].value, 60);
         assert_eq!(dump.histograms[0].count, 1);
@@ -792,7 +755,13 @@ mod tests {
         let e = &dump.events[0];
         assert_eq!((e.seq, e.at_us, e.scope), (0, 10, 1_000_004));
         assert_eq!(e.kind, "vote.dissent");
-        assert_eq!(e.label_u64("sender"), Some(4));
+        assert_eq!(
+            e.fact(),
+            Some(Fact::VoteDissent {
+                request: 1,
+                sender: 4
+            })
+        );
         assert_eq!(dump.extras.len(), 1, "unknown record types preserved");
     }
 

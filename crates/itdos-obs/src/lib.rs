@@ -47,12 +47,14 @@
 )]
 
 pub mod clock;
+pub mod fact;
 pub mod flight;
 pub mod jsonl;
 pub mod metrics;
 pub mod profile;
 
 pub use clock::{Clock, ManualClock};
+pub use fact::Fact;
 pub use flight::{Event, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use metrics::{Histogram, Label, LabelValue, Registry, SeriesKey, HISTOGRAM_BUCKETS};
 pub use profile::Profile;
@@ -208,7 +210,7 @@ impl Recorder {
         }
         let tap: u64 = self.subs.values().map(|s| s.dropped).sum();
         if tap != self.tap_dropped_mirror {
-            self.registry.counter_set("obs.tap_dropped", &[], tap);
+            self.registry.counter_set(fact::TAP_DROPPED, &[], tap);
             self.tap_dropped_mirror = tap;
         }
         self.mirror_high_water();
@@ -230,6 +232,34 @@ impl Recorder {
                 .gauge_set("obs.tap_hwm", &[], self.tap_high_water as i64);
             self.tap_hwm_mirror = self.tap_high_water;
         }
+    }
+
+    /// Records one flight event in the ring and copies it to every live
+    /// subscription.
+    fn record(&mut self, scope: u64, kind: &'static str, labels: &[Label]) {
+        let now = self.clock.now_micros();
+        let seq = self.flight.record(now, scope, kind, labels);
+        if !self.subs.is_empty() {
+            let event = Event {
+                seq,
+                at_micros: now,
+                scope,
+                kind,
+                labels: flight::Labels::from(labels),
+            };
+            let mut peak = self.tap_high_water;
+            for sub in self.subs.values_mut() {
+                sub.push(event.clone());
+                sub.delivered = sub.delivered.max(seq.saturating_add(1));
+                peak = peak.max(sub.buf.len() as u64);
+            }
+            self.tap_high_water = peak;
+            // every live subscriber now holds (or knowingly dropped) a
+            // copy: evicting this event from the ring later is no longer
+            // silent loss — tap overflow is accounted separately
+            self.flight.mark_consumed(seq.saturating_add(1));
+        }
+        self.mirror_drops();
     }
 
     /// Recomputes the ring's consumed watermark as the slowest
@@ -347,37 +377,20 @@ impl Obs {
         self.with(|rec| rec.registry.observe(name, labels, value));
     }
 
-    /// Records a flight-recorder event stamped with the injected clock
-    /// and tagged with this handle's scope, so a merged dump attributes
-    /// every event to the process that emitted it.
+    /// Records `fact` as a flight-recorder event stamped with the injected
+    /// clock and tagged with this handle's scope, so a merged dump
+    /// attributes every event to the process that emitted it.
+    #[inline]
+    pub fn fact(&self, fact: Fact<'static>) {
+        self.with(|rec| rec.record(self.scope, fact.kind(), &fact.labels()));
+    }
+
+    /// Records a flight event of any `kind` with any `labels`: the raw
+    /// primitive under [`Obs::fact`], which every product event goes
+    /// through instead.
     #[inline]
     pub fn event(&self, kind: &'static str, labels: &[Label]) {
-        self.with(|rec| {
-            let now = rec.clock.now_micros();
-            let scope = self.scope;
-            let seq = rec.flight.record(now, scope, kind, labels);
-            if !rec.subs.is_empty() {
-                let event = Event {
-                    seq,
-                    at_micros: now,
-                    scope,
-                    kind,
-                    labels: flight::Labels::from(labels),
-                };
-                let mut peak = rec.tap_high_water;
-                for sub in rec.subs.values_mut() {
-                    sub.push(event.clone());
-                    sub.delivered = sub.delivered.max(seq.saturating_add(1));
-                    peak = peak.max(sub.buf.len() as u64);
-                }
-                rec.tap_high_water = peak;
-                // every live subscriber now holds (or knowingly dropped) a
-                // copy: evicting this event from the ring later is no longer
-                // silent loss — tap overflow is accounted separately
-                rec.flight.mark_consumed(seq.saturating_add(1));
-            }
-            rec.mirror_drops();
-        });
+        self.with(|rec| rec.record(self.scope, kind, labels));
     }
 
     /// Opens a span keyed by `(name, id)` in this handle's scope.
@@ -607,12 +620,17 @@ fn format_series(key: &SeriesKey) -> String {
 mod tests {
     use super::*;
 
+    /// Records a raw event through the private path under `Obs::event`.
+    fn raw(obs: &Obs, kind: &'static str, labels: &[Label]) {
+        obs.with(|rec| rec.record(obs.scope, kind, labels));
+    }
+
     #[test]
     fn disabled_handle_is_inert() {
         let obs = Obs::disabled();
         obs.incr("c", &[]);
         obs.observe("h", &[], 5);
-        obs.event("e", &[]);
+        obs.fact(Fact::VoteBegin { request: 1 });
         obs.span_begin("s", 1);
         obs.span_end("s", 1, &[]);
         assert!(!obs.is_enabled());
@@ -720,20 +738,20 @@ mod tests {
         let (obs, clock) = Obs::manual();
         obs.set_flight_capacity(4);
         // events recorded before subscribing are not replayed
-        obs.event("early", &[]);
+        raw(&obs, "early", &[]);
         let sub = obs.subscribe(8).expect("enabled");
         for i in 0..3u64 {
             clock.set(i * 10);
-            obs.event("tick", &[("i", LabelValue::U64(i))]);
+            raw(&obs, "tick", &[("i", LabelValue::U64(i))]);
         }
         let drained = obs.drain_subscription(sub);
         assert_eq!(drained.len(), 3);
         assert_eq!(drained[0].kind, "tick");
-        assert_eq!(drained[2].labels, vec![("i", LabelValue::U64(2))]);
+        assert_eq!(*drained[2].labels, [("i", LabelValue::U64(2))]);
         assert!(obs.drain_subscription(sub).is_empty(), "drain empties");
         // a drained subscriber keeps ring evictions from counting as loss
         for i in 0..6u64 {
-            obs.event("more", &[("i", LabelValue::U64(i))]);
+            raw(&obs, "more", &[("i", LabelValue::U64(i))]);
         }
         assert_eq!(obs.counter_value("obs.flight_dropped", &[]), 0);
         assert_eq!(obs.drain_subscription(sub).len(), 6);
@@ -748,7 +766,7 @@ mod tests {
         // into a capacity-4 ring evict the 4 consumed stragglers plus 5
         // post-unsubscribe events nobody ever saw
         for i in 0..9u64 {
-            obs.event("lost", &[("i", LabelValue::U64(i))]);
+            raw(&obs, "lost", &[("i", LabelValue::U64(i))]);
         }
         assert_eq!(obs.counter_value("obs.flight_dropped", &[]), 5);
         assert!(obs.render_report().contains("5 evicted unconsumed"));
@@ -762,11 +780,11 @@ mod tests {
         let (obs, _clock) = Obs::manual();
         let sub = obs.subscribe(2).expect("enabled");
         for i in 0..5u64 {
-            obs.event("e", &[("i", LabelValue::U64(i))]);
+            raw(&obs, "e", &[("i", LabelValue::U64(i))]);
         }
         let drained = obs.drain_subscription(sub);
         assert_eq!(drained.len(), 2, "oldest copies discarded at the bound");
-        assert_eq!(drained[0].labels, vec![("i", LabelValue::U64(3))]);
+        assert_eq!(*drained[0].labels, [("i", LabelValue::U64(3))]);
         assert_eq!(obs.counter_value("obs.tap_dropped", &[]), 3);
     }
 
@@ -788,7 +806,7 @@ mod tests {
         let widths = [0, 1, INLINE_LABELS, INLINE_LABELS + 1, INLINE_LABELS + 2];
         for (i, &n) in widths.iter().enumerate() {
             clock.set(i as u64);
-            obs.event("wide", &labels(n));
+            raw(&obs, "wide", &labels(n));
         }
         let ring: Vec<Event> = obs.with_flight(|f| f.events().cloned().collect()).unwrap();
         let tapped = obs.drain_subscription(sub);
@@ -796,7 +814,7 @@ mod tests {
         let dump = jsonl::parse_dump(&obs.dump_jsonl()).expect("dump parses");
         assert_eq!(dump.events.len(), widths.len());
         for ((event, record), &n) in ring.iter().zip(&dump.events).zip(&widths) {
-            assert_eq!(event.labels, labels(n), "{n} labels");
+            assert_eq!(*event.labels, labels(n), "{n} labels");
             let owned: Vec<(String, jsonl::LabelOwned)> = labels(n)
                 .into_iter()
                 .map(|(k, v)| {
@@ -810,7 +828,7 @@ mod tests {
             assert_eq!(record.labels, owned, "{n} labels dumped in call-site order");
         }
         let wide = &ring[widths.len() - 1];
-        assert_eq!(wide.label_u64("g"), Some(6_000));
+        assert_eq!(wide.labels.last(), Some(&("g", LabelValue::U64(6_000))));
         assert_eq!(
             format!("{:?}", wide.labels),
             format!("{:?}", labels(INLINE_LABELS + 2))
@@ -822,22 +840,22 @@ mod tests {
         let (obs, _clock) = Obs::manual();
         obs.set_flight_capacity(4);
         let hwm = |name| obs.with_registry(|r| r.gauge(name, &[])).flatten();
-        obs.event("e", &[]);
-        obs.event("e", &[]);
+        raw(&obs, "e", &[]);
+        raw(&obs, "e", &[]);
         assert_eq!(hwm("obs.flight_hwm"), Some(2));
         // wraparound pins the ring peak at the capacity
         for _ in 0..6 {
-            obs.event("e", &[]);
+            raw(&obs, "e", &[]);
         }
         assert_eq!(hwm("obs.flight_hwm"), Some(4));
         // the tap peak follows the fullest subscription buffer
         let sub = obs.subscribe(8).expect("enabled");
-        obs.event("e", &[]);
-        obs.event("e", &[]);
-        obs.event("e", &[]);
+        raw(&obs, "e", &[]);
+        raw(&obs, "e", &[]);
+        raw(&obs, "e", &[]);
         assert_eq!(hwm("obs.tap_hwm"), Some(3));
         obs.drain_subscription(sub);
-        obs.event("e", &[]);
+        raw(&obs, "e", &[]);
         // draining does not lower the historical peak
         assert_eq!(hwm("obs.tap_hwm"), Some(3));
         assert!(obs.render_report().contains("obs.flight_hwm"));
@@ -851,7 +869,10 @@ mod tests {
         let clone = obs.clone();
         clone.incr("net.messages", &[("label", LabelValue::Str("x"))]);
         clock.set(42);
-        clone.event("bft.view_change", &[("view", LabelValue::U64(1))]);
+        clone.fact(Fact::BftViewEntered {
+            replica: 0,
+            view: 1,
+        });
         let dump = obs.dump_jsonl();
         assert!(dump.contains("\"at_us\":42"));
         // counter + event + the obs.flight_hwm gauge the event mirrored

@@ -15,46 +15,25 @@ use std::collections::BTreeMap;
 ///
 /// Only these two shapes exist so that building a label slice at an
 /// instrumentation site never allocates — the slice lives on the stack and
-/// is copied into the registry only when its series first appears.
+/// is copied into the registry only when its series first appears. A
+/// reader borrows its strings instead: `LabelValue<&'a str>` is a label
+/// read back from a parsed dump ([`crate::Fact::read`]).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum LabelValue {
-    /// Static string value (e.g. an outcome kind).
-    Str(&'static str),
+pub enum LabelValue<S = &'static str> {
+    /// String value (e.g. an outcome kind).
+    Str(S),
     /// Integer value (e.g. a replica or connection id).
     U64(u64),
-}
-
-impl From<&'static str> for LabelValue {
-    fn from(v: &'static str) -> LabelValue {
-        LabelValue::Str(v)
-    }
-}
-
-impl From<u64> for LabelValue {
-    fn from(v: u64) -> LabelValue {
-        LabelValue::U64(v)
-    }
-}
-
-impl From<u32> for LabelValue {
-    fn from(v: u32) -> LabelValue {
-        LabelValue::U64(u64::from(v))
-    }
-}
-
-impl From<usize> for LabelValue {
-    fn from(v: usize) -> LabelValue {
-        LabelValue::U64(v as u64)
-    }
 }
 
 /// One `key=value` label pair.
 pub type Label = (&'static str, LabelValue);
 
-/// The number under the first label named `key` that holds one.
-pub fn label_u64(labels: &[Label], key: &str) -> Option<u64> {
+/// The number under the first label named `key` that holds one, in a
+/// live series' labels or a parsed dump record's.
+pub fn label_u64<K: AsRef<str>, S>(labels: &[(K, LabelValue<S>)], key: &str) -> Option<u64> {
     labels.iter().find_map(|(k, v)| match v {
-        LabelValue::U64(n) if *k == key => Some(*n),
+        LabelValue::U64(n) if k.as_ref() == key => Some(*n),
         _ => None,
     })
 }

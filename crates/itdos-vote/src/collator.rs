@@ -20,7 +20,7 @@
 use std::collections::BTreeSet;
 
 use itdos_giop::types::Value;
-use itdos_obs::{LabelValue, Obs};
+use itdos_obs::{Fact, LabelValue, Obs};
 
 use crate::comparator::Comparator;
 use crate::vote::{tally, Candidate, Decision, SenderId, Thresholds};
@@ -169,8 +169,9 @@ impl Collator {
         // round marker: request ids restart per connection, so an offline
         // auditor needs this to avoid pairing a new round's ballots with a
         // stale same-id decision
-        self.obs
-            .event("vote.begin", &[("request", LabelValue::U64(request_id))]);
+        self.obs.fact(Fact::VoteBegin {
+            request: request_id,
+        });
         prev
     }
 
@@ -233,13 +234,10 @@ impl Collator {
         // every accepted ballot goes on the flight record: the per-sender
         // arrival timestamps are what lets an offline auditor measure how
         // far behind the decision a straggling replica's replies land
-        self.obs.event(
-            "vote.reply",
-            &[
-                ("request", LabelValue::U64(request_id)),
-                ("sender", LabelValue::U64(u64::from(sender.0))),
-            ],
-        );
+        self.obs.fact(Fact::VoteReply {
+            request: request_id,
+            sender: u64::from(sender.0),
+        });
         if let Some(decided) = self.decided_value() {
             // post-decision arrival: check against the decided value
             let suspect = if self.comparator.equivalent(decided, &value) {
@@ -247,13 +245,10 @@ impl Collator {
             } else {
                 self.suspects.push(sender);
                 self.obs.incr("vote.divergent", &[]);
-                self.obs.event(
-                    "vote.late_dissent",
-                    &[
-                        ("request", LabelValue::U64(request_id)),
-                        ("sender", LabelValue::U64(u64::from(sender.0))),
-                    ],
-                );
+                self.obs.fact(Fact::VoteLateDissent {
+                    request: request_id,
+                    sender: u64::from(sender.0),
+                });
                 Some(sender)
             };
             self.obs.incr("vote.late", &[]);
@@ -287,19 +282,17 @@ impl Collator {
             let kind = comparator_kind(&self.comparator);
             let labels = [("comparator", LabelValue::Str(kind))];
             self.obs.incr("vote.decided", &labels);
-            self.obs
-                .event("vote.decided", &[("request", LabelValue::U64(request_id))]);
+            self.obs.fact(Fact::VoteDecided {
+                request: request_id,
+            });
             self.obs.observe("vote.votes_held", &labels, held as u64);
             self.obs
                 .add("vote.divergent", &[], decision.dissenters.len() as u64);
             for dissenter in &decision.dissenters {
-                self.obs.event(
-                    "vote.dissent",
-                    &[
-                        ("request", LabelValue::U64(request_id)),
-                        ("sender", LabelValue::U64(u64::from(dissenter.0))),
-                    ],
-                );
+                self.obs.fact(Fact::VoteDissent {
+                    request: request_id,
+                    sender: u64::from(dissenter.0),
+                });
             }
         }
         // a copy of the value stays only while a sender the round has not

@@ -1,6 +1,6 @@
 //! Shared builders for the integration suite.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use itdos::system::{System, SystemBuilder};
 use itdos::{Completed, Invocation, GM_DOMAIN};
@@ -219,6 +219,30 @@ pub fn gm_active_counts(system: &System, domain: DomainId) -> Vec<usize> {
     gm_memberships(system)
         .map(|m| m.domain(domain).expect("domain registered").active_count())
         .collect()
+}
+
+/// The kinds of every event in `system`'s flight ring, after asserting
+/// that each reads back as an `itdos_obs::Fact` and that the ring evicted
+/// nothing: no product writer strays from the fact table.
+pub fn flight_fact_kinds(system: &System) -> BTreeSet<&'static str> {
+    system
+        .obs
+        .with_flight(|flight| {
+            assert_eq!(
+                flight.len() as u64,
+                flight.total_recorded(),
+                "nothing evicted"
+            );
+            flight
+                .events()
+                .map(|e| {
+                    let fact = e.fact();
+                    let fact = fact.unwrap_or_else(|| panic!("no fact: {e:?}"));
+                    fact.kind()
+                })
+                .collect()
+        })
+        .expect("observability is on")
 }
 
 /// A hostile peer: sends each `(node, frame)` in turn, 50 µs apart — more

@@ -46,8 +46,8 @@ use itdos_bft::{ClientId, GroupConfig};
 use itdos_giop::idl::{InterfaceDef, InterfaceRepository, OperationDef};
 use itdos_giop::types::{TypeDesc, Value};
 use itdos_groupmgr::membership::DomainId;
-use itdos_obs::flight::{Event, Labels};
-use itdos_obs::LabelValue;
+use itdos_obs::flight::Event;
+use itdos_obs::Fact;
 use itdos_orb::object::ObjectKey;
 use itdos_orb::servant::{FnServant, ServantException};
 use simnet::{Context, GroupId, NodeId, Process, SimDuration, Simulator, Timer};
@@ -271,55 +271,59 @@ fn a_warm_stream_surfaces_ten_thousand_replies_without_allocating() {
         }
     }
     let mut stream = Stream::new(topology);
-    let event = |seq: u64, at_micros: u64, scope: u64, kind, labels: &[(&'static str, u64)]| {
-        let labels: Vec<_> = labels
-            .iter()
-            .map(|&(k, v)| (k, LabelValue::U64(v)))
-            .collect();
-        Event {
-            seq,
-            at_micros,
-            scope,
-            kind,
-            labels: Labels::from(labels.as_slice()),
-        }
+    let event = |seq: u64, at_micros: u64, scope: u64, fact: Fact<'static>| Event {
+        seq,
+        at_micros,
+        scope,
+        kind: fact.kind(),
+        labels: fact.labels(),
     };
     // evidence behind a divergence blame (with a fault proof and an
     // expulsion), an accusation and a stall: findings every surface
     // recomputes
+    let reply = |request, sender| Fact::VoteReply { request, sender };
     let warm = [
-        event(0, 10, 1, "vote.dissent", &[("request", 1), ("sender", 7)]),
-        event(1, 12, 1, "client.accused", &[("accused", 7)]),
+        event(
+            0,
+            10,
+            1,
+            Fact::VoteDissent {
+                request: 1,
+                sender: 7,
+            },
+        ),
+        event(
+            1,
+            12,
+            1,
+            Fact::ClientAccused {
+                client: 1,
+                request: 1,
+                accused: 7,
+            },
+        ),
         event(
             2,
             20,
             1,
-            "element.accuse",
-            &[("accuser", 4), ("accused", 6)],
-        ),
-        event(3, 30, 1, "gm.expelled", &[("element", 7)]),
-        event(4, 40, 1, "vote.decided", &[("request", 2)]),
-        event(
-            5,
-            100_000,
-            1,
-            "vote.reply",
-            &[("request", 2), ("sender", 5)],
+            Fact::ElementAccuse {
+                accuser: 4,
+                accused: 6,
+            },
         ),
         event(
-            6,
-            100_000,
+            3,
+            30,
             1,
-            "vote.reply",
-            &[("request", 3), ("sender", 4)],
+            Fact::GmExpelled {
+                domain: 1,
+                element: 7,
+            },
         ),
-        event(
-            7,
-            100_000,
-            1,
-            "vote.reply",
-            &[("request", 3), ("sender", 6)],
-        ),
+        event(4, 40, 1, Fact::VoteDecided { request: 2 }),
+        event(5, 100_000, 1, reply(2, 5)),
+        event(6, 100_000, 1, reply(3, 4)),
+        event(7, 100_000, 1, reply(3, 6)),
     ];
     for e in &warm {
         stream.observe_event(e);
@@ -336,18 +340,7 @@ fn a_warm_stream_surfaces_ten_thousand_replies_without_allocating() {
     let before = allocs();
     for i in 0..10_000u64 {
         let sender = 4 + i % 3;
-        let e = Event {
-            seq: 8 + i,
-            at_micros: 100_000,
-            scope: 1,
-            kind: "vote.reply",
-            labels: Labels::from(
-                &[
-                    ("request", LabelValue::U64(3)),
-                    ("sender", LabelValue::U64(sender)),
-                ][..],
-            ),
-        };
+        let e = event(8 + i, 100_000, 1, reply(3, sender));
         let fresh = stream.observe_event(&e);
         assert!(fresh.is_empty(), "nothing new surfaces");
     }

@@ -242,4 +242,15 @@ fn replacement_joiner_starts_at_full_health() {
         joiner, 100,
         "fresh joiner in the same slot starts at full health"
     );
+    // the controller's decisions and the accusations behind them are
+    // typed facts like every other flight event
+    let kinds = common::flight_fact_kinds(&healed);
+    for kind in [
+        "heal.expel",
+        "heal.replace",
+        "element.accuse",
+        "gm.admitted",
+    ] {
+        assert!(kinds.contains(kind), "no {kind} recorded");
+    }
 }

@@ -13,7 +13,7 @@ use itdos::{Invocation, ObsConfig};
 use itdos_giop::types::Value;
 use itdos_groupmgr::membership::DomainId;
 use itdos_obs::metrics::label_u64;
-use itdos_obs::{Event, LabelValue, SeriesKey};
+use itdos_obs::{Event, Fact, LabelValue, SeriesKey};
 
 /// Builds an instrumented bank system and runs `invocations` deposits.
 fn instrumented_run(seed: u64, invocations: u64) -> System {
@@ -492,16 +492,19 @@ fn hosts_record_every_replica_fact() {
         // each sequence number executed by agreement is committed once:
         // every one above a transferred snapshot, and, below it, each one
         // executed before the transfer
-        let seq = |e: &Event| label_u64(&e.labels, "seq");
         let committed: Vec<u64> = mine
             .iter()
-            .filter(|e| e.kind == "bft.committed")
-            .filter_map(|e| seq(e))
+            .filter_map(|e| match e.fact()? {
+                Fact::BftCommitted { seq, .. } => Some(seq),
+                _ => None,
+            })
             .collect();
         let transferred = mine
             .iter()
-            .filter(|e| e.kind == "bft.state_transferred")
-            .filter_map(|e| seq(e))
+            .filter_map(|e| match e.fact()? {
+                Fact::BftStateTransferred { seq, .. } => Some(seq),
+                _ => None,
+            })
             .max()
             .unwrap_or(0);
         let executed = system.element(BANK, index).replica().last_executed().0;

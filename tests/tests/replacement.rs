@@ -11,11 +11,43 @@
 
 use itdos_tests::common;
 
-use common::{assert_mean, gm_active_counts, gm_memberships, read_average as read, sensor_system};
+use common::{assert_mean, flight_fact_kinds, gm_active_counts, gm_memberships};
+use common::{read_average as read, sensor_system};
 use common::{CLIENT, SENSOR};
 use itdos::fault::Behavior;
 use itdos::{ObsConfig, ServerElement};
 use itdos_bft::state::StateMachine;
+
+/// Every flight event of a corruption, its expulsion and the replacement
+/// reads back as a typed fact, among them the evidence the audit blames
+/// with and the admission that repairs the domain.
+#[test]
+fn an_intrusion_and_its_repair_record_only_facts() {
+    let mut builder = sensor_system(141);
+    builder.behavior(SENSOR, 2, Behavior::CorruptValue);
+    builder.obs(ObsConfig::forensic());
+    let mut system = builder.build();
+    let first = system.fabric.domain(SENSOR).elements[2];
+    assert_eq!(read(&mut system).suspects, vec![first]);
+    system.settle();
+    system.spawn_replacement(SENSOR, first, Behavior::Honest);
+    system.settle();
+    assert!(read(&mut system).suspects.is_empty(), "the joiner votes");
+    system.settle();
+    let kinds = flight_fact_kinds(&system);
+    for kind in [
+        "vote.dissent",
+        "client.accused",
+        "gm.expelled",
+        "audit.finding",
+        "gm.admitted",
+        "element.admission_applied",
+        "bft.onboarded",
+        "element.onboarded",
+    ] {
+        assert!(kinds.contains(kind), "no {kind} recorded");
+    }
+}
 
 /// The tentpole acceptance drill: expel an intruded element, replace it,
 /// verify the domain is back to `n` elements, then script a *second*
