@@ -27,8 +27,10 @@
 #                       the reply and the host); a sealed frame submitted
 #                       for ordering is written into its queue op's
 #                       buffer, not encoded on its own first
-#   small_closed        the per-message path: one buffer per BFT frame, MAC
-#                       tags written into it and read in place
+#   small_closed        the per-message path: one allocation per BFT frame
+#                       (its writer's storage is the frame's `Bytes`), MAC
+#                       tags written into it and read in place, one per
+#                       execution result and per direct reply
 #   bulk_closed         the payload path: a replica's store of held requests
 #                       allocates nothing per op
 #   pipelined_batch     the primary's batching
@@ -45,16 +47,37 @@
 #                       drains into a kept buffer, the healer copies no
 #                       membership)
 # A change that lowers a count lowers its pin in the same diff.
+#
+# The wire is pinned too: `msgs_per_op` and `wire_bytes_per_op` are also pure
+# functions of (workload, seed), so on seed 7 each must equal, digit for digit,
+# its value below. A change that means to move no wire byte shows it here; one
+# that moves them on purpose re-pins them in the same diff.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 declare -A allocs_max=(
-  [small_closed]=225.78766666666667
-  [bulk_closed]=237.10416666666666
-  [pipelined_batch]=187.87451171875
-  [connect_storm]=474.875
-  [sustained_history]=224.86433333333332
-  [intrusion_campaign]=3164.5625
+  [small_closed]=189.31566666666666
+  [bulk_closed]=200.60416666666666
+  [pipelined_batch]=165.843505859375
+  [connect_storm]=397.375
+  [sustained_history]=188.36433333333332
+  [intrusion_campaign]=2597.0625
+)
+declare -A msgs_exact=(
+  [small_closed]=57.57333333333333
+  [bulk_closed]=57.6
+  [pipelined_batch]=24.747314453125
+  [connect_storm]=113.375
+  [sustained_history]=57.622
+  [intrusion_campaign]=828
+)
+declare -A wire_bytes_exact=(
+  [small_closed]=8562.085333333333
+  [bulk_closed]=172309.8
+  [pipelined_batch]=4688.454345703125
+  [connect_storm]=16194
+  [sustained_history]=8567.736
+  [intrusion_campaign]=132278
 )
 
 out="$(mktemp)"
@@ -69,4 +92,10 @@ for workload in small_closed bulk_closed sustained_history pipelined_batch conne
   allocs="$(sed -n 's/.*"allocs_per_op": {"value": \([0-9.e+-]*\).*/\1/p' <<<"$result")"
   awk -v got="$allocs" -v max="$max" 'BEGIN { exit !(got != "" && got + 0 <= max + 0) }' \
     || { echo "allocation gate: $workload seed 7 allocs_per_op ${allocs:-missing} > $max"; exit 1; }
+  for pin in "msgs_per_op=${msgs_exact[$workload]}" "wire_bytes_per_op=${wire_bytes_exact[$workload]}"; do
+    metric="${pin%%=*}"
+    got="$(sed -n "s/.*\"$metric\": {\"value\": \([0-9.e+-]*\).*/\1/p" <<<"$result")"
+    [ "$got" = "${pin#*=}" ] \
+      || { echo "wire gate: $workload seed 7 $metric ${got:-missing} != ${pin#*=}"; exit 1; }
+  done
 done

@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use itdos_bft::auth::Envelope;
-use itdos_bft::wire::Wire;
+use itdos_bft::wire::{Wire, Writer};
 use itdos_giop::cdr::Endianness;
 use itdos_giop::giop::{
     decode_message, encode_message, encode_request, GiopError, GiopMessage, ReplyBody,
@@ -120,10 +120,9 @@ pub(crate) fn encode_traced_command(
         fabric.repo(),
         Endianness::Little,
     )?;
-    let mut out = Vec::with_capacity(frame.len().saturating_add(8));
-    out.extend_from_slice(&target.0.to_le_bytes());
-    out.extend_from_slice(&frame);
-    Ok(Bytes::from(out))
+    let mut out = Writer::with_capacity(frame.len().saturating_add(8));
+    out.u64(target.0).raw(&frame);
+    Ok(out.finish())
 }
 
 /// A singleton client process.
@@ -239,7 +238,7 @@ impl SingletonClient {
             .outbound
             .get_or_open(gm, || Outbound::new(fabric, gm, code))
         {
-            outbound.submit(ctx, fabric, op.encode());
+            outbound.submit(ctx, fabric, op.encode_shared());
         }
     }
 

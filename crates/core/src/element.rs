@@ -363,7 +363,7 @@ impl ServerElement {
                 up_to: head,
             };
             let own = self.cfg.domain;
-            self.submit_op(ctx, own, op.encode());
+            self.submit_op(ctx, own, op.encode_shared());
         }
     }
 
@@ -389,10 +389,10 @@ impl ServerElement {
             accused,
         };
         let gm = self.fabric.gm_domain();
-        self.submit_op(ctx, gm, op.encode());
+        self.submit_op(ctx, gm, op.encode_shared());
     }
 
-    fn submit_op(&mut self, ctx: &mut Context<'_>, target: DomainId, op: Vec<u8>) {
+    fn submit_op(&mut self, ctx: &mut Context<'_>, target: DomainId, op: Bytes) {
         let code = self.my_code();
         let fabric = &self.fabric;
         let outbound = self
@@ -587,7 +587,7 @@ impl ServerElement {
                         };
                         self.nested = Some(NestedPhase::AwaitingConnection { target, call });
                         let gm = self.fabric.gm_domain();
-                        self.submit_op(ctx, gm, op.encode());
+                        self.submit_op(ctx, gm, op.encode_shared());
                     }
                 }
             }
@@ -680,7 +680,7 @@ impl ServerElement {
             None => {
                 if let Some(node) = self.fabric.node_of(meta.client_code) {
                     let msg = CoreMsg::DirectReply(frame.into());
-                    ctx.send_labeled(node, msg.encode().into(), "smiop-reply");
+                    ctx.send_labeled(node, msg.encode_shared(), "smiop-reply");
                 }
             }
         }
@@ -730,7 +730,7 @@ impl ServerElement {
         });
         let op = QueueOp::Expel(ElementId(msg.expelled.0));
         let own = self.cfg.domain;
-        self.submit_op(ctx, own, op.encode());
+        self.submit_op(ctx, own, op.encode_shared());
     }
 
     fn handle_admit_notice(&mut self, ctx: &mut Context<'_>, msg: AdmitNoticeMsg) {
@@ -754,7 +754,7 @@ impl ServerElement {
             // transfer latches onto
             let op = QueueOp::Join(ElementId(msg.admitted.0));
             let own = self.cfg.domain;
-            self.submit_op(ctx, own, op.encode());
+            self.submit_op(ctx, own, op.encode_shared());
         }
     }
 }
@@ -780,7 +780,7 @@ impl Process for ServerElement {
                 verifying_key: self.fabric.verifying_key(self.cfg.element),
             };
             let gm = self.fabric.gm_domain();
-            self.submit_op(ctx, gm, op.encode());
+            self.submit_op(ctx, gm, op.encode_shared());
             self.obs
                 .span_begin("replica.onboarding_us", u64::from(self.cfg.element.0));
             self.replica.begin_onboarding();
@@ -808,7 +808,7 @@ impl Process for ServerElement {
                             element: self.cfg.element,
                         };
                         let gm = self.fabric.gm_domain();
-                        self.submit_op(ctx, gm, op.encode());
+                        self.submit_op(ctx, gm, op.encode_shared());
                     }
                 }
             }

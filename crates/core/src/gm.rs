@@ -31,8 +31,7 @@ use crate::fabric::{DomainRoute, Fabric};
 use crate::registry::ComparatorRegistry;
 use crate::smiop::{admit_notice_plaintext, nonce, notice_plaintext};
 use crate::wire::{
-    encode_directives, AdmitNoticeMsg, ConnectionMeta, CoreMsg, Directive, GmOp, KeyShareMsg,
-    NoticeMsg,
+    AdmitNoticeMsg, ConnectionMeta, CoreMsg, Directive, GmOp, KeyShareMsg, NoticeMsg,
 };
 
 /// Most operations one snapshot's log may claim (hostile-length defence).
@@ -247,19 +246,20 @@ impl GmMachine {
     /// rebuild it from the op log alone.
     ///
     /// [`restore`]: StateMachine::restore
-    fn run(&mut self, operation: &[u8]) -> Vec<u8> {
+    fn run(&mut self, operation: &[u8]) -> Bytes {
         self.oplog.push(operation.to_vec());
         self.chain = Digest::of_parts(&[b"gm-link", self.chain.as_bytes(), operation]);
         let directives = match GmOp::decode(operation) {
             Ok(op) => self.apply(&op),
             Err(_) => vec![Directive::Refused(refusal::MALFORMED)],
         };
-        encode_directives(&directives)
+        // shared as it was written; `encode_directives` would copy it
+        encode_seq(&directives)
     }
 }
 
 impl StateMachine for GmMachine {
-    fn execute(&mut self, operation: &[u8], _request_digest: Digest) -> Vec<u8> {
+    fn execute(&mut self, operation: &[u8], _request_digest: Digest) -> Bytes {
         self.run(operation)
     }
 
@@ -270,7 +270,7 @@ impl StateMachine for GmMachine {
     fn snapshot(&self) -> Vec<u8> {
         // the op log *is* the state: deterministic replay reconstructs the
         // manager exactly (the GM equivalent of the message-queue model)
-        encode_seq(&self.oplog)
+        encode_seq(&self.oplog).to_vec()
     }
 
     fn restore(&mut self, snapshot: &[u8]) {
@@ -572,7 +572,7 @@ impl GmElement {
             };
             let nonce = nonce(&[tag, &me.to_le_bytes(), &code.to_le_bytes(), a, b]);
             let (msg, label) = wrap(seal(&self.fabric.pairwise(me, code), nonce, plain));
-            ctx.send_labeled(node, msg.encode().into(), label);
+            ctx.send_labeled(node, msg.encode_shared(), label);
         }
     }
 }

@@ -33,7 +33,7 @@ pub struct Outbound {
     auth: AuthContext,
     client: Client,
     /// Queued `(operation, trace)` pairs awaiting a window slot.
-    queue: VecDeque<(Vec<u8>, u64)>,
+    queue: VecDeque<(Bytes, u64)>,
     /// In-flight operations in submission order, by timestamp, each with
     /// its result once decided; results are released to `accepted` only
     /// when the head decides (FIFO reorder).
@@ -78,7 +78,7 @@ impl Outbound {
     }
 
     /// Queues an operation for ordered submission.
-    pub fn submit(&mut self, ctx: &mut Context<'_>, fabric: &Fabric, op: Vec<u8>) {
+    pub fn submit(&mut self, ctx: &mut Context<'_>, fabric: &Fabric, op: Bytes) {
         self.submit_traced(ctx, fabric, op, 0);
     }
 
@@ -89,7 +89,7 @@ impl Outbound {
         &mut self,
         ctx: &mut Context<'_>,
         fabric: &Fabric,
-        op: Vec<u8>,
+        op: Bytes,
         trace: u64,
     ) {
         self.queue.push_back((op, trace));
@@ -262,7 +262,7 @@ mod tests {
     impl simnet::Process for Harness {
         fn on_message(&mut self, ctx: &mut Context<'_>, from: simnet::NodeId, payload: Bytes) {
             if from.is_external() {
-                self.outbound.submit(ctx, &self.fabric, payload.to_vec());
+                self.outbound.submit(ctx, &self.fabric, payload);
             }
         }
     }
@@ -320,7 +320,7 @@ mod tests {
         impl simnet::Process for RetryHarness {
             fn on_message(&mut self, ctx: &mut Context<'_>, from: simnet::NodeId, payload: Bytes) {
                 if from.is_external() {
-                    self.outbound.submit(ctx, &self.fabric, payload.to_vec());
+                    self.outbound.submit(ctx, &self.fabric, payload);
                 }
             }
             fn on_timer(&mut self, ctx: &mut Context<'_>, timer: simnet::Timer) {
@@ -411,7 +411,7 @@ mod tests {
     impl simnet::Process for TimedHarness {
         fn on_message(&mut self, ctx: &mut Context<'_>, from: simnet::NodeId, payload: Bytes) {
             if from.is_external() {
-                self.outbound.submit(ctx, &self.fabric, payload.to_vec());
+                self.outbound.submit(ctx, &self.fabric, payload);
             } else if let Ok(CoreMsg::Bft { envelope, .. }) = CoreMsg::decode(&payload) {
                 if let Ok((envelope, message)) = Envelope::open(&envelope) {
                     self.outbound

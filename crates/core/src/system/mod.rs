@@ -307,7 +307,7 @@ impl System {
             .fabric
             .node_of(element_code(element))
             .expect("active element has a node");
-        self.sim.inject(node, cmd.encode().into());
+        self.sim.inject(node, cmd.encode_shared());
     }
 
     /// The healing controller's cumulative action counters; all zero when
@@ -348,9 +348,9 @@ impl System {
     /// or the ring has evicted the invocation's anchor event (use
     /// [`itdos_obs::ObsConfig::forensic`] for whole-run traces).
     pub fn trace(&self, ticket: Ticket) -> Option<crate::trace::TraceReport> {
-        let events: Vec<itdos_obs::flight::Event> =
-            self.obs.with_flight(|f| f.events().cloned().collect())?;
-        crate::trace::of_ticket(ticket, &self.element_domains(), &events)
+        let domains = self.element_domains();
+        self.obs
+            .with_flight(|f| crate::trace::of_ticket(ticket, &domains, f.events()))?
     }
 
     /// Every element's obs scope → its domain id, retired (replaced)
@@ -378,15 +378,11 @@ impl System {
     /// renders itself ([`itdos_obs::Profile::render`], `to_json`,
     /// `folded`), byte-identically across identical seeded runs.
     pub fn profile(&self) -> Option<itdos_obs::Profile> {
-        let events: Vec<itdos_obs::flight::Event> =
-            self.obs.with_flight(|f| f.events().cloned().collect())?;
+        let domains = self.element_domains();
         let mut profile = itdos_obs::Profile::new(&crate::trace::STAGE_ORDER);
-        crate::trace::fold_into(
-            &mut profile,
-            &self.submitted,
-            &self.element_domains(),
-            &events,
-        );
+        self.obs.with_flight(|f| {
+            crate::trace::fold_into(&mut profile, &self.submitted, &domains, f.events());
+        })?;
         crate::cost::fold_into(&self.obs, &mut profile);
         Some(profile)
     }
@@ -567,5 +563,88 @@ impl System {
     pub fn gm_element_mut(&mut self, index: usize) -> &mut GmElement {
         let node = self.fabric.domain(self.fabric.gm_domain()).nodes[index];
         self.sim.process_mut::<GmElement>(node)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use itdos_giop::idl::{InterfaceDef, InterfaceRepository, OperationDef};
+    use itdos_giop::types::{TypeDesc, Value};
+    use itdos_obs::flight::Event;
+    use itdos_obs::ObsConfig;
+    use itdos_orb::servant::FnServant;
+
+    use super::*;
+
+    const COUNTER: DomainId = DomainId(1);
+
+    /// A counter domain whose element 3 corrupts its replies, run under
+    /// forensic observability: three invocations, each voted past the
+    /// corrupt element.
+    fn drilled() -> System {
+        let mut repo = InterfaceRepository::new();
+        repo.register(
+            InterfaceDef::new("Counter").with_operation(OperationDef::new(
+                "add",
+                vec![("delta".into(), TypeDesc::Long)],
+                TypeDesc::Long,
+            )),
+        );
+        let mut builder = SystemBuilder::new(51);
+        builder.repository(repo).obs(ObsConfig::forensic());
+        builder.add_domain(
+            COUNTER,
+            1,
+            Box::new(|_| {
+                let mut total = 0i32;
+                let add = FnServant::new("Counter", move |_, args| {
+                    if let Some(Value::Long(delta)) = args.first() {
+                        total += delta;
+                    }
+                    Ok(Value::Long(total))
+                });
+                vec![(
+                    ObjectKey::from_name("counter"),
+                    Box::new(add) as Box<dyn Servant>,
+                )]
+            }),
+        );
+        builder.behavior(COUNTER, 3, Behavior::CorruptValue);
+        builder.add_client(1);
+        let mut system = builder.build();
+        for delta in 1..=3 {
+            let add = Invocation::of(COUNTER)
+                .object(b"counter")
+                .interface("Counter")
+                .operation("add")
+                .arg(Value::Long(delta));
+            assert!(system.invoke(1, add).result.is_ok());
+        }
+        system.settle();
+        system
+    }
+
+    /// `trace` and `profile` walk the flight ring in place, and return
+    /// what they returned when they folded a copy of it.
+    #[test]
+    fn trace_and_profile_match_a_copy_of_the_ring() {
+        let system = drilled();
+        let copy: Vec<Event> = system
+            .obs
+            .with_flight(|f| f.events().cloned().collect())
+            .expect("observability is on");
+        let domains = system.element_domains();
+        for index in 0..3 {
+            let ticket = Ticket { client: 1, index };
+            let copied = crate::trace::of_ticket(ticket, &domains, copy.iter());
+            assert!(copied.is_some(), "ticket {index} is traced");
+            assert_eq!(system.trace(ticket), copied, "ticket {index}");
+        }
+        let mut copied = itdos_obs::Profile::new(&crate::trace::STAGE_ORDER);
+        crate::trace::fold_into(&mut copied, &system.submitted, &domains, copy.iter());
+        crate::cost::fold_into(&system.obs, &mut copied);
+        let profile = system.profile().expect("observability is on");
+        assert_eq!(profile.invocations(), 3);
+        assert_eq!(profile.to_json(), copied.to_json());
     }
 }

@@ -191,10 +191,10 @@ fn fmt_opt(v: Option<u64>) -> String {
 
 /// Reconstructs the causal path of a ticket's invocation: [`reconstruct`]
 /// for the trace id it was minted and its client's scope.
-pub(crate) fn of_ticket(
+pub(crate) fn of_ticket<'a>(
     ticket: Ticket,
     element_domains: &BTreeMap<u64, u64>,
-    events: &[Event],
+    events: impl Iterator<Item = &'a Event> + Clone,
 ) -> Option<TraceReport> {
     reconstruct(
         trace_id(ticket.client, ticket.index),
@@ -208,15 +208,15 @@ pub(crate) fn of_ticket(
 /// Folds the causal trace of every invocation `submitted` counts (client
 /// → invocations submitted) into `profile`; one whose anchor the flight
 /// ring already evicted is counted as untraced.
-pub(crate) fn fold_into(
+pub(crate) fn fold_into<'a>(
     profile: &mut Profile,
     submitted: &BTreeMap<u64, usize>,
     element_domains: &BTreeMap<u64, u64>,
-    events: &[Event],
+    events: impl Iterator<Item = &'a Event> + Clone,
 ) {
     for (&client, &count) in submitted {
         for index in 0..count {
-            match of_ticket(Ticket { client, index }, element_domains, events) {
+            match of_ticket(Ticket { client, index }, element_domains, events.clone()) {
                 Some(report) => {
                     let (hops, residual) = report.attributions();
                     profile.record_invocation(report.total_us(), &hops, residual);
@@ -227,23 +227,25 @@ pub(crate) fn fold_into(
     }
 }
 
-/// Reconstructs the causal path of `trace` from a flight-event snapshot.
+/// Reconstructs the causal path of `trace` from the flight events
+/// `events` walks — the recorder's ring in place, or a copy of it — which
+/// it walks a few times over, through clones.
 ///
 /// `element_domains` maps each server element's obs scope to its domain
 /// id (used to attribute `bft.prepared`/`bft.committed` — which carry a
 /// sequence number, not a trace — to the right domain's agreement).
 /// Returns `None` when the ring no longer holds the invocation's
 /// `client.send` record.
-pub fn reconstruct(
+pub fn reconstruct<'a>(
     trace: u64,
     client: u64,
     client_scope: u64,
     element_domains: &BTreeMap<u64, u64>,
-    events: &[Event],
+    events: impl Iterator<Item = &'a Event> + Clone,
 ) -> Option<TraceReport> {
     let client_fact = |e: &Event| (e.scope == client_scope).then(|| e.fact()).flatten();
     // anchor: the client's send record names the request id and target
-    let (send_at, request_id, target) = events.iter().find_map(|e| match client_fact(e)? {
+    let (send_at, request_id, target) = events.clone().find_map(|e| match client_fact(e)? {
         Fact::ClientSend {
             trace: t,
             request,
@@ -255,7 +257,7 @@ pub fn reconstruct(
     // the reply record bounds the window vote events are matched within
     // (request ids are per-connection, so an id alone is ambiguous)
     let reply_at = events
-        .iter()
+        .clone()
         .find_map(|e| match client_fact(e)? {
             Fact::ClientDecided { trace: t, .. } if t == trace => Some(e.at_micros),
             _ => None,
@@ -263,7 +265,7 @@ pub fn reconstruct(
         .unwrap_or(u64::MAX);
     let in_target = |e: &Event| element_domains.get(&e.scope) == Some(&target);
     // the agreed sequence number, from any replica's batch record
-    let bft_seq = events.iter().find_map(|e| match e.fact()? {
+    let bft_seq = events.clone().find_map(|e| match e.fact()? {
         Fact::BftBatch { seq, trace: t, .. } if t == trace && in_target(e) => Some(seq),
         _ => None,
     });
@@ -412,7 +414,7 @@ mod tests {
                 },
             ),
         ];
-        let report = reconstruct(t, 1, 9, &domains, &events).expect("anchored");
+        let report = reconstruct(t, 1, 9, &domains, events.iter()).expect("anchored");
         assert_eq!(report.request_id, Some(1));
         assert_eq!(report.bft_seq, Some(5));
         assert_eq!(
@@ -431,7 +433,7 @@ mod tests {
 
     #[test]
     fn missing_anchor_yields_none() {
-        assert!(reconstruct(7, 1, 9, &BTreeMap::new(), &[]).is_none());
+        assert!(reconstruct(7, 1, 9, &BTreeMap::new(), [].iter()).is_none());
     }
 
     fn hop(stage: &'static str, at_us: u64) -> TraceHop {

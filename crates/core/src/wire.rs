@@ -399,14 +399,15 @@ pub fn bft_frame(
         .len();
     BftFrame {
         envelope_len,
-        bytes: Bytes::from(w.finish()),
+        bytes: w.finish(),
         auth: kind,
     }
 }
 
-/// Encodes a directive list (the GM state machine's execution result).
+/// Encodes a directive list (the GM state machine's execution result),
+/// copied into an owned `Vec`.
 pub fn encode_directives(directives: &[Directive]) -> Vec<u8> {
-    encode_seq(directives)
+    encode_seq(directives).to_vec()
 }
 
 /// Decodes a directive list.

@@ -291,13 +291,13 @@ impl AuthContext {
     pub fn frame(&self, message: &Message, client: Option<ClientId>) -> Bytes {
         let mut w = Writer::with_capacity(self.frame_capacity(message));
         self.put_envelope(&mut w, message, client);
-        Bytes::from(w.finish())
+        w.finish()
     }
 
     /// `message` in an [`Envelope`] value, authenticated by `scheme`
     /// whatever its kind: byte for byte what `put_envelope_as` writes.
     fn envelope(&self, scheme: Scheme, message: &Message) -> Envelope {
-        let payload = Bytes::from(message.encode());
+        let payload = message.encode_shared();
         let auth = match scheme {
             Scheme::Signed => AuthProof::Signature(self.signing.sign(&payload)),
             Scheme::Macs(client) => AuthProof::Macs(Authenticator::for_digest(
@@ -408,7 +408,7 @@ mod tests {
     /// What a receiver does with an envelope: encode it as sent, open the
     /// frame, verify the decoded pair.
     fn accepts(receiver: &AuthContext, envelope: &Envelope) -> bool {
-        Envelope::open(&Bytes::from(envelope.encode()))
+        Envelope::open(&envelope.encode_shared())
             .is_ok_and(|(envelope, message)| receiver.verify(&envelope, &message))
     }
 

@@ -114,7 +114,11 @@ impl Client {
 
     /// Starts a request broadcast at `now`; returns the message to send to
     /// the group, or `None` if the window is full.
-    pub fn start_request(&mut self, operation: Vec<u8>, now: u64) -> Option<ClientRequest> {
+    pub fn start_request(
+        &mut self,
+        operation: impl Into<Bytes>,
+        now: u64,
+    ) -> Option<ClientRequest> {
         self.start_request_traced(operation, 0, now)
     }
 
@@ -123,7 +127,7 @@ impl Client {
     /// work can be attributed to the invocation that caused it.
     pub fn start_request_traced(
         &mut self,
-        operation: Vec<u8>,
+        operation: impl Into<Bytes>,
         trace: u64,
         now: u64,
     ) -> Option<ClientRequest> {

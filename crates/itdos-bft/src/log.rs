@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 
 use itdos_crypto::hash::Digest;
+use xbytes::Bytes;
 
 use crate::config::{GroupConfig, ReplicaId, SeqNo, View};
 use crate::message::{Checkpoint, Commit, PrePrepare, Prepare, PreparedProof};
@@ -127,7 +128,7 @@ pub struct Log {
     checkpoints: BTreeMap<(SeqNo, Digest), BTreeMap<ReplicaId, Checkpoint>>,
     /// Own checkpoint snapshots retained for state transfer: seq →
     /// (digest, snapshot bytes).
-    own_checkpoints: BTreeMap<SeqNo, (Digest, Vec<u8>)>,
+    own_checkpoints: BTreeMap<SeqNo, (Digest, Bytes)>,
 }
 
 impl Log {
@@ -216,17 +217,17 @@ impl Log {
     }
 
     /// Stores this replica's own checkpoint snapshot for state transfer.
-    pub(crate) fn store_own_checkpoint(&mut self, seq: SeqNo, digest: Digest, snapshot: Vec<u8>) {
+    pub(crate) fn store_own_checkpoint(&mut self, seq: SeqNo, digest: Digest, snapshot: Bytes) {
         self.own_checkpoints.insert(seq, (digest, snapshot));
     }
 
     /// The snapshot stored at `seq`, if retained.
-    pub fn own_checkpoint(&self, seq: SeqNo) -> Option<&(Digest, Vec<u8>)> {
+    pub fn own_checkpoint(&self, seq: SeqNo) -> Option<&(Digest, Bytes)> {
         self.own_checkpoints.get(&seq)
     }
 
     /// The latest retained own checkpoint at or below `seq`.
-    pub fn latest_own_checkpoint(&self) -> Option<(SeqNo, &(Digest, Vec<u8>))> {
+    pub fn latest_own_checkpoint(&self) -> Option<(SeqNo, &(Digest, Bytes))> {
         self.own_checkpoints
             .iter()
             .next_back()
@@ -549,7 +550,7 @@ mod tests {
                 replica: ReplicaId(i),
             });
         }
-        log.store_own_checkpoint(SeqNo(16), digest, vec![1]);
+        log.store_own_checkpoint(SeqNo(16), digest, Bytes::from_static(&[1]));
         log.stabilize(SeqNo(16));
         let cert = log.stable_certificate(2);
         assert_eq!(cert.len(), 2);
@@ -583,7 +584,7 @@ mod tests {
                 replica: ReplicaId(i),
             });
         }
-        log.store_own_checkpoint(SeqNo(16), own, vec![1]);
+        log.store_own_checkpoint(SeqNo(16), own, Bytes::from_static(&[1]));
         log.stabilize(SeqNo(16));
         let cert = log.stable_certificate(2);
         assert!(cert.iter().all(|c| c.state_digest == own));
@@ -593,8 +594,8 @@ mod tests {
     fn own_checkpoints_retained_for_transfer() {
         let cfg = config();
         let mut log = Log::new(&cfg);
-        log.store_own_checkpoint(SeqNo(16), Digest::of(b"a"), vec![1]);
-        log.store_own_checkpoint(SeqNo(32), Digest::of(b"b"), vec![2]);
+        log.store_own_checkpoint(SeqNo(16), Digest::of(b"a"), Bytes::from_static(&[1]));
+        log.store_own_checkpoint(SeqNo(32), Digest::of(b"b"), Bytes::from_static(&[2]));
         log.stabilize(SeqNo(32));
         assert!(log.own_checkpoint(SeqNo(16)).is_none(), "old snapshot GCed");
         assert!(log.own_checkpoint(SeqNo(32)).is_some(), "stable kept");

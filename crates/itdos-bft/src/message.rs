@@ -292,8 +292,9 @@ pub struct StateFetch {
 pub struct StateData {
     /// Sequence number of the snapshot.
     pub seq: SeqNo,
-    /// Application snapshot bytes.
-    pub snapshot: Vec<u8>,
+    /// Application snapshot bytes: the sender's stored checkpoint payload,
+    /// and on receipt a slice of the frame.
+    pub snapshot: Bytes,
     /// 2f+1 checkpoints proving the snapshot digest.
     pub proof: Vec<Checkpoint>,
     /// Sending replica.
@@ -535,7 +536,7 @@ mod tests {
             }),
             Message::StateData(StateData {
                 seq: SeqNo(16),
-                snapshot: vec![7, 8],
+                snapshot: Bytes::from_static(&[7, 8]),
                 proof: vec![checkpoint],
                 replica: ReplicaId(0),
             }),

@@ -208,7 +208,7 @@ impl Process for ClientNode {
         if from.is_external() {
             // harness command: start a request with these operation bytes
             let now = ctx.now().as_micros();
-            if let Some(request) = self.client.start_request(payload.to_vec(), now) {
+            if let Some(request) = self.client.start_request(payload, now) {
                 self.broadcast_request(ctx, &request);
                 let every = self.retransmit_every.as_micros();
                 if let Some(delay) = self.client.arm_retransmit(now, every) {

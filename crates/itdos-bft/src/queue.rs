@@ -22,7 +22,7 @@ use itdos_crypto::hash::Digest;
 
 use crate::state::StateMachine;
 use crate::wire::{put_seq, read_whole, take_seq, Reader, Wire, WireError, Writer};
-use xbytes::{wire_enum, wire_frame, wire_struct};
+use xbytes::{wire_enum, wire_frame, wire_struct, Bytes};
 
 /// Identifies a replication domain element within its queue group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -80,7 +80,7 @@ pub fn delivered(operation: &[u8]) -> Option<&[u8]> {
 /// The bytes of `QueueOp::Deliver(message.encode())`, written into one
 /// buffer: the tag, the length prefix and the message itself, with no
 /// separately encoded copy of the message.
-pub fn deliver(message: &impl Wire) -> Vec<u8> {
+pub fn deliver(message: &impl Wire) -> Bytes {
     let len = message.wire_len();
     let mut w = Writer::with_capacity(len.saturating_add(5));
     w.u8(DELIVER_TAG).count(len);
@@ -259,19 +259,19 @@ impl QueueMachine {
 }
 
 impl StateMachine for QueueMachine {
-    fn execute(&mut self, operation: &[u8], request_digest: Digest) -> Vec<u8> {
+    fn execute(&mut self, operation: &[u8], request_digest: Digest) -> Bytes {
         match QueueOp::decode(operation) {
             // the "static reply that acts as an acknowledgement message for
             // the protocol" (§3.1): a tag and, but for a refusal, a count,
             // allocated once at its size
             Ok(op) => match self.apply(op, request_digest) {
                 Applied::Enqueued(index) => tagged(0, index),
-                Applied::Refused => vec![1u8],
+                Applied::Refused => Bytes::from_static(&[1]),
                 Applied::Collected(freed) => tagged(2, freed),
             },
             Err(_) => {
                 self.mix_chain(b"malformed");
-                vec![255u8]
+                Bytes::from_static(&[255])
             }
         }
     }
@@ -302,11 +302,10 @@ impl StateMachine for QueueMachine {
 }
 
 /// An execution result: `tag` then `value`, little-endian.
-fn tagged(tag: u8, value: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9);
-    out.push(tag);
-    out.extend_from_slice(&value.to_le_bytes());
-    out
+fn tagged(tag: u8, value: u64) -> Bytes {
+    let mut w = Writer::with_capacity(9);
+    w.u8(tag).u64(value);
+    w.finish()
 }
 
 /// Bound on the retained messages and on the members one snapshot may
@@ -370,7 +369,7 @@ mod tests {
     /// Test shorthand: feed an operation as the request with `digest_of` it.
     trait AsRequest {
         fn run(&mut self, op: &QueueOp) -> Applied;
-        fn exec(&mut self, operation: &[u8]) -> Vec<u8>;
+        fn exec(&mut self, operation: &[u8]) -> Bytes;
     }
 
     impl AsRequest for QueueMachine {
@@ -378,7 +377,7 @@ mod tests {
             self.apply(op.clone(), digest_of(&op.encode()))
         }
 
-        fn exec(&mut self, operation: &[u8]) -> Vec<u8> {
+        fn exec(&mut self, operation: &[u8]) -> Bytes {
             self.execute(operation, digest_of(operation))
         }
     }

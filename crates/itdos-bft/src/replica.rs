@@ -785,7 +785,7 @@ impl<S: StateMachine> Replica<S> {
                     continue;
                 }
                 barrier |= self.app.is_barrier(request.operation());
-                let result = Bytes::from(self.app.execute(request.operation(), request_digest));
+                let result = self.app.execute(request.operation(), request_digest);
                 // one reply, shared by the cache, the send and the host
                 let reply = Reply {
                     view,
@@ -834,7 +834,7 @@ impl<S: StateMachine> Replica<S> {
             app_snapshot: self.app.snapshot(),
             table: Cow::Borrowed(&self.client_table),
         }
-        .encode();
+        .encode_shared();
         let state_digest = snapshot_digest(&payload);
         self.log.store_own_checkpoint(seq, state_digest, payload);
         self.saw(Fact::Checkpoint(seq));
@@ -2369,7 +2369,7 @@ mod tests {
             app_snapshot: CounterMachine::new().snapshot(),
             table: Cow::Owned(BTreeMap::new()),
         }
-        .encode();
+        .encode_shared();
         for i in 0..2u32 {
             r3.on_message(
                 ReplicaId(i),

@@ -5,6 +5,7 @@
 //! state transfer and proactive recovery.
 
 use itdos_crypto::hash::Digest;
+use xbytes::Bytes;
 
 /// A deterministic application replicated by the BFT group.
 ///
@@ -20,7 +21,7 @@ pub trait StateMachine {
     /// request, already computed by the protocol. A machine that keeps a
     /// running history digest links this instead of hashing `operation`
     /// again; one that does not may ignore it.
-    fn execute(&mut self, operation: &[u8], request_digest: Digest) -> Vec<u8>;
+    fn execute(&mut self, operation: &[u8], request_digest: Digest) -> Bytes;
 
     /// A digest of the current state (checkpoint content).
     fn digest(&self) -> Digest;
@@ -72,7 +73,7 @@ impl CounterMachine {
 }
 
 impl StateMachine for CounterMachine {
-    fn execute(&mut self, operation: &[u8], _request_digest: Digest) -> Vec<u8> {
+    fn execute(&mut self, operation: &[u8], _request_digest: Digest) -> Bytes {
         let delta = operation
             .get(..8)
             .and_then(|b| <[u8; 8]>::try_from(b).ok())
@@ -80,7 +81,7 @@ impl StateMachine for CounterMachine {
             .unwrap_or(0);
         self.total = self.total.wrapping_add(delta);
         self.applied = self.applied.saturating_add(1);
-        self.total.to_le_bytes().to_vec()
+        Bytes::copy_from_slice(&self.total.to_le_bytes())
     }
 
     fn digest(&self) -> Digest {

@@ -132,7 +132,7 @@ impl Authenticator {
     }
 
     /// Serializes to bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub fn to_bytes(&self) -> Bytes {
         let mut w = Writer::with_capacity(4 + self.tags.len());
         self.put_bytes(&mut w);
         w.finish()
@@ -154,9 +154,10 @@ impl Authenticator {
     /// Parses a serialized form that fills `raw` exactly, keeping the
     /// entries as a slice of it.
     pub(crate) fn from_shared(raw: &Bytes) -> Option<Authenticator> {
-        (serialized_len(raw)? == raw.len()).then(|| Authenticator {
-            tags: raw.slice(4..),
-        })
+        if serialized_len(raw)? != raw.len() {
+            return None;
+        }
+        raw.get(4..).map(|tags| Authenticator { tags })
     }
 }
 

@@ -230,8 +230,9 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Events currently retained, oldest first (strictly increasing `seq`).
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
+    /// Events currently retained, oldest first (strictly increasing `seq`);
+    /// a clone of the iterator walks them again, in place.
+    pub fn events(&self) -> impl Iterator<Item = &Event> + Clone {
         self.ring.iter()
     }
 

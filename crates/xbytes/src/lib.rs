@@ -3,15 +3,18 @@
 //! ITDOS passes message payloads around the simulator by value, often fanning
 //! one payload out to every replica in a domain. [`Bytes`] makes that cheap:
 //! it is an immutable, reference-counted byte buffer whose `clone` is an
-//! `Arc` bump, not a copy, and one made from a `Vec` keeps that vector's
-//! buffer. Frames are built in a [`wire::Writer`] and handed over whole.
+//! `Arc` bump, not a copy. Its storage is one allocation, an `Arc<[u8]>`
+//! holding the counts and the bytes together. Frames are written straight
+//! into that storage by a [`wire::Writer`] and handed over whole; a `Bytes`
+//! made from a `Vec` or a slice copies it once into a fresh one.
 //!
 //! The [`wire`] module is ITDOS's own: the compact wire format beneath
 //! GIOP. It lives in this leaf crate so that every crate owning a wire type
 //! can implement [`wire::Wire`] for it.
 //!
 //! Only the slice of the upstream `bytes` API that this workspace uses is
-//! implemented (construction, cheap clone, `Deref` to `[u8]`, `slice`);
+//! implemented (construction, cheap clone, `Deref` to `[u8]`, and a checked
+//! zero-copy [`Bytes::get`] in place of upstream's panicking `slice`);
 //! anything reachable through `&[u8]` comes for free via `Deref`.
 //!
 //! ```
@@ -20,9 +23,21 @@
 //! let payload = Bytes::from(vec![1, 2, 3, 4]);
 //! let fanout: Vec<Bytes> = (0..4).map(|_| payload.clone()).collect(); // no copies
 //! assert_eq!(&payload[1..3], &[2, 3]);
-//! assert_eq!(payload.slice(1..3), Bytes::from_static(&[2, 3]));
+//! assert_eq!(payload.get(1..3), Some(Bytes::from_static(&[2, 3])));
+//! assert_eq!(payload.get(3..9), None);
 //! assert_eq!(fanout[3].len(), 4);
 //! ```
+
+// L3 panic-freedom: a window is checked, never indexed
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod wire;
 
@@ -33,18 +48,19 @@ use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 /// Backing storage: either a borrowed static slice (zero-copy literals) or a
-/// shared heap buffer — the very `Vec` a [`Bytes`] was made from.
+/// shared heap buffer, one allocation for the counts and the bytes.
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared(Arc<Vec<u8>>),
+    Shared(Arc<[u8]>),
 }
 
 /// A cheaply clonable, immutable slice of bytes.
 #[derive(Clone)]
 pub struct Bytes {
     repr: Repr,
-    /// Window into the backing storage (supports zero-copy `slice`).
+    /// Window into the backing storage (supports zero-copy [`Bytes::get`]);
+    /// `start <= end <= ` the storage's length.
     start: usize,
     end: usize,
 }
@@ -68,9 +84,19 @@ impl Bytes {
         }
     }
 
-    /// Copies `data` into a new shared buffer.
+    /// The first `len` bytes of `storage` (all of it when shorter), shared
+    /// without a copy.
+    fn window(storage: Arc<[u8]>, len: usize) -> Bytes {
+        Bytes {
+            end: len.min(storage.len()),
+            repr: Repr::Shared(storage),
+            start: 0,
+        }
+    }
+
+    /// Copies `data` into a new shared buffer: one allocation.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from(data.to_vec())
+        Bytes::window(Arc::from(data), data.len())
     }
 
     /// Length of the view in bytes.
@@ -83,31 +109,24 @@ impl Bytes {
         self.start == self.end
     }
 
-    /// Returns a sub-view without copying the underlying storage.
-    ///
-    /// # Panics
-    /// Panics when the range falls outside `0..=len` (same as upstream).
-    pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
+    /// Returns a sub-view sharing the storage, or `None` when the range
+    /// falls outside `0..=len` or runs backwards.
+    pub fn get(&self, range: impl RangeBounds<usize>) -> Option<Bytes> {
         let lo = match range.start_bound() {
             Bound::Included(&n) => n,
-            Bound::Excluded(&n) => n + 1,
+            Bound::Excluded(&n) => n.checked_add(1)?,
             Bound::Unbounded => 0,
         };
         let hi = match range.end_bound() {
-            Bound::Included(&n) => n + 1,
+            Bound::Included(&n) => n.checked_add(1)?,
             Bound::Excluded(&n) => n,
             Bound::Unbounded => self.len(),
         };
-        assert!(
-            lo <= hi && hi <= self.len(),
-            "slice out of bounds: {lo}..{hi} of {}",
-            self.len()
-        );
-        Bytes {
+        (lo <= hi && hi <= self.len()).then(|| Bytes {
             repr: self.repr.clone(),
             start: self.start + lo,
             end: self.start + hi,
-        }
+        })
     }
 
     /// Copies the view into a fresh `Vec<u8>`.
@@ -120,7 +139,8 @@ impl Bytes {
             Repr::Static(s) => s,
             Repr::Shared(a) => a,
         };
-        &full[self.start..self.end]
+        // the window lies inside its storage by construction
+        full.get(self.start..self.end).unwrap_or_default()
     }
 }
 
@@ -149,14 +169,10 @@ impl Borrow<[u8]> for Bytes {
     }
 }
 
+/// Copies the vector into one shared allocation (and frees its buffer).
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        let end = v.len();
-        Bytes {
-            repr: Repr::Shared(Arc::new(v)),
-            start: 0,
-            end,
-        }
+        Bytes::copy_from_slice(&v)
     }
 }
 
@@ -180,13 +196,15 @@ impl From<String> for Bytes {
 
 impl From<Box<[u8]>> for Bytes {
     fn from(b: Box<[u8]>) -> Bytes {
-        Bytes::from(b.into_vec())
+        Bytes::copy_from_slice(&b)
     }
 }
 
 impl FromIterator<u8> for Bytes {
     fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Bytes {
-        Bytes::from(iter.into_iter().collect::<Vec<u8>>())
+        let storage: Arc<[u8]> = iter.into_iter().collect();
+        let len = storage.len();
+        Bytes::window(storage, len)
     }
 }
 
@@ -273,6 +291,58 @@ impl fmt::Debug for Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// This thread's allocations (tests run on threads of their own).
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The system allocator, counting each thread's allocations.
+    struct Counting;
+
+    // SAFETY: every method forwards its arguments unchanged to `System`;
+    // the counter touches no allocator state.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+            // SAFETY: the caller's `layout` obligations pass through.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` with `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Counting = Counting;
+
+    fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = ALLOCS.with(Cell::get);
+        let value = f();
+        (value, ALLOCS.with(Cell::get) - before)
+    }
+
+    #[test]
+    fn a_presized_writers_bytes_are_one_shared_allocation() {
+        let (frame, n) = allocations(|| {
+            let mut w = wire::Writer::with_capacity(16);
+            w.u8(1).u32(2).bytes(b"abc");
+            w.finish()
+        });
+        assert_eq!(n, 1, "the writer's storage is the frame's");
+        assert_eq!(frame, [1, 2, 0, 0, 0, 3, 0, 0, 0, b'a', b'b', b'c']);
+        let data = frame.as_slice().as_ptr();
+        let ((copy, tail), n) = allocations(|| (frame.clone(), frame.get(9..)));
+        assert_eq!(n, 0, "clone and get share the storage");
+        assert_eq!(copy.as_slice().as_ptr(), data);
+        assert_eq!(tail.unwrap().as_slice().as_ptr(), data.wrapping_add(9));
+        let (_, n) = allocations(|| Bytes::copy_from_slice(b"abc"));
+        assert_eq!(n, 1, "a copy is one allocation too");
+    }
 
     #[test]
     fn clone_shares_storage() {
@@ -286,30 +356,29 @@ mod tests {
     #[test]
     fn slice_is_zero_copy_and_bounded() {
         let a = Bytes::from(vec![0, 1, 2, 3, 4, 5]);
-        let s = a.slice(2..5);
+        let s = a.get(2..5).unwrap();
         assert_eq!(s, [2, 3, 4]);
-        assert_eq!(s.slice(1..).to_vec(), vec![3, 4]);
-        assert_eq!(a.slice(..), a);
+        assert_eq!(s.get(1..).unwrap().to_vec(), vec![3, 4]);
+        assert_eq!(a.get(..), Some(a.clone()));
+        assert_eq!(a.get(2..=4), Some(s.clone()));
         assert_eq!(s.as_slice().as_ptr(), unsafe {
             a.as_slice().as_ptr().add(2)
         });
     }
 
     #[test]
-    #[should_panic(expected = "slice out of bounds")]
-    fn slice_past_end_panics() {
-        Bytes::from(vec![1, 2]).slice(0..3);
-    }
-
-    #[test]
-    fn from_vec_keeps_the_vectors_buffer() {
-        let v = vec![5u8, 6, 7, 8];
-        let data = v.as_ptr();
-        let a = Bytes::from(v);
-        assert_eq!(a.as_slice().as_ptr(), data, "the Vec's own buffer");
-        assert_eq!(a.clone().as_slice().as_ptr(), data, "clone shares it");
-        assert_eq!(a.slice(1..).as_slice().as_ptr(), data.wrapping_add(1));
-        assert_eq!(a, [5, 6, 7, 8]);
+    fn get_out_of_range_is_none() {
+        let a = Bytes::from(vec![1, 2]);
+        assert_eq!(a.get(0..3), None, "past the end");
+        assert_eq!(a.get(3..), None, "starts past the end");
+        assert_eq!(a.get(..=2), None, "inclusive end past the end");
+        assert_eq!(a.get(..=usize::MAX), None, "inclusive end wraps");
+        assert_eq!(a.get((Bound::Excluded(usize::MAX), Bound::Unbounded)), None);
+        let (hi, lo) = (2, 1);
+        assert_eq!(a.get(hi..lo), None, "runs backwards");
+        assert_eq!(a.get(2..), Some(Bytes::new()), "the empty tail");
+        let s = a.get(1..).unwrap();
+        assert_eq!(s.get(0..2), None, "bounded by the window, not the storage");
     }
 
     #[test]

@@ -24,39 +24,69 @@
     )
 )]
 
+use std::iter::repeat_n;
+use std::sync::Arc;
+
 use crate::Bytes;
 
-/// Writer for the compact format.
-#[derive(Debug, Default)]
+/// Bytes a [`Writer`] gathers before it copies them into its storage.
+const STAGE: usize = 64;
+
+/// Writer for the compact format: it writes into the very storage the
+/// finished [`Bytes`] shares, so a frame sized up front is one allocation.
+///
+/// The storage is written through `Arc::get_mut`, an atomic check, so
+/// short writes — a tag, an integer, a MAC tag — gather in a small stage
+/// first and reach the storage once per `STAGE` bytes, not once per
+/// field.
+#[derive(Debug)]
 pub struct Writer {
-    buffer: Vec<u8>,
-    /// `Some(n)` on a writer that only counts ([`Wire::wire_len`]).
-    counted: Option<usize>,
+    /// Held by this writer alone until [`Writer::finish`]; `..stored` is
+    /// written, the rest is room.
+    storage: Arc<[u8]>,
+    stored: usize,
+    /// Written after `..stored`, not yet in `storage`: `stage[..staged]`.
+    stage: [u8; STAGE],
+    staged: usize,
+    /// True on a writer that only counts ([`Wire::wire_len`]) in `stored`.
+    counting: bool,
+}
+
+impl Default for Writer {
+    fn default() -> Writer {
+        Writer::over(Arc::default(), false)
+    }
 }
 
 impl Writer {
-    /// Creates an empty writer.
+    /// Creates an empty writer; its first write allocates.
     pub fn new() -> Writer {
         Writer::default()
     }
 
-    /// Creates an empty writer with room for `capacity` bytes.
+    /// Creates an empty writer with room for `capacity` bytes, in one
+    /// allocation. A bound is enough: what is not written is left out of
+    /// the finished [`Bytes`]. A writer that outruns it grows by copying.
     pub fn with_capacity(capacity: usize) -> Writer {
-        Writer {
-            buffer: Vec::with_capacity(capacity),
-            counted: None,
-        }
+        Writer::over(zeroed(capacity), false)
     }
 
     fn sizing() -> Writer {
+        Writer::over(Arc::default(), true)
+    }
+
+    fn over(storage: Arc<[u8]>, counting: bool) -> Writer {
         Writer {
-            buffer: Vec::new(),
-            counted: Some(0),
+            storage,
+            stored: 0,
+            stage: [0; STAGE],
+            staged: 0,
+            counting,
         }
     }
 
     fn len(&self) -> usize {
-        self.counted.unwrap_or(self.buffer.len())
+        self.stored.saturating_add(self.staged)
     }
 
     /// Appends a tag/length-free u8.
@@ -86,11 +116,25 @@ impl Writer {
 
     /// Appends fixed-size raw bytes without a length prefix.
     pub fn raw(&mut self, v: &[u8]) -> &mut Writer {
-        match &mut self.counted {
-            Some(n) => *n = n.saturating_add(v.len()),
-            None => self.buffer.extend_from_slice(v),
+        let staged = self.staged.saturating_add(v.len());
+        if self.counting {
+            self.stored = self.stored.saturating_add(v.len());
+        } else if let Some(slot) = self.stage.get_mut(self.staged..staged) {
+            slot.copy_from_slice(v);
+            self.staged = staged;
+        } else {
+            self.flush();
+            store(&mut self.storage, &mut self.stored, v);
         }
         self
+    }
+
+    /// Copies the staged bytes, if any, into the storage.
+    fn flush(&mut self) {
+        if let Some(staged) = self.stage.get(..self.staged).filter(|s| !s.is_empty()) {
+            store(&mut self.storage, &mut self.stored, staged);
+            self.staged = 0;
+        }
     }
 
     /// Appends what `put` writes as length-prefixed bytes, patching the
@@ -100,18 +144,44 @@ impl Writer {
         self.u32(0);
         let start = self.len();
         put(self);
-        let len = prefix(self.len().saturating_sub(start));
+        self.flush();
+        let len = prefix(self.stored.saturating_sub(start));
         // a counting writer holds no bytes to patch
-        if let Some(slot) = self.buffer.get_mut(at..start) {
+        if let Some(slot) = Arc::get_mut(&mut self.storage).and_then(|s| s.get_mut(at..start)) {
             slot.copy_from_slice(&len);
         }
-        self.buffer.get(start..).unwrap_or_default()
+        self.storage.get(start..self.stored).unwrap_or_default()
     }
 
-    /// Finishes, returning the encoded bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buffer
+    /// Finishes, handing the written bytes to a [`Bytes`] that shares this
+    /// writer's storage: no copy.
+    pub fn finish(mut self) -> Bytes {
+        self.flush();
+        Bytes::window(self.storage, self.stored)
     }
+}
+
+/// Writes `v` into `storage` at `*len` and advances `*len` past it. Past
+/// the storage's end, `storage` becomes a larger buffer, by copying: room
+/// for at least the new end and twice the old room.
+fn store(storage: &mut Arc<[u8]>, len: &mut usize, v: &[u8]) {
+    let end = len.saturating_add(v.len());
+    match Arc::get_mut(storage).and_then(|s| s.get_mut(*len..end)) {
+        Some(room) => room.copy_from_slice(v),
+        None => {
+            let room = end.max(storage.len().saturating_mul(2)).max(STAGE);
+            let written = storage.get(..*len).unwrap_or_default();
+            *storage = (written.iter().chain(v).copied())
+                .chain(repeat_n(0, room.saturating_sub(end)))
+                .collect();
+        }
+    }
+    *len = end;
+}
+
+/// `n` zero bytes in one shared allocation.
+fn zeroed(n: usize) -> Arc<[u8]> {
+    repeat_n(0, n).collect()
 }
 
 /// The u32 prefix of a byte length or an element count.
@@ -211,7 +281,7 @@ impl<'a> Reader<'a> {
         let start = self.position;
         let slice = self.take(len)?;
         Ok(match self.shared {
-            Some(buffer) => buffer.slice(start..self.position),
+            Some(buffer) => buffer.get(start..self.position).ok_or(WireError)?,
             None => Bytes::copy_from_slice(slice),
         })
     }
@@ -237,7 +307,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Runs `put` on a writer sized for `len` bytes and returns what it wrote.
-fn written(len: usize, put: impl FnOnce(&mut Writer)) -> Vec<u8> {
+fn written(len: usize, put: impl FnOnce(&mut Writer)) -> Bytes {
     let mut w = Writer::with_capacity(len);
     put(&mut w);
     w.finish()
@@ -274,9 +344,16 @@ pub trait Wire: Sized {
         w.len()
     }
 
-    /// Encodes this value alone into a buffer allocated at its size.
-    fn encode(&self) -> Vec<u8> {
+    /// Encodes this value alone into a buffer allocated at its size: one
+    /// allocation, shared by every clone of the result.
+    fn encode_shared(&self) -> Bytes {
         written(self.wire_len(), |w| self.put(w))
+    }
+
+    /// [`encode_shared`](Wire::encode_shared), copied into an owned `Vec`
+    /// for a caller that must own one.
+    fn encode(&self) -> Vec<u8> {
+        self.encode_shared().to_vec()
     }
 
     /// Decodes a buffer holding exactly one value.
@@ -397,7 +474,7 @@ pub fn take_seq<T: Wire>(r: &mut Reader<'_>, max: u32) -> Result<Vec<T>, WireErr
 }
 
 /// Encodes a list that travels alone: a count, then each item.
-pub fn encode_seq<T: Wire>(items: &[T]) -> Vec<u8> {
+pub fn encode_seq<T: Wire>(items: &[T]) -> Bytes {
     let mut sizing = Writer::sizing();
     put_seq(&mut sizing, items.iter());
     written(sizing.len(), |w| put_seq(w, items.iter()))
@@ -572,13 +649,19 @@ macro_rules! wire_enum {
     };
 }
 
-/// Gives whole-buffer frames inherent `encode`/`decode` (the [`Wire`] ones),
-/// so callers need not import the trait.
+/// Gives whole-buffer frames the [`Wire`] encoders and decoder as inherent
+/// methods, so callers need not import the trait.
 #[macro_export]
 macro_rules! wire_frame {
     ($($ty:ident),+ $(,)?) => {$(
         impl $ty {
-            /// Encodes to the compact wire format.
+            /// Encodes to the compact wire format, in one shared buffer.
+            pub fn encode_shared(&self) -> $crate::Bytes {
+                $crate::wire::Wire::encode_shared(self)
+            }
+
+            /// Encodes to the compact wire format, copied into an owned
+            /// `Vec`.
             pub fn encode(&self) -> Vec<u8> {
                 $crate::wire::Wire::encode(self)
             }

@@ -20,7 +20,7 @@ use itdos_bft::message::{
 use itdos_bft::queue::{ElementId, QueueEntry, QueueMachine, QueueOp};
 use itdos_bft::replica::{Output, Replica, To, TransferPayload};
 use itdos_bft::state::{CounterMachine, StateMachine};
-use itdos_bft::wire::{decode_seq, encode_seq, Wire, WireError};
+use itdos_bft::wire::{decode_seq, encode_seq, put_seq, Wire, WireError, Writer};
 use itdos_crypto::hash::Digest;
 use itdos_crypto::keys::SymmetricKey;
 use itdos_crypto::mac::Authenticator;
@@ -141,7 +141,7 @@ pub fn messages() -> Vec<Message> {
         }),
         Message::StateData(StateData {
             seq: SeqNo(16),
-            snapshot: vec![7, 8],
+            snapshot: Bytes::from_static(&[7, 8]),
             proof: vec![checkpoint()],
             replica: ReplicaId(3),
         }),
@@ -389,7 +389,7 @@ pub fn transfer_payload() -> Vec<u8> {
         .latest_own_checkpoint()
         .expect("four executions reach the checkpoint interval");
     assert_eq!(seq, SeqNo(4));
-    payload.clone()
+    payload.to_vec()
 }
 
 /// A queue holding two messages, one member's ack ahead of the others.
@@ -458,10 +458,53 @@ pub struct Case {
     /// As `recode`, decoding from a received (shared) buffer — the path
     /// whose `Bytes` fields are slices of it.
     pub recode_shared: fn(&Bytes) -> Result<Vec<u8>, WireError>,
+    /// Decodes a whole buffer and writes the value again down every
+    /// writer path.
+    pub rewrite: fn(&[u8]) -> Result<Rewritten, WireError>,
     /// For a tagged type: every tag value it declares (the tag is byte 0).
     pub tags: &'static [u8],
     /// Where `samples[0]` holds an element count, and that count's bound.
     pub counts: Vec<(usize, u32)>,
+}
+
+/// One value written down every path a [`Writer`] has.
+#[derive(Debug)]
+pub struct Rewritten {
+    /// The value's `Wire::wire_len` (for a list: its presized encoding's
+    /// length).
+    pub wire_len: usize,
+    /// `Wire::encode_shared`: a writer sized at `wire_len`.
+    pub presized: Bytes,
+    /// A writer started empty, grown by copying.
+    pub grown: Bytes,
+    /// A writer sized one byte short of the value, outrunning its bound.
+    pub outrun: Bytes,
+}
+
+impl Rewritten {
+    /// Writes with `put` down the two growing paths; `presized` is the
+    /// caller's encoding at `wire_len`.
+    fn new(wire_len: usize, presized: Bytes, put: impl Fn(&mut Writer)) -> Rewritten {
+        let write = |mut w: Writer| {
+            put(&mut w);
+            w.finish()
+        };
+        Rewritten {
+            wire_len,
+            presized,
+            grown: write(Writer::new()),
+            outrun: write(Writer::with_capacity(wire_len.saturating_sub(1))),
+        }
+    }
+
+    /// The three writers' bytes.
+    pub fn paths(&self) -> [(&'static str, &Bytes); 3] {
+        [
+            ("presized", &self.presized),
+            ("grown", &self.grown),
+            ("outrun", &self.outrun),
+        ]
+    }
 }
 
 /// The payloads of `$variant` among a list of samples.
@@ -484,12 +527,31 @@ fn recode_shared<T: Wire>(bytes: &Bytes) -> Result<Vec<u8>, WireError> {
     T::decode_shared(bytes).map(|value| value.encode())
 }
 
+fn rewrite<T: Wire>(bytes: &[u8]) -> Result<Rewritten, WireError> {
+    let value = T::decode(bytes)?;
+    Ok(Rewritten::new(
+        value.wire_len(),
+        value.encode_shared(),
+        |w| value.put(w),
+    ))
+}
+
+/// [`rewrite`] for a list that travels alone, of at most `max` items.
+fn rewrite_seq<T: Wire>(bytes: &[u8], max: u32) -> Result<Rewritten, WireError> {
+    let items = decode_seq::<T>(bytes, max)?;
+    let presized = encode_seq(&items);
+    Ok(Rewritten::new(presized.len(), presized, |w| {
+        put_seq(w, items.iter())
+    }))
+}
+
 fn case<T: Wire>(samples: &[T]) -> Case {
     Case {
         name: std::any::type_name::<T>(),
         samples: samples.iter().map(Wire::encode).collect(),
         recode: recode::<T>,
         recode_shared: recode_shared::<T>,
+        rewrite: rewrite::<T>,
         tags: &[],
         counts: Vec::new(),
     }
@@ -607,16 +669,20 @@ pub fn cases() -> Vec<Case> {
             recode: |bytes| decode_directives(bytes).map(|list| encode_directives(&list)),
             // a list that travels alone holds no `Bytes`: both paths read a slice
             recode_shared: |bytes| decode_directives(bytes).map(|list| encode_directives(&list)),
+            rewrite: |bytes| rewrite_seq::<Directive>(bytes, MAX_PROOF_ITEMS),
             tags: &[],
             counts: vec![(0, MAX_PROOF_ITEMS)],
         },
         Case {
             name: "GmMachine snapshot",
             samples: vec![gm_snapshot()],
-            recode: |bytes| decode_seq::<Vec<u8>>(bytes, MAX_OPLOG).map(|log| encode_seq(&log)),
-            recode_shared: |bytes| {
-                decode_seq::<Vec<u8>>(bytes, MAX_OPLOG).map(|log| encode_seq(&log))
+            recode: |bytes| {
+                decode_seq::<Vec<u8>>(bytes, MAX_OPLOG).map(|log| encode_seq(&log).to_vec())
             },
+            recode_shared: |bytes| {
+                decode_seq::<Vec<u8>>(bytes, MAX_OPLOG).map(|log| encode_seq(&log).to_vec())
+            },
+            rewrite: |bytes| rewrite_seq::<Vec<u8>>(bytes, MAX_OPLOG),
             tags: &[],
             counts: vec![(0, MAX_OPLOG)],
         },

@@ -115,7 +115,7 @@ fn valid_pbft_messages() -> Vec<Message> {
         }),
         Message::StateData(StateData {
             seq: SeqNo(10),
-            snapshot: vec![0xAB; 40],
+            snapshot: vec![0xAB; 40].into(),
             proof: vec![],
             replica: ReplicaId(1),
         }),
@@ -277,7 +277,7 @@ fn replica_survives_adversarial_field_values() {
         // state snapshot that is pure garbage with an empty proof
         Message::StateData(StateData {
             seq: SeqNo(u64::MAX),
-            snapshot: vec![0x5A; 100],
+            snapshot: vec![0x5A; 100].into(),
             proof: vec![],
             replica: ReplicaId(2),
         }),

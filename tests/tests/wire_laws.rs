@@ -35,6 +35,22 @@ fn every_sample_round_trips() {
     });
 }
 
+/// The writer writes into the storage its `Bytes` shares. Sized at
+/// `wire_len`, started empty, or sized one byte short and outrunning its
+/// bound, it writes each sample's bytes exactly — the samples that
+/// `golden_wire.rs` pins to the encodings of the `Vec`-backed writer this
+/// one replaced — and `wire_len` is their length.
+#[test]
+fn every_writer_path_writes_the_sample_at_its_wire_len() {
+    for_each_sample(|case, sample| {
+        let rewritten = (case.rewrite)(sample).expect("a sample decodes");
+        assert_eq!(rewritten.wire_len, sample.len(), "{}", case.name);
+        for (path, bytes) in rewritten.paths() {
+            assert_eq!(bytes, sample, "{} {path}", case.name);
+        }
+    });
+}
+
 #[test]
 fn every_proper_prefix_is_rejected() {
     for_each_sample(|case, sample| {
